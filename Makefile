@@ -44,13 +44,13 @@ cluster:
 # same-seed replay, the split-brain fence gate, and a 10-seed nemesis
 # sweep checked for durable linearizability.
 sim:
-	$(GO) run ./cmd/nvbench -experiment sim -benchlog=false
+	$(GO) run ./cmd/nvbench -experiment sim
 
 # Media gate: seeded corruptors flip bits and tear pages in live pool
 # images under load — repaired in place from parity, zero acked-write
 # loss, zero client-visible errors, zero promotions.
 media:
-	$(GO) run ./cmd/nvbench -experiment media -benchlog=false
+	$(GO) run ./cmd/nvbench -experiment media
 
 # Run the sharded KV daemon with persistent pools and the metrics mux.
 serve:

@@ -1,34 +1,116 @@
 // Command nvbench regenerates the paper's evaluation tables and figures
-// from the simulated system.
+// from the simulated system, and runs the serving tier's acceptance
+// experiments.
 //
 // Usage:
 //
 //	nvbench -experiment all
 //	nvbench -experiment fig11 [-quick]
 //	nvbench -experiment fig13|fig14|fig15|table2|table3|table5|knn|inference|soundness|faults
+//	nvbench -experiment <acceptance experiment> [-quick] [-format json]
 //
 // -quick runs a scaled-down workload (1,000 records / 10,000 operations)
-// instead of the paper's 10,000 / 100,000.
+// instead of the paper's 10,000 / 100,000. The acceptance experiments are
+// the rows of the acceptance table below (nvbench -h lists them); each
+// prints its report and exits nonzero unless its gates pass. They answer
+// "is it correct under faults"; "how fast is it" is benchmark/'s question.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
+	"strings"
 
 	"nvref/internal/bench"
 	"nvref/internal/obs"
 	"nvref/internal/rt"
 )
 
+// result is what an acceptance experiment hands back: a report and a
+// verdict.
+type result interface {
+	WriteText(w io.Writer)
+	Pass() bool
+}
+
+// acceptance is the table of serving-tier acceptance experiments: each
+// drives in-process servers over real sockets rather than the
+// single-context harness, renders its own report (text or JSON), and
+// gates on its own Pass predicate.
+var acceptance = []struct {
+	name string
+	run  func(quick bool) (result, error)
+}{
+	// Closed-loop shard sweep judged in simulated time, plus a kill/restart
+	// recovery leg.
+	{"serve", func(q bool) (result, error) { return bench.RunServe(bench.ServeSpecFor(q)) }},
+	// Shard kills plus a flaky network: zero acked-write loss, supervisor
+	// restarts in place, a clean probe afterwards.
+	{"resilience", func(q bool) (result, error) { return bench.RunResilience(bench.ResilienceSpecFor(q)) }},
+	// Primary killed mid-stream, replica promoted: zero acked-write loss
+	// under a held-ack discipline that makes the check sound.
+	{"replication", func(q bool) (result, error) { return bench.RunReplication(bench.ReplicationSpecFor(q)) }},
+	// A node joins a loaded cluster, slots migrate live behind MOVED
+	// redirects: zero acked-write loss, zero stale-epoch writes.
+	{"cluster", func(q bool) (result, error) { return bench.RunCluster(bench.ClusterSpecFor(q)) }},
+	// Bit flips and torn pages in live pool images, repaired in place from
+	// parity: zero loss, zero client errors, zero promotions.
+	{"media", func(q bool) (result, error) { return bench.RunMedia(bench.MediaSpecFor(q)) }},
+	// Trace echo everywhere, a sound stage chain, a flight dump on the
+	// kill-driven promotion, and a disabled-path overhead under threshold.
+	{"trace", func(q bool) (result, error) { return bench.RunTrace(bench.TraceSpecFor(q)) }},
+	// Deterministic simulation: byte-identical replay, the split-brain
+	// fence gate, a nemesis sweep checked for durable linearizability.
+	{"sim", func(q bool) (result, error) { return bench.RunSim(bench.SimSpecFor(q)) }},
+}
+
+func acceptanceNames() string {
+	names := make([]string, len(acceptance))
+	for i, e := range acceptance {
+		names[i] = e.name
+	}
+	return strings.Join(names, ", ")
+}
+
+// acceptanceRun looks name up in the table (nil when it is not an
+// acceptance experiment).
+func acceptanceRun(name string) func(quick bool) (result, error) {
+	for _, e := range acceptance {
+		if e.name == name {
+			return e.run
+		}
+	}
+	return nil
+}
+
+// runAcceptance runs one row of the table: report, then verdict.
+func runAcceptance(name string, run func(bool) (result, error), quick, asJSON bool) error {
+	res, err := run(quick)
+	if err != nil {
+		return err
+	}
+	if asJSON {
+		if err := bench.WriteJSON(os.Stdout, res); err != nil {
+			return err
+		}
+	} else {
+		res.WriteText(os.Stdout)
+	}
+	if !res.Pass() {
+		return fmt.Errorf("%s acceptance failed (the report above has the counters)", name)
+	}
+	return nil
+}
+
 func main() {
 	experiment := flag.String("experiment", "all",
-		"which experiment to run: all, fig11, fig13, fig14, fig15, table2, table3, table5, knn, inference, soundness, ablations, scaling, mixes, faults, obs-overhead, serve, resilience, replication, trace, cluster, sim, media")
+		"which experiment to run: all, fig11, fig13, fig14, fig15, table2, table3, table5, knn, inference, soundness, ablations, scaling, mixes, faults, obs-overhead, or an acceptance experiment: "+acceptanceNames())
 	quick := flag.Bool("quick", false, "run the scaled-down workload")
 	format := flag.String("format", "table", "output format: table, csv (fig11, fig13, fig14, fig15, table5, knn, scaling), or json (full measurement document)")
 	httpAddr := flag.String("http", "", "serve /metrics, /metrics.json and /debug/pprof on this address while running (e.g. localhost:9090)")
-	benchLog := flag.Bool("benchlog", true, "append throughput/p99 trajectory points to BENCH_<experiment>.json (serve, cluster)")
 	flag.Parse()
 
 	cfg := bench.PaperRunConfig()
@@ -50,38 +132,9 @@ func main() {
 	}
 
 	var err error
-	switch {
-	case *experiment == "serve":
-		// The serve experiment drives the nvserved tier rather than the
-		// single-context harness; it has its own table and JSON forms.
-		err = serve(*quick, *format == "json", *benchLog)
-	case *experiment == "cluster":
-		// The cluster experiment drives a multi-node cluster with a node
-		// joining mid-stream and slots migrating live under load.
-		err = clusterExp(*quick, *format == "json", *benchLog)
-	case *experiment == "replication":
-		// The replication experiment drives a primary/replica pair:
-		// in-process servers, real sockets, a real kill and promotion.
-		err = replication(*quick, *format == "json")
-	case *experiment == "media":
-		// The media experiment corrupts the primary's pool images under
-		// closed-loop load: parity must repair every flip and torn page in
-		// place, with zero loss, zero client errors, and zero failovers.
-		err = media(*quick, *format == "json", *benchLog)
-	case *experiment == "sim":
-		// The sim experiment drives the deterministic simulator: replay
-		// determinism, the split-brain fence gate, and a seeded nemesis
-		// sweep checked for durable linearizability.
-		err = simExp(*quick, *format == "json", *benchLog)
-	case *experiment == "trace":
-		// The trace experiment drives a traced primary/replica pair:
-		// reply echo and stage-sum soundness, slow-op log, killed-primary
-		// flight dump, and the disabled-path overhead gate.
-		err = trace(*quick, *format == "json")
-	case *experiment == "resilience":
-		// The resilience experiment likewise targets the serving tier:
-		// closed-loop load under shard kills and network faults.
-		err = resilience(*quick, *format == "json")
+	switch acc := acceptanceRun(*experiment); {
+	case acc != nil:
+		err = runAcceptance(*experiment, acc, *quick, *format == "json")
 	case *format == "csv":
 		err = runCSV(*experiment, cfg)
 	case *format == "json":
@@ -212,166 +265,6 @@ func run(experiment string, cfg bench.RunConfig) error {
 	return nil
 }
 
-// serve runs the nvserved closed-loop shard sweep plus the kill/restart
-// recovery leg, and enforces the experiment's acceptance gates.
-func serve(quick, asJSON, benchLog bool) error {
-	res, err := bench.RunServe(bench.ServeSpecFor(quick))
-	if err != nil {
-		return err
-	}
-	if asJSON {
-		if err := bench.WriteServeJSON(os.Stdout, res); err != nil {
-			return err
-		}
-	} else {
-		bench.WriteServe(os.Stdout, res)
-	}
-	if benchLog && len(res.Points) > 0 {
-		// The trajectory records the largest shard count's point — the
-		// configuration the speedup gate is about.
-		best := res.Points[len(res.Points)-1]
-		appendTrajectory("serve", best.WallOpsPerSec, best.P99us)
-	}
-	if !res.Pass() {
-		return fmt.Errorf("serve acceptance failed: speedup=%.2fx recovered=%v",
-			res.SimSpeedup, res.Recovery.Recovered)
-	}
-	return nil
-}
-
-// clusterExp runs the scale-out experiment: a node joins a loaded cluster
-// mid-stream, slots migrate live, clients follow MOVED redirects, and the
-// gates demand zero acked-write loss and zero stale-epoch writes.
-func clusterExp(quick, asJSON, benchLog bool) error {
-	res, err := bench.RunCluster(bench.ClusterSpecFor(quick))
-	if err != nil {
-		return err
-	}
-	if asJSON {
-		if err := bench.WriteClusterJSON(os.Stdout, res); err != nil {
-			return err
-		}
-	} else {
-		bench.WriteCluster(os.Stdout, res)
-	}
-	if benchLog {
-		appendTrajectory("cluster", res.OpsPerSec, res.P99us)
-	}
-	if !res.Pass() {
-		return fmt.Errorf("cluster acceptance failed: migrated=%d joinerSlots=%d epoch=%d->%d refreshes=%d stale=%d fencedLeft=%d lost=%d missing=%d",
-			res.SlotsMigrated, res.JoinerSlots, res.EpochBefore, res.EpochAfter,
-			res.MapRefreshes, res.StaleEpochWrites, res.FencedSlotsLeft,
-			res.LostWrites, res.MissingKeys)
-	}
-	return nil
-}
-
-// resilience runs the self-healing experiment: YCSB load under repeated
-// worker kills plus a flaky network, gated on zero lost acknowledged
-// writes, supervisor-driven restarts, and a clean post-fault probe.
-func resilience(quick, asJSON bool) error {
-	res, err := bench.RunResilience(bench.ResilienceSpecFor(quick))
-	if err != nil {
-		return err
-	}
-	if asJSON {
-		if err := bench.WriteResilienceJSON(os.Stdout, res); err != nil {
-			return err
-		}
-	} else {
-		bench.WriteResilience(os.Stdout, res)
-	}
-	if !res.Pass() {
-		return fmt.Errorf("resilience acceptance failed: kills=%d restarts=%d lost=%d missing=%d probeErrors=%d",
-			res.Kills, res.Restarts, res.LostWrites, res.MissingKeys, res.ProbeErrors)
-	}
-	return nil
-}
-
-// replication runs the primary/replica experiment: YCSB load over a flaky
-// network with the primary killed mid-stream, gated on zero lost
-// acknowledged writes on the promoted replica, a held-ack discipline that
-// makes that check sound, and replication lag draining to zero in place.
-func replication(quick, asJSON bool) error {
-	res, err := bench.RunReplication(bench.ReplicationSpecFor(quick))
-	if err != nil {
-		return err
-	}
-	if asJSON {
-		if err := bench.WriteReplicationJSON(os.Stdout, res); err != nil {
-			return err
-		}
-	} else {
-		bench.WriteReplication(os.Stdout, res)
-	}
-	if !res.Pass() {
-		return fmt.Errorf("replication acceptance failed: promotions=%d lagDrained=%v degraded=%d timeout=%d lost=%d missing=%d probeErrors=%d",
-			res.Promotions, res.LagDrained, res.DegradedAcks, res.TimeoutAcks,
-			res.LostWrites, res.MissingKeys, res.ProbeErrors)
-	}
-	return nil
-}
-
-// simExp runs the deterministic-simulation experiment: byte-identical
-// same-seed replay, the unfenced/fenced split-brain checker gate, and a
-// multi-seed nemesis sweep with zero durable-linearizability violations.
-// The trajectory point tracks the harness's own overhead (the simulator
-// is single-in-flight on a virtual clock, so this is not server
-// capacity) alongside the serve numbers.
-func simExp(quick, asJSON, benchLog bool) error {
-	res, err := bench.RunSim(bench.SimSpecFor(quick))
-	if err != nil {
-		return err
-	}
-	if asJSON {
-		if err := bench.WriteSimJSON(os.Stdout, res); err != nil {
-			return err
-		}
-	} else {
-		bench.WriteSim(os.Stdout, res)
-	}
-	if benchLog {
-		appendTrajectory("serve", res.OpsPerSec, res.P99us)
-	}
-	if !res.Pass() {
-		return fmt.Errorf("sim acceptance failed: determinism=%v unfencedViolation=%v fencedOK=%v sweepRuns=%d violations=%d failures=%d",
-			res.DeterminismOK, res.UnfencedViolation, res.FencedOK,
-			res.SweepRuns, res.SweepViolations, res.SweepFailures)
-	}
-	return nil
-}
-
-// media runs the media-fault experiment: seeded corruptors flip bits and
-// tear pages in the primary's checkpointed pool images while a
-// primary/replica pair serves closed-loop YCSB load. The gates demand
-// in-place repair from parity (pages_repaired_total > 0 in the exported
-// metrics), zero acked-write loss, zero client-visible errors, and zero
-// promotions. The trajectory point records the parity-on overhead leg, so
-// BENCH_serve.json prices the layer over time.
-func media(quick, asJSON, benchLog bool) error {
-	res, err := bench.RunMedia(bench.MediaSpecFor(quick))
-	if err != nil {
-		return err
-	}
-	if asJSON {
-		if err := bench.WriteMediaJSON(os.Stdout, res); err != nil {
-			return err
-		}
-	} else {
-		bench.WriteMedia(os.Stdout, res)
-	}
-	if benchLog {
-		appendTrajectory("serve", res.ParityOnOpsPerSec, res.ParityOnP99us)
-	}
-	if !res.Pass() {
-		return fmt.Errorf("media acceptance failed: flips=%d torn=%d crashCycles=%d repaired=%d snapRepaired=%d unrecoverable=%d promotions=%d opsFailed=%d lost=%d missing=%d",
-			res.BitFlips, res.TornPages, res.CrashCycles, res.PagesRepaired,
-			res.SnapshotCounter("pages_repaired_total"), res.Unrecoverable,
-			res.Promotions, res.OpsFailed, res.LostWrites, res.MissingKeys)
-	}
-	return nil
-}
-
 func fig14(out *os.File, cfg bench.RunConfig) error {
 	points, err := bench.Fig14(cfg, []uint64{1, 5, 10, 20, 30, 50})
 	if err != nil {
@@ -412,31 +305,6 @@ func inference(out *os.File) error {
 		return err
 	}
 	bench.WriteInference(out, s)
-	return nil
-}
-
-// trace runs the request-tracing experiment: explicit trace envelopes
-// against a primary/replica pair, gated on reply echo everywhere, stage
-// sums bounded by end-to-end latency, full stage coverage, a slow-op log
-// that fires, a flight dump on the kill-driven promotion, and a
-// disabled-path overhead under the threshold.
-func trace(quick, asJSON bool) error {
-	res, err := bench.RunTrace(bench.TraceSpecFor(quick))
-	if err != nil {
-		return err
-	}
-	if asJSON {
-		if err := bench.WriteTraceJSON(os.Stdout, res); err != nil {
-			return err
-		}
-	} else {
-		bench.WriteTrace(os.Stdout, res)
-	}
-	if !res.Pass() {
-		return fmt.Errorf("trace acceptance failed: echoMissing=%d subEchoMissing=%d sumViolations=%d slowOps=%d missingStages=%v promotions=%d dumpHasPromotion=%v dumpSpans=%d overhead=%.2f%%",
-			res.EchoMissing, res.BatchSubEchoMissing, res.SumViolations, res.SlowOps,
-			res.MissingStages, res.Promotions, res.DumpHasPromotion, res.DumpSpans, res.OverheadPct())
-	}
 	return nil
 }
 

@@ -5,72 +5,52 @@
 // stale-epoch writes. Clients route only through cluster maps and MOVED
 // redirects — nobody tells them about the new node.
 //
-// Zero-loss detection reuses the replication experiment's machinery: one
-// global write sequencer, single-writer key partitioning, and a final
-// sweep comparing each key's stored value (read through a fresh routing
-// client against the final map) to the highest value any client saw
-// acknowledged. Zero-stale-write detection is server-side: every
-// committed handover audits the donor's logs for post-fence writes to
-// the migrated slot, and the sum of those counters across the cluster
-// must be zero.
+// Zero-loss detection is the harness's oracle (harness.go), swept through
+// a fresh routing client against the final map. Zero-stale-write detection
+// is server-side: every committed handover audits the donor's logs for
+// post-fence writes to the migrated slot, and the sum of those counters
+// across the cluster must be zero.
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"nvref/internal/cluster"
-	"nvref/internal/fault"
-	"nvref/internal/fault/flaky"
 	"nvref/internal/rt"
 	"nvref/internal/server"
-	"nvref/internal/ycsb"
 )
 
 // ClusterSpec parameterizes the cluster experiment.
 type ClusterSpec struct {
-	Records    int
-	Operations int
-	Clients    int
-	// Shards is the per-node shard count.
-	Shards int
+	LoadSpec
 	// Nodes is the initial cluster size; one more node joins mid-stream.
 	Nodes int
 	// Slots is the cluster map's slot count.
-	Slots    int
-	Mode     rt.Mode
-	PoolSize uint64
-	// CheckpointEvery is the per-shard checkpoint cadence.
-	CheckpointEvery int
+	Slots int
 	// JoinAtFrac is the fraction of operations after which the extra node
 	// joins and rebalances (0.3 = once 30% of the stream completed).
 	JoinAtFrac float64
-	// NetFaultEvery injects one network fault per that many client conn
-	// I/O calls (0 disables).
-	NetFaultEvery int
-	Seed          int64
 }
 
 // ClusterSpecFor returns the standard experiment sizes.
 func ClusterSpecFor(quick bool) ClusterSpec {
 	s := ClusterSpec{
-		Records:         4000,
-		Operations:      24000,
-		Clients:         4,
-		Shards:          2,
-		Nodes:           3,
-		Slots:           64,
-		Mode:            rt.HW,
-		PoolSize:        4 << 20,
-		CheckpointEvery: 4000,
-		JoinAtFrac:      0.3,
-		NetFaultEvery:   300,
-		Seed:            23,
+		LoadSpec: LoadSpec{
+			Records:         4000,
+			Operations:      24000,
+			Clients:         4,
+			Shards:          2,
+			Mode:            rt.HW,
+			PoolSize:        4 << 20,
+			CheckpointEvery: 4000,
+			NetFaultEvery:   300,
+			Seed:            23,
+		},
+		Nodes:      3,
+		Slots:      64,
+		JoinAtFrac: 0.3,
 	}
 	if quick {
 		s.Records, s.Operations = 1500, 10000
@@ -78,23 +58,14 @@ func ClusterSpecFor(quick bool) ClusterSpec {
 	return s
 }
 
-// ClusterResult is the experiment document.
+// ClusterResult is the experiment document. The client-side fields cover
+// the full run (flaky network, node joining mid-stream); the sweep ran
+// against the final map.
 type ClusterResult struct {
-	Records    int    `json:"records"`
-	Operations int    `json:"operations"`
-	Clients    int    `json:"clients"`
-	Shards     int    `json:"shards"`
-	Nodes      int    `json:"nodes"`
-	Slots      int    `json:"slots"`
-	Mode       string `json:"mode"`
+	LoadResult
+	Nodes int `json:"nodes"`
+	Slots int `json:"slots"`
 
-	// Client-side view of the full run (flaky network, node joining
-	// mid-stream).
-	OpsOK        int     `json:"ops_ok"`
-	OpsFailed    int     `json:"ops_failed"`
-	ErrorRate    float64 `json:"error_rate"`
-	NetFaults    uint64  `json:"net_faults"`
-	WallSeconds  float64 `json:"wall_seconds"`
 	OpsPerSec    float64 `json:"ops_per_sec"`
 	P50us        float64 `json:"p50_us"`
 	P99us        float64 `json:"p99_us"`
@@ -111,11 +82,6 @@ type ClusterResult struct {
 	KeysPurged       uint64 `json:"keys_purged"`
 	StaleEpochWrites uint64 `json:"stale_epoch_writes"`
 	FencedSlotsLeft  int    `json:"fenced_slots_left"`
-
-	// Zero-loss sweep against the final map.
-	AckedKeys   int `json:"acked_keys"`
-	LostWrites  int `json:"lost_writes"`
-	MissingKeys int `json:"missing_keys"`
 }
 
 // Pass applies the acceptance gates: real traffic moved over a really
@@ -133,43 +99,27 @@ func (r *ClusterResult) Pass() bool {
 		r.LostWrites == 0 && r.MissingKeys == 0
 }
 
-// clusterNode is one in-process node: its listener is bound before the
-// server exists so the advertised address can go into the bootstrap map.
-type clusterNode struct {
-	addr string
-	l    net.Listener
-	srv  *server.Server
-}
-
-func startClusterNode(spec ClusterSpec, addr string, l net.Listener, m *cluster.Map) (*clusterNode, error) {
-	srv, err := server.New(server.Config{
-		Shards:          spec.Shards,
-		Mode:            spec.Mode,
-		PoolSize:        spec.PoolSize,
-		CheckpointEvery: spec.CheckpointEvery,
-		ClusterSelf:     addr,
-		ClusterMap:      m,
-	})
+// startClusterNode serves one in-process node on l. The listener is bound
+// before the server exists so the advertised address can go into the
+// bootstrap map; a nil map starts a node that knows nothing yet (the
+// joiner).
+func startClusterNode(spec LoadSpec, l net.Listener, m *cluster.Map) (*server.Server, error) {
+	cfg := spec.config()
+	cfg.ClusterSelf = l.Addr().String()
+	cfg.ClusterMap = m
+	srv, err := server.New(cfg)
 	if err != nil {
 		l.Close()
 		return nil, err
 	}
 	go srv.Serve(l)
-	return &clusterNode{addr: addr, l: l, srv: srv}, nil
+	return srv, nil
 }
 
 // RunCluster executes the experiment against in-process nodes on
 // loopback listeners.
 func RunCluster(spec ClusterSpec) (*ClusterResult, error) {
-	res := &ClusterResult{
-		Records:    spec.Records,
-		Operations: spec.Operations,
-		Clients:    spec.Clients,
-		Shards:     spec.Shards,
-		Nodes:      spec.Nodes,
-		Slots:      spec.Slots,
-		Mode:       spec.Mode.String(),
-	}
+	res := &ClusterResult{Nodes: spec.Nodes, Slots: spec.Slots}
 
 	// Bind every initial node's listener first: the bootstrap map needs
 	// the real addresses.
@@ -187,14 +137,14 @@ func RunCluster(spec ClusterSpec) (*ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodes := make([]*clusterNode, 0, spec.Nodes+1)
+	nodes := make([]*server.Server, 0, spec.Nodes+1)
 	defer func() {
 		for _, n := range nodes {
-			n.srv.Abort()
+			n.Abort()
 		}
 	}()
-	for i := range addrs {
-		n, err := startClusterNode(spec, addrs[i], listeners[i], bootstrap)
+	for _, l := range listeners {
+		n, err := startClusterNode(spec.LoadSpec, l, bootstrap)
 		if err != nil {
 			return nil, err
 		}
@@ -202,172 +152,72 @@ func RunCluster(spec ClusterSpec) (*ClusterResult, error) {
 	}
 	res.EpochBefore = bootstrap.Epoch
 
-	// Load phase over a clean network, acks recorded.
-	var seq atomic.Uint64
-	w := ycsb.Generate(ycsb.WorkloadA(spec.Records, spec.Operations, spec.Seed))
-	ackedMax := make(map[uint64]uint64, spec.Records)
-	loader, err := server.DialCluster(addrs, server.RetryPolicy{Seed: uint64(spec.Seed)}, nil)
+	h := newAcceptance(spec.LoadSpec)
+	loader, err := server.DialCluster(addrs, h.loaderPolicy(), nil)
 	if err != nil {
 		return nil, err
 	}
-	for _, kv := range w.Load {
-		v := seq.Add(1)
-		if err := loader.Put(kv.Key, v); err != nil {
-			loader.Close()
-			return nil, fmt.Errorf("cluster: load put %d: %w", kv.Key, err)
-		}
-		if v > ackedMax[kv.Key] {
-			ackedMax[kv.Key] = v
-		}
+	if err := h.load(loader); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	loader.Close()
+
+	// The joiner: on the op that completes the configured fraction of the
+	// stream, bring up one more node with no map at all, have it join off
+	// a seed, and rebalance — pulling slots to itself by live migration
+	// while the writers keep hammering those same slots (hence the
+	// goroutine: the triggering client must not stall for the migration).
+	join := func() error {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return err
+		}
+		n, err := startClusterNode(spec.LoadSpec, l, nil)
+		if err != nil {
+			return err
+		}
+		nodes = append(nodes, n)
+		if err := n.JoinCluster(addrs[0], nil); err != nil {
+			return fmt.Errorf("cluster: join: %w", err)
+		}
+		res.SlotsMigrated, err = n.Rebalance(nil)
+		if err != nil {
+			return fmt.Errorf("cluster: rebalance (%d slots in): %w", res.SlotsMigrated, err)
+		}
+		return nil
+	}
+	joinErr := make(chan error, 1)
+	h.at(spec.JoinAtFrac, func() {
+		go func() { joinErr <- join() }()
+	})
 
 	// Closed-loop clients routing by cluster map through the flaky
 	// network. Nobody hands them the joiner's address: they have to find
 	// it through MOVED redirects and map refreshes.
-	netSched := fault.NewPeriodic("", spec.NetFaultEvery)
-	type clientAcks map[uint64]uint64
-	acks := make([]clientAcks, spec.Clients)
-	okCounts := make([]int, spec.Clients)
-	failCounts := make([]int, spec.Clients)
-	lats := make([][]float64, spec.Clients)
-	var okTotal atomic.Int64
-	var movedSeen, refreshes, mapLoads atomic.Uint64
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for ci := 0; ci < spec.Clients; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			policy := server.RetryPolicy{
-				MaxAttempts: 16,
-				BaseBackoff: time.Millisecond,
-				MaxBackoff:  80 * time.Millisecond,
-				Timeout:     2 * time.Second,
-				TTLms:       2000,
-				Seed:        uint64(spec.Seed) + uint64(ci)*977,
-			}
-			var dial func(a string) (net.Conn, error)
-			if spec.NetFaultEvery > 0 {
-				dial = flaky.Dialer(flaky.Config{Sched: netSched, Seed: uint64(spec.Seed) + uint64(ci)})
-			}
-			cl, err := server.DialCluster(addrs, policy, dial)
-			if err != nil {
-				failCounts[ci]++
-				return
-			}
-			defer func() {
-				movedSeen.Add(cl.MovedSeen())
-				refreshes.Add(cl.MapRefreshes())
-				mapLoads.Add(cl.MapLoads())
-				cl.Close()
-			}()
-			mine := make(clientAcks)
-			for oi := ci; oi < len(w.Ops); oi += spec.Clients {
-				op := w.Ops[oi]
-				ot := time.Now()
-				if op.Type == ycsb.Get {
-					if _, _, err := cl.Get(op.Key); err != nil {
-						failCounts[ci]++
-						continue
-					}
-				} else {
-					// Single-writer partitioning: this client owns the keys
-					// congruent to ci mod Clients.
-					key := op.Key - op.Key%uint64(spec.Clients) + uint64(ci)
-					v := seq.Add(1)
-					if err := cl.Put(key, v); err != nil {
-						failCounts[ci]++
-						continue
-					}
-					mine[key] = v // seq is monotonic, so v is this key's max
-				}
-				lats[ci] = append(lats[ci], float64(time.Since(ot).Microseconds()))
-				okCounts[ci]++
-				okTotal.Add(1)
-			}
-			acks[ci] = mine
-		}(ci)
+	clients := make([]*server.ClusterClient, spec.Clients)
+	if err := h.drive(func(ci int) (kv, error) {
+		cl, err := server.DialCluster(addrs, h.policy(ci), h.dialer(ci))
+		clients[ci] = cl
+		return cl, err
+	}); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
-
-	// The joiner: once the configured fraction of the stream has
-	// completed, bring up a fourth node with no map at all, have it join
-	// off a seed, and rebalance — pulling slots to itself by live
-	// migration while the writers keep hammering those same slots.
-	clientsDone := make(chan struct{})
-	go func() { wg.Wait(); close(clientsDone) }()
-	joinAt := int64(float64(spec.Operations) * spec.JoinAtFrac)
-	joinErr := make(chan error, 1)
-	joined := false
-	for !joined {
-		select {
-		case <-clientsDone:
-			// Stream finished before the threshold — the spec is mis-sized;
-			// fall through and let SlotsMigrated==0 fail the gate visibly.
-			joinErr <- nil
-			joined = true
-		case <-time.After(time.Millisecond):
-			if okTotal.Load() < joinAt {
-				continue
-			}
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return nil, err
-			}
-			n, err := startClusterNode(spec, l.Addr().String(), l, nil)
-			if err != nil {
-				return nil, err
-			}
-			nodes = append(nodes, n)
-			go func() {
-				if err := n.srv.JoinCluster(addrs[0], nil); err != nil {
-					joinErr <- fmt.Errorf("cluster: join: %w", err)
-					return
-				}
-				moved, err := n.srv.Rebalance(nil)
-				res.SlotsMigrated = moved
-				if err != nil {
-					joinErr <- fmt.Errorf("cluster: rebalance (%d slots in): %w", moved, err)
-					return
-				}
-				joinErr <- nil
-			}()
-			joined = true
-		}
-	}
-	<-clientsDone
 	if err := <-joinErr; err != nil {
 		return nil, err
 	}
-	res.WallSeconds = time.Since(t0).Seconds()
-	res.NetFaults = netSched.Fired()
-	res.MovedSeen = movedSeen.Load()
-	res.MapRefreshes = refreshes.Load()
-	res.MapLoads = mapLoads.Load()
-	var all []float64
-	for ci := 0; ci < spec.Clients; ci++ {
-		res.OpsOK += okCounts[ci]
-		res.OpsFailed += failCounts[ci]
-		all = append(all, lats[ci]...)
-		for k, v := range acks[ci] {
-			if v > ackedMax[k] {
-				ackedMax[k] = v
-			}
-		}
+	for _, cl := range clients {
+		res.MovedSeen += cl.MovedSeen()
+		res.MapRefreshes += cl.MapRefreshes()
+		res.MapLoads += cl.MapLoads()
 	}
-	if total := res.OpsOK + res.OpsFailed; total > 0 {
-		res.ErrorRate = float64(res.OpsFailed) / float64(total)
+	if h.wall > 0 {
+		res.OpsPerSec = float64(h.res.OpsOK) / h.wall.Seconds()
 	}
-	if res.WallSeconds > 0 {
-		res.OpsPerSec = float64(res.OpsOK) / res.WallSeconds
-	}
-	res.P50us, res.P99us = percentile(all, 50), percentile(all, 99)
-	res.AckedKeys = len(ackedMax)
+	res.P50us, res.P99us = percentile(h.lats, 50), percentile(h.lats, 99)
 
 	// Cluster-wide server-side verdicts: the handover audits must have
 	// found zero post-fence writes, and no fence may still be standing.
 	for _, n := range nodes {
-		cs := n.srv.CollectStats().Cluster
+		cs := n.CollectStats().Cluster
 		if cs == nil {
 			continue
 		}
@@ -379,37 +229,25 @@ func RunCluster(spec ClusterSpec) (*ClusterResult, error) {
 			res.EpochAfter = cs.Epoch
 		}
 	}
-	joiner := nodes[len(nodes)-1]
-	if m := joiner.srv.CollectStats().Cluster; m != nil {
+	if m := nodes[len(nodes)-1].CollectStats().Cluster; m != nil {
 		res.JoinerSlots = m.SlotsOwned
 	}
 
-	// Zero-loss sweep against the final map: every acknowledged write
-	// must be readable through a fresh routing client at no less than its
-	// highest acknowledged value.
-	sweep, err := server.DialCluster(addrs, server.RetryPolicy{Seed: uint64(spec.Seed) + 1}, nil)
+	// Zero-loss sweep against the final map, through a fresh routing
+	// client.
+	sweep, err := server.DialCluster(addrs, h.loaderPolicy(), nil)
 	if err != nil {
 		return nil, err
 	}
-	defer sweep.Close()
-	for k, want := range ackedMax {
-		v, found, err := sweep.Get(k)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: verify get %d: %w", k, err)
-		}
-		if !found {
-			res.MissingKeys++
-			continue
-		}
-		if v < want {
-			res.LostWrites++
-		}
+	if err := h.verify(sweep); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	res.LoadResult = h.res
 	return res, nil
 }
 
-// WriteCluster renders the experiment as text.
-func WriteCluster(w io.Writer, r *ClusterResult) {
+// WriteText renders the experiment as text.
+func (r *ClusterResult) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "cluster: YCSB-A, %d records / %d ops, %d clients, %d nodes x %d shards, %d slots, %s mode\n",
 		r.Records, r.Operations, r.Clients, r.Nodes, r.Shards, r.Slots, r.Mode)
 	fmt.Fprintf(w, "faulty window: %d ok / %d failed ops (error rate %.2f%%) in %.2fs (%.0f ops/s, p50 %.0fus, p99 %.0fus); %d net faults\n",
@@ -420,17 +258,5 @@ func WriteCluster(w io.Writer, r *ClusterResult) {
 		r.EpochBefore, r.EpochAfter, r.SlotsMigrated, r.JoinerSlots, r.RecordsIngested, r.KeysPurged)
 	fmt.Fprintf(w, "fencing: %d stale-epoch writes (must be 0), %d fences left standing (must be 0)\n",
 		r.StaleEpochWrites, r.FencedSlotsLeft)
-	verdict := "PASS"
-	if !r.Pass() {
-		verdict = "FAIL"
-	}
-	fmt.Fprintf(w, "acked writes: %d keys verified, %d missing, %d lost -> %s\n",
-		r.AckedKeys, r.MissingKeys, r.LostWrites, verdict)
-}
-
-// WriteClusterJSON emits the experiment document as JSON.
-func WriteClusterJSON(w io.Writer, r *ClusterResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	r.writeVerdict(w, r.Pass())
 }

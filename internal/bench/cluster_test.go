@@ -15,7 +15,7 @@ func TestClusterSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunCluster: %v", err)
 	}
-	WriteCluster(io.Discard, res)
+	res.WriteText(io.Discard)
 	if res.SlotsMigrated < 1 {
 		t.Errorf("slots migrated = %d, want >= 1", res.SlotsMigrated)
 	}

@@ -9,16 +9,13 @@
 // Two repair paths are exercised deliberately: the background scrubber
 // finds corruption at rest (scrub-and-repair on an idle shard), and a
 // power-loss crash reopens a corrupt image (repair-on-open during
-// recovery). A final pair of parity-on/parity-off throughput legs prices
-// the whole layer.
+// recovery). What the layer costs is the pinned benchmark's question
+// (benchmark/, parity.checkpoint_tax_frac), not this gate's.
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"nvref/internal/fault"
@@ -28,22 +25,16 @@ import (
 	"nvref/internal/pmem"
 	"nvref/internal/rt"
 	"nvref/internal/server"
-	"nvref/internal/ycsb"
 )
 
-// MediaSpec parameterizes the media-fault experiment.
+// MediaSpec parameterizes the media-fault experiment. CheckpointEvery is
+// moderate on purpose: checkpoints both exercise the incremental parity
+// updates and race the corruptor (a checkpoint that rewrites a corrupted
+// image before the scrubber sees it is a lost injection, counted,
+// retried). The network stays clean: any client-visible error is the
+// parity layer failing its promise.
 type MediaSpec struct {
-	Records    int
-	Operations int
-	Clients    int
-	Shards     int
-	Mode       rt.Mode
-	PoolSize   uint64
-	// CheckpointEvery is the per-shard checkpoint cadence. Moderate on
-	// purpose: checkpoints both exercise the incremental parity updates
-	// and race the corruptor (a checkpoint that rewrites a corrupted image
-	// before the scrubber sees it is a lost injection, counted, retried).
-	CheckpointEvery int
+	LoadSpec
 	// ScrubEvery is the background scrub-and-repair cadence.
 	ScrubEvery time.Duration
 	// PromoteAfter arms the replica's failover. Generous: the gate is that
@@ -54,56 +45,38 @@ type MediaSpec struct {
 	// load (alternating bit flips and torn pages, scrub path and
 	// crash-recovery path).
 	Cycles int
-	// OverheadOps sizes the parity-on vs parity-off throughput legs.
-	OverheadOps int
-	// OverheadScrubEvery is the legs' scrub cadence. Deliberately calmer
-	// than ScrubEvery: the faulted phase scrubs aggressively to chase
-	// injected damage, but the tax worth quoting is steady-state parity
-	// maintenance (checkpoint CRC + delta-XOR work) plus a realistic scrub
-	// rate, not a full-image verify every couple of milliseconds.
-	OverheadScrubEvery time.Duration
-	Seed               int64
 }
 
 // MediaSpecFor returns the standard experiment sizes.
 func MediaSpecFor(quick bool) MediaSpec {
 	s := MediaSpec{
-		Records:            3000,
-		Operations:         20000,
-		Clients:            4,
-		Shards:             2,
-		Mode:               rt.HW,
-		PoolSize:           4 << 20,
-		CheckpointEvery:    1000,
-		ScrubEvery:         2 * time.Millisecond,
-		PromoteAfter:       2 * time.Second,
-		Cycles:             8,
-		OverheadOps:        12000,
-		OverheadScrubEvery: 50 * time.Millisecond,
-		Seed:               23,
+		LoadSpec: LoadSpec{
+			Records:         3000,
+			Operations:      20000,
+			Clients:         4,
+			Shards:          2,
+			Mode:            rt.HW,
+			PoolSize:        4 << 20,
+			CheckpointEvery: 1000,
+			Seed:            23,
+		},
+		ScrubEvery:   2 * time.Millisecond,
+		PromoteAfter: 2 * time.Second,
+		Cycles:       8,
 	}
 	if quick {
 		s.Records, s.Operations = 1200, 8000
 		s.Cycles = 5
-		s.OverheadOps = 4000
 	}
 	return s
 }
 
-// MediaResult is the experiment document.
+// MediaResult is the experiment document. The whole point of the
+// client-side fields is that none of the injected media damage is visible
+// there; the sweep ran on the primary.
 type MediaResult struct {
-	Records    int    `json:"records"`
-	Operations int    `json:"operations"`
-	Clients    int    `json:"clients"`
-	Shards     int    `json:"shards"`
-	Mode       string `json:"mode"`
-
-	// Client-side view: the whole point is that none of the injected media
-	// damage is visible here.
-	OpsOK       int     `json:"ops_ok"`
-	OpsFailed   int     `json:"ops_failed"`
-	Retries     uint64  `json:"retries"`
-	WallSeconds float64 `json:"wall_seconds"`
+	LoadResult
+	Retries uint64 `json:"retries"`
 
 	// Corruption injected into the primary's stores, by class and by the
 	// repair path meant to catch it.
@@ -124,28 +97,9 @@ type MediaResult struct {
 	// Failover never needed: the replica followed throughout.
 	Promotions uint64 `json:"promotions"`
 
-	// Zero-loss sweep on the primary after the run.
-	AckedKeys   int `json:"acked_keys"`
-	LostWrites  int `json:"lost_writes"`
-	MissingKeys int `json:"missing_keys"`
-
-	// Parity tax: identical standalone runs with the layer on and off.
-	ParityOnOpsPerSec  float64 `json:"parity_on_ops_per_sec"`
-	ParityOffOpsPerSec float64 `json:"parity_off_ops_per_sec"`
-	ParityOnP99us      float64 `json:"parity_on_p99_us"`
-	ParityOffP99us     float64 `json:"parity_off_p99_us"`
-
 	// Metrics is the primary's obs registry snapshot; the gate reads the
 	// aggregate pages_repaired_total series from it.
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
-}
-
-// OverheadPct is the throughput cost of the parity layer in percent.
-func (r *MediaResult) OverheadPct() float64 {
-	if r.ParityOffOpsPerSec <= 0 {
-		return 0
-	}
-	return (1 - r.ParityOnOpsPerSec/r.ParityOffOpsPerSec) * 100
 }
 
 // SnapshotCounter reads one counter series out of the embedded snapshot
@@ -221,13 +175,7 @@ func corruptPool(st pmem.Store, class fault.Class, rng *fault.Rand) (int, error)
 // pair on loopback listeners, corrupting the primary's stores while the
 // load runs.
 func RunMedia(spec MediaSpec) (*MediaResult, error) {
-	res := &MediaResult{
-		Records:    spec.Records,
-		Operations: spec.Operations,
-		Clients:    spec.Clients,
-		Shards:     spec.Shards,
-		Mode:       spec.Mode.String(),
-	}
+	res := &MediaResult{}
 
 	// Per-shard stores the corruptor keeps handles to. Log stores are
 	// persistent and flushed every append so a crash-recovery cycle
@@ -240,145 +188,52 @@ func RunMedia(spec MediaSpec) (*MediaResult, error) {
 		logStores[i] = pmem.NewMemStore()
 	}
 	reg := obs.NewRegistry()
-	primary, err := server.New(server.Config{
-		Shards:          spec.Shards,
-		Mode:            spec.Mode,
-		PoolSize:        spec.PoolSize,
-		CheckpointEvery: spec.CheckpointEvery,
-		ScrubEvery:      spec.ScrubEvery,
-		Parity:          parity.Default(),
-		StoreFor:        func(i int) pmem.Store { return stores[i] },
-		Role:            server.RolePrimary,
-		LogStoreFor:     func(i int) pmem.Store { return logStores[i] },
-		LogFlushEvery:   1,
-		Reg:             reg,
-	})
+	pcfg := spec.config()
+	pcfg.ScrubEvery = spec.ScrubEvery
+	pcfg.Parity = parity.Default()
+	pcfg.StoreFor = func(i int) pmem.Store { return stores[i] }
+	pcfg.LogStoreFor = func(i int) pmem.Store { return logStores[i] }
+	pcfg.LogFlushEvery = 1
+	pcfg.Reg = reg
+	rcfg := spec.config()
+	rcfg.PromoteAfter = spec.PromoteAfter
+	p, err := startPair(pcfg, rcfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("media: %w", err)
 	}
-	defer primary.Close()
-	paddr, err := primary.Start("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
+	defer p.close()
+	primary := p.primary
 
-	replica, err := server.New(server.Config{
-		Shards:          spec.Shards,
-		Mode:            spec.Mode,
-		PoolSize:        spec.PoolSize,
-		CheckpointEvery: spec.CheckpointEvery,
-		Role:            server.RoleReplica,
-		FollowAddr:      paddr.String(),
-		FollowPoll:      time.Millisecond,
-		PromoteAfter:    spec.PromoteAfter,
-	})
+	h := newAcceptance(spec.LoadSpec)
+	loader, err := server.DialResilient(p.paddr, h.loaderPolicy())
 	if err != nil {
 		return nil, err
 	}
-	defer replica.Close()
-	if _, err := replica.Start("127.0.0.1:0"); err != nil {
+	if err := h.load(loader); err != nil {
 		return nil, err
 	}
-	if err := waitUntil(5*time.Second, func() bool {
-		fs := replica.CollectStats().Follower
-		return fs != nil && fs.Pulls > 0
-	}); err != nil {
-		return nil, fmt.Errorf("media: follower never contacted primary: %w", err)
-	}
-
-	// Load phase, acks recorded for the zero-loss sweep.
-	var seq atomic.Uint64
-	w := ycsb.Generate(ycsb.WorkloadA(spec.Records, spec.Operations, spec.Seed))
-	ackedMax := make(map[uint64]uint64, spec.Records)
-	loader, err := server.DialResilient(paddr.String(), server.RetryPolicy{Seed: uint64(spec.Seed)})
-	if err != nil {
-		return nil, err
-	}
-	const loadBatch = 256
-	for i := 0; i < len(w.Load); i += loadBatch {
-		end := i + loadBatch
-		if end > len(w.Load) {
-			end = len(w.Load)
-		}
-		sub := make([]server.Request, 0, end-i)
-		for _, kv := range w.Load[i:end] {
-			v := seq.Add(1)
-			sub = append(sub, server.Request{Op: server.OpPut, Key: kv.Key, Value: v})
-		}
-		if _, err := loader.Batch(sub); err != nil {
-			return nil, err
-		}
-		for _, r := range sub {
-			if r.Value > ackedMax[r.Key] {
-				ackedMax[r.Key] = r.Value
-			}
-		}
-	}
-	loader.Close()
 	// Seed the stores: every shard now has a checkpointed image and a
 	// parity sidecar for the corruptor to aim at.
 	if err := primary.Checkpoint(); err != nil {
 		return nil, err
 	}
 
-	// Closed-loop clients, single-writer key partitioning, clean network:
-	// any client-visible error is the parity layer failing its promise.
-	type clientAcks map[uint64]uint64
-	acks := make([]clientAcks, spec.Clients)
-	okCounts := make([]int, spec.Clients)
-	failCounts := make([]int, spec.Clients)
-	var retries atomic.Uint64
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for ci := 0; ci < spec.Clients; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			policy := server.RetryPolicy{
-				MaxAttempts: 16,
-				BaseBackoff: time.Millisecond,
-				MaxBackoff:  80 * time.Millisecond,
-				Timeout:     2 * time.Second,
-				TTLms:       2000,
-				Seed:        uint64(spec.Seed) + uint64(ci)*977,
-			}
-			cl, err := server.DialResilient(paddr.String(), policy)
-			if err != nil {
-				failCounts[ci]++
-				return
-			}
-			defer func() {
-				retries.Add(cl.Retries())
-				cl.Close()
-			}()
-			mine := make(clientAcks)
-			for oi := ci; oi < len(w.Ops); oi += spec.Clients {
-				op := w.Ops[oi]
-				if op.Type == ycsb.Get {
-					if _, _, err := cl.GetRYW(op.Key); err != nil {
-						failCounts[ci]++
-						continue
-					}
-				} else {
-					key := op.Key - op.Key%uint64(spec.Clients) + uint64(ci)
-					v := seq.Add(1)
-					if _, _, err := cl.PutRYW(key, v); err != nil {
-						failCounts[ci]++
-						continue
-					}
-					mine[key] = v
-				}
-				okCounts[ci]++
-			}
-			acks[ci] = mine
-		}(ci)
-	}
+	// Closed-loop clients on a clean network, in the background: the
+	// corruptor below runs inline while they do.
+	clients := make([]*server.ResilientClient, spec.Clients)
+	driven := make(chan error, 1)
+	go func() {
+		driven <- h.drive(func(ci int) (kv, error) {
+			cl, err := server.DialResilient(p.paddr, h.policy(ci))
+			clients[ci] = cl
+			return rywClient{cl}, err
+		})
+	}()
 
-	// The corruptor, inline while the clients run. Cycles alternate damage
-	// class (bit flip / torn page) and repair path (background scrub /
-	// crash recovery). Each waits for the repair counter to move — or for
-	// the shard to checkpoint over the damage, a lost race, retried by the
-	// next cycle.
+	// The corruptor. Cycles alternate damage class (bit flip / torn page)
+	// and repair path (background scrub / crash recovery). Each waits for
+	// the repair counter to move — or for the shard to checkpoint over the
+	// damage, a lost race, retried by the next cycle.
 	rng := fault.NewRand(uint64(spec.Seed)*2654435761 + 1)
 	inject1 := func(cycle int) error {
 		si := cycle % spec.Shards
@@ -425,17 +280,11 @@ func RunMedia(spec MediaSpec) (*MediaResult, error) {
 			return nil, err
 		}
 	}
-	wg.Wait()
-	res.WallSeconds = time.Since(t0).Seconds()
-	res.Retries = retries.Load()
-	for ci := 0; ci < spec.Clients; ci++ {
-		res.OpsOK += okCounts[ci]
-		res.OpsFailed += failCounts[ci]
-		for k, v := range acks[ci] {
-			if v > ackedMax[k] {
-				ackedMax[k] = v
-			}
-		}
+	if err := <-driven; err != nil {
+		return nil, fmt.Errorf("media: %w", err)
+	}
+	for _, cl := range clients {
+		res.Retries += cl.Retries()
 	}
 
 	// Deterministic tail: with the load drained nothing races the
@@ -459,128 +308,25 @@ func RunMedia(spec MediaSpec) (*MediaResult, error) {
 	res.ParityRebuilds = c.rebuilds
 	res.Unrecoverable = c.unrecoverable
 	res.Recoveries = c.recoveries
-	res.Promotions = replica.Promotions() + primary.CollectStats().Promotions
+	res.Promotions = p.replica.Promotions() + primary.CollectStats().Promotions
 
-	// Zero-loss sweep on the primary: every acknowledged write present at
-	// no less than its highest acknowledged value.
-	probe, err := server.Dial(paddr.String())
+	// Zero-loss sweep on the primary.
+	probe, err := server.Dial(p.paddr)
 	if err != nil {
 		return nil, err
 	}
-	defer probe.Close()
-	for k, want := range ackedMax {
-		v, found, err := probe.Get(k)
-		if err != nil {
-			return nil, fmt.Errorf("media: verify get %d: %w", k, err)
-		}
-		if !found {
-			res.MissingKeys++
-			continue
-		}
-		if v < want {
-			res.LostWrites++
-		}
+	if err := h.verify(probe); err != nil {
+		return nil, fmt.Errorf("media: %w", err)
 	}
-	res.AckedKeys = len(ackedMax)
+	res.LoadResult = h.res
 
 	snap := reg.Snapshot()
 	res.Metrics = &snap
-
-	// Overhead legs: identical standalone servers, parity on vs off, no
-	// corruption — the steady-state price of the layer.
-	res.ParityOnOpsPerSec, res.ParityOnP99us, err = mediaOverheadLeg(spec, true)
-	if err != nil {
-		return nil, err
-	}
-	res.ParityOffOpsPerSec, res.ParityOffP99us, err = mediaOverheadLeg(spec, false)
-	if err != nil {
-		return nil, err
-	}
 	return res, nil
 }
 
-// mediaOverheadLeg measures closed-loop throughput and client-observed p99
-// on a standalone server with the parity layer on or off.
-func mediaOverheadLeg(spec MediaSpec, parityOn bool) (opsPerSec, p99us float64, err error) {
-	cfg := server.Config{
-		Shards:          spec.Shards,
-		Mode:            spec.Mode,
-		PoolSize:        spec.PoolSize,
-		CheckpointEvery: spec.CheckpointEvery,
-		ScrubEvery:      spec.OverheadScrubEvery,
-	}
-	if parityOn {
-		cfg.Parity = parity.Default()
-	}
-	srv, err := server.New(cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer srv.Close()
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		return 0, 0, err
-	}
-
-	w := ycsb.Generate(ycsb.WorkloadA(spec.Records, spec.OverheadOps, spec.Seed+1))
-	loader, err := server.Dial(addr.String())
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, kv := range w.Load {
-		if err := loader.Put(kv.Key, kv.Value); err != nil {
-			loader.Close()
-			return 0, 0, err
-		}
-	}
-	loader.Close()
-
-	lats := make([][]float64, spec.Clients)
-	errs := make([]error, spec.Clients)
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for ci := 0; ci < spec.Clients; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			cl, err := server.Dial(addr.String())
-			if err != nil {
-				errs[ci] = err
-				return
-			}
-			defer cl.Close()
-			mine := make([]float64, 0, len(w.Ops)/spec.Clients+1)
-			for oi := ci; oi < len(w.Ops); oi += spec.Clients {
-				op := w.Ops[oi]
-				ot := time.Now()
-				if op.Type == ycsb.Get {
-					_, _, err = cl.Get(op.Key)
-				} else {
-					err = cl.Put(op.Key, op.Value)
-				}
-				if err != nil {
-					errs[ci] = err
-					return
-				}
-				mine = append(mine, float64(time.Since(ot).Microseconds()))
-			}
-			lats[ci] = mine
-		}(ci)
-	}
-	wg.Wait()
-	wall := time.Since(t0).Seconds()
-	var all []float64
-	for ci := range lats {
-		if errs[ci] != nil {
-			return 0, 0, fmt.Errorf("media overhead leg (parity=%v): %w", parityOn, errs[ci])
-		}
-		all = append(all, lats[ci]...)
-	}
-	return float64(len(all)) / wall, percentile(all, 99), nil
-}
-
-// WriteMedia renders the experiment as text.
-func WriteMedia(w io.Writer, r *MediaResult) {
+// WriteText renders the experiment as text.
+func (r *MediaResult) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "media: YCSB-A, %d records / %d ops, %d clients, %d shards, %s mode, parity %d-page rangelets\n",
 		r.Records, r.Operations, r.Clients, r.Shards, r.Mode, parity.DefaultRangeletPages)
 	fmt.Fprintf(w, "injected: %d bit flips, %d torn pages (%d driven through crash recovery, %d lost to checkpoint races)\n",
@@ -589,19 +335,5 @@ func WriteMedia(w io.Writer, r *MediaResult) {
 		r.PagesRepaired, r.MediaScrubs, r.ParityRebuilds, r.Unrecoverable, r.Recoveries)
 	fmt.Fprintf(w, "clients: %d ok / %d failed ops in %.2fs (%d retries); promotions: %d (must be 0)\n",
 		r.OpsOK, r.OpsFailed, r.WallSeconds, r.Retries, r.Promotions)
-	fmt.Fprintf(w, "parity tax: %.0f ops/s on vs %.0f ops/s off (%.1f%%), p99 %.0fus vs %.0fus\n",
-		r.ParityOnOpsPerSec, r.ParityOffOpsPerSec, r.OverheadPct(), r.ParityOnP99us, r.ParityOffP99us)
-	verdict := "PASS"
-	if !r.Pass() {
-		verdict = "FAIL"
-	}
-	fmt.Fprintf(w, "acked writes: %d keys verified, %d missing, %d lost -> %s\n",
-		r.AckedKeys, r.MissingKeys, r.LostWrites, verdict)
-}
-
-// WriteMediaJSON emits the experiment document as JSON.
-func WriteMediaJSON(w io.Writer, r *MediaResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	r.writeVerdict(w, r.Pass())
 }

@@ -10,7 +10,6 @@ func TestMediaSmoke(t *testing.T) {
 	spec := MediaSpecFor(true)
 	spec.Records, spec.Operations = 600, 3000
 	spec.Cycles = 4
-	spec.OverheadOps = 1200
 	res, err := RunMedia(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -5,76 +5,55 @@
 // replication lag drains back to zero once writes stop, without any
 // process restart.
 //
-// Zero-loss detection reuses the resilience experiment's machinery: one
-// global write sequencer, single-writer key partitioning, and a final
-// sweep comparing stored values on the promoted replica against the
-// highest value each client saw acknowledged. The soundness of the check
-// rests on the primary's semi-synchronous ack counters, collected the
-// instant before it is killed: zero degraded acks (every write ack waited
-// for replica coverage) and zero timeout acks (no held ack was abandoned)
-// mean an acknowledged write is, by construction, applied and logged on
-// the replica.
+// Zero-loss detection is the harness's oracle (harness.go), swept on the
+// promoted replica. Its soundness here rests on the primary's
+// semi-synchronous ack counters, collected the instant before it is
+// killed: zero degraded acks (every write ack waited for replica coverage)
+// and zero timeout acks (no held ack was abandoned) mean an acknowledged
+// write is, by construction, applied and logged on the replica.
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"nvref/internal/fault"
-	"nvref/internal/fault/flaky"
 	"nvref/internal/obs"
 	"nvref/internal/rt"
 	"nvref/internal/server"
-	"nvref/internal/ycsb"
 )
 
-// ReplicationSpec parameterizes the replication experiment.
+// ReplicationSpec parameterizes the replication experiment. Checkpoints
+// truncate the op log, so a mid-size CheckpointEvery exercises truncation
+// under load.
 type ReplicationSpec struct {
-	Records    int
-	Operations int
-	Clients    int
-	Shards     int
-	Mode       rt.Mode
-	PoolSize   uint64
-	// CheckpointEvery is the per-shard checkpoint cadence; checkpoints
-	// truncate the op log, so a mid-size cadence exercises truncation
-	// under load.
-	CheckpointEvery int
+	LoadSpec
 	// KillAfterFrac is the fraction of operations after which the primary
 	// is killed (0.4 = after 40% of the stream completed).
 	KillAfterFrac float64
 	// PromoteAfter is how long the replica's follower tolerates primary
 	// silence before promoting itself.
 	PromoteAfter time.Duration
-	// NetFaultEvery injects one network fault per that many client conn
-	// I/O calls (0 disables).
-	NetFaultEvery int
-	// ProbeOps is the size of the post-promotion probe pass on the new
-	// primary that must be error-free.
-	ProbeOps int
-	Seed     int64
 }
 
 // ReplicationSpecFor returns the standard experiment sizes.
 func ReplicationSpecFor(quick bool) ReplicationSpec {
 	s := ReplicationSpec{
-		Records:         4000,
-		Operations:      24000,
-		Clients:         4,
-		Shards:          4,
-		Mode:            rt.HW,
-		PoolSize:        4 << 20,
-		CheckpointEvery: 4000,
-		KillAfterFrac:   0.4,
-		PromoteAfter:    150 * time.Millisecond,
-		NetFaultEvery:   200,
-		ProbeOps:        500,
-		Seed:            17,
+		LoadSpec: LoadSpec{
+			Records:         4000,
+			Operations:      24000,
+			Clients:         4,
+			Shards:          4,
+			Mode:            rt.HW,
+			PoolSize:        4 << 20,
+			CheckpointEvery: 4000,
+			NetFaultEvery:   200,
+			ProbeOps:        500,
+			Seed:            17,
+		},
+		KillAfterFrac: 0.4,
+		PromoteAfter:  150 * time.Millisecond,
 	}
 	if quick {
 		s.Records, s.Operations = 1500, 10000
@@ -83,13 +62,11 @@ func ReplicationSpecFor(quick bool) ReplicationSpec {
 	return s
 }
 
-// ReplicationResult is the experiment document.
+// ReplicationResult is the experiment document. The client-side fields
+// cover the full run (flaky network, primary killed mid-stream); the probe
+// pass and the sweep ran on the promoted replica.
 type ReplicationResult struct {
-	Records    int    `json:"records"`
-	Operations int    `json:"operations"`
-	Clients    int    `json:"clients"`
-	Shards     int    `json:"shards"`
-	Mode       string `json:"mode"`
+	LoadResult
 
 	// Steady state: lag observed while the pair was healthy, and the
 	// drain-to-zero check after the load phase.
@@ -97,15 +74,8 @@ type ReplicationResult struct {
 	LagDrained    bool    `json:"lag_drained"`
 	DrainSeconds  float64 `json:"drain_seconds"`
 
-	// Client-side view of the full run (flaky network, primary killed
-	// mid-stream).
-	OpsOK       int     `json:"ops_ok"`
-	OpsFailed   int     `json:"ops_failed"`
-	ErrorRate   float64 `json:"error_rate"`
-	Retries     uint64  `json:"retries"`
-	Failovers   uint64  `json:"failovers"`
-	NetFaults   uint64  `json:"net_faults"`
-	WallSeconds float64 `json:"wall_seconds"`
+	Retries   uint64 `json:"retries"`
+	Failovers uint64 `json:"failovers"`
 
 	// Old-primary ack discipline, sampled immediately before the kill.
 	// Both must be zero for the zero-loss verdict to be sound.
@@ -117,13 +87,6 @@ type ReplicationResult struct {
 	Applies    uint64 `json:"applies"`
 	Reconnects uint64 `json:"reconnects"`
 	Promotions uint64 `json:"promotions"`
-
-	// Zero-loss sweep on the promoted replica.
-	AckedKeys   int `json:"acked_keys"`
-	LostWrites  int `json:"lost_writes"`
-	MissingKeys int `json:"missing_keys"`
-	ProbeOps    int `json:"probe_ops"`
-	ProbeErrors int `json:"probe_errors"`
 
 	// Metrics is the promoted replica's obs registry snapshot: role,
 	// promotion count, replication lag and apply counters.
@@ -148,103 +111,32 @@ func (r *ReplicationResult) Pass() bool {
 // RunReplication executes the experiment against an in-process
 // primary/replica pair on loopback listeners.
 func RunReplication(spec ReplicationSpec) (*ReplicationResult, error) {
-	res := &ReplicationResult{
-		Records:    spec.Records,
-		Operations: spec.Operations,
-		Clients:    spec.Clients,
-		Shards:     spec.Shards,
-		Mode:       spec.Mode.String(),
-	}
-
-	primary, err := server.New(server.Config{
-		Shards:          spec.Shards,
-		Mode:            spec.Mode,
-		PoolSize:        spec.PoolSize,
-		CheckpointEvery: spec.CheckpointEvery,
-		Role:            server.RolePrimary,
-	})
-	if err != nil {
-		return nil, err
-	}
-	primaryDead := false
-	defer func() {
-		if !primaryDead {
-			primary.Abort()
-		}
-	}()
-	paddr, err := primary.Start("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-
+	res := &ReplicationResult{}
 	reg := obs.NewRegistry()
-	replica, err := server.New(server.Config{
-		Shards:          spec.Shards,
-		Mode:            spec.Mode,
-		PoolSize:        spec.PoolSize,
-		CheckpointEvery: spec.CheckpointEvery,
-		Role:            server.RoleReplica,
-		FollowAddr:      paddr.String(),
-		FollowPoll:      time.Millisecond,
-		PromoteAfter:    spec.PromoteAfter,
-		Reg:             reg,
-	})
+	rcfg := spec.config()
+	rcfg.PromoteAfter = spec.PromoteAfter
+	rcfg.Reg = reg
+	p, err := startPair(spec.config(), rcfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("replication: %w", err)
 	}
-	defer replica.Close()
-	raddr, err := replica.Start("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
+	defer p.close()
 
-	// Wait for the follower to make contact so write acks are held
-	// against replica durability from the first operation.
-	if err := waitUntil(5*time.Second, func() bool {
-		fs := replica.CollectStats().Follower
-		return fs != nil && fs.Pulls > 0
-	}); err != nil {
-		return nil, fmt.Errorf("replication: follower never contacted primary: %w", err)
-	}
-
-	// Load phase over a clean network, acks recorded.
-	var seq atomic.Uint64
-	w := ycsb.Generate(ycsb.WorkloadA(spec.Records, spec.Operations, spec.Seed))
-	ackedMax := make(map[uint64]uint64, spec.Records)
-	loader, err := server.DialResilient(paddr.String(), server.RetryPolicy{Seed: uint64(spec.Seed)})
+	h := newAcceptance(spec.LoadSpec)
+	loader, err := server.DialResilient(p.paddr, h.loaderPolicy())
 	if err != nil {
 		return nil, err
 	}
-	const loadBatch = 256
-	for i := 0; i < len(w.Load); i += loadBatch {
-		end := i + loadBatch
-		if end > len(w.Load) {
-			end = len(w.Load)
-		}
-		sub := make([]server.Request, 0, end-i)
-		for _, kv := range w.Load[i:end] {
-			v := seq.Add(1)
-			sub = append(sub, server.Request{Op: server.OpPut, Key: kv.Key, Value: v})
-		}
-		if _, err := loader.Batch(sub); err != nil {
-			return nil, err
-		}
-		for _, r := range sub {
-			if r.Value > ackedMax[r.Key] {
-				ackedMax[r.Key] = r.Value
-			}
-		}
+	if err := h.load(loader); err != nil {
+		return nil, err
 	}
-	loader.Close()
 
 	// Steady-state gate: with writes paused, the replication lag must
 	// drain to zero in place.
 	td := time.Now()
-	if err := waitUntil(5*time.Second, func() bool {
-		return primary.CollectStats().ReplLagRecords == 0
-	}); err == nil {
-		res.LagDrained = true
-	}
+	res.LagDrained = waitUntil(5*time.Second, func() bool {
+		return p.primary.CollectStats().ReplLagRecords == 0
+	}) == nil
 	res.DrainSeconds = time.Since(td).Seconds()
 
 	// Lag sampler: records the worst lag seen while the primary lives.
@@ -258,145 +150,49 @@ func RunReplication(spec ReplicationSpec) (*ReplicationResult, error) {
 				return
 			case <-time.After(2 * time.Millisecond):
 			}
-			if lag := primary.CollectStats().ReplLagRecords; lag > res.MaxLagRecords {
+			if lag := p.primary.CollectStats().ReplLagRecords; lag > res.MaxLagRecords {
 				res.MaxLagRecords = lag
 			}
 		}
 	}()
+	var stopOnce sync.Once
+	stopSampler := func() { stopOnce.Do(func() { close(samplerStop); <-samplerDone }) }
+	defer stopSampler()
+
+	// The killer: on the op that completes the configured fraction of the
+	// stream, sample the primary's ack discipline and kill it.
+	h.at(spec.KillAfterFrac, func() {
+		stopSampler()
+		for _, sh := range p.primary.CollectStats().PerShard {
+			if sh.Repl != nil {
+				res.DegradedAcks += sh.Repl.DegradedAcks
+				res.TimeoutAcks += sh.Repl.TimeoutAcks
+			}
+		}
+		p.kill()
+	})
 
 	// Closed-loop clients on failover lists through the flaky network:
 	// every client knows both endpoints and rotates on endpoint failure,
 	// which is how writers find the promoted replica after the kill.
-	netSched := fault.NewPeriodic("", spec.NetFaultEvery)
-	endpoints := []string{paddr.String(), raddr.String()}
-	type clientAcks map[uint64]uint64
-	acks := make([]clientAcks, spec.Clients)
-	okCounts := make([]int, spec.Clients)
-	failCounts := make([]int, spec.Clients)
-	var okTotal atomic.Int64
-	var retries, failovers atomic.Uint64
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for ci := 0; ci < spec.Clients; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			policy := server.RetryPolicy{
-				MaxAttempts: 16,
-				BaseBackoff: time.Millisecond,
-				MaxBackoff:  80 * time.Millisecond,
-				Timeout:     2 * time.Second,
-				TTLms:       2000,
-				Seed:        uint64(spec.Seed) + uint64(ci)*977,
-			}
-			var dial func(a string) (net.Conn, error)
-			if spec.NetFaultEvery > 0 {
-				dial = flaky.Dialer(flaky.Config{Sched: netSched, Seed: uint64(spec.Seed) + uint64(ci)})
-			}
-			cl, err := server.DialResilientList(endpoints, policy, dial)
-			if err != nil {
-				failCounts[ci]++
-				return
-			}
-			defer func() {
-				retries.Add(cl.Retries())
-				failovers.Add(cl.Failovers())
-				cl.Close()
-			}()
-			mine := make(clientAcks)
-			for oi := ci; oi < len(w.Ops); oi += spec.Clients {
-				op := w.Ops[oi]
-				if op.Type == ycsb.Get {
-					// Read-your-writes: the GET carries this client's newest
-					// write token, so a lagging endpoint refuses to serve
-					// stale state and the client rotates.
-					if _, _, err := cl.GetRYW(op.Key); err != nil {
-						failCounts[ci]++
-						continue
-					}
-				} else {
-					// Single-writer partitioning: this client owns the keys
-					// congruent to ci mod Clients.
-					key := op.Key - op.Key%uint64(spec.Clients) + uint64(ci)
-					v := seq.Add(1)
-					if _, _, err := cl.PutRYW(key, v); err != nil {
-						failCounts[ci]++
-						continue
-					}
-					mine[key] = v // seq is monotonic, so v is this key's max
-				}
-				okCounts[ci]++
-				okTotal.Add(1)
-			}
-			acks[ci] = mine
-		}(ci)
+	clients := make([]*server.ResilientClient, spec.Clients)
+	if err := h.drive(func(ci int) (kv, error) {
+		cl, err := server.DialResilientList([]string{p.paddr, p.raddr}, h.policy(ci), h.dialer(ci))
+		clients[ci] = cl
+		return rywClient{cl}, err
+	}); err != nil {
+		return nil, fmt.Errorf("replication: %w", err)
+	}
+	for _, cl := range clients {
+		res.Retries += cl.Retries()
+		res.Failovers += cl.Failovers()
 	}
 
-	// The killer: once the configured fraction of the stream has
-	// completed, sample the primary's ack discipline and kill it without
-	// ceremony (no final checkpoint, no graceful drain).
-	clientsDone := make(chan struct{})
-	go func() { wg.Wait(); close(clientsDone) }()
-	killAt := int64(float64(spec.Operations) * spec.KillAfterFrac)
-	killed := false
-	for !killed {
-		select {
-		case <-clientsDone:
-			// Stream finished before the threshold — the spec is mis-sized;
-			// fall through and let Promotions==0 fail the gate visibly.
-			killed = true
-		case <-time.After(time.Millisecond):
-			if okTotal.Load() < killAt {
-				continue
-			}
-			close(samplerStop)
-			<-samplerDone
-			ps := primary.CollectStats()
-			for _, sh := range ps.PerShard {
-				if sh.Repl != nil {
-					res.DegradedAcks += sh.Repl.DegradedAcks
-					res.TimeoutAcks += sh.Repl.TimeoutAcks
-				}
-			}
-			primary.Abort()
-			primaryDead = true
-			killed = true
-		}
+	// The replica must have noticed the silence and promoted itself.
+	if err := p.awaitPromotion(); err != nil {
+		return nil, fmt.Errorf("replication: %w", err)
 	}
-	<-clientsDone
-	if !primaryDead {
-		close(samplerStop)
-		<-samplerDone
-	}
-	res.WallSeconds = time.Since(t0).Seconds()
-	res.NetFaults = netSched.Fired()
-	res.Retries = retries.Load()
-	res.Failovers = failovers.Load()
-	for ci := 0; ci < spec.Clients; ci++ {
-		res.OpsOK += okCounts[ci]
-		res.OpsFailed += failCounts[ci]
-		for k, v := range acks[ci] {
-			if v > ackedMax[k] {
-				ackedMax[k] = v
-			}
-		}
-	}
-	if total := res.OpsOK + res.OpsFailed; total > 0 {
-		res.ErrorRate = float64(res.OpsFailed) / float64(total)
-	}
-	res.AckedKeys = len(ackedMax)
-
-	// The replica must have noticed the silence and promoted itself. (If
-	// the kill never happened — mis-sized spec — skip the wait and let
-	// Promotions==0 plus a read-only probe fail the gate visibly.)
-	if primaryDead {
-		if err := waitUntil(5*time.Second, func() bool {
-			return replica.Role() == server.RolePrimary
-		}); err != nil {
-			return nil, fmt.Errorf("replication: replica never promoted itself: %w", err)
-		}
-	}
-	rs := replica.CollectStats()
+	rs := p.replica.CollectStats()
 	res.Promotions = rs.Promotions
 	if rs.Follower != nil {
 		res.Pulls = rs.Follower.Pulls
@@ -404,66 +200,25 @@ func RunReplication(spec ReplicationSpec) (*ReplicationResult, error) {
 		res.Reconnects = rs.Follower.Reconnects
 	}
 
-	// Probe pass on the promoted replica: it must serve reads and accept
-	// writes error-free, no process restart anywhere.
-	probe, err := server.Dial(raddr.String())
+	// Probe pass and zero-loss sweep on the promoted replica: it must serve
+	// reads and accept writes error-free, no process restart anywhere, and
+	// hold every acknowledged write.
+	probe, err := server.Dial(p.raddr)
 	if err != nil {
 		return nil, err
 	}
-	defer probe.Close()
-	res.ProbeOps = spec.ProbeOps
-	for i := 0; i < spec.ProbeOps; i++ {
-		k := w.Load[i%len(w.Load)].Key
-		if i%2 == 0 {
-			if _, _, err := probe.Get(k); err != nil {
-				res.ProbeErrors++
-			}
-		} else {
-			v := seq.Add(1)
-			if err := probe.Put(k, v); err != nil {
-				res.ProbeErrors++
-			} else if v > ackedMax[k] {
-				ackedMax[k] = v
-			}
-		}
+	if err := h.verify(probe); err != nil {
+		return nil, fmt.Errorf("replication: %w", err)
 	}
-
-	// Zero-loss sweep: every acknowledged write must be present on the
-	// promoted replica at no less than its highest acknowledged value.
-	for k, want := range ackedMax {
-		v, found, err := probe.Get(k)
-		if err != nil {
-			return nil, fmt.Errorf("replication: verify get %d: %w", k, err)
-		}
-		if !found {
-			res.MissingKeys++
-			continue
-		}
-		if v < want {
-			res.LostWrites++
-		}
-	}
+	res.LoadResult = h.res
 
 	snap := reg.Snapshot()
 	res.Metrics = &snap
 	return res, nil
 }
 
-// waitUntil polls cond every millisecond until it holds or the budget runs
-// out.
-func waitUntil(d time.Duration, cond func() bool) error {
-	deadline := time.Now().Add(d)
-	for !cond() {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("condition not reached within %s", d)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return nil
-}
-
-// WriteReplication renders the experiment as text.
-func WriteReplication(w io.Writer, r *ReplicationResult) {
+// WriteText renders the experiment as text.
+func (r *ReplicationResult) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "replication: YCSB-A, %d records / %d ops, %d clients, %d shards, %s mode\n",
 		r.Records, r.Operations, r.Clients, r.Shards, r.Mode)
 	drained := "drained to 0"
@@ -479,17 +234,5 @@ func WriteReplication(w io.Writer, r *ReplicationResult) {
 	fmt.Fprintf(w, "replica: %d pulls, %d records applied, %d reconnects, %d promotion(s)\n",
 		r.Pulls, r.Applies, r.Reconnects, r.Promotions)
 	fmt.Fprintf(w, "probe on promoted replica: %d ops, %d errors\n", r.ProbeOps, r.ProbeErrors)
-	verdict := "PASS"
-	if !r.Pass() {
-		verdict = "FAIL"
-	}
-	fmt.Fprintf(w, "acked writes: %d keys verified, %d missing, %d lost -> %s\n",
-		r.AckedKeys, r.MissingKeys, r.LostWrites, verdict)
-}
-
-// WriteReplicationJSON emits the experiment document as JSON.
-func WriteReplicationJSON(w io.Writer, r *ReplicationResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	r.writeVerdict(w, r.Pass())
 }

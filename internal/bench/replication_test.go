@@ -14,18 +14,20 @@ import (
 // is lost across the failover.
 func TestReplicationSmoke(t *testing.T) {
 	spec := ReplicationSpec{
-		Records:         400,
-		Operations:      3000,
-		Clients:         2,
-		Shards:          2,
-		Mode:            ReplicationSpecFor(true).Mode,
-		PoolSize:        8 << 20,
-		CheckpointEvery: 512,
-		KillAfterFrac:   0.4,
-		PromoteAfter:    100 * time.Millisecond,
-		NetFaultEvery:   200,
-		ProbeOps:        200,
-		Seed:            5,
+		LoadSpec: LoadSpec{
+			Records:         400,
+			Operations:      3000,
+			Clients:         2,
+			Shards:          2,
+			Mode:            ReplicationSpecFor(true).Mode,
+			PoolSize:        8 << 20,
+			CheckpointEvery: 512,
+			NetFaultEvery:   200,
+			ProbeOps:        200,
+			Seed:            5,
+		},
+		KillAfterFrac: 0.4,
+		PromoteAfter:  100 * time.Millisecond,
 	}
 	res, err := RunReplication(spec)
 	if err != nil {
@@ -64,14 +66,14 @@ func TestReplicationSmoke(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	WriteReplication(&buf, res)
+	res.WriteText(&buf)
 	for _, want := range []string{"replication", "lag", "promotion", "acked"} {
 		if !strings.Contains(strings.ToLower(buf.String()), want) {
 			t.Errorf("rendered output missing %q:\n%s", want, buf.String())
 		}
 	}
 	var jbuf strings.Builder
-	if err := WriteReplicationJSON(&jbuf, res); err != nil {
+	if err := WriteJSON(&jbuf, res); err != nil {
 		t.Fatal(err)
 	}
 	for _, field := range []string{"\"lost_writes\"", "\"max_lag_records\"", "\"degraded_acks\""} {

@@ -5,73 +5,44 @@
 // gates are the ones an operator cares about: zero acknowledged writes
 // lost, every killed shard restarted by its supervisor without a process
 // restart, and a clean (error-free) probe pass once the faults stop.
-//
-// Lost-write detection uses a global write sequencer and single-writer
-// partitioning: every PUT carries a value drawn from one atomic counter,
-// and write keys are remapped so each key has exactly one writing client.
-// With one writer per key, acknowledgment order equals apply order (the
-// client issues serially on one connection and the shard worker serializes
-// applies), so at the end the stored value must be >= the highest value
-// the server acknowledged for that key — a shard that rolled back
-// acknowledged state fails the comparison immediately. (Without the
-// partitioning the check would be unsound: two clients' writes to one key
-// can apply in the opposite of sequencer order.)
+// Loading, driving and the zero-loss oracle are the harness's (harness.go).
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"nvref/internal/fault"
-	"nvref/internal/fault/flaky"
 	"nvref/internal/rt"
 	"nvref/internal/server"
-	"nvref/internal/ycsb"
 )
 
-// ResilienceSpec parameterizes the resilience experiment.
+// ResilienceSpec parameterizes the resilience experiment. Keep
+// CheckpointEvery large enough that kills land between checkpoints, so
+// surviving acked writes prove salvage (not checkpoint luck).
 type ResilienceSpec struct {
-	Records    int
-	Operations int
-	Clients    int
-	Shards     int
-	Mode       rt.Mode
-	PoolSize   uint64
-	// CheckpointEvery is the per-shard checkpoint cadence; keep it large
-	// enough that kills land between checkpoints, so surviving acked
-	// writes prove salvage (not checkpoint luck).
-	CheckpointEvery int
+	LoadSpec
 	// Kills is how many shard workers are killed (round-robin) during the
 	// run.
 	Kills int
-	// NetFaultEvery injects one network fault (drop/truncate/delay) per
-	// that many client conn I/O calls (0 disables network faults).
-	NetFaultEvery int
-	// ProbeOps is the size of the post-fault probe pass that must be
-	// error-free.
-	ProbeOps int
-	Seed     int64
 }
 
 // ResilienceSpecFor returns the standard experiment sizes.
 func ResilienceSpecFor(quick bool) ResilienceSpec {
 	s := ResilienceSpec{
-		Records:         4000,
-		Operations:      24000,
-		Clients:         4,
-		Shards:          4,
-		Mode:            rt.HW,
-		PoolSize:        4 << 20,
-		CheckpointEvery: 100000,
-		Kills:           8,
-		NetFaultEvery:   150,
-		ProbeOps:        500,
-		Seed:            11,
+		LoadSpec: LoadSpec{
+			Records:         4000,
+			Operations:      24000,
+			Clients:         4,
+			Shards:          4,
+			Mode:            rt.HW,
+			PoolSize:        4 << 20,
+			CheckpointEvery: 100000,
+			NetFaultEvery:   150,
+			ProbeOps:        500,
+			Seed:            11,
+		},
+		Kills: 8,
 	}
 	if quick {
 		s.Records, s.Operations, s.Kills = 1500, 8000, 4
@@ -81,29 +52,12 @@ func ResilienceSpecFor(quick bool) ResilienceSpec {
 
 // ResilienceResult is the experiment document.
 type ResilienceResult struct {
-	Records    int    `json:"records"`
-	Operations int    `json:"operations"`
-	Clients    int    `json:"clients"`
-	Shards     int    `json:"shards"`
-	Mode       string `json:"mode"`
+	LoadResult
 
-	// Fault load actually delivered.
-	Kills     int    `json:"kills"`
-	NetFaults uint64 `json:"net_faults"`
-
-	// Client-side view of the faulty window.
-	OpsOK        int     `json:"ops_ok"`
-	OpsFailed    int     `json:"ops_failed"`
-	Retries      uint64  `json:"retries"`
-	Redials      uint64  `json:"redials"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	ErrorRate    float64 `json:"error_rate"`
-	AckedKeys    int     `json:"acked_keys"`
-	LostWrites   int     `json:"lost_writes"`
-	MissingKeys  int     `json:"missing_keys"`
-	ProbeOps     int     `json:"probe_ops"`
-	ProbeErrors  int     `json:"probe_errors"`
-	ProbeSeconds float64 `json:"probe_seconds"`
+	// Kills is the fault load actually delivered (with NetFaults).
+	Kills   int    `json:"kills"`
+	Retries uint64 `json:"retries"`
+	Redials uint64 `json:"redials"`
 
 	// Server-side supervision counters, summed over shards.
 	Panics       uint64 `json:"panics"`
@@ -131,128 +85,25 @@ func (r *ResilienceResult) Pass() bool {
 // RunResilience executes the experiment against an in-process server on a
 // loopback listener.
 func RunResilience(spec ResilienceSpec) (*ResilienceResult, error) {
-	srv, err := server.New(server.Config{
-		Shards:          spec.Shards,
-		Mode:            spec.Mode,
-		PoolSize:        spec.PoolSize,
-		CheckpointEvery: spec.CheckpointEvery,
-		AdmitWait:       20 * time.Millisecond,
-		BreakerCooldown: 20 * time.Millisecond,
-		WedgeTimeout:    500 * time.Millisecond,
-		ScrubEvery:      2 * time.Millisecond,
-	})
+	cfg := spec.config()
+	cfg.AdmitWait = 20 * time.Millisecond
+	cfg.BreakerCooldown = 20 * time.Millisecond
+	cfg.WedgeTimeout = 500 * time.Millisecond
+	cfg.ScrubEvery = 2 * time.Millisecond
+	srv, addr, err := startServer(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer srv.Close()
-	addr, err := srv.Start("127.0.0.1:0")
+
+	// Load over a clean network (retries cover any shed during warm-up).
+	h := newAcceptance(spec.LoadSpec)
+	loader, err := server.DialResilient(addr, h.loaderPolicy())
 	if err != nil {
 		return nil, err
 	}
-
-	res := &ResilienceResult{
-		Records:    spec.Records,
-		Operations: spec.Operations,
-		Clients:    spec.Clients,
-		Shards:     spec.Shards,
-		Mode:       spec.Mode.String(),
-	}
-
-	// Every PUT value comes from one sequencer; ackedMax tracks the
-	// highest acknowledged value per key.
-	var seq atomic.Uint64
-	w := ycsb.Generate(ycsb.WorkloadA(spec.Records, spec.Operations, spec.Seed))
-
-	// Load phase over a clean network: batched PUTs through the resilient
-	// client (retries cover any shed during warm-up).
-	ackedMax := make(map[uint64]uint64, spec.Records)
-	loader, err := server.DialResilient(addr.String(), server.RetryPolicy{Seed: uint64(spec.Seed)})
-	if err != nil {
+	if err := h.load(loader); err != nil {
 		return nil, err
-	}
-	const loadBatch = 256
-	for i := 0; i < len(w.Load); i += loadBatch {
-		end := i + loadBatch
-		if end > len(w.Load) {
-			end = len(w.Load)
-		}
-		sub := make([]server.Request, 0, end-i)
-		for _, kv := range w.Load[i:end] {
-			v := seq.Add(1)
-			sub = append(sub, server.Request{Op: server.OpPut, Key: kv.Key, Value: v})
-		}
-		if _, err := loader.Batch(sub); err != nil {
-			return nil, err
-		}
-		for _, r := range sub {
-			if r.Value > ackedMax[r.Key] {
-				ackedMax[r.Key] = r.Value
-			}
-		}
-	}
-	loader.Close()
-
-	// Faulty window: closed-loop clients over the flaky network, while the
-	// killer murders shard workers round-robin.
-	netSched := fault.NewPeriodic("", spec.NetFaultEvery)
-	type clientAcks map[uint64]uint64
-	acks := make([]clientAcks, spec.Clients)
-	okCounts := make([]int, spec.Clients)
-	failCounts := make([]int, spec.Clients)
-	var retries, redials atomic.Uint64
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for ci := 0; ci < spec.Clients; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			policy := server.RetryPolicy{
-				MaxAttempts: 10,
-				BaseBackoff: time.Millisecond,
-				MaxBackoff:  50 * time.Millisecond,
-				Timeout:     2 * time.Second,
-				TTLms:       2000,
-				Seed:        uint64(spec.Seed) + uint64(ci)*977,
-			}
-			var dial func(a string) (net.Conn, error)
-			if spec.NetFaultEvery > 0 {
-				dial = flaky.Dialer(flaky.Config{Sched: netSched, Seed: uint64(spec.Seed) + uint64(ci)})
-			} else {
-				dial = func(a string) (net.Conn, error) { return net.Dial("tcp", a) }
-			}
-			cl, err := server.DialResilientFunc(addr.String(), policy, dial)
-			if err != nil {
-				failCounts[ci]++
-				return
-			}
-			defer func() {
-				retries.Add(cl.Retries())
-				redials.Add(cl.Redials())
-				cl.Close()
-			}()
-			mine := make(clientAcks)
-			for oi := ci; oi < len(w.Ops); oi += spec.Clients {
-				op := w.Ops[oi]
-				if op.Type == ycsb.Get {
-					if _, _, err := cl.Get(op.Key); err != nil {
-						failCounts[ci]++
-						continue
-					}
-				} else {
-					// Single-writer partitioning: this client owns the keys
-					// congruent to ci mod Clients.
-					key := op.Key - op.Key%uint64(spec.Clients) + uint64(ci)
-					v := seq.Add(1)
-					if err := cl.Put(key, v); err != nil {
-						failCounts[ci]++
-						continue
-					}
-					mine[key] = v // seq is monotonic, so v is this key's max
-				}
-				okCounts[ci]++
-			}
-			acks[ci] = mine
-		}(ci)
 	}
 
 	// The killer: exactly Kills software crashes, spread across shards and
@@ -269,72 +120,37 @@ func RunResilience(spec ResilienceSpec) (*ResilienceResult, error) {
 		}
 		killerDone <- nil
 	}()
-	wg.Wait()
-	if err := <-killerDone; err != nil {
-		return nil, fmt.Errorf("resilience: killer: %w", err)
-	}
-	res.WallSeconds = time.Since(t0).Seconds()
-	res.Kills = spec.Kills
-	res.NetFaults = netSched.Fired()
-	res.Retries = retries.Load()
-	res.Redials = redials.Load()
-	for ci := 0; ci < spec.Clients; ci++ {
-		res.OpsOK += okCounts[ci]
-		res.OpsFailed += failCounts[ci]
-		for k, v := range acks[ci] {
-			if v > ackedMax[k] {
-				ackedMax[k] = v
-			}
-		}
-	}
-	if total := res.OpsOK + res.OpsFailed; total > 0 {
-		res.ErrorRate = float64(res.OpsFailed) / float64(total)
-	}
-	res.AckedKeys = len(ackedMax)
 
-	// Faults are over. Probe pass on a clean connection: the error rate
-	// must be back to zero with no process restart.
-	probe, err := server.Dial(addr.String())
+	// Faulty window: closed-loop clients over the flaky network while the
+	// killer murders shard workers round-robin.
+	clients := make([]*server.ResilientClient, spec.Clients)
+	err = h.drive(func(ci int) (kv, error) {
+		cl, err := server.DialResilientFunc(addr, h.policy(ci), h.dialer(ci))
+		clients[ci] = cl
+		return cl, err
+	})
+	if kerr := <-killerDone; kerr != nil {
+		return nil, fmt.Errorf("resilience: killer: %w", kerr)
+	}
 	if err != nil {
 		return nil, err
 	}
-	defer probe.Close()
-	tp := time.Now()
-	res.ProbeOps = spec.ProbeOps
-	for i := 0; i < spec.ProbeOps; i++ {
-		k := w.Load[i%len(w.Load)].Key
-		if i%2 == 0 {
-			if _, _, err := probe.Get(k); err != nil {
-				res.ProbeErrors++
-			}
-		} else {
-			v := seq.Add(1)
-			if err := probe.Put(k, v); err != nil {
-				res.ProbeErrors++
-			} else if v > ackedMax[k] {
-				ackedMax[k] = v
-			}
-		}
+	res := &ResilienceResult{Kills: spec.Kills}
+	for _, cl := range clients {
+		res.Retries += cl.Retries()
+		res.Redials += cl.Redials()
 	}
-	res.ProbeSeconds = time.Since(tp).Seconds()
 
-	// Verify: every acknowledged write survived. The stored value must be
-	// at least the highest acknowledged value for its key (a later,
-	// possibly-unacknowledged write may have topped it; an older value
-	// means acknowledged state was rolled back).
-	for k, want := range ackedMax {
-		v, found, err := probe.Get(k)
-		if err != nil {
-			return nil, fmt.Errorf("resilience: verify get %d: %w", k, err)
-		}
-		if !found {
-			res.MissingKeys++
-			continue
-		}
-		if v < want {
-			res.LostWrites++
-		}
+	// Faults are over. Probe and sweep on a clean connection: the error
+	// rate must be back to zero with no process restart.
+	probe, err := server.Dial(addr)
+	if err != nil {
+		return nil, err
 	}
+	if err := h.verify(probe); err != nil {
+		return nil, fmt.Errorf("resilience: %w", err)
+	}
+	res.LoadResult = h.res
 
 	for _, sh := range srv.CollectStats().PerShard {
 		res.Panics += sh.Panics
@@ -349,8 +165,8 @@ func RunResilience(spec ResilienceSpec) (*ResilienceResult, error) {
 	return res, nil
 }
 
-// WriteResilience renders the experiment as text.
-func WriteResilience(w io.Writer, r *ResilienceResult) {
+// WriteText renders the experiment as text.
+func (r *ResilienceResult) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "resilience: YCSB-A, %d records / %d ops, %d clients, %d shards, %s mode\n",
 		r.Records, r.Operations, r.Clients, r.Shards, r.Mode)
 	fmt.Fprintf(w, "faults: %d worker kills, %d network faults injected\n", r.Kills, r.NetFaults)
@@ -359,17 +175,5 @@ func WriteResilience(w io.Writer, r *ResilienceResult) {
 	fmt.Fprintf(w, "supervision: %d panics caught, %d restarts (%d salvaged, %d rolled back), %d breaker opens, %d shed, %d unavailable, %d scrubs\n",
 		r.Panics, r.Restarts, r.Salvages, r.Rollbacks, r.BreakerOpens, r.Sheds, r.Unavailable, r.Scrubs)
 	fmt.Fprintf(w, "probe after faults: %d ops, %d errors in %.2fs\n", r.ProbeOps, r.ProbeErrors, r.ProbeSeconds)
-	verdict := "PASS"
-	if !r.Pass() {
-		verdict = "FAIL"
-	}
-	fmt.Fprintf(w, "acked writes: %d keys verified, %d missing, %d lost -> %s\n",
-		r.AckedKeys, r.MissingKeys, r.LostWrites, verdict)
-}
-
-// WriteResilienceJSON emits the experiment document as JSON.
-func WriteResilienceJSON(w io.Writer, r *ResilienceResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	r.writeVerdict(w, r.Pass())
 }

@@ -11,17 +11,19 @@ import (
 // and the post-fault probe phase sees a zero error rate.
 func TestResilienceSmoke(t *testing.T) {
 	spec := ResilienceSpec{
-		Records:         400,
-		Operations:      1500,
-		Clients:         2,
-		Shards:          2,
-		Mode:            ResilienceSpecFor(true).Mode,
-		PoolSize:        8 << 20,
-		CheckpointEvery: 256,
-		Kills:           2,
-		NetFaultEvery:   120,
-		ProbeOps:        200,
-		Seed:            5,
+		LoadSpec: LoadSpec{
+			Records:         400,
+			Operations:      1500,
+			Clients:         2,
+			Shards:          2,
+			Mode:            ResilienceSpecFor(true).Mode,
+			PoolSize:        8 << 20,
+			CheckpointEvery: 256,
+			NetFaultEvery:   120,
+			ProbeOps:        200,
+			Seed:            5,
+		},
+		Kills: 2,
 	}
 	res, err := RunResilience(spec)
 	if err != nil {
@@ -44,14 +46,14 @@ func TestResilienceSmoke(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	WriteResilience(&buf, res)
+	res.WriteText(&buf)
 	for _, want := range []string{"Resilience", "kills", "acked", "probe"} {
 		if !strings.Contains(strings.ToLower(buf.String()), strings.ToLower(want)) {
 			t.Errorf("rendered output missing %q:\n%s", want, buf.String())
 		}
 	}
 	var jbuf strings.Builder
-	if err := WriteResilienceJSON(&jbuf, res); err != nil {
+	if err := WriteJSON(&jbuf, res); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(jbuf.String(), "\"lost_writes\"") {

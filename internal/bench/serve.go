@@ -9,45 +9,36 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"sort"
-	"sync"
 	"time"
 
 	"nvref/internal/obs"
 	"nvref/internal/pmem"
 	"nvref/internal/rt"
 	"nvref/internal/server"
-	"nvref/internal/ycsb"
 )
 
-// ServeSpec parameterizes the serve experiment.
+// ServeSpec parameterizes the serve experiment: the LoadSpec is run once
+// per entry of ShardCounts (LoadSpec.Shards is set per point).
 type ServeSpec struct {
-	Records     int
-	Operations  int
-	Clients     int
+	LoadSpec
 	ShardCounts []int
-	Mode        rt.Mode
-	PoolSize    uint64
-	// CheckpointEvery is the per-shard checkpoint cadence during load.
-	CheckpointEvery int
-	Seed            int64
 }
 
 // ServeSpecFor returns the standard serve experiment sizes.
 func ServeSpecFor(quick bool) ServeSpec {
 	s := ServeSpec{
-		Records:         10000,
-		Operations:      30000,
-		Clients:         4,
-		ShardCounts:     []int{1, 2, 4},
-		Mode:            rt.HW,
-		PoolSize:        4 << 20,
-		CheckpointEvery: 8192,
-		Seed:            7,
+		LoadSpec: LoadSpec{
+			Records:         10000,
+			Operations:      30000,
+			Clients:         4,
+			Mode:            rt.HW,
+			PoolSize:        4 << 20,
+			CheckpointEvery: 8192,
+			Seed:            7,
+		},
+		ShardCounts: []int{1, 2, 4},
 	}
 	if quick {
 		s.Records, s.Operations, s.Clients = 2000, 6000, 2
@@ -124,7 +115,9 @@ func RunServe(spec ServeSpec) (*ServeResult, error) {
 		Mode:       spec.Mode.String(),
 	}
 	for _, shards := range spec.ShardCounts {
-		pt, err := runServePoint(spec, shards)
+		point := spec.LoadSpec
+		point.Shards = shards
+		pt, err := runServePoint(point)
 		if err != nil {
 			return nil, fmt.Errorf("serve: %d shards: %w", shards, err)
 		}
@@ -144,96 +137,38 @@ func RunServe(spec ServeSpec) (*ServeResult, error) {
 	return res, nil
 }
 
-func runServePoint(spec ServeSpec, shards int) (*ServePoint, error) {
+func runServePoint(spec LoadSpec) (*ServePoint, error) {
 	reg := obs.NewRegistry()
-	srv, err := server.New(server.Config{
-		Shards:          shards,
-		Mode:            spec.Mode,
-		PoolSize:        spec.PoolSize,
-		CheckpointEvery: spec.CheckpointEvery,
-		Reg:             reg,
-	})
+	cfg := spec.config()
+	cfg.Reg = reg
+	srv, addr, err := startServer(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer srv.Close()
-	addr, err := srv.Start("127.0.0.1:0")
+
+	h := newAcceptance(spec)
+	loader, err := server.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-
-	w := ycsb.Generate(ycsb.WorkloadA(spec.Records, spec.Operations, spec.Seed))
-
-	// Load phase: one client streams the records in as batched PUTs.
-	loader, err := server.Dial(addr.String())
-	if err != nil {
+	if err := h.load(loader); err != nil {
 		return nil, err
 	}
-	const loadBatch = 256
-	for i := 0; i < len(w.Load); i += loadBatch {
-		end := i + loadBatch
-		if end > len(w.Load) {
-			end = len(w.Load)
-		}
-		sub := make([]server.Request, 0, end-i)
-		for _, kv := range w.Load[i:end] {
-			sub = append(sub, server.Request{Op: server.OpPut, Key: kv.Key, Value: kv.Value})
-		}
-		if _, err := loader.Batch(sub); err != nil {
-			return nil, err
-		}
-	}
-	loader.Close()
 
-	// Measured phase: closed-loop clients, each on its own connection,
-	// splitting the operation stream round-robin.
+	// Measured phase: closed-loop clients, each on its own connection.
 	cycles0 := srv.ShardCycles()
-	clients := spec.Clients
-	latencies := make([][]float64, clients)
-	errs := make([]int, clients)
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for ci := 0; ci < clients; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			cl, err := server.Dial(addr.String())
-			if err != nil {
-				errs[ci]++
-				return
-			}
-			defer cl.Close()
-			lat := make([]float64, 0, len(w.Ops)/clients+1)
-			for oi := ci; oi < len(w.Ops); oi += clients {
-				op := w.Ops[oi]
-				start := time.Now()
-				var err error
-				if op.Type == ycsb.Get {
-					_, _, err = cl.Get(op.Key)
-				} else {
-					err = cl.Put(op.Key, op.Value)
-				}
-				if err != nil {
-					errs[ci]++
-					return
-				}
-				lat = append(lat, float64(time.Since(start).Nanoseconds())/1e3)
-			}
-			latencies[ci] = lat
-		}(ci)
+	if err := h.drive(func(int) (kv, error) { return server.Dial(addr) }); err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	wall := time.Since(t0)
 	cycles1 := srv.ShardCycles()
 
 	pt := &ServePoint{
-		Shards:      shards,
-		Clients:     clients,
-		Ops:         len(w.Ops),
-		WallSeconds: wall.Seconds(),
-	}
-	for i := range errs {
-		pt.Errors += errs[i]
+		Shards:      spec.Shards,
+		Clients:     spec.Clients,
+		Ops:         len(h.w.Ops),
+		Errors:      h.res.OpsFailed,
+		WallSeconds: h.wall.Seconds(),
 	}
 	var makespan uint64
 	for i := range cycles1 {
@@ -245,14 +180,10 @@ func runServePoint(spec ServeSpec, shards int) (*ServePoint, error) {
 	if makespan > 0 {
 		pt.SimOpsPerMCycle = float64(pt.Ops) / (float64(makespan) / 1e6)
 	}
-	if wall > 0 {
-		pt.WallOpsPerSec = float64(pt.Ops) / wall.Seconds()
+	if h.wall > 0 {
+		pt.WallOpsPerSec = float64(pt.Ops) / h.wall.Seconds()
 	}
-	var all []float64
-	for _, l := range latencies {
-		all = append(all, l...)
-	}
-	pt.P50us, pt.P95us, pt.P99us = percentile(all, 50), percentile(all, 95), percentile(all, 99)
+	pt.P50us, pt.P95us, pt.P99us = percentile(h.lats, 50), percentile(h.lats, 95), percentile(h.lats, 99)
 	for _, sh := range srv.CollectStats().PerShard {
 		pt.ShardOps = append(pt.ShardOps, sh.Ops)
 	}
@@ -270,24 +201,15 @@ func runServeRecovery(spec ServeSpec) (*ServeRecovery, error) {
 	for i := range stores {
 		stores[i] = pmem.NewMemStore()
 	}
-	storeFor := func(i int) pmem.Store { return stores[i] }
-	cfg := server.Config{
-		Shards:          shards,
-		Mode:            spec.Mode,
-		PoolSize:        spec.PoolSize,
-		CheckpointEvery: spec.CheckpointEvery,
-		StoreFor:        storeFor,
-	}
+	cfg := spec.config()
+	cfg.Shards = shards
+	cfg.StoreFor = func(i int) pmem.Store { return stores[i] }
 
-	srv1, err := server.New(cfg)
+	srv1, addr, err := startServer(cfg)
 	if err != nil {
 		return nil, err
 	}
-	addr, err := srv1.Start("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	cl, err := server.Dial(addr.String())
+	cl, err := server.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -312,7 +234,7 @@ func runServeRecovery(spec ServeSpec) (*ServeRecovery, error) {
 	loaderDone := make(chan int)
 	go func() {
 		n := 0
-		cl2, err := server.Dial(addr.String())
+		cl2, err := server.Dial(addr)
 		if err != nil {
 			loaderDone <- 0
 			return
@@ -341,20 +263,16 @@ func runServeRecovery(spec ServeSpec) (*ServeRecovery, error) {
 
 	// Restart over the same stores: every shard reopens its pool image
 	// through pmem.Open and fscks it.
-	srv2, err := server.New(cfg)
+	srv2, addr2, err := startServer(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer srv2.Close()
-	addr2, err := srv2.Start("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
 	for _, sh := range srv2.CollectStats().PerShard {
 		rec.FsckErrors += sh.FsckErrors
 		rec.FsckWarns += sh.FsckWarns
 	}
-	cl3, err := server.Dial(addr2.String())
+	cl3, err := server.Dial(addr2)
 	if err != nil {
 		return nil, err
 	}
@@ -374,23 +292,8 @@ func runServeRecovery(spec ServeSpec) (*ServeRecovery, error) {
 	return rec, nil
 }
 
-func percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sort.Float64s(xs)
-	rank := p / 100 * float64(len(xs)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return xs[lo]
-	}
-	frac := rank - float64(lo)
-	return xs[lo]*(1-frac) + xs[hi]*frac
-}
-
-// WriteServe renders the serve experiment as a table.
-func WriteServe(w io.Writer, r *ServeResult) {
+// WriteText renders the serve experiment as a table.
+func (r *ServeResult) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "nvserved closed-loop: YCSB-A, %d records / %d ops, %d clients, %s mode\n",
 		r.Records, r.Operations, r.Clients, r.Mode)
 	fmt.Fprintf(w, "%-7s %-8s %-12s %-13s %-8s %-8s %-8s %s\n",
@@ -402,20 +305,9 @@ func WriteServe(w io.Writer, r *ServeResult) {
 	fmt.Fprintf(w, "aggregate simulated speedup (%d vs 1 shards): %.2fx  (gate: >1.50x)\n",
 		r.Points[len(r.Points)-1].Shards, r.SimSpeedup)
 	rec := r.Recovery
-	verdict := "PASS"
-	if !rec.Recovered {
-		verdict = "FAIL"
-	}
 	fmt.Fprintf(w, "kill/restart: %d shards aborted mid-load after checkpointing %d keys (+%d uncheckpointed ops); restart fsck: %d errors, %d warnings; verified %d/%d keys (%d missing, %d bad) -> %s\n",
 		rec.Shards, rec.KeysCheckpointed, rec.OpsAfterCheckpoint,
 		rec.FsckErrors, rec.FsckWarns,
 		rec.KeysCheckpointed-rec.MissingKeys-rec.BadValues, rec.KeysCheckpointed,
-		rec.MissingKeys, rec.BadValues, verdict)
-}
-
-// WriteServeJSON emits the full serve document, metrics snapshots included.
-func WriteServeJSON(w io.Writer, r *ServeResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+		rec.MissingKeys, rec.BadValues, verdict(rec.Recovered))
 }

@@ -5,14 +5,11 @@
 // variant checks clean, and a multi-seed nemesis sweep (partition+heal,
 // crash-restarts with failover, a mid-migration kill, and flaky-network
 // steady state) must complete with zero violations on the default
-// configuration. The headline throughput/latency numbers track the
-// harness's own overhead in the perf trajectory, not server capacity:
-// the simulator runs one operation at a time on a virtual clock.
+// configuration.
 package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -93,12 +90,9 @@ type SimResult struct {
 	SweepViolations int `json:"sweep_violations"`
 	SweepFailures   int `json:"sweep_failures"`
 
-	// Harness overhead: completed client operations per wall second
-	// across every run, and the p99 of per-run mean op cost.
+	// Client operations completed and wall time spent across every run.
 	OpsTotal    int     `json:"ops_total"`
 	WallSeconds float64 `json:"wall_seconds"`
-	OpsPerSec   float64 `json:"ops_per_sec"`
-	P99us       float64 `json:"p99_us"`
 }
 
 // Pass applies the acceptance gates: reproducibility, the checker
@@ -113,7 +107,6 @@ func (r *SimResult) Pass() bool {
 // RunSim executes the experiment.
 func RunSim(spec SimSpec) (*SimResult, error) {
 	res := &SimResult{Ops: spec.Ops, SeedCount: len(spec.Seeds)}
-	var perRunUS []float64
 
 	runOne := func(sched sim.Schedule, seed int64) (*sim.RunResult, SimRun, error) {
 		t0 := time.Now()
@@ -122,12 +115,8 @@ func RunSim(spec SimSpec) (*SimResult, error) {
 			return nil, SimRun{}, fmt.Errorf("sim: %s seed %d: %w", sched.Name, seed, err)
 		}
 		wall := time.Since(t0).Seconds()
-		ops := r.OpsOK + r.OpsFail + r.OpsInfo
-		res.OpsTotal += ops
+		res.OpsTotal += r.OpsOK + r.OpsFail + r.OpsInfo
 		res.WallSeconds += wall
-		if ops > 0 {
-			perRunUS = append(perRunUS, wall*1e6/float64(ops))
-		}
 		return r, SimRun{
 			Schedule:    sched.Name,
 			Seed:        seed,
@@ -199,26 +188,15 @@ func RunSim(spec SimSpec) (*SimResult, error) {
 			res.Sweep = append(res.Sweep, row)
 		}
 	}
-
-	if res.WallSeconds > 0 {
-		res.OpsPerSec = float64(res.OpsTotal) / res.WallSeconds
-	}
-	res.P99us = percentile(perRunUS, 99)
 	return res, nil
 }
 
-// WriteSim renders the experiment as text.
-func WriteSim(w io.Writer, r *SimResult) {
-	verdictOf := func(ok bool) string {
-		if ok {
-			return "PASS"
-		}
-		return "FAIL"
-	}
+// WriteText renders the experiment as text.
+func (r *SimResult) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "sim: deterministic cluster simulation, %d ops/run, %d seeds\n", r.Ops, r.SeedCount)
-	fmt.Fprintf(w, "determinism: same-seed histories byte-identical -> %s\n", verdictOf(r.DeterminismOK))
+	fmt.Fprintf(w, "determinism: same-seed histories byte-identical -> %s\n", verdict(r.DeterminismOK))
 	fmt.Fprintf(w, "fence gate: unfenced split-brain flagged=%v, fenced clean=%v -> %s\n",
-		r.UnfencedViolation, r.FencedOK, verdictOf(r.UnfencedViolation && r.FencedOK))
+		r.UnfencedViolation, r.FencedOK, verdict(r.UnfencedViolation && r.FencedOK))
 	fmt.Fprintf(w, "nemesis sweep: %d runs, %d checker violations, %d run failures\n",
 		r.SweepRuns, r.SweepViolations, r.SweepFailures)
 	for _, run := range r.Sweep {
@@ -228,13 +206,5 @@ func WriteSim(w io.Writer, r *SimResult) {
 		fmt.Fprintf(w, "  FAIL %s seed %d: %s %v (history %s)\n",
 			run.Schedule, run.Seed, run.Detail, run.Violations, run.HistoryPath)
 	}
-	fmt.Fprintf(w, "harness overhead: %d ops in %.2fs (%.0f ops/s, p99 %.0fus/op) -> %s\n",
-		r.OpsTotal, r.WallSeconds, r.OpsPerSec, r.P99us, verdictOf(r.Pass()))
-}
-
-// WriteSimJSON emits the experiment document as JSON.
-func WriteSimJSON(w io.Writer, r *SimResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	fmt.Fprintf(w, "total: %d ops in %.2fs -> %s\n", r.OpsTotal, r.WallSeconds, verdict(r.Pass()))
 }

@@ -18,14 +18,14 @@ func TestRunSimQuick(t *testing.T) {
 	}
 	if !res.Pass() {
 		var buf bytes.Buffer
-		WriteSim(&buf, res)
+		res.WriteText(&buf)
 		t.Fatalf("sim experiment failed:\n%s", buf.String())
 	}
 	if res.SweepRuns != len(spec.Schedules)*len(spec.Seeds) {
 		t.Fatalf("sweep runs = %d, want %d", res.SweepRuns, len(spec.Schedules)*len(spec.Seeds))
 	}
-	if res.OpsPerSec <= 0 || res.OpsTotal == 0 {
-		t.Fatalf("overhead numbers empty: %d ops, %.1f ops/s", res.OpsTotal, res.OpsPerSec)
+	if res.OpsTotal == 0 {
+		t.Fatal("no client operations counted")
 	}
 	for _, run := range res.Sweep {
 		if run.HistoryPath == "" {
@@ -34,7 +34,7 @@ func TestRunSimQuick(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	WriteSim(&buf, res)
+	res.WriteText(&buf)
 	out := buf.String()
 	for _, want := range []string{"determinism:", "fence gate:", "nemesis sweep:", "PASS"} {
 		if !strings.Contains(out, want) {
@@ -42,7 +42,7 @@ func TestRunSimQuick(t *testing.T) {
 		}
 	}
 	buf.Reset()
-	if err := WriteSimJSON(&buf, res); err != nil {
+	if err := WriteJSON(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "\"determinism_ok\": true") {

@@ -3,10 +3,11 @@
 //
 // Truth: against a live primary/replica pair, every explicitly traced
 // request's reply echoes its trace ID (batch sub-replies included), the
-// recorded stage durations of a traced op sum to no more than the
-// end-to-end latency the client measured around it, every stage of the
-// vocabulary shows up somewhere across the client, primary, and replica
-// recorders, and the slow-op log fires. Killing the primary mid-run must
+// primary's request-path spans of a traced op form an ordered,
+// non-overlapping chain that fits inside the end-to-end latency the client
+// measured around it, every stage of the vocabulary shows up somewhere
+// across the client, primary, and replica recorders, and the slow-op log
+// fires. Killing the primary mid-run must
 // make the promoted replica's flight recorder freeze and dump a JSONL
 // snapshot that contains the promotion trigger plus the spans in flight.
 //
@@ -18,7 +19,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -49,15 +49,13 @@ var TraceStages = []string{
 	server.StageReplyEncode,
 }
 
-// TraceSpec parameterizes the trace experiment.
+// TraceSpec parameterizes the trace experiment. Operations counts the
+// traced operations driven against the primary; the traced stream and the
+// overhead loop are single-client.
 type TraceSpec struct {
-	Records    int
-	Operations int // traced operations driven against the primary
-	Batches    int // traced batches (each BatchSize sub-ops)
-	BatchSize  int
-	Shards     int
-	Mode       rt.Mode
-	PoolSize   uint64
+	LoadSpec
+	Batches   int // traced batches (each BatchSize sub-ops)
+	BatchSize int
 	// SlowOp is the primary's slow-op threshold; the default (1ns) makes
 	// every operation a wide event so the slow-op path is exercised
 	// deterministically.
@@ -69,24 +67,26 @@ type TraceSpec struct {
 	// only measure the race detector).
 	OverheadOps  int
 	OverheadReps int
-	Seed         int64
 }
 
 // TraceSpecFor returns the standard experiment sizes.
 func TraceSpecFor(quick bool) TraceSpec {
 	s := TraceSpec{
-		Records:      800,
-		Operations:   600,
+		LoadSpec: LoadSpec{
+			Records:    800,
+			Operations: 600,
+			Clients:    1,
+			Shards:     2,
+			Mode:       rt.HW,
+			PoolSize:   4 << 20,
+			Seed:       23,
+		},
 		Batches:      40,
 		BatchSize:    8,
-		Shards:       2,
-		Mode:         rt.HW,
-		PoolSize:     4 << 20,
 		SlowOp:       time.Nanosecond,
 		PromoteAfter: 150 * time.Millisecond,
 		OverheadOps:  6000,
 		OverheadReps: 5,
-		Seed:         23,
 	}
 	if quick {
 		s.Records, s.Operations, s.Batches = 300, 250, 16
@@ -184,60 +184,25 @@ func RunTrace(spec TraceSpec) (*TraceResult, error) {
 	// Both sides get explicit recorders so the experiment can read the
 	// spans back; the replica's flight recorder dumps to disk.
 	pspans := obs.NewSpanRecorder(16384, nil)
-	pflight := obs.NewFlightRecorder(0, "", pspans)
-	primary, err := server.New(server.Config{
-		Shards:   spec.Shards,
-		Mode:     spec.Mode,
-		PoolSize: spec.PoolSize,
-		Role:     server.RolePrimary,
-		SlowOp:   spec.SlowOp,
-		Spans:    pspans,
-		Flight:   pflight,
-	})
-	if err != nil {
-		return nil, err
-	}
-	primaryDead := false
-	defer func() {
-		if !primaryDead {
-			primary.Abort()
-		}
-	}()
-	paddr, err := primary.Start("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-
+	pcfg := spec.config()
+	pcfg.SlowOp = spec.SlowOp
+	pcfg.Spans = pspans
+	pcfg.Flight = obs.NewFlightRecorder(0, "", pspans)
 	rspans := obs.NewSpanRecorder(16384, nil)
 	rflight := obs.NewFlightRecorder(0, flightDir, rspans)
-	replica, err := server.New(server.Config{
-		Shards:       spec.Shards,
-		Mode:         spec.Mode,
-		PoolSize:     spec.PoolSize,
-		Role:         server.RoleReplica,
-		FollowAddr:   paddr.String(),
-		FollowPoll:   time.Millisecond,
-		PromoteAfter: spec.PromoteAfter,
-		Spans:        rspans,
-		Flight:       rflight,
-	})
+	rcfg := spec.config()
+	rcfg.PromoteAfter = spec.PromoteAfter
+	rcfg.Spans = rspans
+	rcfg.Flight = rflight
+	p, err := startPair(pcfg, rcfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: %w", err)
 	}
-	defer replica.Close()
-	raddr, err := replica.Start("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	if err := waitUntil(5*time.Second, func() bool {
-		fs := replica.CollectStats().Follower
-		return fs != nil && fs.Pulls > 0
-	}); err != nil {
-		return nil, fmt.Errorf("trace: follower never contacted primary: %w", err)
-	}
+	defer p.close()
+	primary, replica := p.primary, p.replica
 
 	cspans := obs.NewSpanRecorder(16384, nil)
-	cl, err := server.Dial(paddr.String())
+	cl, err := server.Dial(p.paddr)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +273,7 @@ func RunTrace(spec TraceSpec) (*TraceResult, error) {
 
 	// A few traced reads against the replica, so its recorder holds
 	// request-path spans alongside the background apply/flush ones.
-	rcl, err := server.Dial(raddr.String())
+	rcl, err := server.Dial(p.raddr)
 	if err != nil {
 		return nil, err
 	}
@@ -329,21 +294,25 @@ func RunTrace(spec TraceSpec) (*TraceResult, error) {
 		return nil, fmt.Errorf("trace: replication lag never drained: %w", err)
 	}
 
-	// Stage-sum soundness: for each traced op, the durations of its spans
-	// (client and primary, matched by trace ID) are disjoint segments of
-	// the client's round trip, so their sum may not exceed it.
-	sums := make(map[uint64]time.Duration)
-	for _, s := range append(cspans.Spans(), pspans.Spans()...) {
-		if s.Trace != 0 {
-			sums[s.Trace] += time.Duration(s.DurNS)
+	// Stage-chain soundness, per traced op, over the primary's spans.
+	chains := make(map[uint64]map[string]obs.Span)
+	for _, sp := range pspans.Spans() {
+		if sp.Trace == 0 {
+			continue
 		}
+		if chains[sp.Trace] == nil {
+			chains[sp.Trace] = make(map[string]obs.Span)
+		}
+		chains[sp.Trace][sp.Stage] = sp
 	}
 	for _, op := range traced {
-		if _, ok := sums[op.id]; !ok {
+		// server_decode is a trace's first recorded span: if the ring
+		// still holds it, it holds the rest of the chain too.
+		if _, ok := chains[op.id][server.StageDecode]; !ok {
 			continue // ring wrapped past this op's spans
 		}
 		res.SumChecked++
-		if sums[op.id] > op.e2e {
+		if !chainSound(chains[op.id], op.e2e) {
 			res.SumViolations++
 		}
 	}
@@ -377,12 +346,9 @@ func RunTrace(spec TraceSpec) (*TraceResult, error) {
 
 	// Incident leg: kill the primary without ceremony; the replica must
 	// promote itself and its flight recorder must freeze and dump.
-	primary.Abort()
-	primaryDead = true
-	if err := waitUntil(5*time.Second, func() bool {
-		return replica.Role() == server.RolePrimary
-	}); err != nil {
-		return nil, fmt.Errorf("trace: replica never promoted itself: %w", err)
+	p.kill()
+	if err := p.awaitPromotion(); err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
 	}
 	res.Promotions = replica.CollectStats().Promotions
 	if err := waitUntil(5*time.Second, func() bool {
@@ -428,96 +394,104 @@ func RunTrace(spec TraceSpec) (*TraceResult, error) {
 	return res, nil
 }
 
-// traceOverhead times the closed-loop PUT/GET workload against a bare
-// standalone server and one with the tracing plane attached but sampling
-// disabled, interleaving repetitions.
-func traceOverhead(spec TraceSpec) (base, inst []int64, err error) {
-	newServer := func(withPlane bool) (*server.Server, *server.Client, error) {
-		cfg := server.Config{Shards: spec.Shards, Mode: spec.Mode, PoolSize: spec.PoolSize}
-		if withPlane {
-			cfg.Spans = obs.NewSpanRecorder(0, nil)
+// chainSound checks one traced op's request-path spans on the primary
+// structurally, using their recorded start and duration (all on the
+// recorder's one monotonic clock): server_decode -> queue_wait ->
+// oplog_append/execute -> replack_hold -> reply_encode must be ordered and
+// pairwise non-overlapping — each stage is closed before the request is
+// handed to the next — so their sum fits the server-side wall (decode
+// start to reply_encode end), which in turn fits the e2e latency the
+// client measured around the round trip: the server starts decoding after
+// the client sent, and closes reply_encode before it flushes the reply.
+// client_send is deliberately left out: it closes after the client's
+// flush, by which time the server may already be decoding.
+func chainSound(st map[string]obs.Span, e2e time.Duration) bool {
+	for _, stage := range []string{server.StageQueueWait, server.StageExecute, server.StageReplyEncode} {
+		if _, ok := st[stage]; !ok {
+			return false
 		}
-		srv, err := server.New(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		addr, err := srv.Start("127.0.0.1:0")
-		if err != nil {
-			srv.Abort()
-			return nil, nil, err
-		}
-		cl, err := server.Dial(addr.String())
-		if err != nil {
-			srv.Abort()
-			return nil, nil, err
-		}
-		return srv, cl, nil
 	}
-	bsrv, bcl, err := newServer(false)
+	// The shard worker stamps oplog_append and execute with one start and
+	// disjoint durations: together they are the worker's segment, and the
+	// append must lie inside it.
+	work := st[server.StageExecute]
+	if app, ok := st[server.StageOplogAppend]; ok {
+		work.DurNS += app.DurNS
+		if app.StartNS < work.StartNS || app.StartNS+app.DurNS > work.StartNS+work.DurNS {
+			return false
+		}
+	}
+	chain := []obs.Span{st[server.StageDecode], st[server.StageQueueWait], work}
+	if hold, ok := st[server.StageAckHold]; ok {
+		chain = append(chain, hold)
+	}
+	chain = append(chain, st[server.StageReplyEncode])
+
+	var sum int64
+	end := chain[0].StartNS
+	for _, sp := range chain {
+		if sp.DurNS < 0 || sp.StartNS < end {
+			return false
+		}
+		end = sp.StartNS + sp.DurNS
+		sum += sp.DurNS
+	}
+	wall := end - chain[0].StartNS
+	return sum <= wall && wall <= e2e.Nanoseconds()
+}
+
+// traceOverhead times the harness's closed loop against a bare standalone
+// server and one with the tracing plane attached but sampling disabled,
+// interleaving repetitions.
+func traceOverhead(spec TraceSpec) (base, inst []int64, err error) {
+	bcfg, icfg := spec.config(), spec.config()
+	icfg.Spans = obs.NewSpanRecorder(0, nil)
+	bsrv, baddr, err := startServer(bcfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer bsrv.Abort()
-	defer bcl.Close()
-	isrv, icl, err := newServer(true)
+	isrv, iaddr, err := startServer(icfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer isrv.Abort()
-	defer icl.Close()
 
-	workload := func(cl *server.Client) error {
-		for i := 0; i < spec.OverheadOps; i++ {
-			key := uint64(i%spec.Records) * 2654435761
-			if i%2 == 0 {
-				if err := cl.Put(key, uint64(i)); err != nil {
-					return err
-				}
-			} else {
-				if _, _, err := cl.Get(key); err != nil {
-					return err
-				}
-			}
+	load := spec.LoadSpec
+	load.Operations = spec.OverheadOps
+	h := newAcceptance(load)
+	timed := func(addr string) (int64, error) {
+		err := h.drive(func(int) (kv, error) { return server.Dial(addr) })
+		if err == nil && h.res.OpsFailed > 0 {
+			err = fmt.Errorf("trace: overhead loop: %d ops failed", h.res.OpsFailed)
 		}
-		return nil
+		return h.wall.Nanoseconds(), err
 	}
-	// One untimed pair so connection and allocator warmup lands on neither
-	// timed side.
-	if err := workload(bcl); err != nil {
-		return nil, nil, err
-	}
-	if err := workload(icl); err != nil {
-		return nil, nil, err
-	}
-	for rep := 0; rep < spec.OverheadReps; rep++ {
-		t0 := time.Now()
-		if err := workload(bcl); err != nil {
+	// Repetition -1 is an untimed pair, so allocator and code warm-up lands
+	// on neither timed side.
+	for rep := -1; rep < spec.OverheadReps; rep++ {
+		b, err := timed(baddr)
+		if err != nil {
 			return nil, nil, err
 		}
-		base = append(base, time.Since(t0).Nanoseconds())
-		t0 = time.Now()
-		if err := workload(icl); err != nil {
+		i, err := timed(iaddr)
+		if err != nil {
 			return nil, nil, err
 		}
-		inst = append(inst, time.Since(t0).Nanoseconds())
+		if rep >= 0 {
+			base, inst = append(base, b), append(inst, i)
+		}
 	}
 	return base, inst, nil
 }
 
-// WriteTraceJSON emits the experiment document as JSON.
-func WriteTraceJSON(w io.Writer, r *TraceResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// WriteTrace renders the experiment as text.
-func WriteTrace(w io.Writer, r *TraceResult) {
+// WriteText renders the experiment as text.
+func (r *TraceResult) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "trace: %d traced ops + %d batches, %d shards, %s mode\n",
 		r.TracedOps, r.Batches, r.Shards, r.Mode)
 	fmt.Fprintf(w, "echo: %d/%d op replies carried the trace; %d/%d batch sub-replies\n",
 		r.TracedOps-r.EchoMissing, r.TracedOps, r.BatchSubReplies-r.BatchSubEchoMissing, r.BatchSubReplies)
-	fmt.Fprintf(w, "stage sums: %d ops checked, %d exceeded their end-to-end latency (must be 0)\n",
+	fmt.Fprintf(w, "stage sums: %d ops checked, %d out of order or over their end-to-end latency (must be 0)\n",
 		r.SumChecked, r.SumViolations)
 	fmt.Fprintf(w, "spans: client %d, primary %d, replica %d; slow ops %d\n",
 		r.ClientSpans, r.PrimarySpans, r.ReplicaSpans, r.SlowOps)
@@ -534,9 +508,5 @@ func WriteTrace(w io.Writer, r *TraceResult) {
 		fmt.Fprintf(w, "overhead: baseline %d ns, plane attached %d ns -> %+.2f%% (threshold %.0f%%, min of %d)\n",
 			r.BaselineNS, r.InstrumentedNS, r.OverheadPct(), TraceOverheadThresholdPct, r.OverheadReps)
 	}
-	if r.Pass() {
-		fmt.Fprintln(w, "PASS")
-	} else {
-		fmt.Fprintln(w, "FAIL")
-	}
+	fmt.Fprintln(w, verdict(r.Pass()))
 }

@@ -142,10 +142,13 @@ func (w *ackWaiter) release(upTo uint64) {
 	w.held = append(w.held[:0], w.held[n:]...)
 	w.mu.Unlock()
 	for _, h := range ready {
-		h.resp <- h.rep
+		// The span closes before the reply is handed to the connection
+		// writer, whose reply_encode span starts on receipt: closed after
+		// the send, the two stages could overlap.
 		if !h.heldAt.IsZero() {
 			w.spans.RecordTimed(h.trace, StageAckHold, w.shard, "", 0, h.heldAt, time.Since(h.heldAt))
 		}
+		h.resp <- h.rep
 	}
 }
 

@@ -747,15 +747,19 @@ func (s *Server) handleConn(conn net.Conn) {
 			if err := WriteFrame(bw, buf); err != nil {
 				return
 			}
+			// The span closes before the flush: once the bytes are on the
+			// socket the client reads the reply and stops its clock
+			// concurrently, so a span closed after Flush returns would
+			// overlap the peer's work and could outlast the round trip.
+			if p.sampled {
+				s.spans.RecordTimed(p.trace, StageReplyEncode, -1, opName(p.req.Op), p.req.Key, encStart, time.Since(encStart))
+			}
 			// Flush only when no reply is immediately ready: coalesces
 			// pipelined replies into fewer writes.
 			if len(fifo) == 0 {
 				if err := bw.Flush(); err != nil {
 					return
 				}
-			}
-			if p.sampled {
-				s.spans.RecordTimed(p.trace, StageReplyEncode, -1, opName(p.req.Op), p.req.Key, encStart, time.Since(encStart))
 			}
 		}
 		bw.Flush()

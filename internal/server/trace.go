@@ -21,7 +21,7 @@ const (
 	StageReplShip    = "repl_ship"     // primary: REPLICATE pull served (background, untraced)
 	StageReplApply   = "repl_apply"    // replica: shipped records applied + flushed (background, untraced)
 	StageAckHold     = "replack_hold"  // primary: write ack held for replica durability
-	StageReplyEncode = "reply_encode"  // server: reply encode + write + flush
+	StageReplyEncode = "reply_encode"  // server: reply encode + frame write into the connection buffer (closed before the flush)
 )
 
 // Flight-recorder trigger kinds: the control-plane transitions that freeze

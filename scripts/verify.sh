@@ -1,137 +1,89 @@
 #!/bin/sh
 # Full verification: build, vet, and the race-enabled test suite — which
-# includes the fault matrix, the crash-point sweep, and the recovery tests.
-# The observability layer gets its own race leg plus a coverage gate: it is
-# what every other package trusts for its numbers, so it stays >= 80%.
+# includes the fault matrix, the crash-point sweep, and the recovery tests —
+# then one leg per subsystem: its packages under the race detector with a
+# coverage gate where verdicts rest on them, and its nvbench acceptance
+# experiment end to end. Performance is not judged here; benchmark/ does.
 set -eux
 
 cd "$(dirname "$0")/.."
+
+# cover_gate <pkg> <pct>: race-enabled tests of internal/<pkg>/..., failing
+# when statement coverage is below <pct> percent.
+cover_gate() {
+	go test -race -coverprofile="/tmp/$1_cover.out" "./internal/$1/..."
+	go tool cover -func="/tmp/$1_cover.out" | awk -v pkg="internal/$1" -v min="$2" '
+		/^total:/ {
+			sub(/%/, "", $3)
+			printf "%s coverage: %s%% (gate: %s%%)\n", pkg, $3, min
+			if ($3 + 0 < min + 0) {
+				printf "FAIL: %s coverage below %s%%\n", pkg, min
+				exit 1
+			}
+		}'
+}
 
 go build ./...
 go vet ./...
 go test -race ./...
 
-go test -race -coverprofile=/tmp/obs_cover.out ./internal/obs/...
-go tool cover -func=/tmp/obs_cover.out | awk '
-	/^total:/ {
-		sub(/%/, "", $3)
-		printf "internal/obs coverage: %s%% (gate: 80%%)\n", $3
-		if ($3 + 0 < 80) {
-			print "FAIL: internal/obs coverage below 80%"
-			exit 1
-		}
-	}'
+# Observability is what every other package trusts for its numbers; the
+# serving tier is the only concurrent subsystem; the replication data
+# plane (op-log records and the persistent log) backs the zero-loss
+# promise.
+cover_gate obs 80
+cover_gate server 80
+cover_gate repl 80
 
-# The serving tier is the only concurrent subsystem; its race leg carries
-# the same coverage gate.
-go test -race -coverprofile=/tmp/server_cover.out ./internal/server/...
-go tool cover -func=/tmp/server_cover.out | awk '
-	/^total:/ {
-		sub(/%/, "", $3)
-		printf "internal/server coverage: %s%% (gate: 80%%)\n", $3
-		if ($3 + 0 < 80) {
-			print "FAIL: internal/server coverage below 80%"
-			exit 1
-		}
-	}'
-
-# The replication data plane (op-log records and the persistent log) backs
-# the zero-loss promise, so it carries the same coverage gate.
-go test -race -coverprofile=/tmp/repl_cover.out ./internal/repl/...
-go tool cover -func=/tmp/repl_cover.out | awk '
-	/^total:/ {
-		sub(/%/, "", $3)
-		printf "internal/repl coverage: %s%% (gate: 80%%)\n", $3
-		if ($3 + 0 < 80) {
-			print "FAIL: internal/repl coverage below 80%"
-			exit 1
-		}
-	}'
-
-# Resilience leg: the self-healing gate end to end — repeated shard kills
-# plus flaky-network faults must lose zero acked writes and return the
-# service to a zero error rate without a process restart.
+# Resilience leg: repeated shard kills plus flaky-network faults must lose
+# zero acked writes and return the service to a zero error rate without a
+# process restart.
 go test -race -run 'TestResilienceSmoke' ./internal/bench/
 go run ./cmd/nvbench -experiment resilience -quick
 
-# Replication leg: primary/replica pair under flaky-network YCSB load,
-# primary killed mid-stream — zero acked-write loss on the promoted
-# replica, with the held-ack discipline that makes the check sound, and
-# replication lag draining to zero in place.
+# Replication leg: primary killed mid-stream under flaky-network YCSB load —
+# zero acked-write loss on the promoted replica, with the held-ack
+# discipline that makes the check sound, and lag draining to zero in place.
 go test -race -run 'TestReplicationSmoke' ./internal/bench/
 go run ./cmd/nvbench -experiment replication -quick
 
-# Cluster leg: the cluster map and routing package carry their own race
-# leg and coverage gate, then the live-migration gate end to end — a node
-# joins a loaded cluster through a flaky network, at least one slot
-# migrates live, clients follow MOVED redirects by themselves, and the
-# run passes only with zero acked-write loss and zero stale-epoch writes.
-go test -race -coverprofile=/tmp/cluster_cover.out ./internal/cluster/...
-go tool cover -func=/tmp/cluster_cover.out | awk '
-	/^total:/ {
-		sub(/%/, "", $3)
-		printf "internal/cluster coverage: %s%% (gate: 80%%)\n", $3
-		if ($3 + 0 < 80) {
-			print "FAIL: internal/cluster coverage below 80%"
-			exit 1
-		}
-	}'
+# Cluster leg: a node joins a loaded cluster through a flaky network, at
+# least one slot migrates live, clients follow MOVED redirects by
+# themselves — zero acked-write loss and zero stale-epoch writes.
+cover_gate cluster 80
 go test -race -run 'TestClusterSmoke' ./internal/bench/
-go run ./cmd/nvbench -experiment cluster -quick -benchlog=false
+go run ./cmd/nvbench -experiment cluster -quick
 
-# Simulation leg: the deterministic simulator and its checker under the
-# race detector with a coverage gate (the harness and checker are what
-# the consistency verdicts rest on), then the nvbench gate: same-seed
-# replay is byte-identical, the unfenced split-brain schedule is flagged
-# as a durable-linearizability violation while the fenced one passes,
-# and a fixed-seed nemesis matrix (partitions, crash-restarts, a
-# mid-migration kill) completes with zero violations.
-go test -race -coverprofile=/tmp/sim_cover.out ./internal/sim/...
-go tool cover -func=/tmp/sim_cover.out | awk '
-	/^total:/ {
-		sub(/%/, "", $3)
-		printf "internal/sim coverage: %s%% (gate: 80%%)\n", $3
-		if ($3 + 0 < 80) {
-			print "FAIL: internal/sim coverage below 80%"
-			exit 1
-		}
-	}'
-go run ./cmd/nvbench -experiment sim -quick -benchlog=false
+# Simulation leg: the harness and checker are what the consistency verdicts
+# rest on; the gate wants byte-identical same-seed replay, the unfenced
+# split-brain flagged while the fenced one passes, and a fixed-seed nemesis
+# matrix (partitions, crash-restarts, a mid-migration kill) with zero
+# violations.
+cover_gate sim 80
+go run ./cmd/nvbench -experiment sim -quick
 
-# Media leg: the parity layer under the race detector with a coverage
-# gate (it is what the in-place repair promise rests on), the repair
-# round-trips across pmem, the serving tier, and the simulator, then the
-# nvbench gate: seeded corruptors flip bits and tear pages in the live
-# primary's pool images under YCSB load — every damaged page must be
-# reconstructed from parity in place, with zero acked-write loss, zero
-# client-visible errors, and zero promotions.
-go test -race -coverprofile=/tmp/parity_cover.out ./internal/parity/...
-go tool cover -func=/tmp/parity_cover.out | awk '
-	/^total:/ {
-		sub(/%/, "", $3)
-		printf "internal/parity coverage: %s%% (gate: 80%%)\n", $3
-		if ($3 + 0 < 80) {
-			print "FAIL: internal/parity coverage below 80%"
-			exit 1
-		}
-	}'
+# Media leg: the parity layer is what the in-place repair promise rests on;
+# then the repair round-trips across pmem, the serving tier and the
+# simulator, and the gate: bit flips and torn pages in the live primary's
+# pool images under load, every damaged page reconstructed from parity with
+# zero acked-write loss, zero client-visible errors, zero promotions.
+cover_gate parity 80
 go test -race -run 'Media|Corrupt|Parity|Sidecar|Torn' \
 	./internal/pmem/ ./internal/server/ ./internal/sim/
 go test -race -run 'TestMediaSmoke' ./internal/bench/
-go run ./cmd/nvbench -experiment media -quick -benchlog=false
+go run ./cmd/nvbench -experiment media -quick
 
-# Tracing leg: the request-scoped tracing plane under the race detector —
-# envelope codec, echo discipline, span/flight recorders, health probes —
-# then the nvbench gate: every echo returns, per-trace stage sums fit
-# inside the measured e2e latency, a killed primary leaves a
-# promotion-triggered flight dump, and the disabled plane costs < 2%.
+# Tracing leg: envelope codec, echo discipline, span/flight recorders,
+# health probes under the race detector, then the gate: every echo returns,
+# each traced op's stage chain is ordered and fits its measured e2e
+# latency, a killed primary leaves a promotion-triggered flight dump, and
+# the disabled plane costs < 2%.
 go test -race -run 'Trace|Span|Flight|Health|Statusz|Readiness|Fenced|Promotion|SlowOp' \
 	./internal/obs/ ./internal/server/ ./internal/bench/
 go run ./cmd/nvbench -experiment trace -quick
 
 # Fuzz smoke over both halves of the wire codec: malformed frames and
-# replies must be rejected with protocol errors, never a panic or
-# unbounded allocation. The seed corpora cover the trace envelope and the
-# reply echo on both the request and reply sides.
+# replies must be rejected with protocol errors, never a panic or unbounded
+# allocation.
 go test -run='^$' -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/server/
 go test -run='^$' -fuzz=FuzzDecodeReply -fuzztime=10s ./internal/server/

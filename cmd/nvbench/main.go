@@ -60,7 +60,8 @@ var acceptance = []struct {
 	// parity: zero loss, zero client errors, zero promotions.
 	{"media", func(q bool) (result, error) { return bench.RunMedia(bench.MediaSpecFor(q)) }},
 	// Trace echo everywhere, a sound stage chain, a flight dump on the
-	// kill-driven promotion, and a disabled-path overhead under threshold.
+	// kill-driven promotion, and a disabled path counted free: same allocs
+	// and wire bytes as no plane, zero recorder calls.
 	{"trace", func(q bool) (result, error) { return bench.RunTrace(bench.TraceSpecFor(q)) }},
 	// Deterministic simulation: byte-identical replay, the split-brain
 	// fence gate, a nemesis sweep checked for durable linearizability.

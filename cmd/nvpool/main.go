@@ -176,17 +176,18 @@ func registerOplogStats(metrics *obs.Registry, dir string) {
 	if err != nil {
 		return
 	}
-	names, err := store.List()
+	images, err := store.List()
 	if err != nil {
 		return
 	}
-	for _, n := range names {
-		l, err := repl.OpenLog(store, n, 0)
+	// A log is several images (its tail plus sealed segments); report it once.
+	for _, n := range repl.LogNames(images) {
+		// Read-only: the directory may belong to a live server.
+		st, err := repl.InspectLog(store, n)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "nvpool: oplog %s: %v\n", n, err)
 			continue
 		}
-		st := l.Stats()
 		pfx := "oplog_" + n + "_"
 		metrics.GaugeFunc(pfx+"records", "retained operation-log records", func() int64 { return int64(st.Records) })
 		metrics.GaugeFunc(pfx+"bytes", "retained operation-log bytes", func() int64 { return int64(st.Bytes) })
@@ -194,7 +195,9 @@ func registerOplogStats(metrics *obs.Registry, dir string) {
 		metrics.GaugeFunc(pfx+"base_seq", "oldest retained sequence number", func() int64 { return int64(st.BaseSeq) })
 		metrics.GaugeFunc(pfx+"flushed_seq", "newest sequence the durable image covers", func() int64 { return int64(st.FlushedSeq) })
 		metrics.GaugeFunc(pfx+"torn_records", "records dropped at reload for CRC or sequence damage", func() int64 { return int64(st.TornRecords) })
+		metrics.GaugeFunc(pfx+"segments", "images the log occupies in the store: sealed segments plus the tail", func() int64 { return int64(st.Segments) })
 		metrics.GaugeFunc(pfx+"flushes", "image flushes performed over the log's lifetime", func() int64 { return int64(st.Flushes) })
+		metrics.GaugeFunc(pfx+"flush_bytes_total", "image bytes handed to the store over the log's lifetime", func() int64 { return int64(st.FlushBytes) })
 		metrics.GaugeFunc(pfx+"flush_errors", "image flushes that failed", func() int64 { return int64(st.FlushErrors) })
 		metrics.GaugeFunc(pfx+"truncated", "records dropped by checkpoint truncation", func() int64 { return int64(st.Truncated) })
 	}

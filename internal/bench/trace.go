@@ -11,28 +11,29 @@
 // make the promoted replica's flight recorder freeze and dump a JSONL
 // snapshot that contains the promotion trigger plus the spans in flight.
 //
-// Cost: with the tracing plane attached but no request sampled, a
-// closed-loop PUT/GET workload may regress by less than
-// TraceOverheadThresholdPct against a server with no plane at all.
-// Repetitions interleave both sides so machine drift cancels, and the min
-// is taken per side (the floor is the true cost; the rest is noise).
+// Cost: "free when off" is asserted by counting, not by racing a clock.
+// With the plane attached and no request sampled, the same PUT/GET stream
+// must cost exactly the allocations per round trip it costs a server with
+// no plane at all, put exactly the same bytes on the wire in both
+// directions (no trace envelope, no echo), and reach the span recorder
+// zero times. What the unsampled branch costs in time is reported, ungated,
+// as trace.overhead_frac by the pinned benchmark's traced leg.
 package bench
 
 import (
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"sort"
+	"sync/atomic"
+	"testing"
 	"time"
 
 	"nvref/internal/obs"
 	"nvref/internal/rt"
 	"nvref/internal/server"
 )
-
-// TraceOverheadThresholdPct is the acceptance bound on the disabled-path
-// cost of the tracing plane.
-const TraceOverheadThresholdPct = 2.0
 
 // TraceStages is the full stage vocabulary the experiment requires
 // coverage of, across the client, primary, and replica recorders.
@@ -51,7 +52,7 @@ var TraceStages = []string{
 
 // TraceSpec parameterizes the trace experiment. Operations counts the
 // traced operations driven against the primary; the traced stream and the
-// overhead loop are single-client.
+// disabled-path loop are single-client.
 type TraceSpec struct {
 	LoadSpec
 	Batches   int // traced batches (each BatchSize sub-ops)
@@ -62,11 +63,9 @@ type TraceSpec struct {
 	SlowOp time.Duration
 	// PromoteAfter is the replica's silence budget before self-promotion.
 	PromoteAfter time.Duration
-	// OverheadOps and OverheadReps size the disabled-path timing phase;
-	// OverheadReps < 1 skips it (race-enabled CI runs, where timing gates
-	// only measure the race detector).
-	OverheadOps  int
-	OverheadReps int
+	// DisabledOps is how many PUT+GET round-trip pairs the disabled-path
+	// leg counts allocations, wire bytes and recorder calls over.
+	DisabledOps int
 }
 
 // TraceSpecFor returns the standard experiment sizes.
@@ -85,12 +84,11 @@ func TraceSpecFor(quick bool) TraceSpec {
 		BatchSize:    8,
 		SlowOp:       time.Nanosecond,
 		PromoteAfter: 150 * time.Millisecond,
-		OverheadOps:  6000,
-		OverheadReps: 5,
+		DisabledOps:  2000,
 	}
 	if quick {
 		s.Records, s.Operations, s.Batches = 300, 250, 16
-		s.OverheadOps, s.OverheadReps = 2500, 3
+		s.DisabledOps = 500
 	}
 	return s
 }
@@ -127,20 +125,19 @@ type TraceResult struct {
 	DumpSpans        int    `json:"dump_spans"`
 	DumpHasPromotion bool   `json:"dump_has_promotion"`
 
-	// Disabled-path overhead.
-	OverheadReps    int   `json:"overhead_reps"`
-	BaselineNS      int64 `json:"baseline_ns"`
-	InstrumentedNS  int64 `json:"instrumented_ns"`
-	OverheadSkipped bool  `json:"overhead_skipped"`
+	// Disabled path, counted: the same stream against a server with no
+	// plane (Bare) and one with the plane attached and sampling off
+	// (Disabled).
+	Bare     DisabledPathCount `json:"bare"`
+	Disabled DisabledPathCount `json:"disabled"`
 }
 
-// OverheadPct is the relative disabled-path cost; at or below zero the
-// difference drowned in noise.
-func (r *TraceResult) OverheadPct() float64 {
-	if r.BaselineNS == 0 {
-		return 0
-	}
-	return 100 * float64(r.InstrumentedNS-r.BaselineNS) / float64(r.BaselineNS)
+// DisabledPathCount is what one server's share of the disabled-path leg
+// counted.
+type DisabledPathCount struct {
+	AllocsPerPair float64 `json:"allocs_per_pair"` // process-wide mallocs per PUT+GET round-trip pair
+	WireBytes     int64   `json:"wire_bytes"`      // bytes the client wrote plus bytes it read
+	RecorderCalls uint64  `json:"recorder_calls"`  // spans the server's recorder was handed
 }
 
 // Pass applies the acceptance gates.
@@ -153,7 +150,9 @@ func (r *TraceResult) Pass() bool {
 		len(r.MissingStages) == 0 &&
 		r.Promotions == 1 &&
 		r.DumpHasPromotion && r.DumpSpans > 0 &&
-		(r.OverheadSkipped || r.OverheadPct() < TraceOverheadThresholdPct)
+		r.Bare.WireBytes > 0 && r.Disabled.WireBytes == r.Bare.WireBytes &&
+		r.Disabled.AllocsPerPair == r.Bare.AllocsPerPair &&
+		r.Disabled.RecorderCalls == 0
 }
 
 // traceID derives a deterministic nonzero trace ID for op i.
@@ -378,19 +377,14 @@ func RunTrace(spec TraceSpec) (*TraceResult, error) {
 		}
 	}
 
-	// Disabled-path overhead: a plane-attached-but-unsampled server
-	// against one with no plane, interleaved, min per side.
-	if spec.OverheadReps < 1 {
-		res.OverheadSkipped = true
-		return res, nil
-	}
-	res.OverheadReps = spec.OverheadReps
-	base, inst, err := traceOverhead(spec)
-	if err != nil {
+	// Disabled path: a server with no plane, then one with the plane
+	// attached and nothing sampled, under the same stream.
+	if res.Bare, err = countDisabledPath(spec, nil); err != nil {
 		return nil, err
 	}
-	res.BaselineNS = minNS(base)
-	res.InstrumentedNS = minNS(inst)
+	if res.Disabled, err = countDisabledPath(spec, obs.NewSpanRecorder(0, nil)); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
@@ -440,49 +434,73 @@ func chainSound(st map[string]obs.Span, e2e time.Duration) bool {
 	return sum <= wall && wall <= e2e.Nanoseconds()
 }
 
-// traceOverhead times the harness's closed loop against a bare standalone
-// server and one with the tracing plane attached but sampling disabled,
-// interleaving repetitions.
-func traceOverhead(spec TraceSpec) (base, inst []int64, err error) {
-	bcfg, icfg := spec.config(), spec.config()
-	icfg.Spans = obs.NewSpanRecorder(0, nil)
-	bsrv, baddr, err := startServer(bcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer bsrv.Abort()
-	isrv, iaddr, err := startServer(icfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer isrv.Abort()
+// countingConn counts the bytes a client writes to and reads from its
+// connection.
+type countingConn struct {
+	net.Conn
+	bytes atomic.Int64
+}
 
-	load := spec.LoadSpec
-	load.Operations = spec.OverheadOps
-	h := newAcceptance(load)
-	timed := func(addr string) (int64, error) {
-		err := h.drive(func(int) (kv, error) { return server.Dial(addr) })
-		if err == nil && h.res.OpsFailed > 0 {
-			err = fmt.Errorf("trace: overhead loop: %d ops failed", h.res.OpsFailed)
-		}
-		return h.wall.Nanoseconds(), err
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.bytes.Add(int64(n))
+	return n, err
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.bytes.Add(int64(n))
+	return n, err
+}
+
+// countDisabledPath drives spec.DisabledOps untraced PUT+GET pairs at a
+// standalone server — with the tracing plane attached when spans is
+// non-nil, and no sampling either way — and counts what they cost. One
+// untimed pass over the same keys comes first, so index growth and buffer
+// warm-up land outside the count.
+func countDisabledPath(spec TraceSpec, spans *obs.SpanRecorder) (DisabledPathCount, error) {
+	var out DisabledPathCount
+	cfg := spec.config()
+	cfg.Spans = spans
+	srv, addr, err := startServer(cfg)
+	if err != nil {
+		return out, err
 	}
-	// Repetition -1 is an untimed pair, so allocator and code warm-up lands
-	// on neither timed side.
-	for rep := -1; rep < spec.OverheadReps; rep++ {
-		b, err := timed(baddr)
-		if err != nil {
-			return nil, nil, err
+	defer srv.Abort()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return out, err
+	}
+	cc := &countingConn{Conn: conn}
+	cl := server.NewClient(cc)
+	defer cl.Close()
+
+	i := 0
+	var opErr error
+	pair := func() {
+		key := uint64(i%spec.Records) * 2654435761
+		i++
+		if err := cl.Put(key, uint64(i)); err != nil && opErr == nil {
+			opErr = err
 		}
-		i, err := timed(iaddr)
-		if err != nil {
-			return nil, nil, err
-		}
-		if rep >= 0 {
-			base, inst = append(base, b), append(inst, i)
+		if _, _, err := cl.Get(key); err != nil && opErr == nil {
+			opErr = err
 		}
 	}
-	return base, inst, nil
+	for n := 0; n < spec.Records; n++ {
+		pair()
+	}
+	before := cc.bytes.Load()
+	// AllocsPerRun calls pair once more than it counts, as its own warm-up.
+	out.AllocsPerPair = testing.AllocsPerRun(spec.DisabledOps, pair)
+	out.WireBytes = cc.bytes.Load() - before
+	if spans != nil {
+		out.RecorderCalls = spans.Emitted()
+	}
+	if opErr != nil {
+		return out, fmt.Errorf("trace: disabled-path loop: %w", opErr)
+	}
+	return out, nil
 }
 
 // WriteText renders the experiment as text.
@@ -502,11 +520,7 @@ func (r *TraceResult) WriteText(w io.Writer) {
 	}
 	fmt.Fprintf(w, "incident: %d promotion(s); dump %s: %d wide events (promotion trigger %v), %d spans\n",
 		r.Promotions, r.DumpPath, r.DumpWideEvents, r.DumpHasPromotion, r.DumpSpans)
-	if r.OverheadSkipped {
-		fmt.Fprintln(w, "overhead: skipped (reps < 1)")
-	} else {
-		fmt.Fprintf(w, "overhead: baseline %d ns, plane attached %d ns -> %+.2f%% (threshold %.0f%%, min of %d)\n",
-			r.BaselineNS, r.InstrumentedNS, r.OverheadPct(), TraceOverheadThresholdPct, r.OverheadReps)
-	}
+	fmt.Fprintf(w, "disabled path: %.0f allocs per PUT+GET pair with the plane attached, %.0f without; %d wire bytes vs %d; %d recorder calls (must be equal, equal, 0)\n",
+		r.Disabled.AllocsPerPair, r.Bare.AllocsPerPair, r.Disabled.WireBytes, r.Bare.WireBytes, r.Disabled.RecorderCalls)
 	fmt.Fprintln(w, verdict(r.Pass()))
 }

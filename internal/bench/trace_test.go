@@ -10,17 +10,14 @@ import (
 // back (including each batch sub-reply), each traced op's stage chain is
 // ordered and fits the measured end-to-end latency, all stages of the vocabulary are
 // observed, and killing the primary freezes the replica's flight recorder
-// with a promotion trigger plus spans. The overhead timing phase is
-// skipped — wall-clock gates are meaningless under the race detector.
+// with a promotion trigger plus spans. The disabled-path leg is counted,
+// not timed, so it runs here too: plane attached and nothing sampled must
+// cost the allocations and wire bytes of no plane at all, and zero
+// recorder calls.
 func TestTraceSmoke(t *testing.T) {
-	spec := TraceSpecFor(true)
-	spec.OverheadReps = 0
-	res, err := RunTrace(spec)
+	res, err := RunTrace(TraceSpecFor(true))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !res.OverheadSkipped {
-		t.Error("OverheadReps=0 did not skip the overhead phase")
 	}
 	if !res.Pass() {
 		t.Fatalf("trace gate failed: %+v", res)
@@ -41,9 +38,19 @@ func TestTraceSmoke(t *testing.T) {
 		t.Errorf("flight dump empty: %d wide, %d spans", res.DumpWideEvents, res.DumpSpans)
 	}
 
+	if res.Disabled.RecorderCalls != 0 {
+		t.Errorf("unsampled requests reached the span recorder %d times", res.Disabled.RecorderCalls)
+	}
+	if res.Bare.WireBytes == 0 || res.Disabled.WireBytes != res.Bare.WireBytes {
+		t.Errorf("wire bytes: %d with the plane attached, %d without", res.Disabled.WireBytes, res.Bare.WireBytes)
+	}
+	if res.Bare.AllocsPerPair == 0 || res.Disabled.AllocsPerPair != res.Bare.AllocsPerPair {
+		t.Errorf("allocs per PUT+GET pair: %v with the plane attached, %v without", res.Disabled.AllocsPerPair, res.Bare.AllocsPerPair)
+	}
+
 	var buf strings.Builder
 	res.WriteText(&buf)
-	for _, want := range []string{"trace", "echo", "overhead"} {
+	for _, want := range []string{"trace", "echo", "disabled path"} {
 		if !strings.Contains(strings.ToLower(buf.String()), want) {
 			t.Errorf("report missing %q:\n%s", want, buf.String())
 		}

@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"nvref/internal/repl"
 )
 
 // TestEnumerateAllPersistPoints is the tentpole check: every persist point
@@ -119,5 +121,93 @@ func TestExhaustedPointReportsNoCrash(t *testing.T) {
 	}
 	if out.Crashed {
 		t.Error("occurrence 99 of a twice-hit point reported a crash")
+	}
+}
+
+// ---- Op-log crash points ----------------------------------------------------
+
+// TestEnumerateOplogCrashPoints: every store operation a flush, a roll, a
+// truncation, a reset and the legacy upgrade perform is a crash point, and
+// every occurrence of each recovers — twice — to a dense, correctly
+// replaying log with no stray image.
+func TestEnumerateOplogCrashPoints(t *testing.T) {
+	rep, err := EnumerateOplog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for _, p := range rep.Points {
+		if p.Tested != p.Hits {
+			t.Errorf("%s: tested %d of %d occurrences", p.Label, p.Tested, p.Hits)
+		}
+		seen[p.Label] = p.Hits
+	}
+	for _, label := range []string{"repl.log.seal", "repl.log.tail", "repl.log.delete"} {
+		if seen[label] == 0 || seen[label+"/legacy"] == 0 {
+			t.Errorf("workload never reached %s (fresh %d, legacy %d)", label, seen[label], seen[label+"/legacy"])
+		}
+	}
+	t.Logf("verified %d op-log crash cycles across %d points", rep.TotalRuns, len(rep.Points))
+}
+
+// TestOplogCrashBetweenSealAndSuccessor: the segment is sealed, its
+// successor's first save never happened, and the tail image still holds
+// the records the seal took over.
+func TestOplogCrashBetweenSealAndSuccessor(t *testing.T) {
+	out, err := OplogCrashAt("repl.log.seal", 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Crashed || out.LastSeq != repl.SegmentRecords || out.BaseSeq != 1 || out.Segments != 2 {
+		t.Fatalf("outcome %+v, want the sealed segment's %d records and nothing else", out, repl.SegmentRecords)
+	}
+}
+
+// TestOplogCrashMidTruncation: the workload's second truncation covers
+// several sealed segments; dying after the first delete leaves the rest
+// behind, already disowned by the base the tail save committed.
+func TestOplogCrashMidTruncation(t *testing.T) {
+	first, err := OplogCrashAt("repl.log.delete", 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := OplogCrashAt("repl.log.delete", 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Crashed || out.BaseSeq <= first.BaseSeq {
+		t.Fatalf("second delete: outcome %+v after first truncation's %+v", out, first)
+	}
+	done, err := OplogCrashAt("repl.log.delete", 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.BaseSeq != out.BaseSeq || done.Segments != out.Segments {
+		t.Fatalf("crash after delete #2 recovered %+v, after #4 %+v: the base is committed before the deletes", out, done)
+	}
+}
+
+// TestOplogCrashMidUpgrade: the first flush over a legacy image seals a
+// segment out of it and dies; the legacy image still holds everything and
+// the half-written upgrade resumes.
+func TestOplogCrashMidUpgrade(t *testing.T) {
+	out, err := OplogCrashAt("repl.log.seal", 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Crashed || out.BaseSeq != 1 || out.LastSeq != repl.SegmentRecords+90 {
+		t.Fatalf("outcome %+v, want every legacy record 1..%d", out, repl.SegmentRecords+90)
+	}
+}
+
+func TestOplogTornTail(t *testing.T) {
+	if err := OplogTornTail(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestOplogResurrectedSegment(t *testing.T) {
+	if err := OplogResurrectedSegment(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -3,6 +3,8 @@ package repl
 import (
 	"encoding/binary"
 	"errors"
+	"os"
+	"slices"
 	"testing"
 
 	"nvref/internal/pmem"
@@ -404,5 +406,452 @@ func TestLogResetTo(t *testing.T) {
 	l2 := mustOpen(t, store, "r", 0)
 	if l2.Len() != 1 || l2.LastSeq() != 21 || l2.BaseSeq() != 21 {
 		t.Fatalf("after reload: len=%d last=%d base=%d", l2.Len(), l2.LastSeq(), l2.BaseSeq())
+	}
+}
+
+// ---- Segmented durable form ------------------------------------------------
+
+// countingStore records what a log asks its store to write and keeps
+// nothing, so the log's own allocations are all AllocsPerRun sees.
+type countingStore struct {
+	saves int
+	bytes uint64
+}
+
+func (s *countingStore) Save(meta pmem.Meta, data []byte) error {
+	s.saves++
+	s.bytes += uint64(len(data))
+	return nil
+}
+func (s *countingStore) Load(name string) (pmem.Meta, []byte, error) {
+	return pmem.Meta{}, nil, pmem.ErrStoreMissing
+}
+func (s *countingStore) List() ([]string, error) { return nil, nil }
+func (s *countingStore) Delete(string) error     { return nil }
+
+const segmentBytes = uint64(logHeaderSize + SegmentRecords*RecordSize)
+
+func appendN(l *Log, n int) {
+	for i := 0; i < n; i++ {
+		l.Append(RecPut, uint64(i), uint64(i))
+	}
+}
+
+// TestLogFlushCostIndependentOfRetained: a flush of 64 pending appends
+// writes at most one segment's records (the sealing flush adds the empty
+// tail's header) and allocates a small constant, whether the log retains
+// 64 records or 8 192.
+func TestLogFlushCostIndependentOfRetained(t *testing.T) {
+	const pending = 64
+	for _, retained := range []int{pending, 8192} {
+		cs := &countingStore{}
+		l := mustOpen(t, cs, "s", 0)
+		appendN(l, retained-pending)
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		// Every flush along one whole segment's worth of appends, so the
+		// sealing flush is among them.
+		for i := 0; i < SegmentRecords/pending; i++ {
+			appendN(l, pending)
+			saves, bytes := cs.saves, cs.bytes
+			if err := l.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if wrote := cs.bytes - bytes; wrote > segmentBytes+uint64(logHeaderSize) || cs.saves-saves > 2 {
+				t.Fatalf("retained %d: flush %d wrote %d bytes in %d saves, want <= %d in <= 2",
+					retained, i, wrote, cs.saves-saves, segmentBytes+uint64(logHeaderSize))
+			}
+		}
+		st := l.Stats()
+		if st.FlushBytes != cs.bytes {
+			t.Fatalf("FlushBytes = %d, store saw %d", st.FlushBytes, cs.bytes)
+		}
+		if want := st.Records/SegmentRecords + 1; st.Segments != want {
+			t.Fatalf("retained %d: Segments = %d, want %d", st.Records, st.Segments, want)
+		}
+		allocs := testing.AllocsPerRun(64, func() {
+			appendN(l, pending)
+			if err := l.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// A seal formats one image name and may grow the sealed list; the
+		// record slice doubles now and then. Nothing scales with the log.
+		if allocs > 3 {
+			t.Fatalf("retained %d: %v allocs per 64-append flush", retained, allocs)
+		}
+	}
+}
+
+// failAfterStore lets the first ok saves through and fails the rest.
+type failAfterStore struct {
+	pmem.Store
+	ok int
+}
+
+func (s *failAfterStore) Save(meta pmem.Meta, data []byte) error {
+	if s.ok <= 0 {
+		return errors.New("injected save failure")
+	}
+	s.ok--
+	return s.Store.Save(meta, data)
+}
+
+// TestLogSinceDurableAcrossSegments: when a flush seals a segment and then
+// fails on the tail, shipping stops at the sealed segment's end, and that
+// is exactly where a reload comes back.
+func TestLogSinceDurableAcrossSegments(t *testing.T) {
+	fs := &failAfterStore{Store: pmem.NewMemStore(), ok: 1}
+	l := mustOpen(t, fs, "s", 0)
+	appendN(l, SegmentRecords+40)
+	got := l.SinceDurable(0, 0)
+	if len(got) != SegmentRecords || l.FlushedSeq() != SegmentRecords {
+		t.Fatalf("shipped %d records, flushed = %d; want both %d", len(got), l.FlushedSeq(), SegmentRecords)
+	}
+	if got := l.SinceDurable(SegmentRecords, 0); got != nil {
+		t.Fatalf("shipped %d records past the durable watermark", len(got))
+	}
+	if l.Stats().FlushErrors == 0 {
+		t.Fatal("failed tail save not counted")
+	}
+	l2 := mustOpen(t, fs.Store, "s", 0)
+	if l2.LastSeq() != SegmentRecords || l2.Len() != SegmentRecords {
+		t.Fatalf("reload: last=%d len=%d, want %d", l2.LastSeq(), l2.Len(), SegmentRecords)
+	}
+	// The store heals: the tail ships and a reload agrees.
+	fs.ok = 1 << 30
+	if got := l.SinceDurable(SegmentRecords, 0); len(got) != 40 {
+		t.Fatalf("after heal shipped %d records, want 40", len(got))
+	}
+	l3 := mustOpen(t, fs.Store, "s", 0)
+	if l3.LastSeq() != SegmentRecords+40 || l3.BaseSeq() != 1 {
+		t.Fatalf("reload after heal: last=%d base=%d", l3.LastSeq(), l3.BaseSeq())
+	}
+}
+
+// TestLogSegmentedTruncate: truncation deletes the sealed segments it
+// covers, keeps the one the cut lands in, and a reload sees exactly what
+// memory holds — including an emptied log's watermark.
+func TestLogSegmentedTruncate(t *testing.T) {
+	store := pmem.NewMemStore()
+	l := mustOpen(t, store, "s", 64)
+	appendN(l, 4*SegmentRecords+10)
+	cut := uint64(2*SegmentRecords + 100)
+	if err := l.TruncateThrough(cut); err != nil {
+		t.Fatal(err)
+	}
+	names, _ := store.List()
+	want := []string{"s", sealedName("s", 2*SegmentRecords+1), sealedName("s", 3*SegmentRecords+1)}
+	if !slices.Equal(names, want) {
+		t.Fatalf("images after truncate: %v, want %v", names, want)
+	}
+	l2 := mustOpen(t, store, "s", 64)
+	if l2.BaseSeq() != cut+1 || l2.LastSeq() != l.LastSeq() || !slices.Equal(l2.Since(0, 0), l.Since(0, 0)) {
+		t.Fatalf("reload: base=%d last=%d len=%d, memory has base=%d last=%d len=%d",
+			l2.BaseSeq(), l2.LastSeq(), l2.Len(), l.BaseSeq(), l.LastSeq(), l.Len())
+	}
+	if st := l2.Stats(); st.Segments != 3 || st.TornRecords != 0 {
+		t.Fatalf("reloaded stats: %+v", st)
+	}
+
+	last := l.LastSeq()
+	if err := l.TruncateThrough(last); err != nil {
+		t.Fatal(err)
+	}
+	if names, _ := store.List(); len(names) != 1 || names[0] != "s" {
+		t.Fatalf("images after emptying: %v", names)
+	}
+	l3 := mustOpen(t, store, "s", 64)
+	if l3.Len() != 0 || l3.LastSeq() != last {
+		t.Fatalf("emptied log reloaded with len=%d last=%d, want 0 and %d", l3.Len(), l3.LastSeq(), last)
+	}
+	if rec := l3.Append(RecPut, 1, 1); rec.Seq != last+1 {
+		t.Fatalf("append after emptied reload: seq %d", rec.Seq)
+	}
+}
+
+// TestLogTruncateFlushFailureKeepsSegmentsTracked: a truncation whose
+// flush fails deletes nothing and forgets nothing; once the store heals,
+// the next truncation removes the covered segments.
+func TestLogTruncateFlushFailureKeepsSegmentsTracked(t *testing.T) {
+	fs := &failAfterStore{Store: pmem.NewMemStore(), ok: 1 << 30}
+	l := mustOpen(t, fs, "s", 0)
+	appendN(l, 3*SegmentRecords+10)
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	fs.ok = 0
+	if err := l.TruncateThrough(2 * SegmentRecords); err == nil {
+		t.Fatal("truncation over a failing store reported success")
+	}
+	if names, _ := fs.List(); len(names) != 4 || l.Stats().Segments != 4 {
+		t.Fatalf("failed truncation: images %v, Segments = %d; want 4 and 4", names, l.Stats().Segments)
+	}
+	fs.ok = 1 << 30
+	appendN(l, SegmentRecords) // seals one more behind the stale ones
+	if err := l.TruncateThrough(2*SegmentRecords + 5); err != nil {
+		t.Fatal(err)
+	}
+	names, _ := fs.List()
+	want := []string{"s", sealedName("s", 2*SegmentRecords+1), sealedName("s", 3*SegmentRecords+1)}
+	if !slices.Equal(names, want) {
+		t.Fatalf("images after healed truncation: %v, want %v", names, want)
+	}
+	l2 := mustOpen(t, fs.Store, "s", 0)
+	if !slices.Equal(l2.Since(0, 0), l.Since(0, 0)) || l2.BaseSeq() != 2*SegmentRecords+6 {
+		t.Fatalf("reload: base=%d len=%d, memory has base=%d len=%d", l2.BaseSeq(), l2.Len(), l.BaseSeq(), l.Len())
+	}
+}
+
+// TestInspectLogIsReadOnly: inspecting a store that holds a stray segment
+// reports the log as Reload would and deletes nothing.
+func TestInspectLogIsReadOnly(t *testing.T) {
+	store := pmem.NewMemStore()
+	l := mustOpen(t, store, "i", 0)
+	appendN(l, 2*SegmentRecords+9)
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	stray, strayData, err := store.Load(sealedName("i", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.TruncateThrough(SegmentRecords + 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(stray, strayData); err != nil { // a delete the directory forgot
+		t.Fatal(err)
+	}
+	before, _ := store.List()
+	st, err := InspectLog(store, "i")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.BaseSeq != SegmentRecords+4 || st.LastSeq != 2*SegmentRecords+9 || st.Records != SegmentRecords+6 || st.Segments != 2 {
+		t.Fatalf("inspected stats: %+v", st)
+	}
+	if after, _ := store.List(); !slices.Equal(after, before) || len(after) != 3 {
+		t.Fatalf("inspection changed the store: %v -> %v", before, after)
+	}
+	if _, err := InspectLog(store, "absent"); err != nil {
+		t.Fatalf("inspecting a log with no image: %v", err)
+	}
+}
+
+// TestLogResetToAcrossSegments: ResetTo leaves a durable watermark that a
+// reload finds with zero records, and disowns the old incarnation's sealed
+// segments even when they would connect to the new sequence space.
+func TestLogResetToAcrossSegments(t *testing.T) {
+	store := pmem.NewMemStore()
+	l := mustOpen(t, store, "r", 0)
+	appendN(l, 2*SegmentRecords+5)
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	old, oldData, err := store.Load(sealedName("r", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.ResetTo(0); err != nil {
+		t.Fatal(err)
+	}
+	if names, _ := store.List(); len(names) != 1 {
+		t.Fatalf("images after reset: %v", names)
+	}
+	// A crash between the reset's commit and its deletes leaves the old
+	// segment behind; it starts at the reset watermark + 1 and must still
+	// be refused.
+	if err := store.Save(old, oldData); err != nil {
+		t.Fatal(err)
+	}
+	l2 := mustOpen(t, store, "r", 0)
+	if l2.Len() != 0 || l2.LastSeq() != 0 {
+		t.Fatalf("reload after reset: len=%d last=%d", l2.Len(), l2.LastSeq())
+	}
+	if names, _ := store.List(); len(names) != 1 {
+		t.Fatalf("stray survived reload: %v", names)
+	}
+
+	if err := l.ResetTo(20); err != nil {
+		t.Fatal(err)
+	}
+	l3 := mustOpen(t, store, "r", 0)
+	if l3.Len() != 0 || l3.LastSeq() != 20 || l3.FlushedSeq() != 20 {
+		t.Fatalf("reload after ResetTo(20): len=%d last=%d flushed=%d", l3.Len(), l3.LastSeq(), l3.FlushedSeq())
+	}
+	if err := l3.AppendAt(Record{Seq: 21, Key: 1, Op: RecPut}); err != nil {
+		t.Fatalf("append at watermark+1 after reload: %v", err)
+	}
+}
+
+// legacyImage builds an NVOPLOG1 whole-log image byte for byte as the
+// parent commit's flush wrote it.
+func legacyImage(last uint64, recs []Record) []byte {
+	buf := append([]byte(nil), "NVOPLOG1"...)
+	buf = binary.LittleEndian.AppendUint64(buf, last)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
+	for _, r := range recs {
+		buf = AppendRecord(buf, r)
+	}
+	return buf
+}
+
+// TestLogLegacyUpgrade: a DirStore holding the parent commit's single
+// image opens with the same records, and the first flush replaces it with
+// segments for good.
+func TestLogLegacyUpgrade(t *testing.T) {
+	store, err := pmem.NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []Record
+	for seq := uint64(101); seq <= 100+2*SegmentRecords+30; seq++ {
+		op := RecPut
+		if seq%7 == 0 {
+			op = RecDelete
+		}
+		recs = append(recs, Record{Seq: seq, Key: seq % 50, Value: seq * 3, Op: op})
+	}
+	data := legacyImage(recs[len(recs)-1].Seq, recs)
+	meta := pmem.Meta{ID: 7, Name: "oplog-0", Size: uint64(len(data)), Sum: pmem.ImageChecksum(data)}
+	if err := store.Save(meta, data); err != nil {
+		t.Fatal(err)
+	}
+
+	l := mustOpen(t, store, "oplog-0", 64)
+	if l.BaseSeq() != 101 || l.LastSeq() != recs[len(recs)-1].Seq || !slices.Equal(l.Since(0, 0), recs) {
+		t.Fatalf("legacy open: base=%d last=%d len=%d", l.BaseSeq(), l.LastSeq(), l.Len())
+	}
+	if names, _ := store.List(); len(names) != 1 {
+		t.Fatalf("opening rewrote the store: %v", names)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	names, _ := store.List()
+	want := []string{"oplog-0", sealedName("oplog-0", 101), sealedName("oplog-0", 101+SegmentRecords)}
+	if !slices.Equal(names, want) {
+		t.Fatalf("images after first flush: %v, want %v", names, want)
+	}
+	if _, tail, err := store.Load("oplog-0"); err != nil || string(tail[:len(logMagic)]) != logMagic {
+		t.Fatalf("tail image after upgrade: magic %q, err %v", tail[:len(logMagic)], err)
+	}
+	l2 := mustOpen(t, store, "oplog-0", 64)
+	if !slices.Equal(l2.Since(0, 0), recs) || l2.Stats().Segments != 3 {
+		t.Fatalf("reload after upgrade: len=%d segments=%d", l2.Len(), l2.Stats().Segments)
+	}
+}
+
+// TestLogReloadTornTailFile: a tail file cut short on a DirStore — which
+// reports ErrCorrupt alongside the surviving bytes — reloads to its last
+// whole record on top of the sealed segments.
+func TestLogReloadTornTailFile(t *testing.T) {
+	dir := t.TempDir()
+	store, err := pmem.NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := mustOpen(t, store, "t", 0)
+	appendN(l, SegmentRecords+20)
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	path := dir + "/t.pool"
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-5*RecordSize-7); err != nil {
+		t.Fatal(err)
+	}
+	l2 := mustOpen(t, store, "t", 0)
+	if want := uint64(SegmentRecords + 14); l2.LastSeq() != want || l2.Len() != int(want) {
+		t.Fatalf("torn tail file: last=%d len=%d, want %d", l2.LastSeq(), l2.Len(), want)
+	}
+	if st := l2.Stats(); st.TornRecords != 6 {
+		t.Fatalf("torn records = %d, want 6", st.TornRecords)
+	}
+	// The same cut in a sealed segment is not a crash artifact.
+	sealed := dir + "/" + sealedName("t", 1) + ".pool"
+	if err := os.Truncate(sealed, fi.Size()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenLog(store, "t", 0); !errors.Is(err, pmem.ErrCorrupt) {
+		t.Fatalf("torn sealed segment: %v", err)
+	}
+}
+
+// TestLogReloadMissingSegment: a hole in the merged sequence is reported,
+// never papered over by serving a log with records missing.
+func TestLogReloadMissingSegment(t *testing.T) {
+	store := pmem.NewMemStore()
+	l := mustOpen(t, store, "h", 0)
+	appendN(l, 3*SegmentRecords+1)
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Delete(sealedName("h", SegmentRecords+1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenLog(store, "h", 0); !errors.Is(err, pmem.ErrCorrupt) {
+		t.Fatalf("missing middle segment: %v", err)
+	}
+	if err := store.Delete(sealedName("h", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenLog(store, "h", 0); !errors.Is(err, pmem.ErrCorrupt) {
+		t.Fatalf("missing oldest segments: %v", err)
+	}
+}
+
+func TestLogNames(t *testing.T) {
+	got := LogNames([]string{
+		"oplog-0", sealedName("oplog-0", 1), sealedName("oplog-0", 257),
+		sealedName("oplog-1", 513), // a sealed segment alone still names its log
+		"legacy", "odd.seg-12", "odd.seg-zzzzzzzzzzzzzzzz",
+	})
+	want := []string{"legacy", "odd.seg-12", "odd.seg-zzzzzzzzzzzzzzzz", "oplog-0", "oplog-1"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("LogNames = %v, want %v", got, want)
+	}
+}
+
+// TestLogConcurrentAppendShipTruncate: the shard worker appends (rolling
+// segments on the flush cadence) while a shipper pulls durable records and
+// truncates behind itself; every record ships exactly once, in order, and
+// a reload agrees with memory afterwards.
+func TestLogConcurrentAppendShipTruncate(t *testing.T) {
+	const total = 16 * SegmentRecords
+	store := pmem.NewMemStore()
+	l := mustOpen(t, store, "c", 64)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		appendN(l, total)
+	}()
+	var cursor uint64
+	for cursor < total {
+		for _, rec := range l.SinceDurable(cursor, 100) {
+			if rec.Seq != cursor+1 {
+				t.Errorf("shipped seq %d after %d", rec.Seq, cursor)
+				cursor = total
+				break
+			}
+			cursor = rec.Seq
+		}
+		if err := l.TruncateThrough(cursor / 2); err != nil {
+			t.Errorf("truncate: %v", err)
+			break
+		}
+	}
+	<-done
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	l2 := mustOpen(t, store, "c", 64)
+	if l2.LastSeq() != total || l2.BaseSeq() != l.BaseSeq() || l2.Len() != l.Len() {
+		t.Fatalf("reload: last=%d base=%d len=%d, memory has last=%d base=%d len=%d",
+			l2.LastSeq(), l2.BaseSeq(), l2.Len(), l.LastSeq(), l.BaseSeq(), l.Len())
 	}
 }

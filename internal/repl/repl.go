@@ -51,15 +51,18 @@ type Record struct {
 	Op    byte
 }
 
-// AppendRecord appends the 32-byte wire form of r to buf.
+// AppendRecord appends the 32-byte wire form of r to buf, encoding in
+// place so that a record costs no allocation beyond buf's own growth.
 func AppendRecord(buf []byte, r Record) []byte {
-	var b [RecordSize]byte
+	n := len(buf)
+	buf = append(buf, make([]byte, RecordSize)...)
+	b := buf[n:]
 	binary.LittleEndian.PutUint64(b[0:], r.Seq)
 	binary.LittleEndian.PutUint64(b[8:], r.Key)
 	binary.LittleEndian.PutUint64(b[16:], r.Value)
 	b[24] = r.Op
 	binary.LittleEndian.PutUint32(b[28:], crc32.ChecksumIEEE(b[:28]))
-	return append(buf, b[:]...)
+	return buf
 }
 
 // DecodeRecord parses and validates one 32-byte record.

@@ -267,8 +267,8 @@ func (s *Server) migPullReply(req *Request) Reply {
 		}
 		slots = m.Slots
 	}
-	recs := sh.cfg.oplog.SinceDurable(req.Seq, req.Limit)
-	contiguous := len(recs) == 0 || recs[0].Seq == req.Seq+1
+	recs, base := shipDurable(sh.cfg.oplog, req.Seq, req.Limit)
+	contiguous := base <= req.Seq+1
 	through := req.Seq
 	kept := recs[:0]
 	for _, rec := range recs {

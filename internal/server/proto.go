@@ -21,7 +21,7 @@
 //	BATCH      count u32, count×sub-request → count u32, count×sub-reply
 //	STATS      (empty)                     → len u32, JSON bytes
 //	CHECKPOINT (empty)                     → (empty)
-//	REPLICATE  shard u32, after u64, max u32 → last u64, count u32, count×record
+//	REPLICATE  shard u32, after u64, max u32 → last u64, base u64, count u32, count×record
 //	REPLACK    shard u32, seq u64          → (empty)
 //
 // PUT and DELETE replies name the shard that served the write and the
@@ -82,7 +82,8 @@ const (
 	// OpReplicate is the replication pull: a replica asks one shard's
 	// primary for log records after a sequence number. Payload: shard u32,
 	// after-seq u64, max u32. The reply carries the shard's newest sequence
-	// number and the raw records (replication.go).
+	// number, the oldest one its log can still ship, and the raw records
+	// (repl.go).
 	OpReplicate byte = 9
 	// OpReplAck is the replica's durability acknowledgment: every record of
 	// the shard up to seq is applied and logged on the replica. Payload:
@@ -314,7 +315,10 @@ type Reply struct {
 	Blob   []byte // STATS JSON; OpClusterMap's encoded map image
 	// Shard and Seq report which shard served a write and the sequence
 	// number it assigned (zero when the shard keeps no operation log). On a
-	// REPLICATE reply, Seq is the shard's newest logged sequence.
+	// REPLICATE reply, Seq is the shard's newest logged sequence and Value
+	// the oldest one its log still retains (the next to be logged when it
+	// retains none): a puller whose cursor is below Value-1 was truncated
+	// past.
 	Shard uint32
 	Seq   uint64
 	// Recs are a REPLICATE reply's shipped log records.
@@ -815,6 +819,7 @@ func AppendReply(buf []byte, op byte, rep *Reply) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, rep.Seq)
 	case OpReplicate:
 		buf = binary.LittleEndian.AppendUint64(buf, rep.Seq)
+		buf = binary.LittleEndian.AppendUint64(buf, rep.Value)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rep.Recs)))
 		for _, r := range rep.Recs {
 			buf = repl.AppendRecord(buf, r)
@@ -971,6 +976,9 @@ func decodeReply(c *cursor, req *Request, traced bool) (*Reply, error) {
 		}
 	case OpReplicate:
 		if rep.Seq, err = c.u64(); err != nil {
+			return nil, err
+		}
+		if rep.Value, err = c.u64(); err != nil {
 			return nil, err
 		}
 		n, err := c.u32()

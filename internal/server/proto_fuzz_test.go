@@ -160,7 +160,7 @@ func FuzzDecodeReply(f *testing.F) {
 		{OpStats, Reply{Status: StatusOK, Blob: []byte(`{"shards":2}`)}},
 		{OpCheckpoint, Reply{Status: StatusOK}},
 		{OpReplAck, Reply{Status: StatusOK}},
-		{OpReplicate, Reply{Status: StatusOK, Seq: 12, Recs: []repl.Record{
+		{OpReplicate, Reply{Status: StatusOK, Seq: 12, Value: 11, Recs: []repl.Record{
 			{Seq: 11, Key: 5, Value: 6, Op: repl.RecPut},
 			{Seq: 12, Key: 5, Op: repl.RecDelete},
 		}}},
@@ -200,7 +200,7 @@ func FuzzDecodeReply(f *testing.F) {
 	f.Add(OpGet|0x80, []byte{StatusOK, 1, 77, 0, 0, 0, 0, 0, 0, 0})
 	// Hostile seeds: replicate reply claiming MaxReplBatch records with no
 	// bytes, scan reply with a huge count, batch count mismatch.
-	f.Add(OpReplicate, []byte{StatusOK, 9, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0, 0})
+	f.Add(OpReplicate, []byte{StatusOK, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0, 0})
 	f.Add(OpScan, []byte{StatusOK, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(OpBatch, []byte{StatusOK, 7, 0, 0, 0})
 	// Hostile cluster replies: MOVED with an addr length past the body, a

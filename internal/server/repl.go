@@ -12,7 +12,8 @@ package server
 //	                       → ctlApply (AppendAt → apply → flush)
 //	                       → OpReplAck (covers the durable prefix)
 //	primary ack path:      replAck advances → ackWaiter releases held acks
-//	primary checkpoint:    truncate log through min(applied, replAck)
+//	primary checkpoint:    truncate log through min(applied, replAck) while
+//	                       the replica is live, through applied otherwise
 //
 // Two durability rules keep the copies convergent across crashes on
 // either side. Shipping is durable-only (Log.SinceDurable): a record a
@@ -289,9 +290,10 @@ func (s *Server) appliedSeqs() []uint64 {
 // replicateReply serves an OpReplicate pull: durable records after
 // req.Seq from the shard's log (SinceDurable flushes pending appends
 // first, so shipping is prompt but never outruns the durable image), plus
-// the newest logged sequence so the replica can measure its lag. Served
-// by connection goroutines — the log has its own lock, so pulls never
-// enter the shard queue.
+// the newest logged sequence so the replica can measure its lag and the
+// sequence shipping starts at so it can tell a truncated cursor from a
+// caught-up one. Served by connection goroutines — the log has its own
+// lock, so pulls never enter the shard queue.
 func (s *Server) replicateReply(req *Request) Reply {
 	if int(req.Shard) >= len(s.shards) {
 		return Reply{Status: StatusBadRequest}
@@ -305,12 +307,31 @@ func (s *Server) replicateReply(req *Request) Reply {
 	if s.spans != nil {
 		shipStart = time.Now()
 	}
-	recs := sh.cfg.oplog.SinceDurable(req.Seq, req.Limit)
+	recs, base := shipDurable(sh.cfg.oplog, req.Seq, req.Limit)
 	s.repl.shipped.Add(uint64(len(recs)))
 	if s.spans != nil {
 		s.spans.RecordTimed(0, StageReplShip, int(req.Shard), "replicate", 0, shipStart, time.Since(shipStart))
 	}
-	return Reply{Status: StatusOK, Shard: req.Shard, Seq: sh.cfg.oplog.LastSeq(), Recs: recs}
+	return Reply{Status: StatusOK, Shard: req.Shard, Seq: sh.cfg.oplog.LastSeq(), Value: base, Recs: recs}
+}
+
+// shipDurable reads a shard log for shipping: the durable records after
+// cursor, and the sequence they start at — or, when there are none, the
+// one the log's retained records start at (the next to be logged when it
+// retains nothing). A base past cursor+1 means a checkpoint truncated
+// records the puller never got (a primary with no live replica truncates
+// through everything it has applied), and the puller must restart from a
+// snapshot. Truncation only advances, so reading the log's state after the
+// records cannot miss one.
+func shipDurable(log *repl.Log, cursor uint64, limit int) (recs []repl.Record, base uint64) {
+	if recs = log.SinceDurable(cursor, limit); len(recs) > 0 {
+		return recs, recs[0].Seq
+	}
+	st := log.Stats()
+	if st.Records == 0 {
+		return nil, st.LastSeq + 1
+	}
+	return nil, st.BaseSeq
 }
 
 // replAckReply serves an OpReplAck: advance the shard's replica-acked
@@ -627,15 +648,14 @@ func (f *follower) round(c *Client) (progress bool, err error) {
 				continue
 			}
 			f.primarySeq[g+idx].Store(rep.Seq)
-			if len(rep.Recs) == 0 {
-				continue
-			}
-			if base := rep.Recs[0].Seq; base > sh.applied.Load()+1 {
+			if base := rep.Value; base > sh.applied.Load()+1 {
 				// The primary's retained log starts past our cursor: it
-				// truncated records we never durably applied. Durable-only
-				// acking makes this unreachable from restarts, so it means
-				// real divergence (e.g. the primary was re-seeded). Refuse
-				// the batch — applying it would silently skip operations.
+				// truncated records we never applied — we attached, or came
+				// back from a partition, after it checkpointed with no live
+				// replica, or it was re-seeded. The reply says so even when
+				// it ships nothing, so an idle primary is no reason to stay
+				// stale. Refuse the batch — applying it would silently skip
+				// operations.
 				f.divergences.Add(1)
 				if f.diverged.CompareAndSwap(false, true) {
 					f.s.logf("server: follower shard %d diverged from %s: primary ships from seq %d, applied is %d",
@@ -651,9 +671,16 @@ func (f *follower) round(c *Client) (progress bool, err error) {
 					if err := f.reseed(c, g+idx, base); err != nil {
 						f.s.logf("server: follower shard %d re-seed: %v", g+idx, err)
 					} else {
+						// The checkpointed snapshot covers everything below
+						// base; say so, or an idle primary counts us lagging
+						// (and keeps its log) until its next write.
 						progress = true
+						acks = append(acks, ack{shard: uint32(g + idx), seq: base - 1})
 					}
 				}
+				continue
+			}
+			if len(rep.Recs) == 0 {
 				continue
 			}
 			resp := make(chan Reply, 1)

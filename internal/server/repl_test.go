@@ -1,13 +1,16 @@
 package server
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"nvref/internal/obs"
 	"nvref/internal/pmem"
+	"nvref/internal/repl"
 )
 
 // startPair boots a primary and a replica following it, both on loopback.
@@ -686,5 +689,326 @@ func TestPrimaryFencing(t *testing.T) {
 	}
 	if got := p.CollectStats().PerShard[0].Repl.FencedWrites; got == 0 {
 		t.Fatal("fenced writes not counted")
+	}
+}
+
+// ---- Checkpoint truncation rule ---------------------------------------------
+
+// durablePrimary boots a one-shard primary with pool and op log on
+// MemStores and a metrics registry, returning the stores so a test can
+// restart it or inspect the log's images.
+func durablePrimary(t *testing.T, checkpointEvery int) (s *Server, c *Client, reg *obs.Registry, logStore pmem.Store, addr net.Addr) {
+	t.Helper()
+	pool, logStore := pmem.NewMemStore(), pmem.NewMemStore()
+	reg = obs.NewRegistry()
+	s, err := New(Config{
+		Shards:          1,
+		Role:            RolePrimary,
+		PoolSize:        4 << 20,
+		CheckpointEvery: checkpointEvery,
+		StoreFor:        func(int) pmem.Store { return pool },
+		LogStoreFor:     func(int) pmem.Store { return logStore },
+		Reg:             reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err = s.Start("127.0.0.1:0")
+	if err != nil {
+		s.Abort()
+		t.Fatal(err)
+	}
+	c, err = Dial(addr.String())
+	if err != nil {
+		s.Abort()
+		t.Fatal(err)
+	}
+	return s, c, reg, logStore, addr
+}
+
+// putRange writes keys lo..hi through pipelined frames; value = key*3.
+func putRange(t *testing.T, c *Client, lo, hi uint64) {
+	t.Helper()
+	for k := lo; k <= hi; {
+		p := c.Pipeline()
+		for n := 0; n < 64 && k <= hi; n, k = n+1, k+1 {
+			p.Put(k, k*3)
+		}
+		reps, err := p.Run()
+		if err != nil {
+			t.Fatalf("put batch ending at %d: %v", k-1, err)
+		}
+		for _, rep := range reps {
+			if rep.Status != StatusOK {
+				t.Fatalf("put batch ending at %d: status %d", k-1, rep.Status)
+			}
+		}
+	}
+}
+
+// TestReplicalessPrimaryTruncatesAtCheckpoint: a primary that never saw a
+// replica owes its log prefix to nobody, so every checkpoint truncates
+// through what it covers and the log stays bounded by the checkpoint
+// cadence plus the segment being filled — and a power loss still replays
+// to the full state.
+func TestReplicalessPrimaryTruncatesAtCheckpoint(t *testing.T) {
+	const every = 512
+	s, c, reg, logStore, _ := durablePrimary(t, every)
+	defer s.Abort()
+	defer c.Close()
+
+	const rounds = 4
+	for r := uint64(0); r < rounds; r++ {
+		putRange(t, c, r*every+1, (r+1)*every)
+		if got := reg.Snapshot().Value("server_shard0_oplog_records"); got > every+repl.SegmentRecords {
+			t.Fatalf("round %d: oplog_records = %d, want <= %d", r, got, every+repl.SegmentRecords)
+		}
+	}
+	putRange(t, c, rounds*every+1, rounds*every+200) // a tail past the last checkpoint
+	st := s.CollectStats().PerShard[0]
+	if st.Checkpoints < 3 || st.Repl.Log.Truncated == 0 {
+		t.Fatalf("checkpoints = %d, truncated = %d; want >= 3 checkpoints that truncate", st.Checkpoints, st.Repl.Log.Truncated)
+	}
+	snap := reg.Snapshot()
+	if segs := snap.Value("server_shard0_oplog_segments"); segs < 1 || segs > every/repl.SegmentRecords+2 {
+		t.Fatalf("oplog_segments = %d", segs)
+	}
+	if snap.Value("server_shard0_oplog_flush_bytes_total") == 0 {
+		t.Fatal("oplog_flush_bytes_total never moved")
+	}
+	if images, _ := logStore.List(); len(images) > every/repl.SegmentRecords+2 {
+		t.Fatalf("log store holds %d images: %v", len(images), images)
+	}
+
+	// One shard, keys written in order: key k is sequence k. Power loss keeps
+	// the checkpoint plus the flushed log tail; the write-behind past
+	// FlushedSeq is the documented loss window.
+	durable := st.Repl.Log.FlushedSeq
+	if durable <= rounds*every {
+		t.Fatalf("flushed seq %d does not reach past the last checkpoint at %d", durable, rounds*every)
+	}
+	if err := s.InjectCrash(0); err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k <= durable; k++ {
+		v, found, err := c.Get(k)
+		if err != nil || !found || v != k*3 {
+			t.Fatalf("after power loss key %d = (%d, %v, %v), want %d", k, v, found, err, k*3)
+		}
+	}
+	if after := s.CollectStats().PerShard[0].Repl; after.Replayed == 0 || after.Log.LastSeq != durable {
+		t.Fatalf("recovery replayed %d records to seq %d, want the tail through %d", after.Replayed, after.Log.LastSeq, durable)
+	}
+}
+
+// TestLiveLaggingReplicaPinsLog: while a replica is live the checkpoint
+// still retains everything past its acknowledged sequence, however far
+// behind the checkpoint that is.
+func TestLiveLaggingReplicaPinsLog(t *testing.T) {
+	s, c, _, _, _ := durablePrimary(t, -1)
+	defer s.Abort()
+	defer c.Close()
+	putRange(t, c, 1, 600)
+
+	// A replica that has pulled and acknowledged only the first 100.
+	p := c.Pipeline()
+	p.Pull(0, 0, 100)
+	p.ReplAck(0, 100)
+	if reps, err := p.Run(); err != nil || len(reps[0].Recs) != 100 || reps[1].Status != StatusOK {
+		t.Fatalf("pull+ack: %v", err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	st := s.CollectStats().PerShard[0].Repl
+	if st.Log.BaseSeq != 101 || st.Log.Records != 500 || st.Log.LastSeq != 600 {
+		t.Fatalf("log after checkpoint with a lagging live replica: %+v", st.Log)
+	}
+}
+
+// TestLateReplicaReseeds: a replica attaching after the primary has
+// truncated past sequence 1 finds the log's base ahead of its cursor,
+// rebuilds itself from a snapshot, and converges — with nobody's help, and
+// whether or not the primary ever logs another write.
+func TestLateReplicaReseeds(t *testing.T) {
+	for _, idle := range []bool{false, true} {
+		name := "writes-follow"
+		if idle {
+			name = "idle-emptied-log"
+		}
+		t.Run(name, func(t *testing.T) { lateReplicaReseeds(t, idle) })
+	}
+}
+
+func lateReplicaReseeds(t *testing.T, idle bool) {
+	p, c, _, _, paddr := durablePrimary(t, 256)
+	defer p.Abort()
+	defer c.Close()
+	putRange(t, c, 1, 700)
+	if idle {
+		// An explicit checkpoint empties the log: every pull from here on
+		// ships nothing, and the reply's base is all that tells the replica.
+		if err := c.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := p.CollectStats().PerShard[0]
+	if st.Checkpoints == 0 || st.Repl.Log.BaseSeq <= 1 && !idle || idle && st.Repl.Log.Records != 0 {
+		t.Fatalf("primary did not truncate before the replica attached: %+v", st.Repl.Log)
+	}
+	lastSeq := st.Repl.Log.LastSeq
+
+	r, err := New(Config{
+		Shards:          1,
+		Role:            RoleReplica,
+		PoolSize:        4 << 20,
+		CheckpointEvery: 256,
+		FollowAddr:      paddr.String(),
+		FollowPoll:      time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Abort()
+	raddr, err := r.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "follower contact", 5*time.Second, func() bool {
+		return r.CollectStats().Follower.Pulls > 0
+	})
+	hi := uint64(700)
+	if !idle {
+		// New writes ship on the replica's next pull; their base is far
+		// past its cursor.
+		hi = 760
+		for k := uint64(701); k <= hi; k++ {
+			_, seq, err := c.PutSeq(k, k*3)
+			if err != nil && !errors.Is(err, ErrUnavailable) {
+				t.Fatalf("put %d: %v", k, err)
+			}
+			if seq > lastSeq {
+				lastSeq = seq
+			}
+		}
+	}
+	waitFor(t, "re-seed and lag drain", 10*time.Second, func() bool {
+		fs := r.CollectStats().Follower
+		return fs.Reseeds >= 1 && p.CollectStats().ReplLagRecords == 0 &&
+			r.CollectStats().PerShard[0].Repl.Applied >= lastSeq
+	})
+	rc, err := Dial(raddr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	for k := uint64(1); k <= hi; k++ {
+		v, found, err := rc.Get(k)
+		if err != nil || !found || v != k*3 {
+			t.Fatalf("replica key %d = (%d, %v, %v), want %d", k, v, found, err, k*3)
+		}
+	}
+}
+
+// TestLegacyOplogImageReplays: a log store written by the parent commit —
+// one NVOPLOG1 image, no pool checkpoint beside it — opens, replays to the
+// same state, and is segmented once the shard flushes.
+func TestLegacyOplogImageReplays(t *testing.T) {
+	dir := t.TempDir()
+	logStore, err := pmem.NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = repl.SegmentRecords + 44
+	img := append([]byte(nil), "NVOPLOG1"...)
+	img = binary.LittleEndian.AppendUint64(img, n)
+	img = binary.LittleEndian.AppendUint32(img, n)
+	for seq := uint64(1); seq <= n; seq++ {
+		img = repl.AppendRecord(img, repl.Record{Seq: seq, Key: seq, Value: seq * 3, Op: repl.RecPut})
+	}
+	meta := pmem.Meta{Name: "oplog-0", Size: uint64(len(img)), Sum: pmem.ImageChecksum(img)}
+	if err := logStore.Save(meta, img); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(Config{
+		Shards:      1,
+		Role:        RolePrimary,
+		PoolSize:    4 << 20,
+		LogStoreFor: func(int) pmem.Store { return logStore },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Abort()
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for k := uint64(1); k <= n; k++ {
+		v, found, err := c.Get(k)
+		if err != nil || !found || v != k*3 {
+			t.Fatalf("replayed key %d = (%d, %v, %v), want %d", k, v, found, err, k*3)
+		}
+	}
+	// One cadence's worth of writes flushes, and the flush upgrades.
+	putRange(t, c, n+1, n+64)
+	images, err := logStore.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := repl.LogNames(images); len(images) < 2 || len(got) != 1 || got[0] != "oplog-0" {
+		t.Fatalf("log store after the first flush: %v", images)
+	}
+	l, err := repl.OpenLog(logStore, "oplog-0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.BaseSeq != 1 || st.LastSeq != n+64 || st.Segments != 2 {
+		t.Fatalf("upgraded log: %+v", st)
+	}
+}
+
+// TestMigPullReportsTruncatedCursor: once a replica-less donor has
+// truncated through its checkpoint, a catch-up cursor behind the cut must
+// read as non-contiguous even when there is nothing left to ship —
+// otherwise the acceptor would wait on, and then hand over without,
+// records that are gone.
+func TestMigPullReportsTruncatedCursor(t *testing.T) {
+	s, c, _, _, _ := durablePrimary(t, -1)
+	defer s.Abort()
+	defer c.Close()
+	putRange(t, c, 1, 300)
+	pull := func(after uint64) (bool, int) {
+		t.Helper()
+		contiguous, _, _, recs, err := c.MigPull(0, SlotAll, after, 50)
+		if err != nil {
+			t.Fatalf("MigPull(%d): %v", after, err)
+		}
+		return contiguous, len(recs)
+	}
+	if ok, n := pull(100); !ok || n != 50 {
+		t.Fatalf("before truncation: contiguous=%v recs=%d", ok, n)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if ok, n := pull(100); ok || n != 0 {
+		t.Fatalf("cursor behind an emptied log: contiguous=%v recs=%d", ok, n)
+	}
+	if ok, n := pull(300); !ok || n != 0 {
+		t.Fatalf("caught-up cursor on an emptied log: contiguous=%v recs=%d", ok, n)
+	}
+	putRange(t, c, 301, 310)
+	if ok, n := pull(300); !ok || n != 10 {
+		t.Fatalf("caught-up cursor after new writes: contiguous=%v recs=%d", ok, n)
+	}
+	if ok, _ := pull(250); ok {
+		t.Fatal("cursor behind the base read as contiguous")
 	}
 }

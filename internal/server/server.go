@@ -582,6 +582,8 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 			reg.GaugeFunc(pfx+"oplog_bytes", "retained operation-log bytes", func() int64 { return int64(sh.cfg.oplog.Bytes()) })
 			reg.GaugeFunc(pfx+"oplog_flushed_seq", "newest operation-log sequence flushed to the durable image", func() int64 { return int64(sh.cfg.oplog.FlushedSeq()) })
 			reg.GaugeFunc(pfx+"oplog_unflushed_records", "appended records the durable image does not yet cover", func() int64 { return int64(sh.cfg.oplog.Unflushed()) })
+			reg.GaugeFunc(pfx+"oplog_segments", "operation-log images in the store: sealed segments plus the tail", func() int64 { return int64(sh.cfg.oplog.Stats().Segments) })
+			reg.CounterFunc(pfx+"oplog_flush_bytes_total", "operation-log image bytes handed to the store", func() uint64 { return sh.cfg.oplog.Stats().FlushBytes })
 			reg.CounterFunc(pfx+"degraded_acks_total", "writes acked without replica durability (replica not live)", func() uint64 { return sh.degradedAcks.Load() })
 		}
 	}
@@ -684,8 +686,8 @@ func (s *Server) Serve(l net.Listener) error {
 			return nil
 		}
 		s.conns[conn] = struct{}{}
+		s.wg.Add(1) // under mu: shutdownNetwork sets closed there before it Waits
 		s.mu.Unlock()
-		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
 			s.handleConn(conn)

@@ -1099,14 +1099,17 @@ func (sh *shard) checkpoint() error {
 	sh.sinceCkpt = 0
 	if sh.cfg.oplog != nil {
 		// The pool image now covers every applied record, so the log prefix
-		// through the applied sequence is garbage — except on a primary,
-		// which must retain anything its replica has not acknowledged (the
-		// replica can only catch up from the log). TruncateThrough also
-		// flushes, so the checkpoint is a log durability barrier too. A log
-		// flush failure is counted (LogStats.FlushErrors), not fatal: the
-		// pool checkpoint itself succeeded.
+		// through the applied sequence is garbage — except on a primary
+		// whose replica is live (the predicate deliver holds acks by), which
+		// must retain anything that replica has not acknowledged: it can
+		// only catch up from the log. With no live replica nobody is owed
+		// the prefix; one that attaches later finds the log's base past its
+		// cursor and re-seeds from a snapshot. TruncateThrough also flushes,
+		// so the checkpoint is a log durability barrier too. A log flush
+		// failure is counted (LogStats.FlushErrors), not fatal: the pool
+		// checkpoint itself succeeded.
 		through := sh.applied.Load()
-		if sh.roleIs(RolePrimary) {
+		if sh.roleIs(RolePrimary) && sh.cfg.replicaLive != nil && sh.cfg.replicaLive() {
 			if ra := sh.replAck.Load(); ra < through {
 				through = ra
 			}

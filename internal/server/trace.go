@@ -17,7 +17,7 @@ const (
 	StageQueueWait   = "queue_wait"    // admission queue: submit to worker pickup
 	StageExecute     = "execute"       // shard worker: store operation, excluding the op-log append
 	StageOplogAppend = "oplog_append"  // shard worker: op-log record append
-	StageOplogFlush  = "oplog_flush"   // op-log flush to its durable image (background, untraced)
+	StageOplogFlush  = "oplog_flush"   // op-log flush at a checkpoint's truncation or a replica's apply (untraced; the LogFlushEvery cadence flush runs inside oplog_append)
 	StageReplShip    = "repl_ship"     // primary: REPLICATE pull served (background, untraced)
 	StageReplApply   = "repl_apply"    // replica: shipped records applied + flushed (background, untraced)
 	StageAckHold     = "replack_hold"  // primary: write ack held for replica durability

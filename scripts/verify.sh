@@ -77,7 +77,8 @@ go run ./cmd/nvbench -experiment media -quick
 # health probes under the race detector, then the gate: every echo returns,
 # each traced op's stage chain is ordered and fits its measured e2e
 # latency, a killed primary leaves a promotion-triggered flight dump, and
-# the disabled plane costs < 2%.
+# the attached-but-unsampled plane is free by count (allocations per round
+# trip and wire bytes equal a plane-less server's, zero recorder calls).
 go test -race -run 'Trace|Span|Flight|Health|Statusz|Readiness|Fenced|Promotion|SlowOp' \
 	./internal/obs/ ./internal/server/ ./internal/bench/
 go run ./cmd/nvbench -experiment trace -quick

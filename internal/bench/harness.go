@@ -450,7 +450,6 @@ func startPair(pcfg, rcfg server.Config) (*pair, error) {
 	p := &pair{primary: primary, paddr: paddr}
 	rcfg.Role = server.RoleReplica
 	rcfg.FollowAddr = paddr
-	rcfg.FollowPoll = time.Millisecond
 	if p.replica, p.raddr, err = startServer(rcfg); err != nil {
 		primary.Abort()
 		return nil, err

@@ -22,6 +22,11 @@ type Clock interface {
 	// callers must treat the delivery time, not the wall instant of
 	// receipt, as "now".
 	After(d time.Duration) <-chan time.Time
+	// Timer is After for a wait that usually ends early: stop gives back
+	// what the clock holds for the timer — a runtime timer, a virtual
+	// clock's waiter — so a caller woken by something else leaves nothing
+	// armed behind it. stop after the channel fired is a no-op.
+	Timer(d time.Duration) (fire <-chan time.Time, stop func())
 }
 
 // Wall is the production Clock: the real time package.
@@ -35,6 +40,12 @@ func (Wall) Sleep(d time.Duration) { time.Sleep(d) }
 
 // After implements Clock.
 func (Wall) After(d time.Duration) <-chan time.Time { return time.After(d) }
+
+// Timer implements Clock.
+func (Wall) Timer(d time.Duration) (<-chan time.Time, func()) {
+	t := time.NewTimer(d)
+	return t.C, func() { t.Stop() }
+}
 
 // OrWall returns c, or the wall clock when c is nil — the default-filling
 // helper every Clock consumer uses.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -75,7 +76,8 @@ var ErrSeqGap = errors.New("repl: sequence gap")
 // replica is, by construction, a record this log's crash-reload retains.
 //
 // A Log is safe for concurrent use: the owning shard worker appends while
-// connection handlers read Since for log shipping.
+// connection handlers read Since for log shipping, or wait for something
+// to ship (Await, woken by the worker's Publish).
 type Log struct {
 	mu         sync.Mutex
 	store      pmem.Store // nil: volatile (no Flush/Reload persistence)
@@ -91,6 +93,8 @@ type Log struct {
 	epoch  uint32      // incarnation every image of this log carries
 	sealed []sealedSeg // sealed segments in the store, oldest first
 	buf    []byte      // encode scratch, reused across flushes
+
+	waiters []*waiter // readers parked for a record past their cursor
 
 	flushes    uint64
 	flushBytes uint64
@@ -197,6 +201,59 @@ func (l *Log) noteAppend(rec Record) {
 			l.flushErrs++
 		}
 	}
+}
+
+// waiter is one reader parked for a record past its cursor (see Await).
+type waiter struct {
+	after uint64
+	ready chan struct{}
+}
+
+// Await registers a wait for a record with Seq > after — the long-poll
+// half of log shipping. ready is closed by the Publish that finds one, or
+// already closed when Await did; cancel ends the wait and is owed by every
+// caller, woken or not: it takes an unwoken waiter back out of the log.
+// Appends do not wake waiters, Publish does: the appender decides when a
+// run of appends is worth a reader's round trip.
+func (l *Log) Await(after uint64) (ready <-chan struct{}, cancel func()) {
+	w := &waiter{after: after, ready: make(chan struct{})}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.last > after {
+		close(w.ready)
+	} else {
+		l.waiters = append(l.waiters, w)
+	}
+	return w.ready, func() {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if i := slices.Index(l.waiters, w); i >= 0 {
+			l.waiters = slices.Delete(l.waiters, i, i+1)
+		}
+	}
+}
+
+// Publish wakes every waiter whose cursor the newest appended sequence has
+// passed, and no other: a reader that already shipped these records and
+// came back for more stays parked. It does no I/O — the flush that makes
+// the records shippable runs on the woken reader (SinceDurable).
+func (l *Log) Publish() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.waiters = slices.DeleteFunc(l.waiters, func(w *waiter) bool {
+		woken := l.last > w.after
+		if woken {
+			close(w.ready)
+		}
+		return woken
+	})
+}
+
+// Waiters returns how many Await calls are still parked.
+func (l *Log) Waiters() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.waiters)
 }
 
 // LastSeq returns the newest sequence number ever appended (0 if none).

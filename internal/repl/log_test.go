@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"slices"
+	"sync"
 	"testing"
 
 	"nvref/internal/pmem"
@@ -853,5 +854,116 @@ func TestLogConcurrentAppendShipTruncate(t *testing.T) {
 	if l2.LastSeq() != total || l2.BaseSeq() != l.BaseSeq() || l2.Len() != l.Len() {
 		t.Fatalf("reload: last=%d base=%d len=%d, memory has last=%d base=%d len=%d",
 			l2.LastSeq(), l2.BaseSeq(), l2.Len(), l.LastSeq(), l.BaseSeq(), l.Len())
+	}
+}
+
+// ---- Await / Publish ---------------------------------------------------------
+
+func isReady(ready <-chan struct{}) bool {
+	select {
+	case <-ready:
+		return true
+	default:
+		return false
+	}
+}
+
+// TestLogAwaitPublish: an append alone wakes nobody; a Publish wakes
+// exactly the waiters whose cursor the log has passed; a waiter that finds
+// the log already past its cursor never parks; and a cancelled waiter is
+// gone from the log, woken or not.
+func TestLogAwaitPublish(t *testing.T) {
+	l := mustOpen(t, nil, "w", 0)
+	appendN(l, 3)
+	if behind, _ := l.Await(2); !isReady(behind) || l.Waiters() != 0 {
+		t.Fatalf("Await behind the log: ready=%v waiters=%d", isReady(behind), l.Waiters())
+	}
+	caughtUp, cancelCaughtUp := l.Await(3)
+	ahead, cancelAhead := l.Await(4)
+	if isReady(caughtUp) || isReady(ahead) || l.Waiters() != 2 {
+		t.Fatalf("Await at/ahead of the log did not park: waiters=%d", l.Waiters())
+	}
+	l.Publish() // nothing new: the reader that already shipped 1..3 stays parked
+	if isReady(caughtUp) {
+		t.Fatal("a publish of nothing woke a caught-up waiter")
+	}
+	l.Append(RecPut, 4, 4)
+	if isReady(caughtUp) || isReady(ahead) {
+		t.Fatal("an append woke a waiter before Publish")
+	}
+	l.Publish()
+	if !isReady(caughtUp) || isReady(ahead) || l.Waiters() != 1 {
+		t.Fatalf("Publish at seq 4: cursor 3 ready=%v, cursor 4 ready=%v, waiters=%d",
+			isReady(caughtUp), isReady(ahead), l.Waiters())
+	}
+	cancelCaughtUp() // after the wake: nothing to remove, nothing to break
+	cancelAhead()
+	cancelAhead()
+	if l.Waiters() != 0 {
+		t.Fatalf("waiters after cancel = %d", l.Waiters())
+	}
+	appendN(l, 2)
+	l.Publish()
+	if isReady(ahead) {
+		t.Fatal("a cancelled waiter was woken")
+	}
+}
+
+// TestLogAppendAllocatesNothingForWaiters: the wait machinery costs the
+// append path no allocation — with nobody parked, and with somebody parked
+// ahead of the log, which Publish has to look at and leave alone.
+func TestLogAppendAllocatesNothingForWaiters(t *testing.T) {
+	l := mustOpen(t, nil, "a", 0)
+	appendN(l, 1<<12) // grow the record slice past what the runs below add
+	l.TruncateThrough(1 << 12)
+	step := func() {
+		l.Append(RecPut, 1, 1)
+		l.Publish()
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("append+publish with no waiter: %v allocs", allocs)
+	}
+	_, cancel := l.Await(1 << 40)
+	defer cancel()
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("append+publish past a parked waiter: %v allocs", allocs)
+	}
+}
+
+// TestLogAwaitConcurrent: readers park, ship and re-park while the
+// appender publishes; each sees every record once, none is left parked
+// behind a publish that covered it, and nothing stays registered.
+func TestLogAwaitConcurrent(t *testing.T) {
+	const total, readers = 2000, 4
+	l := mustOpen(t, pmem.NewMemStore(), "cw", 64)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var cursor uint64
+			for cursor < total {
+				ready, cancel := l.Await(cursor)
+				<-ready
+				cancel()
+				for _, rec := range l.SinceDurable(cursor, 0) {
+					if rec.Seq != cursor+1 {
+						t.Errorf("shipped seq %d after %d", rec.Seq, cursor)
+						return
+					}
+					cursor = rec.Seq
+				}
+			}
+		}()
+	}
+	for i := 0; i < total; i++ {
+		l.Append(RecPut, uint64(i), uint64(i))
+		if i%3 == 0 || i == total-1 {
+			l.Publish()
+		}
+	}
+	wg.Wait()
+	if l.Waiters() != 0 {
+		t.Fatalf("waiters left = %d", l.Waiters())
 	}
 }

@@ -359,8 +359,9 @@ func (p *Pipeline) Scan(start uint64, limit int) {
 	p.add(&Request{Op: OpScan, Key: start, Limit: limit})
 }
 
-// Pull queues a replication pull (the follower pipelines one per shard in
-// its in-flight window).
+// Pull queues a replication pull. Without a deadline envelope it is
+// answered at once, records or none; the follower's own pulls carry one
+// and park on the primary (see follower.serveConn).
 func (p *Pipeline) Pull(shard uint32, after uint64, max int) {
 	p.add(&Request{Op: OpReplicate, Shard: shard, Seq: after, Limit: max})
 }

@@ -452,7 +452,6 @@ func TestFollowerAutoReseed(t *testing.T) {
 		Role:            RoleReplica,
 		CheckpointEvery: 32,
 		FollowAddr:      paddr.String(),
-		FollowPoll:      time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("fresh replica: %v", err)

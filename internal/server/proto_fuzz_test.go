@@ -25,6 +25,7 @@ func fuzzSeeds(f *testing.F) {
 		{Op: OpGet, Key: 8, Gate: 12345},
 		{Op: OpGet, Key: 8, TTLms: 20, Gate: 1},
 		{Op: OpReplicate, Shard: 1, Seq: 5, Limit: 128},
+		{Op: OpReplicate, Shard: 1, Seq: 5, Limit: 128, TTLms: 500}, // the long poll
 		{Op: OpReplAck, Shard: 3, Seq: 999},
 		{Op: OpBatch, TTLms: 50, Sub: []Request{
 			{Op: OpGet, Key: 1},

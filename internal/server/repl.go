@@ -2,16 +2,21 @@ package server
 
 // Replication control plane: the server roles, the primary's held-ack
 // waiter (semi-synchronous write acknowledgment), the replica's follower
-// loop (pull-based log shipping over the ordinary frame protocol), and
-// promotion.
+// (pull-based log shipping over the ordinary frame protocol, the pull a
+// long poll), and promotion.
 //
-// The flow, end to end:
+// The flow, end to end, one connection and one puller per shard:
 //
-//	primary shard worker:  log.Append → apply → hold ack in ackWaiter
-//	replica follower:      OpReplicate pull (flush + ship durable-only)
-//	                       → ctlApply (AppendAt → apply → flush)
-//	                       → OpReplAck (covers the durable prefix)
-//	primary ack path:      replAck advances → ackWaiter releases held acks
+//	replica puller:        [OpReplAck(previous batch)] + OpReplicate(applied),
+//	                       one pipelined write; the pull carries a deadline
+//	primary connection:    the ack releases held write acks; the pull finds
+//	                       nothing past its cursor and parks on the log
+//	primary shard worker:  log.Append → apply → hold ack in ackWaiter, per
+//	                       request; log.Publish once per drain wakes the park
+//	woken pull:            flush + ship durable-only (or, at the park's
+//	                       bound, an empty reply carrying the log's base)
+//	replica puller:        ctlApply (AppendAt → apply → flush); the ack it
+//	                       owes rides ahead of the next pull
 //	primary checkpoint:    truncate log through min(applied, replAck) while
 //	                       the replica is live, through applied otherwise
 //
@@ -225,6 +230,10 @@ type replState struct {
 	promotions atomic.Uint64
 	shipped    atomic.Uint64 // records served to pulls
 	follower   *follower     // replica only
+
+	// Parked pulls: every park started ends in exactly one of the three
+	// wake counters, so parks == Σ woke* + the logs' current waiters.
+	parks, wokeRecords, wokeDeadline, wokeClosed atomic.Uint64
 }
 
 // Role returns the server's current role (it changes on Promote).
@@ -287,22 +296,68 @@ func (s *Server) appliedSeqs() []uint64 {
 	return out
 }
 
-// replicateReply serves an OpReplicate pull: durable records after
-// req.Seq from the shard's log (SinceDurable flushes pending appends
-// first, so shipping is prompt but never outruns the durable image), plus
-// the newest logged sequence so the replica can measure its lag and the
-// sequence shipping starts at so it can tell a truncated cursor from a
-// caught-up one. Served by connection goroutines — the log has its own
-// lock, so pulls never enter the shard queue.
-func (s *Server) replicateReply(req *Request) Reply {
-	if int(req.Shard) >= len(s.shards) {
-		return Reply{Status: StatusBadRequest}
+// replicate serves an OpReplicate pull. A pull with no deadline envelope,
+// or one that finds the log past its cursor, is answered at once — what
+// Client.Pull, nvpool and a follower's first pull on a connection rely on.
+// An enveloped pull that finds nothing parks, off the connection's reader
+// (which must keep reading to see the peer hang up), until the shard worker
+// publishes a record past its cursor, its bound passes on cfg.Clock (so the
+// simulator decides when an idle pull returns), or the connection ends —
+// which is also how shutdown releases it. The flush that makes the records
+// shippable runs on the woken park, never on the worker that published.
+//
+// Replica contact is stamped on arrival and only then: every stamp is
+// something heard from the replica, so a primary still fences FenceAfter
+// after the replica's last request. The bound's clamp is what keeps an idle
+// pair's stamps less than a window apart.
+func (s *Server) replicate(req *Request, ttl time.Duration, resp chan Reply, gone <-chan struct{}) {
+	if int(req.Shard) >= len(s.shards) || s.shards[req.Shard].cfg.oplog == nil {
+		resp <- Reply{Status: StatusBadRequest}
+		return
 	}
 	sh := s.shards[req.Shard]
-	if sh.cfg.oplog == nil {
-		return Reply{Status: StatusBadRequest}
-	}
 	s.markReplContact()
+	if ttl <= 0 || sh.cfg.oplog.LastSeq() > req.Seq {
+		resp <- s.ship(sh, req)
+		return
+	}
+	bound := min(ttl, s.cfg.ReplLiveWindow/2)
+	if s.cfg.FenceAfter > 0 {
+		bound = min(bound, s.cfg.FenceAfter/2)
+	}
+	s.repl.parks.Add(1)
+	ready, cancel := sh.cfg.oplog.Await(req.Seq)
+	go func() {
+		expire, stop := s.cfg.Clock.Timer(bound)
+		woke := &s.repl.wokeClosed
+		select {
+		case <-ready:
+			woke = &s.repl.wokeRecords
+		case <-expire:
+			woke = &s.repl.wokeDeadline
+		case <-gone:
+		}
+		stop()
+		cancel()
+		woke.Add(1)
+		if woke == &s.repl.wokeClosed {
+			// Nobody is left to read it; the reply only unblocks the writer.
+			resp <- Reply{Status: StatusUnavailable}
+			return
+		}
+		resp <- s.ship(sh, req)
+	}()
+}
+
+// ship builds a pull's reply: durable records after req.Seq from the
+// shard's log (SinceDurable flushes pending appends first, so shipping is
+// prompt but never outruns the durable image), plus the newest logged
+// sequence so the replica can measure its lag and the sequence shipping
+// starts at so it can tell a truncated cursor from a caught-up one. Runs
+// on connection and park goroutines — the log has its own lock, so pulls
+// never enter the shard queue. The repl_ship span opens here, after any
+// park: it times the read, the flush and the hand-off, not the wait.
+func (s *Server) ship(sh *shard, req *Request) Reply {
 	var shipStart time.Time
 	if s.spans != nil {
 		shipStart = time.Now()
@@ -416,6 +471,25 @@ func (s *Server) registerReplMetrics(reg *obs.Registry) {
 			}
 			return sum
 		})
+	reg.GaugeFunc("server_repl_parked_pulls", "replication pulls parked on a shard log, waiting for records",
+		func() int64 {
+			var sum int64
+			for _, sh := range s.shards {
+				sum += int64(sh.cfg.oplog.Waiters())
+			}
+			return sum
+		})
+	for _, c := range []struct {
+		name, help string
+		v          *atomic.Uint64
+	}{
+		{"server_repl_parks_total", "replication pulls that found nothing to ship and parked (== the three wakeup counters + server_repl_parked_pulls)", &s.repl.parks},
+		{"server_repl_park_wakeups_records_total", "parked pulls woken by a publish of records past their cursor", &s.repl.wokeRecords},
+		{"server_repl_park_wakeups_deadline_total", "parked pulls that reached their bound and answered empty", &s.repl.wokeDeadline},
+		{"server_repl_park_wakeups_closed_total", "parked pulls cancelled by their connection closing (shutdown included)", &s.repl.wokeClosed},
+	} {
+		reg.CounterFunc(c.name, c.help, c.v.Load)
+	}
 	reg.GaugeFunc("server_repl_held_acks", "write acks parked awaiting replica ack",
 		func() int64 {
 			var sum int64
@@ -460,9 +534,9 @@ func (s *Server) registerReplMetrics(reg *obs.Registry) {
 			return sum
 		})
 	if f := s.repl.follower; f != nil {
-		reg.CounterFunc("server_follower_pulls_total", "replication pull round-trips issued",
+		reg.CounterFunc("server_follower_pulls_total", "replication pulls answered, all shards",
 			func() uint64 { return f.pulls.Load() })
-		reg.CounterFunc("server_follower_reconnects_total", "times the follower re-dialed its primary",
+		reg.CounterFunc("server_follower_reconnects_total", "connections to the primary the follower lost, summed over its per-shard pullers",
 			func() uint64 { return f.reconnects.Load() })
 		reg.CounterFunc("server_follower_divergences_total", "apply batches refused for log gaps or divergence",
 			func() uint64 { return f.divergences.Load() })
@@ -473,22 +547,32 @@ func (s *Server) registerReplMetrics(reg *obs.Registry) {
 
 // ---- Follower ------------------------------------------------------------
 
-// errFollowerStopped aborts a round when the follower is told to stop.
+// errFollowerStopped aborts a shard control request when the follower is
+// told to stop.
 var errFollowerStopped = errors.New("server: follower stopped")
 
-// follower is the replica's pull loop: one goroutine that dials the
-// primary and rounds over the shards in windows — pipelined OpReplicate
-// pulls, ctlApply into the local shard workers, pipelined OpReplAck — then
-// sleeps the poll interval when a round ships nothing. Connection loss
-// re-dials with backoff; staying out of contact past promoteAfter (when
-// set) promotes this server.
+// A puller's socket deadline is wall-clock; the longest park it asks for
+// stays well inside it, so a parked pull never reads as a dead primary.
+const (
+	pullIOTimeout = 2 * time.Second
+	maxPullPark   = time.Second
+)
+
+// follower is the replica's side of log shipping: one puller goroutine
+// and one connection per shard — replies on a connection come back in
+// request order, so a pull parked for an idle shard would hold a busy
+// shard's records behind it. Each puller loops [OpReplAck for the batch it
+// just applied] + OpReplicate as one pipelined write, so the ack costs no
+// round trip and the primary releases held acks before it parks the pull
+// behind them; while connected it never sleeps. Connection loss re-dials
+// with backoff; silence past promoteAfter (when set) promotes this server.
 type follower struct {
 	s            *Server
 	addr         string
 	dial         func(addr string) (net.Conn, error)
-	poll         time.Duration
+	poll         time.Duration // re-dial backoff floor; pause after an unusable reply
 	batch        int
-	window       int
+	parkMS       uint32 // deadline envelope on every pull but a connection's first
 	promoteAfter time.Duration
 	clock        fault.Clock // lastContact stamps and the promotion window
 
@@ -496,11 +580,11 @@ type follower struct {
 
 	stop     chan struct{}
 	stopOnce sync.Once
-	done     chan struct{}
+	wg       sync.WaitGroup // the pullers
 
 	primarySeq  []atomic.Uint64 // per shard, from pull replies
-	connected   atomic.Bool
-	lastContact atomic.Int64 // UnixNano of the last successful exchange
+	connected   atomic.Int32    // pullers holding a connection
+	lastContact atomic.Int64    // UnixNano of the last successful exchange
 	pulls       atomic.Uint64
 	applies     atomic.Uint64
 	reconnects  atomic.Uint64
@@ -510,18 +594,24 @@ type follower struct {
 }
 
 func newFollower(s *Server, cfg *Config) *follower {
+	// The primary answers an idle pull at the envelope at the latest, and
+	// each answer is contact: half of promoteAfter keeps a quiet primary
+	// from reading as a silent one when a connection then drops.
+	park := maxPullPark
+	if cfg.PromoteAfter > 0 {
+		park = min(park, cfg.PromoteAfter/2)
+	}
 	f := &follower{
 		s:            s,
 		addr:         cfg.FollowAddr,
 		dial:         cfg.FollowDial,
 		poll:         cfg.FollowPoll,
 		batch:        cfg.ReplBatch,
-		window:       cfg.ReplWindow,
+		parkMS:       uint32(max(park.Milliseconds(), 1)),
 		promoteAfter: cfg.PromoteAfter,
 		clock:        fault.OrWall(cfg.Clock),
 		autoReseed:   !cfg.NoAutoReseed,
 		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
 		primarySeq:   make([]atomic.Uint64, len(s.shards)),
 	}
 	if f.dial == nil {
@@ -533,12 +623,24 @@ func newFollower(s *Server, cfg *Config) *follower {
 	return f
 }
 
+// start launches one puller per shard.
+func (f *follower) start() {
+	f.wg.Add(len(f.s.shards))
+	for si := range f.s.shards {
+		go f.run(si)
+	}
+}
+
+// signalStop tells every puller to exit; each connection's watcher (run)
+// then closes it, so a receive blocked on a parked pull returns now rather
+// than at the park's bound. It does not wait: Promote calls it from inside
+// a puller.
 func (f *follower) signalStop() { f.stopOnce.Do(func() { close(f.stop) }) }
 
-// Stop signals the follower and waits for its goroutine to exit.
+// Stop signals the follower and waits for its pullers to exit.
 func (f *follower) Stop() {
 	f.signalStop()
-	<-f.done
+	f.wg.Wait()
 }
 
 func (f *follower) touch() {
@@ -558,18 +660,13 @@ func (f *follower) lagRecords() uint64 {
 	return sum
 }
 
-// run is the follower goroutine: dial, pull rounds until the connection
-// breaks or stop is signaled, re-dial. Promotion by silence: if the
-// primary stays unreachable past promoteAfter, take over.
-func (f *follower) run() {
-	defer close(f.done)
+// run is shard si's puller: dial, pull until the connection breaks or stop
+// is signaled, re-dial. Promotion by silence: if the primary stays
+// unreachable past promoteAfter, take over.
+func (f *follower) run(si int) {
+	defer f.wg.Done()
 	backoff := f.poll
 	for {
-		select {
-		case <-f.stop:
-			return
-		default:
-		}
 		conn, err := f.dial(f.addr)
 		if err != nil {
 			if f.maybePromote() {
@@ -584,11 +681,20 @@ func (f *follower) run() {
 			continue
 		}
 		backoff = f.poll
-		f.connected.Store(true)
+		served := make(chan struct{})
+		go func() { // the watcher: a stop cuts the connection under a parked pull
+			select {
+			case <-f.stop:
+				conn.Close()
+			case <-served:
+			}
+		}()
+		f.connected.Add(1)
 		c := NewClient(conn)
-		c.SetTimeout(2 * time.Second)
-		f.serveConn(c)
-		f.connected.Store(false)
+		c.SetTimeout(pullIOTimeout)
+		f.serveConn(c, si)
+		f.connected.Add(-1)
+		close(served)
 		c.Close()
 		f.reconnects.Add(1)
 		if f.maybePromote() {
@@ -597,121 +703,92 @@ func (f *follower) run() {
 	}
 }
 
-// serveConn runs pull rounds on one connection until it breaks or the
-// follower stops.
-func (f *follower) serveConn(c *Client) {
+// serveConn pulls one shard over one connection until the connection
+// breaks or the follower stops. The first pull carries no envelope, so it
+// is answered — and replica contact stamped — within a round trip of the
+// dial: pair bring-up waits on exactly that (Pulls > 0), and a pull parked
+// on an idle primary would keep it waiting a whole park.
+func (f *follower) serveConn(c *Client, si int) {
+	sh := f.s.shards[si]
+	var ack uint64    // sequence owed a REPLACK (0: none)
+	var parkMS uint32 // 0 on the first pull only
+	p := c.Pipeline()
 	for {
-		select {
-		case <-f.stop:
-			return
-		default:
+		if ack != 0 {
+			p.ReplAck(uint32(si), ack)
 		}
-		progress, err := f.round(c)
+		p.add(&Request{Op: OpReplicate, Shard: uint32(si), Seq: sh.applied.Load(), Limit: f.batch, TTLms: parkMS})
+		reps, err := p.Run()
 		if err != nil {
 			return
 		}
-		if !progress && !f.sleep(f.poll) {
+		f.pulls.Add(1)
+		f.touch()
+		parkMS = f.parkMS
+		var usable bool
+		if ack, usable = f.apply(c, si, &reps[len(reps)-1]); !usable && !f.sleep(f.poll) {
 			return
 		}
 	}
 }
 
-// round pulls every shard once, in windows: pipeline up to window pulls,
-// apply each shipped batch through the owning shard worker, then pipeline
-// the acks. Returns whether anything shipped.
-func (f *follower) round(c *Client) (progress bool, err error) {
-	n := len(f.s.shards)
-	for g := 0; g < n; g += f.window {
-		end := g + f.window
-		if end > n {
-			end = n
+// apply acts on one pull reply: applies the shipped batch through the
+// owning shard worker, or re-seeds a shard the primary has truncated
+// past. It returns the sequence to acknowledge ahead of the next pull
+// (0: nothing new), and whether the reply was usable — the puller pauses
+// after one that was not, where it would otherwise spin on it.
+func (f *follower) apply(c *Client, si int, rep *Reply) (ack uint64, usable bool) {
+	sh := f.s.shards[si]
+	f.primarySeq[si].Store(rep.Seq)
+	applied := sh.applied.Load()
+	if base := rep.Value; base > applied+1 {
+		// The primary's retained log starts past our cursor: it truncated
+		// records we never applied — we attached, or came back from a
+		// partition, after it checkpointed with no live replica, or it was
+		// re-seeded. The reply says so even when it ships nothing, so an idle
+		// primary is no reason to stay stale. Refuse the batch — applying it
+		// would silently skip operations.
+		f.divergences.Add(1)
+		if f.diverged.CompareAndSwap(false, true) {
+			f.s.logf("server: follower shard %d diverged from %s: primary ships from seq %d, applied is %d",
+				si, f.addr, base, applied)
+			f.s.trigger(TriggerDivergence,
+				fmt.Sprintf("follower shard %d: primary ships from seq %d, applied is %d", si, base, applied))
 		}
-		p := c.Pipeline()
-		for i := g; i < end; i++ {
-			p.Pull(uint32(i), f.s.shards[i].applied.Load(), f.batch)
+		if !f.autoReseed {
+			return 0, false
 		}
-		reps, err := p.Run()
-		if err != nil {
-			return progress, err
+		// Rebuild the shard from a primary snapshot (the migration transfer
+		// machinery) instead of waiting for an operator.
+		if err := f.reseed(c, si, base); err != nil {
+			f.s.logf("server: follower shard %d re-seed: %v", si, err)
+			return 0, false
 		}
-		f.pulls.Add(uint64(end - g))
-		f.touch()
-		type ack struct {
-			shard uint32
-			seq   uint64
-		}
-		var acks []ack
-		for idx := range reps {
-			rep := &reps[idx]
-			sh := f.s.shards[g+idx]
-			if rep.Status != StatusOK {
-				continue
-			}
-			f.primarySeq[g+idx].Store(rep.Seq)
-			if base := rep.Value; base > sh.applied.Load()+1 {
-				// The primary's retained log starts past our cursor: it
-				// truncated records we never applied — we attached, or came
-				// back from a partition, after it checkpointed with no live
-				// replica, or it was re-seeded. The reply says so even when
-				// it ships nothing, so an idle primary is no reason to stay
-				// stale. Refuse the batch — applying it would silently skip
-				// operations.
-				f.divergences.Add(1)
-				if f.diverged.CompareAndSwap(false, true) {
-					f.s.logf("server: follower shard %d diverged from %s: primary ships from seq %d, applied is %d",
-						g+idx, f.addr, base, sh.applied.Load())
-					f.s.trigger(TriggerDivergence,
-						fmt.Sprintf("follower shard %d: primary ships from seq %d, applied is %d",
-							g+idx, base, sh.applied.Load()))
-				}
-				if f.autoReseed {
-					// Rebuild the shard from a primary snapshot (the
-					// migration transfer machinery) instead of waiting for
-					// an operator.
-					if err := f.reseed(c, g+idx, base); err != nil {
-						f.s.logf("server: follower shard %d re-seed: %v", g+idx, err)
-					} else {
-						// The checkpointed snapshot covers everything below
-						// base; say so, or an idle primary counts us lagging
-						// (and keeps its log) until its next write.
-						progress = true
-						acks = append(acks, ack{shard: uint32(g + idx), seq: base - 1})
-					}
-				}
-				continue
-			}
-			if len(rep.Recs) == 0 {
-				continue
-			}
-			resp := make(chan Reply, 1)
-			select {
-			case sh.queue <- &request{ctl: ctlApply, recs: rep.Recs, resp: resp}:
-			case <-f.stop:
-				return progress, errFollowerStopped
-			}
-			arep := <-resp
-			if arep.Status != StatusOK {
-				// Sequence gap or a worker mid-recovery: skip the ack; the
-				// next round re-pulls from the shard's true applied sequence.
-				f.divergences.Add(1)
-				continue
-			}
-			f.applies.Add(uint64(len(rep.Recs)))
-			progress = true
-			acks = append(acks, ack{shard: uint32(g + idx), seq: arep.Seq})
-		}
-		if len(acks) > 0 {
-			ap := c.Pipeline()
-			for _, a := range acks {
-				ap.ReplAck(a.shard, a.seq)
-			}
-			if _, err := ap.Run(); err != nil {
-				return progress, err
-			}
-			f.touch()
-		}
+		// The checkpointed snapshot covers everything below base; say so, or
+		// an idle primary counts us lagging (and keeps its log) until its
+		// next write.
+		return base - 1, true
 	}
-	return progress, nil
+	if len(rep.Recs) == 0 {
+		// Caught up — unless the primary has logged past our cursor and
+		// shipped none of it: its log flush is failing.
+		return 0, rep.Seq <= applied
+	}
+	resp := make(chan Reply, 1)
+	select {
+	case sh.queue <- &request{ctl: ctlApply, recs: rep.Recs, resp: resp}:
+	case <-f.stop:
+		return 0, false
+	}
+	arep := <-resp
+	if arep.Status != StatusOK {
+		// Sequence gap or a worker mid-recovery: skip the ack; the next pull
+		// starts from the shard's true applied sequence.
+		f.divergences.Add(1)
+		return 0, false
+	}
+	f.applies.Add(uint64(len(rep.Recs)))
+	return arep.Seq, true
 }
 
 // reseed rebuilds one diverged shard from a primary snapshot, reusing the
@@ -719,7 +796,7 @@ func (f *follower) round(c *Client) (progress bool, err error) {
 // mirror the primary shard for shard, so the snapshot reads the same
 // shard index). The shard is wiped with its sequence space restarted at
 // base-1, the primary's live pairs are bulk-copied in unlogged chunks,
-// and a checkpoint seals the rebuilt state; the next round's pull resumes
+// and a checkpoint seals the rebuilt state; the next pull resumes
 // contiguously at base. Chunks are unlogged, so a worker crash or restart
 // mid-transfer rolls part of the copy back — the generation check redoes
 // the whole wipe+copy until it completes within one incarnation. (A real
@@ -816,11 +893,14 @@ func (f *follower) maybePromote() bool {
 	return true
 }
 
-// FollowerStats is the replica's follower block of a STATS reply.
+// FollowerStats is the replica's follower block of a STATS reply. The
+// follower runs one puller and one connection per shard; the block stays
+// one per server: Connected means any puller holds a connection, and the
+// counters sum over the pullers.
 type FollowerStats struct {
 	Connected     bool   `json:"connected"`
-	Pulls         uint64 `json:"pulls"`
-	Applied       uint64 `json:"applied"`
+	Pulls         uint64 `json:"pulls"`   // pull replies received
+	Applied       uint64 `json:"applied"` // records applied from them
 	Reconnects    uint64 `json:"reconnects"`
 	Divergences   uint64 `json:"divergences"`
 	Reseeds       uint64 `json:"reseeds"`
@@ -832,7 +912,7 @@ type FollowerStats struct {
 func (f *follower) stats() *FollowerStats {
 	lag := f.lagRecords()
 	return &FollowerStats{
-		Connected:     f.connected.Load(),
+		Connected:     f.connected.Load() > 0,
 		Pulls:         f.pulls.Load(),
 		Applied:       f.applies.Load(),
 		Reconnects:    f.reconnects.Load(),

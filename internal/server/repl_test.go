@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -38,7 +40,6 @@ func startPair(t *testing.T, shards int, primaryCfg, replicaCfg func(*Config)) (
 		Role:            RoleReplica,
 		CheckpointEvery: 128,
 		FollowAddr:      paddr.String(),
-		FollowPoll:      time.Millisecond,
 	}
 	if replicaCfg != nil {
 		replicaCfg(&rcfg)
@@ -864,7 +865,6 @@ func lateReplicaReseeds(t *testing.T, idle bool) {
 		PoolSize:        4 << 20,
 		CheckpointEvery: 256,
 		FollowAddr:      paddr.String(),
-		FollowPoll:      time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1011,4 +1011,550 @@ func TestMigPullReportsTruncatedCursor(t *testing.T) {
 	if ok, _ := pull(250); ok {
 		t.Fatal("cursor behind the base read as contiguous")
 	}
+}
+
+// ---- Parked pulls ------------------------------------------------------------
+
+// manualClock is a fault.Clock that moves only when the test advances it,
+// so a park's bound is reached exactly when — and only if — the test says.
+type manualClock struct {
+	mu     sync.Mutex
+	now    time.Time
+	timers map[chan time.Time]time.Time // armed timers and when they are due
+}
+
+func newManualClock() *manualClock {
+	// Far from zero: the server stores "never" as a zero UnixNano.
+	return &manualClock{now: time.Unix(1<<20, 0), timers: make(map[chan time.Time]time.Time)}
+}
+
+func (c *manualClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *manualClock) Sleep(d time.Duration) { c.Advance(d) }
+
+func (c *manualClock) After(d time.Duration) <-chan time.Time {
+	ch, _ := c.Timer(d)
+	return ch
+}
+
+func (c *manualClock) Timer(d time.Duration) (<-chan time.Time, func()) {
+	ch := make(chan time.Time, 1)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if d <= 0 {
+		ch <- c.now
+		return ch, func() {}
+	}
+	c.timers[ch] = c.now.Add(d)
+	return ch, func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		delete(c.timers, ch)
+	}
+}
+
+func (c *manualClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+	for ch, due := range c.timers {
+		if !due.After(c.now) {
+			ch <- c.now
+			delete(c.timers, ch)
+		}
+	}
+}
+
+func (c *manualClock) armed() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.timers)
+}
+
+// parkedPulls is what server_repl_parked_pulls reads.
+func parkedPulls(s *Server) int {
+	n := 0
+	for _, sh := range s.shards {
+		n += sh.cfg.oplog.Waiters()
+	}
+	return n
+}
+
+// checkParkLedger holds the park counters to their equality: every park
+// started was woken for exactly one reason or is still parked.
+func checkParkLedger(t *testing.T, s *Server) {
+	t.Helper()
+	r := &s.repl
+	woken := r.wokeRecords.Load() + r.wokeDeadline.Load() + r.wokeClosed.Load()
+	if got := r.parks.Load(); got != woken+uint64(parkedPulls(s)) {
+		t.Fatalf("parks %d != wakeups %d (records %d, deadline %d, closed %d) + parked %d", got, woken,
+			r.wokeRecords.Load(), r.wokeDeadline.Load(), r.wokeClosed.Load(), parkedPulls(s))
+	}
+}
+
+// clockedPrimary boots a primary on a manual clock and dials it.
+func clockedPrimary(t *testing.T, shards int, tweak func(*Config)) (*Server, *manualClock, *Client, string) {
+	t.Helper()
+	clk := newManualClock()
+	cfg := Config{Shards: shards, Role: RolePrimary, PoolSize: 4 << 20, CheckpointEvery: -1, Clock: clk}
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Abort)
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return s, clk, c, addr.String()
+}
+
+// clockedPair boots a pair whose primary runs on a manual clock; small
+// pools keep its checkpoints cheap under the race detector.
+func clockedPair(t *testing.T, shards int) (p, r *Server, clk *manualClock, paddr, raddr net.Addr) {
+	t.Helper()
+	clk = newManualClock()
+	small := func(c *Config) { c.PoolSize = 4 << 20 }
+	p, r, paddr, raddr = startPair(t, shards, func(c *Config) { small(c); c.Clock = clk }, small)
+	return p, r, clk, paddr, raddr
+}
+
+// pullResult is what a hand-driven pull came back with.
+type pullResult struct {
+	rep *Reply
+	err error
+}
+
+// goPull plays a replica's puller by hand: one enveloped pull on its own
+// connection, the reply delivered when (if) it comes.
+func goPull(t *testing.T, addr string, shard uint32, after uint64, ttlMS uint32) (*Client, chan pullResult) {
+	t.Helper()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	out := make(chan pullResult, 1)
+	go func() {
+		rep, err := c.Do(&Request{Op: OpReplicate, Shard: shard, Seq: after, Limit: 1024, TTLms: ttlMS})
+		out <- pullResult{rep, err}
+	}()
+	return c, out
+}
+
+func awaitPull(t *testing.T, what string, out chan pullResult) *Reply {
+	t.Helper()
+	select {
+	case r := <-out:
+		if r.err != nil {
+			t.Fatalf("%s: %v", what, r.err)
+		}
+		return r.rep
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: the pull never returned", what)
+		return nil
+	}
+}
+
+// holdWorker parks the shard's worker inside a request until release is
+// called, so that everything queued meanwhile is taken in one drain.
+func holdWorker(t *testing.T, sh *shard) (release func()) {
+	t.Helper()
+	gate := make(chan Reply) // unbuffered: the worker blocks handing over the reply
+	sh.queue <- &request{ctl: ctlBarrier, resp: gate}
+	waitFor(t, "worker held", 5*time.Second, func() bool { return len(sh.queue) == 0 })
+	return func() { <-gate }
+}
+
+// keysOnShard returns n keys that hash to the given shard.
+func keysOnShard(shard, shards, n int) []uint64 {
+	var keys []uint64
+	for k := uint64(1); len(keys) < n; k++ {
+		if ShardFor(k, shards) == shard {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// TestFirstPullIsNotParked: pair bring-up everywhere waits on Pulls > 0 to
+// know the primary has stamped replica contact. The primary's clock never
+// moves here, so a first pull that parked could not come back at all: the
+// counter moving means the pull was answered on arrival, and contact is
+// stamped by then.
+func TestFirstPullIsNotParked(t *testing.T) {
+	p, r, _, _, _ := clockedPair(t, 2)
+	defer r.Abort()
+	defer p.Abort()
+	waitFor(t, "first pull on an idle primary", 5*time.Second, func() bool {
+		return r.CollectStats().Follower.Pulls > 0
+	})
+	if !p.replicaLive() {
+		t.Fatal("replica contact not stamped by the time the first pull was answered")
+	}
+	// Every later pull does park, one per shard, and stays parked.
+	waitFor(t, "one parked pull per shard", 5*time.Second, func() bool { return parkedPulls(p) == 2 })
+	if got := p.repl.wokeDeadline.Load(); got != 0 {
+		t.Fatalf("%d pulls woke by deadline on a clock that never moved", got)
+	}
+	if fs := r.CollectStats().Follower; fs.Pulls != 2 || !fs.Connected {
+		t.Fatalf("follower after bring-up: %+v, want one answered pull per shard", fs)
+	}
+	checkParkLedger(t, p)
+}
+
+// TestParkedPullShipsWholeDrain: the worker publishes once per drain, so a
+// pull parked on an idle shard ships everything the drain logged in one
+// reply — here a BATCH of 64 PUTs queued behind a held worker, which the
+// worker then takes in a single drain.
+func TestParkedPullShipsWholeDrain(t *testing.T) {
+	s, _, c, addr := clockedPrimary(t, 1, nil)
+	rc, pull := goPull(t, addr, 0, 0, 5000)
+	waitFor(t, "pull parked", 5*time.Second, func() bool { return parkedPulls(s) == 1 })
+
+	sh := s.shards[0]
+	release := holdWorker(t, sh)
+	const n = 64
+	sub := make([]Request, n)
+	for i := range sub {
+		sub[i] = Request{Op: OpPut, Key: uint64(i + 1), Value: uint64(i + 1)}
+	}
+	batchDone := make(chan error, 1)
+	go func() {
+		_, err := c.Batch(sub)
+		batchDone <- err
+	}()
+	waitFor(t, "batch queued", 5*time.Second, func() bool { return len(sh.queue) == n })
+	release()
+	rep := awaitPull(t, "parked pull", pull)
+	if len(rep.Recs) != n || rep.Value != 1 || rep.Seq != n {
+		t.Fatalf("parked pull shipped %d records from seq %d (last %d), want the drain's %d from 1",
+			len(rep.Recs), rep.Value, rep.Seq, n)
+	}
+	if got := s.repl.wokeRecords.Load(); got != 1 {
+		t.Fatalf("wakeups by records = %d, want 1", got)
+	}
+	// The pull was replica contact, so the writes are held: acknowledge them.
+	if err := rc.ReplAck(0, n); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-batchDone; err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	checkParkLedger(t, s)
+}
+
+// TestIdleShardParkDoesNotBlockBusyShard: one connection per shard, so the
+// pull parked for an idle shard 0 never stands in front of shard 1's
+// records — every write to shard 1 is acknowledged while shard 0's park
+// stays parked, on a clock that never reaches its bound. Nor does any pull
+// come back empty but a connection's first: a publish wakes only a park
+// whose cursor it passed. (The clock standing still, shard 0's puller may
+// run into its wall-clock I/O timeout and re-dial; that is the only way a
+// park ends here other than by records.)
+func TestIdleShardParkDoesNotBlockBusyShard(t *testing.T) {
+	p, r, _, paddr, _ := clockedPair(t, 2)
+	defer r.Abort()
+	defer p.Abort()
+	waitFor(t, "one parked pull per shard", 5*time.Second, func() bool { return parkedPulls(p) == 2 })
+	c, err := Dial(paddr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 200
+	for _, k := range keysOnShard(1, 2, n) {
+		if err := c.Put(k, k); err != nil {
+			t.Fatalf("put %d: %v", k, err)
+		}
+	}
+	// Reads drain the worker too, and every drain publishes: with nothing
+	// logged, the publish must wake nobody.
+	for _, k := range keysOnShard(1, 2, n) {
+		if _, _, err := c.Get(k); err != nil {
+			t.Fatalf("get %d: %v", k, err)
+		}
+	}
+	waitFor(t, "both pulls parked again", 5*time.Second, func() bool { return parkedPulls(p) == 2 })
+	if got := p.shards[0].cfg.oplog.Waiters(); got != 1 {
+		t.Fatalf("shard 0 has %d parked pulls, want its one idle park", got)
+	}
+	if got := p.repl.wokeDeadline.Load(); got != 0 {
+		t.Fatalf("%d wakeups by deadline on a clock that never moved", got)
+	}
+	// Sequential writes, each acknowledged only after it replicated: every
+	// pull but the first on each connection shipped exactly one of them.
+	fs := r.CollectStats().Follower
+	if fs.Applied != n || fs.Pulls > n+2+fs.Reconnects {
+		t.Fatalf("follower: %d pulls for %d applied records over 2+%d connections", fs.Pulls, fs.Applied, fs.Reconnects)
+	}
+	for _, sh := range p.CollectStats().PerShard {
+		if sh.Repl.DegradedAcks != 0 || sh.Repl.TimeoutAcks != 0 {
+			t.Fatalf("shard %d: %d degraded, %d timeout acks", sh.ID, sh.Repl.DegradedAcks, sh.Repl.TimeoutAcks)
+		}
+	}
+	checkParkLedger(t, p)
+}
+
+// TestParkBoundClamped: a park lasts no longer than the envelope asks, nor
+// than half the liveness window, nor than half the fencing window — on the
+// server's clock — and then answers empty, carrying the log's base.
+func TestParkBoundClamped(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		ttlMS         uint32
+		window, fence time.Duration
+		want          time.Duration
+	}{
+		{"liveness window", 10000, 200 * time.Millisecond, 0, 100 * time.Millisecond},
+		{"fencing window", 10000, 200 * time.Millisecond, 120 * time.Millisecond, 60 * time.Millisecond},
+		{"envelope", 30, 200 * time.Millisecond, 0, 30 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, clk, c, addr := clockedPrimary(t, 1, func(c *Config) {
+				c.ReplLiveWindow, c.FenceAfter = tc.window, tc.fence
+			})
+			putRange(t, c, 1, 10)
+			if err := s.Checkpoint(); err != nil { // empties the log: its base is now 11
+				t.Fatal(err)
+			}
+			_, pull := goPull(t, addr, 0, 10, tc.ttlMS)
+			waitFor(t, "pull parked", 5*time.Second, func() bool { return parkedPulls(s) == 1 })
+			clk.Advance(tc.want - time.Millisecond)
+			if got := s.repl.wokeDeadline.Load(); got != 0 {
+				t.Fatalf("park expired %v into a %v bound", tc.want-time.Millisecond, tc.want)
+			}
+			clk.Advance(time.Millisecond)
+			rep := awaitPull(t, "pull at its bound", pull)
+			if len(rep.Recs) != 0 || rep.Value != 11 || rep.Seq != 10 {
+				t.Fatalf("reply at the bound: %d records, base %d, last %d; want none, 11, 10",
+					len(rep.Recs), rep.Value, rep.Seq)
+			}
+			if got := s.repl.wokeDeadline.Load(); got != 1 || parkedPulls(s) != 0 {
+				t.Fatalf("wakeups by deadline = %d, parked = %d", got, parkedPulls(s))
+			}
+			checkParkLedger(t, s)
+		})
+	}
+}
+
+// TestSeveredConnectionCancelsPark: a parked pull whose connection dies is
+// cancelled, not left to stamp contact at its bound, so the writes that
+// follow are judged on the replica's last request as they always were:
+// degraded once the liveness window has passed, refused once the fencing
+// window has.
+func TestSeveredConnectionCancelsPark(t *testing.T) {
+	s, clk, c, addr := clockedPrimary(t, 1, func(c *Config) {
+		c.ReplLiveWindow, c.FenceAfter = 200*time.Millisecond, 300*time.Millisecond
+	})
+	rc, pull := goPull(t, addr, 0, 0, 10000)
+	waitFor(t, "pull parked", 5*time.Second, func() bool { return parkedPulls(s) == 1 })
+	contact := s.repl.lastPull.Load()
+	rc.Close()
+	waitFor(t, "park cancelled", 5*time.Second, func() bool { return s.repl.wokeClosed.Load() == 1 })
+	if r := <-pull; r.err == nil {
+		t.Fatal("pull on a closed connection returned a reply")
+	}
+	if parkedPulls(s) != 0 || clk.armed() > 2 { // the sweeper's and the watchdog's ticks
+		t.Fatalf("cancelled park left %d waiters, %d armed timers", parkedPulls(s), clk.armed())
+	}
+	clk.Advance(250 * time.Millisecond)
+	if err := c.Put(1, 1); err != nil {
+		t.Fatalf("write past the liveness window: %v", err)
+	}
+	if got := s.CollectStats().PerShard[0].Repl.DegradedAcks; got != 1 {
+		t.Fatalf("degraded acks = %d, want 1", got)
+	}
+	clk.Advance(100 * time.Millisecond)
+	if err := c.Put(2, 2); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("write past the fencing window: %v, want ErrReadOnly", err)
+	}
+	if s.repl.lastPull.Load() != contact {
+		t.Fatal("a cancelled park stamped replica contact")
+	}
+	checkParkLedger(t, s)
+}
+
+// TestPanicBetweenAppendAndPublishWakesPark: a worker that logs a write
+// and dies before the drain's publish has told nobody; recovery publishes
+// for it. The clock never moves, so a park left to its bound would never
+// come back.
+func TestPanicBetweenAppendAndPublishWakesPark(t *testing.T) {
+	s, _, c, addr := clockedPrimary(t, 1, nil)
+	_, pull := goPull(t, addr, 0, 0, 10000)
+	waitFor(t, "pull parked", 5*time.Second, func() bool { return parkedPulls(s) == 1 })
+
+	// Queue a PUT and then the panic behind a held worker, so one drain
+	// takes both: append, apply, die.
+	sh := s.shards[0]
+	release := holdWorker(t, sh)
+	putDone := make(chan error, 1)
+	go func() { putDone <- c.Put(7, 70) }()
+	waitFor(t, "put queued", 5*time.Second, func() bool { return len(sh.queue) == 1 })
+	sh.queue <- &request{ctl: ctlPanic, resp: make(chan Reply, 1)}
+	release()
+
+	rep := awaitPull(t, "pull parked across the panic", pull)
+	if len(rep.Recs) != 1 || rep.Recs[0].Key != 7 {
+		t.Fatalf("pull after recovery shipped %+v, want the one logged write", rep.Recs)
+	}
+	// The held ack was failed by the recovery: the client retries.
+	if err := <-putDone; !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("put across the panic: %v, want ErrUnavailable", err)
+	}
+	if st := s.CollectStats().PerShard[0]; st.Panics != 1 || s.repl.wokeRecords.Load() != 1 {
+		t.Fatalf("panics = %d, wakeups by records = %d", st.Panics, s.repl.wokeRecords.Load())
+	}
+	checkParkLedger(t, s)
+}
+
+// TestAckAheadOfPullReleasesBeforePark: REPLACK and the next pull travel
+// as one pipelined write, and the primary serves them in that order — the
+// held write is acknowledged while the pull behind the ack sits parked.
+func TestAckAheadOfPullReleasesBeforePark(t *testing.T) {
+	s, _, c, addr := clockedPrimary(t, 1, nil)
+	rc, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if _, _, err := rc.Pull(0, 0, 16); err != nil { // replica contact: writes are held from here
+		t.Fatal(err)
+	}
+	putDone := make(chan error, 1)
+	go func() { putDone <- c.Put(1, 10) }()
+	waitFor(t, "write held", 5*time.Second, func() bool { return s.shards[0].waiter.count() == 1 })
+	if _, recs, err := rc.Pull(0, 0, 16); err != nil || len(recs) != 1 {
+		t.Fatalf("pull: %d records, %v", len(recs), err)
+	}
+	p := rc.Pipeline()
+	p.ReplAck(0, 1)
+	p.add(&Request{Op: OpReplicate, Shard: 0, Seq: 1, Limit: 16, TTLms: 10000})
+	go p.Run() // blocks on the parked pull until the connection closes
+	if err := <-putDone; err != nil {
+		t.Fatalf("held write: %v", err)
+	}
+	waitFor(t, "pull parked behind the ack", 5*time.Second, func() bool { return parkedPulls(s) == 1 })
+	if s.shards[0].waiter.count() != 0 {
+		t.Fatal("a hold outlived the ack that rode ahead of the pull")
+	}
+}
+
+// TestShutdownDoesNotWaitOutPark: with a pull parked for every shard — on
+// a primary clock that never moves, so no park ends by itself — a replica's
+// Close, a primary's Close and a primary's Abort each return inside the
+// park a puller asks for — waiting one out would take the puller's I/O
+// timeout, twice that, or for ever.
+func TestShutdownDoesNotWaitOutPark(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		stop func(p, r *Server) (survivor *Server)
+	}{
+		{"replica-close", func(p, r *Server) *Server { r.Close(); return p }},
+		{"primary-close", func(p, r *Server) *Server { p.Close(); return r }},
+		{"primary-abort", func(p, r *Server) *Server { p.Abort(); return r }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, r, _, _, _ := clockedPair(t, 2)
+			waitFor(t, "one parked pull per shard", 5*time.Second, func() bool { return parkedPulls(p) == 2 })
+			start := time.Now()
+			survivor := tc.stop(p, r)
+			took := time.Since(start)
+			defer survivor.Abort()
+			if took > maxPullPark {
+				t.Fatalf("shutdown took %v with pulls parked for up to %v", took, maxPullPark)
+			}
+			// Either way the primary's parks end with their connections.
+			waitFor(t, "parks cancelled", 5*time.Second, func() bool { return p.repl.wokeClosed.Load() >= 2 })
+			if got := p.repl.wokeDeadline.Load(); got != 0 {
+				t.Fatalf("%d parks ended by deadline on a clock that never moved", got)
+			}
+		})
+	}
+}
+
+// TestPromoteWithPullersParked: Promote, as the operator or the promotion
+// timer calls it, flips the role and gets every puller out of its parked
+// receive.
+func TestPromoteWithPullersParked(t *testing.T) {
+	p, r, _, _, raddr := clockedPair(t, 2)
+	defer r.Abort()
+	defer p.Abort()
+	waitFor(t, "one parked pull per shard", 5*time.Second, func() bool { return parkedPulls(p) == 2 })
+	if err := r.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan struct{})
+	go func() {
+		r.repl.follower.wg.Wait()
+		close(exited)
+	}()
+	select {
+	case <-exited:
+	case <-time.After(maxPullPark):
+		t.Fatalf("pullers still running %v after Promote", maxPullPark)
+	}
+	if r.Role() != RolePrimary || r.CollectStats().Follower.Connected {
+		t.Fatalf("after Promote: role %d, follower %+v", r.Role(), r.CollectStats().Follower)
+	}
+	rc, err := Dial(raddr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if err := rc.Put(1, 1); err != nil {
+		t.Fatalf("write on the promoted replica: %v", err)
+	}
+	waitFor(t, "old primary's parks cancelled", 5*time.Second, func() bool { return parkedPulls(p) == 0 })
+	checkParkLedger(t, p)
+}
+
+// TestParksLeaveNothingBehind: a park per replicated write, 500 of them,
+// and afterwards the process holds what it held before — no goroutine per
+// finished park, no timer still armed on the clock for one.
+func TestParksLeaveNothingBehind(t *testing.T) {
+	p, r, clk, paddr, _ := clockedPair(t, 2)
+	defer r.Abort()
+	defer p.Abort()
+	c, err := Dial(paddr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Put(0, 0); err != nil { // the connection's goroutines exist before the count
+		t.Fatal(err)
+	}
+	// Armed at rest: the sweeper's tick, the watchdog's, and one park bound
+	// per shard.
+	waitFor(t, "one parked pull per shard", 5*time.Second, func() bool {
+		return parkedPulls(p) == 2 && clk.armed() == 4
+	})
+	goroutines, armed := runtime.NumGoroutine(), clk.armed()
+	for k := uint64(1); k <= 500; k++ {
+		if err := c.Put(k, k); err != nil {
+			t.Fatalf("put %d: %v", k, err)
+		}
+		if got := clk.armed(); got > armed {
+			t.Fatalf("after %d writes the clock holds %d armed timers, %d before the load", k, got, armed)
+		}
+	}
+	waitFor(t, "parks and goroutines back where they were", 5*time.Second, func() bool {
+		return parkedPulls(p) == 2 && runtime.NumGoroutine() <= goroutines
+	})
+	if got := p.repl.wokeRecords.Load(); got < 250 {
+		t.Fatalf("only %d parks woken by records over 500 replicated writes", got)
+	}
+	checkParkLedger(t, p)
 }

@@ -82,9 +82,11 @@ type Config struct {
 	// promotion-by-silence, breaker cooldowns, and the watchdog's wedge
 	// window. Nil uses the wall clock; the deterministic simulator
 	// (internal/sim) passes a virtual clock so those windows open and close
-	// at exactly reproducible points. Purely mechanical cadences — socket
-	// deadlines, dial timeouts, follower poll sleeps — stay on the wall
-	// clock regardless, since they pace real goroutines and sockets.
+	// at exactly reproducible points — the bound of a parked replication
+	// pull among them, since when it returns decides when replica contact
+	// is next stamped. Purely mechanical cadences — socket deadlines, dial
+	// timeouts, the follower's re-dial backoff — stay on the wall clock
+	// regardless, since they pace real goroutines and sockets.
 	Clock fault.Clock
 
 	// TraceSample, when positive, is the fraction of untraced requests the
@@ -119,13 +121,17 @@ type Config struct {
 	// FollowDial, when non-nil, replaces the follower's dialer — the hook
 	// fault injectors and in-process tests plug into.
 	FollowDial func(addr string) (net.Conn, error)
-	// FollowPoll is the follower's idle poll interval (default 2ms).
+	// FollowPoll is the floor of the follower's re-dial backoff (doubling
+	// from it to ~200ms while the primary is unreachable) and its pause after
+	// a pull reply it could not use (default 2ms). It is not a poll interval:
+	// a connected follower parks its pull on the primary and never sleeps.
+	// The field and its default exist only because benchmark/serve.go assigns
+	// it and benchmark/ cannot change in the same PR as the code it measures;
+	// the next change to benchmark/ drops the assignment, and the field and
+	// the default go with it (a constant remains).
 	FollowPoll time.Duration
 	// ReplBatch bounds the records per pull (default 1024, max MaxReplBatch).
 	ReplBatch int
-	// ReplWindow is the follower's in-flight window: how many shard pulls
-	// are pipelined per round group (default 4).
-	ReplWindow int
 	// AckTimeout bounds how long a primary holds a write ack waiting for
 	// replica acknowledgment before failing it UNAVAILABLE (default 5s).
 	AckTimeout time.Duration
@@ -206,9 +212,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.ReplBatch <= 0 || c.ReplBatch > MaxReplBatch {
 		c.ReplBatch = 1024
-	}
-	if c.ReplWindow <= 0 {
-		c.ReplWindow = 4
 	}
 	if c.AckTimeout <= 0 {
 		c.AckTimeout = 5 * time.Second
@@ -417,7 +420,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Role == RoleReplica {
 		s.repl.follower = newFollower(s, &cfg)
-		go s.repl.follower.run()
+		s.repl.follower.start()
 	}
 	if cfg.Reg != nil {
 		s.registerMetrics(cfg.Reg)
@@ -777,6 +780,11 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	br := bufio.NewReader(conn)
 	traceOn := s.spans != nil
+	// gone closes when this loop stops reading — the peer hung up, or
+	// shutdown closed the socket. A parked replication pull waits on it: the
+	// writer above blocks on the park's reply, so only a reader that keeps
+	// reading while the pull is parked can see the connection end.
+	gone := make(chan struct{})
 	for {
 		body, err := ReadFrame(br)
 		if err != nil {
@@ -812,9 +820,10 @@ func (s *Server) handleConn(conn net.Conn) {
 		if sampled {
 			s.spans.RecordTimed(trace, StageDecode, -1, opName(req.Op), req.Key, decStart, time.Since(decStart))
 		}
-		resp := s.dispatch(req, trace, sampled)
+		resp := s.dispatch(req, trace, sampled, gone)
 		fifo <- pending{req: req, resp: resp, trace: trace, sampled: sampled}
 	}
+	close(gone)
 	close(fifo)
 	<-writerDone
 }
@@ -824,8 +833,10 @@ func (s *Server) handleConn(conn net.Conn) {
 // slow connection. A request carrying a deadline envelope gets its
 // absolute deadline stamped here; admission and the worker both honor it.
 // trace and sampled carry the effective trace identity into the shard
-// workers so every hop stamps spans under the same ID.
-func (s *Server) dispatch(req *Request, trace uint64, sampled bool) chan Reply {
+// workers so every hop stamps spans under the same ID. gone is the
+// connection's cancel channel, for the one reply that may wait on the peer
+// (a parked pull).
+func (s *Server) dispatch(req *Request, trace uint64, sampled bool, gone <-chan struct{}) chan Reply {
 	resp := make(chan Reply, 1)
 	now := s.cfg.Clock.Now()
 	var deadline time.Time
@@ -838,7 +849,7 @@ func (s *Server) dispatch(req *Request, trace uint64, sampled bool) chan Reply {
 		sh.submit(&request{op: req.Op, key: req.Key, value: req.Value, gate: req.Gate,
 			trace: trace, sampled: sampled, start: now, deadline: deadline, resp: resp})
 	case OpReplicate:
-		resp <- s.replicateReply(req)
+		s.replicate(req, time.Duration(req.TTLms)*time.Millisecond, resp, gone)
 	case OpReplAck:
 		resp <- s.replAckReply(req)
 	case OpClusterMap:
@@ -1174,6 +1185,9 @@ func (s *Server) shutdownNetwork() {
 	}
 	// Connection writers block on held write acks; fail the holds (and
 	// stop new ones) before waiting for the handlers, or Wait deadlocks.
+	// They block on parked pulls the same way; those were released by the
+	// sockets closing above — each connection's reader saw it and cancelled
+	// its parks (handleConn's gone channel).
 	for _, sh := range s.shards {
 		if sh.waiter != nil {
 			sh.waiter.shutdown()

@@ -462,6 +462,7 @@ func (sh *shard) recoverWorker(crash any) {
 		sh.logf("shard %d: worker panic (%v); salvage failed, rolling back to last checkpoint", sh.cfg.id, crash)
 		sh.crashAndRecover()
 	}
+	sh.publishLog()
 	sh.beat()
 	sh.restarts.Add(1)
 	sh.state.Store(stateHealthy)
@@ -559,6 +560,7 @@ func (sh *shard) run() {
 		}
 		sh.pending = sh.pending[:0]
 		sh.pendIdx = 0
+		sh.publishLog()
 		sh.afterBatch(n)
 	}
 	// Drain whatever arrived between the last receive and queue close.
@@ -572,6 +574,18 @@ func (sh *shard) run() {
 		_ = sh.checkpoint()
 	}
 	sh.publish()
+}
+
+// publishLog wakes the replication pulls parked on this shard's log. The
+// worker calls it once per drain — a parked pull ships the whole drain in
+// one reply — after the last request and before afterBatch, whose
+// checkpoint would otherwise stand between a logged write and the pull
+// that releases its ack; and once after a recovery, because a worker that
+// died between an append and this call has published nothing.
+func (sh *shard) publishLog() {
+	if sh.cfg.oplog != nil {
+		sh.cfg.oplog.Publish()
+	}
 }
 
 // heal closes the breaker after genuine progress: a wedged shard that

@@ -95,21 +95,36 @@ func (c *VClock) Sleep(d time.Duration) { c.Advance(d) }
 // After implements fault.Clock: the returned channel fires on the first
 // Advance that reaches now+d. If d is non-positive it fires immediately.
 func (c *VClock) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	c.mu.Lock()
-	at := c.now.Add(d)
-	if !at.After(c.now) {
-		now := c.now
-		c.mu.Unlock()
-		ch <- now
-		return ch
-	}
-	c.waiters = append(c.waiters, vwaiter{at: at, ch: ch})
-	c.mu.Unlock()
+	ch, _ := c.Timer(d)
 	return ch
 }
 
-// Waiters returns how many After channels are still pending (test hook).
+// Timer implements fault.Clock: After, plus a stop that takes the waiter
+// back out, so a wait abandoned before its deadline costs Advance nothing.
+func (c *VClock) Timer(d time.Duration) (<-chan time.Time, func()) {
+	ch := make(chan time.Time, 1)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	at := c.now.Add(d)
+	if !at.After(c.now) {
+		ch <- c.now
+		return ch, func() {}
+	}
+	c.waiters = append(c.waiters, vwaiter{at: at, ch: ch})
+	return ch, func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for i, w := range c.waiters {
+			if w.ch == ch {
+				c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+				return
+			}
+		}
+	}
+}
+
+// Waiters returns how many After and Timer channels are still pending
+// (test hook).
 func (c *VClock) Waiters() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

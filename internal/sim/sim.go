@@ -348,7 +348,6 @@ func (s *sim) config(n *node) server.Config {
 		cfg.Role = server.RoleReplica
 		cfg.FollowAddr = s.net.Addr(n.follow)
 		cfg.FollowDial = s.net.Dialer(n.name)
-		cfg.FollowPoll = time.Millisecond
 		cfg.PromoteAfter = s.sched.PromoteAfter
 		cfg.FenceAfter = s.sched.FenceAfter
 	default:

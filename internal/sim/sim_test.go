@@ -48,6 +48,22 @@ func TestVClock(t *testing.T) {
 	default:
 		t.Fatal("After(0) did not fire immediately")
 	}
+	// A stopped Timer is out of the waiter list and never fires.
+	fire, stop := c.Timer(time.Second)
+	if c.Waiters() != 1 {
+		t.Fatalf("waiters with a timer armed = %d, want 1", c.Waiters())
+	}
+	stop()
+	stop()
+	if c.Waiters() != 0 {
+		t.Fatalf("waiters after stop = %d, want 0", c.Waiters())
+	}
+	c.Advance(2 * time.Second)
+	select {
+	case <-fire:
+		t.Fatal("a stopped Timer fired")
+	default:
+	}
 }
 
 func TestNetPartition(t *testing.T) {
@@ -354,5 +370,40 @@ func TestRunHistoryDir(t *testing.T) {
 func TestRunRejectsEmptySchedule(t *testing.T) {
 	if _, err := Run(RunConfig{Schedule: Schedule{Name: "x", Topology: "pair"}}); err == nil {
 		t.Fatal("empty schedule accepted")
+	}
+}
+
+// TestParkedPullsLeaveNoWaiters: every replicated write ends one parked
+// pull and starts the next, each with a bound armed on the virtual clock.
+// A bound that was not given back when its park ended would stay in the
+// clock's waiter list until it came due — one per write, all of them
+// scanned by every Advance. The list must stay the size it is at rest: the
+// nodes' background ticks plus one bound per parked pull.
+func TestParkedPullsLeaveNoWaiters(t *testing.T) {
+	s := &sim{
+		sched:     Steady(0),
+		vc:        NewVClock(),
+		net:       NewNet(),
+		nodes:     make(map[string]*node),
+		gateShard: make(map[uint64]uint32),
+		gateMax:   make(map[uint32]uint64),
+	}
+	s.hist = NewHistory(s.vc)
+	defer s.teardown()
+	if err := s.setupPair(); err != nil {
+		t.Fatal(err)
+	}
+	// Two nodes, a sweeper and a watchdog tick each; one park per shard.
+	const atRest = 2*2 + simShards
+	cl := &simClient{s: s}
+	defer cl.close()
+	for i := 0; i < 500; i++ {
+		if out := cl.put(keyFor(i%8), uint64(i+1)); out != "ok" {
+			t.Fatalf("put %d: %s", i, out)
+		}
+		s.vc.Advance(opTick)
+		if got := s.vc.Waiters(); got > atRest {
+			t.Fatalf("after %d replicated writes the virtual clock holds %d waiters, want <= %d", i+1, got, atRest)
+		}
 	}
 }

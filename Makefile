@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fuzz verify bench faults resilience repl cluster sim media serve
+.PHONY: build test fuzz verify loc bench faults resilience repl cluster sim media serve
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,13 @@ fuzz:
 # sweep included). CI and pre-merge runs use this.
 verify:
 	sh scripts/verify.sh
+
+# Non-test Go lines per package, one line each — the figure a ROADMAP item's
+# LoC delta is read from (run it before and after).
+loc:
+	@for d in internal/* cmd/*; do \
+		printf '%6d %s\n' "$$(cat $$(ls $$d/*.go | grep -v _test.go) | wc -l)" $$d; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem

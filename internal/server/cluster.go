@@ -22,7 +22,7 @@ package server
 //     key wins either way.
 //  3. fence: OpMigFence makes the donor refuse every later data op for
 //     the slot (StatusMoved toward the acceptor), drain its shard queues
-//     (ctlBarrier), and only then capture per-shard fence sequences. The
+//     (a barrier each), and only then capture per-shard fence sequences. The
 //     barrier is what makes the watermarks final: the worker runs the
 //     ownership check, so once the queues drain, no pre-fence write can
 //     still be in flight below the captured sequences.
@@ -214,9 +214,7 @@ func (s *Server) auditHandover(slot int, seqs []uint64, slots int) {
 // past the audit's bound.
 func (s *Server) purgeSlot(slot, slots int) {
 	for _, sh := range s.shards {
-		resp := make(chan Reply, 1)
-		sh.queue <- &request{ctl: ctlPurge, slot: uint32(slot), slots: slots, resp: resp}
-		<-resp
+		sh.call(nil, func(sh *shard) Reply { return sh.purgeSlot(uint32(slot), slots) })
 	}
 }
 
@@ -234,12 +232,9 @@ func (s *Server) migSnapshotReply(req *Request) Reply {
 		}
 		slots = m.Slots
 	}
-	resp := make(chan Reply, 1)
-	s.shards[req.Shard].queue <- &request{
-		ctl: ctlSnapshot, key: req.Key, limit: req.Limit,
-		slot: req.Slot, slots: slots, resp: resp,
-	}
-	rep := <-resp
+	rep, _ := s.shards[req.Shard].call(nil, func(sh *shard) Reply {
+		return sh.snapshotChunk(req.Key, req.Limit, req.Slot, slots)
+	})
 	s.cluster.snapshotsServed.Add(1)
 	return rep
 }
@@ -321,9 +316,7 @@ func (s *Server) migFenceReply(req *Request) Reply {
 	// admitted before it has fully executed (and appended) — only then are
 	// the captured sequences final watermarks.
 	for _, sh := range s.shards {
-		resp := make(chan Reply, 1)
-		sh.queue <- &request{ctl: ctlBarrier, resp: resp}
-		<-resp
+		sh.call(nil, (*shard).barrier)
 	}
 	seqs := make([]uint64, len(s.shards))
 	for i, sh := range s.shards {
@@ -354,7 +347,7 @@ func clusterDial(dial func(addr string) (net.Conn, error)) func(addr string) (ne
 }
 
 // ingestRecords routes transferred records to their local shards and
-// applies them as fresh writes (ctlIngest). Donor and acceptor shard
+// applies them as fresh writes (shard.ingest). Donor and acceptor shard
 // counts are independent; per-key order survives the regrouping because a
 // key lives in exactly one donor shard and arrives in donor-log order.
 func (s *Server) ingestRecords(recs []repl.Record) {
@@ -367,9 +360,7 @@ func (s *Server) ingestRecords(recs []repl.Record) {
 		groups[id] = append(groups[id], rec)
 	}
 	for id, g := range groups {
-		resp := make(chan Reply, 1)
-		s.shards[id].queue <- &request{ctl: ctlIngest, recs: g, resp: resp}
-		<-resp
+		s.shards[id].call(nil, func(sh *shard) Reply { return sh.ingest(g) })
 	}
 }
 
@@ -722,31 +713,16 @@ func (s *Server) registerClusterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("server_cluster_fenced_slots", "slots fenced mid-handover on this node", func() int64 {
 		return int64(s.fencedSlots())
 	})
-	reg.CounterFunc("server_cluster_moved_total", "data operations answered StatusMoved", func() uint64 {
-		var n uint64
-		for _, sh := range s.shards {
-			n += sh.moved.Load()
-		}
-		return n
-	})
+	reg.CounterFunc("server_cluster_moved_total", "data operations answered StatusMoved",
+		s.sumShards(func(sh *shard) uint64 { return sh.moved.Load() }))
 	reg.CounterFunc("server_cluster_stale_epoch_writes_total", "post-fence writes found by handover audits", func() uint64 { return cs.staleEpochWrites.Load() })
 	reg.CounterFunc("server_cluster_map_fetches_total", "cluster map images served", func() uint64 { return cs.mapFetches.Load() })
 	reg.CounterFunc("server_cluster_map_updates_total", "cluster maps installed", func() uint64 { return cs.mapUpdates.Load() })
 	reg.CounterFunc("server_cluster_map_rejects_total", "map installs refused for a stale epoch", func() uint64 { return cs.mapRejects.Load() })
 	reg.CounterFunc("server_cluster_migrated_in_total", "slots accepted by live migration", func() uint64 { return cs.migratedIn.Load() })
 	reg.CounterFunc("server_cluster_migrated_out_total", "slots donated by live migration", func() uint64 { return cs.migratedOut.Load() })
-	reg.CounterFunc("server_cluster_ingested_total", "records applied by migration ingest", func() uint64 {
-		var n uint64
-		for _, sh := range s.shards {
-			n += sh.ingested.Load()
-		}
-		return n
-	})
-	reg.CounterFunc("server_cluster_purged_total", "keys reclaimed from donated slots", func() uint64 {
-		var n uint64
-		for _, sh := range s.shards {
-			n += sh.purged.Load()
-		}
-		return n
-	})
+	reg.CounterFunc("server_cluster_ingested_total", "records applied by migration ingest",
+		s.sumShards(func(sh *shard) uint64 { return sh.ingested.Load() }))
+	reg.CounterFunc("server_cluster_purged_total", "keys reclaimed from donated slots",
+		s.sumShards(func(sh *shard) uint64 { return sh.purged.Load() }))
 }

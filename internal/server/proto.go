@@ -43,6 +43,14 @@
 // applied sequence. Envelopes are only legal at the top level of a
 // frame, in the order deadline, trace, gate.
 //
+// Every reply, and every sub-reply of a BATCH, opens with one head, encoded
+// in one place (appendReplyHead) — `[u8 OpTrace | u64 trace_id] | u8 status
+// | [epoch u64 | u16 len | addr]`, the hint under StatusMoved only — and the
+// op's payload follows on StatusOK alone. Two list shapes recur, each with
+// one encoder and one decoder: pairs, `count u32 | count×(key u64, value
+// u64)` (SCAN, MIG_SNAPSHOT), and records, `count u32 | count×record`
+// (REPLICATE, MIG_PULL).
+//
 // Besides OK, BadRequest, and Internal, replies carry the overload and
 // availability statuses of the self-healing tier: StatusShed (the shard's
 // bounded queue refused admission), StatusUnavailable (the shard's
@@ -484,21 +492,17 @@ func appendRequestBody(buf []byte, req *Request) ([]byte, error) {
 		}
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(req.Blob)))
 		buf = append(buf, req.Blob...)
-	case OpMigSnapshot:
-		if req.Limit < 1 || req.Limit > MaxScanLimit {
-			return nil, fmt.Errorf("%w: snapshot max %d outside [1, %d]", ErrProto, req.Limit, MaxScanLimit)
+	case OpMigSnapshot, OpMigPull:
+		bound, cur := MaxScanLimit, req.Key
+		if req.Op == OpMigPull {
+			bound, cur = MaxReplBatch, req.Seq
+		}
+		if req.Limit < 1 || req.Limit > bound {
+			return nil, fmt.Errorf("%w: migration max %d outside [1, %d]", ErrProto, req.Limit, bound)
 		}
 		buf = binary.LittleEndian.AppendUint32(buf, req.Shard)
 		buf = binary.LittleEndian.AppendUint32(buf, req.Slot)
-		buf = binary.LittleEndian.AppendUint64(buf, req.Key)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(req.Limit))
-	case OpMigPull:
-		if req.Limit < 1 || req.Limit > MaxReplBatch {
-			return nil, fmt.Errorf("%w: migration pull max %d outside [1, %d]", ErrProto, req.Limit, MaxReplBatch)
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, req.Shard)
-		buf = binary.LittleEndian.AppendUint32(buf, req.Slot)
-		buf = binary.LittleEndian.AppendUint64(buf, req.Seq)
+		buf = binary.LittleEndian.AppendUint64(buf, cur)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(req.Limit))
 	case OpMigFence:
 		if len(req.Addr) == 0 || len(req.Addr) > cluster.MaxNodeAddr {
@@ -528,9 +532,25 @@ type cursor struct {
 	off int
 }
 
+// need is the codec's one bounds check: nil when n more bytes remain,
+// otherwise an ErrProto that says where in the body the payload ran out.
+func (c *cursor) need(n int) error {
+	if n < 0 || n > c.remaining() {
+		return c.truncated(n)
+	}
+	return nil
+}
+
+// truncated is need's failure, out of line so that need itself inlines.
+//
+//go:noinline
+func (c *cursor) truncated(n int) error {
+	return fmt.Errorf("%w: truncated payload at offset %d: need %d bytes, %d remain", ErrProto, c.off, n, c.remaining())
+}
+
 func (c *cursor) u8() (byte, error) {
-	if c.off+1 > len(c.b) {
-		return 0, fmt.Errorf("%w: truncated payload", ErrProto)
+	if err := c.need(1); err != nil {
+		return 0, err
 	}
 	v := c.b[c.off]
 	c.off++
@@ -538,8 +558,8 @@ func (c *cursor) u8() (byte, error) {
 }
 
 func (c *cursor) u16() (uint16, error) {
-	if c.off+2 > len(c.b) {
-		return 0, fmt.Errorf("%w: truncated payload", ErrProto)
+	if err := c.need(2); err != nil {
+		return 0, err
 	}
 	v := binary.LittleEndian.Uint16(c.b[c.off:])
 	c.off += 2
@@ -547,8 +567,8 @@ func (c *cursor) u16() (uint16, error) {
 }
 
 func (c *cursor) u32() (uint32, error) {
-	if c.off+4 > len(c.b) {
-		return 0, fmt.Errorf("%w: truncated payload", ErrProto)
+	if err := c.need(4); err != nil {
+		return 0, err
 	}
 	v := binary.LittleEndian.Uint32(c.b[c.off:])
 	c.off += 4
@@ -556,8 +576,8 @@ func (c *cursor) u32() (uint32, error) {
 }
 
 func (c *cursor) u64() (uint64, error) {
-	if c.off+8 > len(c.b) {
-		return 0, fmt.Errorf("%w: truncated payload", ErrProto)
+	if err := c.need(8); err != nil {
+		return 0, err
 	}
 	v := binary.LittleEndian.Uint64(c.b[c.off:])
 	c.off += 8
@@ -565,18 +585,79 @@ func (c *cursor) u64() (uint64, error) {
 }
 
 func (c *cursor) bytes(n int) ([]byte, error) {
-	if n < 0 || c.off+n > len(c.b) {
-		return nil, fmt.Errorf("%w: truncated payload", ErrProto)
+	if err := c.need(n); err != nil {
+		return nil, err
 	}
 	v := c.b[c.off : c.off+n]
 	c.off += n
 	return v, nil
 }
 
-// remaining returns how many undecoded bytes the cursor still holds; count
-// prefixes are validated against it before any allocation, so a tiny frame
-// claiming a huge count never earns a huge make().
+// flag reads a u8 boolean (any nonzero byte is true).
+func (c *cursor) flag() (bool, error) {
+	v, err := c.u8()
+	return v != 0, err
+}
+
+// remaining returns how many undecoded bytes the cursor still holds.
 func (c *cursor) remaining() int { return len(c.b) - c.off }
+
+// count reads a list's u32 count prefix and validates it before the caller
+// allocates anything: against the protocol bound first, then against the
+// bytes that remain (each element is at least elemSize bytes), so a tiny
+// frame claiming a huge count never earns a huge make().
+func (c *cursor) count(max, elemSize int, what string) (int, error) {
+	n, err := c.u32()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint32(max) {
+		return 0, fmt.Errorf("%w: %s of %d exceeds %d", ErrProto, what, n, max)
+	}
+	if int(n)*elemSize > c.remaining() {
+		return 0, fmt.Errorf("%w: %s count %d exceeds %d remaining bytes at offset %d", ErrProto, what, n, c.remaining(), c.off)
+	}
+	return int(n), nil
+}
+
+// pairs decodes the pair list SCAN and MIG_SNAPSHOT replies share:
+// `count u32 | count×(key u64, value u64)`.
+func (c *cursor) pairs(what string) ([]KV, error) {
+	n, err := c.count(MaxScanLimit, 16, what)
+	if err != nil {
+		return nil, err
+	}
+	pairs := make([]KV, n)
+	for i := range pairs {
+		if pairs[i].Key, err = c.u64(); err != nil {
+			return nil, err
+		}
+		if pairs[i].Value, err = c.u64(); err != nil {
+			return nil, err
+		}
+	}
+	return pairs, nil
+}
+
+// records decodes the record list REPLICATE and MIG_PULL replies share:
+// `count u32 | count×record` (nil when empty).
+func (c *cursor) records(what string) ([]repl.Record, error) {
+	n, err := c.count(MaxReplBatch, repl.RecordSize, what)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	recs := make([]repl.Record, n)
+	for i := range recs {
+		b, err := c.bytes(repl.RecordSize)
+		if err != nil {
+			return nil, err
+		}
+		if recs[i], err = repl.DecodeRecord(b); err != nil {
+			return nil, fmt.Errorf("%w: record %d: %v", ErrProto, i, err)
+		}
+	}
+	return recs, nil
+}
 
 // DecodeRequest parses one request frame body, unwrapping the optional
 // top-level envelopes (deadline first, then trace, then seq-gate) into
@@ -676,17 +757,9 @@ func decodeRequest(c *cursor, allowBatch bool) (*Request, error) {
 		if !allowBatch {
 			return nil, fmt.Errorf("%w: nested batch", ErrProto)
 		}
-		n, err := c.u32()
+		n, err := c.count(MaxBatch, 1, "batch") // a sub-request is at least its op byte
 		if err != nil {
 			return nil, err
-		}
-		if n > MaxBatch {
-			return nil, fmt.Errorf("%w: batch of %d exceeds %d", ErrProto, n, MaxBatch)
-		}
-		// Every sub-request is at least one op byte, so a count the
-		// remaining bytes cannot satisfy is rejected before allocating.
-		if int(n) > c.remaining() {
-			return nil, fmt.Errorf("%w: batch count %d exceeds %d remaining bytes", ErrProto, n, c.remaining())
 		}
 		req.Sub = make([]Request, n)
 		for i := range req.Sub {
@@ -700,12 +773,15 @@ func decodeRequest(c *cursor, allowBatch bool) (*Request, error) {
 			}
 			req.Sub[i] = *sub
 		}
-	case OpReplicate:
+	case OpReplicate, OpReplAck:
 		if req.Shard, err = c.u32(); err != nil {
 			return nil, err
 		}
 		if req.Seq, err = c.u64(); err != nil {
 			return nil, err
+		}
+		if op == OpReplAck {
+			break
 		}
 		max, err := c.u32()
 		if err != nil {
@@ -715,13 +791,6 @@ func decodeRequest(c *cursor, allowBatch bool) (*Request, error) {
 			return nil, fmt.Errorf("%w: replicate max %d outside [1, %d]", ErrProto, max, MaxReplBatch)
 		}
 		req.Limit = int(max)
-	case OpReplAck:
-		if req.Shard, err = c.u32(); err != nil {
-			return nil, err
-		}
-		if req.Seq, err = c.u64(); err != nil {
-			return nil, err
-		}
 	case OpClusterMap:
 		// No payload.
 	case OpMapUpdate:
@@ -789,21 +858,46 @@ func decodeRequest(c *cursor, allowBatch bool) (*Request, error) {
 
 // ---- Reply encoding ------------------------------------------------------
 
-// AppendReply appends the wire form of rep (for operation op) to buf,
-// prefixing the trace echo when rep carries a trace ID.
-func AppendReply(buf []byte, op byte, rep *Reply) []byte {
+// appendReplyHead appends what every reply and batch sub-reply opens with,
+// whatever its op: the trace echo when rep carries a trace ID, the status
+// byte, and under StatusMoved — the one non-OK status with a payload — the
+// redirect hint. It reports whether the op's own payload follows (StatusOK).
+func appendReplyHead(buf []byte, rep *Reply) ([]byte, bool) {
 	if rep.Trace != 0 {
 		buf = append(buf, OpTrace)
 		buf = binary.LittleEndian.AppendUint64(buf, rep.Trace)
 	}
 	buf = append(buf, rep.Status)
 	if rep.Status == StatusMoved {
-		// The one non-OK status with a payload: the redirect hint.
 		buf = binary.LittleEndian.AppendUint64(buf, rep.Epoch)
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(rep.Addr)))
-		return append(buf, rep.Addr...)
+		buf = append(buf, rep.Addr...)
 	}
-	if rep.Status != StatusOK {
+	return buf, rep.Status == StatusOK
+}
+
+func appendPairs(buf []byte, pairs []KV) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(pairs)))
+	for _, kv := range pairs {
+		buf = binary.LittleEndian.AppendUint64(buf, kv.Key)
+		buf = binary.LittleEndian.AppendUint64(buf, kv.Value)
+	}
+	return buf
+}
+
+func appendRecords(buf []byte, recs []repl.Record) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
+	for _, r := range recs {
+		buf = repl.AppendRecord(buf, r)
+	}
+	return buf
+}
+
+// AppendReply appends the wire form of rep (for operation op) to buf: the
+// reply head, then — on StatusOK — the op's payload.
+func AppendReply(buf []byte, op byte, rep *Reply) []byte {
+	buf, ok := appendReplyHead(buf, rep)
+	if !ok {
 		return buf
 	}
 	switch op {
@@ -820,35 +914,21 @@ func AppendReply(buf []byte, op byte, rep *Reply) []byte {
 	case OpReplicate:
 		buf = binary.LittleEndian.AppendUint64(buf, rep.Seq)
 		buf = binary.LittleEndian.AppendUint64(buf, rep.Value)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rep.Recs)))
-		for _, r := range rep.Recs {
-			buf = repl.AppendRecord(buf, r)
-		}
+		buf = appendRecords(buf, rep.Recs)
 	case OpScan:
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rep.Pairs)))
-		for _, kv := range rep.Pairs {
-			buf = binary.LittleEndian.AppendUint64(buf, kv.Key)
-			buf = binary.LittleEndian.AppendUint64(buf, kv.Value)
-		}
+		buf = appendPairs(buf, rep.Pairs)
 	case OpStats, OpClusterMap:
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rep.Blob)))
 		buf = append(buf, rep.Blob...)
 	case OpMigSnapshot:
 		buf = append(buf, boolByte(rep.Found))
 		buf = binary.LittleEndian.AppendUint64(buf, rep.Seq)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rep.Pairs)))
-		for _, kv := range rep.Pairs {
-			buf = binary.LittleEndian.AppendUint64(buf, kv.Key)
-			buf = binary.LittleEndian.AppendUint64(buf, kv.Value)
-		}
+		buf = appendPairs(buf, rep.Pairs)
 	case OpMigPull:
 		buf = append(buf, boolByte(rep.Found))
 		buf = binary.LittleEndian.AppendUint64(buf, rep.Seq)
 		buf = binary.LittleEndian.AppendUint64(buf, rep.Value)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rep.Recs)))
-		for _, r := range rep.Recs {
-			buf = repl.AppendRecord(buf, r)
-		}
+		buf = appendRecords(buf, rep.Recs)
 	case OpMigFence:
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rep.Seqs)))
 		for _, s := range rep.Seqs {
@@ -861,23 +941,12 @@ func AppendReply(buf []byte, op byte, rep *Reply) []byte {
 }
 
 // AppendBatchReply encodes a BATCH reply; sub-reply payloads depend on the
-// sub-request ops, so the request travels along. The batch's trace echo
-// (when rep carries one) prefixes the outer reply; each sub-reply carries
-// its own echo via AppendReply.
+// sub-request ops, so the request travels along. The outer reply and every
+// sub-reply open with the same head (AppendReply's), each carrying its own
+// trace echo.
 func AppendBatchReply(buf []byte, req *Request, rep *Reply) []byte {
-	if rep.Trace != 0 {
-		buf = append(buf, OpTrace)
-		buf = binary.LittleEndian.AppendUint64(buf, rep.Trace)
-	}
-	buf = append(buf, rep.Status)
-	if rep.Status == StatusMoved {
-		// Keep the redirect payload symmetric with AppendReply: the
-		// decoder parses epoch+addr after MOVED regardless of op.
-		buf = binary.LittleEndian.AppendUint64(buf, rep.Epoch)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(rep.Addr)))
-		return append(buf, rep.Addr...)
-	}
-	if rep.Status != StatusOK {
+	buf, ok := appendReplyHead(buf, rep)
+	if !ok {
 		return buf
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rep.Sub)))
@@ -947,11 +1016,9 @@ func decodeReply(c *cursor, req *Request, traced bool) (*Reply, error) {
 	}
 	switch req.Op {
 	case OpGet:
-		f, err := c.u8()
-		if err != nil {
+		if rep.Found, err = c.flag(); err != nil {
 			return nil, err
 		}
-		rep.Found = f != 0
 		if rep.Value, err = c.u64(); err != nil {
 			return nil, err
 		}
@@ -963,11 +1030,9 @@ func decodeReply(c *cursor, req *Request, traced bool) (*Reply, error) {
 			return nil, err
 		}
 	case OpDelete:
-		f, err := c.u8()
-		if err != nil {
+		if rep.Found, err = c.flag(); err != nil {
 			return nil, err
 		}
-		rep.Found = f != 0
 		if rep.Shard, err = c.u32(); err != nil {
 			return nil, err
 		}
@@ -981,49 +1046,12 @@ func decodeReply(c *cursor, req *Request, traced bool) (*Reply, error) {
 		if rep.Value, err = c.u64(); err != nil {
 			return nil, err
 		}
-		n, err := c.u32()
-		if err != nil {
+		if rep.Recs, err = c.records("replicate reply"); err != nil {
 			return nil, err
-		}
-		if n > MaxReplBatch {
-			return nil, fmt.Errorf("%w: replicate reply of %d records exceeds %d", ErrProto, n, MaxReplBatch)
-		}
-		if int(n)*repl.RecordSize > c.remaining() {
-			return nil, fmt.Errorf("%w: replicate reply count %d exceeds %d remaining bytes", ErrProto, n, c.remaining())
-		}
-		if n > 0 {
-			rep.Recs = make([]repl.Record, n)
-			for i := range rep.Recs {
-				b, err := c.bytes(repl.RecordSize)
-				if err != nil {
-					return nil, err
-				}
-				r, err := repl.DecodeRecord(b)
-				if err != nil {
-					return nil, fmt.Errorf("%w: record %d: %v", ErrProto, i, err)
-				}
-				rep.Recs[i] = r
-			}
 		}
 	case OpScan:
-		n, err := c.u32()
-		if err != nil {
+		if rep.Pairs, err = c.pairs("scan reply"); err != nil {
 			return nil, err
-		}
-		if n > MaxScanLimit {
-			return nil, fmt.Errorf("%w: scan reply of %d pairs exceeds %d", ErrProto, n, MaxScanLimit)
-		}
-		if int(n)*16 > c.remaining() {
-			return nil, fmt.Errorf("%w: scan reply count %d exceeds %d remaining bytes", ErrProto, n, c.remaining())
-		}
-		rep.Pairs = make([]KV, n)
-		for i := range rep.Pairs {
-			if rep.Pairs[i].Key, err = c.u64(); err != nil {
-				return nil, err
-			}
-			if rep.Pairs[i].Value, err = c.u64(); err != nil {
-				return nil, err
-			}
 		}
 	case OpBatch:
 		n, err := c.u32()
@@ -1055,79 +1083,32 @@ func decodeReply(c *cursor, req *Request, traced bool) (*Reply, error) {
 		}
 		rep.Blob = append([]byte(nil), blob...)
 	case OpMigSnapshot:
-		f, err := c.u8()
-		if err != nil {
+		if rep.Found, err = c.flag(); err != nil {
 			return nil, err
 		}
-		rep.Found = f != 0
 		if rep.Seq, err = c.u64(); err != nil {
 			return nil, err
 		}
-		n, err := c.u32()
-		if err != nil {
+		if rep.Pairs, err = c.pairs("snapshot reply"); err != nil {
 			return nil, err
-		}
-		if n > MaxScanLimit {
-			return nil, fmt.Errorf("%w: snapshot reply of %d pairs exceeds %d", ErrProto, n, MaxScanLimit)
-		}
-		if int(n)*16 > c.remaining() {
-			return nil, fmt.Errorf("%w: snapshot reply count %d exceeds %d remaining bytes", ErrProto, n, c.remaining())
-		}
-		rep.Pairs = make([]KV, n)
-		for i := range rep.Pairs {
-			if rep.Pairs[i].Key, err = c.u64(); err != nil {
-				return nil, err
-			}
-			if rep.Pairs[i].Value, err = c.u64(); err != nil {
-				return nil, err
-			}
 		}
 	case OpMigPull:
-		f, err := c.u8()
-		if err != nil {
+		if rep.Found, err = c.flag(); err != nil {
 			return nil, err
 		}
-		rep.Found = f != 0
 		if rep.Seq, err = c.u64(); err != nil {
 			return nil, err
 		}
 		if rep.Value, err = c.u64(); err != nil {
 			return nil, err
 		}
-		n, err := c.u32()
-		if err != nil {
+		if rep.Recs, err = c.records("migration pull reply"); err != nil {
 			return nil, err
-		}
-		if n > MaxReplBatch {
-			return nil, fmt.Errorf("%w: migration pull reply of %d records exceeds %d", ErrProto, n, MaxReplBatch)
-		}
-		if int(n)*repl.RecordSize > c.remaining() {
-			return nil, fmt.Errorf("%w: migration pull count %d exceeds %d remaining bytes", ErrProto, n, c.remaining())
-		}
-		if n > 0 {
-			rep.Recs = make([]repl.Record, n)
-			for i := range rep.Recs {
-				b, err := c.bytes(repl.RecordSize)
-				if err != nil {
-					return nil, err
-				}
-				r, err := repl.DecodeRecord(b)
-				if err != nil {
-					return nil, fmt.Errorf("%w: record %d: %v", ErrProto, i, err)
-				}
-				rep.Recs[i] = r
-			}
 		}
 	case OpMigFence:
-		n, err := c.u32()
+		n, err := c.count(MaxFenceShards, 8, "fence reply")
 		if err != nil {
 			return nil, err
-		}
-		if n > MaxFenceShards {
-			return nil, fmt.Errorf("%w: fence reply of %d shards exceeds %d", ErrProto, n, MaxFenceShards)
-		}
-		if int(n)*8 > c.remaining() {
-			return nil, fmt.Errorf("%w: fence reply count %d exceeds %d remaining bytes", ErrProto, n, c.remaining())
 		}
 		rep.Seqs = make([]uint64, n)
 		for i := range rep.Seqs {

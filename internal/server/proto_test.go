@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -78,6 +79,19 @@ func TestRequestDecodeErrors(t *testing.T) {
 		if _, err := DecodeRequest(body); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
+	}
+}
+
+// TestTruncationSaysWhere: a payload that runs out is refused with the byte
+// offset at which it did, in a request and in a reply.
+func TestTruncationSaysWhere(t *testing.T) {
+	_, err := DecodeRequest([]byte{OpPut, 1, 0, 0, 0, 0, 0, 0, 0, 9, 9})
+	if !errors.Is(err, ErrProto) || !strings.Contains(err.Error(), "at offset 9: need 8 bytes, 2 remain") {
+		t.Errorf("truncated PUT value: %v", err)
+	}
+	_, err = DecodeReply(&Request{Op: OpScan}, []byte{StatusOK, 1, 0, 0, 0, 7})
+	if !errors.Is(err, ErrProto) || !strings.Contains(err.Error(), "at offset 5") {
+		t.Errorf("scan reply whose count outruns its bytes: %v", err)
 	}
 }
 

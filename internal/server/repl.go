@@ -15,7 +15,7 @@ package server
 //	                       request; log.Publish once per drain wakes the park
 //	woken pull:            flush + ship durable-only (or, at the park's
 //	                       bound, an empty reply carrying the log's base)
-//	replica puller:        ctlApply (AppendAt → apply → flush); the ack it
+//	replica puller:        applyRecords (AppendAt → apply → flush); the ack it
 //	                       owes rides ahead of the next pull
 //	primary checkpoint:    truncate log through min(applied, replAck) while
 //	                       the replica is live, through applied otherwise
@@ -326,9 +326,10 @@ func (s *Server) replicate(req *Request, ttl time.Duration, resp chan Reply, gon
 		bound = min(bound, s.cfg.FenceAfter/2)
 	}
 	s.repl.parks.Add(1)
+	// Armed before Await shows the park: a clock advanced by whoever saw it moves this timer.
+	expire, stop := s.cfg.Clock.Timer(bound)
 	ready, cancel := sh.cfg.oplog.Await(req.Seq)
 	go func() {
-		expire, stop := s.cfg.Clock.Timer(bound)
 		woke := &s.repl.wokeClosed
 		select {
 		case <-ready:
@@ -439,11 +440,7 @@ func (s *Server) ackSweeper() {
 func (s *Server) replLagRecords() uint64 {
 	switch s.repl.role.Load() {
 	case RolePrimary:
-		var sum uint64
-		for _, sh := range s.shards {
-			sum += sh.replLag()
-		}
-		return sum
+		return s.sumShards((*shard).replLag)()
 	case RoleReplica:
 		if f := s.repl.follower; f != nil {
 			return f.lagRecords()
@@ -464,21 +461,9 @@ func (s *Server) registerReplMetrics(reg *obs.Registry) {
 	reg.CounterFunc("server_repl_shipped_total", "log records served to replica pulls",
 		func() uint64 { return s.repl.shipped.Load() })
 	reg.CounterFunc("server_repl_applied_total", "log records applied from the replication feed",
-		func() uint64 {
-			var sum uint64
-			for _, sh := range s.shards {
-				sum += sh.replApplied.Load()
-			}
-			return sum
-		})
+		s.sumShards(func(sh *shard) uint64 { return sh.replApplied.Load() }))
 	reg.GaugeFunc("server_repl_parked_pulls", "replication pulls parked on a shard log, waiting for records",
-		func() int64 {
-			var sum int64
-			for _, sh := range s.shards {
-				sum += int64(sh.cfg.oplog.Waiters())
-			}
-			return sum
-		})
+		asGauge(s.sumShards(func(sh *shard) uint64 { return uint64(sh.cfg.oplog.Waiters()) })))
 	for _, c := range []struct {
 		name, help string
 		v          *atomic.Uint64
@@ -490,24 +475,11 @@ func (s *Server) registerReplMetrics(reg *obs.Registry) {
 	} {
 		reg.CounterFunc(c.name, c.help, c.v.Load)
 	}
+	// Every shard of a replicated role has a waiter (newShard).
 	reg.GaugeFunc("server_repl_held_acks", "write acks parked awaiting replica ack",
-		func() int64 {
-			var sum int64
-			for _, sh := range s.shards {
-				if sh.waiter != nil {
-					sum += int64(sh.waiter.count())
-				}
-			}
-			return sum
-		})
+		asGauge(s.sumShards(func(sh *shard) uint64 { return uint64(sh.waiter.count()) })))
 	reg.CounterFunc("server_repl_degraded_acks_total", "writes acked without replica coverage",
-		func() uint64 {
-			var sum uint64
-			for _, sh := range s.shards {
-				sum += sh.degradedAcks.Load()
-			}
-			return sum
-		})
+		s.sumShards(func(sh *shard) uint64 { return sh.degradedAcks.Load() }))
 	reg.GaugeFunc("server_write_fenced", "1 while a primary refuses writes because its replica went silent past FenceAfter",
 		func() int64 {
 			if s.repl.role.Load() == RolePrimary && s.writeFenced() {
@@ -516,23 +488,9 @@ func (s *Server) registerReplMetrics(reg *obs.Registry) {
 			return 0
 		})
 	reg.CounterFunc("server_repl_fenced_writes_total", "writes refused by primary self-fencing",
-		func() uint64 {
-			var sum uint64
-			for _, sh := range s.shards {
-				sum += sh.fencedWrites.Load()
-			}
-			return sum
-		})
+		s.sumShards(func(sh *shard) uint64 { return sh.fencedWrites.Load() }))
 	reg.CounterFunc("server_repl_timeout_acks_total", "held write acks expired by the sweeper",
-		func() uint64 {
-			var sum uint64
-			for _, sh := range s.shards {
-				if sh.waiter != nil {
-					sum += sh.waiter.timeouts()
-				}
-			}
-			return sum
-		})
+		s.sumShards(func(sh *shard) uint64 { return sh.waiter.timeouts() }))
 	if f := s.repl.follower; f != nil {
 		reg.CounterFunc("server_follower_pulls_total", "replication pulls answered, all shards",
 			func() uint64 { return f.pulls.Load() })
@@ -774,13 +732,10 @@ func (f *follower) apply(c *Client, si int, rep *Reply) (ack uint64, usable bool
 		// shipped none of it: its log flush is failing.
 		return 0, rep.Seq <= applied
 	}
-	resp := make(chan Reply, 1)
-	select {
-	case sh.queue <- &request{ctl: ctlApply, recs: rep.Recs, resp: resp}:
-	case <-f.stop:
+	arep, ok := sh.call(f.stop, func(sh *shard) Reply { return sh.applyRecords(rep.Recs) })
+	if !ok {
 		return 0, false
 	}
-	arep := <-resp
 	if arep.Status != StatusOK {
 		// Sequence gap or a worker mid-recovery: skip the ack; the next pull
 		// starts from the shard's true applied sequence.
@@ -809,7 +764,7 @@ func (f *follower) reseed(c *Client, si int, base uint64) error {
 	const attempts = 3
 	for attempt := 1; attempt <= attempts; attempt++ {
 		gen := sh.restarts.Load() + sh.crashes.Load()
-		if err := f.shardCtl(sh, &request{ctl: ctlReseedBegin, value: watermark}); err != nil {
+		if err := f.shardCtl(sh, func(sh *shard) Reply { return sh.reseedBegin(watermark) }); err != nil {
 			return err
 		}
 		cursor := uint64(0)
@@ -819,7 +774,7 @@ func (f *follower) reseed(c *Client, si int, base uint64) error {
 			if err != nil {
 				return err
 			}
-			if err := f.shardCtl(sh, &request{ctl: ctlReseedChunk, recs: pairsToRecords(pairs)}); err != nil {
+			if err := f.shardCtl(sh, func(sh *shard) Reply { return sh.reseedChunk(pairs) }); err != nil {
 				return err
 			}
 			copied += len(pairs)
@@ -831,7 +786,7 @@ func (f *follower) reseed(c *Client, si int, base uint64) error {
 		if sh.restarts.Load()+sh.crashes.Load() != gen {
 			continue // the worker recovered mid-transfer and rolled chunks back
 		}
-		if err := f.shardCtl(sh, &request{ctl: ctlCheckpoint}); err != nil {
+		if err := f.shardCtl(sh, (*shard).checkpointNow); err != nil {
 			return err
 		}
 		f.reseeds.Add(1)
@@ -845,17 +800,15 @@ func (f *follower) reseed(c *Client, si int, base uint64) error {
 	return fmt.Errorf("server: shard %d re-seed kept racing worker recoveries (%d attempts)", si, attempts)
 }
 
-// shardCtl submits one control request to a shard queue and waits for OK,
+// shardCtl runs one step of a re-seed on the shard's worker and wants OK,
 // aborting if the follower is told to stop.
-func (f *follower) shardCtl(sh *shard, req *request) error {
-	req.resp = make(chan Reply, 1)
-	select {
-	case sh.queue <- req:
-	case <-f.stop:
+func (f *follower) shardCtl(sh *shard, step func(*shard) Reply) error {
+	rep, ok := sh.call(f.stop, step)
+	if !ok {
 		return errFollowerStopped
 	}
-	if rep := <-req.resp; rep.Status != StatusOK {
-		return fmt.Errorf("server: reseed control %d: status %d", req.ctl, rep.Status)
+	if rep.Status != StatusOK {
+		return fmt.Errorf("server: shard %d reseed step: status %d", sh.cfg.id, rep.Status)
 	}
 	return nil
 }

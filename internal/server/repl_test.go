@@ -1169,13 +1169,23 @@ func awaitPull(t *testing.T, what string, out chan pullResult) *Reply {
 }
 
 // holdWorker parks the shard's worker inside a request until release is
-// called, so that everything queued meanwhile is taken in one drain.
+// called, so that everything queued meanwhile is taken in one drain. It
+// returns once the worker is inside the request — past the drain that took
+// it, so nothing queued from here on can join that drain. A test that
+// fails before releasing is released by its cleanup, ahead of the server's.
 func holdWorker(t *testing.T, sh *shard) (release func()) {
 	t.Helper()
-	gate := make(chan Reply) // unbuffered: the worker blocks handing over the reply
-	sh.queue <- &request{ctl: ctlBarrier, resp: gate}
-	waitFor(t, "worker held", 5*time.Second, func() bool { return len(sh.queue) == 0 })
-	return func() { <-gate }
+	entered, gate := make(chan struct{}), make(chan struct{})
+	go sh.call(nil, func(*shard) Reply {
+		close(entered)
+		<-gate
+		return Reply{Status: StatusOK}
+	})
+	<-entered
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	return release
 }
 
 // keysOnShard returns n keys that hash to the given shard.
@@ -1403,7 +1413,7 @@ func TestPanicBetweenAppendAndPublishWakesPark(t *testing.T) {
 	putDone := make(chan error, 1)
 	go func() { putDone <- c.Put(7, 70) }()
 	waitFor(t, "put queued", 5*time.Second, func() bool { return len(sh.queue) == 1 })
-	sh.queue <- &request{ctl: ctlPanic, resp: make(chan Reply, 1)}
+	sh.queue <- &request{do: (*shard).kill, resp: make(chan Reply, 1)}
 	release()
 
 	rep := awaitPull(t, "pull parked across the panic", pull)

@@ -80,6 +80,18 @@ func TestInjectPanicSalvagesAckedWrites(t *testing.T) {
 	if st.Crashes != 0 {
 		t.Errorf("software crash recorded %d power-loss crashes", st.Crashes)
 	}
+
+	// The injected kill is nothing special: any control work that panics on
+	// the worker is answered UNAVAILABLE by the supervisor, which restarts
+	// the worker over the same salvaged state.
+	rep, ok := ts.shards[0].call(nil, func(*shard) Reply { panic("control work blew up") })
+	if !ok || rep.Status != StatusUnavailable {
+		t.Fatalf("panicking control work answered (%d, %v), want UNAVAILABLE", rep.Status, ok)
+	}
+	waitShard(t, ts, 0, "a second restart", func(st ShardStats) bool { return st.Restarts == 2 && st.Breaker == "closed" })
+	if v, ok, err := cl.Get(n - 1); err != nil || !ok || v != keyVal(n-1) {
+		t.Fatalf("get after the second restart: (%d, %v, %v)", v, ok, err)
+	}
 }
 
 // TestSupervisorRestartMidStream is the satellite concurrency test: shard

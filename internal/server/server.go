@@ -524,7 +524,7 @@ func (s *Server) scrubber() {
 				}
 				resp := make(chan Reply, 1)
 				select {
-				case sh.queue <- &request{ctl: ctlScrub, resp: resp}:
+				case sh.queue <- &request{do: (*shard).scrubNow, resp: resp}:
 					<-resp
 				default:
 					// Shard got busy between the check and the send; skip.
@@ -593,28 +593,14 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	if s.cfg.Parity.Enabled {
 		// Aggregate media-fault series (the repair_latency_us histogram is
 		// registered at construction, shared across shards).
-		sum := func(f func(*shard) uint64) func() uint64 {
-			return func() uint64 {
-				var n uint64
-				for _, sh := range s.shards {
-					n += f(sh)
-				}
-				return n
-			}
-		}
-		reg.GaugeFunc("parity_pages", "parity pages maintained across all shards", func() int64 {
-			var n uint64
-			for _, sh := range s.shards {
-				n += sh.parityPages.Load()
-			}
-			return int64(n)
-		})
+		reg.GaugeFunc("parity_pages", "parity pages maintained across all shards",
+			asGauge(s.sumShards(func(sh *shard) uint64 { return sh.parityPages.Load() })))
 		reg.CounterFunc("scrub_passes_total", "media scrub passes across all shards",
-			sum(func(sh *shard) uint64 { return sh.mediaScrubs.Load() }))
+			s.sumShards(func(sh *shard) uint64 { return sh.mediaScrubs.Load() }))
 		reg.CounterFunc("pages_repaired_total", "data pages reconstructed from parity across all shards",
-			sum(func(sh *shard) uint64 { return sh.pagesRepaired.Load() }))
+			s.sumShards(func(sh *shard) uint64 { return sh.pagesRepaired.Load() }))
 		reg.CounterFunc("unrecoverable_total", "rangelets with damage beyond parity's reach across all shards",
-			sum(func(sh *shard) uint64 { return sh.mediaUnrecoverable.Load() }))
+			s.sumShards(func(sh *shard) uint64 { return sh.mediaUnrecoverable.Load() }))
 	}
 	if s.cfg.Role != RoleStandalone {
 		s.registerReplMetrics(reg)
@@ -623,6 +609,21 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		s.registerClusterMetrics(reg)
 	}
 }
+
+// sumShards returns a collector that adds up one per-shard reading over
+// every shard.
+func (s *Server) sumShards(f func(*shard) uint64) func() uint64 {
+	return func() uint64 {
+		var n uint64
+		for _, sh := range s.shards {
+			n += f(sh)
+		}
+		return n
+	}
+}
+
+// asGauge adapts a counter-shaped collector to a gauge's signature.
+func asGauge(f func() uint64) func() int64 { return func() int64 { return int64(f()) } }
 
 // Shards returns the configured shard count.
 func (s *Server) Shards() int { return len(s.shards) }
@@ -844,10 +845,6 @@ func (s *Server) dispatch(req *Request, trace uint64, sampled bool, gone <-chan 
 		deadline = now.Add(time.Duration(req.TTLms) * time.Millisecond)
 	}
 	switch req.Op {
-	case OpGet, OpPut, OpDelete:
-		sh := s.shards[ShardFor(req.Key, len(s.shards))]
-		sh.submit(&request{op: req.Op, key: req.Key, value: req.Value, gate: req.Gate,
-			trace: trace, sampled: sampled, start: now, deadline: deadline, resp: resp})
 	case OpReplicate:
 		s.replicate(req, time.Duration(req.TTLms)*time.Millisecond, resp, gone)
 	case OpReplAck:
@@ -865,8 +862,6 @@ func (s *Server) dispatch(req *Request, trace uint64, sampled bool, gone <-chan 
 	case OpMigFence:
 		// In a goroutine: the fence barriers every shard queue.
 		go func() { resp <- s.migFenceReply(req) }()
-	case OpScan:
-		go func() { resp <- s.scatterScan(req.Key, req.Limit, deadline, trace, sampled) }()
 	case OpBatch:
 		go func() { resp <- s.batch(req, deadline, trace, sampled) }()
 	case OpStats:
@@ -880,9 +875,25 @@ func (s *Server) dispatch(req *Request, trace uint64, sampled bool, gone <-chan 
 			resp <- Reply{Status: StatusOK}
 		}()
 	default:
-		resp <- Reply{Status: StatusBadRequest}
+		s.route(req, now, deadline, trace, sampled, resp)
 	}
 	return resp
+}
+
+// route sends one data operation — a top-level request or a batch's
+// sub-request — to the shard or shards that serve it; anything that is not a
+// data operation is answered BadRequest. The reply arrives on resp.
+func (s *Server) route(req *Request, now, deadline time.Time, trace uint64, sampled bool, resp chan Reply) {
+	switch req.Op {
+	case OpGet, OpPut, OpDelete:
+		sh := s.shards[ShardFor(req.Key, len(s.shards))]
+		sh.submit(&request{op: req.Op, key: req.Key, value: req.Value, gate: req.Gate,
+			trace: trace, sampled: sampled, start: now, deadline: deadline, resp: resp})
+	case OpScan:
+		go func() { resp <- s.scatterScan(req.Key, req.Limit, deadline, trace, sampled) }()
+	default:
+		resp <- Reply{Status: StatusBadRequest}
+	}
 }
 
 // scatterScan runs the range read on every shard (keys are hash-sharded,
@@ -919,20 +930,8 @@ func (s *Server) batch(req *Request, deadline time.Time, trace uint64, sampled b
 	resps := make([]chan Reply, len(req.Sub))
 	now := s.cfg.Clock.Now()
 	for i := range req.Sub {
-		sub := &req.Sub[i]
 		resps[i] = make(chan Reply, 1)
-		switch sub.Op {
-		case OpGet, OpPut, OpDelete:
-			sh := s.shards[ShardFor(sub.Key, len(s.shards))]
-			sh.submit(&request{op: sub.Op, key: sub.Key, value: sub.Value,
-				trace: trace, sampled: sampled, start: now, deadline: deadline, resp: resps[i]})
-		case OpScan:
-			ch := resps[i]
-			sub := sub
-			go func() { ch <- s.scatterScan(sub.Key, sub.Limit, deadline, trace, sampled) }()
-		default:
-			resps[i] <- Reply{Status: StatusBadRequest}
-		}
+		s.route(&req.Sub[i], now, deadline, trace, sampled, resps[i])
 	}
 	rep := Reply{Status: StatusOK, Sub: make([]Reply, len(req.Sub))}
 	for i, ch := range resps {
@@ -1000,7 +999,7 @@ func (s *Server) Checkpoint() error {
 	resps := make([]chan Reply, len(s.shards))
 	for i, sh := range s.shards {
 		resps[i] = make(chan Reply, 1)
-		sh.queue <- &request{ctl: ctlCheckpoint, resp: resps[i]}
+		sh.queue <- &request{do: (*shard).checkpointNow, resp: resps[i]}
 	}
 	for _, ch := range resps {
 		if rep := <-ch; rep.Status != StatusOK {
@@ -1017,9 +1016,7 @@ func (s *Server) InjectCrash(shardID int) error {
 	if shardID < 0 || shardID >= len(s.shards) {
 		return fmt.Errorf("server: no shard %d", shardID)
 	}
-	resp := make(chan Reply, 1)
-	s.shards[shardID].queue <- &request{ctl: ctlCrash, resp: resp}
-	if rep := <-resp; rep.Status != StatusOK {
+	if rep, _ := s.shards[shardID].call(nil, (*shard).powerCut); rep.Status != StatusOK {
 		return errors.New("server: injected crash failed to recover")
 	}
 	return nil
@@ -1036,9 +1033,7 @@ func (s *Server) InjectPanic(shardID int) error {
 	}
 	sh := s.shards[shardID]
 	gen := sh.restarts.Load()
-	resp := make(chan Reply, 1)
-	sh.queue <- &request{ctl: ctlPanic, resp: resp}
-	<-resp // the supervisor fails the doomed request with UNAVAILABLE
+	sh.call(nil, (*shard).kill) // the supervisor fails the doomed request with UNAVAILABLE
 	deadline := time.Now().Add(5 * time.Second)
 	for sh.restarts.Load() == gen {
 		if time.Now().After(deadline) {
@@ -1056,9 +1051,11 @@ func (s *Server) InjectWedge(shardID int, d time.Duration) error {
 	if shardID < 0 || shardID >= len(s.shards) {
 		return fmt.Errorf("server: no shard %d", shardID)
 	}
-	resp := make(chan Reply, 1)
-	s.shards[shardID].queue <- &request{ctl: ctlWedge, wedge: d, resp: resp}
-	if rep := <-resp; rep.Status != StatusOK && rep.Status != StatusUnavailable {
+	rep, _ := s.shards[shardID].call(nil, func(*shard) Reply {
+		time.Sleep(d)
+		return Reply{Status: StatusOK}
+	})
+	if rep.Status != StatusOK && rep.Status != StatusUnavailable {
 		return fmt.Errorf("server: wedge injection answered status %d", rep.Status)
 	}
 	return nil
@@ -1068,12 +1065,9 @@ func (s *Server) InjectWedge(shardID int, d time.Duration) error {
 // on-demand form).
 func (s *Server) Scrub() {
 	for _, sh := range s.shards {
-		if sh.state.Load() != stateHealthy {
-			continue
+		if sh.state.Load() == stateHealthy {
+			sh.call(nil, (*shard).scrubNow)
 		}
-		resp := make(chan Reply, 1)
-		sh.queue <- &request{ctl: ctlScrub, resp: resp}
-		<-resp
 	}
 }
 
@@ -1156,7 +1150,7 @@ func (s *Server) Abort() {
 }
 
 // stopFollower stops the replica's pull loop before the shard queues
-// close (its ctlApply submissions must not race the close).
+// close (its calls onto the workers must not race the close).
 func (s *Server) stopFollower() {
 	if f := s.repl.follower; f != nil {
 		f.Stop()

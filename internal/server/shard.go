@@ -50,76 +50,24 @@ func shardStateName(s int32) string {
 	}
 }
 
-// Control request kinds (zero means a data request).
-const (
-	ctlCheckpoint byte = iota + 1
-	ctlCrash
-	// ctlPanic makes the worker panic — the injected software crash the
-	// supervisor must catch, repair, and restart from.
-	ctlPanic
-	// ctlWedge makes the worker sleep, simulating a wedged shard the
-	// heartbeat watchdog must detect.
-	ctlWedge
-	// ctlScrub runs an online fsck of the shard's pool (the Pangolin-style
-	// background scrub), repairing any crash residue it finds.
-	ctlScrub
-	// ctlApply replays shipped log records into a replica shard: log each
-	// record (AppendAt), apply it to the store, advance the applied
-	// sequence, and flush the log image so the returned ack sequence is
-	// durable — the replica apply loop's worker half.
-	ctlApply
-	// ctlSnapshot serves one OpMigSnapshot chunk: scan live pairs from the
-	// key cursor in req.key, filtered to cluster slot req.slot (SlotAll:
-	// no filter), up to req.limit pairs — the donor half of migration and
-	// the primary half of a replica re-seed.
-	ctlSnapshot
-	// ctlIngest applies transferred records as fresh local writes: each is
-	// re-logged under this shard's own sequence space (migrated keys hash
-	// onto the acceptor's shards independently of the donor's) — the
-	// acceptor half of migration.
-	ctlIngest
-	// ctlBarrier is a no-op the fence path uses to drain the worker: once
-	// it answers, every data operation admitted before the fence flag was
-	// set has fully executed (the worker is the serializer).
-	ctlBarrier
-	// ctlPurge deletes every live key of cluster slot req.slot (req.slots
-	// wide) through the normal logged delete path — the donor reclaiming a
-	// migrated slot after handover.
-	ctlPurge
-	// ctlReseedBegin wipes the shard for a replica re-seed: delete every
-	// live pair without logging, reset the op log's sequence space to
-	// req.value (the snapshot watermark), and checkpoint so recovery
-	// cannot resurrect the pre-reseed state.
-	ctlReseedBegin
-	// ctlReseedChunk applies one snapshot chunk of a re-seed: store writes
-	// only, no logging — the records' sequences belong to the primary's
-	// log and are accounted for by the ResetTo watermark.
-	ctlReseedChunk
-)
-
 // errWorkerKilled is the payload of an injected worker panic.
 var errWorkerKilled = errors.New("server: injected worker panic")
 
 // request is one unit of work on a shard queue. Exactly one response is
 // delivered on resp.
 type request struct {
-	op         byte
+	op byte
+	// sampled asks the worker to record per-stage spans under trace, the
+	// effective trace ID (client envelope or server-sampled). The reply echo
+	// is handled at the connection writer, keyed on the wire envelope.
+	sampled    bool
 	key, value uint64
 	limit      int
 	gate       uint64 // seq-gate read-your-writes token (GET only)
-	ctl        byte
-	wedge      time.Duration // ctlWedge only
-	recs       []repl.Record // ctlApply, ctlIngest, ctlReseedChunk
-	// slot/slots scope the migration ctl ops (ctlSnapshot, ctlPurge):
-	// the cluster slot to filter for and the map's slot count. SlotAll
-	// disables the filter (the re-seed path).
-	slot  uint32
-	slots int
-	// trace is the effective trace ID (client envelope or server-sampled);
-	// sampled asks the worker to record per-stage spans under it. The reply
-	// echo is handled at the connection writer, keyed on the wire envelope.
-	trace    uint64
-	sampled  bool
+	trace      uint64
+	// do, when non-nil, makes this a control request (call): the worker runs
+	// it in place of the data path and its result is the reply.
+	do       func(*shard) Reply
 	start    time.Time
 	deadline time.Time // zero means no deadline
 	resp     chan Reply
@@ -162,8 +110,8 @@ type shardConfig struct {
 	// on every data operation: a key whose slot this node does not own
 	// (or has fenced for handover) is refused with StatusMoved toward the
 	// returned address. Running it on the worker — not at dispatch — is
-	// what makes the fence barrier sound: after ctlBarrier drains the
-	// queue, no pre-fence write can still be in flight.
+	// what makes the fence barrier sound: after a barrier drains the queue,
+	// no pre-fence write can still be in flight.
 	owns func(key uint64) (moved bool, epoch uint64, addr string)
 }
 
@@ -215,7 +163,7 @@ type shard struct {
 	replAck         atomic.Uint64 // primary: newest sequence the replica acked
 	degradedAcks    atomic.Uint64 // writes acked without replica coverage
 	replApplied     atomic.Uint64 // records applied from the replication feed
-	replDups        atomic.Uint64 // already-applied records skipped by ctlApply
+	replDups        atomic.Uint64 // already-applied records skipped by applyRecords
 	replGaps        atomic.Uint64 // out-of-order apply batches refused
 	replayed        atomic.Uint64 // records replayed from the log at open
 	laggingReads    atomic.Uint64 // GETs refused because the gate token was ahead
@@ -272,11 +220,7 @@ func (sh *shard) open() error {
 		// The load path healed a corrupt image from parity on the way up:
 		// the media fault is already fixed, account and leave a trail.
 		sh.pagesRepaired.Add(n)
-		if sh.cfg.trigger != nil {
-			sh.cfg.trigger(TriggerMediaRepair,
-				fmt.Sprintf("shard %d reconstructed %d page(s) from parity during recovery", sh.cfg.id, n))
-		}
-		sh.logf("server: shard %d: repaired %d corrupt page(s) from parity on open", sh.cfg.id, n)
+		sh.mediaIncident(fmt.Sprintf("shard %d reconstructed %d page(s) from parity during recovery", sh.cfg.id, n))
 	}
 	rep := pmem.Fsck(ctx.Pool)
 	for _, issue := range rep.Issues {
@@ -336,6 +280,7 @@ func (sh *shard) replayOplog() error {
 		return fmt.Errorf("oplog: %w", err)
 	}
 	recs := sh.cfg.oplog.Since(0, 0)
+	// Direct and uncounted: the log holds these already, and puts/dels counted them.
 	for _, rec := range recs {
 		switch rec.Op {
 		case repl.RecPut:
@@ -523,12 +468,14 @@ func (sh *shard) salvage() (ok bool) {
 // run is the worker loop: block for one request, then drain a small batch
 // from the queue without blocking, process it, and publish once — queueing
 // amortizes the checkpoint cadence and the metric publication. When the
-// queue closes it drains the remainder and writes the final checkpoint
-// (unless aborting), so a clean return means the shard is durable.
+// queue closes it writes the final checkpoint (unless aborting), so a clean
+// return means the shard is durable. A receive reports a closed queue only
+// once the queue is also empty, and nothing sends after the close (Close and
+// Abort wait out the connection handlers, the follower, the migrations and
+// the background loops first), so the loop's exit leaves nothing to drain.
 func (sh *shard) run() {
 	const maxBatch = 64
-	open := true
-	for open {
+	for {
 		req, ok := <-sh.queue
 		if !ok {
 			break
@@ -540,8 +487,7 @@ func (sh *shard) run() {
 			select {
 			case r, ok := <-sh.queue:
 				if !ok {
-					open = false
-					break drain
+					break drain // the outer receive sees the close next
 				}
 				sh.pending = append(sh.pending, r)
 			default:
@@ -562,13 +508,6 @@ func (sh *shard) run() {
 		sh.pendIdx = 0
 		sh.publishLog()
 		sh.afterBatch(n)
-	}
-	// Drain whatever arrived between the last receive and queue close.
-	for req := range sh.queue {
-		sh.pending = append(sh.pending[:0], req)
-		sh.pendIdx = 0
-		sh.handle(req)
-		sh.pending = sh.pending[:0]
 	}
 	if !sh.abort.Load() {
 		_ = sh.checkpoint()
@@ -601,173 +540,208 @@ func (sh *shard) heal() {
 	}
 }
 
-// handle executes one request and delivers its reply.
+// call is the one way control work gets onto the worker: fn runs on the
+// worker goroutine, in queue order between data requests, with the engine
+// state to itself, and call returns its reply. Control work bypasses
+// admission control — the send blocks until the queue takes it — unless stop
+// closes first, in which case nothing was queued and call reports false (a
+// nil stop never gives up).
+func (sh *shard) call(stop <-chan struct{}, fn func(*shard) Reply) (Reply, bool) {
+	select {
+	case <-stop:
+		return Reply{}, false
+	default:
+	}
+	resp := make(chan Reply, 1)
+	select {
+	case sh.queue <- &request{do: fn, resp: resp}:
+		return <-resp, true
+	case <-stop:
+		return Reply{}, false
+	}
+}
+
+// barrier is a no-op the fence path uses to drain the worker: once it
+// answers, every data operation admitted before the fence flag was set has
+// fully executed (the worker is the serializer).
+func (sh *shard) barrier() Reply { return Reply{Status: StatusOK} }
+
+// checkpointNow is the explicit durability barrier (the CHECKPOINT op, and
+// the seal of a replica re-seed).
+func (sh *shard) checkpointNow() Reply {
+	if err := sh.checkpoint(); err != nil {
+		return Reply{Status: StatusInternal}
+	}
+	return Reply{Status: StatusOK}
+}
+
+// powerCut is the injected power loss: roll back to the last checkpoint.
+func (sh *shard) powerCut() Reply {
+	sh.crashAndRecover()
+	return Reply{Status: StatusOK}
+}
+
+// kill makes the worker panic — the injected software crash the supervisor
+// must catch, repair, and restart from. The supervisor answers this request
+// (UNAVAILABLE, via failPending).
+func (sh *shard) kill() Reply { panic(errWorkerKilled) }
+
+// handle runs one request on the worker: control work in place, a data
+// request through refuse → execute → account → deliver.
 func (sh *shard) handle(req *request) {
-	switch req.ctl {
-	case ctlCheckpoint:
-		if err := sh.checkpoint(); err != nil {
-			req.resp <- Reply{Status: StatusInternal}
-			return
-		}
-		req.resp <- Reply{Status: StatusOK}
-		return
-	case ctlCrash:
-		sh.crashAndRecover()
-		req.resp <- Reply{Status: StatusOK}
-		return
-	case ctlPanic:
-		// The injected software crash: the supervisor answers this request
-		// (UNAVAILABLE, via failPending) and restarts the worker.
-		panic(errWorkerKilled)
-	case ctlWedge:
-		time.Sleep(req.wedge)
-		req.resp <- Reply{Status: StatusOK}
-		return
-	case ctlScrub:
-		sh.scrub()
-		req.resp <- Reply{Status: StatusOK}
-		return
-	case ctlApply:
-		var applyStart time.Time
-		if sh.cfg.spans != nil {
-			applyStart = time.Now()
-		}
-		rep := sh.applyRecords(req.recs)
-		if sh.cfg.spans != nil {
-			sh.cfg.spans.RecordTimed(0, StageReplApply, sh.cfg.id, "apply", 0, applyStart, time.Since(applyStart))
-		}
-		req.resp <- rep
-		return
-	case ctlSnapshot:
-		req.resp <- sh.snapshotChunk(req)
-		return
-	case ctlIngest:
-		req.resp <- sh.ingest(req.recs)
-		return
-	case ctlBarrier:
-		req.resp <- Reply{Status: StatusOK}
-		return
-	case ctlPurge:
-		req.resp <- sh.purgeSlot(req.slot, req.slots)
-		return
-	case ctlReseedBegin:
-		req.resp <- sh.reseedBegin(req.value)
-		return
-	case ctlReseedChunk:
-		for _, rec := range req.recs {
-			sh.st.Set(rec.Key, rec.Value)
-		}
-		sh.reseedKeys.Add(uint64(len(req.recs)))
-		req.resp <- Reply{Status: StatusOK}
+	if req.do != nil {
+		req.resp <- req.do(sh)
 		return
 	}
 	if sh.cfg.sched != nil && sh.cfg.sched.Hit(CrashPointOp) {
 		sh.crashAndRecover()
 	}
-	// Stage timing: sampled requests record spans; with a slow-op threshold
-	// every data request is timed (cheaply — two clock reads) so a slow one
-	// can report its breakdown even when unsampled.
-	timed := sh.cfg.spans != nil && !req.start.IsZero() && (req.sampled || sh.cfg.slowOp > 0)
+	// Stage timing (a zero execStart means untimed): sampled requests record
+	// spans; with a slow-op threshold every data request is timed (cheaply —
+	// two clock reads) so a slow one can report its breakdown even unsampled.
 	var execStart time.Time
-	if timed {
+	if sh.cfg.spans != nil && !req.start.IsZero() && (req.sampled || sh.cfg.slowOp > 0) {
 		execStart = time.Now()
-		if req.sampled {
-			sh.cfg.spans.RecordTimed(req.trace, StageQueueWait, sh.cfg.id, opName(req.op), req.key,
-				req.start, execStart.Sub(req.start))
-		}
-	}
-	if !req.deadline.IsZero() && sh.cfg.clock.Now().After(req.deadline) {
-		sh.deadlineDrops.Add(1)
-		req.resp <- Reply{Status: StatusDeadline}
-		return
-	}
-	if sh.cfg.owns != nil && (req.op == OpGet || req.op == OpPut || req.op == OpDelete) {
-		if moved, epoch, addr := sh.cfg.owns(req.key); moved {
-			sh.moved.Add(1)
-			req.resp <- Reply{Status: StatusMoved, Epoch: epoch, Addr: addr}
-			return
-		}
-	}
-	if sh.cfg.oplog != nil {
-		// A replica only mutates through the replication feed: plain client
-		// writes bounce with READONLY so a failover client rotates away.
-		if (req.op == OpPut || req.op == OpDelete) && sh.roleIs(RoleReplica) {
-			sh.readOnlyRejects.Add(1)
-			req.resp <- Reply{Status: StatusReadOnly}
-			return
-		}
-		// Fencing: a primary whose replica has gone silent past FenceAfter
-		// stops taking writes (READONLY, so a failover client rotates to the
-		// promoted replica) instead of diverging into a second writable copy.
-		if (req.op == OpPut || req.op == OpDelete) && sh.roleIs(RolePrimary) &&
-			sh.cfg.fenced != nil && sh.cfg.fenced() {
-			sh.fencedWrites.Add(1)
-			if sh.cfg.trigger != nil {
-				sh.cfg.trigger(TriggerFencing,
-					fmt.Sprintf("shard %d refused a write while self-fenced (replica silent)", sh.cfg.id))
-			}
-			req.resp <- Reply{Status: StatusReadOnly}
-			return
-		}
-		// Read-your-writes gate: refuse to serve a read older than the
-		// client's token instead of silently returning stale data.
-		if req.op == OpGet && req.gate > sh.applied.Load() {
-			sh.laggingReads.Add(1)
-			req.resp <- Reply{Status: StatusLagging}
-			return
-		}
 	}
 	var rep Reply
-	rep.Status = StatusOK
 	var appendDur time.Duration
+	refused := sh.refuse(req, &rep)
+	if !refused {
+		appendDur = sh.execute(req, &rep, !execStart.IsZero())
+	}
+	sh.account(req, refused, execStart, appendDur)
+	sh.deliver(req, rep)
+}
+
+// refuse runs the checks that can turn a data request away before it
+// touches the store — deadline, slot ownership, replica read-only,
+// self-fence, seq gate, in that order, each with its own counter — and
+// reports whether one did, leaving the refusal in rep. They run here, on
+// the worker, not at dispatch: that is what makes the fence barrier sound
+// (shardConfig.owns).
+func (sh *shard) refuse(req *request, rep *Reply) bool {
+	write := req.op == OpPut || req.op == OpDelete
+	if !req.deadline.IsZero() && sh.cfg.clock.Now().After(req.deadline) {
+		sh.deadlineDrops.Add(1)
+		rep.Status = StatusDeadline
+		return true
+	}
+	if sh.cfg.owns != nil && (write || req.op == OpGet) {
+		if moved, epoch, addr := sh.cfg.owns(req.key); moved {
+			sh.moved.Add(1)
+			rep.Status, rep.Epoch, rep.Addr = StatusMoved, epoch, addr
+			return true
+		}
+	}
+	if sh.cfg.oplog == nil {
+		return false
+	}
+	// A replica only mutates through the replication feed: plain client
+	// writes bounce with READONLY so a failover client rotates away.
+	if write && sh.roleIs(RoleReplica) {
+		sh.readOnlyRejects.Add(1)
+		rep.Status = StatusReadOnly
+		return true
+	}
+	// Fencing: a primary whose replica has gone silent past FenceAfter
+	// stops taking writes (READONLY, so a failover client rotates to the
+	// promoted replica) instead of diverging into a second writable copy.
+	if write && sh.roleIs(RolePrimary) && sh.cfg.fenced != nil && sh.cfg.fenced() {
+		sh.fencedWrites.Add(1)
+		if sh.cfg.trigger != nil {
+			sh.cfg.trigger(TriggerFencing,
+				fmt.Sprintf("shard %d refused a write while self-fenced (replica silent)", sh.cfg.id))
+		}
+		rep.Status = StatusReadOnly
+		return true
+	}
+	// Read-your-writes gate: refuse to serve a read older than the client's
+	// token instead of silently returning stale data.
+	if req.op == OpGet && req.gate > sh.applied.Load() {
+		sh.laggingReads.Add(1)
+		rep.Status = StatusLagging
+		return true
+	}
+	return false
+}
+
+// execute runs the operation against the store, leaving its result in rep,
+// and returns how long the op-log append took (zero unless timed).
+func (sh *shard) execute(req *request, rep *Reply, timed bool) (appendDur time.Duration) {
 	switch req.op {
 	case OpGet:
 		rep.Value, rep.Found = sh.st.Get(req.key)
 		sh.gets.Add(1)
 	case OpPut:
-		// Write-ahead order: the record enters the log before the store
-		// mutates, so a recovered shard never holds an unlogged write.
-		if sh.cfg.oplog != nil {
-			var appendStart time.Time
-			if timed {
-				appendStart = time.Now()
-			}
-			rec := sh.cfg.oplog.Append(repl.RecPut, req.key, req.value)
-			if timed {
-				appendDur = time.Since(appendStart)
-			}
-			rep.Shard, rep.Seq = uint32(sh.cfg.id), rec.Seq
-		}
-		sh.st.Set(req.key, req.value)
-		sh.puts.Add(1)
-		if rep.Seq != 0 {
-			sh.applied.Store(rep.Seq)
-		}
+		rep.Seq, _, appendDur = sh.write(repl.RecPut, req.key, req.value, timed)
 	case OpDelete:
-		if sh.cfg.oplog != nil {
-			var appendStart time.Time
-			if timed {
-				appendStart = time.Now()
-			}
-			rec := sh.cfg.oplog.Append(repl.RecDelete, req.key, 0)
-			if timed {
-				appendDur = time.Since(appendStart)
-			}
-			rep.Shard, rep.Seq = uint32(sh.cfg.id), rec.Seq
-		}
-		rep.Found, _ = sh.st.Delete(req.key)
-		sh.dels.Add(1)
-		if rep.Seq != 0 {
-			sh.applied.Store(rep.Seq)
-		}
+		rep.Seq, rep.Found, appendDur = sh.write(repl.RecDelete, req.key, 0, timed)
 	case OpScan:
-		rep.Pairs = make([]KV, 0, req.limit)
+		pairs := make([]KV, 0, req.limit) // a local, so that only a SCAN's reply is captured
 		sh.st.ScanVisit(req.key, req.limit, func(k, v uint64) {
-			rep.Pairs = append(rep.Pairs, KV{Key: k, Value: v})
+			pairs = append(pairs, KV{Key: k, Value: v})
 		})
+		rep.Pairs = pairs
 		sh.scans.Add(1)
 	default:
-		rep = Reply{Status: StatusBadRequest}
+		rep.Status = StatusBadRequest
+	}
+	if rep.Seq != 0 {
+		rep.Shard = uint32(sh.cfg.id)
+	}
+	return appendDur
+}
+
+// write is the only way the shard takes a new mutation — a client PUT or
+// DELETE, a migrated record, a slot purge — and it takes it in write-ahead
+// order: the record enters the log, then the store mutates, then the applied
+// sequence advances, so a recovered shard never holds an unlogged write. It
+// returns the sequence the log assigned (zero on a shard that keeps no log),
+// whether a delete found its key, and, when timed, how long the append took.
+func (sh *shard) write(op byte, key, value uint64, timed bool) (seq uint64, found bool, appendDur time.Duration) {
+	if sh.cfg.oplog != nil {
+		var appendStart time.Time
+		if timed {
+			appendStart = time.Now()
+		}
+		seq = sh.cfg.oplog.Append(op, key, value).Seq
+		if timed {
+			appendDur = time.Since(appendStart)
+		}
+	}
+	found = sh.apply(op, key, value)
+	if seq != 0 {
+		sh.applied.Store(seq)
+	}
+	return seq, found, appendDur
+}
+
+// apply is the record-to-store step, shared by new writes and the replication
+// feed: mutate the store and count the operation.
+func (sh *shard) apply(op byte, key, value uint64) (found bool) {
+	switch op {
+	case repl.RecPut:
+		sh.st.Set(key, value)
+		sh.puts.Add(1)
+	case repl.RecDelete:
+		found, _ = sh.st.Delete(key)
+		sh.dels.Add(1)
+	}
+	return found
+}
+
+// account records what an executed request cost: the queue_wait,
+// oplog_append and execute spans of a sampled one, the slow-op wide event,
+// and the latency histogram. A refused request keeps only its queue_wait
+// span. execStart is zero when the request is untimed.
+func (sh *shard) account(req *request, refused bool, execStart time.Time, appendDur time.Duration) {
+	timed := !execStart.IsZero()
+	if timed && req.sampled {
+		sh.cfg.spans.RecordTimed(req.trace, StageQueueWait, sh.cfg.id, opName(req.op), req.key,
+			req.start, execStart.Sub(req.start))
+	}
+	if refused {
+		return
 	}
 	sh.ops.Add(1)
 	if timed {
@@ -807,7 +781,6 @@ func (sh *shard) handle(req *request) {
 	if sh.cfg.latency != nil && !req.start.IsZero() {
 		sh.cfg.latency.Observe(uint64(time.Since(req.start).Microseconds()))
 	}
-	sh.deliver(req, rep)
 }
 
 // roleIs reports whether the server's published role matches r.
@@ -852,6 +825,11 @@ func (sh *shard) deliver(req *request, rep Reply) {
 // primary then simply retains (and re-ships nothing of) the tail until a
 // later flush succeeds and a higher ack arrives.
 func (sh *shard) applyRecords(recs []repl.Record) Reply {
+	if spans := sh.cfg.spans; spans != nil {
+		defer func(start time.Time) {
+			spans.RecordTimed(0, StageReplApply, sh.cfg.id, "apply", 0, start, time.Since(start))
+		}(time.Now())
+	}
 	applied := sh.applied.Load()
 	appended := false
 	fail := func() Reply {
@@ -873,14 +851,7 @@ func (sh *shard) applyRecords(recs []repl.Record) Reply {
 			return fail()
 		}
 		appended = true
-		switch rec.Op {
-		case repl.RecPut:
-			sh.st.Set(rec.Key, rec.Value)
-			sh.puts.Add(1)
-		case repl.RecDelete:
-			sh.st.Delete(rec.Key)
-			sh.dels.Add(1)
-		}
+		sh.apply(rec.Op, rec.Key, rec.Value)
 		applied = rec.Seq
 		sh.applied.Store(applied)
 		sh.replApplied.Add(1)
@@ -903,28 +874,28 @@ func (sh *shard) applyRecords(recs []repl.Record) Reply {
 	return Reply{Status: StatusOK, Shard: uint32(sh.cfg.id), Seq: ack}
 }
 
-// snapshotChunk serves one migration snapshot chunk: scan live pairs from
-// the key cursor in req.key, keep those in slot req.slot (SlotAll keeps
-// everything — the re-seed path), and stop after req.limit kept pairs. The
+// snapshotChunk serves one OpMigSnapshot chunk — the donor half of
+// migration and the primary half of a replica re-seed: scan live pairs from
+// the key cursor, keep those in cluster slot slot of slots (SlotAll keeps
+// everything — the re-seed path), and stop after limit kept pairs. The
 // reply's Seq is the cursor the next chunk resumes from; Found set means
 // the store is exhausted and the transfer is complete. The raw scan is
 // chunked so a sparse slot cannot pin the worker for a whole store walk,
 // and the cursor only ever advances past fully consumed keys, so nothing
 // between chunks is skipped.
-func (sh *shard) snapshotChunk(req *request) Reply {
-	rep := Reply{Status: StatusOK, Pairs: make([]KV, 0, req.limit)}
+func (sh *shard) snapshotChunk(cursor uint64, limit int, slot uint32, slots int) Reply {
+	rep := Reply{Status: StatusOK, Pairs: make([]KV, 0, limit)}
 	const raw = 512
-	cursor := req.key
 	for {
 		var lastConsumed uint64
 		consumed := 0
 		n := sh.st.ScanVisit(cursor, raw, func(k, v uint64) {
-			if len(rep.Pairs) >= req.limit {
+			if len(rep.Pairs) >= limit {
 				return // full: leave this key for the next chunk
 			}
 			lastConsumed = k
 			consumed++
-			if req.slot == SlotAll || cluster.SlotFor(k, req.slots) == int(req.slot) {
+			if slot == SlotAll || cluster.SlotFor(k, slots) == int(slot) {
 				rep.Pairs = append(rep.Pairs, KV{Key: k, Value: v})
 			}
 		})
@@ -937,49 +908,35 @@ func (sh *shard) snapshotChunk(req *request) Reply {
 			return rep
 		}
 		cursor = lastConsumed + 1
-		if len(rep.Pairs) >= req.limit {
+		if len(rep.Pairs) >= limit {
 			rep.Seq = cursor
 			return rep
 		}
 	}
 }
 
-// ingest applies transferred records as fresh local writes: each is
-// re-logged under this shard's own sequence space (write-ahead, like a
-// client write), because migrated keys hash onto the acceptor's shards
-// independently of the donor's. Per-key order is preserved — a key lives
-// in exactly one donor shard and its records arrive in donor-log order.
+// ingest applies transferred records as fresh local writes — the acceptor
+// half of migration: each is re-logged under this shard's own sequence
+// space (write-ahead, like a client write), because migrated keys hash onto
+// the acceptor's shards independently of the donor's. Per-key order is
+// preserved — a key lives in exactly one donor shard and its records arrive
+// in donor-log order.
 func (sh *shard) ingest(recs []repl.Record) Reply {
 	for _, rec := range recs {
-		var seq uint64
-		switch rec.Op {
-		case repl.RecPut:
-			if sh.cfg.oplog != nil {
-				seq = sh.cfg.oplog.Append(repl.RecPut, rec.Key, rec.Value).Seq
-			}
-			sh.st.Set(rec.Key, rec.Value)
-			sh.puts.Add(1)
-		case repl.RecDelete:
-			if sh.cfg.oplog != nil {
-				seq = sh.cfg.oplog.Append(repl.RecDelete, rec.Key, 0).Seq
-			}
-			sh.st.Delete(rec.Key)
-			sh.dels.Add(1)
-		default:
+		if rec.Op != repl.RecPut && rec.Op != repl.RecDelete {
 			continue
 		}
-		if seq != 0 {
-			sh.applied.Store(seq)
-		}
+		sh.write(rec.Op, rec.Key, rec.Value, false)
 		sh.ingested.Add(1)
 		sh.sinceCkpt++
 	}
 	return Reply{Status: StatusOK}
 }
 
-// purgeSlot reclaims a migrated slot on the donor: every live key of the
-// slot is deleted through the normal logged path, so recovery and a
-// replica (if any) see the reclamation like any other write.
+// purgeSlot reclaims a migrated slot on the donor: every live key of
+// cluster slot slot (of slots) is deleted through the normal logged path,
+// so recovery and a replica (if any) see the reclamation like any other
+// write.
 func (sh *shard) purgeSlot(slot uint32, slots int) Reply {
 	var keys []uint64
 	sh.rb.Scan(0, math.MaxInt32, func(k, v uint64) {
@@ -988,12 +945,7 @@ func (sh *shard) purgeSlot(slot uint32, slots int) Reply {
 		}
 	})
 	for _, k := range keys {
-		if sh.cfg.oplog != nil {
-			rec := sh.cfg.oplog.Append(repl.RecDelete, k, 0)
-			sh.applied.Store(rec.Seq)
-		}
-		sh.st.Delete(k)
-		sh.dels.Add(1)
+		sh.write(repl.RecDelete, k, 0, false)
 		sh.sinceCkpt++
 	}
 	sh.purged.Add(uint64(len(keys)))
@@ -1002,12 +954,12 @@ func (sh *shard) purgeSlot(slot uint32, slots int) Reply {
 }
 
 // reseedBegin wipes the shard for a replica re-seed: delete every live
-// pair without logging (the pre-reseed history is being discarded, not
-// replayed), restart the log's sequence space at the snapshot watermark,
-// and checkpoint so a crash cannot resurrect the divergent state.
+// pair, restart the log's sequence space at the snapshot watermark, and
+// checkpoint so a crash cannot resurrect the divergent state.
 func (sh *shard) reseedBegin(watermark uint64) Reply {
 	var keys []uint64
 	sh.rb.Scan(0, math.MaxInt32, func(k, v uint64) { keys = append(keys, k) })
+	// Direct, unlogged, uncounted: this history is discarded (ResetTo), not replayed.
 	for _, k := range keys {
 		sh.st.Delete(k)
 	}
@@ -1024,11 +976,21 @@ func (sh *shard) reseedBegin(watermark uint64) Reply {
 	return Reply{Status: StatusOK}
 }
 
-// scrub is the online Pangolin-style check: fsck the live pool between
+// reseedChunk installs one snapshot chunk of a re-seed.
+func (sh *shard) reseedChunk(pairs []KV) Reply {
+	// Direct, unlogged, uncounted: the ResetTo watermark stands for the pairs' history.
+	for _, kv := range pairs {
+		sh.st.Set(kv.Key, kv.Value)
+	}
+	sh.reseedKeys.Add(uint64(len(pairs)))
+	return Reply{Status: StatusOK}
+}
+
+// scrubNow is the online Pangolin-style check: fsck the live pool between
 // requests and reclaim any repairable residue before it can compound,
 // then (with parity armed) scrub-and-repair the stored images against
 // their parity sidecars — the media leg that catches bit rot at rest.
-func (sh *shard) scrub() {
+func (sh *shard) scrubNow() Reply {
 	sh.scrubs.Add(1)
 	rep := pmem.Fsck(sh.ctx.Pool)
 	sh.scrubIssues.Add(uint64(len(rep.Issues)))
@@ -1040,6 +1002,7 @@ func (sh *shard) scrub() {
 	if sh.cfg.parity.Enabled && sh.cfg.store != nil {
 		sh.scrubMedia()
 	}
+	return Reply{Status: StatusOK}
 }
 
 // scrubMedia runs one scrub-and-repair pass over every stored image the
@@ -1061,12 +1024,8 @@ func (sh *shard) scrubMedia() {
 		}
 		if len(rep.Unrecoverable) > 0 || (rep.Err != "" && !rep.ImageOK) {
 			sh.mediaUnrecoverable.Add(uint64(max(len(rep.Unrecoverable), 1)))
-			detail := fmt.Sprintf("shard %d pool %q: unrecoverable media damage: %d rangelet(s), err=%q",
-				sh.cfg.id, p.Name(), len(rep.Unrecoverable), rep.Err)
-			if sh.cfg.trigger != nil {
-				sh.cfg.trigger(TriggerMediaRepair, detail)
-			}
-			sh.logf("server: %s", detail)
+			sh.mediaIncident(fmt.Sprintf("shard %d pool %q: unrecoverable media damage: %d rangelet(s), err=%q",
+				sh.cfg.id, p.Name(), len(rep.Unrecoverable), rep.Err))
 			continue
 		}
 		if len(rep.Repaired) > 0 {
@@ -1077,14 +1036,19 @@ func (sh *shard) scrubMedia() {
 			if sh.cfg.repairLatency != nil {
 				sh.cfg.repairLatency.Observe(uint64(time.Since(start).Microseconds()))
 			}
-			detail := fmt.Sprintf("shard %d pool %q: scrub reconstructed %d page(s) from parity (bad=%v)",
-				sh.cfg.id, p.Name(), len(rep.Repaired), rep.BadPages)
-			if sh.cfg.trigger != nil {
-				sh.cfg.trigger(TriggerMediaRepair, detail)
-			}
-			sh.logf("server: %s", detail)
+			sh.mediaIncident(fmt.Sprintf("shard %d pool %q: scrub reconstructed %d page(s) from parity (bad=%v)",
+				sh.cfg.id, p.Name(), len(rep.Repaired), rep.BadPages))
 		}
 	}
+}
+
+// mediaIncident leaves a media fault's trail: an incident dump (when a
+// flight recorder is attached) and a log line.
+func (sh *shard) mediaIncident(detail string) {
+	if sh.cfg.trigger != nil {
+		sh.cfg.trigger(TriggerMediaRepair, detail)
+	}
+	sh.logf("server: %s", detail)
 }
 
 // afterBatch publishes counters and runs the periodic checkpoint.
@@ -1155,7 +1119,7 @@ func (sh *shard) crashAndRecover() {
 		// Fail them now (clients retry) so a later replica ack for a reused
 		// sequence cannot release an ack for a write that no longer exists.
 		// recoverWorker also fails holds, but this path is reached directly
-		// by ctlCrash and the fault scheduler without a worker panic.
+		// by powerCut and the fault scheduler without a worker panic.
 		sh.waiter.failHeld()
 	}
 	sh.ctx, sh.st, sh.rb = nil, nil, nil

@@ -8,11 +8,12 @@ build:
 test:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./... && $(MAKE) fuzz
 
-# Short fuzz smoke over both halves of the wire codec; verify.sh runs the
-# same legs.
+# Short fuzz smoke over both halves of the wire codec and the incremental
+# image checksum; verify.sh runs the same legs.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeReply -fuzztime=10s ./internal/server/
+	$(GO) test -run='^$$' -fuzz=FuzzImageChecksum -fuzztime=10s ./internal/pmem/
 
 # Full gate: build + vet + race-enabled tests (fault matrix and crash
 # sweep included). CI and pre-merge runs use this.

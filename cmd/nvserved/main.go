@@ -97,7 +97,7 @@ func main() {
 	mode := flag.String("mode", "hw", "reference model: explicit, sw, hw (volatile pointers cannot survive recovery)")
 	poolSize := flag.Uint64("pool-size", 32<<20, "per-shard pool size in bytes")
 	queueDepth := flag.Int("queue-depth", 128, "per-shard bounded queue depth")
-	ckptEvery := flag.Int("checkpoint-every", 8192, "operations between shard checkpoints (negative: only at shutdown)")
+	ckptEvery := flag.Int("checkpoint-every", 8192, "mutations between shard checkpoints (negative: only at shutdown)")
 	httpAddr := flag.String("http", "", "serve /metrics, /metrics.json and /debug/pprof on this address")
 	admitWait := flag.Duration("admit-wait", 50*time.Millisecond, "max wait for space in a full shard queue before shedding (negative: shed immediately)")
 	wedgeTimeout := flag.Duration("wedge-timeout", 2*time.Second, "declare a shard wedged after this long without progress on queued work (negative: disable watchdog)")

@@ -55,7 +55,8 @@ type LoadSpec struct {
 	Shards   int
 	Mode     rt.Mode
 	PoolSize uint64
-	// CheckpointEvery is the per-shard checkpoint cadence.
+	// CheckpointEvery is the per-shard checkpoint cadence: a checkpoint
+	// after that many mutations.
 	CheckpointEvery int
 	// NetFaultEvery injects one network fault (drop/truncate/delay) per
 	// that many client conn I/O calls during the closed loop (0 keeps the

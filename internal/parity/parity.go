@@ -9,10 +9,11 @@
 // parity page together — is reported as an explicit unrecoverable overlap.
 //
 // Parity is maintained incrementally: on flush the caller hands over the
-// previous image and only the pages whose checksum changed are folded into
-// their rangelet's parity via old XOR new, so write amplification stays
-// bounded by ceil(dirty pages / rangelet) extra parity-page writes rather
-// than a full-image rebuild.
+// previous image, the list of pages whose bytes changed (Dirty) and the new
+// image's checksum, and only those pages are folded into their rangelet's
+// parity via old XOR new, so write amplification stays bounded by
+// ceil(dirty pages / rangelet) extra parity-page writes rather than a
+// full-image rebuild.
 //
 // The whole table — geometry, per-page CRCs, parity pages — serializes
 // into a self-checksummed sidecar blob stored next to the pool image. The
@@ -23,6 +24,7 @@ package parity
 
 import (
 	"bytes"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -71,6 +73,9 @@ func (p Policy) normalized() Policy {
 	return p
 }
 
+// PageBytes returns the repair granule in bytes.
+func (p Policy) PageBytes() int { return p.normalized().PageSize }
+
 // PagesFor returns how many data pages an image of the given size spans.
 func (p Policy) PagesFor(size int) int {
 	p = p.normalized()
@@ -109,11 +114,11 @@ type Sidecar struct {
 	Parity        [][]byte // one PageSize buffer per rangelet
 }
 
-// UpdateStats reports the cost of one incremental Update call; the ratio
+// UpdateStats reports the cost of one incremental Fold; the ratio
 // ParityPageWrites/DirtyPages is the parity write amplification.
 type UpdateStats struct {
 	Rebuilt          bool // geometry changed; full rebuild instead of delta
-	DirtyPages       int  // data pages whose checksum changed
+	DirtyPages       int  // data pages whose bytes changed
 	ParityPageWrites int  // parity pages rewritten (distinct rangelets touched)
 }
 
@@ -173,11 +178,7 @@ func (s *Sidecar) page(data []byte, i int) (pg []byte, padded bool) {
 	return buf, true
 }
 
-func xorInto(dst, src []byte) {
-	for i := range src {
-		dst[i] ^= src[i]
-	}
-}
+func xorInto(dst, src []byte) { subtle.XORBytes(dst, dst, src) }
 
 // Build computes a full parity table for data under the given policy.
 func Build(data []byte, pol Policy) *Sidecar {
@@ -207,38 +208,61 @@ func Build(data []byte, pol Policy) *Sidecar {
 	return s
 }
 
-// Update folds the difference between old (the image this sidecar
-// currently describes) and next into the parity table incrementally:
-// only pages whose checksum changed are XOR-ed (old then new) into their
-// rangelet's parity page. If the image size changed the table is rebuilt
-// from scratch instead.
-func (s *Sidecar) Update(old, next []byte) UpdateStats {
+// Dirty lists, in ascending order, the pages of pageSize bytes (the last
+// one possibly short) in which old and next differ by exact byte comparison
+// — the one definition of a changed page that both the image checksum and
+// the parity delta work from. old and next must be the same length.
+func Dirty(old, next []byte, pageSize int) []int {
+	var dirty []int
+	for i, lo := 0, 0; lo < len(next); i, lo = i+1, lo+pageSize {
+		hi := min(lo+pageSize, len(next))
+		if !bytes.Equal(old[lo:hi], next[lo:hi]) {
+			dirty = append(dirty, i)
+		}
+	}
+	return dirty
+}
+
+// Fold moves the table from old, the image it currently describes, to next,
+// whose ImageSum is sum. dirty must list, in ascending order, every page in
+// which the two differ (Dirty); only those pages are XOR-ed (old then new)
+// into their rangelet's parity page and re-checksummed. If the image size
+// changed the table is rebuilt from next instead.
+func (s *Sidecar) Fold(old, next []byte, dirty []int, sum uint64) UpdateStats {
 	if len(old) != s.ImageSize || len(next) != s.ImageSize {
 		*s = *Build(next, s.policy())
 		return UpdateStats{Rebuilt: true}
 	}
-	var st UpdateStats
-	touched := make(map[int]struct{})
-	for i := range s.CRCs {
-		pg, _ := s.page(next, i)
-		c := crc32.ChecksumIEEE(pg)
-		if c == s.CRCs[i] {
-			continue
-		}
-		opg, _ := s.page(old, i)
+	st := UpdateStats{DirtyPages: len(dirty)}
+	for _, i := range dirty {
+		lo, hi := i*s.PageSize, min((i+1)*s.PageSize, len(next))
 		r := i / s.RangeletPages
-		xorInto(s.Parity[r], opg)
-		xorInto(s.Parity[r], pg)
-		s.CRCs[i] = c
-		st.DirtyPages++
-		touched[r] = struct{}{}
+		// A short last page XORs only its bytes: the same as its zero padding.
+		xorInto(s.Parity[r], old[lo:hi])
+		xorInto(s.Parity[r], next[lo:hi])
+		pg, _ := s.page(next, i)
+		s.CRCs[i] = crc32.ChecksumIEEE(pg)
 	}
-	for r := range touched {
-		s.ParityCRCs[r] = crc32.ChecksumIEEE(s.Parity[r])
+	prev := -1
+	for _, i := range dirty {
+		if r := i / s.RangeletPages; r != prev {
+			s.ParityCRCs[r] = crc32.ChecksumIEEE(s.Parity[r])
+			st.ParityPageWrites++
+			prev = r
+		}
 	}
-	st.ParityPageWrites = len(touched)
-	s.Image = ImageSum(next)
+	s.Image = sum
 	return st
+}
+
+// Update is Fold for a caller holding only the two images: the dirty pages
+// are found by byte comparison and next's checksum is computed in full.
+func (s *Sidecar) Update(old, next []byte) UpdateStats {
+	var dirty []int
+	if len(old) == s.ImageSize && len(next) == s.ImageSize {
+		dirty = Dirty(old, next, s.PageSize)
+	}
+	return s.Fold(old, next, dirty, ImageSum(next))
 }
 
 // Verify enumerates every data page whose checksum no longer matches —

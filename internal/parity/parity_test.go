@@ -2,9 +2,11 @@ package parity
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -84,23 +86,36 @@ func TestUpdateDeltaMatchesRebuild(t *testing.T) {
 	cases := []struct {
 		name       string
 		dirty      []int // page indices to mutate
+		residue    []int // page indices given two CRC-colliding contents
 		wantDirty  int
 		wantParity int // distinct rangelets touched
 	}{
-		{"single-page", []int{2}, 1, 1},
-		{"two-pages-one-rangelet", []int{0, 3}, 2, 1},
-		{"two-rangelets", []int{1, 6}, 2, 2},
-		{"every-rangelet", []int{0, 4, 8}, 3, 3},
-		{"partial-last-page", []int{9}, 1, 1},
-		{"no-change", nil, 0, 0},
+		{"single-page", []int{2}, nil, 1, 1},
+		{"two-pages-one-rangelet", []int{0, 3}, nil, 2, 1},
+		{"two-rangelets", []int{1, 6}, nil, 2, 2},
+		{"every-rangelet", []int{0, 4, 8}, nil, 3, 3},
+		{"partial-last-page", []int{9}, nil, 1, 1},
+		{"no-change", nil, nil, 0, 0},
+		{"equal-page-crc", nil, []int{5}, 1, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			old := fill(64*9+17, 3) // 10 pages (last partial), 3 rangelets
+			for _, pg := range tc.residue {
+				crcResidue(old[pg*pol.PageSize : (pg+1)*pol.PageSize])
+			}
 			s := Build(old, pol)
 			next := append([]byte(nil), old...)
 			for _, pg := range tc.dirty {
 				next[pg*pol.PageSize] ^= 0xff
+			}
+			for _, pg := range tc.residue {
+				p := next[pg*pol.PageSize : (pg+1)*pol.PageSize]
+				p[0] ^= 0xff
+				crcResidue(p)
+				if crcOf(p) != s.CRCs[pg] {
+					t.Fatalf("page %d: the two contents do not share a CRC", pg)
+				}
 			}
 			st := s.Update(old, next)
 			if st.Rebuilt || st.DirtyPages != tc.wantDirty || st.ParityPageWrites != tc.wantParity {
@@ -350,3 +365,42 @@ func TestDecodeRejectsDamage(t *testing.T) {
 }
 
 func crcOf(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
+
+// crcResidue ends page in the little-endian CRC-32 of the bytes before it.
+// Every page so shaped has the same CRC-32 (the CRC residue), whatever its
+// content: a changed page that a checksum comparison cannot see.
+func crcResidue(page []byte) {
+	n := len(page) - 4
+	binary.LittleEndian.PutUint32(page[n:], crcOf(page[:n]))
+}
+
+// Fold's contract: handed the exact dirty list and the new image's sum, it
+// lands where a full build of the new image does, over a sequence of edits
+// of random pages.
+func TestFoldMatchesBuild(t *testing.T) {
+	pol := testPolicy()
+	img := fill(64*21+5, 41) // 22 pages (last partial), 6 rangelets
+	s := Build(img, pol)
+	rng := uint64(7)
+	for step := 0; step < 50; step++ {
+		next := append([]byte(nil), img...)
+		for k := 0; k < step%4; k++ {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			next[int(rng>>33)%len(next)] ^= byte(rng>>8) | 1
+		}
+		dirty := Dirty(img, next, pol.PageSize)
+		for i := 0; i < s.Pages(); i++ {
+			lo, hi := i*pol.PageSize, min((i+1)*pol.PageSize, len(next))
+			if want := !bytes.Equal(img[lo:hi], next[lo:hi]); want != slices.Contains(dirty, i) {
+				t.Fatalf("step %d: page %d dirty=%v, want %v", step, i, !want, want)
+			}
+		}
+		if st := s.Fold(img, next, dirty, ImageSum(next)); st.Rebuilt || st.DirtyPages != len(dirty) {
+			t.Fatalf("step %d: stats %+v for %d dirty pages", step, st, len(dirty))
+		}
+		if !reflect.DeepEqual(s, Build(next, pol)) {
+			t.Fatalf("step %d: folded sidecar diverged from a full build", step)
+		}
+		img = next
+	}
+}

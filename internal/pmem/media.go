@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 
-	"nvref/internal/fault"
 	"nvref/internal/parity"
 )
 
@@ -57,35 +56,23 @@ func (m *MediaReport) Recovered() bool {
 	return m != nil && m.Err == "" && len(m.Unrecoverable) == 0
 }
 
-// updateSidecar folds a freshly checkpointed image into the pool's parity
-// sidecar — incrementally when the previous image is cached, from scratch
-// otherwise — and durably saves it. Called with the image already saved;
-// the crash point between the two writes is what the torn-parity-update
-// crash test exercises.
-func (r *Registry) updateSidecar(name string, data []byte) error {
-	sc := r.sidecars[name]
-	old := r.lastImg[name]
-	if sc != nil && old != nil {
-		st := sc.Update(old, data)
-		if st.Rebuilt {
-			r.Stats.ParityBuilds++
-		} else {
-			r.Stats.ParityUpdates++
-			r.Stats.DirtyPageWrites += uint64(st.DirtyPages)
-			r.Stats.ParityPageWrites += uint64(st.ParityPageWrites)
-		}
-	} else {
-		sc = parity.Build(data, r.parity)
+// nextSidecar returns the sidecar describing data, a checkpoint's fresh
+// image: prev's sidecar folded forward by the dirty pages when it has one
+// of the same page size, else a full build. prev's sidecar is folded in
+// place, so the caller replaces prev with a record of data.
+func (r *Registry) nextSidecar(prev *saved, data []byte, dirty []int, sum uint64) *parity.Sidecar {
+	sc := prev.sidecar()
+	if sc == nil || sc.PageSize != r.pageSize {
 		r.Stats.ParityBuilds++
+		return parity.Build(data, r.parity)
 	}
-	fault.Crash("pmem.parity.save")
-	if err := r.saveSidecar(name, sc); err != nil {
-		return err
+	if st := sc.Fold(prev.data, data, dirty, sum); st.Rebuilt {
+		r.Stats.ParityBuilds++
+	} else {
+		r.Stats.ParityUpdates++
+		r.Stats.ParityPageWrites += uint64(st.ParityPageWrites)
 	}
-	r.sidecars[name] = sc
-	r.lastImg[name] = data
-	r.refreshParityPages()
-	return nil
+	return sc
 }
 
 func (r *Registry) saveSidecar(name string, sc *parity.Sidecar) error {
@@ -99,8 +86,10 @@ func (r *Registry) saveSidecar(name string, sc *parity.Sidecar) error {
 
 func (r *Registry) refreshParityPages() {
 	var n uint64
-	for _, sc := range r.sidecars {
-		n += uint64(sc.Rangelets())
+	for _, s := range r.saved {
+		if s.side != nil {
+			n += uint64(s.side.Rangelets())
+		}
 	}
 	r.Stats.ParityPages = n
 }
@@ -110,7 +99,7 @@ func (r *Registry) refreshParityPages() {
 // sidecar that fails its own checksum or describes a different image is
 // reported by state and not returned.
 func (r *Registry) loadSidecar(meta Meta) (*parity.Sidecar, SidecarState) {
-	if sc := r.sidecars[meta.Name]; sc.Describes(meta.Sum, int(meta.Size)) {
+	if sc := r.saved[meta.Name].sidecar(); sc.Describes(meta.Sum, int(meta.Size)) {
 		return sc, SidecarOK
 	}
 	var blob []byte
@@ -156,7 +145,8 @@ func (r *Registry) repairImage(meta Meta, data []byte, heal bool) ([]byte, *pari
 		return nil, rep, fmt.Errorf("%w: %q: %d rangelet(s) unrecoverable, first: %s",
 			ErrCorrupt, meta.Name, len(rep.Unrecoverable), rep.Unrecoverable[0])
 	}
-	if sum := ImageChecksum(buf); sum != meta.Sum {
+	sums, sum := r.pageSums(buf)
+	if sum != meta.Sum {
 		// Parity said clean but the whole-image checksum still disagrees:
 		// damage below CRC32's radar. Refuse to hand back garbage.
 		r.Stats.MediaUnrecoverable++
@@ -176,8 +166,7 @@ func (r *Registry) repairImage(meta Meta, data []byte, heal bool) ([]byte, *pari
 				return nil, rep, err
 			}
 		}
-		r.sidecars[meta.Name] = sc
-		r.lastImg[meta.Name] = buf
+		r.saved[meta.Name] = &saved{data: buf, sums: sums, side: sc}
 		r.refreshParityPages()
 	}
 	return buf, rep, nil
@@ -214,7 +203,7 @@ func (r *Registry) ScrubMedia(name string, repair bool) (*MediaReport, error) {
 	r.Stats.MediaScrubs++
 	rep := &MediaReport{Pool: name}
 
-	if verr := verifyImage(meta, data); verr == nil {
+	if sums, verr := r.verify(meta, data); verr == nil {
 		rep.ImageOK = true
 		sc, state := r.loadSidecar(meta)
 		rep.Sidecar = state
@@ -227,9 +216,8 @@ func (r *Registry) ScrubMedia(name string, repair bool) (*MediaReport, error) {
 			rep.SidecarBuilt = true
 			r.Stats.ParityRebuilds++
 		}
+		r.saved[name] = &saved{data: data, sums: sums, side: sc}
 		if sc != nil {
-			r.sidecars[name] = sc
-			r.lastImg[name] = data
 			r.refreshParityPages()
 			rep.ParityPages = sc.Rangelets()
 		}

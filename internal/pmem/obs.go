@@ -16,13 +16,13 @@ func (r *Registry) RegisterMetrics(reg *obs.Registry) {
 	ctr("pmem_store_retries_total", "extra attempts after transient store faults", func() uint64 { return r.Stats.StoreRetries })
 	ctr("pmem_bytes_saved_total", "image bytes checkpointed", func() uint64 { return r.Stats.BytesSaved })
 	ctr("pmem_bytes_loaded_total", "image bytes restored", func() uint64 { return r.Stats.BytesLoaded })
+	ctr("pmem_checkpoint_dirty_pages_total", "pages checkpoints found changed and checksummed", func() uint64 { return r.Stats.DirtyPages })
 	ctr("pmem_fsck_runs_total", "fsck scans executed", func() uint64 { return r.Stats.FsckRuns })
 	ctr("pmem_fsck_errors_total", "fsck structural-corruption findings", func() uint64 { return r.Stats.FsckErrors })
 	ctr("pmem_fsck_warns_total", "fsck repairable-residue findings", func() uint64 { return r.Stats.FsckWarns })
 	ctr("pmem_parity_builds_total", "full parity sidecar builds", func() uint64 { return r.Stats.ParityBuilds })
 	ctr("pmem_parity_updates_total", "incremental parity delta updates", func() uint64 { return r.Stats.ParityUpdates })
 	ctr("pmem_parity_page_writes_total", "parity pages rewritten by delta updates", func() uint64 { return r.Stats.ParityPageWrites })
-	ctr("pmem_dirty_page_writes_total", "data pages changed across checkpoints", func() uint64 { return r.Stats.DirtyPageWrites })
 	ctr("pmem_media_scrubs_total", "media scrub passes", func() uint64 { return r.Stats.MediaScrubs })
 	ctr("pmem_media_bad_pages_total", "data pages found failing their CRC", func() uint64 { return r.Stats.MediaBadPages })
 	ctr("pmem_pages_repaired_total", "data pages reconstructed from parity", func() uint64 { return r.Stats.PagesRepaired })

@@ -88,23 +88,22 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // ImageChecksum computes the integrity checksum recorded in Meta.Sum.
 func ImageChecksum(data []byte) uint64 { return crc64.Checksum(data, crcTable) }
 
-// verifyImage validates a loaded image against its metadata: the payload
-// must be exactly Meta.Size bytes (a shorter one is a torn write) and, when
-// a checksum is recorded, match it (a mismatch is a media error such as a
-// bit flip). Either failure is ErrCorrupt: a damaged image is never
-// silently mapped.
-func verifyImage(meta Meta, data []byte) error {
+// verify validates a loaded image against its metadata: the payload must
+// be exactly Meta.Size bytes (a shorter one is a torn write) and, when a
+// checksum is recorded, match it (a mismatch is a media error such as a bit
+// flip). Either failure is ErrCorrupt: a damaged image is never silently
+// mapped. A valid image's page sums are returned for its saved record.
+func (r *Registry) verify(meta Meta, data []byte) ([]uint64, error) {
 	if uint64(len(data)) != meta.Size {
-		return fmt.Errorf("%w: %q: image %d bytes, meta says %d",
+		return nil, fmt.Errorf("%w: %q: image %d bytes, meta says %d",
 			ErrCorrupt, meta.Name, len(data), meta.Size)
 	}
-	if meta.Sum != 0 {
-		if sum := ImageChecksum(data); sum != meta.Sum {
-			return fmt.Errorf("%w: %q: image checksum %#x, meta says %#x",
-				ErrCorrupt, meta.Name, sum, meta.Sum)
-		}
+	sums, sum := r.pageSums(data)
+	if meta.Sum != 0 && sum != meta.Sum {
+		return nil, fmt.Errorf("%w: %q: image checksum %#x, meta says %#x",
+			ErrCorrupt, meta.Name, sum, meta.Sum)
 	}
-	return nil
+	return sums, nil
 }
 
 // Store persists pool images between simulated runs. It models the NVM
@@ -161,6 +160,10 @@ type RegistryStats struct {
 
 	BytesSaved  uint64 // image bytes checkpointed to the store
 	BytesLoaded uint64 // image bytes restored from the store
+	// DirtyPages counts the pages checkpoints found changed since the
+	// pool's previously saved image — every page when there was none — and
+	// so checksummed and (parity armed) folded into parity.
+	DirtyPages uint64
 
 	// Fsck findings, accumulated over every check run against this
 	// registry's pools (Repair's rescans included).
@@ -178,7 +181,6 @@ type RegistryStats struct {
 	ParityBuilds       uint64 // full sidecar builds
 	ParityUpdates      uint64 // incremental old-xor-new delta updates
 	ParityPageWrites   uint64 // parity pages rewritten by delta updates
-	DirtyPageWrites    uint64 // data pages that changed across checkpoints
 	MediaScrubs        uint64 // media verify passes (ScrubMedia)
 	MediaBadPages      uint64 // data pages found failing their CRC
 	PagesRepaired      uint64 // data pages reconstructed from parity
@@ -200,13 +202,16 @@ type Registry struct {
 	nextBase uint64
 	retry    fault.RetryPolicy
 
-	// Media-fault tolerance (nil-safe when the policy is disabled):
-	// sidecars caches each pool's decoded parity table; lastImg holds the
-	// image bytes the sidecar currently describes, so the next checkpoint
-	// can fold only the dirty pages into parity (old xor new).
+	// parity is the media-fault policy (the zero value disables it). saved
+	// holds, per pool name, the record of the image last saved or loaded,
+	// which the next checkpoint diffs against (image.go). pageSize is the
+	// granule of its page sums and dirty lists — the parity page, so one
+	// dirty list serves the checksum and the parity delta alike — and shift
+	// appends one such page to a CRC.
 	parity   parity.Policy
-	sidecars map[string]*parity.Sidecar
-	lastImg  map[string][]byte
+	saved    map[string]*saved
+	pageSize int
+	shift    *crcShift
 
 	Stats RegistryStats
 }
@@ -248,12 +253,13 @@ func NewRegistry(as *mem.AddressSpace, store Store, opts ...Option) *Registry {
 		nextID:   1,
 		nextBase: mem.NVMBase + 16*mem.PageSize,
 		retry:    fault.DefaultRetry,
-		sidecars: make(map[string]*parity.Sidecar),
-		lastImg:  make(map[string][]byte),
+		saved:    make(map[string]*saved),
 	}
 	for _, o := range opts {
 		o(r)
 	}
+	r.pageSize = r.parity.PageBytes()
+	r.shift = newCRCShift(r.pageSize)
 	return r
 }
 
@@ -361,7 +367,13 @@ func (r *Registry) loadImage(name string) (Meta, []byte, error) {
 		}
 		return Meta{}, nil, fmt.Errorf("%w: %q: %v", ErrNoSuchPool, name, err)
 	}
-	if err := verifyImage(meta, data); err != nil {
+	if sums, err := r.verify(meta, data); err == nil {
+		side := r.saved[name].sidecar()
+		if !side.Describes(meta.Sum, len(data)) {
+			side = nil
+		}
+		r.saved[name] = &saved{data: data, sums: sums, side: side}
+	} else {
 		if !r.parity.Enabled {
 			return Meta{}, nil, err
 		}
@@ -379,9 +391,11 @@ func (r *Registry) loadImage(name string) (Meta, []byte, error) {
 }
 
 // Checkpoint durably saves the pool's current contents to the store,
-// retrying transient store faults per the registry's retry policy. The
+// retrying transient store faults per the registry's retry policy, and
+// returns once the image (and, parity armed, its sidecar) is saved. The
 // saved metadata records the image checksum so later opens detect torn or
-// bit-flipped images.
+// bit-flipped images; it is computed from the pages that changed since the
+// previous checkpoint (image.go).
 func (r *Registry) Checkpoint(p *Pool) error {
 	if r.store == nil {
 		return nil
@@ -393,18 +407,26 @@ func (r *Registry) Checkpoint(p *Pool) error {
 	if err != nil {
 		return err
 	}
-	meta := Meta{ID: p.id, Name: p.name, Size: p.size, Sum: ImageChecksum(data)}
+	prev := r.saved[p.name]
+	dirty, sums, sum := r.diff(prev, data)
+	meta := Meta{ID: p.id, Name: p.name, Size: p.size, Sum: sum}
 	if err := r.retryCounted(func() error { return r.store.Save(meta, data) }); err != nil {
 		return err
 	}
 	r.Stats.Checkpoints++
 	r.Stats.BytesSaved += uint64(len(data))
+	r.Stats.DirtyPages += uint64(len(dirty))
+	next := &saved{data: data, sums: sums}
 	if r.parity.Enabled {
-		if err := r.updateSidecar(p.name, data); err != nil {
-			return err
-		}
+		next.side = r.nextSidecar(prev, data, dirty, sum)
 	}
-	return nil
+	r.saved[p.name] = next
+	if next.side == nil {
+		return nil
+	}
+	r.refreshParityPages()
+	fault.Crash("pmem.parity.save")
+	return r.saveSidecar(p.name, next.side)
 }
 
 // Close checkpoints the pool and removes it from the process: the mapping
@@ -420,6 +442,8 @@ func (r *Registry) Close(p *Pool) error {
 	}
 	delete(r.byID, p.id)
 	delete(r.byName, p.name)
+	delete(r.saved, p.name)
+	r.refreshParityPages()
 	return nil
 }
 

@@ -118,17 +118,16 @@ func (s *DirStore) path(name string) string {
 // truncated image (or no directory entry at all) behind the atomic-rename
 // promise.
 func (s *DirStore) Save(meta Meta, data []byte) error {
-	buf := make([]byte, 0, len(fileMagicV2)+4+8+8+4+len(meta.Name)+len(data))
-	buf = append(buf, fileMagicV2...)
-	buf = binary.LittleEndian.AppendUint32(buf, meta.ID)
-	buf = binary.LittleEndian.AppendUint64(buf, meta.Size)
-	buf = binary.LittleEndian.AppendUint64(buf, meta.Sum)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(meta.Name)))
-	buf = append(buf, meta.Name...)
-	buf = append(buf, data...)
+	head := make([]byte, 0, len(fileMagicV2)+4+8+8+4+len(meta.Name))
+	head = append(head, fileMagicV2...)
+	head = binary.LittleEndian.AppendUint32(head, meta.ID)
+	head = binary.LittleEndian.AppendUint64(head, meta.Size)
+	head = binary.LittleEndian.AppendUint64(head, meta.Sum)
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(meta.Name)))
+	head = append(head, meta.Name...)
 
 	tmp := s.path(meta.Name) + ".tmp"
-	if err := writeFileSync(tmp, buf); err != nil {
+	if err := writeFileSync(tmp, head, data); err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -139,15 +138,18 @@ func (s *DirStore) Save(meta Meta, data []byte) error {
 	return syncDir(s.dir)
 }
 
-// writeFileSync writes data to path and fsyncs it before closing.
-func writeFileSync(path string, data []byte) error {
+// writeFileSync writes the chunks to path, in order, and fsyncs the file
+// before closing it.
+func writeFileSync(path string, chunks ...[]byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	for _, c := range chunks {
+		if _, err := f.Write(c); err != nil {
+			f.Close()
+			return err
+		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()

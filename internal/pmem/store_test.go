@@ -2,6 +2,8 @@ package pmem
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -103,5 +105,28 @@ func TestDirStoreEscapesNames(t *testing.T) {
 	meta, _, err := s.Load("a/b")
 	if err != nil || meta.Name != "a/b" {
 		t.Errorf("Load escaped name = %+v, %v", meta, err)
+	}
+}
+
+// The file layout is fixed — magic, ID, size, checksum, length-prefixed
+// name, payload — so images written by any earlier version load unchanged.
+func TestDirStoreFileLayout(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := Meta{ID: 0x04030201, Name: "gold", Size: 4, Sum: 0x0807060504030201}
+	if err := s.Save(meta, []byte("wxyz")); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "gold.pool"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "NVREFPL2" + "\x01\x02\x03\x04" + "\x04\x00\x00\x00\x00\x00\x00\x00" +
+		"\x01\x02\x03\x04\x05\x06\x07\x08" + "\x04\x00\x00\x00" + "gold" + "wxyz"
+	if string(raw) != want {
+		t.Fatalf("file bytes %q, want %q", raw, want)
 	}
 }

@@ -462,9 +462,27 @@ func TestFollowerAutoReseed(t *testing.T) {
 		t.Fatalf("fresh replica start: %v", err)
 	}
 
+	// Wait shard by shard. Every shard whose log no longer starts at 1 must
+	// re-seed, exactly once — a shard mid-re-seed already has applied at the
+	// watermark, so lag alone cannot tell it from a finished one — and then
+	// every shard must have applied through its primary shard's last record.
+	diverging := 0
+	for _, sh := range p.shards {
+		if sh.cfg.oplog.BaseSeq() > 1 {
+			diverging++
+		}
+	}
 	waitFor(t, "auto re-seed", 10*time.Second, func() bool {
 		fs := r2.CollectStats().Follower
-		return fs != nil && fs.Reseeds >= 1 && fs.LagRecords == 0
+		if fs == nil || fs.Reseeds < uint64(diverging) {
+			return false
+		}
+		for i, sh := range r2.shards {
+			if sh.applied.Load() < p.shards[i].cfg.oplog.LastSeq() {
+				return false
+			}
+		}
+		return true
 	})
 	fs := r2.CollectStats().Follower
 	if fs.Divergences == 0 {

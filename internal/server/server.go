@@ -37,7 +37,7 @@ type Config struct {
 	// queue applies backpressure to connection readers up to AdmitWait,
 	// then sheds.
 	QueueDepth int
-	// CheckpointEvery checkpoints a shard after that many operations
+	// CheckpointEvery checkpoints a shard after that many mutations
 	// (default 8192; negative means only at explicit barriers and graceful
 	// shutdown).
 	CheckpointEvery int
@@ -229,6 +229,10 @@ func (c *Config) fillDefaults() {
 // histograms (queue wait + service time, measured at the worker).
 var latencyBounds = []uint64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 50000}
 
+// checkpointBounds are the checkpoint_us buckets: a checkpoint snapshots a
+// whole pool, milliseconds rather than microseconds.
+var checkpointBounds = []uint64{100, 200, 500, 1000, 2000, 5000, 10000, 20000, 50000, 100000, 200000, 500000, 1000000}
+
 // Server is the sharded persistent KV service.
 type Server struct {
 	cfg    Config
@@ -333,11 +337,18 @@ func New(cfg Config) (*Server, error) {
 	}
 	// One repair-latency histogram shared by every shard: media repairs
 	// are rare incidents, and the obs.Histogram is atomic.
-	var repairHist *obs.Histogram
+	var repairHist, checkpointHist *obs.Histogram
 	if cfg.Reg != nil && cfg.Parity.Enabled {
 		repairHist = cfg.Reg.Histogram("repair_latency_us",
 			"media-repair pass latency (detect + reconstruct + heal), microseconds",
 			latencyBounds)
+	}
+	// Likewise one checkpoint histogram: the worker stall every periodic,
+	// explicit or shutdown checkpoint costs, microseconds.
+	if cfg.Reg != nil {
+		checkpointHist = cfg.Reg.Histogram("checkpoint_us",
+			"shard checkpoint duration (pool snapshot + save + op-log truncation), microseconds",
+			checkpointBounds)
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		sc := shardConfig{
@@ -354,6 +365,8 @@ func New(cfg Config) (*Server, error) {
 			slowOp:          cfg.SlowOp,
 			parity:          cfg.Parity,
 			repairLatency:   repairHist,
+
+			checkpointLatency: checkpointHist,
 		}
 		if cfg.Flight != nil {
 			sc.trigger = s.shardTrigger
@@ -590,6 +603,8 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 			reg.CounterFunc(pfx+"degraded_acks_total", "writes acked without replica durability (replica not live)", func() uint64 { return sh.degradedAcks.Load() })
 		}
 	}
+	reg.CounterFunc("checkpoint_dirty_pages_total", "pool pages checkpoints found changed and checksummed, across all shards",
+		s.sumShards(func(sh *shard) uint64 { return sh.dirtyPages.Load() }))
 	if s.cfg.Parity.Enabled {
 		// Aggregate media-fault series (the repair_latency_us histogram is
 		// registered at construction, shared across shards).

@@ -298,6 +298,52 @@ func TestStatsAndMetrics(t *testing.T) {
 	}
 }
 
+// The checkpoint cadence counts mutations, not requests: reads never bring a
+// checkpoint closer. Every checkpoint — periodic or explicit — is observed
+// in checkpoint_us, and its write set reaches checkpoint_dirty_pages_total.
+func TestCheckpointCadenceCountsMutations(t *testing.T) {
+	reg := obs.NewRegistry()
+	ts := startServer(t, Config{Shards: 1, CheckpointEvery: 16, Reg: reg})
+	cl := dial(t, ts)
+	checkpoints := func() uint64 { return ts.CollectStats().PerShard[0].Checkpoints }
+
+	for k := uint64(0); k < 15; k++ {
+		if err := cl.Put(k, keyVal(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		if _, _, err := cl.Get(uint64(i % 15)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := checkpoints(); n != 0 {
+		t.Fatalf("15 mutations and 200 reads made %d checkpoints, want 0", n)
+	}
+	if _, err := cl.Delete(3); err != nil { // the 16th mutation
+		t.Fatal(err)
+	}
+	if err := cl.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n := checkpoints(); n != 2 {
+		t.Fatalf("checkpoints = %d, want 2 (one periodic, one explicit)", n)
+	}
+	// The worker publishes after the drain that replied; a barrier, run in
+	// a later drain, returns only once that publish is done.
+	ts.shards[0].call(nil, (*shard).barrier)
+	snap := reg.Snapshot()
+	if h, ok := snap.Find("checkpoint_us"); !ok || h.Value != 2 {
+		t.Fatalf("checkpoint_us = %+v (found %v), want 2 observations", h, ok)
+	}
+	// The first checkpoint checksums every page of the fresh pool; the
+	// second, with no mutation in between, next to none.
+	pages := int64(testPoolSize / 4096)
+	if got := snap.Value("checkpoint_dirty_pages_total"); got < pages || got > pages+8 {
+		t.Fatalf("checkpoint_dirty_pages_total = %d, want a full pool (%d) plus a few pages", got, pages)
+	}
+}
+
 func obsName(shard int, suffix string) string {
 	return "server_shard" + string(rune('0'+shard)) + "_" + suffix
 }

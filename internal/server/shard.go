@@ -93,6 +93,8 @@ type shardConfig struct {
 	parity        parity.Policy
 	repairLatency *obs.Histogram // media-repair pass latency, microseconds
 
+	checkpointLatency *obs.Histogram // worker time per checkpoint, microseconds
+
 	// Tracing plane (all nil/zero when tracing is not configured).
 	spans   *obs.SpanRecorder         // per-stage spans of sampled requests
 	flight  *obs.FlightRecorder       // wide events (slow ops) + incident dumps
@@ -132,7 +134,8 @@ type shard struct {
 	ctx       *rt.Context
 	st        *kvstore.Store
 	rb        *structures.RB
-	sinceCkpt int
+	sinceCkpt int        // mutations applied since the last checkpoint
+	dirtySeen uint64     // ctx.Reg.Stats.DirtyPages already added to dirtyPages
 	pending   []*request // batch being processed; supervisor fails the rest on panic
 	pendIdx   int
 
@@ -146,6 +149,7 @@ type shard struct {
 	sheds, unavail, deadlineDrops  atomic.Uint64
 	scrubs, scrubIssues            atomic.Uint64
 	checkpoints                    atomic.Uint64
+	dirtyPages                     atomic.Uint64 // pool pages checkpoints found changed
 	fsckErrors, fsckWarns, repairs atomic.Uint64
 
 	// Media-fault counters (only move when cfg.parity.Enabled).
@@ -246,7 +250,7 @@ func (sh *shard) open() error {
 		rb.SetRootRef(root, uint64(n))
 	}
 	sh.ctx, sh.st, sh.rb = ctx, st, rb
-	sh.sinceCkpt = 0
+	sh.sinceCkpt, sh.dirtySeen = 0, 0
 	if sh.cfg.oplog != nil {
 		if err := sh.replayOplog(); err != nil {
 			return err
@@ -303,6 +307,10 @@ func (sh *shard) replayOplog() error {
 func (sh *shard) publish() {
 	sh.cycles.Store(sh.ctx.CPU.Stats.Cycles)
 	sh.keys.Store(sh.rb.Len())
+	// A recovery starts a new registry, whose count starts again at zero.
+	dirty := sh.ctx.Reg.Stats.DirtyPages
+	sh.dirtyPages.Add(dirty - sh.dirtySeen)
+	sh.dirtySeen = dirty
 	if sh.cfg.parity.Enabled {
 		sh.parityPages.Store(sh.ctx.Reg.Stats.ParityPages)
 	}
@@ -507,7 +515,7 @@ func (sh *shard) run() {
 		sh.pending = sh.pending[:0]
 		sh.pendIdx = 0
 		sh.publishLog()
-		sh.afterBatch(n)
+		sh.afterBatch()
 	}
 	if !sh.abort.Load() {
 		_ = sh.checkpoint()
@@ -717,7 +725,8 @@ func (sh *shard) write(op byte, key, value uint64, timed bool) (seq uint64, foun
 }
 
 // apply is the record-to-store step, shared by new writes and the replication
-// feed: mutate the store and count the operation.
+// feed: mutate the store and count the operation — toward the checkpoint
+// cadence too, which counts mutations, not requests.
 func (sh *shard) apply(op byte, key, value uint64) (found bool) {
 	switch op {
 	case repl.RecPut:
@@ -727,6 +736,7 @@ func (sh *shard) apply(op byte, key, value uint64) (found bool) {
 		found, _ = sh.st.Delete(key)
 		sh.dels.Add(1)
 	}
+	sh.sinceCkpt++
 	return found
 }
 
@@ -855,7 +865,6 @@ func (sh *shard) applyRecords(recs []repl.Record) Reply {
 		applied = rec.Seq
 		sh.applied.Store(applied)
 		sh.replApplied.Add(1)
-		sh.sinceCkpt++ // applied records count toward the checkpoint cadence
 	}
 	ack := applied
 	if appended {
@@ -928,7 +937,6 @@ func (sh *shard) ingest(recs []repl.Record) Reply {
 		}
 		sh.write(rec.Op, rec.Key, rec.Value, false)
 		sh.ingested.Add(1)
-		sh.sinceCkpt++
 	}
 	return Reply{Status: StatusOK}
 }
@@ -946,7 +954,6 @@ func (sh *shard) purgeSlot(slot uint32, slots int) Reply {
 	})
 	for _, k := range keys {
 		sh.write(repl.RecDelete, k, 0, false)
-		sh.sinceCkpt++
 	}
 	sh.purged.Add(uint64(len(keys)))
 	sh.publish()
@@ -1051,14 +1058,12 @@ func (sh *shard) mediaIncident(detail string) {
 	sh.logf("server: %s", detail)
 }
 
-// afterBatch publishes counters and runs the periodic checkpoint.
-func (sh *shard) afterBatch(n int) {
+// afterBatch publishes counters and runs the periodic checkpoint, due once
+// checkpointEvery mutations have been applied since the last one.
+func (sh *shard) afterBatch() {
 	sh.publish()
-	if sh.cfg.checkpointEvery > 0 {
-		sh.sinceCkpt += n
-		if sh.sinceCkpt >= sh.cfg.checkpointEvery {
-			_ = sh.checkpoint() // next one retries; durability is at-checkpoint
-		}
+	if sh.cfg.checkpointEvery > 0 && sh.sinceCkpt >= sh.cfg.checkpointEvery {
+		_ = sh.checkpoint() // next one retries; durability is at-checkpoint
 	}
 }
 
@@ -1069,6 +1074,9 @@ func (sh *shard) checkpoint() error {
 	if sh.cfg.store == nil {
 		return nil
 	}
+	defer func(start time.Time) {
+		sh.cfg.checkpointLatency.Observe(uint64(time.Since(start).Microseconds()))
+	}(time.Now())
 	sh.ctx.SetRoot(siteShardRoot, sh.rb.Root())
 	if err := sh.ctx.Persist(); err != nil {
 		return err

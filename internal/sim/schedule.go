@@ -121,7 +121,8 @@ type Schedule struct {
 	// cadence) repairs corrupt stored images, and recovery repairs them
 	// on open. Required by schedules that fire ActCorrupt.
 	Parity bool
-	// CheckpointEvery overrides the per-shard checkpoint cadence (ops).
+	// CheckpointEvery overrides the per-shard checkpoint cadence: a
+	// checkpoint after that many mutations.
 	// Zero keeps the sim default (-1: checkpoints only at barriers), so
 	// crash recovery replays the full retained log. Media schedules set a
 	// small positive cadence — ActCorrupt needs checkpointed images to

@@ -62,12 +62,15 @@ go run ./cmd/nvbench -experiment cluster -quick
 cover_gate sim 80
 go run ./cmd/nvbench -experiment sim -quick
 
-# Media leg: the parity layer is what the in-place repair promise rests on;
-# then the repair round-trips across pmem, the serving tier and the
-# simulator, and the gate: bit flips and torn pages in the live primary's
-# pool images under load, every damaged page reconstructed from parity with
-# zero acked-write loss, zero client-visible errors, zero promotions.
+# Media leg: the parity layer and the pool images under it (the
+# incremental checkpoint, the sidecar record, repair) are what the in-place
+# repair promise rests on; then the repair round-trips across pmem, the
+# serving tier and the simulator, and the gate: bit flips and torn pages in
+# the live primary's pool images under load, every damaged page
+# reconstructed from parity with zero acked-write loss, zero client-visible
+# errors, zero promotions.
 cover_gate parity 80
+cover_gate pmem 80
 go test -race -run 'Media|Corrupt|Parity|Sidecar|Torn' \
 	./internal/pmem/ ./internal/server/ ./internal/sim/
 go test -race -run 'TestMediaSmoke' ./internal/bench/
@@ -83,8 +86,10 @@ go test -race -run 'Trace|Span|Flight|Health|Statusz|Readiness|Fenced|Promotion|
 	./internal/obs/ ./internal/server/ ./internal/bench/
 go run ./cmd/nvbench -experiment trace -quick
 
-# Fuzz smoke over both halves of the wire codec: malformed frames and
+# Fuzz smoke over both halves of the wire codec — malformed frames and
 # replies must be rejected with protocol errors, never a panic or unbounded
-# allocation.
+# allocation — and over the incremental image checksum: folded page sums
+# must equal the whole-image CRC-64 and the dirty list the changed pages.
 go test -run='^$' -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/server/
 go test -run='^$' -fuzz=FuzzDecodeReply -fuzztime=10s ./internal/server/
+go test -run='^$' -fuzz=FuzzImageChecksum -fuzztime=10s ./internal/pmem/

@@ -293,5 +293,6 @@ func Repair(p *Pool) (*FsckReport, error) {
 	if !after.Clean() {
 		return after, fmt.Errorf("%w: pool %q still inconsistent after repair", ErrCorrupt, p.name)
 	}
+	p.reg.Stats.Repairs++
 	return after, nil
 }

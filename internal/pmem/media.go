@@ -2,10 +2,11 @@
 //
 // Every checkpoint maintains a self-checksummed parity sidecar (per-page
 // CRC32s + one XOR parity page per rangelet, see internal/parity) stored
-// next to the pool image under parity.SidecarName. On the load path a
-// corrupt image is repaired in place from the sidecar; ScrubMedia walks a
-// stored image on demand — the background scrubber's and nvpool's entry
-// point — verifying, repairing, and re-sealing as needed.
+// next to the pool image under parity.SidecarName. Every read of a stored
+// image is one walk (walk): Open takes it with repair set when parity is
+// armed, so a corrupt image is repaired in place from the sidecar on the
+// load path; ScrubMedia takes it on demand — the background scrubber's and
+// nvpool's entry point — verifying, repairing, and re-sealing as needed.
 //
 // Ordering and staleness: the data image is saved first, the sidecar
 // second, with a crash point between them. A crash in that window leaves
@@ -36,7 +37,7 @@ const (
 	SidecarCorrupt SidecarState = "corrupt" // blob fails its own checksum
 )
 
-// MediaReport is the outcome of one ScrubMedia pass over a stored pool.
+// MediaReport is the outcome of one walk over a stored pool image.
 type MediaReport struct {
 	Pool          string           `json:"pool"`
 	ImageOK       bool             `json:"image_ok"`        // image verified clean on entry
@@ -124,25 +125,100 @@ func (r *Registry) loadSidecar(meta Meta) (*parity.Sidecar, SidecarState) {
 	return sc, SidecarOK
 }
 
-// repairImage reconstructs a corrupt image from its parity sidecar. data
-// is the bytes as loaded (possibly torn short); the result is a full
-// Meta.Size image whose checksum matches meta.Sum, or an error wrapping
-// ErrCorrupt when the damage exceeds parity's reach. With heal set the
-// repaired image (and any rebuilt parity) is saved back to the store and
-// the caches are refreshed.
-func (r *Registry) repairImage(meta Meta, data []byte, heal bool) ([]byte, *parity.Report, error) {
+// walk is the one pass over a pool's stored image, shared by Open (repair
+// set when parity is armed) and ScrubMedia. It loads the image — a torn one
+// whose metadata survived counts as corrupt, not missing: the lost tail is
+// just more bad pages — verifies it, and finds its parity sidecar. An
+// intact image becomes the pool's saved record, and with repair set a
+// sidecar that is missing, stale or damaged is rebuilt from it. A corrupt
+// image's bad pages are reconstructed from parity and, with repair set,
+// healed in the store. The report says what the walk found and did. The
+// bytes returned are the intact or healed image; without one the error
+// says why: nothing loadable (ErrNoSuchPool), or damage beyond parity's
+// reach or not to be repaired (ErrCorrupt).
+func (r *Registry) walk(name string, repair bool) (Meta, []byte, *MediaReport, error) {
+	var meta Meta
+	var data []byte
+	err := r.retryCounted(func() error {
+		m, d, e := r.store.Load(name)
+		if e != nil && (!errors.Is(e, ErrCorrupt) || m.Size == 0) {
+			return e
+		}
+		meta, data = m, d
+		return nil
+	})
+	if errors.Is(err, ErrCorrupt) {
+		return meta, nil, nil, err // store errors already name the pool
+	}
+	if err != nil {
+		return meta, nil, nil, fmt.Errorf("%w: %q: %v", ErrNoSuchPool, name, err)
+	}
 	sc, state := r.loadSidecar(meta)
+	rep := &MediaReport{Pool: name, Sidecar: state}
+	fail := func(err error) (Meta, []byte, *MediaReport, error) {
+		rep.Err = err.Error()
+		return meta, nil, rep, err
+	}
+	sums, verr := r.verify(meta, data)
+	if verr == nil {
+		rep.ImageOK = true
+		if sc == nil && repair && r.parity.Enabled {
+			// Keep the image even if the new sidecar cannot be saved: it
+			// is intact, only unprotected until the next checkpoint.
+			sc = parity.Build(data, r.parity)
+			if err := r.saveSidecar(name, sc); err != nil {
+				rep.Err, sc = err.Error(), nil
+			} else {
+				rep.SidecarBuilt = true
+				r.Stats.ParityRebuilds++
+			}
+		}
+	} else {
+		fixed, fixedSums, rerr := r.repairImage(meta, data, sc, state, rep)
+		if rerr != nil {
+			return fail(rerr)
+		}
+		if !repair {
+			return meta, nil, rep, verr
+		}
+		if err := r.retryCounted(func() error { return r.store.Save(meta, fixed) }); err != nil {
+			return fail(fmt.Errorf("pmem: healing %q after repair: %w", name, err))
+		}
+		if len(rep.ParityRebuilt) > 0 {
+			if err := r.saveSidecar(name, sc); err != nil {
+				return fail(err)
+			}
+		}
+		rep.Healed = true
+		data, sums = fixed, fixedSums
+	}
+	r.saved[name] = &saved{data: data, sums: sums, side: sc}
+	if sc != nil {
+		rep.ParityPages = sc.Rangelets()
+		r.refreshParityPages()
+	}
+	return meta, data, rep, nil
+}
+
+// repairImage reconstructs a corrupt image in memory from sc, its parity
+// sidecar (nil when none is usable; state says why), noting the pages in
+// mr. data is the bytes as loaded, possibly torn short. The result is a
+// full Meta.Size image whose checksum matches meta.Sum, with its page sums,
+// or an error wrapping ErrCorrupt when the damage exceeds parity's reach.
+func (r *Registry) repairImage(meta Meta, data []byte, sc *parity.Sidecar, state SidecarState, mr *MediaReport) ([]byte, []uint64, error) {
 	if sc == nil {
 		r.Stats.MediaUnrecoverable++
 		return nil, nil, fmt.Errorf("%w: %q: %w (sidecar %s)", ErrCorrupt, meta.Name, ErrNoParity, state)
 	}
+	mr.ParityPages = sc.Rangelets()
 	buf := make([]byte, meta.Size) // zero-extend torn images to full size
 	copy(buf, data)
 	rep := sc.Repair(buf)
+	mr.BadPages, mr.Repaired, mr.ParityRebuilt, mr.Unrecoverable = rep.BadPages, rep.Repaired, rep.ParityRebuilt, rep.Unrecoverable
 	r.Stats.MediaBadPages += uint64(len(rep.BadPages))
 	if len(rep.Unrecoverable) > 0 {
 		r.Stats.MediaUnrecoverable += uint64(len(rep.Unrecoverable))
-		return nil, rep, fmt.Errorf("%w: %q: %d rangelet(s) unrecoverable, first: %s",
+		return nil, nil, fmt.Errorf("%w: %q: %d rangelet(s) unrecoverable, first: %s",
 			ErrCorrupt, meta.Name, len(rep.Unrecoverable), rep.Unrecoverable[0])
 	}
 	sums, sum := r.pageSums(buf)
@@ -150,26 +226,14 @@ func (r *Registry) repairImage(meta Meta, data []byte, heal bool) ([]byte, *pari
 		// Parity said clean but the whole-image checksum still disagrees:
 		// damage below CRC32's radar. Refuse to hand back garbage.
 		r.Stats.MediaUnrecoverable++
-		return nil, rep, fmt.Errorf("%w: %q: image checksum %#x after repair, meta says %#x",
+		return nil, nil, fmt.Errorf("%w: %q: image checksum %#x after repair, meta says %#x",
 			ErrCorrupt, meta.Name, sum, meta.Sum)
 	}
 	r.Stats.PagesRepaired += uint64(len(rep.Repaired))
 	if len(rep.ParityRebuilt) > 0 {
 		r.Stats.ParityRebuilds++
 	}
-	if heal {
-		if err := r.retryCounted(func() error { return r.store.Save(meta, buf) }); err != nil {
-			return nil, rep, fmt.Errorf("pmem: healing %q after repair: %w", meta.Name, err)
-		}
-		if len(rep.ParityRebuilt) > 0 {
-			if err := r.saveSidecar(meta.Name, sc); err != nil {
-				return nil, rep, err
-			}
-		}
-		r.saved[meta.Name] = &saved{data: buf, sums: sums, side: sc}
-		r.refreshParityPages()
-	}
-	return buf, rep, nil
+	return buf, sums, nil
 }
 
 // ScrubMedia verifies the stored image of one pool against its metadata
@@ -183,65 +247,11 @@ func (r *Registry) ScrubMedia(name string, repair bool) (*MediaReport, error) {
 	if r.store == nil {
 		return nil, fmt.Errorf("pmem: no backing store to scrub")
 	}
-	var meta Meta
-	var data []byte
-	err := r.retryCounted(func() error {
-		m, d, e := r.store.Load(name)
-		if e != nil {
-			// A torn image whose metadata survived is scrubbable: the
-			// missing tail is just more bad pages for parity to rebuild.
-			if !errors.Is(e, ErrCorrupt) || m.Size == 0 {
-				return e
-			}
-		}
-		meta, data = m, d
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%w: %q: %v", ErrNoSuchPool, name, err)
+	_, _, rep, err := r.walk(name, repair)
+	if rep == nil {
+		return nil, err
 	}
 	r.Stats.MediaScrubs++
-	rep := &MediaReport{Pool: name}
-
-	if sums, verr := r.verify(meta, data); verr == nil {
-		rep.ImageOK = true
-		sc, state := r.loadSidecar(meta)
-		rep.Sidecar = state
-		if sc == nil && repair && r.parity.Enabled {
-			sc = parity.Build(data, r.parity)
-			if err := r.saveSidecar(name, sc); err != nil {
-				rep.Err = err.Error()
-				return rep, nil
-			}
-			rep.SidecarBuilt = true
-			r.Stats.ParityRebuilds++
-		}
-		r.saved[name] = &saved{data: data, sums: sums, side: sc}
-		if sc != nil {
-			r.refreshParityPages()
-			rep.ParityPages = sc.Rangelets()
-		}
-		return rep, nil
-	}
-
-	// The image is corrupt: enumerate, reconstruct, heal.
-	sc, state := r.loadSidecar(meta)
-	rep.Sidecar = state
-	repaired, prep, rerr := r.repairImage(meta, data, repair)
-	if prep != nil {
-		rep.BadPages = prep.BadPages
-		rep.Repaired = prep.Repaired
-		rep.ParityRebuilt = prep.ParityRebuilt
-		rep.Unrecoverable = prep.Unrecoverable
-	}
-	if sc != nil {
-		rep.ParityPages = sc.Rangelets()
-	}
-	if rerr != nil {
-		rep.Err = rerr.Error()
-		return rep, nil
-	}
-	rep.Healed = repair && repaired != nil
 	return rep, nil
 }
 

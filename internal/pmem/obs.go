@@ -20,6 +20,7 @@ func (r *Registry) RegisterMetrics(reg *obs.Registry) {
 	ctr("pmem_fsck_runs_total", "fsck scans executed", func() uint64 { return r.Stats.FsckRuns })
 	ctr("pmem_fsck_errors_total", "fsck structural-corruption findings", func() uint64 { return r.Stats.FsckErrors })
 	ctr("pmem_fsck_warns_total", "fsck repairable-residue findings", func() uint64 { return r.Stats.FsckWarns })
+	ctr("pmem_repairs_total", "repair passes that reclaimed crash residue", func() uint64 { return r.Stats.Repairs })
 	ctr("pmem_parity_builds_total", "full parity sidecar builds", func() uint64 { return r.Stats.ParityBuilds })
 	ctr("pmem_parity_updates_total", "incremental parity delta updates", func() uint64 { return r.Stats.ParityUpdates })
 	ctr("pmem_parity_page_writes_total", "parity pages rewritten by delta updates", func() uint64 { return r.Stats.ParityPageWrites })

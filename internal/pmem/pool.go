@@ -170,6 +170,7 @@ type RegistryStats struct {
 	FsckRuns   uint64
 	FsckErrors uint64
 	FsckWarns  uint64
+	Repairs    uint64 // Repair passes that reclaimed crash residue
 
 	// Media-fault series, all zero unless a parity policy is enabled.
 	// PagesRepaired counts data pages reconstructed from parity (in
@@ -296,7 +297,8 @@ func (r *Registry) Create(name string, size uint64) (*Pool, error) {
 
 // Open loads a pool image from the backing store and maps it, possibly at a
 // different base address than in previous runs. Pointers inside the pool
-// remain valid because they are stored in relative form.
+// remain valid because they are stored in relative form. The image is read
+// by the media walk (media.go), repairing from parity when it is armed.
 func (r *Registry) Open(name string) (*Pool, error) {
 	if p, ok := r.byName[name]; ok {
 		if !p.attached {
@@ -307,10 +309,11 @@ func (r *Registry) Open(name string) (*Pool, error) {
 	if r.store == nil {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchPool, name)
 	}
-	meta, data, err := r.loadImage(name)
+	meta, data, _, err := r.walk(name, r.parity.Enabled)
 	if err != nil {
 		return nil, err
 	}
+	r.Stats.BytesLoaded += uint64(len(data))
 	p := &Pool{reg: r, id: meta.ID, name: name, size: meta.Size}
 	if err := r.mapPool(p); err != nil {
 		return nil, err
@@ -340,54 +343,6 @@ func (r *Registry) retryCounted(op func() error) error {
 		first = false
 		return op()
 	})
-}
-
-// loadImage fetches and validates a pool image, retrying transient store
-// faults per the registry's retry policy. Corruption is reported as
-// ErrCorrupt; every other load failure as ErrNoSuchPool.
-func (r *Registry) loadImage(name string) (Meta, []byte, error) {
-	var meta Meta
-	var data []byte
-	err := r.retryCounted(func() error {
-		m, d, e := r.store.Load(name)
-		if e != nil {
-			// A torn image that still carries its metadata is media
-			// corruption, not a load failure: with parity armed, take the
-			// surviving bytes and fall through to repair.
-			if !r.parity.Enabled || !errors.Is(e, ErrCorrupt) || m.Size == 0 {
-				return e
-			}
-		}
-		meta, data = m, d
-		return nil
-	})
-	if err != nil {
-		if errors.Is(err, ErrCorrupt) {
-			return Meta{}, nil, err // store errors already name the pool
-		}
-		return Meta{}, nil, fmt.Errorf("%w: %q: %v", ErrNoSuchPool, name, err)
-	}
-	if sums, err := r.verify(meta, data); err == nil {
-		side := r.saved[name].sidecar()
-		if !side.Describes(meta.Sum, len(data)) {
-			side = nil
-		}
-		r.saved[name] = &saved{data: data, sums: sums, side: side}
-	} else {
-		if !r.parity.Enabled {
-			return Meta{}, nil, err
-		}
-		// Media corruption with parity armed: localize the damage with
-		// the per-page CRCs, reconstruct from the XOR stripe, and heal
-		// the store copy, so the open proceeds as if nothing happened.
-		repaired, _, rerr := r.repairImage(meta, data, true)
-		if rerr != nil {
-			return Meta{}, nil, rerr
-		}
-		data = repaired
-	}
-	r.Stats.BytesLoaded += uint64(len(data))
-	return meta, data, nil
 }
 
 // Checkpoint durably saves the pool's current contents to the store,
@@ -478,10 +433,11 @@ func (r *Registry) Attach(p *Pool) error {
 func (r *Registry) reattach(p *Pool) error {
 	var data []byte
 	if r.store != nil {
-		_, d, err := r.loadImage(p.name)
+		_, d, _, err := r.walk(p.name, r.parity.Enabled)
 		if err != nil {
 			return err
 		}
+		r.Stats.BytesLoaded += uint64(len(d))
 		data = d
 	}
 	if err := r.mapPool(p); err != nil {

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"errors"
 	"fmt"
 
 	"nvref/internal/core"
@@ -172,17 +173,17 @@ func New(cfg Config) (*Context, error) {
 
 	// Reopen the pool from a previous run when the store already has it —
 	// mapped at whatever base this run's registry chooses — otherwise
-	// create it fresh.
+	// create it fresh. When both fail, the open's error says why the
+	// stored image was refused.
 	var pool *pmem.Pool
+	var openErr error
 	if cfg.Store != nil {
-		if p, err := reg.Open(defaultPoolName); err == nil {
-			pool = p
-		}
+		pool, openErr = reg.Open(defaultPoolName)
 	}
 	if pool == nil {
 		p, err := reg.Create(defaultPoolName, cfg.PoolSize)
 		if err != nil {
-			return nil, err
+			return nil, errors.Join(openErr, err)
 		}
 		pool = p
 	}

@@ -520,10 +520,9 @@ func (s *Server) watchdog() {
 	}
 }
 
-// scrubber periodically fscks idle healthy shards in the background (the
-// Pangolin-style online scrub): crash residue is repaired before it can
-// compound, without stalling foreground traffic — busy or unhealthy shards
-// are skipped and retried next period.
+// scrubber periodically scrubs idle healthy shards in the background (the
+// Pangolin-style online scrub): crash residue and media damage are
+// repaired before they can compound, without stalling foreground traffic.
 func (s *Server) scrubber() {
 	defer s.bgWG.Done()
 	for {
@@ -531,18 +530,18 @@ func (s *Server) scrubber() {
 		case <-s.bgStop:
 			return
 		case <-s.cfg.Clock.After(s.cfg.ScrubEvery):
-			for _, sh := range s.shards {
-				if sh.state.Load() != stateHealthy || len(sh.queue) > 0 {
-					continue
-				}
-				resp := make(chan Reply, 1)
-				select {
-				case sh.queue <- &request{do: (*shard).scrubNow, resp: resp}:
-					<-resp
-				default:
-					// Shard got busy between the check and the send; skip.
-				}
-			}
+			s.scrubIdle(s.bgStop)
+		}
+	}
+}
+
+// scrubIdle climbs the recovery ladder from its scrub cause once on every
+// healthy shard with an empty queue; busy or unhealthy shards are skipped
+// (the next pass retries them). A closed stop abandons the pass.
+func (s *Server) scrubIdle(stop <-chan struct{}) {
+	for _, sh := range s.shards {
+		if sh.state.Load() == stateHealthy && len(sh.queue) == 0 {
+			sh.call(stop, climb(causeScrub))
 		}
 	}
 }
@@ -558,7 +557,7 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		i, sh := i, sh
 		pfx := fmt.Sprintf("server_shard%d_", i)
 		reg.GaugeFunc(pfx+"queue_depth", "requests waiting in the shard queue", func() int64 { return int64(len(sh.queue)) })
-		reg.GaugeFunc(pfx+"state", "supervision state (0 healthy, 1 recovering, 2 wedged)", func() int64 { return int64(sh.state.Load()) })
+		reg.GaugeFunc(pfx+"state", "supervision state (0 healthy, 1 recovering, 2 wedged, 3 failed)", func() int64 { return int64(sh.state.Load()) })
 		reg.GaugeFunc(pfx+"breaker_state", "circuit breaker state (0 closed, 1 open, 2 half-open)", func() int64 { return int64(sh.breaker.State()) })
 		reg.CounterFunc(pfx+"ops_total", "operations executed by the shard worker", func() uint64 { return sh.ops.Load() })
 		reg.CounterFunc(pfx+"gets_total", "GET operations", func() uint64 { return sh.gets.Load() })
@@ -578,11 +577,11 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		reg.CounterFunc(pfx+"shed_total", "requests shed by bounded-queue admission", func() uint64 { return sh.sheds.Load() })
 		reg.CounterFunc(pfx+"unavailable_total", "requests refused while the breaker was open", func() uint64 { return sh.unavail.Load() })
 		reg.CounterFunc(pfx+"deadline_drops_total", "queued requests dropped at their deadline", func() uint64 { return sh.deadlineDrops.Load() })
-		reg.CounterFunc(pfx+"scrubs_total", "background fsck scrubs", func() uint64 { return sh.scrubs.Load() })
-		reg.CounterFunc(pfx+"scrub_issues_total", "issues found by fsck during scrub/salvage", func() uint64 { return sh.scrubIssues.Load() })
+		reg.CounterFunc(pfx+"scrubs_total", "scrub passes (background or on demand)", func() uint64 { return sh.scrubs.Load() })
 		reg.CounterFunc(pfx+"breaker_opens_total", "times the circuit breaker tripped", func() uint64 { return sh.breaker.Opens() })
-		reg.CounterFunc(pfx+"fsck_errors_total", "fsck errors found at open/recovery", func() uint64 { return sh.fsckErrors.Load() })
-		reg.CounterFunc(pfx+"repairs_total", "pool repairs performed", func() uint64 { return sh.repairs.Load() })
+		reg.CounterFunc(pfx+"fsck_errors_total", "fsck structural-corruption findings, on every recovery rung", func() uint64 { return sh.fsckErrors.Load() })
+		reg.CounterFunc(pfx+"fsck_warns_total", "fsck crash-residue findings, on every recovery rung", func() uint64 { return sh.fsckWarns.Load() })
+		reg.CounterFunc(pfx+"repairs_total", "pool repairs that reclaimed crash residue", func() uint64 { return sh.repairs.Load() })
 		if s.cfg.Parity.Enabled {
 			reg.CounterFunc(pfx+"media_scrubs_total", "media scrub passes over the shard's stored images", func() uint64 { return sh.mediaScrubs.Load() })
 			reg.CounterFunc(pfx+"pages_repaired_total", "data pages reconstructed from parity", func() uint64 { return sh.pagesRepaired.Load() })
@@ -1007,32 +1006,33 @@ func (s *Server) statsReply() Reply {
 }
 
 // Checkpoint forces every shard to publish its root and snapshot its pool
-// to the backing store, synchronously. This is the durability barrier
-// clients can request (the CHECKPOINT op). Control requests bypass
-// admission control: they block until the shard takes them.
+// to the backing store, synchronously and on all shards at once. This is
+// the durability barrier clients can request (the CHECKPOINT op). Control
+// requests bypass admission control: they block until the shard takes them.
 func (s *Server) Checkpoint() error {
-	resps := make([]chan Reply, len(s.shards))
-	for i, sh := range s.shards {
-		resps[i] = make(chan Reply, 1)
-		sh.queue <- &request{do: (*shard).checkpointNow, resp: resps[i]}
+	reps := make(chan Reply, len(s.shards))
+	for _, sh := range s.shards {
+		go func() { rep, _ := sh.call(nil, (*shard).checkpointNow); reps <- rep }()
 	}
-	for _, ch := range resps {
-		if rep := <-ch; rep.Status != StatusOK {
-			return errors.New("server: checkpoint failed")
+	var err error
+	for range s.shards {
+		if (<-reps).Status != StatusOK {
+			err = errors.New("server: checkpoint failed")
 		}
 	}
-	return nil
+	return err
 }
 
 // InjectCrash makes one shard lose power and recover from its last
 // checkpoint, synchronously, while every other shard keeps serving. It is
-// the server-level fault-injection hook the crash tests drive.
+// the server-level fault-injection hook the crash tests drive; an error
+// means the recovery ladder failed the shard.
 func (s *Server) InjectCrash(shardID int) error {
 	if shardID < 0 || shardID >= len(s.shards) {
 		return fmt.Errorf("server: no shard %d", shardID)
 	}
-	if rep, _ := s.shards[shardID].call(nil, (*shard).powerCut); rep.Status != StatusOK {
-		return errors.New("server: injected crash failed to recover")
+	if rep, _ := s.shards[shardID].call(nil, climb(causePower)); rep.Status != StatusOK {
+		return fmt.Errorf("server: shard %d failed to recover from the injected crash", shardID)
 	}
 	return nil
 }
@@ -1051,6 +1051,9 @@ func (s *Server) InjectPanic(shardID int) error {
 	sh.call(nil, (*shard).kill) // the supervisor fails the doomed request with UNAVAILABLE
 	deadline := time.Now().Add(5 * time.Second)
 	for sh.restarts.Load() == gen {
+		if sh.state.Load() == stateFailed {
+			return fmt.Errorf("server: shard %d failed to recover from the injected panic", shardID)
+		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("server: shard %d was not restarted by its supervisor", shardID)
 		}
@@ -1076,15 +1079,9 @@ func (s *Server) InjectWedge(shardID int, d time.Duration) error {
 	return nil
 }
 
-// Scrub synchronously fscks every healthy shard once (the scrubber's
-// on-demand form).
-func (s *Server) Scrub() {
-	for _, sh := range s.shards {
-		if sh.state.Load() == stateHealthy {
-			sh.call(nil, (*shard).scrubNow)
-		}
-	}
-}
+// Scrub synchronously scrubs every idle healthy shard once (the
+// scrubber's on-demand form).
+func (s *Server) Scrub() { s.scrubIdle(nil) }
 
 // stopBackground stops the watchdog and scrubber (idempotent).
 func (s *Server) stopBackground() {
@@ -1134,29 +1131,22 @@ func (s *Server) stopMigrations() {
 // drain every shard queue, and checkpoint every pool (which also flushes
 // and truncates the operation logs).
 func (s *Server) Close() error {
-	s.stopFollower()
-	s.shutdownNetwork()
-	s.stopBackground()
-	s.stopMigrations()
-	for _, sh := range s.shards {
-		close(sh.queue)
-	}
-	for _, sh := range s.shards {
-		<-sh.done
-	}
+	s.stop(false)
 	return nil
 }
 
-// Abort is the simulated kill -9: the network and workers stop without a
-// final checkpoint, so every shard rolls back to its last checkpoint when
-// a new server opens the same stores.
-func (s *Server) Abort() {
+// Abort is the simulated kill -9: Close without the final checkpoint, so
+// every shard rolls back to its last checkpoint when a new server opens
+// the same stores.
+func (s *Server) Abort() { s.stop(true) }
+
+func (s *Server) stop(abort bool) {
 	s.stopFollower()
 	s.shutdownNetwork()
 	s.stopBackground()
 	s.stopMigrations()
 	for _, sh := range s.shards {
-		sh.abort.Store(true)
+		sh.abort.Store(abort)
 		close(sh.queue)
 	}
 	for _, sh := range s.shards {

@@ -30,25 +30,48 @@ var siteShardRoot = rt.NewSite("server.shard.root", false)
 // watchdog, the scrubber, metrics, and STATS.
 const (
 	stateHealthy int32 = iota
-	// stateRecovering: the worker panicked and the supervisor is running
-	// fsck/repair recovery; the breaker is open.
+	// stateRecovering: the worker panicked and the supervisor is climbing
+	// the recovery ladder; the breaker is open.
 	stateRecovering
 	// stateWedged: the watchdog saw queued work but no heartbeat for
 	// longer than the wedge timeout; the breaker is open until the worker
 	// makes progress again.
 	stateWedged
+	// stateFailed: the recovery ladder ran out of rungs — the store holds
+	// no image the shard can open. Terminal: every request is answered
+	// UNAVAILABLE, nothing heals it, and Close still drains the shard.
+	stateFailed
 )
 
-func shardStateName(s int32) string {
-	switch s {
-	case stateRecovering:
-		return "recovering"
-	case stateWedged:
-		return "wedged"
-	default:
-		return "healthy"
-	}
-}
+var stateNames = [...]string{"healthy", "recovering", "wedged", "failed"}
+
+func shardStateName(s int32) string { return stateNames[s] }
+
+// cause is what sends a shard up the recovery ladder; it picks the first
+// rung (see recover).
+type cause int
+
+const (
+	causeOpen  cause = iota // shard start: build the engine from the store
+	causeScrub              // background or on-demand scrub of a healthy shard
+	causePanic              // the worker panicked; the live pool survived
+	causePower              // power lost: the live pool is gone
+)
+
+// rung is one step of the recovery ladder, in climbing order.
+type rung int
+
+const (
+	rungMedia     rung = iota // stored image verified, bad pages rebuilt from parity
+	rungStructure             // pool fscked, crash residue reclaimed (pmem.Repair)
+	rungSalvage               // live index walked, live state checkpointed
+	rungRollback              // live engine dropped, reopened from the store, op-log replayed
+	rungFailed                // nothing left: the shard refuses every request
+)
+
+var rungNames = [...]string{"media", "structure", "salvage", "rollback", "failed"}
+
+func (r rung) String() string { return rungNames[r] }
 
 // errWorkerKilled is the payload of an injected worker panic.
 var errWorkerKilled = errors.New("server: injected worker panic")
@@ -134,24 +157,25 @@ type shard struct {
 	ctx       *rt.Context
 	st        *kvstore.Store
 	rb        *structures.RB
-	sinceCkpt int        // mutations applied since the last checkpoint
-	dirtySeen uint64     // ctx.Reg.Stats.DirtyPages already added to dirtyPages
-	pending   []*request // batch being processed; supervisor fails the rest on panic
+	sinceCkpt int                // mutations applied since the last checkpoint
+	regSeen   pmem.RegistryStats // ctx.Reg.Stats already folded into the counters
+	pending   []*request         // batch being processed; supervisor fails the rest on panic
 	pendIdx   int
 
 	// Published state, read by metrics collectors and STATS.
-	state                          atomic.Int32
-	heartbeat                      atomic.Int64 // UnixNano of last worker progress
-	ops, gets, puts, dels, scans   atomic.Uint64
-	crashes, recoveries            atomic.Uint64
-	panics, restarts, salvages     atomic.Uint64
-	rollbacks, wedges              atomic.Uint64
-	sheds, unavail, deadlineDrops  atomic.Uint64
-	scrubs, scrubIssues            atomic.Uint64
-	checkpoints                    atomic.Uint64
+	state                         atomic.Int32
+	heartbeat                     atomic.Int64 // UnixNano of last worker progress
+	ops, gets, puts, dels, scans  atomic.Uint64
+	crashes, recoveries           atomic.Uint64
+	panics, restarts, salvages    atomic.Uint64
+	rollbacks, wedges             atomic.Uint64
+	sheds, unavail, deadlineDrops atomic.Uint64
+	scrubs, checkpoints           atomic.Uint64
+
+	// Folded from the registry by publish: the registry counts each of
+	// these facts once, on every rung (see fold).
 	dirtyPages                     atomic.Uint64 // pool pages checkpoints found changed
 	fsckErrors, fsckWarns, repairs atomic.Uint64
-
 	// Media-fault counters (only move when cfg.parity.Enabled).
 	mediaScrubs        atomic.Uint64 // media scrub passes over stored images
 	pagesRepaired      atomic.Uint64 // data pages reconstructed from parity
@@ -199,7 +223,7 @@ func newShard(cfg shardConfig, br *breaker) (*shard, error) {
 		sh.waiter = newAckWaiter(&sh.replAck, cfg.ackTimeout, cfg.clock, cfg.spans, cfg.id)
 	}
 	sh.beat()
-	if err := sh.open(); err != nil {
+	if _, err := sh.recover(causeOpen); err != nil {
 		return nil, fmt.Errorf("server: shard %d: %w", cfg.id, err)
 	}
 	return sh, nil
@@ -211,34 +235,24 @@ func (sh *shard) logf(format string, args ...any) {
 	}
 }
 
-// open builds the engine over the shard's store. When the store already
-// holds a pool image from a previous incarnation (a prior process, or this
-// shard before a crash), the pool is reopened, fsck-checked (repairing if
-// needed), and the index is re-seated on the persisted root.
-func (sh *shard) open() error {
+// open climbs the open cause's rungs — media, inside rt.New (pmem's image
+// walk repairs from parity when it is armed), then structure on the opened
+// pool — re-seats the index on the persisted root and replays the op-log.
+// It returns the rung that failed, or the last one climbed.
+func (sh *shard) open() (rung, error) {
+	start := time.Now()
 	ctx, err := rt.New(rt.Config{Mode: sh.cfg.mode, Store: sh.cfg.store, PoolSize: sh.cfg.poolSize, Parity: sh.cfg.parity})
 	if err != nil {
-		return err
+		return rungMedia, err
 	}
+	sh.regSeen = pmem.RegistryStats{}
 	if n := ctx.Reg.Stats.PagesRepaired; n > 0 {
-		// The load path healed a corrupt image from parity on the way up:
-		// the media fault is already fixed, account and leave a trail.
-		sh.pagesRepaired.Add(n)
-		sh.mediaIncident(fmt.Sprintf("shard %d reconstructed %d page(s) from parity during recovery", sh.cfg.id, n))
+		sh.cfg.repairLatency.Observe(uint64(time.Since(start).Microseconds()))
+		sh.incident(rungMedia, fmt.Sprintf("shard %d reconstructed %d page(s) from parity during recovery", sh.cfg.id, n))
 	}
-	rep := pmem.Fsck(ctx.Pool)
-	for _, issue := range rep.Issues {
-		if issue.Severity == pmem.FsckError {
-			sh.fsckErrors.Add(1)
-		} else {
-			sh.fsckWarns.Add(1)
-		}
-	}
-	if !rep.Consistent() {
-		if _, err := pmem.Repair(ctx.Pool); err != nil {
-			return fmt.Errorf("repair: %w", err)
-		}
-		sh.repairs.Add(1)
+	if _, err := pmem.Repair(ctx.Pool); err != nil {
+		sh.fold(&ctx.Reg.Stats) // the findings that failed the rung still count
+		return rungStructure, err
 	}
 	st := kvstore.New(ctx, func(c *rt.Context) structures.Index { return structures.NewRB(c) })
 	rb := st.Index().(*structures.RB)
@@ -250,14 +264,14 @@ func (sh *shard) open() error {
 		rb.SetRootRef(root, uint64(n))
 	}
 	sh.ctx, sh.st, sh.rb = ctx, st, rb
-	sh.sinceCkpt, sh.dirtySeen = 0, 0
+	sh.sinceCkpt = 0
 	if sh.cfg.oplog != nil {
 		if err := sh.replayOplog(); err != nil {
-			return err
+			return rungStructure, err
 		}
 	}
 	sh.publish()
-	return nil
+	return rungStructure, nil
 }
 
 // replayOplog reloads the shard's operation log and replays every retained
@@ -303,16 +317,35 @@ func (sh *shard) replayOplog() error {
 	return nil
 }
 
-// publish copies the worker-owned counters the collectors export.
+// publish copies the worker-owned counters the collectors export (none on
+// a failed shard, which has no engine).
 func (sh *shard) publish() {
+	if sh.ctx == nil {
+		return
+	}
 	sh.cycles.Store(sh.ctx.CPU.Stats.Cycles)
 	sh.keys.Store(sh.rb.Len())
-	// A recovery starts a new registry, whose count starts again at zero.
-	dirty := sh.ctx.Reg.Stats.DirtyPages
-	sh.dirtyPages.Add(dirty - sh.dirtySeen)
-	sh.dirtySeen = dirty
+	sh.fold(&sh.ctx.Reg.Stats)
+}
+
+// fold adds what the registry counted since the last fold to the shard's
+// counters. The registry is the one counter of fsck findings, repairs,
+// media scrubs, repaired pages, parity rebuilds, unrecoverable rangelets
+// and dirty pages, whichever rung made them; a recovery that builds a new
+// registry, whose counts start again at zero, resets regSeen.
+func (sh *shard) fold(now *pmem.RegistryStats) {
+	was := &sh.regSeen
+	sh.dirtyPages.Add(now.DirtyPages - was.DirtyPages)
+	sh.fsckErrors.Add(now.FsckErrors - was.FsckErrors)
+	sh.fsckWarns.Add(now.FsckWarns - was.FsckWarns)
+	sh.repairs.Add(now.Repairs - was.Repairs)
+	sh.mediaScrubs.Add(now.MediaScrubs - was.MediaScrubs)
+	sh.pagesRepaired.Add(now.PagesRepaired - was.PagesRepaired)
+	sh.parityRebuilds.Add(now.ParityRebuilds - was.ParityRebuilds)
+	sh.mediaUnrecoverable.Add(now.MediaUnrecoverable - was.MediaUnrecoverable)
+	sh.regSeen = *now
 	if sh.cfg.parity.Enabled {
-		sh.parityPages.Store(sh.ctx.Reg.Stats.ParityPages)
+		sh.parityPages.Store(now.ParityPages)
 	}
 }
 
@@ -325,7 +358,7 @@ func (sh *shard) beat() { sh.heartbeat.Store(time.Now().UnixNano()) }
 // own deadline), then the request is SHED. Every refused request still
 // receives exactly one reply.
 func (sh *shard) submit(r *request) {
-	if !sh.breaker.Allow() {
+	if sh.state.Load() == stateFailed || !sh.breaker.Allow() {
 		sh.unavail.Add(1)
 		r.resp <- Reply{Status: StatusUnavailable}
 		return
@@ -360,7 +393,7 @@ func (sh *shard) submit(r *request) {
 
 // supervise is the shard's outer loop: run the worker until the queue
 // closes, and any time the worker panics — an injected software crash, a
-// fault-scheduler power cut, or a genuine bug — recover, repair the pool,
+// fault-scheduler power cut, or a genuine bug — climb the recovery ladder
 // and restart the worker in place while the rest of the server keeps
 // serving.
 func (sh *shard) supervise() {
@@ -370,7 +403,7 @@ func (sh *shard) supervise() {
 		if crash == nil {
 			return // queue closed: normal shutdown (final checkpoint done)
 		}
-		sh.recoverWorker(crash)
+		sh.restart(crash)
 	}
 }
 
@@ -386,49 +419,37 @@ func (sh *shard) runGuarded() (crash any) {
 	return nil
 }
 
-// recoverWorker is the supervisor's repair path after a worker panic. A
-// fault-scheduler crash (*fault.CrashPanic) models power loss: the shard
-// rolls back to its last checkpoint. Any other panic is a software crash:
-// the pool's contents survive, so the supervisor scrubs it (pmem.Fsck,
-// pmem.Repair), verifies the index, and salvages the current state —
-// acknowledged writes are preserved. If salvage fails the shard falls back
-// to the power-loss rollback.
-func (sh *shard) recoverWorker(crash any) {
+// restart is the supervisor's half of a worker panic: open the breaker,
+// fail every request the dead worker owed a reply, climb the ladder —
+// from the power-loss rung for a fault-scheduler crash (*fault.CrashPanic),
+// from the live pool's rungs for any other panic — and put the worker
+// back. A shard the ladder failed restarts too, to refuse its queue.
+func (sh *shard) restart(crash any) {
 	sh.panics.Add(1)
 	sh.state.Store(stateRecovering)
 	sh.breaker.ForceOpen()
 	sh.failPending()
-	if sh.waiter != nil {
-		// Held write acks may reference state a rollback is about to erase;
-		// fail them (UNAVAILABLE) so clients retry instead of trusting an
-		// ack the recovered shard might not honor.
-		sh.waiter.failHeld()
+	c := causePanic
+	if _, isPower := fault.AsCrash(crash); isPower {
+		c = causePower
 	}
-	if c, isPower := fault.AsCrash(crash); isPower {
-		sh.logf("shard %d: power lost at %s; rolling back to last checkpoint", sh.cfg.id, c.Label)
-		sh.crashAndRecover()
-	} else if sh.salvage() {
-		sh.salvages.Add(1)
-		sh.logf("shard %d: worker panic (%v); pool scrubbed clean, state salvaged", sh.cfg.id, crash)
-	} else {
-		sh.rollbacks.Add(1)
-		sh.logf("shard %d: worker panic (%v); salvage failed, rolling back to last checkpoint", sh.cfg.id, crash)
-		sh.crashAndRecover()
-	}
+	reached, err := sh.recover(c)
 	sh.publishLog()
 	sh.beat()
+	if err != nil {
+		return
+	}
 	sh.restarts.Add(1)
 	sh.state.Store(stateHealthy)
 	sh.breaker.Reset()
-	if sh.cfg.trigger != nil {
-		sh.cfg.trigger(TriggerRestart, fmt.Sprintf("shard %d worker restarted after panic: %v", sh.cfg.id, crash))
-	}
+	sh.incident(reached, fmt.Sprintf("shard %d worker restarted after panic: %v (%s)", sh.cfg.id, crash, reached))
 }
 
 // failPending answers UNAVAILABLE on every request of the interrupted
 // batch that never got a reply — including the in-flight one that took the
-// panic. Sends are non-blocking: a request that somehow was answered
-// already must not wedge the supervisor.
+// panic — and on every write ack held for the replica: clients retry rather
+// than wait on a worker that died. Sends are non-blocking: a request that
+// somehow was answered already must not wedge the supervisor.
 func (sh *shard) failPending() {
 	for _, r := range sh.pending[sh.pendIdx:] {
 		select {
@@ -439,38 +460,131 @@ func (sh *shard) failPending() {
 	}
 	sh.pending = sh.pending[:0]
 	sh.pendIdx = 0
+	if sh.waiter != nil {
+		sh.waiter.failHeld()
+	}
 }
 
-// salvage recovers from a software crash without losing state: the mapped
-// pool survived the panic, so scrub it, repair crash residue, sanity-check
-// the index by walking it, and publish a salvage checkpoint so the backing
-// store also reflects every acknowledged write. Any failure — structural
-// corruption Repair refuses, an index walk that disagrees with the
-// recorded cardinality, or a panic out of the walk itself — reports false
-// and the caller rolls back instead.
-func (sh *shard) salvage() (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
+// recover is the shard's one recovery ladder (the rung constants name its
+// steps). The cause picks the first rung: open climbs media → structure,
+// and a fresh open that fails is the caller's error; scrub climbs media
+// over the stored images, then structure on the live pool, and salvage
+// re-seals a stored image left beyond parity's reach; panic climbs
+// structure → salvage; power goes straight to rollback. A live-pool rung
+// that fails hands off to rollback, and a rollback that cannot reopen fails
+// the shard. recover runs on the worker (or the supervisor while the worker
+// is down, or newShard before it starts) and returns the rung it stopped at.
+func (sh *shard) recover(c cause) (rung, error) {
+	switch c {
+	case causeOpen:
+		return sh.open()
+	case causePower:
+		return sh.rollback()
+	}
+	reseal := true // a panic always writes the salvage checkpoint
+	if c == causeScrub {
+		sh.scrubs.Add(1)
+		reseal = !sh.scrubMedia()
+	}
+	r, err := sh.repairLive(reseal)
+	if err == nil {
+		return r, nil
+	}
+	sh.rollbacks.Add(1)
+	sh.logf("shard %d: %s rung failed (%v); rolling back to the last checkpoint", sh.cfg.id, r, err)
+	return sh.rollback()
+}
+
+// scrubMedia is the media rung on a live shard: walk every stored image
+// the registry manages, with repair. A repair, and damage beyond parity's
+// reach, are incidents. It reports false when some stored image is left
+// unusable, so the store must take the live state (salvage).
+func (sh *shard) scrubMedia() bool {
+	if !sh.cfg.parity.Enabled || sh.cfg.store == nil {
+		return true
+	}
+	ok := true
+	for _, p := range sh.ctx.Reg.Pools() {
+		start := time.Now()
+		rep, err := sh.ctx.Reg.ScrubMedia(p.Name(), true)
+		switch {
+		case err != nil:
+			// Pool not checkpointed yet: nothing stored to scrub.
+		case !rep.ImageOK && !rep.Healed:
 			ok = false
+			sh.incident(rungMedia, fmt.Sprintf("shard %d pool %q: unrecoverable media damage: %d rangelet(s), err=%q",
+				sh.cfg.id, p.Name(), len(rep.Unrecoverable), rep.Err))
+		case len(rep.Repaired) > 0:
+			sh.cfg.repairLatency.Observe(uint64(time.Since(start).Microseconds()))
+			sh.incident(rungMedia, fmt.Sprintf("shard %d pool %q: scrub reconstructed %d page(s) from parity (bad=%v)",
+				sh.cfg.id, p.Name(), len(rep.Repaired), rep.BadPages))
+		}
+	}
+	return ok
+}
+
+// repairLive climbs the live pool's rungs: structure, then — when the
+// store must take the live state — salvage, which cross-checks the index
+// walk against the recorded cardinality and writes the salvage checkpoint.
+// It returns the rung it stopped at; a panic out of either fails that rung.
+func (sh *shard) repairLive(reseal bool) (r rung, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v", p)
 		}
 	}()
-	rep := pmem.Fsck(sh.ctx.Pool)
-	sh.scrubIssues.Add(uint64(len(rep.Issues)))
-	if !rep.Consistent() {
-		if _, err := pmem.Repair(sh.ctx.Pool); err != nil {
-			return false
-		}
-		sh.repairs.Add(1)
+	r = rungStructure
+	if _, err := pmem.Repair(sh.ctx.Pool); err != nil || !reseal {
+		return r, err
 	}
-	n := sh.rb.Scan(0, math.MaxInt32, func(k, v uint64) {})
-	if uint64(n) != sh.rb.Len() {
-		return false
+	r = rungSalvage
+	if n := sh.rb.Scan(0, math.MaxInt32, func(k, v uint64) {}); uint64(n) != sh.rb.Len() {
+		return r, fmt.Errorf("index walk found %d keys, the root records %d", n, sh.rb.Len())
 	}
 	if err := sh.checkpoint(); err != nil {
-		return false
+		return r, err
 	}
+	sh.salvages.Add(1)
 	sh.publish()
-	return true
+	return r, nil
+}
+
+// rollback simulates losing power on this shard alone — the mapped pool,
+// the DRAM heap and every local pointer vanish — and reopens from the
+// store's last checkpointed image, possibly at a different base. Writes
+// acknowledged after it and not in the replayed op-log roll back: the
+// documented durability contract for power loss. Held write acks may cover
+// sequences the rollback re-issues, so they fail first (clients retry). A
+// reopen that fails, fails the shard.
+func (sh *shard) rollback() (rung, error) {
+	sh.crashes.Add(1)
+	if sh.waiter != nil {
+		sh.waiter.failHeld()
+	}
+	sh.publish() // fold the old registry's last counts before it goes
+	sh.ctx, sh.st, sh.rb = nil, nil, nil
+	if r, err := sh.open(); err != nil {
+		sh.ctx, sh.st, sh.rb = nil, nil, nil
+		sh.state.Store(stateFailed)
+		sh.incident(r, fmt.Sprintf("shard %d failed: reopen from the store failed at the %s rung: %v", sh.cfg.id, r, err))
+		return rungFailed, err
+	}
+	sh.recoveries.Add(1)
+	return rungRollback, nil
+}
+
+// incident leaves a recovery fact's trail: a flight-recorder dump (when a
+// recorder is attached) of the rung's kind — media_repair for the media
+// rung, restart above it — and a log line.
+func (sh *shard) incident(r rung, detail string) {
+	if sh.cfg.trigger != nil {
+		kind := TriggerRestart
+		if r == rungMedia {
+			kind = TriggerMediaRepair
+		}
+		sh.cfg.trigger(kind, detail)
+	}
+	sh.logf("server: %s", detail)
 }
 
 // run is the worker loop: block for one request, then drain a small batch
@@ -583,10 +697,15 @@ func (sh *shard) checkpointNow() Reply {
 	return Reply{Status: StatusOK}
 }
 
-// powerCut is the injected power loss: roll back to the last checkpoint.
-func (sh *shard) powerCut() Reply {
-	sh.crashAndRecover()
-	return Reply{Status: StatusOK}
+// climb returns control work that runs the recovery ladder for c: OK
+// unless the ladder failed the shard.
+func climb(c cause) func(*shard) Reply {
+	return func(sh *shard) Reply {
+		if _, err := sh.recover(c); err != nil {
+			return Reply{Status: StatusUnavailable}
+		}
+		return Reply{Status: StatusOK}
+	}
 }
 
 // kill makes the worker panic — the injected software crash the supervisor
@@ -595,14 +714,23 @@ func (sh *shard) powerCut() Reply {
 func (sh *shard) kill() Reply { panic(errWorkerKilled) }
 
 // handle runs one request on the worker: control work in place, a data
-// request through refuse → execute → account → deliver.
+// request through refuse → execute → account → deliver. A failed shard
+// answers everything UNAVAILABLE, including the data request whose
+// scheduled power cut failed it.
 func (sh *shard) handle(req *request) {
+	failed := sh.state.Load() == stateFailed
+	if !failed && req.do == nil && sh.cfg.sched != nil && sh.cfg.sched.Hit(CrashPointOp) {
+		_, err := sh.recover(causePower)
+		failed = err != nil
+	}
+	if failed {
+		sh.unavail.Add(1)
+		req.resp <- Reply{Status: StatusUnavailable}
+		return
+	}
 	if req.do != nil {
 		req.resp <- req.do(sh)
 		return
-	}
-	if sh.cfg.sched != nil && sh.cfg.sched.Hit(CrashPointOp) {
-		sh.crashAndRecover()
 	}
 	// Stage timing (a zero execStart means untimed): sampled requests record
 	// spans; with a slow-op threshold every data request is timed (cheaply —
@@ -993,71 +1121,6 @@ func (sh *shard) reseedChunk(pairs []KV) Reply {
 	return Reply{Status: StatusOK}
 }
 
-// scrubNow is the online Pangolin-style check: fsck the live pool between
-// requests and reclaim any repairable residue before it can compound,
-// then (with parity armed) scrub-and-repair the stored images against
-// their parity sidecars — the media leg that catches bit rot at rest.
-func (sh *shard) scrubNow() Reply {
-	sh.scrubs.Add(1)
-	rep := pmem.Fsck(sh.ctx.Pool)
-	sh.scrubIssues.Add(uint64(len(rep.Issues)))
-	if !rep.Clean() {
-		if _, err := pmem.Repair(sh.ctx.Pool); err == nil {
-			sh.repairs.Add(1)
-		}
-	}
-	if sh.cfg.parity.Enabled && sh.cfg.store != nil {
-		sh.scrubMedia()
-	}
-	return Reply{Status: StatusOK}
-}
-
-// scrubMedia runs one scrub-and-repair pass over every stored image the
-// shard's registry manages. Corrupt pages are reconstructed from parity
-// and healed in the store; the damage, the fix, and the latency all land
-// in the media counters and — via the flight recorder — in an incident
-// dump, because a media repair means hardware is lying about bytes.
-func (sh *shard) scrubMedia() {
-	for _, p := range sh.ctx.Reg.Pools() {
-		start := time.Now()
-		rep, err := sh.ctx.Reg.ScrubMedia(p.Name(), true)
-		if err != nil {
-			continue // pool not checkpointed yet: nothing stored to scrub
-		}
-		sh.mediaScrubs.Add(1)
-		sh.parityPages.Store(sh.ctx.Reg.Stats.ParityPages)
-		if rep.SidecarBuilt {
-			sh.parityRebuilds.Add(1)
-		}
-		if len(rep.Unrecoverable) > 0 || (rep.Err != "" && !rep.ImageOK) {
-			sh.mediaUnrecoverable.Add(uint64(max(len(rep.Unrecoverable), 1)))
-			sh.mediaIncident(fmt.Sprintf("shard %d pool %q: unrecoverable media damage: %d rangelet(s), err=%q",
-				sh.cfg.id, p.Name(), len(rep.Unrecoverable), rep.Err))
-			continue
-		}
-		if len(rep.Repaired) > 0 {
-			sh.pagesRepaired.Add(uint64(len(rep.Repaired)))
-			if len(rep.ParityRebuilt) > 0 {
-				sh.parityRebuilds.Add(1)
-			}
-			if sh.cfg.repairLatency != nil {
-				sh.cfg.repairLatency.Observe(uint64(time.Since(start).Microseconds()))
-			}
-			sh.mediaIncident(fmt.Sprintf("shard %d pool %q: scrub reconstructed %d page(s) from parity (bad=%v)",
-				sh.cfg.id, p.Name(), len(rep.Repaired), rep.BadPages))
-		}
-	}
-}
-
-// mediaIncident leaves a media fault's trail: an incident dump (when a
-// flight recorder is attached) and a log line.
-func (sh *shard) mediaIncident(detail string) {
-	if sh.cfg.trigger != nil {
-		sh.cfg.trigger(TriggerMediaRepair, detail)
-	}
-	sh.logf("server: %s", detail)
-}
-
 // afterBatch publishes counters and runs the periodic checkpoint, due once
 // checkpointEvery mutations have been applied since the last one.
 func (sh *shard) afterBatch() {
@@ -1071,7 +1134,7 @@ func (sh *shard) afterBatch() {
 // every pool to the backing store. This is the durability barrier: a crash
 // rolls the shard back to its most recent checkpoint.
 func (sh *shard) checkpoint() error {
-	if sh.cfg.store == nil {
+	if sh.cfg.store == nil || sh.ctx == nil { // a failed shard has nothing to save
 		return nil
 	}
 	defer func(start time.Time) {
@@ -1112,33 +1175,6 @@ func (sh *shard) checkpoint() error {
 	return nil
 }
 
-// crashAndRecover simulates losing power on this shard alone: the mapped
-// pool, the DRAM heap, and every local pointer vanish; recovery reopens the
-// pool from the store's last checkpointed image (possibly at a different
-// base — relative references make that safe), fscks it, and re-seats the
-// index from the persisted root. Operations acknowledged after the last
-// checkpoint are rolled back, which is the service's documented durability
-// contract for power loss.
-func (sh *shard) crashAndRecover() {
-	sh.crashes.Add(1)
-	if sh.waiter != nil {
-		// Held write acks may cover sequences past the log's durable
-		// watermark — sequences the rollback is about to erase and re-issue.
-		// Fail them now (clients retry) so a later replica ack for a reused
-		// sequence cannot release an ack for a write that no longer exists.
-		// recoverWorker also fails holds, but this path is reached directly
-		// by powerCut and the fault scheduler without a worker panic.
-		sh.waiter.failHeld()
-	}
-	sh.ctx, sh.st, sh.rb = nil, nil, nil
-	if err := sh.open(); err != nil {
-		// A shard that cannot recover is a harness bug (the store is
-		// in-process); fail loudly rather than serving from nil state.
-		panic(fmt.Sprintf("server: shard %d failed to recover: %v", sh.cfg.id, err))
-	}
-	sh.recoveries.Add(1)
-}
-
 // ShardStats is the per-shard block of a STATS reply.
 type ShardStats struct {
 	ID            int    `json:"id"`
@@ -1165,7 +1201,6 @@ type ShardStats struct {
 	Unavailable   uint64 `json:"unavailable"`
 	DeadlineDrops uint64 `json:"deadline_drops"`
 	Scrubs        uint64 `json:"scrubs"`
-	ScrubIssues   uint64 `json:"scrub_issues"`
 	SlowOps       uint64 `json:"slow_ops"`
 	BreakerOpens  uint64 `json:"breaker_opens"`
 	FsckErrors    uint64 `json:"fsck_errors"`
@@ -1265,7 +1300,6 @@ func (sh *shard) stats() ShardStats {
 		Unavailable:   sh.unavail.Load(),
 		DeadlineDrops: sh.deadlineDrops.Load(),
 		Scrubs:        sh.scrubs.Load(),
-		ScrubIssues:   sh.scrubIssues.Load(),
 		SlowOps:       sh.slowOps.Load(),
 		BreakerOpens:  sh.breaker.Opens(),
 		FsckErrors:    sh.fsckErrors.Load(),

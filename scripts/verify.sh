@@ -35,10 +35,11 @@ cover_gate obs 80
 cover_gate server 80
 cover_gate repl 80
 
-# Resilience leg: repeated shard kills plus flaky-network faults must lose
-# zero acked writes and return the service to a zero error rate without a
-# process restart.
-go test -race -run 'TestResilienceSmoke' ./internal/bench/
+# Resilience leg: the recovery ladder over every cause and kind of damage,
+# then repeated shard kills plus flaky-network faults must lose zero acked
+# writes and return the service to a zero error rate without a process
+# restart.
+go test -race -run 'TestResilienceSmoke|Ladder|Residue' ./internal/bench/ ./internal/server/
 go run ./cmd/nvbench -experiment resilience -quick
 
 # Replication leg: primary killed mid-stream under flaky-network YCSB load —

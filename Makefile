@@ -9,7 +9,7 @@ test:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./... && $(MAKE) fuzz
 
 # Short fuzz smoke over both halves of the wire codec and the incremental
-# image checksum; verify.sh runs the same legs.
+# image checksum — the one list of fuzz legs; verify.sh runs this target.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeReply -fuzztime=10s ./internal/server/

@@ -397,8 +397,7 @@ func RunTrace(spec TraceSpec) (*TraceResult, error) {
 // start to reply_encode end), which in turn fits the e2e latency the
 // client measured around the round trip: the server starts decoding after
 // the client sent, and closes reply_encode before it flushes the reply.
-// client_send is deliberately left out: it closes after the client's
-// flush, by which time the server may already be decoding.
+// client_send is left out: the client records it on its own recorder.
 func chainSound(st map[string]obs.Span, e2e time.Duration) bool {
 	for _, stage := range []string{server.StageQueueWait, server.StageExecute, server.StageReplyEncode} {
 		if _, ok := st[stage]; !ok {

@@ -80,7 +80,12 @@ func (c *Client) SetSpanRecorder(r *obs.SpanRecorder) { c.spans = r }
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-func (c *Client) stamp(req *Request) *Request {
+// write is the client's one send path: it stamps req with the client's
+// deadline envelope and sampled trace, encodes it into the reusable buffer,
+// and frames it into the connection's write buffer. A sampled request's
+// client_send span covers exactly that; the flush, which a pipeline shares
+// between requests, is the caller's.
+func (c *Client) write(req *Request) error {
 	if c.ttl > 0 && req.TTLms == 0 {
 		req.TTLms = c.ttl
 	}
@@ -89,10 +94,6 @@ func (c *Client) stamp(req *Request) *Request {
 			req.Trace, req.Sampled = id, true
 		}
 	}
-	return req
-}
-
-func (c *Client) send(req *Request) error {
 	var start time.Time
 	traced := req.Sampled && c.spans != nil
 	if traced {
@@ -109,9 +110,6 @@ func (c *Client) send(req *Request) error {
 		}
 	}
 	if err := WriteFrame(c.bw, body); err != nil {
-		return err
-	}
-	if err := c.bw.Flush(); err != nil {
 		return err
 	}
 	if traced {
@@ -138,7 +136,10 @@ func (c *Client) recv(req *Request) (*Reply, error) {
 }
 
 func (c *Client) roundTrip(req *Request) (*Reply, error) {
-	if err := c.send(c.stamp(req)); err != nil {
+	if err := c.write(req); err != nil {
+		return nil, err
+	}
+	if err := c.bw.Flush(); err != nil {
 		return nil, err
 	}
 	return c.recv(req)
@@ -150,17 +151,11 @@ func (c *Client) roundTrip(req *Request) (*Reply, error) {
 func (c *Client) Do(req *Request) (*Reply, error) { return c.roundTrip(req) }
 
 // Get reads a key.
-func (c *Client) Get(key uint64) (uint64, bool, error) {
-	rep, err := c.roundTrip(&Request{Op: OpGet, Key: key})
-	if err != nil {
-		return 0, false, err
-	}
-	return rep.Value, rep.Found, nil
-}
+func (c *Client) Get(key uint64) (uint64, bool, error) { return c.GetAt(key, 0) }
 
 // Put inserts or updates a key.
 func (c *Client) Put(key, value uint64) error {
-	_, err := c.roundTrip(&Request{Op: OpPut, Key: key, Value: value})
+	_, _, err := c.PutSeq(key, value)
 	return err
 }
 
@@ -322,27 +317,9 @@ func (p *Pipeline) add(req *Request) {
 	if p.err != nil {
 		return
 	}
-	req = p.c.stamp(req)
-	var start time.Time
-	traced := req.Sampled && p.c.spans != nil
-	if traced {
-		start = time.Now()
+	if p.err = p.c.write(req); p.err == nil {
+		p.reqs = append(p.reqs, req)
 	}
-	body, err := AppendRequest(nil, req)
-	if err != nil {
-		p.err = err
-		return
-	}
-	if err := WriteFrame(p.c.bw, body); err != nil {
-		p.err = err
-		return
-	}
-	if traced {
-		// Covers encode + the buffered write; the shared flush in Run is
-		// not attributable to any single pipelined request.
-		p.c.spans.RecordTimed(req.Trace, StageClientSend, -1, opName(req.Op), req.Key, start, time.Since(start))
-	}
-	p.reqs = append(p.reqs, req)
 }
 
 // Get queues a GET.

@@ -43,13 +43,19 @@
 // applied sequence. Envelopes are only legal at the top level of a
 // frame, in the order deadline, trace, gate.
 //
-// Every reply, and every sub-reply of a BATCH, opens with one head, encoded
-// in one place (appendReplyHead) — `[u8 OpTrace | u64 trace_id] | u8 status
-// | [epoch u64 | u16 len | addr]`, the hint under StatusMoved only — and the
-// op's payload follows on StatusOK alone. Two list shapes recur, each with
-// one encoder and one decoder: pairs, `count u32 | count×(key u64, value
+// Every reply, and every sub-reply of a BATCH, opens with one head —
+// `[u8 OpTrace | u64 trace_id] | u8 status | [epoch u64 | u16 len | addr]`,
+// the hint under StatusMoved only — and the op's payload follows on StatusOK
+// alone. Two list shapes recur: pairs, `count u32 | count×(key u64, value
 // u64)` (SCAN, MIG_SNAPSHOT), and records, `count u32 | count×record`
 // (REPLICATE, MIG_PULL).
+//
+// Each shape above is written once, as a walk over a codec (wire) that
+// encodes or decodes as it is told: the encoder and the decoder are the same
+// code, so they cannot disagree about a byte. Every bound and shape check
+// runs in both directions — AppendRequest refuses with ErrProto what
+// DecodeRequest would refuse — and every ErrProto names the byte offset at
+// which the walk failed.
 //
 // Besides OK, BadRequest, and Internal, replies carry the overload and
 // availability statuses of the self-healing tier: StatusShed (the shard's
@@ -257,8 +263,7 @@ func Retryable(err error) bool {
 	if err == nil {
 		return false
 	}
-	if errors.Is(err, ErrShed) || errors.Is(err, ErrUnavailable) || errors.Is(err, ErrDeadline) ||
-		errors.Is(err, ErrLagging) || errors.Is(err, ErrReadOnly) {
+	if statusError(err) {
 		return true
 	}
 	if errors.Is(err, ErrProto) || errors.Is(err, ErrMoved) || errors.Is(err, ErrWrongEpoch) {
@@ -402,731 +407,433 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	return body, nil
 }
 
-// ---- Request encoding ----------------------------------------------------
+// ---- The codec -----------------------------------------------------------
 
-// AppendRequest appends the wire form of req to buf, emitting the
-// deadline envelope first when the request carries a time budget, then the
-// trace envelope when it carries a trace ID, then the seq-gate envelope
-// when it carries a read-your-writes token.
-func AppendRequest(buf []byte, req *Request) ([]byte, error) {
-	if req.TTLms > 0 {
-		if req.TTLms > MaxTTLms {
-			return nil, fmt.Errorf("%w: ttl %dms exceeds %dms", ErrProto, req.TTLms, MaxTTLms)
-		}
-		buf = append(buf, OpDeadline)
-		buf = binary.LittleEndian.AppendUint32(buf, req.TTLms)
+// wire walks one message in either direction: it encodes when dec is false,
+// appending to b, and decodes when dec is true, reading b from off. Every
+// primitive takes a pointer to its field — encoding reads it, decoding
+// writes it — so each message shape has exactly one walk (request, body,
+// reply) that is both its encoder and its decoder, and every bound and
+// shape check written in a walk runs in both directions. The first failure
+// sticks: a decode reads nothing after it, an encode keeps appending, so a
+// reply built out of bounds goes out as built and its decoder refuses it.
+type wire struct {
+	dec bool
+	b   []byte
+	off int // decoding: the read position; encoding: where the message starts in b
+	err error
+}
+
+// pos is the byte offset, within the message, that the walk has reached.
+func (w *wire) pos() int {
+	if w.dec {
+		return w.off
 	}
-	if req.Trace != 0 {
-		buf = append(buf, OpTrace)
-		buf = binary.LittleEndian.AppendUint64(buf, req.Trace)
+	return len(w.b) - w.off
+}
+
+// fail records the walk's first failure at the offset reached. Call it only
+// once a check has failed — `if !ok { w.fail(...) }` — so that a passing
+// check boxes no arguments.
+func (w *wire) fail(format string, args ...any) {
+	if w.err == nil {
+		w.err = fmt.Errorf("%w: %s at offset %d", ErrProto, fmt.Sprintf(format, args...), w.pos())
+	}
+}
+
+// take is the decoder's one bounds check: the next n bytes, or nil once the
+// walk has failed or fewer than n remain.
+func (w *wire) take(n int) []byte {
+	if w.err != nil {
+		return nil
+	}
+	if n > len(w.b)-w.off {
+		w.err = fmt.Errorf("%w: truncated payload at offset %d: need %d bytes, %d remain", ErrProto, w.off, n, len(w.b)-w.off)
+		return nil
+	}
+	w.off += n
+	return w.b[w.off-n : w.off]
+}
+
+// end finishes a decode: the walk's failure, or one for bytes left over.
+func (w *wire) end() error {
+	if w.err == nil && w.off != len(w.b) {
+		w.fail("%d trailing bytes", len(w.b)-w.off)
+	}
+	return w.err
+}
+
+func (w *wire) u8(v *byte) {
+	if !w.dec {
+		w.b = append(w.b, *v)
+	} else if b := w.take(1); b != nil {
+		*v = b[0]
+	}
+}
+
+func (w *wire) u32(v *uint32) {
+	if !w.dec {
+		w.b = binary.LittleEndian.AppendUint32(w.b, *v)
+	} else if b := w.take(4); b != nil {
+		*v = binary.LittleEndian.Uint32(b)
+	}
+}
+
+func (w *wire) u64(v *uint64) {
+	if !w.dec {
+		w.b = binary.LittleEndian.AppendUint64(w.b, *v)
+	} else if b := w.take(8); b != nil {
+		*v = binary.LittleEndian.Uint64(b)
+	}
+}
+
+// flag walks a u8 boolean; any nonzero byte decodes as true.
+func (w *wire) flag(v *bool) {
+	var b byte
+	if *v {
+		b = 1
+	}
+	w.u8(&b)
+	if w.dec {
+		*v = b != 0
+	}
+}
+
+// within checks that n lies in [lo, hi].
+func (w *wire) within(n, lo, hi int, what string) {
+	if n < lo || n > hi {
+		w.fail("%s %d outside [%d, %d]", what, n, lo, hi)
+	}
+}
+
+// n32 walks an int — a limit, a count or a length — as a u32 in [lo, hi].
+func (w *wire) n32(v *int, lo, hi int, what string) {
+	u := uint32(*v)
+	w.u32(&u)
+	if w.dec {
+		*v = int(u)
+	}
+	w.within(*v, lo, hi, what)
+}
+
+// count walks a list's u32 count of n elements, at most max. Decoding, it
+// also checks the count against the bytes that remain (each element takes
+// at least elem), so a tiny frame claiming a huge count never earns a huge
+// make(); it returns the count to allocate, 0 once the walk has failed.
+func (w *wire) count(n, max, elem int, what string) int {
+	w.n32(&n, 0, max, what)
+	if w.dec && n*elem > len(w.b)-w.off {
+		w.fail("%s count %d exceeds %d remaining bytes", what, n, len(w.b)-w.off)
+	}
+	if w.err != nil {
+		return 0
+	}
+	return n
+}
+
+// blob walks `u32 len | len bytes`, len in [lo, hi]; a decoded blob is a
+// copy (nil when empty).
+func (w *wire) blob(v *[]byte, lo, hi int, what string) {
+	n := len(*v)
+	w.n32(&n, lo, hi, what)
+	if !w.dec {
+		w.b = append(w.b, *v...)
+	} else {
+		*v = append([]byte(nil), w.take(n)...)
+	}
+}
+
+// str walks `u16 len | len bytes`, len in [lo, hi].
+func (w *wire) str(v *string, lo, hi int, what string) {
+	n := len(*v)
+	if !w.dec {
+		w.b = binary.LittleEndian.AppendUint16(w.b, uint16(n))
+	} else if b := w.take(2); b != nil {
+		n = int(binary.LittleEndian.Uint16(b))
+	}
+	w.within(n, lo, hi, what)
+	if !w.dec {
+		w.b = append(w.b, *v...)
+	} else {
+		*v = string(w.take(n))
+	}
+}
+
+// envelope walks an optional envelope's op byte and reports whether the
+// envelope is there: encoding, when the request carries its field (has);
+// decoding, when the body continues with op.
+func (w *wire) envelope(op byte, has bool) bool {
+	if !w.dec {
+		if has {
+			w.b = append(w.b, op)
+		}
+		return has
+	}
+	if w.err != nil || w.off == len(w.b) || w.b[w.off] != op {
+		return false
+	}
+	w.off++
+	return true
+}
+
+// pairs walks the pair list SCAN and MIG_SNAPSHOT replies share:
+// `count u32 | count×(key u64, value u64)`.
+func (w *wire) pairs(v *[]KV) {
+	n := w.count(len(*v), MaxScanLimit, 16, "pair list")
+	if w.dec {
+		*v = make([]KV, n)
+	}
+	for i := range *v {
+		w.u64(&(*v)[i].Key)
+		w.u64(&(*v)[i].Value)
+	}
+}
+
+// records walks the record list REPLICATE and MIG_PULL replies share:
+// `count u32 | count×record` (nil when empty).
+func (w *wire) records(v *[]repl.Record) {
+	n := w.count(len(*v), MaxReplBatch, repl.RecordSize, "record list")
+	if w.dec && n > 0 {
+		*v = make([]repl.Record, n)
+	}
+	for i := range *v {
+		if !w.dec {
+			w.b = repl.AppendRecord(w.b, (*v)[i])
+		} else if b := w.take(repl.RecordSize); b != nil {
+			var err error
+			if (*v)[i], err = repl.DecodeRecord(b); err != nil {
+				w.fail("record %d: %v", i, err)
+			}
+		}
+	}
+}
+
+// request walks a top-level request: the deadline, trace and seq-gate
+// envelopes, each when present and in that order, then the body.
+func (w *wire) request(req *Request) {
+	if w.envelope(OpDeadline, req.TTLms != 0) {
+		w.u32(&req.TTLms)
+		if req.TTLms == 0 || req.TTLms > MaxTTLms {
+			w.fail("ttl %dms outside (0, %d]", req.TTLms, MaxTTLms)
+		}
+	}
+	if w.envelope(OpTrace, req.Trace != 0) {
+		w.u64(&req.Trace)
+		if req.Trace == 0 {
+			w.fail("zero trace id")
+		}
 		var flags byte
 		if req.Sampled {
-			flags |= traceFlagSampled
+			flags = traceFlagSampled
 		}
-		buf = append(buf, flags)
-	} else if req.Sampled {
-		return nil, fmt.Errorf("%w: sampled flag without a trace id", ErrProto)
-	}
-	if req.Gate > 0 {
-		if req.Op != OpGet {
-			return nil, fmt.Errorf("%w: seq gate on op %d (GET only)", ErrProto, req.Op)
-		}
-		buf = append(buf, OpSeqGate)
-		buf = binary.LittleEndian.AppendUint64(buf, req.Gate)
-	}
-	return appendRequestBody(buf, req)
-}
-
-// appendRequestBody appends the envelope-free wire form of req.
-func appendRequestBody(buf []byte, req *Request) ([]byte, error) {
-	buf = append(buf, req.Op)
-	switch req.Op {
-	case OpGet, OpDelete:
-		buf = binary.LittleEndian.AppendUint64(buf, req.Key)
-	case OpPut:
-		buf = binary.LittleEndian.AppendUint64(buf, req.Key)
-		buf = binary.LittleEndian.AppendUint64(buf, req.Value)
-	case OpScan:
-		buf = binary.LittleEndian.AppendUint64(buf, req.Key)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(req.Limit))
-	case OpBatch:
-		if len(req.Sub) > MaxBatch {
-			return nil, fmt.Errorf("%w: batch of %d exceeds %d", ErrProto, len(req.Sub), MaxBatch)
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(req.Sub)))
-		for i := range req.Sub {
-			sub := &req.Sub[i]
-			if sub.Op == OpBatch || sub.Op == OpStats || sub.Op == OpCheckpoint ||
-				sub.Op == OpReplicate || sub.Op == OpReplAck || clusterOp(sub.Op) {
-				return nil, fmt.Errorf("%w: op %d may not appear inside a batch", ErrProto, sub.Op)
-			}
-			if sub.TTLms != 0 {
-				return nil, fmt.Errorf("%w: deadline envelope inside a batch", ErrProto)
-			}
-			if sub.Gate != 0 {
-				return nil, fmt.Errorf("%w: seq-gate envelope inside a batch", ErrProto)
-			}
-			if sub.Trace != 0 || sub.Sampled {
-				return nil, fmt.Errorf("%w: trace envelope inside a batch", ErrProto)
-			}
-			var err error
-			if buf, err = appendRequestBody(buf, sub); err != nil {
-				return nil, err
-			}
-		}
-	case OpReplicate:
-		if req.Limit < 1 || req.Limit > MaxReplBatch {
-			return nil, fmt.Errorf("%w: replicate max %d outside [1, %d]", ErrProto, req.Limit, MaxReplBatch)
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, req.Shard)
-		buf = binary.LittleEndian.AppendUint64(buf, req.Seq)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(req.Limit))
-	case OpReplAck:
-		buf = binary.LittleEndian.AppendUint32(buf, req.Shard)
-		buf = binary.LittleEndian.AppendUint64(buf, req.Seq)
-	case OpClusterMap:
-		// No payload.
-	case OpMapUpdate:
-		if len(req.Blob) == 0 || len(req.Blob) > MaxMapBytes {
-			return nil, fmt.Errorf("%w: map image of %d bytes outside (0, %d]", ErrProto, len(req.Blob), MaxMapBytes)
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(req.Blob)))
-		buf = append(buf, req.Blob...)
-	case OpMigSnapshot, OpMigPull:
-		bound, cur := MaxScanLimit, req.Key
-		if req.Op == OpMigPull {
-			bound, cur = MaxReplBatch, req.Seq
-		}
-		if req.Limit < 1 || req.Limit > bound {
-			return nil, fmt.Errorf("%w: migration max %d outside [1, %d]", ErrProto, req.Limit, bound)
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, req.Shard)
-		buf = binary.LittleEndian.AppendUint32(buf, req.Slot)
-		buf = binary.LittleEndian.AppendUint64(buf, cur)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(req.Limit))
-	case OpMigFence:
-		if len(req.Addr) == 0 || len(req.Addr) > cluster.MaxNodeAddr {
-			return nil, fmt.Errorf("%w: fence address of %d bytes outside (0, %d]", ErrProto, len(req.Addr), cluster.MaxNodeAddr)
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, req.Slot)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(req.Addr)))
-		buf = append(buf, req.Addr...)
-	case OpStats, OpCheckpoint:
-		// No payload.
-	default:
-		return nil, fmt.Errorf("%w: unknown op %d", ErrProto, req.Op)
-	}
-	return buf, nil
-}
-
-// clusterOp reports whether op belongs to the cluster control plane —
-// none may appear inside a batch.
-func clusterOp(op byte) bool {
-	return op == OpClusterMap || op == OpMapUpdate ||
-		op == OpMigSnapshot || op == OpMigPull || op == OpMigFence
-}
-
-// cursor is a bounds-checked little-endian reader over a frame body.
-type cursor struct {
-	b   []byte
-	off int
-}
-
-// need is the codec's one bounds check: nil when n more bytes remain,
-// otherwise an ErrProto that says where in the body the payload ran out.
-func (c *cursor) need(n int) error {
-	if n < 0 || n > c.remaining() {
-		return c.truncated(n)
-	}
-	return nil
-}
-
-// truncated is need's failure, out of line so that need itself inlines.
-//
-//go:noinline
-func (c *cursor) truncated(n int) error {
-	return fmt.Errorf("%w: truncated payload at offset %d: need %d bytes, %d remain", ErrProto, c.off, n, c.remaining())
-}
-
-func (c *cursor) u8() (byte, error) {
-	if err := c.need(1); err != nil {
-		return 0, err
-	}
-	v := c.b[c.off]
-	c.off++
-	return v, nil
-}
-
-func (c *cursor) u16() (uint16, error) {
-	if err := c.need(2); err != nil {
-		return 0, err
-	}
-	v := binary.LittleEndian.Uint16(c.b[c.off:])
-	c.off += 2
-	return v, nil
-}
-
-func (c *cursor) u32() (uint32, error) {
-	if err := c.need(4); err != nil {
-		return 0, err
-	}
-	v := binary.LittleEndian.Uint32(c.b[c.off:])
-	c.off += 4
-	return v, nil
-}
-
-func (c *cursor) u64() (uint64, error) {
-	if err := c.need(8); err != nil {
-		return 0, err
-	}
-	v := binary.LittleEndian.Uint64(c.b[c.off:])
-	c.off += 8
-	return v, nil
-}
-
-func (c *cursor) bytes(n int) ([]byte, error) {
-	if err := c.need(n); err != nil {
-		return nil, err
-	}
-	v := c.b[c.off : c.off+n]
-	c.off += n
-	return v, nil
-}
-
-// flag reads a u8 boolean (any nonzero byte is true).
-func (c *cursor) flag() (bool, error) {
-	v, err := c.u8()
-	return v != 0, err
-}
-
-// remaining returns how many undecoded bytes the cursor still holds.
-func (c *cursor) remaining() int { return len(c.b) - c.off }
-
-// count reads a list's u32 count prefix and validates it before the caller
-// allocates anything: against the protocol bound first, then against the
-// bytes that remain (each element is at least elemSize bytes), so a tiny
-// frame claiming a huge count never earns a huge make().
-func (c *cursor) count(max, elemSize int, what string) (int, error) {
-	n, err := c.u32()
-	if err != nil {
-		return 0, err
-	}
-	if n > uint32(max) {
-		return 0, fmt.Errorf("%w: %s of %d exceeds %d", ErrProto, what, n, max)
-	}
-	if int(n)*elemSize > c.remaining() {
-		return 0, fmt.Errorf("%w: %s count %d exceeds %d remaining bytes at offset %d", ErrProto, what, n, c.remaining(), c.off)
-	}
-	return int(n), nil
-}
-
-// pairs decodes the pair list SCAN and MIG_SNAPSHOT replies share:
-// `count u32 | count×(key u64, value u64)`.
-func (c *cursor) pairs(what string) ([]KV, error) {
-	n, err := c.count(MaxScanLimit, 16, what)
-	if err != nil {
-		return nil, err
-	}
-	pairs := make([]KV, n)
-	for i := range pairs {
-		if pairs[i].Key, err = c.u64(); err != nil {
-			return nil, err
-		}
-		if pairs[i].Value, err = c.u64(); err != nil {
-			return nil, err
-		}
-	}
-	return pairs, nil
-}
-
-// records decodes the record list REPLICATE and MIG_PULL replies share:
-// `count u32 | count×record` (nil when empty).
-func (c *cursor) records(what string) ([]repl.Record, error) {
-	n, err := c.count(MaxReplBatch, repl.RecordSize, what)
-	if err != nil || n == 0 {
-		return nil, err
-	}
-	recs := make([]repl.Record, n)
-	for i := range recs {
-		b, err := c.bytes(repl.RecordSize)
-		if err != nil {
-			return nil, err
-		}
-		if recs[i], err = repl.DecodeRecord(b); err != nil {
-			return nil, fmt.Errorf("%w: record %d: %v", ErrProto, i, err)
-		}
-	}
-	return recs, nil
-}
-
-// DecodeRequest parses one request frame body, unwrapping the optional
-// top-level envelopes (deadline first, then trace, then seq-gate) into
-// Request.TTLms, Request.Trace/Sampled, and Request.Gate.
-func DecodeRequest(body []byte) (*Request, error) {
-	c := &cursor{b: body}
-	var ttl uint32
-	if len(body) > 0 && body[0] == OpDeadline {
-		c.off = 1
-		var err error
-		if ttl, err = c.u32(); err != nil {
-			return nil, err
-		}
-		if ttl == 0 || ttl > MaxTTLms {
-			return nil, fmt.Errorf("%w: ttl %dms outside (0, %d]", ErrProto, ttl, MaxTTLms)
-		}
-	}
-	var trace uint64
-	var sampled bool
-	if c.off < len(body) && body[c.off] == OpTrace {
-		c.off++
-		var err error
-		if trace, err = c.u64(); err != nil {
-			return nil, err
-		}
-		if trace == 0 {
-			return nil, fmt.Errorf("%w: zero trace id", ErrProto)
-		}
-		flags, err := c.u8()
-		if err != nil {
-			return nil, err
-		}
+		w.u8(&flags)
 		if flags&^traceFlagSampled != 0 {
-			return nil, fmt.Errorf("%w: unknown trace flags %#x", ErrProto, flags)
+			w.fail("unknown trace flags %#x", flags)
 		}
-		sampled = flags&traceFlagSampled != 0
-	}
-	var gate uint64
-	if c.off < len(body) && body[c.off] == OpSeqGate {
-		c.off++
-		var err error
-		if gate, err = c.u64(); err != nil {
-			return nil, err
+		if w.dec {
+			req.Sampled = flags == traceFlagSampled
 		}
-		if gate == 0 {
-			return nil, fmt.Errorf("%w: zero seq-gate token", ErrProto)
+	} else if req.Sampled {
+		w.fail("sampled flag without a trace id")
+	}
+	if w.envelope(OpSeqGate, req.Gate != 0) {
+		w.u64(&req.Gate)
+		if req.Gate == 0 {
+			w.fail("zero seq-gate token")
 		}
 	}
-	req, err := decodeRequest(c, true)
-	if err != nil {
-		return nil, err
+	w.body(req, true)
+	if req.Gate != 0 && req.Op != OpGet {
+		w.fail("seq gate on op %d (GET only)", req.Op)
 	}
-	if c.off != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrProto, len(body)-c.off)
-	}
-	if gate != 0 && req.Op != OpGet {
-		return nil, fmt.Errorf("%w: seq gate on op %d (GET only)", ErrProto, req.Op)
-	}
-	req.TTLms = ttl
-	req.Gate = gate
-	req.Trace = trace
-	req.Sampled = sampled
-	return req, nil
 }
 
-func decodeRequest(c *cursor, allowBatch bool) (*Request, error) {
-	op, err := c.u8()
-	if err != nil {
-		return nil, err
+// body walks a request without its envelopes. Inside a batch (top false)
+// only GET, PUT, DELETE and SCAN — ops 1 to 4 — may appear, and without
+// envelopes: a sub-request inherits its batch's.
+func (w *wire) body(req *Request, top bool) {
+	w.u8(&req.Op)
+	if !top && (req.Op < OpGet || req.Op > OpScan) {
+		w.fail("op %d may not appear inside a batch", req.Op)
 	}
-	req := &Request{Op: op}
-	switch op {
-	case OpGet, OpDelete:
-		if req.Key, err = c.u64(); err != nil {
-			return nil, err
-		}
+	if !top && (req.TTLms != 0 || req.Trace != 0 || req.Sampled || req.Gate != 0) {
+		w.fail("envelope inside a batch")
+	}
+	switch req.Op {
 	case OpPut:
-		if req.Key, err = c.u64(); err != nil {
-			return nil, err
-		}
-		if req.Value, err = c.u64(); err != nil {
-			return nil, err
-		}
+		w.u64(&req.Key)
+		w.u64(&req.Value)
+	case OpGet, OpDelete:
+		w.u64(&req.Key)
 	case OpScan:
-		if req.Key, err = c.u64(); err != nil {
-			return nil, err
-		}
-		limit, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		if limit > MaxScanLimit {
-			return nil, fmt.Errorf("%w: scan limit %d exceeds %d", ErrProto, limit, MaxScanLimit)
-		}
-		req.Limit = int(limit)
+		w.u64(&req.Key)
+		w.n32(&req.Limit, 0, MaxScanLimit, "scan limit")
 	case OpBatch:
-		if !allowBatch {
-			return nil, fmt.Errorf("%w: nested batch", ErrProto)
+		n := w.count(len(req.Sub), MaxBatch, 1, "batch") // a sub-request is at least its op byte
+		if w.dec {
+			req.Sub = make([]Request, n)
 		}
-		n, err := c.count(MaxBatch, 1, "batch") // a sub-request is at least its op byte
-		if err != nil {
-			return nil, err
-		}
-		req.Sub = make([]Request, n)
 		for i := range req.Sub {
-			sub, err := decodeRequest(c, false)
-			if err != nil {
-				return nil, err
-			}
-			if sub.Op == OpStats || sub.Op == OpCheckpoint ||
-				sub.Op == OpReplicate || sub.Op == OpReplAck || clusterOp(sub.Op) {
-				return nil, fmt.Errorf("%w: op %d may not appear inside a batch", ErrProto, sub.Op)
-			}
-			req.Sub[i] = *sub
+			w.body(&req.Sub[i], false)
 		}
 	case OpReplicate, OpReplAck:
-		if req.Shard, err = c.u32(); err != nil {
-			return nil, err
+		w.u32(&req.Shard)
+		w.u64(&req.Seq)
+		if req.Op == OpReplicate {
+			w.n32(&req.Limit, 1, MaxReplBatch, "replicate max")
 		}
-		if req.Seq, err = c.u64(); err != nil {
-			return nil, err
-		}
-		if op == OpReplAck {
-			break
-		}
-		max, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		if max < 1 || max > MaxReplBatch {
-			return nil, fmt.Errorf("%w: replicate max %d outside [1, %d]", ErrProto, max, MaxReplBatch)
-		}
-		req.Limit = int(max)
-	case OpClusterMap:
-		// No payload.
 	case OpMapUpdate:
-		n, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 || n > MaxMapBytes {
-			return nil, fmt.Errorf("%w: map image of %d bytes outside (0, %d]", ErrProto, n, MaxMapBytes)
-		}
-		blob, err := c.bytes(int(n))
-		if err != nil {
-			return nil, err
-		}
-		req.Blob = append([]byte(nil), blob...)
-	case OpMigSnapshot, OpMigPull:
-		if req.Shard, err = c.u32(); err != nil {
-			return nil, err
-		}
-		if req.Slot, err = c.u32(); err != nil {
-			return nil, err
-		}
-		cur, err := c.u64()
-		if err != nil {
-			return nil, err
-		}
-		max, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		bound := uint32(MaxScanLimit)
-		if op == OpMigPull {
-			bound = MaxReplBatch
-			req.Seq = cur
-		} else {
-			req.Key = cur
-		}
-		if max < 1 || max > bound {
-			return nil, fmt.Errorf("%w: migration max %d outside [1, %d]", ErrProto, max, bound)
-		}
-		req.Limit = int(max)
+		w.blob(&req.Blob, 1, MaxMapBytes, "map image length")
+	case OpMigSnapshot:
+		w.u32(&req.Shard)
+		w.u32(&req.Slot)
+		w.u64(&req.Key)
+		w.n32(&req.Limit, 1, MaxScanLimit, "migration max")
+	case OpMigPull:
+		w.u32(&req.Shard)
+		w.u32(&req.Slot)
+		w.u64(&req.Seq)
+		w.n32(&req.Limit, 1, MaxReplBatch, "migration max")
 	case OpMigFence:
-		if req.Slot, err = c.u32(); err != nil {
-			return nil, err
-		}
-		n, err := c.u16()
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 || int(n) > cluster.MaxNodeAddr {
-			return nil, fmt.Errorf("%w: fence address of %d bytes outside (0, %d]", ErrProto, n, cluster.MaxNodeAddr)
-		}
-		addr, err := c.bytes(int(n))
-		if err != nil {
-			return nil, err
-		}
-		req.Addr = string(addr)
-	case OpStats, OpCheckpoint:
+		w.u32(&req.Slot)
+		w.str(&req.Addr, 1, cluster.MaxNodeAddr, "fence address length")
+	case OpStats, OpCheckpoint, OpClusterMap:
 		// No payload.
 	default:
-		return nil, fmt.Errorf("%w: unknown op %d", ErrProto, op)
+		w.fail("unknown op %d", req.Op)
 	}
-	return req, nil
 }
 
-// ---- Reply encoding ------------------------------------------------------
-
-// appendReplyHead appends what every reply and batch sub-reply opens with,
-// whatever its op: the trace echo when rep carries a trace ID, the status
-// byte, and under StatusMoved — the one non-OK status with a payload — the
-// redirect hint. It reports whether the op's own payload follows (StatusOK).
-func appendReplyHead(buf []byte, rep *Reply) ([]byte, bool) {
-	if rep.Trace != 0 {
-		buf = append(buf, OpTrace)
-		buf = binary.LittleEndian.AppendUint64(buf, rep.Trace)
+// reply walks one reply, or one sub-reply of a BATCH, to req: the trace
+// echo, the status, under StatusMoved — the one non-OK status with a
+// payload — the redirect hint, and under StatusOK the op's payload. The echo
+// is there, decoding, when the top-level request was traced; encoding, when
+// rep carries a trace ID.
+func (w *wire) reply(rep *Reply, req *Request, traced bool) {
+	if !w.dec {
+		traced = rep.Trace != 0
 	}
-	buf = append(buf, rep.Status)
+	if traced {
+		echo := OpTrace
+		w.u8(&echo)
+		if echo != OpTrace {
+			w.fail("traced request's reply lacks the trace echo")
+		}
+		w.u64(&rep.Trace)
+		if rep.Trace == 0 {
+			w.fail("zero trace id in reply echo")
+		}
+	}
+	w.u8(&rep.Status)
 	if rep.Status == StatusMoved {
-		buf = binary.LittleEndian.AppendUint64(buf, rep.Epoch)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(rep.Addr)))
-		buf = append(buf, rep.Addr...)
+		w.u64(&rep.Epoch)
+		w.str(&rep.Addr, 0, cluster.MaxNodeAddr, "moved address length")
 	}
-	return buf, rep.Status == StatusOK
-}
-
-func appendPairs(buf []byte, pairs []KV) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(pairs)))
-	for _, kv := range pairs {
-		buf = binary.LittleEndian.AppendUint64(buf, kv.Key)
-		buf = binary.LittleEndian.AppendUint64(buf, kv.Value)
+	if rep.Status != StatusOK {
+		return
 	}
-	return buf
-}
-
-func appendRecords(buf []byte, recs []repl.Record) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
-	for _, r := range recs {
-		buf = repl.AppendRecord(buf, r)
-	}
-	return buf
-}
-
-// AppendReply appends the wire form of rep (for operation op) to buf: the
-// reply head, then — on StatusOK — the op's payload.
-func AppendReply(buf []byte, op byte, rep *Reply) []byte {
-	buf, ok := appendReplyHead(buf, rep)
-	if !ok {
-		return buf
-	}
-	switch op {
+	switch req.Op {
 	case OpGet:
-		buf = append(buf, boolByte(rep.Found))
-		buf = binary.LittleEndian.AppendUint64(buf, rep.Value)
-	case OpPut:
-		buf = binary.LittleEndian.AppendUint32(buf, rep.Shard)
-		buf = binary.LittleEndian.AppendUint64(buf, rep.Seq)
+		w.flag(&rep.Found)
+		w.u64(&rep.Value)
 	case OpDelete:
-		buf = append(buf, boolByte(rep.Found))
-		buf = binary.LittleEndian.AppendUint32(buf, rep.Shard)
-		buf = binary.LittleEndian.AppendUint64(buf, rep.Seq)
-	case OpReplicate:
-		buf = binary.LittleEndian.AppendUint64(buf, rep.Seq)
-		buf = binary.LittleEndian.AppendUint64(buf, rep.Value)
-		buf = appendRecords(buf, rep.Recs)
-	case OpScan:
-		buf = appendPairs(buf, rep.Pairs)
-	case OpStats, OpClusterMap:
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rep.Blob)))
-		buf = append(buf, rep.Blob...)
+		w.flag(&rep.Found)
+		fallthrough
+	case OpPut:
+		w.u32(&rep.Shard)
+		w.u64(&rep.Seq)
 	case OpMigSnapshot:
-		buf = append(buf, boolByte(rep.Found))
-		buf = binary.LittleEndian.AppendUint64(buf, rep.Seq)
-		buf = appendPairs(buf, rep.Pairs)
+		w.flag(&rep.Found)
+		w.u64(&rep.Seq)
+		fallthrough
+	case OpScan:
+		w.pairs(&rep.Pairs)
 	case OpMigPull:
-		buf = append(buf, boolByte(rep.Found))
-		buf = binary.LittleEndian.AppendUint64(buf, rep.Seq)
-		buf = binary.LittleEndian.AppendUint64(buf, rep.Value)
-		buf = appendRecords(buf, rep.Recs)
+		w.flag(&rep.Found)
+		fallthrough
+	case OpReplicate:
+		w.u64(&rep.Seq)
+		w.u64(&rep.Value)
+		w.records(&rep.Recs)
+	case OpBatch:
+		n := len(rep.Sub)
+		w.n32(&n, len(req.Sub), len(req.Sub), "batch reply entries")
+		if w.err != nil {
+			return // the sub-replies do not line up with the sub-requests
+		}
+		if w.dec {
+			rep.Sub = make([]Reply, n)
+		}
+		for i := range rep.Sub {
+			w.reply(&rep.Sub[i], &req.Sub[i], traced)
+		}
+	case OpStats:
+		w.blob(&rep.Blob, 0, MaxFrame, "stats length")
+	case OpClusterMap:
+		w.blob(&rep.Blob, 0, MaxMapBytes, "map image length")
 	case OpMigFence:
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rep.Seqs)))
-		for _, s := range rep.Seqs {
-			buf = binary.LittleEndian.AppendUint64(buf, s)
+		n := w.count(len(rep.Seqs), MaxFenceShards, 8, "fence reply")
+		if w.dec {
+			rep.Seqs = make([]uint64, n)
+		}
+		for i := range rep.Seqs {
+			w.u64(&rep.Seqs[i])
 		}
 	case OpCheckpoint, OpReplAck, OpMapUpdate:
 		// No payload.
 	}
-	return buf
 }
 
-// AppendBatchReply encodes a BATCH reply; sub-reply payloads depend on the
-// sub-request ops, so the request travels along. The outer reply and every
-// sub-reply open with the same head (AppendReply's), each carrying its own
-// trace echo.
+// AppendRequest appends the wire form of req to buf. A request its decoder
+// would refuse is refused here, with ErrProto.
+func AppendRequest(buf []byte, req *Request) ([]byte, error) {
+	w := wire{b: buf, off: len(buf)}
+	w.request(req)
+	if w.err != nil {
+		return nil, w.err
+	}
+	return w.b, nil
+}
+
+// DecodeRequest parses one request frame body, unwrapping the optional
+// top-level envelopes into Request.TTLms, Request.Trace/Sampled and
+// Request.Gate.
+func DecodeRequest(body []byte) (*Request, error) {
+	w := wire{dec: true, b: body}
+	req := new(Request)
+	w.request(req)
+	if err := w.end(); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// AppendReply appends the wire form of rep, the reply to an op, to buf.
+func AppendReply(buf []byte, op byte, rep *Reply) []byte {
+	return AppendBatchReply(buf, &Request{Op: op}, rep)
+}
+
+// AppendBatchReply appends the wire form of rep, the reply to req, to buf:
+// the payloads of a BATCH's sub-replies follow its sub-requests' ops, so
+// the request travels along. A reply out of bounds goes out as built (there
+// is no error to return), and its decoder refuses it.
 func AppendBatchReply(buf []byte, req *Request, rep *Reply) []byte {
-	buf, ok := appendReplyHead(buf, rep)
-	if !ok {
-		return buf
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rep.Sub)))
-	for i := range rep.Sub {
-		buf = AppendReply(buf, req.Sub[i].Op, &rep.Sub[i])
-	}
-	return buf
+	w := wire{b: buf, off: len(buf)}
+	w.reply(rep, req, false)
+	return w.b
 }
 
 // DecodeReply parses a reply frame body for a request of the given shape.
 // When the request carried a trace ID, every reply (and batch sub-reply)
 // must open with the trace echo.
 func DecodeReply(req *Request, body []byte) (*Reply, error) {
-	c := &cursor{b: body}
-	rep, err := decodeReply(c, req, req.Trace != 0)
-	if err != nil {
+	w := wire{dec: true, b: body}
+	rep := new(Reply)
+	w.reply(rep, req, req.Trace != 0)
+	if err := w.end(); err != nil {
 		return nil, err
 	}
-	if c.off != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrProto, len(body)-c.off)
-	}
 	return rep, nil
-}
-
-func decodeReply(c *cursor, req *Request, traced bool) (*Reply, error) {
-	var trace uint64
-	if traced {
-		op, err := c.u8()
-		if err != nil {
-			return nil, err
-		}
-		if op != OpTrace {
-			return nil, fmt.Errorf("%w: traced request's reply lacks the trace echo", ErrProto)
-		}
-		if trace, err = c.u64(); err != nil {
-			return nil, err
-		}
-		if trace == 0 {
-			return nil, fmt.Errorf("%w: zero trace id in reply echo", ErrProto)
-		}
-	}
-	status, err := c.u8()
-	if err != nil {
-		return nil, err
-	}
-	rep := &Reply{Status: status, Trace: trace}
-	if status == StatusMoved {
-		if rep.Epoch, err = c.u64(); err != nil {
-			return nil, err
-		}
-		n, err := c.u16()
-		if err != nil {
-			return nil, err
-		}
-		if int(n) > cluster.MaxNodeAddr {
-			return nil, fmt.Errorf("%w: moved address of %d bytes exceeds %d", ErrProto, n, cluster.MaxNodeAddr)
-		}
-		addr, err := c.bytes(int(n))
-		if err != nil {
-			return nil, err
-		}
-		rep.Addr = string(addr)
-		return rep, nil
-	}
-	if status != StatusOK {
-		return rep, nil
-	}
-	switch req.Op {
-	case OpGet:
-		if rep.Found, err = c.flag(); err != nil {
-			return nil, err
-		}
-		if rep.Value, err = c.u64(); err != nil {
-			return nil, err
-		}
-	case OpPut:
-		if rep.Shard, err = c.u32(); err != nil {
-			return nil, err
-		}
-		if rep.Seq, err = c.u64(); err != nil {
-			return nil, err
-		}
-	case OpDelete:
-		if rep.Found, err = c.flag(); err != nil {
-			return nil, err
-		}
-		if rep.Shard, err = c.u32(); err != nil {
-			return nil, err
-		}
-		if rep.Seq, err = c.u64(); err != nil {
-			return nil, err
-		}
-	case OpReplicate:
-		if rep.Seq, err = c.u64(); err != nil {
-			return nil, err
-		}
-		if rep.Value, err = c.u64(); err != nil {
-			return nil, err
-		}
-		if rep.Recs, err = c.records("replicate reply"); err != nil {
-			return nil, err
-		}
-	case OpScan:
-		if rep.Pairs, err = c.pairs("scan reply"); err != nil {
-			return nil, err
-		}
-	case OpBatch:
-		n, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		if int(n) != len(req.Sub) {
-			return nil, fmt.Errorf("%w: batch reply has %d entries, request had %d", ErrProto, n, len(req.Sub))
-		}
-		rep.Sub = make([]Reply, n)
-		for i := range rep.Sub {
-			sub, err := decodeReply(c, &req.Sub[i], traced)
-			if err != nil {
-				return nil, err
-			}
-			rep.Sub[i] = *sub
-		}
-	case OpStats, OpClusterMap:
-		n, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		if req.Op == OpClusterMap && n > MaxMapBytes {
-			return nil, fmt.Errorf("%w: map image of %d bytes exceeds %d", ErrProto, n, MaxMapBytes)
-		}
-		blob, err := c.bytes(int(n))
-		if err != nil {
-			return nil, err
-		}
-		rep.Blob = append([]byte(nil), blob...)
-	case OpMigSnapshot:
-		if rep.Found, err = c.flag(); err != nil {
-			return nil, err
-		}
-		if rep.Seq, err = c.u64(); err != nil {
-			return nil, err
-		}
-		if rep.Pairs, err = c.pairs("snapshot reply"); err != nil {
-			return nil, err
-		}
-	case OpMigPull:
-		if rep.Found, err = c.flag(); err != nil {
-			return nil, err
-		}
-		if rep.Seq, err = c.u64(); err != nil {
-			return nil, err
-		}
-		if rep.Value, err = c.u64(); err != nil {
-			return nil, err
-		}
-		if rep.Recs, err = c.records("migration pull reply"); err != nil {
-			return nil, err
-		}
-	case OpMigFence:
-		n, err := c.count(MaxFenceShards, 8, "fence reply")
-		if err != nil {
-			return nil, err
-		}
-		rep.Seqs = make([]uint64, n)
-		for i := range rep.Seqs {
-			if rep.Seqs[i], err = c.u64(); err != nil {
-				return nil, err
-			}
-		}
-	case OpCheckpoint, OpReplAck, OpMapUpdate:
-		// No payload.
-	}
-	return rep, nil
-}
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // ---- Sharding ------------------------------------------------------------

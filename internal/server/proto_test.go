@@ -2,10 +2,14 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+
+	"nvref/internal/cluster"
 )
 
 func roundTripRequest(t *testing.T, req *Request) *Request {
@@ -70,7 +74,7 @@ func TestRequestDecodeErrors(t *testing.T) {
 		"truncated key":   {OpGet, 1, 2, 3},
 		"truncated value": valid[:9],
 		"trailing bytes":  append(append([]byte{}, valid...), 0xFF),
-		"scan limit":      mustAppend(t, &Request{Op: OpScan, Key: 1, Limit: MaxScanLimit + 1}),
+		"scan limit":      le(OpScan, uint64(1), uint32(MaxScanLimit+1)),
 		"batch count":     {OpBatch, 0xFF, 0xFF, 0xFF, 0xFF},
 		"nested batch":    {OpBatch, 1, 0, 0, 0, OpBatch, 0, 0, 0, 0},
 		"stats in batch":  {OpBatch, 1, 0, 0, 0, OpStats},
@@ -95,15 +99,121 @@ func TestTruncationSaysWhere(t *testing.T) {
 	}
 }
 
-// mustAppend encodes without the op-level validation (scan limits are only
-// enforced on decode) so decode-side checks can be exercised.
-func mustAppend(t *testing.T, req *Request) []byte {
-	t.Helper()
-	body, err := AppendRequest(nil, req)
+// le builds a hand-written wire vector: a byte as is, a uint16, uint32 or
+// uint64 little-endian, a []byte or string verbatim.
+func le(parts ...any) []byte {
+	var b []byte
+	for _, p := range parts {
+		switch v := p.(type) {
+		case byte:
+			b = append(b, v)
+		case uint16:
+			b = binary.LittleEndian.AppendUint16(b, v)
+		case uint32:
+			b = binary.LittleEndian.AppendUint32(b, v)
+		case uint64:
+			b = binary.LittleEndian.AppendUint64(b, v)
+		case []byte:
+			b = append(b, v...)
+		case string:
+			b = append(b, v...)
+		default:
+			panic(fmt.Sprintf("le: unsupported part %T", p))
+		}
+	}
+	return b
+}
+
+// TestEncoderRejectsWhatDecoderRejects: one row per request rule, each
+// refused by AppendRequest and, as hand-built bytes, by DecodeRequest — both
+// with an ErrProto that names its byte offset.
+func TestEncoderRejectsWhatDecoderRejects(t *testing.T) {
+	gets := make([]Request, MaxBatch+1)
+	var getsWire []byte
+	for i := range gets {
+		gets[i] = Request{Op: OpGet, Key: uint64(i)}
+		getsWire = append(getsWire, le(OpGet, uint64(i))...)
+	}
+	longAddr := strings.Repeat("a", cluster.MaxNodeAddr+1)
+	cases := []struct {
+		name string
+		req  Request
+		wire []byte
+	}{
+		{"scan limit above MaxScanLimit", Request{Op: OpScan, Key: 1, Limit: MaxScanLimit + 1},
+			le(OpScan, uint64(1), uint32(MaxScanLimit+1))},
+		{"replicate max 0", Request{Op: OpReplicate, Shard: 1, Seq: 9},
+			le(OpReplicate, uint32(1), uint64(9), uint32(0))},
+		{"replicate max above MaxReplBatch", Request{Op: OpReplicate, Shard: 1, Seq: 9, Limit: MaxReplBatch + 1},
+			le(OpReplicate, uint32(1), uint64(9), uint32(MaxReplBatch+1))},
+		{"snapshot max 0", Request{Op: OpMigSnapshot, Shard: 1, Slot: 2, Key: 3},
+			le(OpMigSnapshot, uint32(1), uint32(2), uint64(3), uint32(0))},
+		{"snapshot max above MaxScanLimit", Request{Op: OpMigSnapshot, Shard: 1, Slot: 2, Key: 3, Limit: MaxScanLimit + 1},
+			le(OpMigSnapshot, uint32(1), uint32(2), uint64(3), uint32(MaxScanLimit+1))},
+		{"migration pull max 0", Request{Op: OpMigPull, Shard: 1, Slot: 2, Seq: 3},
+			le(OpMigPull, uint32(1), uint32(2), uint64(3), uint32(0))},
+		{"migration pull max above MaxReplBatch", Request{Op: OpMigPull, Shard: 1, Slot: 2, Seq: 3, Limit: MaxReplBatch + 1},
+			le(OpMigPull, uint32(1), uint32(2), uint64(3), uint32(MaxReplBatch+1))},
+		{"ttl above MaxTTLms", Request{Op: OpPut, Key: 1, Value: 2, TTLms: MaxTTLms + 1},
+			le(OpDeadline, uint32(MaxTTLms+1), OpPut, uint64(1), uint64(2))},
+		{"empty map image", Request{Op: OpMapUpdate},
+			le(OpMapUpdate, uint32(0))},
+		{"map image above MaxMapBytes", Request{Op: OpMapUpdate, Blob: make([]byte, MaxMapBytes+1)},
+			le(OpMapUpdate, uint32(MaxMapBytes+1), make([]byte, MaxMapBytes+1))},
+		{"empty fence address", Request{Op: OpMigFence, Slot: 2},
+			le(OpMigFence, uint32(2), uint16(0))},
+		{"fence address above MaxNodeAddr", Request{Op: OpMigFence, Slot: 2, Addr: longAddr},
+			le(OpMigFence, uint32(2), uint16(len(longAddr)), longAddr)},
+		{"MaxBatch+1 sub-requests", Request{Op: OpBatch, Sub: gets},
+			le(OpBatch, uint32(MaxBatch+1), getsWire)},
+		{"stats inside a batch", Request{Op: OpBatch, Sub: []Request{{Op: OpStats}}},
+			le(OpBatch, uint32(1), OpStats)},
+		{"envelope inside a batch", Request{Op: OpBatch, Sub: []Request{{Op: OpGet, Key: 1, TTLms: 5}}},
+			le(OpBatch, uint32(1), OpDeadline, uint32(5), OpGet, uint64(1))},
+		{"seq gate on PUT", Request{Op: OpPut, Key: 1, Value: 2, Gate: 5},
+			le(OpSeqGate, uint64(5), OpPut, uint64(1), uint64(2))},
+		{"sampled without a trace id", Request{Op: OpGet, Key: 1, Sampled: true},
+			le(OpTrace, uint64(0), traceFlagSampled, OpGet, uint64(1))},
+	}
+	for _, tc := range cases {
+		if _, err := AppendRequest(nil, &tc.req); !errors.Is(err, ErrProto) || !strings.Contains(err.Error(), "at offset") {
+			t.Errorf("%s: AppendRequest: %v, want an ErrProto with its offset", tc.name, err)
+		}
+		if _, err := DecodeRequest(tc.wire); !errors.Is(err, ErrProto) || !strings.Contains(err.Error(), "at offset") {
+			t.Errorf("%s: DecodeRequest: %v, want an ErrProto with its offset", tc.name, err)
+		}
+	}
+}
+
+// TestBatchDecodeAllocs: a BATCH's sub-requests and sub-replies decode in
+// place, so decoding either side of a 64-op batch allocates the top-level
+// struct and its Sub slice and nothing else.
+func TestBatchDecodeAllocs(t *testing.T) {
+	req := &Request{Op: OpBatch}
+	rep := &Reply{Status: StatusOK}
+	for i := uint64(0); i < 64; i++ {
+		if i%2 == 0 {
+			req.Sub = append(req.Sub, Request{Op: OpPut, Key: i, Value: i})
+			rep.Sub = append(rep.Sub, Reply{Status: StatusOK, Shard: 1, Seq: i})
+		} else {
+			req.Sub = append(req.Sub, Request{Op: OpGet, Key: i})
+			rep.Sub = append(rep.Sub, Reply{Status: StatusOK, Found: true, Value: i})
+		}
+	}
+	reqBody, err := AppendRequest(nil, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return body
+	repBody := AppendBatchReply(nil, req, rep)
+	if _, err := DecodeReply(req, repBody); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = DecodeRequest(reqBody) }); n > 2 {
+		t.Errorf("DecodeRequest of a 64-op batch: %v allocations, want ≤ 2", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = DecodeReply(req, repBody) }); n > 2 {
+		t.Errorf("DecodeReply of a 64-op batch reply: %v allocations, want ≤ 2", n)
+	}
 }
 
 func TestReplyRoundTrip(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 // Stage labels of the request path, in hop order. Client- and server-side
 // span recorders share this vocabulary so a trace reads end to end.
 const (
-	StageClientSend  = "client_send"   // client: encode + write + flush of the request frame
+	StageClientSend  = "client_send"   // client: request encode + frame write into the connection buffer (closed before the flush)
 	StageDecode      = "server_decode" // server: frame read to decoded request
 	StageQueueWait   = "queue_wait"    // admission queue: submit to worker pickup
 	StageExecute     = "execute"       // shard worker: store operation, excluding the op-log append

@@ -25,6 +25,7 @@ cover_gate() {
 
 go build ./...
 go vet ./...
+test -z "$(gofmt -l .)"
 go test -race ./...
 
 # Observability is what every other package trusts for its numbers; the
@@ -91,6 +92,5 @@ go run ./cmd/nvbench -experiment trace -quick
 # replies must be rejected with protocol errors, never a panic or unbounded
 # allocation — and over the incremental image checksum: folded page sums
 # must equal the whole-image CRC-64 and the dirty list the changed pages.
-go test -run='^$' -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/server/
-go test -run='^$' -fuzz=FuzzDecodeReply -fuzztime=10s ./internal/server/
-go test -run='^$' -fuzz=FuzzImageChecksum -fuzztime=10s ./internal/pmem/
+# The Makefile's fuzz target holds the one list of fuzz legs.
+make fuzz

@@ -11,13 +11,10 @@ package obs
 // had tracing "turned up" in advance.
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 )
 
@@ -53,15 +50,10 @@ type FlightLine struct {
 type FlightRecorder struct {
 	dir   string
 	spans *SpanRecorder
+	r     ring[WideEvent]
 
-	mu       sync.Mutex
-	ring     []WideEvent
-	next     int
-	wrapped  bool
-	seq      uint64
-	dumps    uint64
-	dumpErrs uint64
-	lastDump string
+	dumps, dumpErrs uint64 // under r.mu, as is lastDump
+	lastDump        string
 }
 
 // NewFlightRecorder returns a recorder retaining the last capacity wide
@@ -75,7 +67,7 @@ func NewFlightRecorder(capacity int, dir string, spans *SpanRecorder) *FlightRec
 	return &FlightRecorder{
 		dir:   dir,
 		spans: spans,
-		ring:  make([]WideEvent, capacity),
+		r:     ring[WideEvent]{buf: make([]WideEvent, capacity), stamp: func(e *WideEvent, seq uint64) { e.Seq = seq }},
 	}
 }
 
@@ -87,21 +79,7 @@ func (f *FlightRecorder) Note(e WideEvent) {
 	if e.TimeUnixNS == 0 {
 		e.TimeUnixNS = time.Now().UnixNano()
 	}
-	f.mu.Lock()
-	f.note(e)
-	f.mu.Unlock()
-}
-
-// note appends with the lock held.
-func (f *FlightRecorder) note(e WideEvent) {
-	f.seq++
-	e.Seq = f.seq
-	f.ring[f.next] = e
-	f.next++
-	if f.next == len(f.ring) {
-		f.next = 0
-		f.wrapped = true
-	}
+	f.r.add(e)
 }
 
 // Trigger records a trigger event of the given kind, freezes the ring, and
@@ -112,8 +90,8 @@ func (f *FlightRecorder) Trigger(kind, detail string) (string, error) {
 	if f == nil {
 		return "", nil
 	}
-	f.mu.Lock()
-	f.note(WideEvent{
+	f.r.mu.Lock()
+	f.r.put(WideEvent{
 		TimeUnixNS: time.Now().UnixNano(),
 		Kind:       kind,
 		Shard:      -1,
@@ -121,8 +99,8 @@ func (f *FlightRecorder) Trigger(kind, detail string) (string, error) {
 	})
 	f.dumps++
 	n := f.dumps
-	events := f.eventsLocked()
-	f.mu.Unlock()
+	events := f.r.snapshot()
+	f.r.mu.Unlock()
 
 	if f.dir == "" {
 		return "", nil
@@ -146,17 +124,17 @@ func (f *FlightRecorder) Trigger(kind, detail string) (string, error) {
 	if err := w.Close(); err != nil {
 		return "", f.dumpFailed(err)
 	}
-	f.mu.Lock()
+	f.r.mu.Lock()
 	f.lastDump = path
-	f.mu.Unlock()
+	f.r.mu.Unlock()
 	return path, nil
 }
 
 // dumpFailed counts a failed dump and returns the error for logging.
 func (f *FlightRecorder) dumpFailed(err error) error {
-	f.mu.Lock()
+	f.r.mu.Lock()
 	f.dumpErrs++
-	f.mu.Unlock()
+	f.r.mu.Unlock()
 	return fmt.Errorf("obs: flight dump: %w", err)
 }
 
@@ -165,22 +143,7 @@ func (f *FlightRecorder) Events() []WideEvent {
 	if f == nil {
 		return nil
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.eventsLocked()
-}
-
-// eventsLocked snapshots the ring with the lock held.
-func (f *FlightRecorder) eventsLocked() []WideEvent {
-	if !f.wrapped {
-		out := make([]WideEvent, f.next)
-		copy(out, f.ring[:f.next])
-		return out
-	}
-	out := make([]WideEvent, 0, len(f.ring))
-	out = append(out, f.ring[f.next:]...)
-	out = append(out, f.ring[:f.next]...)
-	return out
+	return f.r.values()
 }
 
 // Len returns how many wide events are retained.
@@ -188,12 +151,7 @@ func (f *FlightRecorder) Len() int {
 	if f == nil {
 		return 0
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.wrapped {
-		return len(f.ring)
-	}
-	return f.next
+	return f.r.len()
 }
 
 // Dumps returns how many triggers have fired.
@@ -201,8 +159,8 @@ func (f *FlightRecorder) Dumps() uint64 {
 	if f == nil {
 		return 0
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.r.mu.Lock()
+	defer f.r.mu.Unlock()
 	return f.dumps
 }
 
@@ -211,8 +169,8 @@ func (f *FlightRecorder) DumpErrors() uint64 {
 	if f == nil {
 		return 0
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.r.mu.Lock()
+	defer f.r.mu.Unlock()
 	return f.dumpErrs
 }
 
@@ -221,54 +179,30 @@ func (f *FlightRecorder) LastDump() string {
 	if f == nil {
 		return ""
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.r.mu.Lock()
+	defer f.r.mu.Unlock()
 	return f.lastDump
 }
 
 // WriteFlightDump writes a flight snapshot as type-tagged JSONL: first the
 // wide events, then the spans that were in flight.
 func WriteFlightDump(w io.Writer, events []WideEvent, spans []Span) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	lines := make([]FlightLine, 0, len(events)+len(spans))
 	for i := range events {
-		if err := enc.Encode(FlightLine{Type: "wide", Event: &events[i]}); err != nil {
-			return err
-		}
+		lines = append(lines, FlightLine{Type: "wide", Event: &events[i]})
 	}
 	for i := range spans {
-		if err := enc.Encode(FlightLine{Type: "span", Span: &spans[i]}); err != nil {
-			return err
-		}
+		lines = append(lines, FlightLine{Type: "span", Span: &spans[i]})
 	}
-	return bw.Flush()
+	return writeJSONL(w, lines)
 }
 
 // ReadFlightDump parses a flight dump written by WriteFlightDump.
 func ReadFlightDump(r io.Reader) ([]FlightLine, error) {
-	var out []FlightLine
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
+	return readJSONL(r, "flight jsonl", func(fl *FlightLine) error {
+		if fl.Type != "wide" && fl.Type != "span" {
+			return fmt.Errorf("unknown type %q", fl.Type)
 		}
-		var fl FlightLine
-		if err := json.Unmarshal(b, &fl); err != nil {
-			return nil, fmt.Errorf("obs: flight jsonl line %d: %w", line, err)
-		}
-		switch fl.Type {
-		case "wide", "span":
-		default:
-			return nil, fmt.Errorf("obs: flight jsonl line %d: unknown type %q", line, fl.Type)
-		}
-		out = append(out, fl)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+		return nil
+	})
 }

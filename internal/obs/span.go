@@ -3,19 +3,15 @@ package obs
 // Request-scoped span tracing: the serving tier stamps every hop of a
 // sampled request (decode, queue wait, execute, op-log append, replication
 // ship, ack hold, reply encode) as a Span, recorded into a SpanRecorder —
-// the request-plane sibling of the reference-operation Tracer. Spans share
-// the Tracer's design: a mutex-guarded fixed-capacity ring, an optional
-// sink called under the lock, and JSONL import/export. The recorder also
-// feeds a per-stage latency histogram into a Registry, so the aggregate
-// view (where does time go, across all requests) costs nothing beyond the
-// per-span ring write.
+// the request-plane sibling of the reference-operation Tracer. Both are
+// built on the same ring (ring.go): a mutex-guarded fixed-capacity buffer,
+// an optional sink called under the lock, and one JSONL codec. The
+// recorder also feeds a per-stage latency histogram into a Registry, so
+// the aggregate view (where does time go, across all requests) costs
+// nothing beyond the per-span ring write.
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
-	"sync"
 	"time"
 )
 
@@ -47,15 +43,8 @@ var spanStageBounds = []uint64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5
 type SpanRecorder struct {
 	epoch time.Time
 	reg   *Registry
-
-	mu         sync.Mutex
-	ring       []Span
-	next       int
-	wrapped    bool
-	seq        uint64
-	sink       func(Span)
-	sinkPanics uint64
-	hists      map[string]*Histogram
+	r     ring[Span]
+	hists map[string]*Histogram // under r.mu
 }
 
 // NewSpanRecorder returns a recorder retaining the last capacity spans
@@ -68,7 +57,7 @@ func NewSpanRecorder(capacity int, reg *Registry) *SpanRecorder {
 	return &SpanRecorder{
 		epoch: time.Now(),
 		reg:   reg,
-		ring:  make([]Span, capacity),
+		r:     ring[Span]{buf: make([]Span, capacity), stamp: func(s *Span, seq uint64) { s.Seq = seq }},
 		hists: make(map[string]*Histogram),
 	}
 }
@@ -85,12 +74,9 @@ func (r *SpanRecorder) Epoch() time.Time {
 // called with the lock held: keep it fast. A sink that panics is detached
 // and counted (SinkPanics) — tracing must never take the traced server down.
 func (r *SpanRecorder) SetSink(fn func(Span)) {
-	if r == nil {
-		return
+	if r != nil {
+		r.r.setSink(fn)
 	}
-	r.mu.Lock()
-	r.sink = fn
-	r.mu.Unlock()
 }
 
 // SinkPanics returns how many sinks were detached after panicking.
@@ -98,9 +84,7 @@ func (r *SpanRecorder) SinkPanics() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sinkPanics
+	return r.r.panics()
 }
 
 // Record stores one span, assigning its sequence number and observing the
@@ -109,15 +93,7 @@ func (r *SpanRecorder) Record(s Span) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	r.seq++
-	s.Seq = r.seq
-	r.ring[r.next] = s
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.wrapped = true
-	}
+	r.r.mu.Lock()
 	if r.reg != nil {
 		h, ok := r.hists[s.Stage]
 		if !ok {
@@ -127,21 +103,8 @@ func (r *SpanRecorder) Record(s Span) {
 		}
 		h.Observe(uint64(s.DurNS / 1000))
 	}
-	if r.sink != nil {
-		r.callSink(s)
-	}
-	r.mu.Unlock()
-}
-
-// callSink runs the sink with panic containment (caller holds the lock).
-func (r *SpanRecorder) callSink(s Span) {
-	defer func() {
-		if p := recover(); p != nil {
-			r.sink = nil
-			r.sinkPanics++
-		}
-	}()
-	r.sink(s)
+	r.r.put(s)
+	r.r.mu.Unlock()
 }
 
 // RecordTimed is Record over a wall measurement: the span starts at start
@@ -166,17 +129,7 @@ func (r *SpanRecorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.wrapped {
-		out := make([]Span, r.next)
-		copy(out, r.ring[:r.next])
-		return out
-	}
-	out := make([]Span, 0, len(r.ring))
-	out = append(out, r.ring[r.next:]...)
-	out = append(out, r.ring[:r.next]...)
-	return out
+	return r.r.values()
 }
 
 // Len returns how many spans are retained.
@@ -184,12 +137,7 @@ func (r *SpanRecorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.wrapped {
-		return len(r.ring)
-	}
-	return r.next
+	return r.r.len()
 }
 
 // Emitted returns the total number of spans ever recorded (>= Len when the
@@ -198,55 +146,18 @@ func (r *SpanRecorder) Emitted() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
+	return r.r.emitted()
 }
 
 // Reset drops all retained spans and restarts sequence numbering.
 func (r *SpanRecorder) Reset() {
-	if r == nil {
-		return
+	if r != nil {
+		r.r.reset()
 	}
-	r.mu.Lock()
-	r.next = 0
-	r.wrapped = false
-	r.seq = 0
-	r.mu.Unlock()
 }
 
 // WriteSpanJSONL writes spans one JSON document per line.
-func WriteSpanJSONL(w io.Writer, spans []Span) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, s := range spans {
-		if err := enc.Encode(s); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
+func WriteSpanJSONL(w io.Writer, spans []Span) error { return writeJSONL(w, spans) }
 
 // ReadSpanJSONL parses a JSONL span stream, skipping blank lines.
-func ReadSpanJSONL(r io.Reader) ([]Span, error) {
-	var out []Span
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var s Span
-		if err := json.Unmarshal(b, &s); err != nil {
-			return nil, fmt.Errorf("obs: span jsonl line %d: %w", line, err)
-		}
-		out = append(out, s)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+func ReadSpanJSONL(r io.Reader) ([]Span, error) { return readJSONL[Span](r, "span jsonl", nil) }

@@ -1,11 +1,9 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // Structured event tracing. The tracer replaces the runtime's old
@@ -107,18 +105,10 @@ type Event struct {
 }
 
 // Tracer collects events in a fixed-capacity ring buffer. All methods are
-// safe for concurrent use; the sink runs under the tracer's lock so its
-// output preserves event order even when a Context is (incorrectly but
-// commonly) shared across goroutines.
-type Tracer struct {
-	mu         sync.Mutex
-	ring       []Event
-	next       int
-	wrapped    bool
-	seq        uint64
-	sink       func(Event)
-	sinkPanics uint64
-}
+// safe for concurrent use and nil-safe; the sink runs under the tracer's
+// lock so its output preserves event order even when a Context is
+// (incorrectly but commonly) shared across goroutines.
+type Tracer struct{ r ring[Event] }
 
 // DefaultTraceCapacity bounds the ring when callers do not choose one.
 const DefaultTraceCapacity = 4096
@@ -129,16 +119,16 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{ring: make([]Event, capacity)}
+	return &Tracer{ring[Event]{buf: make([]Event, capacity), stamp: func(e *Event, seq uint64) { e.Seq = seq }}}
 }
 
 // SetSink forwards every subsequent event to fn (nil detaches). The sink is
 // called with the lock held: keep it fast. A sink that panics is detached
 // and counted (SinkPanics) — tracing must never take the traced run down.
 func (t *Tracer) SetSink(fn func(Event)) {
-	t.mu.Lock()
-	t.sink = fn
-	t.mu.Unlock()
+	if t != nil {
+		t.r.setSink(fn)
+	}
 }
 
 // SinkPanics returns how many sinks were detached after panicking.
@@ -146,40 +136,14 @@ func (t *Tracer) SinkPanics() uint64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sinkPanics
+	return t.r.panics()
 }
 
 // Emit records one event, assigning its sequence number.
 func (t *Tracer) Emit(e Event) {
-	if t == nil {
-		return
+	if t != nil {
+		t.r.add(e)
 	}
-	t.mu.Lock()
-	t.seq++
-	e.Seq = t.seq
-	t.ring[t.next] = e
-	t.next++
-	if t.next == len(t.ring) {
-		t.next = 0
-		t.wrapped = true
-	}
-	if t.sink != nil {
-		t.callSink(e)
-	}
-	t.mu.Unlock()
-}
-
-// callSink runs the sink with panic containment (caller holds the lock).
-func (t *Tracer) callSink(e Event) {
-	defer func() {
-		if p := recover(); p != nil {
-			t.sink = nil
-			t.sinkPanics++
-		}
-	}()
-	t.sink(e)
 }
 
 // Events returns the retained events in emission order.
@@ -187,17 +151,7 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.wrapped {
-		out := make([]Event, t.next)
-		copy(out, t.ring[:t.next])
-		return out
-	}
-	out := make([]Event, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
-	return out
+	return t.r.values()
 }
 
 // Len returns how many events are retained.
@@ -205,12 +159,7 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.wrapped {
-		return len(t.ring)
-	}
-	return t.next
+	return t.r.len()
 }
 
 // Emitted returns the total number of events ever emitted (>= Len when the
@@ -219,55 +168,21 @@ func (t *Tracer) Emitted() uint64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seq
+	return t.r.emitted()
 }
 
 // Reset drops all retained events and restarts sequence numbering.
 func (t *Tracer) Reset() {
-	t.mu.Lock()
-	t.next = 0
-	t.wrapped = false
-	t.seq = 0
-	t.mu.Unlock()
+	if t != nil {
+		t.r.reset()
+	}
 }
 
 // WriteJSONL writes events one JSON document per line.
-func WriteJSONL(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, e := range events {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
+func WriteJSONL(w io.Writer, events []Event) error { return writeJSONL(w, events) }
 
 // ReadJSONL parses a JSONL event stream, skipping blank lines.
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	var out []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(b, &e); err != nil {
-			return nil, fmt.Errorf("obs: jsonl line %d: %w", line, err)
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+func ReadJSONL(r io.Reader) ([]Event, error) { return readJSONL[Event](r, "jsonl", nil) }
 
 // JSONLSink returns a sink function streaming each event to w as JSONL,
 // suitable for Tracer.SetSink. Errors are reported through errf once

@@ -102,7 +102,7 @@ type Context struct {
 	MMUCriticalPath bool
 
 	// tracer, when non-nil, receives one structured event per reference
-	// operation (see SetTrace / SetTracer).
+	// operation (see SetTracer).
 	tracer *obs.Tracer
 
 	// siteCounts, when non-nil, counts reference operations per static

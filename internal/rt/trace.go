@@ -2,7 +2,6 @@ package rt
 
 import (
 	"fmt"
-	"io"
 
 	"nvref/internal/core"
 	"nvref/internal/obs"
@@ -14,29 +13,15 @@ import (
 // trace is the debugging view of the reference machinery: reading it next
 // to the Figure 4 table shows each rule firing.
 //
-// The old unstructured text stream survives as a compat rendering:
-// SetTrace(w) attaches a tracer whose sink writes FormatEvent lines to w,
-// so existing consumers see byte-identical output — but emission now goes
-// through the tracer's mutex, so a Context shared across goroutines can no
-// longer interleave partial lines.
+// The old unstructured text stream survives as a rendering: FormatEvent
+// turns an event into its legacy line, so a tracer whose sink prints
+// FormatEvent lines reproduces the old output byte for byte — emitted
+// under the tracer's mutex, so a Context shared across goroutines cannot
+// interleave partial lines.
 //
 // Tracing is off (nil tracer) by default and costs one nil check when off.
 
-// SetTrace attaches (or detaches, with nil) a legacy text trace writer.
-// Lines are produced from the structured events by FormatEvent.
-func (c *Context) SetTrace(w io.Writer) {
-	if w == nil {
-		c.tracer = nil
-		return
-	}
-	t := obs.NewTracer(obs.DefaultTraceCapacity)
-	t.SetSink(func(e obs.Event) { fmt.Fprintln(w, FormatEvent(e)) })
-	c.tracer = t
-}
-
-// SetTracer attaches a structured event tracer (nil detaches). Callers that
-// want JSONL output or programmatic event access use this instead of
-// SetTrace; both cannot be active at once — last call wins.
+// SetTracer attaches a structured event tracer (nil detaches).
 func (c *Context) SetTracer(t *obs.Tracer) { c.tracer = t }
 
 // Tracer returns the attached tracer (nil when tracing is off).

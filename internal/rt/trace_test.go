@@ -2,16 +2,20 @@ package rt
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"nvref/internal/core"
+	"nvref/internal/obs"
 )
 
 func TestTraceRecordsOperationsAndConversions(t *testing.T) {
 	c := MustNew(HW)
 	var buf bytes.Buffer
-	c.SetTrace(&buf)
+	tr := obs.NewTracer(0)
+	tr.SetSink(func(e obs.Event) { fmt.Fprintln(&buf, FormatEvent(e)) })
+	c.SetTracer(tr)
 
 	a := c.Pmalloc(32)
 	b := c.Pmalloc(32)
@@ -27,8 +31,8 @@ func TestTraceRecordsOperationsAndConversions(t *testing.T) {
 		}
 	}
 
-	// Detaching the writer stops emission.
-	c.SetTrace(nil)
+	// Detaching the tracer stops emission.
+	c.SetTracer(nil)
 	before := buf.Len()
 	_ = c.LoadWord(tsLoad, p, 8)
 	if buf.Len() != before {

@@ -21,6 +21,7 @@ import (
 // SetTimeout. For fail-fast behavior on the server side too, SetTTL attaches
 // a deadline envelope to every request.
 type Client struct {
+	calls
 	conn    net.Conn
 	br      *bufio.Reader
 	bw      *bufio.Writer
@@ -47,12 +48,14 @@ func Dial(addr string) (*Client, error) {
 // NewClient wraps an established connection (use it to interpose fault
 // injectors or custom transports).
 func NewClient(conn net.Conn) *Client {
-	return &Client{
+	c := &Client{
 		conn:    conn,
 		br:      bufio.NewReader(conn),
 		bw:      bufio.NewWriter(conn),
 		timeout: DefaultTimeout,
 	}
+	c.calls = calls{c.roundTrip}
+	return c
 }
 
 // SetTimeout sets the per-operation I/O deadline (0 disables deadlines —
@@ -150,11 +153,31 @@ func (c *Client) roundTrip(req *Request) (*Reply, error) {
 // explicit trace ID, a gate plus a deadline, a hand-built batch).
 func (c *Client) Do(req *Request) (*Reply, error) { return c.roundTrip(req) }
 
-// Get reads a key.
-func (c *Client) Get(key uint64) (uint64, bool, error) { return c.GetAt(key, 0) }
+// calls is the typed client API, written once over a send function: Client
+// sends on its connection, ResilientClient through its retry and failover
+// loop, ClusterClient through its routing loop.
+type calls struct {
+	send func(*Request) (*Reply, error)
+}
 
-// Put inserts or updates a key.
-func (c *Client) Put(key, value uint64) error {
+// Get reads a key.
+func (c calls) Get(key uint64) (uint64, bool, error) { return c.GetAt(key, 0) }
+
+// GetAt reads a key with a read-your-writes token: a server whose applied
+// sequence for the key's shard is behind gate answers ErrLagging instead
+// of a stale value. gate 0 is a plain Get.
+func (c calls) GetAt(key, gate uint64) (uint64, bool, error) {
+	rep, err := c.send(&Request{Op: OpGet, Key: key, Gate: gate})
+	if err != nil {
+		return 0, false, err
+	}
+	return rep.Value, rep.Found, nil
+}
+
+// Put inserts or updates a key. PUT is idempotent, so a retry after an
+// ambiguous transport failure is safe: re-applying the same (key, value)
+// converges to the same state.
+func (c calls) Put(key, value uint64) error {
 	_, _, err := c.PutSeq(key, value)
 	return err
 }
@@ -162,23 +185,73 @@ func (c *Client) Put(key, value uint64) error {
 // PutSeq is Put returning the serving shard and the operation-log
 // sequence number it assigned (both zero on a standalone server) — the
 // read-your-writes token a client stamps later GETs with.
-func (c *Client) PutSeq(key, value uint64) (shard uint32, seq uint64, err error) {
-	rep, err := c.roundTrip(&Request{Op: OpPut, Key: key, Value: value})
+func (c calls) PutSeq(key, value uint64) (shard uint32, seq uint64, err error) {
+	rep, err := c.send(&Request{Op: OpPut, Key: key, Value: value})
 	if err != nil {
 		return 0, 0, err
 	}
 	return rep.Shard, rep.Seq, nil
 }
 
-// GetAt reads a key with a read-your-writes token: a server whose applied
-// sequence for the key's shard is behind gate answers ErrLagging instead
-// of a stale value. gate 0 is a plain Get.
-func (c *Client) GetAt(key, gate uint64) (uint64, bool, error) {
-	rep, err := c.roundTrip(&Request{Op: OpGet, Key: key, Gate: gate})
+// Delete removes a key, reporting whether it was present. Behind a retry
+// loop, found reports presence on the attempt that succeeded — after a
+// retry that raced an earlier ambiguous attempt it may be false even though
+// this call performed the delete.
+func (c calls) Delete(key uint64) (bool, error) {
+	rep, err := c.send(&Request{Op: OpDelete, Key: key})
 	if err != nil {
-		return 0, false, err
+		return false, err
 	}
-	return rep.Value, rep.Found, nil
+	return rep.Found, nil
+}
+
+// Scan reads up to limit pairs in ascending key order starting at the
+// smallest key >= start, merged across every shard.
+func (c calls) Scan(start uint64, limit int) ([]KV, error) {
+	rep, err := c.send(&Request{Op: OpScan, Key: start, Limit: limit})
+	if err != nil {
+		return nil, err
+	}
+	return rep.Pairs, nil
+}
+
+// Batch executes the sub-requests as one frame; the server scatters them
+// to their shards and gathers replies back into request order.
+func (c calls) Batch(sub []Request) ([]Reply, error) {
+	rep, err := c.send(&Request{Op: OpBatch, Sub: sub})
+	if err != nil {
+		return nil, err
+	}
+	return rep.Sub, nil
+}
+
+// Stats fetches the server's statistics document.
+func (c calls) Stats() (*Stats, error) {
+	rep, err := c.send(&Request{Op: OpStats})
+	if err != nil {
+		return nil, err
+	}
+	var st Stats
+	if err := json.Unmarshal(rep.Blob, &st); err != nil {
+		return nil, err
+	}
+	return &st, nil
+}
+
+// Checkpoint forces a synchronous durability barrier on every shard.
+func (c calls) Checkpoint() error {
+	_, err := c.send(&Request{Op: OpCheckpoint})
+	return err
+}
+
+// ClusterMap fetches the node's current cluster map image (decode with
+// cluster.Decode). A node with no map answers ErrBadRequest-class status.
+func (c calls) ClusterMap() ([]byte, error) {
+	rep, err := c.send(&Request{Op: OpClusterMap})
+	if err != nil {
+		return nil, err
+	}
+	return rep.Blob, nil
 }
 
 // Pull fetches up to max operation-log records of one shard after
@@ -198,16 +271,6 @@ func (c *Client) Pull(shard uint32, after uint64, max int) (last uint64, recs []
 func (c *Client) ReplAck(shard uint32, seq uint64) error {
 	_, err := c.roundTrip(&Request{Op: OpReplAck, Shard: shard, Seq: seq})
 	return err
-}
-
-// ClusterMap fetches the node's current cluster map image (decode with
-// cluster.Decode). A node with no map answers ErrBadRequest-class status.
-func (c *Client) ClusterMap() ([]byte, error) {
-	rep, err := c.roundTrip(&Request{Op: OpClusterMap})
-	if err != nil {
-		return nil, err
-	}
-	return rep.Blob, nil
 }
 
 // MapUpdate installs a cluster map on the node; a map at or below the
@@ -250,55 +313,6 @@ func (c *Client) MigFence(slot uint32, acceptor string) ([]uint64, error) {
 		return nil, err
 	}
 	return rep.Seqs, nil
-}
-
-// Delete removes a key, reporting whether it was present.
-func (c *Client) Delete(key uint64) (bool, error) {
-	rep, err := c.roundTrip(&Request{Op: OpDelete, Key: key})
-	if err != nil {
-		return false, err
-	}
-	return rep.Found, nil
-}
-
-// Scan reads up to limit pairs in ascending key order starting at the
-// smallest key >= start, merged across every shard.
-func (c *Client) Scan(start uint64, limit int) ([]KV, error) {
-	rep, err := c.roundTrip(&Request{Op: OpScan, Key: start, Limit: limit})
-	if err != nil {
-		return nil, err
-	}
-	return rep.Pairs, nil
-}
-
-// Batch executes the sub-requests as one frame; the server scatters them
-// to their shards and gathers replies back into request order.
-func (c *Client) Batch(sub []Request) ([]Reply, error) {
-	req := &Request{Op: OpBatch, Sub: sub}
-	rep, err := c.roundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Sub, nil
-}
-
-// Stats fetches the server's statistics document.
-func (c *Client) Stats() (*Stats, error) {
-	rep, err := c.roundTrip(&Request{Op: OpStats})
-	if err != nil {
-		return nil, err
-	}
-	var st Stats
-	if err := json.Unmarshal(rep.Blob, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
-// Checkpoint forces a synchronous durability barrier on every shard.
-func (c *Client) Checkpoint() error {
-	_, err := c.roundTrip(&Request{Op: OpCheckpoint})
-	return err
 }
 
 // Pipeline queues requests without waiting for replies; Run flushes them

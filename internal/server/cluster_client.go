@@ -28,6 +28,7 @@ type ClusterClient struct {
 	m      *cluster.Map
 	nodes  map[string]*ResilientClient
 	rng    *fault.Rand
+	calls  calls // the typed calls, sent through the routing loop
 
 	movedSeen  atomic.Uint64 // MOVED redirects taken
 	refreshes  atomic.Uint64 // map refresh rounds run
@@ -50,6 +51,7 @@ func DialCluster(seeds []string, policy RetryPolicy, dial func(addr string) (net
 		nodes:  make(map[string]*ResilientClient),
 		rng:    fault.NewRand(policy.Seed),
 	}
+	cc.calls = calls{cc.send}
 	if err := cc.refresh(""); err != nil {
 		return nil, err
 	}
@@ -144,9 +146,9 @@ func (cc *ClusterClient) refresh(hint string) error {
 	return nil
 }
 
-// route runs fn against the owner of key's slot, following MOVED
+// send runs req against the owner of req.Key's slot, following MOVED
 // redirects with map refreshes and backoff up to the policy's attempts.
-func (cc *ClusterClient) route(key uint64, fn func(rc *ResilientClient) error) error {
+func (cc *ClusterClient) send(req *Request) (*Reply, error) {
 	var last error
 	for attempt := 1; attempt <= cc.policy.MaxAttempts; attempt++ {
 		if attempt > 1 {
@@ -158,61 +160,45 @@ func (cc *ClusterClient) route(key uint64, fn func(rc *ResilientClient) error) e
 				continue
 			}
 		}
-		owner := cc.m.OwnerOf(cluster.SlotFor(key, cc.m.Slots))
+		owner := cc.m.OwnerOf(cluster.SlotFor(req.Key, cc.m.Slots))
 		rc, err := cc.node(owner)
 		if err != nil {
 			last = err
 			_ = cc.refresh("")
 			continue
 		}
-		if err := fn(rc); err != nil {
-			last = err
-			var mv *MovedError
-			if errors.As(err, &mv) {
-				// The routing signal: refresh toward the hint and re-route.
-				// During a fence window both sides answer MOVED; backoff
-				// rides it out until the handover commits.
-				cc.movedSeen.Add(1)
-				_ = cc.refresh(mv.Addr)
-				continue
-			}
-			if !Retryable(err) {
-				return err
-			}
-			// The node-level client exhausted its own retries; the node may
-			// be gone for good, so refresh before routing again.
-			_ = cc.refresh("")
+		rep, err := rc.send(req)
+		if err == nil {
+			return rep, nil
+		}
+		last = err
+		var mv *MovedError
+		if errors.As(err, &mv) {
+			// The routing signal: refresh toward the hint and re-route.
+			// During a fence window both sides answer MOVED; backoff
+			// rides it out until the handover commits.
+			cc.movedSeen.Add(1)
+			_ = cc.refresh(mv.Addr)
 			continue
 		}
-		return nil
+		if !Retryable(err) {
+			return nil, err
+		}
+		// The node-level client exhausted its own retries; the node may
+		// be gone for good, so refresh before routing again.
+		_ = cc.refresh("")
 	}
-	return fmt.Errorf("server: giving up after %d routing attempts: %w", cc.policy.MaxAttempts, last)
+	return nil, fmt.Errorf("server: giving up after %d routing attempts: %w", cc.policy.MaxAttempts, last)
 }
 
 // Get reads a key from its slot's owner.
-func (cc *ClusterClient) Get(key uint64) (value uint64, found bool, err error) {
-	err = cc.route(key, func(rc *ResilientClient) error {
-		var e error
-		value, found, e = rc.Get(key)
-		return e
-	})
-	return value, found, err
-}
+func (cc *ClusterClient) Get(key uint64) (uint64, bool, error) { return cc.calls.Get(key) }
 
 // Put writes a key on its slot's owner.
-func (cc *ClusterClient) Put(key, value uint64) error {
-	return cc.route(key, func(rc *ResilientClient) error { return rc.Put(key, value) })
-}
+func (cc *ClusterClient) Put(key, value uint64) error { return cc.calls.Put(key, value) }
 
 // Delete removes a key on its slot's owner.
-func (cc *ClusterClient) Delete(key uint64) (found bool, err error) {
-	err = cc.route(key, func(rc *ResilientClient) error {
-		var e error
-		found, e = rc.Delete(key)
-		return e
-	})
-	return found, err
-}
+func (cc *ClusterClient) Delete(key uint64) (bool, error) { return cc.calls.Delete(key) }
 
 // Scan reads up to limit pairs in ascending key order across the whole
 // cluster: every node is scanned (keys are hash-placed, so any node may
@@ -254,15 +240,4 @@ func (cc *ClusterClient) Scan(start uint64, limit int) ([]KV, error) {
 		out = out[:limit]
 	}
 	return out, nil
-}
-
-// ClusterMap exposes the map fetch on ResilientClient for the routing
-// tier (and anyone needing the raw image with retries).
-func (r *ResilientClient) ClusterMap() (img []byte, err error) {
-	err = r.do(func(c *Client) error {
-		var e error
-		img, e = c.ClusterMap()
-		return e
-	})
-	return img, err
 }

@@ -511,9 +511,11 @@ var errFollowerStopped = errors.New("server: follower stopped")
 
 // A puller's socket deadline is wall-clock; the longest park it asks for
 // stays well inside it, so a parked pull never reads as a dead primary.
+// pullBatch bounds the records one pull asks for (at most MaxReplBatch).
 const (
 	pullIOTimeout = 2 * time.Second
 	maxPullPark   = time.Second
+	pullBatch     = 1024
 )
 
 // follower is the replica's side of log shipping: one puller goroutine
@@ -529,12 +531,9 @@ type follower struct {
 	addr         string
 	dial         func(addr string) (net.Conn, error)
 	poll         time.Duration // re-dial backoff floor; pause after an unusable reply
-	batch        int
-	parkMS       uint32 // deadline envelope on every pull but a connection's first
+	parkMS       uint32        // deadline envelope on every pull but a connection's first
 	promoteAfter time.Duration
 	clock        fault.Clock // lastContact stamps and the promotion window
-
-	autoReseed bool
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -564,11 +563,9 @@ func newFollower(s *Server, cfg *Config) *follower {
 		addr:         cfg.FollowAddr,
 		dial:         cfg.FollowDial,
 		poll:         cfg.FollowPoll,
-		batch:        cfg.ReplBatch,
 		parkMS:       uint32(max(park.Milliseconds(), 1)),
 		promoteAfter: cfg.PromoteAfter,
 		clock:        fault.OrWall(cfg.Clock),
-		autoReseed:   !cfg.NoAutoReseed,
 		stop:         make(chan struct{}),
 		primarySeq:   make([]atomic.Uint64, len(s.shards)),
 	}
@@ -675,7 +672,7 @@ func (f *follower) serveConn(c *Client, si int) {
 		if ack != 0 {
 			p.ReplAck(uint32(si), ack)
 		}
-		p.add(&Request{Op: OpReplicate, Shard: uint32(si), Seq: sh.applied.Load(), Limit: f.batch, TTLms: parkMS})
+		p.add(&Request{Op: OpReplicate, Shard: uint32(si), Seq: sh.applied.Load(), Limit: pullBatch, TTLms: parkMS})
 		reps, err := p.Run()
 		if err != nil {
 			return
@@ -712,9 +709,6 @@ func (f *follower) apply(c *Client, si int, rep *Reply) (ack uint64, usable bool
 				si, f.addr, base, applied)
 			f.s.trigger(TriggerDivergence,
 				fmt.Sprintf("follower shard %d: primary ships from seq %d, applied is %d", si, base, applied))
-		}
-		if !f.autoReseed {
-			return 0, false
 		}
 		// Rebuild the shard from a primary snapshot (the migration transfer
 		// machinery) instead of waiting for an operator.

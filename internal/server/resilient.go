@@ -81,6 +81,7 @@ func (p *RetryPolicy) backoff(retry int, rng *fault.Rand) time.Duration {
 // writers find the promoted replica after a primary dies. Like Client it
 // is not safe for concurrent use; open one per goroutine.
 type ResilientClient struct {
+	calls
 	addrs    []string
 	cur      int
 	policy   RetryPolicy
@@ -131,6 +132,7 @@ func DialResilientList(addrs []string, policy RetryPolicy, dialConn func(addr st
 		rng:      fault.NewRand(policy.Seed),
 		tokens:   make(map[uint32]uint64),
 	}
+	r.calls = calls{r.send}
 	if _, err := r.client(); err != nil {
 		// With one endpoint, failing fast surfaces config errors; with a
 		// failover list, the first operation's retry loop keeps rotating.
@@ -217,9 +219,12 @@ func rotateError(err error) bool {
 	return errors.Is(err, ErrUnavailable) || errors.Is(err, ErrReadOnly) || errors.Is(err, ErrLagging)
 }
 
-// do runs fn under the retry policy, rotating endpoints on failures that
-// implicate the endpoint rather than the request.
-func (r *ResilientClient) do(fn func(c *Client) error) error {
+// send runs req under the retry policy, rotating endpoints on failures that
+// implicate the endpoint rather than the request. A batch whose reply
+// carries a retryable sub-reply status is retried whole (sub-requests are
+// idempotent, so re-running already-applied ones is safe). Every attempt
+// sends a fresh copy of req, so the envelopes one stamps are not the next's.
+func (r *ResilientClient) send(req *Request) (*Reply, error) {
 	var last error
 	for attempt := 1; attempt <= r.policy.MaxAttempts; attempt++ {
 		if attempt > 1 {
@@ -232,92 +237,35 @@ func (r *ResilientClient) do(fn func(c *Client) error) error {
 			r.rotate()
 			continue
 		}
-		if err := fn(c); err != nil {
-			last = err
-			if !Retryable(err) {
-				return err
+		try := *req
+		rep, err := c.roundTrip(&try)
+		for i := 0; err == nil && i < len(rep.Sub); i++ {
+			if se := rep.Sub[i].Err(); Retryable(se) {
+				err = se
 			}
-			if !statusError(err) {
-				r.dropConn()
-				r.rotate()
-			} else if rotateError(err) {
-				r.rotate()
-			}
-			continue
 		}
-		return nil
+		if err == nil {
+			return rep, nil
+		}
+		last = err
+		if !Retryable(err) {
+			return nil, err
+		}
+		if !statusError(err) {
+			r.dropConn()
+			r.rotate()
+		} else if rotateError(err) {
+			r.rotate()
+		}
 	}
-	return fmt.Errorf("server: giving up after %d attempts: %w", r.policy.MaxAttempts, last)
-}
-
-// Get reads a key.
-func (r *ResilientClient) Get(key uint64) (value uint64, found bool, err error) {
-	err = r.do(func(c *Client) error {
-		var e error
-		value, found, e = c.Get(key)
-		return e
-	})
-	return value, found, err
-}
-
-// Put inserts or updates a key. PUT is idempotent, so a retry after an
-// ambiguous transport failure is safe: re-applying the same (key, value)
-// converges to the same state.
-func (r *ResilientClient) Put(key, value uint64) error {
-	return r.do(func(c *Client) error { return c.Put(key, value) })
-}
-
-// Delete removes a key. Found reports presence on the attempt that
-// succeeded — after a retry that raced an earlier ambiguous attempt it may
-// be false even though this call performed the delete.
-func (r *ResilientClient) Delete(key uint64) (found bool, err error) {
-	err = r.do(func(c *Client) error {
-		var e error
-		found, e = c.Delete(key)
-		return e
-	})
-	return found, err
-}
-
-// Scan reads up to limit pairs starting at the smallest key >= start.
-func (r *ResilientClient) Scan(start uint64, limit int) (pairs []KV, err error) {
-	err = r.do(func(c *Client) error {
-		var e error
-		pairs, e = c.Scan(start, limit)
-		return e
-	})
-	return pairs, err
-}
-
-// Batch executes the sub-requests as one frame, retrying the whole batch
-// while any sub-reply carries a retryable status (sub-requests are
-// idempotent, so re-running already-applied ones is safe).
-func (r *ResilientClient) Batch(sub []Request) (reps []Reply, err error) {
-	err = r.do(func(c *Client) error {
-		rs, e := c.Batch(sub)
-		if e != nil {
-			return e
-		}
-		for i := range rs {
-			if se := rs[i].Err(); se != nil && Retryable(se) {
-				return se
-			}
-		}
-		reps = rs
-		return nil
-	})
-	return reps, err
+	return nil, fmt.Errorf("server: giving up after %d attempts: %w", r.policy.MaxAttempts, last)
 }
 
 // PutRYW is Put keeping the read-your-writes token: the write's assigned
 // sequence is remembered for its shard, and GetRYW stamps reads with it
 // so a lagging replica refuses to serve older state.
 func (r *ResilientClient) PutRYW(key, value uint64) (shard uint32, seq uint64, err error) {
-	err = r.do(func(c *Client) error {
-		var e error
-		shard, seq, e = c.PutSeq(key, value)
-		return e
-	})
+	shard, seq, err = r.PutSeq(key, value)
 	if err == nil && seq > r.tokens[shard] {
 		r.tokens[shard] = seq
 	}
@@ -327,14 +275,8 @@ func (r *ResilientClient) PutRYW(key, value uint64) (shard uint32, seq uint64, e
 // GetRYW reads a key gated on the newest write token this client holds
 // for the key's shard: a replica that has not applied that far answers
 // LAGGING, which rotates the client toward an endpoint that has.
-func (r *ResilientClient) GetRYW(key uint64) (value uint64, found bool, err error) {
-	gate := r.gateFor(key)
-	err = r.do(func(c *Client) error {
-		var e error
-		value, found, e = c.GetAt(key, gate)
-		return e
-	})
-	return value, found, err
+func (r *ResilientClient) GetRYW(key uint64) (uint64, bool, error) {
+	return r.GetAt(key, r.gateFor(key))
 }
 
 // gateFor picks the token for key's shard. The shard count (needed to map
@@ -360,19 +302,4 @@ func (r *ResilientClient) gateFor(key uint64) uint64 {
 		}
 	}
 	return max
-}
-
-// Stats fetches the server's statistics document.
-func (r *ResilientClient) Stats() (st *Stats, err error) {
-	err = r.do(func(c *Client) error {
-		var e error
-		st, e = c.Stats()
-		return e
-	})
-	return st, err
-}
-
-// Checkpoint forces a synchronous durability barrier on every shard.
-func (r *ResilientClient) Checkpoint() error {
-	return r.do(func(c *Client) error { return c.Checkpoint() })
 }

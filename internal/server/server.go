@@ -130,8 +130,6 @@ type Config struct {
 	// the next change to benchmark/ drops the assignment, and the field and
 	// the default go with it (a constant remains).
 	FollowPoll time.Duration
-	// ReplBatch bounds the records per pull (default 1024, max MaxReplBatch).
-	ReplBatch int
 	// AckTimeout bounds how long a primary holds a write ack waiting for
 	// replica acknowledgment before failing it UNAVAILABLE (default 5s).
 	AckTimeout time.Duration
@@ -158,11 +156,6 @@ type Config struct {
 	// LogFlushEvery flushes a shard's log image every that many appends
 	// (default 64; negative flushes only at checkpoints).
 	LogFlushEvery int
-	// NoAutoReseed disables the follower's automatic re-seed: on a log
-	// divergence it falls back to logging the incident and halting the
-	// shard's replication (the pre-cluster behavior) instead of wiping the
-	// shard and re-seeding from a primary snapshot.
-	NoAutoReseed bool
 
 	// ClusterSelf, when set, turns the cluster tier on: the address this
 	// node is known by in the cluster map (what clients redirect to). A
@@ -209,9 +202,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.FollowPoll <= 0 {
 		c.FollowPoll = 2 * time.Millisecond
-	}
-	if c.ReplBatch <= 0 || c.ReplBatch > MaxReplBatch {
-		c.ReplBatch = 1024
 	}
 	if c.AckTimeout <= 0 {
 		c.AckTimeout = 5 * time.Second

@@ -774,38 +774,16 @@ func (c *simClient) put(key, val uint64) string {
 		}
 		return "ok"
 	}
-	sawInfo := false
-	for a := 0; a < c.attempts(); a++ {
-		cl := c.ensure()
-		if cl == nil {
-			c.rotate()
-			continue
+	return c.try(func(cl *server.Client) error {
+		if !c.s.sched.GatedReads {
+			return cl.Put(key, val)
 		}
-		var err error
-		if c.s.sched.GatedReads {
-			sh, seq, e := cl.PutSeq(key, val)
-			if e == nil {
-				c.s.noteGate(key, sh, seq)
-			}
-			err = e
-		} else {
-			err = cl.Put(key, val)
-		}
+		sh, seq, err := cl.PutSeq(key, val)
 		if err == nil {
-			return "ok"
+			c.s.noteGate(key, sh, seq)
 		}
-		if isRefusal(err) {
-			c.rotate()
-			continue
-		}
-		sawInfo = true
-		c.drop()
-		c.rotate()
-	}
-	if sawInfo {
-		return "info"
-	}
-	return "fail"
+		return err
+	})
 }
 
 func (c *simClient) del(key uint64) (bool, string) {
@@ -820,29 +798,12 @@ func (c *simClient) del(key uint64) (bool, string) {
 		}
 		return found, "ok"
 	}
-	sawInfo := false
-	for a := 0; a < c.attempts(); a++ {
-		cl := c.ensure()
-		if cl == nil {
-			c.rotate()
-			continue
-		}
-		found, err := cl.Delete(key)
-		if err == nil {
-			return found, "ok"
-		}
-		if isRefusal(err) {
-			c.rotate()
-			continue
-		}
-		sawInfo = true
-		c.drop()
-		c.rotate()
-	}
-	if sawInfo {
-		return false, "info"
-	}
-	return false, "fail"
+	var found bool
+	out := c.try(func(cl *server.Client) (err error) {
+		found, err = cl.Delete(key)
+		return err
+	})
+	return found, out
 }
 
 // get classifies every read error as a definite failure: a read has no
@@ -860,31 +821,47 @@ func (c *simClient) get(key uint64) (uint64, bool, string) {
 		}
 		return v, f, "ok"
 	}
+	var v uint64
+	var f bool
+	if c.try(func(cl *server.Client) (err error) {
+		if c.s.sched.GatedReads {
+			v, f, err = cl.GetAt(key, c.s.gateFor(key))
+		} else {
+			v, f, err = cl.Get(key)
+		}
+		return err
+	}) != "ok" {
+		return 0, false, "fail"
+	}
+	return v, f, "ok"
+}
+
+// try runs op against the client's current node, rotating through the
+// nodes up to attempts() times. A refusal only rotates; any other error
+// also drops the connection and makes the outcome indeterminate, since op
+// may have taken effect. It returns "ok", "info" (indeterminate) or "fail".
+func (c *simClient) try(op func(*server.Client) error) string {
+	sawInfo := false
 	for a := 0; a < c.attempts(); a++ {
 		cl := c.ensure()
 		if cl == nil {
 			c.rotate()
 			continue
 		}
-		var (
-			v   uint64
-			f   bool
-			err error
-		)
-		if c.s.sched.GatedReads {
-			v, f, err = cl.GetAt(key, c.s.gateFor(key))
-		} else {
-			v, f, err = cl.Get(key)
-		}
+		err := op(cl)
 		if err == nil {
-			return v, f, "ok"
+			return "ok"
 		}
 		if !isRefusal(err) {
+			sawInfo = true
 			c.drop()
 		}
 		c.rotate()
 	}
-	return 0, false, "fail"
+	if sawInfo {
+		return "info"
+	}
+	return "fail"
 }
 
 func (c *simClient) ensureCluster() *server.ClusterClient {

@@ -25,6 +25,8 @@ cover_gate() {
 
 go build ./...
 go vet ./...
+# benchmark/ is its own module, so the root ./... never reaches it.
+(cd benchmark && go build ./... && go vet ./...)
 test -z "$(gofmt -l .)"
 go test -race ./...
 

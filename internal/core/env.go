@@ -25,20 +25,12 @@ type Stats struct {
 	RelToAbs uint64
 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.DynamicChecks += other.DynamicChecks
-	s.AbsToRel += other.AbsToRel
-	s.RelToAbs += other.RelToAbs
-}
-
-// Conversions returns the total conversions in both directions.
-func (s Stats) Conversions() uint64 { return s.AbsToRel + s.RelToAbs }
-
-// Env evaluates pointer operations under user-transparent persistent
-// reference semantics (the paper's Figure 4 table). It performs the runtime
-// checks, invokes the Translator where a conversion is required, and counts
-// both in Stats.
+// Env evaluates the rows of the paper's Figure 4 table that need a runtime
+// check or a conversion: dereference and cast (ToVA), assignment
+// (PointerAssignment), difference (Diff), equality (Equal) and relational
+// (Less). It performs the checks, invokes the Translator where a conversion
+// is required, and counts both in Stats. The additive and null rows need
+// neither, so they live in the runtime (rt.Context.PtrAdd and IsNull).
 type Env struct {
 	Tr Translator
 	// Strict controls the behaviour when a pointer whose virtual address is
@@ -57,8 +49,9 @@ func NewEnv(tr Translator) *Env { return &Env{Tr: tr} }
 func (e *Env) check() { e.Stats.DynamicChecks++ }
 
 // ToVA resolves a reference to the virtual address it currently designates:
-// the *pxv / *pxr rows of the semantic table. A virtual-form reference is
-// returned as is; a relative-form one is translated (ra2va).
+// the *pxv / *pxr rows of the semantic table, and the (I)p cast rows. A
+// virtual-form reference (null included) is returned as is; a relative-form
+// one is translated (ra2va).
 func (e *Env) ToVA(p Ptr) (uint64, error) {
 	e.check()
 	if !p.IsRelative() {
@@ -66,25 +59,6 @@ func (e *Env) ToVA(p Ptr) (uint64, error) {
 	}
 	e.Stats.RelToAbs++
 	return e.Tr.RA2VA(p)
-}
-
-// CastToInt implements the (I)p rows: a virtual-form pointer converts to its
-// address value; a relative-form pointer is first translated to a virtual
-// address so that integer arithmetic on the result behaves as C11 requires.
-func (e *Env) CastToInt(p Ptr) (uint64, error) {
-	if p.IsNull() {
-		e.check()
-		return 0, nil
-	}
-	return e.ToVA(p)
-}
-
-// Bool implements the logical and conditional rows ((I)p used as a truth
-// value). Null is represented as zero in both forms, so no conversion is
-// needed; only the format check is counted.
-func (e *Env) Bool(p Ptr) bool {
-	e.check()
-	return !p.IsNull()
 }
 
 // PointerAssignment implements the paper's pointerAssignment runtime
@@ -127,29 +101,6 @@ func (e *Env) PointerAssignment(to Ptr, p Ptr) (Ptr, error) {
 	}
 	return p, nil
 }
-
-// AddInt implements the additive rows pxy op i: the result keeps the
-// representation of the operand ($$ .type = pxy.type), so relative pointers
-// advance by offset arithmetic with no conversion.
-func (e *Env) AddInt(p Ptr, i int64, elemSize int64) Ptr {
-	e.check()
-	delta := i * elemSize
-	if p.IsRelative() {
-		return p.WithOffset(uint32(int64(p.Offset()) + delta))
-	}
-	return FromVA(uint64(int64(p.VA()) + delta))
-}
-
-// SubInt implements pxy -= i / pxy - i.
-func (e *Env) SubInt(p Ptr, i int64, elemSize int64) Ptr {
-	return e.AddInt(p, -i, elemSize)
-}
-
-// Inc implements ++p / p++ over elements of the given size.
-func (e *Env) Inc(p Ptr, elemSize int64) Ptr { return e.AddInt(p, 1, elemSize) }
-
-// Dec implements --p / p--.
-func (e *Env) Dec(p Ptr, elemSize int64) Ptr { return e.AddInt(p, -1, elemSize) }
 
 // Diff implements the four pointer-difference rows. Two relative pointers
 // in the same pool subtract directly (pxr.val - pxr'.val); any mixed or
@@ -224,15 +175,4 @@ func (e *Env) Less(p, q Ptr) (bool, error) {
 		return false, err
 	}
 	return pv < qv, nil
-}
-
-// Index implements p[i]: the address of the i-th element.
-func (e *Env) Index(p Ptr, i int64, elemSize int64) Ptr {
-	return e.AddInt(p, i, elemSize)
-}
-
-// FieldAddr implements p->identifier: the address of a member at the given
-// byte offset within the pointed-to object.
-func (e *Env) FieldAddr(p Ptr, byteOffset int64) Ptr {
-	return e.AddInt(p, byteOffset, 1)
 }

@@ -163,36 +163,6 @@ func TestPointerAssignmentTable(t *testing.T) {
 	})
 }
 
-func TestAddIntPreservesForm(t *testing.T) {
-	e, _ := newTestEnv()
-	r := e.AddInt(MakeRelative(1, 0x100), 3, 8)
-	if !r.IsRelative() || r.Offset() != 0x118 || r.PoolID() != 1 {
-		t.Errorf("relative AddInt = %s", r)
-	}
-	v := e.AddInt(FromVA(0x1000), 2, 16)
-	if v.IsRelative() || v.VA() != 0x1020 {
-		t.Errorf("virtual AddInt = %s", v)
-	}
-	if e.Stats.RelToAbs+e.Stats.AbsToRel != 0 {
-		t.Error("AddInt converted a pointer")
-	}
-	back := e.SubInt(r, 3, 8)
-	if back != MakeRelative(1, 0x100) {
-		t.Errorf("SubInt = %s", back)
-	}
-}
-
-func TestIncDec(t *testing.T) {
-	e, _ := newTestEnv()
-	p := MakeRelative(2, 64)
-	if q := e.Inc(p, 8); q.Offset() != 72 {
-		t.Errorf("Inc = %s", q)
-	}
-	if q := e.Dec(p, 8); q.Offset() != 56 {
-		t.Errorf("Dec = %s", q)
-	}
-}
-
 func TestDiff(t *testing.T) {
 	e, tr := newTestEnv()
 	a := MakeRelative(1, 80)
@@ -257,69 +227,6 @@ func TestLess(t *testing.T) {
 	got, err = e.Less(MakeRelative(1, 0), MakeRelative(2, 0))
 	if err != nil || !got {
 		t.Errorf("cross-pool Less = %v, %v", got, err)
-	}
-}
-
-func TestCastToIntAndBool(t *testing.T) {
-	e, _ := newTestEnv()
-	v, err := e.CastToInt(MakeRelative(1, 8))
-	if err != nil || v != p1Base+8 {
-		t.Errorf("CastToInt(relative) = %#x, %v", v, err)
-	}
-	v, err = e.CastToInt(FromVA(0x1234))
-	if err != nil || v != 0x1234 {
-		t.Errorf("CastToInt(virtual) = %#x, %v", v, err)
-	}
-	v, err = e.CastToInt(Null)
-	if err != nil || v != 0 {
-		t.Errorf("CastToInt(null) = %#x, %v", v, err)
-	}
-	if e.Bool(Null) {
-		t.Error("Bool(Null) = true")
-	}
-	if !e.Bool(MakeRelative(1, 0)) {
-		t.Error("Bool(relative to offset 0) = false; offset-0 references are non-null")
-	}
-}
-
-func TestIndexAndFieldAddr(t *testing.T) {
-	e, _ := newTestEnv()
-	base := MakeRelative(1, 0x100)
-	if p := e.Index(base, 5, 24); p.Offset() != 0x100+5*24 {
-		t.Errorf("Index = %s", p)
-	}
-	if p := e.FieldAddr(base, 16); p.Offset() != 0x110 {
-		t.Errorf("FieldAddr = %s", p)
-	}
-}
-
-func TestStatsAdd(t *testing.T) {
-	a := Stats{DynamicChecks: 1, AbsToRel: 2, RelToAbs: 3}
-	b := Stats{DynamicChecks: 10, AbsToRel: 20, RelToAbs: 30}
-	a.Add(b)
-	if a != (Stats{DynamicChecks: 11, AbsToRel: 22, RelToAbs: 33}) {
-		t.Errorf("Stats.Add = %+v", a)
-	}
-}
-
-// Property: pointer arithmetic on a relative pointer followed by conversion
-// equals conversion followed by the same arithmetic on the virtual address
-// (Figure 4's additive rows are conversion-commutative).
-func TestQuickArithmeticCommutesWithTranslation(t *testing.T) {
-	e, _ := newTestEnv()
-	f := func(off uint16, delta int8, szSel uint8) bool {
-		sz := []int64{1, 2, 4, 8, 16}[int(szSel)%5]
-		p := MakeRelative(1, uint32(off)+0x1000)
-		moved := e.AddInt(p, int64(delta), sz)
-		va1, err1 := e.ToVA(moved)
-		va0, err0 := e.ToVA(p)
-		if err0 != nil || err1 != nil {
-			return false
-		}
-		return int64(va1) == int64(va0)+int64(delta)*sz
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -12,9 +12,11 @@
 //
 // Because both volatile and persistent references fit in one ordinary
 // pointer-sized word, legacy code can pass them around without type changes;
-// lightweight runtime checks (DetermineX, DetermineY) discern the two forms
-// wherever a conversion is needed. Env implements the complete semantic
-// table for ISO C11 pointer operations given in Figure 4 of the paper.
+// lightweight runtime checks discern the two forms wherever a conversion is
+// needed: DetermineX classifies a location's memory, and the paper's
+// determineY is Ptr.IsRelative (bit 63). Env implements the rows of the
+// Figure 4 semantic table for ISO C11 pointer operations that need a check
+// or a conversion.
 package core
 
 import (
@@ -43,23 +45,6 @@ const (
 // Null is the null reference. Its representation is all zero in both
 // interpretations, so null checks need no format dispatch.
 const Null = Ptr(0)
-
-// Form is the representation of a reference word (the paper's "y" property:
-// v for virtual address, r for relative address).
-type Form uint8
-
-// Form values.
-const (
-	Virtual  Form = iota // bit 63 == 0: conventional virtual address
-	Relative             // bit 63 == 1: (pool ID, offset) relative address
-)
-
-func (f Form) String() string {
-	if f == Relative {
-		return "relative"
-	}
-	return "virtual"
-}
 
 // Space is the memory a location lives in (the paper's "x" property:
 // n for NVM, d for DRAM).
@@ -133,15 +118,6 @@ func (p Ptr) String() string {
 		return fmt.Sprintf("va(nvm, %#x)", p.VA())
 	}
 	return fmt.Sprintf("va(dram, %#x)", p.VA())
-}
-
-// DetermineY is the paper's determineY runtime check: it classifies the
-// representation of a reference word by its bit 63.
-func DetermineY(p Ptr) Form {
-	if p.IsRelative() {
-		return Relative
-	}
-	return Virtual
 }
 
 // DetermineX is the paper's determineX runtime check: it classifies where

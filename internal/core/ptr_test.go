@@ -39,24 +39,6 @@ func TestNullIsSharedAcrossForms(t *testing.T) {
 	}
 }
 
-func TestDetermineY(t *testing.T) {
-	cases := []struct {
-		p    Ptr
-		want Form
-	}{
-		{FromVA(0x1000), Virtual},
-		{FromVA(NVMBit | 0x1000), Virtual},
-		{MakeRelative(1, 0), Relative},
-		{MakeRelative(MaxPoolID, 0xffffffff), Relative},
-		{Null, Virtual},
-	}
-	for _, c := range cases {
-		if got := DetermineY(c.p); got != c.want {
-			t.Errorf("DetermineY(%s) = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
 func TestDetermineX(t *testing.T) {
 	cases := []struct {
 		p    Ptr
@@ -100,9 +82,6 @@ func TestStringForms(t *testing.T) {
 }
 
 func TestFormAndSpaceString(t *testing.T) {
-	if Virtual.String() != "virtual" || Relative.String() != "relative" {
-		t.Error("Form.String mismatch")
-	}
 	if DRAM.String() != "DRAM" || NVM.String() != "NVM" {
 		t.Error("Space.String mismatch")
 	}

@@ -19,15 +19,6 @@ type BranchStats struct {
 	Mispredicts uint64
 }
 
-// MispredictRate returns Mispredicts/Branches, and 0 (not NaN) when no
-// branches executed.
-func (s BranchStats) MispredictRate() float64 {
-	if s.Branches > 0 {
-		return float64(s.Mispredicts) / float64(s.Branches)
-	}
-	return 0
-}
-
 func newBranchPredictor(tableBits, histBits uint) *branchPredictor {
 	return &branchPredictor{
 		counters: make([]uint8, 1<<tableBits),

@@ -130,15 +130,6 @@ func (s *Store) Load(name string) (pmem.Meta, []byte, error) {
 	return meta, data, nil
 }
 
-// CountsByClass tallies the fired faults per class.
-func (s *Store) CountsByClass() map[fault.Class]uint64 {
-	out := make(map[fault.Class]uint64)
-	for _, e := range s.Events {
-		out[e.Fault.Class]++
-	}
-	return out
-}
-
 // RegisterMetrics binds per-class fired-fault counters into reg, one series
 // per fault class so injections are attributable in exported snapshots.
 func (s *Store) RegisterMetrics(reg *obs.Registry) {

@@ -27,13 +27,6 @@ func CrashesFired() uint64 { return crashesFired.Load() }
 // faults, across every RetryPolicy in the process.
 func TransientRetries() uint64 { return transientRetries.Load() }
 
-// ResetCounters zeroes the fault-plane counters (test isolation).
-func ResetCounters() {
-	crashPointsHit.Store(0)
-	crashesFired.Store(0)
-	transientRetries.Store(0)
-}
-
 // RegisterMetrics binds the fault-plane counters into reg.
 func RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("fault_crash_points_hit_total",

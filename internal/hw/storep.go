@@ -23,40 +23,6 @@ import (
 // proceed simultaneously; the op completes when both finish, so its latency
 // is the maximum of the two translation latencies plus issue overhead.
 
-// FSMState is the state of one storeP buffer entry.
-type FSMState uint8
-
-// FSM states, per the paper's Figure 6 dataflow.
-const (
-	FSMIssue    FSMState = iota // operands captured
-	FSMWaitRd                   // waiting on Rd ra2va translation
-	FSMWaitRs                   // waiting on Rs va2ra/ra2va translation
-	FSMWaitBoth                 // both translations outstanding
-	FSMForward                  // translations done; forwarding VA to TLB
-	FSMDone                     // store retired
-	FSMFault                    // translation faulted
-)
-
-func (s FSMState) String() string {
-	switch s {
-	case FSMIssue:
-		return "issue"
-	case FSMWaitRd:
-		return "wait-rd"
-	case FSMWaitRs:
-		return "wait-rs"
-	case FSMWaitBoth:
-		return "wait-both"
-	case FSMForward:
-		return "forward"
-	case FSMDone:
-		return "done"
-	case FSMFault:
-		return "fault"
-	}
-	return "unknown"
-}
-
 // ErrStorePFault is wrapped around translation failures raised by storeP,
 // the instruction-level faults of Table I.
 var ErrStorePFault = errors.New("hw: storeP fault")
@@ -72,13 +38,12 @@ type StorePStats struct {
 }
 
 // StorePResult is the outcome of one storeP: the effective virtual address
-// to write, the converted pointer value to write there, the cycles the op
-// held its buffer entry, and the FSM states it visited.
+// to write, the converted pointer value to write there, and the cycles the
+// op held its buffer entry.
 type StorePResult struct {
 	StoreVA uint64
 	Value   core.Ptr
 	Cycles  uint64
-	Trace   []FSMState
 }
 
 // StorePUnit executes storeP operations against an MMU.
@@ -108,7 +73,7 @@ func (u *StorePUnit) Execute(rd, rs core.Ptr) (StorePResult, error) {
 	if u.Stats.MaxOccupancy < 1 {
 		u.Stats.MaxOccupancy = 1
 	}
-	res := StorePResult{Trace: []FSMState{FSMIssue}}
+	var res StorePResult
 
 	needRd := rd.IsRelative()
 	destNVM := core.DetermineX(rd) == core.NVM
@@ -116,15 +81,6 @@ func (u *StorePUnit) Execute(rd, rs core.Ptr) (StorePResult, error) {
 	// destination space; both hardware checks are pure combinational logic.
 	needRsRA2VA := !destNVM && rs.IsRelative() && !rs.IsNull()
 	needRsVA2RA := destNVM && !rs.IsRelative() && !rs.IsNull()
-
-	switch {
-	case needRd && (needRsRA2VA || needRsVA2RA):
-		res.Trace = append(res.Trace, FSMWaitBoth)
-	case needRd:
-		res.Trace = append(res.Trace, FSMWaitRd)
-	case needRsRA2VA || needRsVA2RA:
-		res.Trace = append(res.Trace, FSMWaitRs)
-	}
 
 	var rdCycles, rsCycles uint64
 
@@ -169,7 +125,6 @@ func (u *StorePUnit) Execute(rd, rs core.Ptr) (StorePResult, error) {
 	res.StoreVA = destVA
 	res.Value = value
 	res.Cycles = u.IssueLatency + max64(rdCycles, rsCycles)
-	res.Trace = append(res.Trace, FSMForward, FSMDone)
 	u.Stats.Cycles += res.Cycles
 	return res, nil
 }
@@ -177,7 +132,6 @@ func (u *StorePUnit) Execute(rd, rs core.Ptr) (StorePResult, error) {
 func (u *StorePUnit) fault(res StorePResult, cycles uint64, err error) (StorePResult, error) {
 	u.Stats.Faults++
 	res.Cycles = u.IssueLatency + cycles
-	res.Trace = append(res.Trace, FSMFault)
 	u.Stats.Cycles += res.Cycles
 	return res, fmt.Errorf("%w: %v", ErrStorePFault, err)
 }

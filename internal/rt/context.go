@@ -3,6 +3,7 @@ package rt
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"nvref/internal/core"
 	"nvref/internal/cpu"
@@ -104,10 +105,6 @@ type Context struct {
 	// tracer, when non-nil, receives one structured event per reference
 	// operation (see SetTracer).
 	tracer *obs.Tracer
-
-	// siteCounts, when non-nil, counts reference operations per static
-	// site (see EnableSiteCounts).
-	siteCounts map[string]uint64
 
 	// policy is the fault-handling policy; see SetPolicy.
 	policy fault.Policy
@@ -233,34 +230,15 @@ func (c *Context) drainMMU() {
 // when every entry is busy at issue time.
 func (c *Context) storePRetire(latency uint64) {
 	now := c.CPU.Stats.Cycles
-	// Drop entries that completed by now.
-	live := c.storePBusy[:0]
-	for _, done := range c.storePBusy {
-		if done > now {
-			live = append(live, done)
-		}
-	}
-	c.storePBusy = live
+	retired := func(done uint64) bool { return done <= now }
+	c.storePBusy = slices.DeleteFunc(c.storePBusy, retired)
 	if len(c.storePBusy) >= c.StoreP.Entries {
 		// Buffer full: stall until the earliest entry retires.
-		earliest := c.storePBusy[0]
-		for _, done := range c.storePBusy[1:] {
-			if done < earliest {
-				earliest = done
-			}
-		}
-		if earliest > now {
+		if earliest := slices.Min(c.storePBusy); earliest > now {
 			c.CPU.AddTranslationCycles(earliest - now)
 			now = earliest
 		}
-		// Re-filter after the stall.
-		live = c.storePBusy[:0]
-		for _, done := range c.storePBusy {
-			if done > now {
-				live = append(live, done)
-			}
-		}
-		c.storePBusy = live
+		c.storePBusy = slices.DeleteFunc(c.storePBusy, retired)
 	}
 	c.storePBusy = append(c.storePBusy, now+latency)
 }
@@ -309,94 +287,151 @@ func (c *Context) swVA2RACost(va uint64) {
 	}
 }
 
+// The reference-model steps. Each per-mode arm of the operations below is
+// built from these, so each step of the paper's Figure 4 machinery has one
+// body: HW ra2va at effective-address generation (hwRA2VA), the HW
+// two-operand address pair (hwPair), the SW conversion (swToVA), the SW
+// two-operand checks and per-conversion charge (swOperands, swConverted),
+// storeP (storeP) and the SW pointerAssignment routine (swAssign).
+
+// hwRA2VA converts a relative reference at effective-address generation:
+// one POLB translation, its latency drained into the timing model.
+func (c *Context) hwRA2VA(op string, p core.Ptr) uint64 {
+	c.Stats.EATranslations++
+	va, err := c.MMU.RA2VA(p)
+	c.drainMMU()
+	if err != nil {
+		c.fail(op, err)
+	}
+	return va
+}
+
+// hwPair generates the effective addresses of two operands, either of
+// which may be relative, and drains their translation latency once.
+func (c *Context) hwPair(op string, p, q core.Ptr) (pv, qv uint64) {
+	pv, err := c.MMU.LoadEffectiveAddress(p)
+	if err != nil {
+		c.fail(op, err)
+	}
+	qv, err = c.MMU.LoadEffectiveAddress(q)
+	c.drainMMU()
+	if err != nil {
+		c.fail(op, err)
+	}
+	return pv, qv
+}
+
+// swToVA is the SW conversion of one reference to the address it
+// designates: the ra2va routine for a relative reference, then the
+// semantic layer's row (which counts the dynamic check).
+func (c *Context) swToVA(op string, p core.Ptr) uint64 {
+	if p.IsRelative() {
+		c.swRA2VACost(p)
+	}
+	va, err := c.Env.ToVA(p)
+	if err != nil {
+		c.fail(op, err)
+	}
+	return va
+}
+
+// swOperands executes the SW build's per-operand checks of a two-operand
+// row (unless the compiler resolved the site statically) and returns the
+// conversion count swConverted charges from.
+func (c *Context) swOperands(site *Site, kp, kq uint64, p, q core.Ptr) uint64 {
+	if !site.Inferred {
+		c.swCheck(site, kp, p.IsRelative())
+		c.swCheck(site, kq, q.IsRelative())
+	}
+	return c.Env.Stats.RelToAbs
+}
+
+// swConverted finishes a SW two-operand row: it fails the op on err, then
+// charges p's ra2va routine once per conversion the row made since before.
+func (c *Context) swConverted(op string, before uint64, p core.Ptr, err error) {
+	if err != nil {
+		c.fail(op, err)
+	}
+	for n := c.Env.Stats.RelToAbs - before; n > 0; n-- {
+		c.swRA2VACost(p)
+	}
+}
+
+// storeP executes one storeP of q to the location rd names. The unit's
+// per-entry FSM buffer hides the translation latency: the op occupies an
+// entry until its translations finish, and the core stalls only when all
+// entries are busy (this is why the paper's Figure 14 latency sweep is
+// nearly flat).
+func (c *Context) storeP(op string, rd, q core.Ptr) hw.StorePResult {
+	c.Stats.StorePOps++
+	res, err := c.StoreP.Execute(rd, q)
+	if err != nil {
+		c.fail(op, err)
+	}
+	c.MMU.DrainCycles() // latency accounted through the buffer instead
+	c.storePRetire(res.Cycles)
+	return res
+}
+
+// swAssign is the SW pointerAssignment routine storing q through dest: its
+// two checks as real branches (unless the compiler resolved the site
+// statically), the conversion, and the va2ra or ra2va routine it called.
+func (c *Context) swAssign(op string, site *Site, dest, q core.Ptr) core.Ptr {
+	if !site.Inferred {
+		c.swCheck(site, 0x33, core.DetermineX(dest) == core.NVM)
+		c.swCheck(site, 0x44, q.IsRelative())
+	}
+	before := c.Env.Stats
+	stored, err := c.Env.PointerAssignment(dest, q)
+	if err != nil {
+		c.fail(op, err)
+	}
+	if c.Env.Stats.AbsToRel > before.AbsToRel {
+		c.swVA2RACost(q.VA())
+	}
+	if c.Env.Stats.RelToAbs > before.RelToAbs {
+		c.swRA2VACost(q)
+	}
+	return stored
+}
+
 // resolve computes the virtual address designated by p (plus a byte
 // offset), charging the mode's address-generation costs.
 func (c *Context) resolve(site *Site, p core.Ptr, off int64) uint64 {
+	va := p.VA()
 	switch c.Mode {
-	case Volatile:
-		return uint64(int64(p.VA()) + off)
-
+	case Volatile: // virtual addresses only
 	case Explicit:
 		if p.IsRelative() {
 			c.Stats.ExplicitAccesses++
 			c.CPU.Exec(explicitAPIInstrs)
-			va, err := c.MMU.RA2VA(p)
+			v, err := c.MMU.RA2VA(p)
 			c.drainMMU()
 			if err != nil {
 				c.fail("explicit access", err)
 			}
-			return uint64(int64(va) + off)
+			va = v
 		}
-		return uint64(int64(p.VA()) + off)
-
 	case HW:
 		if p.IsRelative() {
-			c.Stats.EATranslations++
-			va, err := c.MMU.RA2VA(p)
-			c.drainMMU()
-			if err != nil {
-				c.fail("hw EA translation", err)
-			}
-			return uint64(int64(va) + off)
-		}
-		if c.MMUCriticalPath {
+			va = c.hwRA2VA("hw EA translation", p)
+		} else if c.MMUCriticalPath {
 			// No translation needed, but the probe sits before the TLB.
 			c.CPU.AddTranslationCycles(c.MMU.POLB.HitLatency)
 		}
-		return uint64(int64(p.VA()) + off)
-
 	case SW:
 		if !site.Inferred {
 			c.swCheck(site, 0x11, p.IsRelative())
 		}
-		if p.IsRelative() {
-			c.swRA2VACost(p)
-			va, err := c.Env.ToVA(p)
-			if err != nil {
-				c.fail("sw ra2va", err)
-			}
-			return uint64(int64(va) + off)
-		}
-		c.Env.Stats.DynamicChecks++
-		return uint64(int64(p.VA()) + off)
+		va = c.swToVA("sw ra2va", p)
+	default:
+		panic("rt: unknown mode")
 	}
-	panic("rt: unknown mode")
-}
-
-// EnableSiteCounts turns on per-site operation counting: every reference
-// operation increments a counter keyed by its static site's name. Off by
-// default (the map probe is measurable on the hot path); read the result
-// with SiteCounts or export it with ExportSiteCounts.
-func (c *Context) EnableSiteCounts() {
-	if c.siteCounts == nil {
-		c.siteCounts = make(map[string]uint64)
-	}
-}
-
-// SiteCounts returns a copy of the per-site operation counts (nil when
-// counting was never enabled).
-func (c *Context) SiteCounts() map[string]uint64 {
-	if c.siteCounts == nil {
-		return nil
-	}
-	out := make(map[string]uint64, len(c.siteCounts))
-	for k, v := range c.siteCounts {
-		out[k] = v
-	}
-	return out
-}
-
-// countSite records one operation at a static site when counting is on.
-func (c *Context) countSite(site *Site) {
-	if c.siteCounts == nil {
-		return
-	}
-	c.siteCounts[site.Name]++
+	return uint64(int64(va) + off)
 }
 
 // LoadWord loads the 64-bit scalar at p+off.
 func (c *Context) LoadWord(site *Site, p core.Ptr, off int64) uint64 {
-	c.countSite(site)
 	va := c.resolve(site, p, off)
 	c.traceAccess(obs.EvLoad, p, off, va)
 	c.CPU.Load(va)
@@ -409,7 +444,6 @@ func (c *Context) LoadWord(site *Site, p core.Ptr, off int64) uint64 {
 
 // StoreWord stores a 64-bit scalar at p+off (the storeD instruction).
 func (c *Context) StoreWord(site *Site, p core.Ptr, off int64, v uint64) {
-	c.countSite(site)
 	va := c.resolve(site, p, off)
 	c.traceAccess(obs.EvStore, p, off, va)
 	c.CPU.Store(va)
@@ -425,7 +459,6 @@ func (c *Context) StoreWord(site *Site, p core.Ptr, off int64, v uint64) {
 // conversion — the effect the paper's Figure 12 credits for beating the
 // explicit model, whose object IDs must be converted at every access.
 func (c *Context) LoadPtr(site *Site, p core.Ptr, off int64) core.Ptr {
-	c.countSite(site)
 	c.Stats.PointerLoads++
 	va := c.resolve(site, p, off)
 	c.CPU.Load(va)
@@ -448,34 +481,18 @@ func (c *Context) loadPtrLocal(site *Site, loaded core.Ptr) core.Ptr {
 		return loaded
 
 	case HW:
-		if c.DisableReuse {
-			// Ablation: keep the loaded form; each dereference will
-			// re-translate at EA generation.
+		// The DisableReuse ablation keeps the loaded form; each
+		// dereference will re-translate at EA generation.
+		if c.DisableReuse || !loaded.IsRelative() {
 			return loaded
 		}
-		if loaded.IsRelative() {
-			c.Stats.EATranslations++
-			va2, err := c.MMU.RA2VA(loaded)
-			c.drainMMU()
-			if err != nil {
-				c.fail("hw pointer-load translation", err)
-			}
-			return core.FromVA(va2)
-		}
-		return loaded
+		return core.FromVA(c.hwRA2VA("hw pointer-load translation", loaded))
 
 	case SW:
 		if !site.Inferred {
 			c.swCheck(site, 0x22, loaded.IsRelative())
 		}
-		if loaded.IsRelative() {
-			c.swRA2VACost(loaded)
-		}
-		va2, err := c.Env.ToVA(loaded)
-		if err != nil {
-			c.fail("sw pointer-load translation", err)
-		}
-		return core.FromVA(va2)
+		return core.FromVA(c.swToVA("sw pointer-load translation", loaded))
 	}
 	panic("rt: unknown mode")
 }
@@ -485,7 +502,6 @@ func (c *Context) loadPtrLocal(site *Site, loaded core.Ptr) core.Ptr {
 // routine; Explicit stores the object ID unchanged; Volatile stores the
 // virtual address.
 func (c *Context) StorePtr(site *Site, p core.Ptr, off int64, q core.Ptr) {
-	c.countSite(site)
 	c.Stats.PointerStores++
 	switch c.Mode {
 	case Volatile, Explicit:
@@ -497,23 +513,7 @@ func (c *Context) StorePtr(site *Site, p core.Ptr, off int64, q core.Ptr) {
 		}
 
 	case HW:
-		var rd core.Ptr
-		if p.IsRelative() {
-			rd = p.WithOffset(uint32(int64(p.Offset()) + off))
-		} else {
-			rd = core.FromVA(uint64(int64(p.VA()) + off))
-		}
-		c.Stats.StorePOps++
-		res, err := c.StoreP.Execute(rd, q)
-		if err != nil {
-			c.fail("storeP", err)
-		}
-		// The storeP unit's per-entry FSM buffer hides the translation
-		// latency: the op occupies an entry until its translations finish,
-		// and the core stalls only when all entries are busy (this is why
-		// the paper's Figure 14 latency sweep is nearly flat).
-		c.MMU.DrainCycles() // latency accounted through the buffer instead
-		c.storePRetire(res.Cycles)
+		res := c.storeP("storeP", addBytes(p, off), q)
 		c.traceStorePtr(p, off, q, res.Value)
 		c.CPU.Store(res.StoreVA)
 		if err := c.AS.Store64(res.StoreVA, uint64(res.Value)); err != nil {
@@ -522,24 +522,7 @@ func (c *Context) StorePtr(site *Site, p core.Ptr, off int64, q core.Ptr) {
 
 	case SW:
 		va := c.resolve(site, p, off)
-		dest := core.FromVA(va)
-		// pointerAssignment's two checks as real branches, unless the
-		// compiler resolved the site statically.
-		if !site.Inferred {
-			c.swCheck(site, 0x33, core.DetermineX(dest) == core.NVM)
-			c.swCheck(site, 0x44, q.IsRelative())
-		}
-		before := c.Env.Stats
-		stored, err := c.Env.PointerAssignment(dest, q)
-		if err != nil {
-			c.fail("sw pointerAssignment", err)
-		}
-		if d := c.Env.Stats.AbsToRel - before.AbsToRel; d > 0 {
-			c.swVA2RACost(q.VA())
-		}
-		if d := c.Env.Stats.RelToAbs - before.RelToAbs; d > 0 {
-			c.swRA2VACost(q)
-		}
+		stored := c.swAssign("sw pointerAssignment", site, core.FromVA(va), q)
 		c.traceStorePtr(p, off, q, stored)
 		c.CPU.Store(va)
 		if err := c.AS.Store64(va, uint64(stored)); err != nil {
@@ -550,7 +533,6 @@ func (c *Context) StorePtr(site *Site, p core.Ptr, off int64, q core.Ptr) {
 
 // PtrEq compares two references for equality under the mode's semantics.
 func (c *Context) PtrEq(site *Site, p, q core.Ptr) bool {
-	c.countSite(site)
 	c.CPU.Exec(1)
 	switch c.Mode {
 	case Volatile, Explicit:
@@ -559,76 +541,33 @@ func (c *Context) PtrEq(site *Site, p, q core.Ptr) bool {
 		if p.IsRelative() != q.IsRelative() && !p.IsNull() && !q.IsNull() {
 			// Mixed forms: hardware converts the relative side.
 			c.Stats.EATranslations++
-			eq, err := c.hwEqual(p, q)
-			if err != nil {
-				c.fail("hw compare", err)
-			}
-			return eq
+			pv, qv := c.hwPair("hw compare", p, q)
+			return pv == qv
 		}
 		return p == q
 	case SW:
-		if !site.Inferred {
-			c.swCheck(site, 0x55, p.IsRelative())
-			c.swCheck(site, 0x66, q.IsRelative())
-		}
-		before := c.Env.Stats
+		before := c.swOperands(site, 0x55, 0x66, p, q)
 		eq, err := c.Env.Equal(p, q)
-		if err != nil {
-			c.fail("sw compare", err)
-		}
-		for d := c.Env.Stats.RelToAbs - before.RelToAbs; d > 0; d-- {
-			c.swRA2VACost(p)
-		}
+		c.swConverted("sw compare", before, p, err)
 		return eq
 	}
 	panic("rt: unknown mode")
 }
 
-func (c *Context) hwEqual(p, q core.Ptr) (bool, error) {
-	pv, err := c.MMU.LoadEffectiveAddress(p)
-	if err != nil {
-		return false, err
-	}
-	qv, err := c.MMU.LoadEffectiveAddress(q)
-	c.drainMMU()
-	if err != nil {
-		return false, err
-	}
-	return pv == qv, nil
-}
-
 // PtrLess orders two references under the mode's semantics (the
 // relational rows of Figure 4).
 func (c *Context) PtrLess(site *Site, p, q core.Ptr) bool {
-	c.countSite(site)
 	c.CPU.Exec(1)
 	switch c.Mode {
 	case Volatile, Explicit:
 		return p < q
 	case HW:
-		pv, err := c.MMU.LoadEffectiveAddress(p)
-		if err != nil {
-			c.fail("hw compare", err)
-		}
-		qv, err := c.MMU.LoadEffectiveAddress(q)
-		c.drainMMU()
-		if err != nil {
-			c.fail("hw compare", err)
-		}
+		pv, qv := c.hwPair("hw compare", p, q)
 		return pv < qv
 	case SW:
-		if !site.Inferred {
-			c.swCheck(site, 0x55, p.IsRelative())
-			c.swCheck(site, 0x66, q.IsRelative())
-		}
-		before := c.Env.Stats
+		before := c.swOperands(site, 0x55, 0x66, p, q)
 		less, err := c.Env.Less(p, q)
-		if err != nil {
-			c.fail("sw compare", err)
-		}
-		for d := c.Env.Stats.RelToAbs - before.RelToAbs; d > 0; d-- {
-			c.swRA2VACost(p)
-		}
+		c.swConverted("sw compare", before, p, err)
 		return less
 	}
 	panic("rt: unknown mode")
@@ -639,34 +578,20 @@ func (c *Context) PtrLess(site *Site, p, q core.Ptr) bool {
 // yields its current virtual address; the explicit model's integer view of
 // an object ID is the ID itself, by that model's typed discipline.
 func (c *Context) PtrToInt(site *Site, p core.Ptr) uint64 {
-	c.countSite(site)
 	c.CPU.Exec(1)
 	switch c.Mode {
 	case Volatile, Explicit:
 		return uint64(p)
 	case HW:
 		if p.IsRelative() {
-			c.Stats.EATranslations++
-			va, err := c.MMU.RA2VA(p)
-			c.drainMMU()
-			if err != nil {
-				c.fail("hw ptr-to-int", err)
-			}
-			return va
+			return c.hwRA2VA("hw ptr-to-int", p)
 		}
 		return p.VA()
 	case SW:
 		if !site.Inferred {
 			c.swCheck(site, 0x77, p.IsRelative())
 		}
-		if p.IsRelative() {
-			c.swRA2VACost(p)
-		}
-		v, err := c.Env.CastToInt(p)
-		if err != nil {
-			c.fail("sw ptr-to-int", err)
-		}
-		return v
+		return c.swToVA("sw ptr-to-int", p)
 	}
 	panic("rt: unknown mode")
 }
@@ -674,35 +599,17 @@ func (c *Context) PtrToInt(site *Site, p core.Ptr) uint64 {
 // PtrDiff subtracts two references in units of elemSize (the pointer
 // difference rows of Figure 4).
 func (c *Context) PtrDiff(site *Site, p, q core.Ptr, elemSize int64) int64 {
-	c.countSite(site)
 	c.CPU.Exec(2)
 	switch c.Mode {
 	case Volatile, Explicit:
 		return (int64(p) - int64(q)) / elemSize
 	case HW:
-		pv, err := c.MMU.LoadEffectiveAddress(p)
-		if err != nil {
-			c.fail("hw ptr diff", err)
-		}
-		qv, err := c.MMU.LoadEffectiveAddress(q)
-		c.drainMMU()
-		if err != nil {
-			c.fail("hw ptr diff", err)
-		}
+		pv, qv := c.hwPair("hw ptr diff", p, q)
 		return (int64(pv) - int64(qv)) / elemSize
 	case SW:
-		if !site.Inferred {
-			c.swCheck(site, 0x88, p.IsRelative())
-			c.swCheck(site, 0x99, q.IsRelative())
-		}
-		before := c.Env.Stats
+		before := c.swOperands(site, 0x88, 0x99, p, q)
 		d, err := c.Env.Diff(p, q, elemSize)
-		if err != nil {
-			c.fail("sw ptr diff", err)
-		}
-		for n := c.Env.Stats.RelToAbs - before.RelToAbs; n > 0; n-- {
-			c.swRA2VACost(p)
-		}
+		c.swConverted("sw ptr diff", before, p, err)
 		return d
 	}
 	panic("rt: unknown mode")
@@ -712,10 +619,15 @@ func (c *Context) PtrDiff(site *Site, p, q core.Ptr, elemSize int64) int64 {
 // representation (the additive rows of Figure 4: no check, no conversion).
 func (c *Context) PtrAdd(p core.Ptr, n int64, elemSize int64) core.Ptr {
 	c.CPU.Exec(1)
+	return addBytes(p, n*elemSize)
+}
+
+// addBytes offsets a reference by delta bytes in its own form.
+func addBytes(p core.Ptr, delta int64) core.Ptr {
 	if p.IsRelative() {
-		return p.WithOffset(uint32(int64(p.Offset()) + n*elemSize))
+		return p.WithOffset(uint32(int64(p.Offset()) + delta))
 	}
-	return core.FromVA(uint64(int64(p.VA()) + n*elemSize))
+	return core.FromVA(uint64(int64(p.VA()) + delta))
 }
 
 // IsNull tests a reference against NULL. Null is all-zero in both forms,
@@ -779,22 +691,11 @@ func (c *Context) pmallocRaw(pool *pmem.Pool, size uint64) core.Ptr {
 	case Explicit:
 		return ref
 	case HW:
-		c.Stats.EATranslations++
-		va, err := c.MMU.RA2VA(ref)
-		c.drainMMU()
-		if err != nil {
-			c.fail("Pmalloc hw translation", err)
-		}
-		return core.FromVA(va)
+		return core.FromVA(c.hwRA2VA("Pmalloc hw translation", ref))
 	case SW:
 		// Inference knows pmalloc returns a relative address: conversion
 		// without a dynamic check.
-		c.swRA2VACost(ref)
-		va, err := c.Env.ToVA(ref)
-		if err != nil {
-			c.fail("Pmalloc sw translation", err)
-		}
-		return core.FromVA(va)
+		return core.FromVA(c.swToVA("Pmalloc sw translation", ref))
 	}
 	panic("rt: unknown mode")
 }
@@ -863,26 +764,11 @@ func (c *Context) SetRoot(site *Site, q core.Ptr) {
 		c.CPU.Store(va)
 		c.Pool.SetRoot(c.toPoolRef(q))
 	case HW:
-		c.Stats.StorePOps++
-		res, err := c.StoreP.Execute(rootLoc, q)
-		if err != nil {
-			c.fail("SetRoot storeP", err)
-		}
-		c.MMU.DrainCycles()
-		c.storePRetire(res.Cycles)
+		res := c.storeP("SetRoot storeP", rootLoc, q)
 		c.CPU.Store(res.StoreVA)
 		c.Pool.SetRoot(res.Value)
 	case SW:
-		c.swCheck(site, 0x33, true)
-		c.swCheck(site, 0x44, q.IsRelative())
-		before := c.Env.Stats
-		stored, err := c.Env.PointerAssignment(rootLoc, q)
-		if err != nil {
-			c.fail("SetRoot", err)
-		}
-		if c.Env.Stats.AbsToRel > before.AbsToRel {
-			c.swVA2RACost(q.VA())
-		}
+		stored := c.swAssign("SetRoot", site, rootLoc, q)
 		va, _ := c.Reg.RA2VA(rootLoc)
 		c.CPU.Store(va)
 		c.Pool.SetRoot(stored)

@@ -333,3 +333,33 @@ func TestTimingOrdering(t *testing.T) {
 			float64(cycles[HW])/float64(cycles[Volatile]))
 	}
 }
+
+// TestPointerOpsDoNotAllocate holds every pointer operation to zero heap
+// allocations in every mode, over operands that make each mode convert
+// (relative references, and a virtual-form local stored into NVM).
+func TestPointerOpsDoNotAllocate(t *testing.T) {
+	for _, mode := range Modes {
+		c := MustNew(mode)
+		a, b := c.Pmalloc(64), c.Pmalloc(64)
+		aR, bR := c.toPoolRef(a), c.toPoolRef(b)
+		c.StorePtr(tsStore, aR, 0, b)
+		for _, op := range []struct {
+			name string
+			fn   func()
+		}{
+			{"LoadWord", func() { c.LoadWord(tsLoad, aR, 8) }},
+			{"StoreWord", func() { c.StoreWord(tsStore, aR, 8, 1) }},
+			{"LoadPtr", func() { c.LoadPtr(tsLoad, aR, 0) }},
+			{"StorePtr", func() { c.StorePtr(tsStore, aR, 0, b) }},
+			{"PtrEq", func() { c.PtrEq(tsCmp, aR, a) }},
+			{"PtrLess", func() { c.PtrLess(tsCmp, aR, bR) }},
+			{"PtrDiff", func() { c.PtrDiff(tsCmp, aR, a, 8) }},
+			{"PtrToInt", func() { c.PtrToInt(tsCmp, aR) }},
+			{"PtrAdd", func() { c.PtrAdd(aR, 1, 8) }},
+		} {
+			if n := testing.AllocsPerRun(100, op.fn); n != 0 {
+				t.Errorf("%s %s: %v allocations per op, want 0", mode, op.name, n)
+			}
+		}
+	}
+}

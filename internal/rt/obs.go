@@ -1,10 +1,6 @@
 package rt
 
-import (
-	"sort"
-
-	"nvref/internal/obs"
-)
+import "nvref/internal/obs"
 
 // RegisterMetrics binds every counter of this Context — runtime layer,
 // semantic layer (core.Env), hardware model (POLB/VALB/storeP), and timing
@@ -74,23 +70,4 @@ func (c *Context) RegisterMetrics(reg *obs.Registry) {
 
 	// Pool layer, through this Context's registry and pools.
 	c.Reg.RegisterMetrics(reg)
-	reg.GaugeFunc("rt_sites_tracked", "static sites with per-site counts", func() int64 { return int64(len(c.siteCounts)) })
-}
-
-// ExportSiteCounts registers one counter series per static site seen so far
-// (requires EnableSiteCounts before the run). Call it after the workload so
-// every exercised site has appeared; series names are
-// rt_site_ops_total_<site> with the site name sanitized for exposition.
-func (c *Context) ExportSiteCounts(reg *obs.Registry) {
-	names := make([]string, 0, len(c.siteCounts))
-	for name := range c.siteCounts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		name := name
-		reg.CounterFunc("rt_site_ops_total_"+obs.SanitizeName(name),
-			"reference operations at site "+name,
-			func() uint64 { return c.siteCounts[name] })
-	}
 }

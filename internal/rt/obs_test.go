@@ -1,7 +1,6 @@
 package rt
 
 import (
-	"strings"
 	"testing"
 
 	"nvref/internal/obs"
@@ -59,33 +58,6 @@ func TestRegisterMetricsMatchesLegacyStats(t *testing.T) {
 		}
 		if mode == HW && snap.Value("hw_storep_ops_total") == 0 {
 			t.Errorf("HW mode: storeP ops never counted")
-		}
-	}
-}
-
-func TestSiteCountsExport(t *testing.T) {
-	c := MustNew(SW)
-	if c.SiteCounts() != nil {
-		t.Error("site counts non-nil before EnableSiteCounts")
-	}
-	c.EnableSiteCounts()
-	runSmallWorkload(c)
-
-	counts := c.SiteCounts()
-	if counts["test.load"] == 0 || counts["test.store"] == 0 {
-		t.Fatalf("per-site counts missing: %v", counts)
-	}
-
-	reg := obs.NewRegistry()
-	c.ExportSiteCounts(reg)
-	snap := reg.Snapshot()
-	got := snap.Value("rt_site_ops_total_test_load")
-	if got != int64(counts["test.load"]) {
-		t.Errorf("exported site series = %d, map = %d", got, counts["test.load"])
-	}
-	for _, s := range snap.Series {
-		if !strings.HasPrefix(s.Name, "rt_site_ops_total_") {
-			t.Errorf("unexpected series %q", s.Name)
 		}
 	}
 }

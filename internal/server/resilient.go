@@ -155,9 +155,6 @@ func (r *ResilientClient) Redials() uint64 { return r.redials.Load() }
 // endpoint in its list.
 func (r *ResilientClient) Failovers() uint64 { return r.failovers.Load() }
 
-// Endpoint returns the endpoint operations currently use.
-func (r *ResilientClient) Endpoint() string { return r.addrs[r.cur] }
-
 // rotate advances to the next endpoint (a no-op with a single one).
 func (r *ResilientClient) rotate() {
 	if len(r.addrs) < 2 {

@@ -209,6 +209,3 @@ func (m *Manager) rollback() {
 
 // Active reports whether a transaction is open.
 func (m *Manager) Active() bool { return m.active }
-
-// LogOffset returns the pool offset of the log (to persist near the root).
-func (m *Manager) LogOffset() uint64 { return m.logOff }

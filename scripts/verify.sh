@@ -38,6 +38,12 @@ cover_gate obs 80
 cover_gate server 80
 cover_gate repl 80
 
+# Reference-model leg: the paper's contribution — the reference word and
+# the Figure 4 rows (core) and the four reference models built on them
+# (rt), whose every op and counter the ops golden pins.
+cover_gate core 80
+cover_gate rt 80
+
 # Resilience leg: the recovery ladder over every cause and kind of damage,
 # then repeated shard kills plus flaky-network faults must lose zero acked
 # writes and return the service to a zero error rate without a process

@@ -8,7 +8,14 @@
 // instruction, memory access, and branch, and the model accumulates cycles
 // — base CPI 1 plus stalls from cache misses, TLB walks, mispredictions,
 // and pointer-format translations.
+//
+// The host side is built for speed without touching the simulated machine:
+// flat set-indexed tag arrays, shift-and-mask indexing, and an MRU hit that
+// moves nothing. Every simulated count is bit-identical to a plain true-LRU
+// model; cpu_test.go holds that model as the oracle.
 package cpu
+
+import "math/bits"
 
 // CacheConfig describes one set-associative cache level.
 type CacheConfig struct {
@@ -38,50 +45,80 @@ func (s CacheStats) HitRate() float64 {
 	return 0
 }
 
-// cache is one level of set-associative cache with true-LRU replacement.
-type cache struct {
-	cfg   CacheConfig
-	tags  [][]uint64 // [set][way], MRU first; 0 means invalid
-	Stats CacheStats
+// count records one lookup's outcome and returns it.
+func (s *CacheStats) count(hit bool) bool {
+	if hit {
+		s.Hits++
+	} else {
+		s.Misses++
+	}
+	return hit
 }
 
-func newCache(cfg CacheConfig) *cache {
-	tags := make([][]uint64, cfg.Sets)
-	for i := range tags {
-		tags[i] = make([]uint64, 0, cfg.Ways)
+// cache is one level of set-associative cache with true-LRU replacement.
+// It holds replacement state only; the CPU counts outcomes.
+type cache struct {
+	// tags is Sets×Ways, set after set, each set MRU first. 0 means
+	// invalid, and the valid tags of a set are always a prefix of it.
+	tags      []uint64
+	ways      uint64
+	lineShift uint
+	// A power-of-two set count indexes by setMask and setShift. Any other
+	// (the 384-set L2 TLB) is held in oddSets and indexes by one division.
+	setMask  uint64
+	setShift uint
+	oddSets  uint64
+}
+
+// newCache builds a cold cache; cfg is a level of a Config that passed
+// Validate.
+func newCache(cfg CacheConfig) cache {
+	sets := uint64(cfg.Sets)
+	c := cache{
+		tags:      make([]uint64, cfg.Sets*cfg.Ways),
+		ways:      uint64(cfg.Ways),
+		lineShift: uint(bits.TrailingZeros64(cfg.LineSize)),
+		setMask:   sets - 1,
+		setShift:  uint(bits.TrailingZeros64(sets)),
 	}
-	return &cache{cfg: cfg, tags: tags}
+	if sets&(sets-1) != 0 {
+		c.oddSets = sets
+	}
+	return c
 }
 
 // access checks whether the line holding va is resident, updating LRU order
 // and filling on miss. It reports hit or miss.
 func (c *cache) access(va uint64) bool {
-	line := va / c.cfg.LineSize
-	set := line % uint64(c.cfg.Sets)
+	line := va >> c.lineShift
+	set, q := line&c.setMask, line>>c.setShift
+	if c.oddSets != 0 {
+		q = line / c.oddSets
+		set = line - q*c.oddSets
+	}
 	// Tag 0 would be ambiguous with invalid; bias by +1.
-	tag := line/uint64(c.cfg.Sets) + 1
-	ways := c.tags[set]
-	for i, t := range ways {
-		if t == tag {
-			copy(ways[1:i+1], ways[:i])
+	tag := q + 1
+	ways := c.tags[set*c.ways : (set+1)*c.ways]
+	if ways[0] == tag {
+		return true // MRU hit: nothing moves
+	}
+	n := 0 // valid tags seen
+	for ; n < len(ways) && ways[n] != 0; n++ {
+		if ways[n] == tag {
+			copy(ways[1:n+1], ways[:n])
 			ways[0] = tag
-			c.Stats.Hits++
 			return true
 		}
 	}
-	c.Stats.Misses++
-	if len(ways) < c.cfg.Ways {
-		ways = append(ways, 0)
-		c.tags[set] = ways
+	// Shift the valid prefix down one way, dropping the LRU tag when the
+	// set is full, and fill at MRU.
+	if n == len(ways) {
+		n--
 	}
-	copy(ways[1:], ways[:len(ways)-1])
+	copy(ways[1:n+1], ways[:n])
 	ways[0] = tag
 	return false
 }
 
 // flush invalidates the whole cache.
-func (c *cache) flush() {
-	for i := range c.tags {
-		c.tags[i] = c.tags[i][:0]
-	}
-}
+func (c *cache) flush() { clear(c.tags) }

@@ -1,6 +1,10 @@
 package cpu
 
-import "nvref/internal/mem"
+import (
+	"fmt"
+
+	"nvref/internal/mem"
+)
 
 // Config carries the machine parameters of the paper's Table IV.
 type Config struct {
@@ -58,6 +62,38 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate reports the first field the model cannot index: a LineSize or
+// TLB.PageSize that is not a power of two, or a Sets or Ways count that is
+// not positive.
+func (cfg Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"L1.Sets", cfg.L1.Sets}, {"L1.Ways", cfg.L1.Ways},
+		{"L2.Sets", cfg.L2.Sets}, {"L2.Ways", cfg.L2.Ways},
+		{"L3.Sets", cfg.L3.Sets}, {"L3.Ways", cfg.L3.Ways},
+		{"TLB.L1Sets", cfg.TLB.L1Sets}, {"TLB.L1Ways", cfg.TLB.L1Ways},
+		{"TLB.L2Sets", cfg.TLB.L2Sets}, {"TLB.L2Ways", cfg.TLB.L2Ways},
+	} {
+		if f.v <= 0 {
+			return fmt.Errorf("cpu: %s = %d, want > 0", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    uint64
+	}{
+		{"L1.LineSize", cfg.L1.LineSize}, {"L2.LineSize", cfg.L2.LineSize},
+		{"L3.LineSize", cfg.L3.LineSize}, {"TLB.PageSize", cfg.TLB.PageSize},
+	} {
+		if f.v == 0 || f.v&(f.v-1) != 0 {
+			return fmt.Errorf("cpu: %s = %d, want a power of two", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // Stats aggregates everything the experiments report.
 type Stats struct {
 	Cycles       uint64
@@ -104,19 +140,17 @@ func (s TLBStats) HitRate() float64 {
 
 // CPU is the single-core timing model.
 type CPU struct {
-	cfg   Config
-	l1    *cache
-	l2    *cache
-	l3    *cache
-	tlbL1 *cache
-	tlbL2 *cache
-	bp    *branchPredictor
-	pf    *prefetcher // nil unless EnablePrefetcher is called
+	cfg          Config
+	l1, l2, l3   cache
+	tlbL1, tlbL2 cache
+	bp           *branchPredictor
+	pf           *prefetcher // nil unless EnablePrefetcher is called
 
 	Stats Stats
 }
 
-// New returns a CPU with cold caches.
+// New returns a CPU with cold caches. cfg must pass Validate; rt.New
+// checks it for every configuration a caller supplies.
 func New(cfg Config) *CPU {
 	return &CPU{
 		cfg: cfg,
@@ -193,13 +227,13 @@ func (c *CPU) memAccess(va uint64) {
 	// Cache hierarchy. A line covered by an in-flight prefetch costs a
 	// hit regardless of where it would otherwise have been found.
 	switch {
-	case c.l1.access(va):
+	case c.Stats.L1.count(c.l1.access(va)):
 		c.Stats.Cycles += c.cfg.L1.Latency
-	case c.l2.access(va):
+	case c.Stats.L2.count(c.l2.access(va)):
 		if !covered {
 			c.Stats.Cycles += c.cfg.L2.Latency
 		}
-	case c.l3.access(va):
+	case c.Stats.L3.count(c.l3.access(va)):
 		if !covered {
 			c.Stats.Cycles += c.cfg.L3.Latency
 		}
@@ -216,9 +250,6 @@ func (c *CPU) memAccess(va uint64) {
 			}
 		}
 	}
-	c.Stats.L1 = c.l1.Stats
-	c.Stats.L2 = c.l2.Stats
-	c.Stats.L3 = c.l3.Stats
 }
 
 // Branch replays one conditional branch identified by its static site.

@@ -1,8 +1,11 @@
 package cpu
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"nvref/internal/mem"
 )
 
 func TestExecRetiresAtCPI1(t *testing.T) {
@@ -190,5 +193,306 @@ func TestQuickL1AccountingPartitions(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refCache is the slice-of-slices true-LRU cache the flat cache replaced,
+// kept as the oracle for its hit/miss sequence.
+type refCache struct {
+	cfg   CacheConfig
+	tags  [][]uint64 // [set][way], MRU first
+	Stats CacheStats
+}
+
+func newRefCache(cfg CacheConfig) *refCache {
+	tags := make([][]uint64, cfg.Sets)
+	for i := range tags {
+		tags[i] = make([]uint64, 0, cfg.Ways)
+	}
+	return &refCache{cfg: cfg, tags: tags}
+}
+
+func (c *refCache) access(va uint64) bool {
+	line := va / c.cfg.LineSize
+	set := line % uint64(c.cfg.Sets)
+	tag := line/uint64(c.cfg.Sets) + 1
+	ways := c.tags[set]
+	for i, t := range ways {
+		if t == tag {
+			copy(ways[1:i+1], ways[:i])
+			ways[0] = tag
+			c.Stats.Hits++
+			return true
+		}
+	}
+	c.Stats.Misses++
+	if len(ways) < c.cfg.Ways {
+		ways = append(ways, 0)
+		c.tags[set] = ways
+	}
+	copy(ways[1:], ways[:len(ways)-1])
+	ways[0] = tag
+	return false
+}
+
+func (c *refCache) flush() {
+	for i := range c.tags {
+		c.tags[i] = c.tags[i][:0]
+	}
+}
+
+// refCPU is memAccess over refCaches: the plain model whose counts the CPU
+// must reproduce exactly.
+type refCPU struct {
+	cfg                      Config
+	l1, l2, l3, tlbL1, tlbL2 *refCache
+	bp                       *branchPredictor
+	pf                       *prefetcher
+	Stats                    Stats
+}
+
+func newRefCPU(cfg Config) *refCPU {
+	return &refCPU{
+		cfg:   cfg,
+		l1:    newRefCache(cfg.L1),
+		l2:    newRefCache(cfg.L2),
+		l3:    newRefCache(cfg.L3),
+		tlbL1: newRefCache(CacheConfig{Sets: cfg.TLB.L1Sets, Ways: cfg.TLB.L1Ways, LineSize: cfg.TLB.PageSize}),
+		tlbL2: newRefCache(CacheConfig{Sets: cfg.TLB.L2Sets, Ways: cfg.TLB.L2Ways, LineSize: cfg.TLB.PageSize}),
+		bp:    newBranchPredictor(cfg.PredictorBits, cfg.HistoryBits),
+	}
+}
+
+func (c *refCPU) memAccess(va uint64) {
+	c.Stats.Instructions++
+	c.Stats.Cycles++
+	covered := false
+	if c.pf != nil {
+		covered = c.pf.covered(va)
+		c.pf.observe(va)
+	}
+	if c.tlbL1.access(va) {
+		c.Stats.TLB.L1Hits++
+	} else if c.tlbL2.access(va) {
+		c.Stats.TLB.L2Hits++
+		c.Stats.Cycles += c.cfg.TLB.L2HitLatency
+	} else {
+		c.Stats.TLB.Walks++
+		c.Stats.Cycles += c.cfg.TLB.WalkLatency
+	}
+	stall := func(lat uint64) {
+		if !covered {
+			c.Stats.Cycles += lat
+		}
+	}
+	switch {
+	case c.l1.access(va):
+		c.Stats.Cycles += c.cfg.L1.Latency
+	case c.l2.access(va):
+		stall(c.cfg.L2.Latency)
+	case c.l3.access(va):
+		stall(c.cfg.L3.Latency)
+	case mem.IsNVM(va):
+		c.Stats.NVMAccesses++
+		stall(c.cfg.NVMLatency)
+	default:
+		c.Stats.DRAMAccesses++
+		stall(c.cfg.DRAMLatency)
+	}
+	c.Stats.L1, c.Stats.L2, c.Stats.L3 = c.l1.Stats, c.l2.Stats, c.l3.Stats
+}
+
+func (c *refCPU) branch(site uint64, taken bool) {
+	c.Stats.Instructions++
+	c.Stats.Cycles++
+	if c.bp.predict(site, taken) {
+		c.Stats.Cycles += c.cfg.MispredictPenalty
+	}
+	c.Stats.Branch = c.bp.Stats
+}
+
+func (c *refCPU) flush() {
+	for _, l := range []*refCache{c.l1, c.l2, c.l3, c.tlbL1, c.tlbL2} {
+		l.flush()
+	}
+}
+
+// oracleGeometries are the cache shapes the flat cache is checked on: every
+// level of the Table IV machine (the 384-set L2 TLB is the one set count
+// that is not a power of two), a fully associative cache and a 3-way one.
+func oracleGeometries() map[string]CacheConfig {
+	d := DefaultConfig()
+	return map[string]CacheConfig{
+		"L1":          d.L1,
+		"L2":          d.L2,
+		"L3":          d.L3,
+		"TLB-L1":      {Sets: d.TLB.L1Sets, Ways: d.TLB.L1Ways, LineSize: d.TLB.PageSize},
+		"TLB-L2":      {Sets: d.TLB.L2Sets, Ways: d.TLB.L2Ways, LineSize: d.TLB.PageSize},
+		"fully-assoc": {Sets: 1, Ways: 16, LineSize: 64},
+		"3-way":       {Sets: 12, Ways: 3, LineSize: 32},
+	}
+}
+
+// streamAddr draws the next address of a stream that mixes same-line
+// repeats, set-conflict strides (up to twice a set's ways, all mapping to
+// one set of cfg), sequential steps and random addresses over a window a
+// few times the cache's reach, in either half of the address space.
+func streamAddr(rng *rand.Rand, cfg CacheConfig, prev uint64) uint64 {
+	reach := uint64(cfg.Sets*cfg.Ways) * cfg.LineSize
+	half := uint64(0)
+	if rng.Intn(4) == 0 {
+		half = mem.NVMBit
+	}
+	switch rng.Intn(4) {
+	case 0:
+		return prev&^(cfg.LineSize-1) + uint64(rng.Int63n(int64(cfg.LineSize)))
+	case 1:
+		stride := uint64(cfg.Sets) * cfg.LineSize
+		return half + uint64(rng.Intn(2*cfg.Ways+1))*stride
+	case 2:
+		return prev + 8
+	default:
+		return half + uint64(rng.Int63n(int64(4*reach)))
+	}
+}
+
+// Property: for every geometry and address stream, the flat cache hits and
+// misses exactly where the slice-of-slices oracle does.
+func TestCacheMatchesOracle(t *testing.T) {
+	for name, cfg := range oracleGeometries() {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			c, ref := newCache(cfg), newRefCache(cfg)
+			var got CacheStats
+			va := uint64(0)
+			for i := 0; i < 4000; i++ {
+				if rng.Intn(1000) == 0 {
+					c.flush()
+					ref.flush()
+				}
+				va = streamAddr(rng, cfg, va)
+				if got.count(c.access(va)) != ref.access(va) {
+					t.Logf("%s seed %d: access %d (%#x) disagrees", name, seed, i, va)
+					return false
+				}
+			}
+			return got == ref.Stats
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// Property: a whole CPU keeps Stats (and prefetcher stats) equal to the
+// reference model's after every event, with flushes and a prefetcher
+// attached mid-stream.
+func TestCPUMatchesOracle(t *testing.T) {
+	odd := DefaultConfig()
+	odd.L1 = CacheConfig{Sets: 32, Ways: 3, LineSize: 32, Latency: 4}
+	odd.L2.Sets = 384
+	smallPage := DefaultConfig()
+	smallPage.TLB.PageSize = 32 // smaller than an L1 line
+	for name, cfg := range map[string]Config{"default": DefaultConfig(), "odd": odd, "small-page": smallPage} {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			c, ref := New(cfg), newRefCPU(cfg)
+			va := uint64(0x10000)
+			for i := 0; i < 3000; i++ {
+				switch k := rng.Intn(100); {
+				case k < 60:
+					va = streamAddr(rng, cfg.L1, va)
+					if k%2 == 0 {
+						c.Load(va)
+						ref.Stats.Loads++
+					} else {
+						c.Store(va)
+						ref.Stats.Stores++
+					}
+					ref.memAccess(va)
+				case k < 80:
+					site, taken := uint64(rng.Intn(64)), rng.Intn(3) != 0
+					c.Branch(site, taken)
+					ref.branch(site, taken)
+				case k < 90:
+					c.Exec(3)
+					ref.Stats.Instructions += 3
+					ref.Stats.Cycles += 3
+				case k < 99:
+					c.AddTranslationCycles(5)
+					ref.Stats.Cycles += 5
+					ref.Stats.TranslationCycles += 5
+				case rng.Intn(2) == 0:
+					c.FlushCaches()
+					ref.flush()
+				case ref.pf == nil:
+					c.EnablePrefetcher(DefaultPrefetcherConfig())
+					ref.pf = newPrefetcher(DefaultPrefetcherConfig())
+				}
+				var refPf PrefetchStats
+				if ref.pf != nil {
+					refPf = ref.pf.Stats
+				}
+				if c.Stats != ref.Stats || c.Prefetch() != refPf {
+					t.Logf("%s seed %d event %d:\n got %+v\nwant %+v", name, seed, i, c.Stats, ref.Stats)
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestMemAccessDoesNotAllocate holds the default machine's loads and
+// stores, hits and misses alike, to zero heap allocations.
+func TestMemAccessDoesNotAllocate(t *testing.T) {
+	c := New(DefaultConfig())
+	va := uint64(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		c.Load(va)
+		c.Store(va + 8)
+		va += 4104 // a new line and page every time
+	}); n != 0 {
+		t.Errorf("%v allocations per access pair, want 0", n)
+	}
+}
+
+func TestValidateNamesField(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("DefaultConfig: %v", err)
+	}
+	bad := DefaultConfig()
+	bad.TLB.PageSize = 0
+	if err := bad.Validate(); err == nil || err.Error() != "cpu: TLB.PageSize = 0, want a power of two" {
+		t.Errorf("PageSize 0: %v", err)
+	}
+}
+
+// BenchmarkMemAccess times one simulated load on the default machine for
+// four address streams: the same line over and over (an MRU hit), a
+// sequential walk, a walk that keeps one L1 set thrashing, and random
+// addresses over 1 GiB.
+func BenchmarkMemAccess(b *testing.B) {
+	cfg := DefaultConfig()
+	conflict := uint64(cfg.L1.Sets) * cfg.L1.LineSize
+	for _, s := range []struct {
+		name string
+		addr func(i uint64) uint64
+	}{
+		{"same-line", func(i uint64) uint64 { return 0x10000 + i&7*8 }},
+		{"sequential", func(i uint64) uint64 { return i * 8 }},
+		{"set-conflict", func(i uint64) uint64 { return i % 16 * conflict }},
+		{"random", func(i uint64) uint64 { return (i * 0x9e3779b97f4a7c15) >> 34 }},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			c := New(cfg)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.Load(s.addr(uint64(i)))
+			}
+		})
 	}
 }

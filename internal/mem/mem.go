@@ -61,14 +61,23 @@ func (r Region) contains(va uint64) bool { return va >= r.Base && va < r.End() }
 
 // AddressSpace is a sparse simulated 48-bit virtual address space.
 // The zero value is not usable; construct with New.
+//
+// An AddressSpace is used by one goroutine at a time. Reads are no
+// exception: a load backs its page on first touch and memoizes the page
+// it used.
 type AddressSpace struct {
-	pages   map[uint64][]byte // page base -> PageSize bytes
-	regions []Region          // sorted by Base
+	pages   map[uint64]*[PageSize]byte // page base -> backing
+	regions []Region                   // sorted by Base
+	// lastPage backs the page at lastBase, the one the previous access
+	// used, so a run of accesses to one page skips the map lookup. nil
+	// means none; Unmap clears it.
+	lastBase uint64
+	lastPage *[PageSize]byte
 }
 
 // New returns an empty address space with no mappings.
 func New() *AddressSpace {
-	return &AddressSpace{pages: make(map[uint64][]byte)}
+	return &AddressSpace{pages: make(map[uint64]*[PageSize]byte)}
 }
 
 // Map reserves [base, base+size) and backs it with zeroed pages. Both base
@@ -105,6 +114,7 @@ func (a *AddressSpace) Unmap(base, size uint64) error {
 					delete(a.pages, p)
 				}
 			}
+			a.lastPage = nil
 			return nil
 		}
 	}
@@ -135,16 +145,20 @@ func (a *AddressSpace) Regions() []Region {
 
 // page returns the backing page for va, or nil if unmapped. Backing is
 // allocated lazily on first touch, so mapping a large region is cheap.
-func (a *AddressSpace) page(va uint64) []byte {
+func (a *AddressSpace) page(va uint64) *[PageSize]byte {
 	base := va &^ (PageSize - 1)
-	if p, ok := a.pages[base]; ok {
-		return p
+	if a.lastPage != nil && a.lastBase == base {
+		return a.lastPage
 	}
-	if _, ok := a.RegionAt(va); !ok {
-		return nil
+	p, ok := a.pages[base]
+	if !ok {
+		if _, ok := a.RegionAt(va); !ok {
+			return nil
+		}
+		p = new([PageSize]byte)
+		a.pages[base] = p
 	}
-	p := make([]byte, PageSize)
-	a.pages[base] = p
+	a.lastBase, a.lastPage = base, p
 	return p
 }
 

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -262,5 +263,84 @@ func TestMappedAndRegionsViews(t *testing.T) {
 	rs := a.Regions()
 	if len(rs) != 1 || rs[0].Name != "r" || rs[0].End() != 0x10000+2*PageSize {
 		t.Errorf("Regions = %+v", rs)
+	}
+}
+
+// TestUnmapForgetsMemoizedPages: a page the memo holds is gone after Unmap,
+// and a fresh Map of the same range reads zeroes, not the old bytes.
+func TestUnmapForgetsMemoizedPages(t *testing.T) {
+	a := New()
+	base := uint64(0x40000)
+	if err := a.Map(base, 2*PageSize, "r"); err != nil {
+		t.Fatal(err)
+	}
+	for _, va := range []uint64{base + 8, base + PageSize + 16} {
+		if err := a.Store64(va, 0xfeed); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := a.Load64(va); err != nil || v != 0xfeed { // memo warm
+			t.Fatalf("Load64(%#x) = %#x, %v", va, v, err)
+		}
+	}
+	if err := a.Unmap(base, 2*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Load64(base + 8); !errors.Is(err, ErrUnmapped) {
+		t.Errorf("Load64 after Unmap: err = %v, want ErrUnmapped", err)
+	}
+	if err := a.Store64(base+PageSize+16, 1); !errors.Is(err, ErrUnmapped) {
+		t.Errorf("Store64 after Unmap: err = %v, want ErrUnmapped", err)
+	}
+	if err := a.Map(base, 2*PageSize, "r2"); err != nil {
+		t.Fatal(err)
+	}
+	for _, va := range []uint64{base + 8, base + PageSize + 16} {
+		if v, err := a.Load64(va); err != nil || v != 0 {
+			t.Errorf("Load64(%#x) after remap = %#x, %v; want 0", va, v, err)
+		}
+	}
+}
+
+// TestMemoFollowsPageChanges: loads and stores that alternate between pages
+// each reach their own page, not the memoized one.
+func TestMemoFollowsPageChanges(t *testing.T) {
+	a := New()
+	stride := uint64(3 * PageSize)
+	if err := a.Map(0, 4*stride, "r"); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		for i := uint64(0); i < 4; i++ {
+			va := i*stride + 8
+			if round == 0 {
+				if err := a.Store64(va, i+1); err != nil {
+					t.Fatal(err)
+				}
+			} else if v, err := a.Load64(va); err != nil || v != i+1 {
+				t.Errorf("Load64(%#x) = %d, %v; want %d", va, v, err, i+1)
+			}
+		}
+	}
+}
+
+// BenchmarkLoad64 times one aligned 64-bit load over a working set of
+// pages: one page (every load hits the memo) and 256 pages (each load is on
+// another page than the last, so every one takes the page map).
+func BenchmarkLoad64(b *testing.B) {
+	for _, pages := range []uint64{1, 256} {
+		b.Run(fmt.Sprintf("pages=%d", pages), func(b *testing.B) {
+			a := New()
+			if err := a.Map(NVMBase, pages*PageSize, "bench"); err != nil {
+				b.Fatal(err)
+			}
+			mask := pages*PageSize - 1
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				va := NVMBase + uint64(i)*4104&mask&^7
+				if _, err := a.Load64(va); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -134,6 +134,13 @@ func New(cfg Config) (*Context, error) {
 	if cfg.PoolSize == 0 {
 		cfg.PoolSize = defaultPoolSize
 	}
+	machine := cpu.DefaultConfig()
+	if cfg.CPUConfig != nil {
+		machine = *cfg.CPUConfig
+		if err := machine.Validate(); err != nil {
+			return nil, fmt.Errorf("rt: bad CPUConfig: %w", err)
+		}
+	}
 	as := mem.New()
 	var regOpts []pmem.Option
 	if cfg.PoolMapBase != 0 {
@@ -149,11 +156,6 @@ func New(cfg Config) (*Context, error) {
 	}
 	if err := as.Map(swTableBase, swTableSize, "rt-tables"); err != nil {
 		return nil, err
-	}
-
-	machine := cpu.DefaultConfig()
-	if cfg.CPUConfig != nil {
-		machine = *cfg.CPUConfig
 	}
 
 	c := &Context{

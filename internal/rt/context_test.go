@@ -1,9 +1,11 @@
 package rt
 
 import (
+	"strings"
 	"testing"
 
 	"nvref/internal/core"
+	"nvref/internal/cpu"
 )
 
 var (
@@ -361,5 +363,35 @@ func TestPointerOpsDoNotAllocate(t *testing.T) {
 				t.Errorf("%s %s: %v allocations per op, want 0", mode, op.name, n)
 			}
 		}
+	}
+}
+
+// TestNewRejectsUnindexableCPUConfig: a machine the cache model cannot
+// index is refused at construction with the field named, rather than
+// dividing by zero at the first access.
+func TestNewRejectsUnindexableCPUConfig(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		edit  func(*cpu.Config)
+	}{
+		{"L1.LineSize", func(c *cpu.Config) { c.L1.LineSize = 48 }},
+		{"L2.Sets", func(c *cpu.Config) { c.L2.Sets = 0 }},
+		{"L3.Ways", func(c *cpu.Config) { c.L3.Ways = 0 }},
+		{"TLB.PageSize", func(c *cpu.Config) { c.TLB.PageSize = 3000 }},
+		{"TLB.L1Ways", func(c *cpu.Config) { c.TLB.L1Ways = -1 }},
+		{"TLB.L2Sets", func(c *cpu.Config) { c.TLB.L2Sets = 0 }},
+	} {
+		cfg := cpu.DefaultConfig()
+		tc.edit(&cfg)
+		if _, err := New(Config{Mode: HW, CPUConfig: &cfg}); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: New error = %v, want one naming the field", tc.field, err)
+		}
+	}
+	// A set count that is not a power of two (the 384-set L2 TLB) is
+	// indexable.
+	cfg := cpu.DefaultConfig()
+	cfg.L2.Sets = 384
+	if _, err := New(Config{Mode: HW, CPUConfig: &cfg}); err != nil {
+		t.Errorf("384-set L2: %v", err)
 	}
 }

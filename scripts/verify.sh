@@ -40,9 +40,13 @@ cover_gate repl 80
 
 # Reference-model leg: the paper's contribution — the reference word and
 # the Figure 4 rows (core) and the four reference models built on them
-# (rt), whose every op and counter the ops golden pins.
+# (rt), whose every op and counter the ops golden pins; and the simulated
+# machine under them (cpu, mem), whose host-side speed-ups are held to the
+# plain model's counts by cpu_test.go's oracle.
 cover_gate core 80
 cover_gate rt 80
+cover_gate cpu 80
+cover_gate mem 80
 
 # Resilience leg: the recovery ladder over every cause and kind of damage,
 # then repeated shard kills plus flaky-network faults must lose zero acked

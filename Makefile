@@ -8,12 +8,14 @@ build:
 test:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./... && $(MAKE) fuzz
 
-# Short fuzz smoke over both halves of the wire codec and the incremental
-# image checksum — the one list of fuzz legs; verify.sh runs this target.
+# Short fuzz smoke over both halves of the wire codec, the incremental
+# image checksum and the DirStore slot reader — the one list of fuzz legs;
+# verify.sh runs this target.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeReply -fuzztime=10s ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzImageChecksum -fuzztime=10s ./internal/pmem/
+	$(GO) test -run='^$$' -fuzz=FuzzDirStoreLoad -fuzztime=10s ./internal/pmem/
 
 # Full gate: build + vet + race-enabled tests (fault matrix and crash
 # sweep included). CI and pre-merge runs use this.

@@ -7,8 +7,8 @@
 //	nvserved -addr localhost:7070 -http localhost:9090   # metrics mux
 //
 // Each shard owns its own simulation context and persistent pool. With
-// -data, pools live as <data>/shard-N/bench.pool images and survive
-// restarts: startup reopens every image, fscks it, and re-seats the index,
+// -data, each pool lives in two slot files, <data>/shard-N/bench.pool.0
+// and .1, and survives restarts: startup reopens every image, fscks it, and re-seats the index,
 // so a killed daemon recovers to its last checkpoint. Without -data, pools
 // live in process memory (gone at exit, but crash injection inside the
 // process still exercises recovery).

@@ -1,6 +1,7 @@
 package pmem_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -459,12 +460,11 @@ func TestRepairedDataReadsBack(t *testing.T) {
 	}
 }
 
-// TestDirStoreTornFileRepair: a real on-disk image file cut short — a
-// host crash around the rename, or filesystem truncation — still carries
-// its intact header. The store must hand the surviving bytes to the
-// parity layer instead of refusing the load outright, so the missing tail
-// zero-extends into bad pages that parity reconstructs: on the scrub
-// path, and directly on open.
+// TestDirStoreTornFileRepair: a real on-disk slot file cut short by
+// filesystem truncation still carries its intact header. The store must
+// hand the surviving bytes to the parity layer instead of refusing the
+// load outright, so the missing tail zero-extends into bad pages that
+// parity reconstructs: on the scrub path, and directly on open.
 func TestDirStoreTornFileRepair(t *testing.T) {
 	dir := t.TempDir()
 	store, err := pmem.NewDirStore(dir)
@@ -499,7 +499,7 @@ func TestDirStoreTornFileRepair(t *testing.T) {
 	// Tear the file itself: cut half of the image's final page, the only
 	// damaged page in its rangelet.
 	tear := func() {
-		path := filepath.Join(dir, "media.pool")
+		path := newestSlot(t, dir, "media")
 		fi, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
@@ -537,4 +537,23 @@ func TestDirStoreTornFileRepair(t *testing.T) {
 	if r2.Stats.PagesRepaired == 0 {
 		t.Fatal("open repaired nothing, yet the file was torn")
 	}
+}
+
+// newestSlot returns the slot file of name holding the higher generation
+// (header bytes 8..16), the one a DirStore loads.
+func newestSlot(t *testing.T, dir, name string) string {
+	t.Helper()
+	best, bestGen := "", uint64(0)
+	for _, slot := range []string{".pool.0", ".pool.1"} {
+		path := filepath.Join(dir, name+slot)
+		if raw, err := os.ReadFile(path); err == nil && len(raw) >= 16 {
+			if gen := binary.LittleEndian.Uint64(raw[8:]); gen > bestGen {
+				best, bestGen = path, gen
+			}
+		}
+	}
+	if best == "" {
+		t.Fatalf("no slot file holds %q", name)
+	}
+	return best
 }

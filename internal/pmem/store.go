@@ -1,9 +1,12 @@
 package pmem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -83,82 +86,202 @@ func (s *MemStore) Delete(name string) error {
 
 var _ Store = (*MemStore)(nil)
 
-// DirStore persists pool images as files in a directory, one file per pool.
-// Image format (version 2): an 8-byte magic, the 4-byte pool ID, the 8-byte
-// size, the 8-byte CRC64 image checksum, the length-prefixed name, then the
-// raw pool bytes. Version-1 files (no checksum field) are still read; their
-// Meta.Sum is zero, which skips the integrity check.
+// DirStore persists pool images as files in a directory. Each stored name
+// owns two slot files, <name>.pool.0 and <name>.pool.1, with '%', '/' and
+// the OS path separator in the name percent-encoded. A slot is a
+// 512-byte header — magic, generation, Meta, payload length, CRC32 — and,
+// at offset 4096, the image. Save rewrites in place the slot holding the
+// older generation: payload, sync, header, sync. The header fits one
+// sector, which the device is assumed to write whole, so a crash leaves
+// that slot with its old header or its new one; Load returns the highest
+// intact generation, so it sees the old image or the new one, never a mix.
+// Disk use is two slots per name, each as long as the largest image ever
+// saved into it.
+//
+// Images in the single-file layout that preceded slots (<name>.pool with
+// '/' mapped to '_': an 8-byte magic, the 4-byte pool ID, the 8-byte size,
+// in version 2 the 8-byte CRC64 image checksum, the length-prefixed name,
+// then the raw pool bytes) still load while no slot holds their name; the
+// first slot save removes the file. Version-1 files have no checksum
+// field: their Meta.Sum is zero, which skips the integrity check.
 type DirStore struct {
 	dir string
+
+	// mu orders Save, Load and Delete: a slot is rewritten in place, so a
+	// Load racing a Save of the same name could read half an image.
+	mu    sync.Mutex
+	slots map[string]slotPair // per name, what its slot headers hold
+}
+
+// slotPair is what the two slot headers of one name hold on disk.
+type slotPair struct {
+	gen    [2]uint64 // each slot's generation; 0 if absent or damaged
+	bad    [2]bool   // the header is neither intact nor all zero
+	legacy bool      // a single-file image of this name is still on disk
+}
+
+// slotHead is the content of one slot header.
+type slotHead struct {
+	gen  uint64
+	meta Meta
+	n    uint64 // payload bytes
 }
 
 const (
+	slotMagic  = "NVREFSL1"
+	slotHeader = 512 // one sector, written whole
+	// The payload starts a page in, so writing it never touches the
+	// filesystem block that holds the header.
+	slotPayload = 4096
+	slotFixed   = 8 + 8 + 4 + 8 + 8 + 8 + 2  // magic, gen, ID, size, sum, payload length, name length
+	maxSlotName = slotHeader - slotFixed - 4 // the rest of the sector but its CRC32
+
 	fileMagicV1 = "NVREFPL1"
 	fileMagicV2 = "NVREFPL2"
 	fileExt     = ".pool"
 )
+
+var (
+	zeroSector               [slotHeader]byte // an absent slot's header
+	slotExt                  = [2]string{fileExt + ".0", fileExt + ".1"}
+	slotEscape, slotUnescape = nameEscapers()
+	legacyEscape             = strings.NewReplacer("/", "_", string(filepath.Separator), "_")
+)
+
+// nameEscapers returns the injective escape of a name into a file name —
+// '%', '/' and the OS separator percent-encoded — and its inverse.
+func nameEscapers() (*strings.Replacer, *strings.Replacer) {
+	enc := []string{"%", "%25", "/", "%2F"}
+	if filepath.Separator != '/' {
+		enc = append(enc, string(filepath.Separator), fmt.Sprintf("%%%02X", filepath.Separator))
+	}
+	var dec []string
+	for i := 0; i < len(enc); i += 2 {
+		dec = append(dec, enc[i+1], enc[i])
+	}
+	return strings.NewReplacer(enc...), strings.NewReplacer(dec...)
+}
 
 // NewDirStore returns a store rooted at dir, creating it if needed.
 func NewDirStore(dir string) (*DirStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &DirStore{dir: dir}, nil
+	return &DirStore{dir: dir, slots: make(map[string]slotPair)}, nil
 }
 
-func (s *DirStore) path(name string) string {
-	// Pool names become file names; escape path separators defensively.
-	safe := strings.NewReplacer("/", "_", string(filepath.Separator), "_").Replace(name)
-	return filepath.Join(s.dir, safe+fileExt)
+func (s *DirStore) slotPath(name string, i int) string {
+	return filepath.Join(s.dir, slotEscape.Replace(name)+slotExt[i])
 }
 
-// Save implements Store. The image is written to a temporary file which is
-// fsynced before being renamed over the target, and the directory is
-// fsynced after the rename: without both syncs a host crash could leave a
-// truncated image (or no directory entry at all) behind the atomic-rename
-// promise.
-func (s *DirStore) Save(meta Meta, data []byte) error {
-	head := make([]byte, 0, len(fileMagicV2)+4+8+8+4+len(meta.Name))
-	head = append(head, fileMagicV2...)
-	head = binary.LittleEndian.AppendUint32(head, meta.ID)
-	head = binary.LittleEndian.AppendUint64(head, meta.Size)
-	head = binary.LittleEndian.AppendUint64(head, meta.Sum)
-	head = binary.LittleEndian.AppendUint32(head, uint32(len(meta.Name)))
-	head = append(head, meta.Name...)
+func (s *DirStore) legacyPath(name string) string {
+	return filepath.Join(s.dir, legacyEscape.Replace(name)+fileExt)
+}
 
-	tmp := s.path(meta.Name) + ".tmp"
-	if err := writeFileSync(tmp, head, data); err != nil {
-		os.Remove(tmp)
-		return err
+func (h slotHead) encode() []byte {
+	b := append(make([]byte, 0, slotHeader), slotMagic...)
+	b = binary.LittleEndian.AppendUint64(b, h.gen)
+	b = binary.LittleEndian.AppendUint32(b, h.meta.ID)
+	b = binary.LittleEndian.AppendUint64(b, h.meta.Size)
+	b = binary.LittleEndian.AppendUint64(b, h.meta.Sum)
+	b = binary.LittleEndian.AppendUint64(b, h.n)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(h.meta.Name)))
+	b = append(b, h.meta.Name...)
+	b = b[:slotHeader-4] // zero padding
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// decodeSlotHead parses a header sector; ok is false unless it is intact.
+func decodeSlotHead(b []byte) (h slotHead, ok bool) {
+	if string(b[:len(slotMagic)]) != slotMagic ||
+		binary.LittleEndian.Uint32(b[slotHeader-4:]) != crc32.ChecksumIEEE(b[:slotHeader-4]) {
+		return slotHead{}, false
 	}
-	if err := os.Rename(tmp, s.path(meta.Name)); err != nil {
-		os.Remove(tmp)
-		return err
+	h.gen = binary.LittleEndian.Uint64(b[8:])
+	h.meta.ID = binary.LittleEndian.Uint32(b[16:])
+	h.meta.Size = binary.LittleEndian.Uint64(b[20:])
+	h.meta.Sum = binary.LittleEndian.Uint64(b[28:])
+	h.n = binary.LittleEndian.Uint64(b[36:])
+	n := int(binary.LittleEndian.Uint16(b[44:]))
+	if h.gen == 0 || n > maxSlotName {
+		return slotHead{}, false
 	}
-	return syncDir(s.dir)
+	h.meta.Name = string(b[slotFixed : slotFixed+n])
+	return h, true
 }
 
-// writeFileSync writes the chunks to path, in order, and fsyncs the file
-// before closing it.
-func writeFileSync(path string, chunks ...[]byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// readSlotHead reads one slot's header. A missing file, or a header sector
+// that is all zero — a slot file created by a save that never finished —
+// is absent: the zero slotHead. A header that is not intact is bad.
+func readSlotHead(path string) (h slotHead, bad bool, err error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return slotHead{}, false, nil
+	}
+	if err != nil {
+		return slotHead{}, false, err
+	}
+	defer f.Close()
+	b := make([]byte, slotHeader)
+	if _, err := f.ReadAt(b, 0); err != nil && err != io.EOF {
+		return slotHead{}, false, err
+	}
+	h, ok := decodeSlotHead(b)
+	return h, !ok && !bytes.Equal(b, zeroSector[:]), nil
+}
+
+// pair reads what name's slot headers hold, and whether a single-file
+// image of name remains, and remembers it.
+func (s *DirStore) pair(name string) (slotPair, [2]slotHead, error) {
+	var p slotPair
+	var heads [2]slotHead
+	for i := range heads {
+		var err error
+		if heads[i], p.bad[i], err = readSlotHead(s.slotPath(name, i)); err != nil {
+			return slotPair{}, heads, err
+		}
+		p.gen[i] = heads[i].gen
+	}
+	p.legacy = s.legacyOwns(name)
+	s.slots[name] = p
+	return p, heads, nil
+}
+
+// known returns what name's slot headers hold, read from disk only if no
+// Save, Load or Delete since the store opened has learned it.
+func (s *DirStore) known(name string) (slotPair, error) {
+	if p, ok := s.slots[name]; ok {
+		return p, nil
+	}
+	p, _, err := s.pair(name)
+	return p, err
+}
+
+// writeSlot writes data at the payload offset and syncs it, then writes
+// head at offset 0 and syncs again, so a header never names a payload that
+// is not yet on the device.
+func writeSlot(path string, head, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
 		return err
 	}
-	for _, c := range chunks {
-		if _, err := f.Write(c); err != nil {
-			f.Close()
-			return err
+	if len(data) > 0 {
+		if _, err = f.WriteAt(data, slotPayload); err == nil {
+			err = f.Sync()
 		}
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		if _, err = f.WriteAt(head, 0); err == nil {
+			err = f.Sync()
+		}
 	}
-	return f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// syncDir fsyncs a directory so a completed rename survives a host crash.
+// syncDir fsyncs a directory so a file created in it survives a host crash.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
@@ -171,22 +294,142 @@ func syncDir(dir string) error {
 	return err
 }
 
-// Load implements Store.
-func (s *DirStore) Load(name string) (Meta, []byte, error) {
-	raw, err := os.ReadFile(s.path(name))
+// Save implements Store. It overwrites the slot Load would not return —
+// the older one, or one whose header is damaged — and refuses a name too
+// long to share the header sector with the fixed fields.
+func (s *DirStore) Save(meta Meta, data []byte) error {
+	if len(meta.Name) > maxSlotName {
+		return fmt.Errorf("pmem: pool name of %d bytes: DirStore holds names of at most %d",
+			len(meta.Name), maxSlotName)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p, err := s.known(meta.Name)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return Meta{}, nil, fmt.Errorf("%w: %q", ErrStoreMissing, name)
+		return err
+	}
+	// Forgotten until the save completes: after a failure part-way, what
+	// the slot holds is read back from disk.
+	delete(s.slots, meta.Name)
+
+	i := 0
+	if p.bad[1] || (!p.bad[0] && p.gen[1] < p.gen[0]) {
+		i = 1
+	}
+	head := slotHead{gen: max(p.gen[0], p.gen[1]) + 1, meta: meta, n: uint64(len(data))}
+	if err := writeSlot(s.slotPath(meta.Name, i), head.encode(), data); err != nil {
+		return err
+	}
+	// A slot without a generation is a file this save created, or one a
+	// crash left before its directory entry was synced.
+	if p.gen[i] == 0 && !p.bad[i] {
+		if err := syncDir(s.dir); err != nil {
+			return err
 		}
+	}
+	p.gen[i], p.bad[i] = head.gen, false
+	if o := 1 - i; p.bad[o] {
+		// Both headers were damaged: clear the other, or Load would
+		// refuse this image for it.
+		if err := writeSlot(s.slotPath(meta.Name, o), zeroSector[:], nil); err != nil {
+			return err
+		}
+		p.bad[o] = false
+	}
+	if p.legacy {
+		if err := os.Remove(s.legacyPath(meta.Name)); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+		p.legacy = false
+	}
+	s.slots[meta.Name] = p
+	return nil
+}
+
+// Load implements Store. The highest intact generation wins. A damaged
+// header is ErrCorrupt whatever the other slot holds, since the damaged
+// slot may be the newer one. A payload cut short under an intact header
+// comes back, as far as it survives, with ErrCorrupt: the parity layer
+// zero-extends it and rebuilds the missing pages, and the op log reads a
+// tail up to its last whole record.
+func (s *DirStore) Load(name string) (Meta, []byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p, heads, err := s.pair(name)
+	if err != nil {
 		return Meta{}, nil, err
 	}
-	withSum := false
+	if p.bad[0] || p.bad[1] {
+		return Meta{}, nil, fmt.Errorf("%w: %q: damaged slot header", ErrCorrupt, name)
+	}
+	i := 0
+	if heads[1].gen > heads[0].gen {
+		i = 1
+	}
+	if heads[i].gen == 0 {
+		return s.loadLegacy(name)
+	}
+	data, err := readPayload(s.slotPath(name, i), heads[i].n)
+	if err != nil {
+		return Meta{}, nil, err
+	}
+	return sized(name, heads[i].meta, data, true)
+}
+
+// readPayload reads up to n payload bytes of a slot file, fewer if the
+// file ends first.
+func readPayload(path string, n uint64) ([]byte, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	data := raw[min(len(raw), slotPayload):]
+	return data[:min(uint64(len(data)), n)], nil
+}
+
+// sized holds a payload to its Meta.Size. A short one is torn: when
+// tornOK, the surviving bytes come back with ErrCorrupt. Any other
+// mismatch is ErrCorrupt alone.
+func sized(name string, meta Meta, data []byte, tornOK bool) (Meta, []byte, error) {
+	if uint64(len(data)) == meta.Size {
+		return meta, data, nil
+	}
+	err := fmt.Errorf("%w: %q: image %d bytes, header says %d", ErrCorrupt, name, len(data), meta.Size)
+	if tornOK && uint64(len(data)) < meta.Size {
+		return meta, data, err
+	}
+	return Meta{}, nil, err
+}
+
+// loadLegacy loads name's single-file image.
+func (s *DirStore) loadLegacy(name string) (Meta, []byte, error) {
+	raw, err := os.ReadFile(s.legacyPath(name))
+	if os.IsNotExist(err) {
+		return Meta{}, nil, fmt.Errorf("%w: %q", ErrStoreMissing, name)
+	}
+	if err != nil {
+		return Meta{}, nil, err
+	}
+	meta, off, withSum, err := parseLegacy(raw)
+	if err != nil {
+		return Meta{}, nil, fmt.Errorf("%w: %q: %v", ErrCorrupt, name, err)
+	}
+	if meta.Name != name {
+		// The old escape mapped '/' to '_': the file holds another name.
+		return Meta{}, nil, fmt.Errorf("%w: %q", ErrStoreMissing, name)
+	}
+	return sized(name, meta, raw[off:], withSum)
+}
+
+// parseLegacy decodes the header at the front of a single-file image: its
+// Meta, where the payload starts, and whether the format has a checksum.
+func parseLegacy(raw []byte) (meta Meta, off int, withSum bool, err error) {
 	switch {
-	case len(raw) >= len(fileMagicV2) && string(raw[:len(fileMagicV2)]) == fileMagicV2:
+	case bytes.HasPrefix(raw, []byte(fileMagicV2)):
 		withSum = true
-	case len(raw) >= len(fileMagicV1) && string(raw[:len(fileMagicV1)]) == fileMagicV1:
+	case bytes.HasPrefix(raw, []byte(fileMagicV1)):
 	default:
-		return Meta{}, nil, fmt.Errorf("%w: %q: bad file header", ErrCorrupt, name)
+		return Meta{}, 0, false, errors.New("bad file header")
 	}
 	p := len(fileMagicV2)
 	fixed := 4 + 8 + 4
@@ -194,64 +437,120 @@ func (s *DirStore) Load(name string) (Meta, []byte, error) {
 		fixed += 8
 	}
 	if len(raw) < p+fixed {
-		return Meta{}, nil, fmt.Errorf("%w: %q: truncated header", ErrCorrupt, name)
+		return Meta{}, 0, false, errors.New("truncated header")
 	}
-	id := binary.LittleEndian.Uint32(raw[p:])
+	meta.ID = binary.LittleEndian.Uint32(raw[p:])
 	p += 4
-	size := binary.LittleEndian.Uint64(raw[p:])
+	meta.Size = binary.LittleEndian.Uint64(raw[p:])
 	p += 8
-	sum := uint64(0)
 	if withSum {
-		sum = binary.LittleEndian.Uint64(raw[p:])
+		meta.Sum = binary.LittleEndian.Uint64(raw[p:])
 		p += 8
 	}
 	nameLen := int(binary.LittleEndian.Uint32(raw[p:]))
 	p += 4
-	if p+nameLen > len(raw) {
-		return Meta{}, nil, fmt.Errorf("%w: %q: truncated name", ErrCorrupt, name)
+	if nameLen > len(raw)-p {
+		return Meta{}, 0, false, errors.New("truncated name")
 	}
-	storedName := string(raw[p : p+nameLen])
-	p += nameLen
-	data := raw[p:]
-	if uint64(len(data)) < size && withSum {
-		// Torn payload under an intact header: a crash or truncation cut
-		// the file short. The parsed metadata and the surviving bytes are
-		// returned alongside the error so the parity layer can zero-extend
-		// the image and reconstruct the missing pages; callers that need an
-		// intact image check the error and behave exactly as before.
-		return Meta{ID: id, Name: storedName, Size: size, Sum: sum}, data,
-			fmt.Errorf("%w: %q: image %d bytes, header says %d", ErrCorrupt, name, len(data), size)
-	}
-	if uint64(len(data)) != size {
-		return Meta{}, nil, fmt.Errorf("%w: %q: image %d bytes, header says %d",
-			ErrCorrupt, name, len(data), size)
-	}
-	return Meta{ID: id, Name: storedName, Size: size, Sum: sum}, data, nil
+	meta.Name = string(raw[p : p+nameLen])
+	return meta, p + nameLen, withSum, nil
 }
 
-// List implements Store.
+// legacyName reads the name stored in the single-file image at path. ok is
+// false if there is no such file; the name is "" if its header does not
+// parse.
+func legacyName(path string) (name string, ok bool) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", false
+	}
+	defer f.Close()
+	head := make([]byte, 4096)
+	// A short read leaves a shorter prefix, which parses as far as it goes.
+	n, _ := io.ReadFull(f, head)
+	meta, _, _, err := parseLegacy(head[:n])
+	if err != nil {
+		return "", true
+	}
+	return meta.Name, true
+}
+
+// legacyOwns reports whether the single-file image at name's old path holds
+// name, or is too damaged to tell whose it is.
+func (s *DirStore) legacyOwns(name string) bool {
+	stored, ok := legacyName(s.legacyPath(name))
+	return ok && (stored == "" || stored == name)
+}
+
+// List implements Store. A name is listed once it has a slot file; one
+// whose first save never finished is listed but loads as missing.
 func (s *DirStore) List() ([]string, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, err
 	}
+	seen := make(map[string]bool)
 	var names []string
 	for _, e := range entries {
-		if n, ok := strings.CutSuffix(e.Name(), fileExt); ok {
-			names = append(names, n)
+		name, ok := s.entryName(e.Name())
+		if ok && !seen[name] {
+			seen[name] = true
+			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
 	return names, nil
 }
 
-// Delete implements Store.
+// entryName maps a file in the store's directory to the name it stores.
+func (s *DirStore) entryName(file string) (string, bool) {
+	for _, ext := range slotExt {
+		if base, ok := strings.CutSuffix(file, ext); ok {
+			return slotUnescape.Replace(base), true
+		}
+	}
+	base, ok := strings.CutSuffix(file, fileExt)
+	if !ok {
+		return "", false
+	}
+	if stored, _ := legacyName(filepath.Join(s.dir, file)); stored != "" {
+		return stored, true
+	}
+	return base, true
+}
+
+// Delete implements Store. The files go oldest first — a single-file
+// image, then the older slot — so a crash part-way leaves the newest image,
+// never an older one.
 func (s *DirStore) Delete(name string) error {
-	err := os.Remove(s.path(name))
-	if os.IsNotExist(err) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p, err := s.known(name)
+	if err != nil {
+		return err
+	}
+	delete(s.slots, name)
+	var paths []string
+	if p.legacy {
+		paths = append(paths, s.legacyPath(name))
+	}
+	older := 0
+	if p.gen[1] < p.gen[0] {
+		older = 1
+	}
+	paths = append(paths, s.slotPath(name, older), s.slotPath(name, 1-older))
+	found := false
+	for _, path := range paths {
+		err := os.Remove(path)
+		if err != nil && !os.IsNotExist(err) {
+			return err
+		}
+		found = found || err == nil
+	}
+	if !found {
 		return fmt.Errorf("%w: %q", ErrStoreMissing, name)
 	}
-	return err
+	return nil
 }
 
 var _ Store = (*DirStore)(nil)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -758,7 +759,7 @@ func TestLogReloadTornTailFile(t *testing.T) {
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	path := dir + "/t.pool"
+	path := newestSlot(t, dir, "t")
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -774,7 +775,7 @@ func TestLogReloadTornTailFile(t *testing.T) {
 		t.Fatalf("torn records = %d, want 6", st.TornRecords)
 	}
 	// The same cut in a sealed segment is not a crash artifact.
-	sealed := dir + "/" + sealedName("t", 1) + ".pool"
+	sealed := newestSlot(t, dir, sealedName("t", 1))
 	if err := os.Truncate(sealed, fi.Size()); err != nil {
 		t.Fatal(err)
 	}
@@ -966,4 +967,23 @@ func TestLogAwaitConcurrent(t *testing.T) {
 	if l.Waiters() != 0 {
 		t.Fatalf("waiters left = %d", l.Waiters())
 	}
+}
+
+// newestSlot returns the slot file of name holding the higher generation
+// (header bytes 8..16), the one a DirStore loads.
+func newestSlot(t *testing.T, dir, name string) string {
+	t.Helper()
+	best, bestGen := "", uint64(0)
+	for _, slot := range []string{".pool.0", ".pool.1"} {
+		path := filepath.Join(dir, name+slot)
+		if raw, err := os.ReadFile(path); err == nil && len(raw) >= 16 {
+			if gen := binary.LittleEndian.Uint64(raw[8:]); gen > bestGen {
+				best, bestGen = path, gen
+			}
+		}
+	}
+	if best == "" {
+		t.Fatalf("no slot file holds %q", name)
+	}
+	return best
 }

@@ -102,7 +102,9 @@ go run ./cmd/nvbench -experiment trace -quick
 
 # Fuzz smoke over both halves of the wire codec — malformed frames and
 # replies must be rejected with protocol errors, never a panic or unbounded
-# allocation — and over the incremental image checksum: folded page sums
-# must equal the whole-image CRC-64 and the dirty list the changed pages.
+# allocation — over the incremental image checksum: folded page sums
+# must equal the whole-image CRC-64 and the dirty list the changed pages —
+# and over the DirStore slot reader: arbitrary slot and single-file bytes
+# load as an image under an intact header or as ErrCorrupt/ErrStoreMissing.
 # The Makefile's fuzz target holds the one list of fuzz legs.
 make fuzz

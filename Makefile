@@ -9,8 +9,8 @@ test:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./... && $(MAKE) fuzz
 
 # Short fuzz smoke over both halves of the wire codec, the incremental
-# image checksum and the DirStore slot reader — the one list of fuzz legs;
-# verify.sh runs this target.
+# image checksum and the DirStore slot reader (arbitrary bytes in a name's
+# two slot files) — the one list of fuzz legs; verify.sh runs this target.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeReply -fuzztime=10s ./internal/server/

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,8 +11,9 @@ import (
 )
 
 // TestOplogStatsDiscovery: a shard directory whose oplog/ store holds two
-// segmented logs and one legacy single-image log reports exactly three
-// logs, each with its whole retained window, however many images it spans.
+// segmented logs and one truncated log in a single tail image reports
+// exactly three logs, each with its whole retained window, however many
+// images it spans.
 func TestOplogStatsDiscovery(t *testing.T) {
 	dir := t.TempDir()
 	store, err := pmem.NewDirStore(filepath.Join(dir, "oplog"))
@@ -32,15 +32,15 @@ func TestOplogStatsDiscovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The parent format: magic, last-seq, count, records.
-	legacy := append([]byte(nil), "NVOPLOG1"...)
-	legacy = binary.LittleEndian.AppendUint64(legacy, 12)
-	legacy = binary.LittleEndian.AppendUint32(legacy, 3)
-	for seq := uint64(10); seq <= 12; seq++ {
-		legacy = repl.AppendRecord(legacy, repl.Record{Seq: seq, Key: seq, Value: seq, Op: repl.RecPut})
+	// Records 10..12 in the tail alone: 1..9 truncated away.
+	l, err := repl.OpenLog(store, "oplog-2", 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	meta := pmem.Meta{Name: "oplog-2", Size: uint64(len(legacy)), Sum: pmem.ImageChecksum(legacy)}
-	if err := store.Save(meta, legacy); err != nil {
+	for i := uint64(1); i <= 12; i++ {
+		l.Append(repl.RecPut, i, i)
+	}
+	if err := l.TruncateThrough(9); err != nil {
 		t.Fatal(err)
 	}
 	if images, _ := store.List(); len(images) != 4+2+1 {

@@ -20,10 +20,11 @@ import (
 // sensitivity to branch-predictor capacity, and the price of wrapping
 // updates in undo-log transactions.
 
-// runRB builds an RB-tree KV store under the given mode, applies tune,
-// runs the workload's op phase, and returns (cycles, context).
-func runRB(mode rt.Mode, spec ycsb.Spec, tune func(*rt.Context)) (uint64, *rt.Context, error) {
-	ctx, err := rt.New(rt.Config{Mode: mode})
+// runRB builds an RB-tree KV store on a context made from cfg, applies
+// tune, loads the workload, runs its op phase, and returns the op phase's
+// cycles and the context.
+func runRB(cfg rt.Config, spec ycsb.Spec, tune func(*rt.Context)) (uint64, *rt.Context, error) {
+	ctx, err := rt.New(cfg)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -66,19 +67,19 @@ type ReuseAblation struct {
 // RunReuseAblation measures on the RB benchmark.
 func RunReuseAblation(spec ycsb.Spec) (ReuseAblation, error) {
 	var out ReuseAblation
-	vol, _, err := runRB(rt.Volatile, spec, nil)
+	vol, _, err := runRB(rt.Config{Mode: rt.Volatile}, spec, nil)
 	if err != nil {
 		return out, err
 	}
-	hw, hwCtx, err := runRB(rt.HW, spec, nil)
+	hw, hwCtx, err := runRB(rt.Config{Mode: rt.HW}, spec, nil)
 	if err != nil {
 		return out, err
 	}
-	noreuse, nrCtx, err := runRB(rt.HW, spec, func(c *rt.Context) { c.DisableReuse = true })
+	noreuse, nrCtx, err := runRB(rt.Config{Mode: rt.HW}, spec, func(c *rt.Context) { c.DisableReuse = true })
 	if err != nil {
 		return out, err
 	}
-	explicit, _, err := runRB(rt.Explicit, spec, nil)
+	explicit, _, err := runRB(rt.Config{Mode: rt.Explicit}, spec, nil)
 	if err != nil {
 		return out, err
 	}
@@ -107,7 +108,7 @@ func RunPoolCountAblation(spec ycsb.Spec, counts []int) ([]PoolCountPoint, error
 	var base uint64
 	for _, n := range counts {
 		n := n
-		cycles, ctx, err := runRB(rt.HW, spec, func(c *rt.Context) {
+		cycles, ctx, err := runRB(rt.Config{Mode: rt.HW}, spec, func(c *rt.Context) {
 			if err := c.SetPoolCount(n); err != nil {
 				panic(err)
 			}
@@ -144,15 +145,15 @@ type CriticalPathAblation struct {
 // RunCriticalPathAblation measures on the RB benchmark.
 func RunCriticalPathAblation(spec ycsb.Spec) (CriticalPathAblation, error) {
 	var out CriticalPathAblation
-	vol, _, err := runRB(rt.Volatile, spec, nil)
+	vol, _, err := runRB(rt.Config{Mode: rt.Volatile}, spec, nil)
 	if err != nil {
 		return out, err
 	}
-	ideal, _, err := runRB(rt.HW, spec, nil)
+	ideal, _, err := runRB(rt.Config{Mode: rt.HW}, spec, nil)
 	if err != nil {
 		return out, err
 	}
-	crit, _, err := runRB(rt.HW, spec, func(c *rt.Context) { c.MMUCriticalPath = true })
+	crit, _, err := runRB(rt.Config{Mode: rt.HW}, spec, func(c *rt.Context) { c.MMUCriticalPath = true })
 	if err != nil {
 		return out, err
 	}
@@ -176,45 +177,21 @@ func RunPredictorAblation(spec ycsb.Spec, bits []uint) ([]PredictorPoint, error)
 		machine := cpu.DefaultConfig()
 		machine.PredictorBits = b
 
-		volCtx, err := rt.New(rt.Config{Mode: rt.Volatile, CPUConfig: &machine})
+		vol, _, err := runRB(rt.Config{Mode: rt.Volatile, CPUConfig: &machine}, spec, nil)
 		if err != nil {
 			return nil, err
 		}
-		vol := runWorkloadRB(volCtx, spec)
-
-		swCtx, err := rt.New(rt.Config{Mode: rt.SW, CPUConfig: &machine})
+		sw, swCtx, err := runRB(rt.Config{Mode: rt.SW, CPUConfig: &machine}, spec, nil)
 		if err != nil {
 			return nil, err
 		}
-		before := swCtx.CPU.Stats.Branch.Mispredicts
-		sw := runWorkloadRB(swCtx, spec)
-
 		out = append(out, PredictorPoint{
 			TableBits:   b,
-			Mispredicts: swCtx.CPU.Stats.Branch.Mispredicts - before,
+			Mispredicts: swCtx.CPU.Stats.Branch.Mispredicts,
 			Normalized:  float64(sw) / float64(vol),
 		})
 	}
 	return out, nil
-}
-
-func runWorkloadRB(ctx *rt.Context, spec ycsb.Spec) uint64 {
-	s := kvstore.New(ctx, func(c *rt.Context) structures.Index { return structures.NewRB(c) })
-	w := ycsb.Generate(spec)
-	for _, kv := range w.Load {
-		s.Set(kv.Key, kv.Value)
-	}
-	start := ctx.CPU.Stats.Cycles
-	for _, op := range w.Ops {
-		if op.Type == ycsb.Get {
-			s.Get(op.Key)
-		} else {
-			s.Set(op.Key, op.Value)
-		}
-	}
-	cycles := ctx.CPU.Stats.Cycles - start
-	s.Close()
-	return cycles
 }
 
 // TxnAblation measures the undo-log transaction overhead on raw pool
@@ -345,15 +322,15 @@ func RunScaleSweep(recordCounts []int) ([]ScalePoint, error) {
 			Theta:          0.99,
 			Seed:           5,
 		}
-		vol, _, err := runRB(rt.Volatile, spec, nil)
+		vol, _, err := runRB(rt.Config{Mode: rt.Volatile}, spec, nil)
 		if err != nil {
 			return nil, err
 		}
-		hw, hwCtx, err := runRB(rt.HW, spec, nil)
+		hw, hwCtx, err := runRB(rt.Config{Mode: rt.HW}, spec, nil)
 		if err != nil {
 			return nil, err
 		}
-		explicit, _, err := runRB(rt.Explicit, spec, nil)
+		explicit, _, err := runRB(rt.Config{Mode: rt.Explicit}, spec, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -465,19 +442,19 @@ func RunWorkloadMixes(records, ops int) ([]MixPoint, error) {
 	}
 	var out []MixPoint
 	for _, m := range mixes {
-		vol, _, err := runRB(rt.Volatile, m.spec, nil)
+		vol, _, err := runRB(rt.Config{Mode: rt.Volatile}, m.spec, nil)
 		if err != nil {
 			return nil, err
 		}
-		hw, _, err := runRB(rt.HW, m.spec, nil)
+		hw, _, err := runRB(rt.Config{Mode: rt.HW}, m.spec, nil)
 		if err != nil {
 			return nil, err
 		}
-		sw, _, err := runRB(rt.SW, m.spec, nil)
+		sw, _, err := runRB(rt.Config{Mode: rt.SW}, m.spec, nil)
 		if err != nil {
 			return nil, err
 		}
-		ex, _, err := runRB(rt.Explicit, m.spec, nil)
+		ex, _, err := runRB(rt.Config{Mode: rt.Explicit}, m.spec, nil)
 		if err != nil {
 			return nil, err
 		}

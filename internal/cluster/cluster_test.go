@@ -229,3 +229,20 @@ func TestSaveLoad(t *testing.T) {
 		t.Fatalf("reloaded epoch %d, want %d", got.Epoch, m2.Epoch)
 	}
 }
+
+// TestLoadChecksZeroSum: a map image saved with Meta.Sum 0 over bytes whose
+// checksum is not 0 is refused like any other mismatch.
+func TestLoadChecksZeroSum(t *testing.T) {
+	m, err := New(16, []string{"a:1", "b:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := pmem.NewMemStore()
+	data := m.Encode()
+	if err := store.Save(pmem.Meta{Name: mapImageName, Size: uint64(len(data))}, data); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Load(store); !errors.Is(err, pmem.ErrCorrupt) {
+		t.Fatalf("map saved with Sum 0: %v, %v; want ErrCorrupt", got, err)
+	}
+}

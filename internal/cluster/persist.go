@@ -36,7 +36,7 @@ func Load(store pmem.Store) (*Map, error) {
 	if err != nil {
 		return nil, err
 	}
-	if meta.Sum != 0 && pmem.ImageChecksum(data) != meta.Sum {
+	if pmem.ImageChecksum(data) != meta.Sum {
 		return nil, errors.Join(ErrBadMap, pmem.ErrCorrupt)
 	}
 	return Decode(data)

@@ -127,9 +127,9 @@ func TestExhaustedPointReportsNoCrash(t *testing.T) {
 // ---- Op-log crash points ----------------------------------------------------
 
 // TestEnumerateOplogCrashPoints: every store operation a flush, a roll, a
-// truncation, a reset and the legacy upgrade perform is a crash point, and
-// every occurrence of each recovers — twice — to a dense, correctly
-// replaying log with no stray image.
+// truncation and a reset perform is a crash point, and every occurrence of
+// each recovers — twice — to a dense, correctly replaying log with no stray
+// image.
 func TestEnumerateOplogCrashPoints(t *testing.T) {
 	rep, err := EnumerateOplog()
 	if err != nil {
@@ -143,8 +143,8 @@ func TestEnumerateOplogCrashPoints(t *testing.T) {
 		seen[p.Label] = p.Hits
 	}
 	for _, label := range []string{"repl.log.seal", "repl.log.tail", "repl.log.delete"} {
-		if seen[label] == 0 || seen[label+"/legacy"] == 0 {
-			t.Errorf("workload never reached %s (fresh %d, legacy %d)", label, seen[label], seen[label+"/legacy"])
+		if seen[label] == 0 {
+			t.Errorf("workload never reached %s", label)
 		}
 	}
 	t.Logf("verified %d op-log crash cycles across %d points", rep.TotalRuns, len(rep.Points))
@@ -154,7 +154,7 @@ func TestEnumerateOplogCrashPoints(t *testing.T) {
 // successor's first save never happened, and the tail image still holds
 // the records the seal took over.
 func TestOplogCrashBetweenSealAndSuccessor(t *testing.T) {
-	out, err := OplogCrashAt("repl.log.seal", 1, false)
+	out, err := OplogCrashAt("repl.log.seal", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,18 +167,18 @@ func TestOplogCrashBetweenSealAndSuccessor(t *testing.T) {
 // several sealed segments; dying after the first delete leaves the rest
 // behind, already disowned by the base the tail save committed.
 func TestOplogCrashMidTruncation(t *testing.T) {
-	first, err := OplogCrashAt("repl.log.delete", 1, false)
+	first, err := OplogCrashAt("repl.log.delete", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := OplogCrashAt("repl.log.delete", 2, false)
+	out, err := OplogCrashAt("repl.log.delete", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !out.Crashed || out.BaseSeq <= first.BaseSeq {
 		t.Fatalf("second delete: outcome %+v after first truncation's %+v", out, first)
 	}
-	done, err := OplogCrashAt("repl.log.delete", 4, false)
+	done, err := OplogCrashAt("repl.log.delete", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,16 +187,16 @@ func TestOplogCrashMidTruncation(t *testing.T) {
 	}
 }
 
-// TestOplogCrashMidUpgrade: the first flush over a legacy image seals a
-// segment out of it and dies; the legacy image still holds everything and
-// the half-written upgrade resumes.
-func TestOplogCrashMidUpgrade(t *testing.T) {
-	out, err := OplogCrashAt("repl.log.seal", 1, true)
+// TestOplogCrashMidMultiSeal: the workload's first flush seals two
+// segments before its tail save; dying after the second seal leaves both
+// segments and no tail image, and recovery reads both.
+func TestOplogCrashMidMultiSeal(t *testing.T) {
+	out, err := OplogCrashAt("repl.log.seal", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Crashed || out.BaseSeq != 1 || out.LastSeq != repl.SegmentRecords+90 {
-		t.Fatalf("outcome %+v, want every legacy record 1..%d", out, repl.SegmentRecords+90)
+	if !out.Crashed || out.BaseSeq != 1 || out.LastSeq != 2*repl.SegmentRecords || out.Segments != 3 {
+		t.Fatalf("outcome %+v, want both sealed segments' records 1..%d", out, 2*repl.SegmentRecords)
 	}
 }
 

@@ -2,8 +2,7 @@ package harness
 
 // The op-log leg of the crash-consistency verifier. repl.Log keeps its
 // durable form in several store images (a tail plus sealed segments), so a
-// flush, a truncation, a reset and the one-way upgrade from the legacy
-// single image are each more than one store operation. The log marks the
+// flush, a truncation and a reset are each more than one store operation. The log marks the
 // step after every one of them as a crash point; this file drives a
 // workload through all of them, kills it at each point in turn, reopens
 // the surviving store, and asserts:
@@ -21,7 +20,6 @@ package harness
 //     flushing and reloading from there.
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"nvref/internal/fault"
@@ -65,20 +63,6 @@ type oplogRun struct {
 	appended, ckpt, resetTo uint64
 }
 
-// legacyOplogStore returns a store holding n records in the single
-// NVOPLOG1 image the parent format used: magic, last-seq, count, records.
-func legacyOplogStore(n uint64) (pmem.Store, error) {
-	img := append([]byte(nil), "NVOPLOG1"...)
-	img = binary.LittleEndian.AppendUint64(img, n)
-	img = binary.LittleEndian.AppendUint32(img, uint32(n))
-	for seq := uint64(1); seq <= n; seq++ {
-		img = repl.AppendRecord(img, oplogRecord(seq))
-	}
-	store := pmem.NewMemStore()
-	meta := pmem.Meta{Name: oplogName, Size: uint64(len(img)), Sum: pmem.ImageChecksum(img)}
-	return store, store.Save(meta, img)
-}
-
 func (r *oplogRun) append(n int) error {
 	for i := 0; i < n; i++ {
 		r.appended++
@@ -96,12 +80,37 @@ func (r *oplogRun) checkpointAndTruncate(through uint64) error {
 	return r.log.TruncateThrough(through)
 }
 
-// mutate is the instrumented workload: cadence flushes that roll several
-// segments, a truncation inside a sealed segment, one across several, one
-// that empties the log, and a reset that restarts the sequence space.
+// reopen replaces the run's log with a fresh handle on its store, as a
+// restart would, flushing every flushEvery appends.
+func (r *oplogRun) reopen(flushEvery int) error {
+	l, err := repl.OpenLog(r.store, oplogName, flushEvery)
+	if err != nil {
+		return err
+	}
+	r.log = l
+	return nil
+}
+
+// mutate is the instrumented workload: one flush over more than two
+// segments' worth of appends, which seals several segments in a row;
+// cadence flushes that roll several more; a truncation inside a sealed
+// segment, one across several, one that empties the log; and a reset that
+// restarts the sequence space.
 func (r *oplogRun) mutate() error {
 	const s = repl.SegmentRecords
-	if err := r.append(3*s + 40); err != nil {
+	if err := r.reopen(0); err != nil {
+		return err
+	}
+	if err := r.append(2*s + 40); err != nil {
+		return err
+	}
+	if err := r.log.Flush(); err != nil {
+		return err
+	}
+	if err := r.reopen(oplogFlush); err != nil {
+		return err
+	}
+	if err := r.append(s); err != nil {
 		return err
 	}
 	if err := r.checkpointAndTruncate(r.log.BaseSeq() + s + 100); err != nil {
@@ -149,12 +158,11 @@ type OplogOutcome struct {
 	Segments int    // images the recovered log owns
 }
 
-// OplogCrashAt runs the op-log workload — from an empty store, or with
-// legacy set from a parent-format single image, so that the first flush is
-// the one-way upgrade — crashes it at the nth hit of the named crash point,
-// and verifies two recoveries of what survives.
-func OplogCrashAt(label string, nth int, legacy bool) (*OplogOutcome, error) {
-	r, err := startOplogRun(legacy)
+// OplogCrashAt runs the op-log workload from an empty store, crashes it at
+// the nth hit of the named crash point, and verifies two recoveries of what
+// survives.
+func OplogCrashAt(label string, nth int) (*OplogOutcome, error) {
+	r, err := startOplogRun()
 	if err != nil {
 		return nil, err
 	}
@@ -167,27 +175,16 @@ func OplogCrashAt(label string, nth int, legacy bool) (*OplogOutcome, error) {
 	}
 	out, err := r.recoverAndVerify(r.log.FlushedSeq())
 	if err != nil {
-		return nil, fmt.Errorf("%s #%d (legacy=%v): %w", label, nth, legacy, err)
+		return nil, fmt.Errorf("%s #%d: %w", label, nth, err)
 	}
 	out.Crashed = true
 	return out, nil
 }
 
-// startOplogRun opens the workload's log over an empty store, or with
-// legacy set over one seeded with a parent-format image.
-func startOplogRun(legacy bool) (*oplogRun, error) {
-	var store pmem.Store = pmem.NewMemStore()
-	if legacy {
-		var err error
-		if store, err = legacyOplogStore(repl.SegmentRecords + 90); err != nil {
-			return nil, err
-		}
-	}
-	l, err := repl.OpenLog(store, oplogName, oplogFlush)
-	if err != nil {
-		return nil, err
-	}
-	return &oplogRun{store: store, log: l, appended: l.LastSeq()}, nil
+// startOplogRun opens the workload's log over an empty store.
+func startOplogRun() (*oplogRun, error) {
+	r := &oplogRun{store: pmem.NewMemStore()}
+	return r, r.reopen(oplogFlush)
 }
 
 // recoverAndVerify reopens the run's store as the next process would and
@@ -313,42 +310,36 @@ func (r *oplogRun) verify(l *repl.Log, durable uint64) (*OplogOutcome, error) {
 	return &OplogOutcome{LastSeq: st.LastSeq, BaseSeq: st.BaseSeq, Segments: st.Segments}, nil
 }
 
-// EnumerateOplog discovers every op-log crash point the workload reaches,
-// fresh and upgrading from the legacy image, and verifies recovery from a
-// crash at each occurrence of each.
+// EnumerateOplog discovers every op-log crash point the workload reaches
+// and verifies recovery from a crash at each occurrence of each.
 func EnumerateOplog() (*Report, error) {
 	rep := &Report{}
-	for _, legacy := range []bool{false, true} {
-		rec := fault.NewRecorder()
-		r, err := startOplogRun(legacy)
-		if err != nil {
-			return nil, err
-		}
-		if crashed, err := fault.Run(rec, r.mutate); crashed != nil || err != nil {
-			return nil, fmt.Errorf("recording run: crash %v, err %v", crashed, err)
-		}
-		if _, err := r.recoverAndVerify(r.log.FlushedSeq()); err != nil {
-			return nil, fmt.Errorf("uncrashed run (legacy=%v): %w", legacy, err)
-		}
-		counts := rec.Counts()
-		for _, label := range rec.Labels() {
-			pr := PointResult{Label: label, Hits: counts[label]}
-			if legacy {
-				pr.Label += "/legacy"
+	rec := fault.NewRecorder()
+	r, err := startOplogRun()
+	if err != nil {
+		return nil, err
+	}
+	if crashed, err := fault.Run(rec, r.mutate); crashed != nil || err != nil {
+		return nil, fmt.Errorf("recording run: crash %v, err %v", crashed, err)
+	}
+	if _, err := r.recoverAndVerify(r.log.FlushedSeq()); err != nil {
+		return nil, fmt.Errorf("uncrashed run: %w", err)
+	}
+	counts := rec.Counts()
+	for _, label := range rec.Labels() {
+		pr := PointResult{Label: label, Hits: counts[label]}
+		for nth := 1; nth <= pr.Hits; nth++ {
+			out, err := OplogCrashAt(label, nth)
+			if err != nil {
+				return nil, err
 			}
-			for nth := 1; nth <= pr.Hits; nth++ {
-				out, err := OplogCrashAt(label, nth, legacy)
-				if err != nil {
-					return nil, err
-				}
-				if !out.Crashed {
-					return nil, fmt.Errorf("%s #%d: point not reached on replay", label, nth)
-				}
-				pr.Tested++
-				rep.TotalRuns++
+			if !out.Crashed {
+				return nil, fmt.Errorf("%s #%d: point not reached on replay", label, nth)
 			}
-			rep.Points = append(rep.Points, pr)
+			pr.Tested++
+			rep.TotalRuns++
 		}
+		rep.Points = append(rep.Points, pr)
 	}
 	return rep, nil
 }
@@ -360,7 +351,7 @@ func EnumerateOplog() (*Report, error) {
 // records before the damage, on top of the sealed segments, twice over.
 func OplogTornTail() error {
 	for _, cut := range []bool{true, false} {
-		r, err := startOplogRun(false)
+		r, err := startOplogRun()
 		if err != nil {
 			return err
 		}
@@ -405,7 +396,7 @@ func OplogTornTail() error {
 // crash can undo an unlink — and verifies that recovery disowns and removes
 // them, whether or not they would connect to the retained run.
 func OplogResurrectedSegment() error {
-	r, err := startOplogRun(false)
+	r, err := startOplogRun()
 	if err != nil {
 		return err
 	}

@@ -109,8 +109,26 @@ func TestDivisionByZero(t *testing.T) {
 	}
 }
 
+// TestInfiniteLoopFuel: a loop that never ends exhausts the step budget.
+// The machine starts a few thousand steps short of it, so the test spends
+// milliseconds, not the whole budget.
 func TestInfiniteLoopFuel(t *testing.T) {
-	t.Skip("fuel test is slow; covered by maxSteps constant")
+	prog, _, err := Compile(`int main() { while (1) {} return 0; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := rt.New(rt.Config{Mode: rt.Volatile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMachine(prog, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.steps = maxSteps - 5000
+	if _, err := m.Run(); !errors.Is(err, ErrFuel) {
+		t.Fatalf("infinite loop: err = %v, want ErrFuel", err)
+	}
 }
 
 func TestStackOverflow(t *testing.T) {

@@ -58,6 +58,19 @@ func TestOpenDetectsBitFlip(t *testing.T) {
 	}
 }
 
+// A zero Meta.Sum is a checksum like any other, not "unknown": over bytes
+// whose CRC64 is not zero it is a mismatch.
+func TestOpenChecksZeroSum(t *testing.T) {
+	store, meta, data := checkpointed(t)
+	meta.Sum = 0
+	if err := store.Save(meta, data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reopen(store); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("open of an image saved with Sum 0: err = %v, want ErrCorrupt", err)
+	}
+}
+
 func TestOpenDetectsTornImage(t *testing.T) {
 	store, meta, data := checkpointed(t)
 	if err := store.Save(meta, fault.Tear(data, fault.NewRand(7))); err != nil {

@@ -77,9 +77,9 @@ type Meta struct {
 	ID   uint32
 	Name string
 	Size uint64
-	// Sum is the CRC64 (ECMA) of the image bytes; zero means the checksum
-	// is unknown (images written before checksumming existed) and the
-	// integrity check is skipped on open.
+	// Sum is the CRC64 (ECMA) of the image bytes. Every writer sets it and
+	// every reader checks it: zero is the checksum of an empty image, not
+	// "unknown".
 	Sum uint64
 }
 
@@ -89,17 +89,17 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 func ImageChecksum(data []byte) uint64 { return crc64.Checksum(data, crcTable) }
 
 // verify validates a loaded image against its metadata: the payload must
-// be exactly Meta.Size bytes (a shorter one is a torn write) and, when a
-// checksum is recorded, match it (a mismatch is a media error such as a bit
-// flip). Either failure is ErrCorrupt: a damaged image is never silently
-// mapped. A valid image's page sums are returned for its saved record.
+// be exactly Meta.Size bytes (a shorter one is a torn write) and match
+// Meta.Sum (a mismatch is a media error such as a bit flip). Either
+// failure is ErrCorrupt: a damaged image is never silently mapped. A valid
+// image's page sums are returned for its saved record.
 func (r *Registry) verify(meta Meta, data []byte) ([]uint64, error) {
 	if uint64(len(data)) != meta.Size {
 		return nil, fmt.Errorf("%w: %q: image %d bytes, meta says %d",
 			ErrCorrupt, meta.Name, len(data), meta.Size)
 	}
 	sums, sum := r.pageSums(data)
-	if meta.Sum != 0 && sum != meta.Sum {
+	if sum != meta.Sum {
 		return nil, fmt.Errorf("%w: %q: image checksum %#x, meta says %#x",
 			ErrCorrupt, meta.Name, sum, meta.Sum)
 	}

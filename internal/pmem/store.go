@@ -98,12 +98,9 @@ var _ Store = (*MemStore)(nil)
 // Disk use is two slots per name, each as long as the largest image ever
 // saved into it.
 //
-// Images in the single-file layout that preceded slots (<name>.pool with
-// '/' mapped to '_': an 8-byte magic, the 4-byte pool ID, the 8-byte size,
-// in version 2 the 8-byte CRC64 image checksum, the length-prefixed name,
-// then the raw pool bytes) still load while no slot holds their name; the
-// first slot save removes the file. Version-1 files have no checksum
-// field: their Meta.Sum is zero, which skips the integrity check.
+// The slot layout is the only one read. NewDirStore refuses a directory
+// holding a <name>.pool file — the single-file layout that preceded
+// slots — rather than open it as empty over the old images.
 type DirStore struct {
 	dir string
 
@@ -115,9 +112,8 @@ type DirStore struct {
 
 // slotPair is what the two slot headers of one name hold on disk.
 type slotPair struct {
-	gen    [2]uint64 // each slot's generation; 0 if absent or damaged
-	bad    [2]bool   // the header is neither intact nor all zero
-	legacy bool      // a single-file image of this name is still on disk
+	gen [2]uint64 // each slot's generation; 0 if absent or damaged
+	bad [2]bool   // the header is neither intact nor all zero
 }
 
 // slotHead is the content of one slot header.
@@ -135,9 +131,6 @@ const (
 	slotPayload = 4096
 	slotFixed   = 8 + 8 + 4 + 8 + 8 + 8 + 2  // magic, gen, ID, size, sum, payload length, name length
 	maxSlotName = slotHeader - slotFixed - 4 // the rest of the sector but its CRC32
-
-	fileMagicV1 = "NVREFPL1"
-	fileMagicV2 = "NVREFPL2"
 	fileExt     = ".pool"
 )
 
@@ -145,7 +138,6 @@ var (
 	zeroSector               [slotHeader]byte // an absent slot's header
 	slotExt                  = [2]string{fileExt + ".0", fileExt + ".1"}
 	slotEscape, slotUnescape = nameEscapers()
-	legacyEscape             = strings.NewReplacer("/", "_", string(filepath.Separator), "_")
 )
 
 // nameEscapers returns the injective escape of a name into a file name —
@@ -162,20 +154,27 @@ func nameEscapers() (*strings.Replacer, *strings.Replacer) {
 	return strings.NewReplacer(enc...), strings.NewReplacer(dec...)
 }
 
-// NewDirStore returns a store rooted at dir, creating it if needed.
+// NewDirStore returns a store rooted at dir, creating it if needed. It
+// refuses a directory holding a single-file <name>.pool image.
 func NewDirStore(dir string) (*DirStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), fileExt) {
+			return nil, fmt.Errorf("pmem: %s: a single-file pool image, a layout DirStore no longer reads",
+				filepath.Join(dir, e.Name()))
+		}
 	}
 	return &DirStore{dir: dir, slots: make(map[string]slotPair)}, nil
 }
 
 func (s *DirStore) slotPath(name string, i int) string {
 	return filepath.Join(s.dir, slotEscape.Replace(name)+slotExt[i])
-}
-
-func (s *DirStore) legacyPath(name string) string {
-	return filepath.Join(s.dir, legacyEscape.Replace(name)+fileExt)
 }
 
 func (h slotHead) encode() []byte {
@@ -230,8 +229,7 @@ func readSlotHead(path string) (h slotHead, bad bool, err error) {
 	return h, !ok && !bytes.Equal(b, zeroSector[:]), nil
 }
 
-// pair reads what name's slot headers hold, and whether a single-file
-// image of name remains, and remembers it.
+// pair reads what name's slot headers hold and remembers it.
 func (s *DirStore) pair(name string) (slotPair, [2]slotHead, error) {
 	var p slotPair
 	var heads [2]slotHead
@@ -242,7 +240,6 @@ func (s *DirStore) pair(name string) (slotPair, [2]slotHead, error) {
 		}
 		p.gen[i] = heads[i].gen
 	}
-	p.legacy = s.legacyOwns(name)
 	s.slots[name] = p
 	return p, heads, nil
 }
@@ -336,12 +333,6 @@ func (s *DirStore) Save(meta Meta, data []byte) error {
 		}
 		p.bad[o] = false
 	}
-	if p.legacy {
-		if err := os.Remove(s.legacyPath(meta.Name)); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-		p.legacy = false
-	}
 	s.slots[meta.Name] = p
 	return nil
 }
@@ -367,13 +358,13 @@ func (s *DirStore) Load(name string) (Meta, []byte, error) {
 		i = 1
 	}
 	if heads[i].gen == 0 {
-		return s.loadLegacy(name)
+		return Meta{}, nil, fmt.Errorf("%w: %q", ErrStoreMissing, name)
 	}
 	data, err := readPayload(s.slotPath(name, i), heads[i].n)
 	if err != nil {
 		return Meta{}, nil, err
 	}
-	return sized(name, heads[i].meta, data, true)
+	return sized(name, heads[i].meta, data)
 }
 
 // readPayload reads up to n payload bytes of a slot file, fewer if the
@@ -387,99 +378,18 @@ func readPayload(path string, n uint64) ([]byte, error) {
 	return data[:min(uint64(len(data)), n)], nil
 }
 
-// sized holds a payload to its Meta.Size. A short one is torn: when
-// tornOK, the surviving bytes come back with ErrCorrupt. Any other
-// mismatch is ErrCorrupt alone.
-func sized(name string, meta Meta, data []byte, tornOK bool) (Meta, []byte, error) {
+// sized holds a payload to its Meta.Size. A short one is torn: the
+// surviving bytes come back with ErrCorrupt. A long one is ErrCorrupt
+// alone.
+func sized(name string, meta Meta, data []byte) (Meta, []byte, error) {
 	if uint64(len(data)) == meta.Size {
 		return meta, data, nil
 	}
 	err := fmt.Errorf("%w: %q: image %d bytes, header says %d", ErrCorrupt, name, len(data), meta.Size)
-	if tornOK && uint64(len(data)) < meta.Size {
+	if uint64(len(data)) < meta.Size {
 		return meta, data, err
 	}
 	return Meta{}, nil, err
-}
-
-// loadLegacy loads name's single-file image.
-func (s *DirStore) loadLegacy(name string) (Meta, []byte, error) {
-	raw, err := os.ReadFile(s.legacyPath(name))
-	if os.IsNotExist(err) {
-		return Meta{}, nil, fmt.Errorf("%w: %q", ErrStoreMissing, name)
-	}
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	meta, off, withSum, err := parseLegacy(raw)
-	if err != nil {
-		return Meta{}, nil, fmt.Errorf("%w: %q: %v", ErrCorrupt, name, err)
-	}
-	if meta.Name != name {
-		// The old escape mapped '/' to '_': the file holds another name.
-		return Meta{}, nil, fmt.Errorf("%w: %q", ErrStoreMissing, name)
-	}
-	return sized(name, meta, raw[off:], withSum)
-}
-
-// parseLegacy decodes the header at the front of a single-file image: its
-// Meta, where the payload starts, and whether the format has a checksum.
-func parseLegacy(raw []byte) (meta Meta, off int, withSum bool, err error) {
-	switch {
-	case bytes.HasPrefix(raw, []byte(fileMagicV2)):
-		withSum = true
-	case bytes.HasPrefix(raw, []byte(fileMagicV1)):
-	default:
-		return Meta{}, 0, false, errors.New("bad file header")
-	}
-	p := len(fileMagicV2)
-	fixed := 4 + 8 + 4
-	if withSum {
-		fixed += 8
-	}
-	if len(raw) < p+fixed {
-		return Meta{}, 0, false, errors.New("truncated header")
-	}
-	meta.ID = binary.LittleEndian.Uint32(raw[p:])
-	p += 4
-	meta.Size = binary.LittleEndian.Uint64(raw[p:])
-	p += 8
-	if withSum {
-		meta.Sum = binary.LittleEndian.Uint64(raw[p:])
-		p += 8
-	}
-	nameLen := int(binary.LittleEndian.Uint32(raw[p:]))
-	p += 4
-	if nameLen > len(raw)-p {
-		return Meta{}, 0, false, errors.New("truncated name")
-	}
-	meta.Name = string(raw[p : p+nameLen])
-	return meta, p + nameLen, withSum, nil
-}
-
-// legacyName reads the name stored in the single-file image at path. ok is
-// false if there is no such file; the name is "" if its header does not
-// parse.
-func legacyName(path string) (name string, ok bool) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", false
-	}
-	defer f.Close()
-	head := make([]byte, 4096)
-	// A short read leaves a shorter prefix, which parses as far as it goes.
-	n, _ := io.ReadFull(f, head)
-	meta, _, _, err := parseLegacy(head[:n])
-	if err != nil {
-		return "", true
-	}
-	return meta.Name, true
-}
-
-// legacyOwns reports whether the single-file image at name's old path holds
-// name, or is too damaged to tell whose it is.
-func (s *DirStore) legacyOwns(name string) bool {
-	stored, ok := legacyName(s.legacyPath(name))
-	return ok && (stored == "" || stored == name)
 }
 
 // List implements Store. A name is listed once it has a slot file; one
@@ -492,7 +402,7 @@ func (s *DirStore) List() ([]string, error) {
 	seen := make(map[string]bool)
 	var names []string
 	for _, e := range entries {
-		name, ok := s.entryName(e.Name())
+		name, ok := entryName(e.Name())
 		if ok && !seen[name] {
 			seen[name] = true
 			names = append(names, name)
@@ -502,26 +412,19 @@ func (s *DirStore) List() ([]string, error) {
 	return names, nil
 }
 
-// entryName maps a file in the store's directory to the name it stores.
-func (s *DirStore) entryName(file string) (string, bool) {
+// entryName maps a slot file in the store's directory to the name it
+// stores.
+func entryName(file string) (string, bool) {
 	for _, ext := range slotExt {
 		if base, ok := strings.CutSuffix(file, ext); ok {
 			return slotUnescape.Replace(base), true
 		}
 	}
-	base, ok := strings.CutSuffix(file, fileExt)
-	if !ok {
-		return "", false
-	}
-	if stored, _ := legacyName(filepath.Join(s.dir, file)); stored != "" {
-		return stored, true
-	}
-	return base, true
+	return "", false
 }
 
-// Delete implements Store. The files go oldest first — a single-file
-// image, then the older slot — so a crash part-way leaves the newest image,
-// never an older one.
+// Delete implements Store. The older slot goes first, so a crash part-way
+// leaves the newest image, never an older one.
 func (s *DirStore) Delete(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -530,17 +433,12 @@ func (s *DirStore) Delete(name string) error {
 		return err
 	}
 	delete(s.slots, name)
-	var paths []string
-	if p.legacy {
-		paths = append(paths, s.legacyPath(name))
-	}
 	older := 0
 	if p.gen[1] < p.gen[0] {
 		older = 1
 	}
-	paths = append(paths, s.slotPath(name, older), s.slotPath(name, 1-older))
 	found := false
-	for _, path := range paths {
+	for _, path := range []string{s.slotPath(name, older), s.slotPath(name, 1-older)} {
 		err := os.Remove(path)
 		if err != nil && !os.IsNotExist(err) {
 			return err

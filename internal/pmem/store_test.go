@@ -109,9 +109,10 @@ func newDirStore(t testing.TB, dir string) *DirStore {
 	return s
 }
 
-// Slot file names escape '%' and '/' injectively, so names that the
-// single-file layout mapped to one file ("a/b" and "a_b" both became
-// a_b.pool) are stored apart, and List returns the names themselves.
+// Slot file names escape '%' and '/' injectively, so names an escape
+// mapping '/' to '_' would collide ("a/b" and "a_b"), or that look like an
+// escape themselves ("a%2Fb", "%"), are stored apart, and List returns the
+// names themselves — from a reopened store too.
 func TestDirStoreEscapesNames(t *testing.T) {
 	dir := t.TempDir()
 	s := newDirStore(t, dir)
@@ -121,33 +122,37 @@ func TestDirStoreEscapesNames(t *testing.T) {
 			t.Fatalf("Save(%q): %v", n, err)
 		}
 	}
-	// A single-file image keeps the old escape; it answers only to the
-	// name stored inside it.
-	if err := os.WriteFile(filepath.Join(dir, "c_d.pool"), legacyV2(Meta{ID: 9, Name: "c/d", Size: 1}, []byte("l")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	names = append(names, "c/d")
-	for i, n := range names {
-		meta, data, err := s.Load(n)
-		if err != nil || meta.Name != n || (i < 4 && (meta.ID != uint32(i+1) || data[0] != byte('0'+i))) {
-			t.Errorf("Load(%q) = %+v, %q, %v", n, meta, data, err)
+	want := slices.Clone(names)
+	slices.Sort(want)
+	for _, st := range []*DirStore{s, newDirStore(t, dir)} {
+		for i, n := range names {
+			meta, data, err := st.Load(n)
+			if err != nil || meta.Name != n || meta.ID != uint32(i+1) || data[0] != byte('0'+i) {
+				t.Errorf("Load(%q) = %+v, %q, %v", n, meta, data, err)
+			}
+		}
+		got, err := st.List()
+		if err != nil || !slices.Equal(got, want) {
+			t.Errorf("List = %q, %v; want %q", got, err, want)
 		}
 	}
-	if _, _, err := s.Load("c_d"); !errors.Is(err, ErrStoreMissing) {
-		t.Errorf("Load(c_d) of c/d's single file: err = %v, want ErrStoreMissing", err)
-	}
-	// Nor does a slot save of c_d remove it.
-	if err := s.Save(Meta{ID: 10, Name: "c_d", Size: 1}, []byte("s")); err != nil {
+}
+
+// A directory holding a file in the single-file layout that preceded slots
+// is refused by name: opened, its images would read as missing.
+func TestNewDirStoreRefusesSingleFileImage(t *testing.T) {
+	dir := t.TempDir()
+	if err := newDirStore(t, dir).Save(Meta{ID: 1, Name: "kept", Size: 1}, []byte("k")); err != nil {
 		t.Fatal(err)
 	}
-	if meta, _, err := s.Load("c/d"); err != nil || meta.ID != 9 {
-		t.Errorf("Load(c/d) after a save of c_d = %+v, %v", meta, err)
+	path := filepath.Join(dir, "gold.pool")
+	raw := "NVREFPL2" + "\x01\x02\x03\x04" + "\x04\x00\x00\x00\x00\x00\x00\x00" +
+		"\x01\x02\x03\x04\x05\x06\x07\x08" + "\x04\x00\x00\x00" + "gold" + "wxyz"
+	if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	names = append(names, "c_d")
-	got, err := s.List()
-	slices.Sort(names)
-	if err != nil || !slices.Equal(got, names) {
-		t.Errorf("List = %q, %v; want %q", got, err, names)
+	if s, err := NewDirStore(dir); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("NewDirStore over %s = %v, %v; want an error naming it", path, s, err)
 	}
 }
 
@@ -184,52 +189,6 @@ func TestDirStoreFileLayout(t *testing.T) {
 	if err != nil || binary.LittleEndian.Uint64(raw[8:]) != 2 || string(raw[4096:]) != "WXYZ" {
 		t.Fatalf("second save: slot 1 generation/payload wrong (%v)", err)
 	}
-}
-
-// Images in the single-file layout that preceded slots — one <name>.pool:
-// magic, ID, size, checksum (version 2 only), length-prefixed name,
-// payload — still load, and the first save supersedes and removes them.
-func TestDirStoreLoadsLegacyFiles(t *testing.T) {
-	for _, c := range []struct {
-		magic, sum string
-		want       Meta
-	}{
-		{"NVREFPL2", "\x01\x02\x03\x04\x05\x06\x07\x08", Meta{ID: 0x04030201, Name: "gold", Size: 4, Sum: 0x0807060504030201}},
-		{"NVREFPL1", "", Meta{ID: 0x04030201, Name: "gold", Size: 4}},
-	} {
-		dir := t.TempDir()
-		raw := c.magic + "\x01\x02\x03\x04" + "\x04\x00\x00\x00\x00\x00\x00\x00" + c.sum +
-			"\x04\x00\x00\x00" + "gold" + "wxyz"
-		if err := os.WriteFile(filepath.Join(dir, "gold.pool"), []byte(raw), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s := newDirStore(t, dir)
-		meta, data, err := s.Load("gold")
-		if err != nil || meta != c.want || string(data) != "wxyz" {
-			t.Fatalf("%s: Load = %+v, %q, %v", c.magic, meta, data, err)
-		}
-		if names, err := s.List(); err != nil || !slices.Equal(names, []string{"gold"}) {
-			t.Fatalf("%s: List = %q, %v", c.magic, names, err)
-		}
-		if err := s.Save(meta, []byte("WXYZ")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := os.Stat(filepath.Join(dir, "gold.pool")); !os.IsNotExist(err) {
-			t.Fatalf("%s: single file kept after a slot save: %v", c.magic, err)
-		}
-		if _, data, err := s.Load("gold"); err != nil || string(data) != "WXYZ" {
-			t.Fatalf("%s: Load after save = %q, %v", c.magic, data, err)
-		}
-	}
-}
-
-// legacyV2 encodes a version-2 single-file image.
-func legacyV2(meta Meta, data []byte) []byte {
-	b := binary.LittleEndian.AppendUint32([]byte(fileMagicV2), meta.ID)
-	b = binary.LittleEndian.AppendUint64(b, meta.Size)
-	b = binary.LittleEndian.AppendUint64(b, meta.Sum)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(meta.Name)))
-	return append(append(b, meta.Name...), data...)
 }
 
 // TestDirStoreTornAndCorruptSlots builds by hand what a crash or media
@@ -312,14 +271,6 @@ func TestDirStoreTornAndCorruptSlots(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, metaB, dataB[:1000], ErrCorrupt},
-		{"single file and a newer slot", func(t *testing.T, dir string) {
-			writeAt(t, filepath.Join(dir, "p.pool"), 0, legacyV2(metaB, dataB))
-			writeAt(t, slot(dir, 0), slotPayload, dataA)
-			writeAt(t, slot(dir, 0), 0, slotHead{gen: 1, meta: metaA, n: uint64(len(dataA))}.encode())
-		}, metaA, dataA, nil},
-		{"single file alone", func(t *testing.T, dir string) {
-			writeAt(t, filepath.Join(dir, "p.pool"), 0, legacyV2(metaB, dataB))
-		}, metaB, dataB, nil},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -344,9 +295,6 @@ func TestDirStoreTornAndCorruptSlots(t *testing.T) {
 			}
 			if names, err := s.List(); err != nil || !slices.Equal(names, []string{"p"}) {
 				t.Fatalf("List = %q, %v", names, err)
-			}
-			if _, err := os.Stat(filepath.Join(dir, "p.pool")); !os.IsNotExist(err) {
-				t.Fatalf("single file survived a slot save: %v", err)
 			}
 		})
 	}
@@ -392,10 +340,10 @@ func TestDirStoreConcurrentSaveLoad(t *testing.T) {
 	wg.Wait()
 }
 
-// FuzzDirStoreLoad writes arbitrary bytes into both slot files and the
-// single-file image of one name (an empty input leaves the file out):
-// Load must not panic, returns a whole image only under an intact header,
-// and reports a damaged header as ErrCorrupt.
+// FuzzDirStoreLoad writes arbitrary bytes into both slot files of one name
+// (an empty input leaves the file out): Load must not panic, returns a
+// whole image only under an intact header, and reports a damaged header as
+// ErrCorrupt.
 func FuzzDirStoreLoad(f *testing.F) {
 	dir := f.TempDir()
 	s := newDirStore(f, dir)
@@ -409,32 +357,29 @@ func FuzzDirStoreLoad(f *testing.F) {
 	if err0 != nil || err1 != nil {
 		f.Fatal(err0, err1)
 	}
-	legacy := legacyV2(Meta{ID: 7, Name: "f", Size: 3}, []byte("xyz"))
-	f.Add(slot0, slot1, []byte{})
-	f.Add(slot0[:4200], slot1, legacy)
-	f.Add([]byte{}, slot1[:slotHeader], legacy)
-	f.Add(make([]byte, slotHeader), []byte{}, legacy[:30])
+	f.Add(slot0, slot1)
+	f.Add(slot0[:4200], slot1)
+	f.Add([]byte{}, slot1[:slotHeader])
+	f.Add(make([]byte, slotHeader), []byte{})
 
 	// One directory per fuzzing process, rewritten by each input.
 	dir = f.TempDir()
-	f.Fuzz(func(t *testing.T, s0, s1, legacy []byte) {
+	f.Fuzz(func(t *testing.T, s0, s1 []byte) {
 		var heads [2]slotHead
 		damaged := false
-		for i, b := range [][]byte{s0, s1, legacy} {
-			path := filepath.Join(dir, []string{"f.pool.0", "f.pool.1", "f.pool"}[i])
+		for i, b := range [][]byte{s0, s1} {
+			path := filepath.Join(dir, fmt.Sprintf("f.pool.%d", i))
 			if len(b) == 0 {
 				if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 					t.Fatal(err)
 				}
 				continue
 			}
-			if i < 2 {
-				sector := make([]byte, slotHeader)
-				copy(sector, b)
-				var ok bool
-				heads[i], ok = decodeSlotHead(sector)
-				damaged = damaged || (!ok && !bytes.Equal(sector, zeroSector[:]))
-			}
+			sector := make([]byte, slotHeader)
+			copy(sector, b)
+			var ok bool
+			heads[i], ok = decodeSlotHead(sector)
+			damaged = damaged || (!ok && !bytes.Equal(sector, zeroSector[:]))
 			if err := os.WriteFile(path, b, 0o644); err != nil {
 				t.Fatal(err)
 			}

@@ -14,20 +14,14 @@ import (
 	"nvref/internal/pmem"
 )
 
-// logMagic heads every segment image stored through a pmem.Store;
-// legacyMagic heads the single whole-log image earlier versions wrote,
-// which is still read and is replaced at the first flush.
-const (
-	logMagic    = "NVOPLOG2"
-	legacyMagic = "NVOPLOG1"
-)
+// logMagic heads every image of a log stored through a pmem.Store, the
+// tail and the sealed segments alike; an image with any other header is
+// ErrCorrupt.
+const logMagic = "NVOPLOG2"
 
 // logHeaderSize is magic + last-seq u64 + count u32 + epoch u32 + base-seq
-// u64; the legacy header stops after the count.
-const (
-	logHeaderSize    = len(logMagic) + 8 + 4 + 4 + 8
-	legacyHeaderSize = len(legacyMagic) + 8 + 4
-)
+// u64.
+const logHeaderSize = len(logMagic) + 8 + 4 + 4 + 8
 
 // SegmentRecords is how many records a sealed segment holds: once the
 // tail has that many, a flush seals them into an image of their own and
@@ -63,7 +57,9 @@ var ErrSeqGap = errors.New("repl: sequence gap")
 // connect to it; after a crash between a seal and the tail save that
 // follows it the tail image repeats records the new segment holds, but
 // never contradicts them, because a sequence number is written with one
-// content only.
+// content only. Every image, tail or sealed, carries the one header
+// logMagic starts and the store's checksum; the log reads no other
+// format.
 //
 // Durability contract: appends are in-memory and become durable at the
 // next Flush — automatically every FlushEvery appends, at every
@@ -120,8 +116,7 @@ func OpenLog(store pmem.Store, name string, flushEvery int) (*Log, error) {
 
 // LogNames maps the image names a store lists to the sorted names of the
 // logs they belong to: a sealed segment counts toward the log it names,
-// anything else (a tail image, or a legacy whole-log image) is a log of
-// its own name.
+// anything else (a tail image) is a log of its own name.
 func LogNames(images []string) []string {
 	seen := make(map[string]bool, len(images))
 	var logs []string
@@ -516,14 +511,13 @@ func (l *Log) saveLocked(name string, recs []Record, last, base uint64) error {
 	return nil
 }
 
-// logImage is one decoded segment or legacy image.
+// logImage is one decoded tail or segment image.
 type logImage struct {
-	legacy bool
-	epoch  uint32
-	base   uint64 // oldest retained sequence when saved (tail images; 0 in legacy ones)
-	last   uint64
-	recs   []Record
-	torn   uint64 // records the header counted that did not survive
+	epoch uint32
+	base  uint64 // oldest retained sequence when saved
+	last  uint64
+	recs  []Record
+	torn  uint64 // records the header counted that did not survive
 }
 
 // loadImageLocked loads and decodes one image. The tail image is read
@@ -541,23 +535,18 @@ func (l *Log) loadImageLocked(name string, tolerant bool) (logImage, error) {
 	if err != nil && !short {
 		return logImage{}, err
 	}
-	if !short && meta.Sum != 0 && pmem.ImageChecksum(data) != meta.Sum {
+	if !short && pmem.ImageChecksum(data) != meta.Sum {
 		return logImage{}, fmt.Errorf("%w: log image %q checksum mismatch", pmem.ErrCorrupt, name)
 	}
-	var img logImage
-	var body []byte
-	switch {
-	case len(data) >= logHeaderSize && string(data[:len(logMagic)]) == logMagic:
-		img.epoch = binary.LittleEndian.Uint32(data[len(logMagic)+12:])
-		img.base = binary.LittleEndian.Uint64(data[len(logMagic)+16:])
-		body = data[logHeaderSize:]
-	case len(data) >= legacyHeaderSize && string(data[:len(legacyMagic)]) == legacyMagic:
-		img.legacy = true
-		body = data[legacyHeaderSize:]
-	default:
+	if len(data) < logHeaderSize || string(data[:len(logMagic)]) != logMagic {
 		return logImage{}, fmt.Errorf("%w: log image %q: bad header", pmem.ErrCorrupt, name)
 	}
-	img.last = binary.LittleEndian.Uint64(data[len(logMagic):])
+	img := logImage{
+		epoch: binary.LittleEndian.Uint32(data[len(logMagic)+12:]),
+		base:  binary.LittleEndian.Uint64(data[len(logMagic)+16:]),
+		last:  binary.LittleEndian.Uint64(data[len(logMagic):]),
+	}
+	body := data[logHeaderSize:]
 	count := uint64(binary.LittleEndian.Uint32(data[len(logMagic)+8:]))
 	if !short && uint64(len(body)) != count*RecordSize {
 		return logImage{}, fmt.Errorf("%w: log image %q: %d bytes for %d records",

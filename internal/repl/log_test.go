@@ -687,61 +687,45 @@ func TestLogResetToAcrossSegments(t *testing.T) {
 	}
 }
 
-// legacyImage builds an NVOPLOG1 whole-log image byte for byte as the
-// parent commit's flush wrote it.
-func legacyImage(last uint64, recs []Record) []byte {
-	buf := append([]byte(nil), "NVOPLOG1"...)
-	buf = binary.LittleEndian.AppendUint64(buf, last)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
-	for _, r := range recs {
-		buf = AppendRecord(buf, r)
+// TestOpenLogRefusesWholeLogImage: the single whole-log NVOPLOG1 image an
+// earlier format kept — magic, last-seq, count, records, under a valid
+// store checksum — is not a log image any more, and opening it is
+// ErrCorrupt rather than an empty log over old records.
+func TestOpenLogRefusesWholeLogImage(t *testing.T) {
+	store := pmem.NewMemStore()
+	img := binary.LittleEndian.AppendUint64([]byte("NVOPLOG1"), 3)
+	img = binary.LittleEndian.AppendUint32(img, 3)
+	for seq := uint64(1); seq <= 3; seq++ {
+		img = AppendRecord(img, Record{Seq: seq, Key: seq, Value: seq, Op: RecPut})
 	}
-	return buf
+	meta := pmem.Meta{Name: "oplog-0", Size: uint64(len(img)), Sum: pmem.ImageChecksum(img)}
+	if err := store.Save(meta, img); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenLog(store, "oplog-0", 0); !errors.Is(err, pmem.ErrCorrupt) {
+		t.Fatalf("whole-log image: err = %v, want ErrCorrupt", err)
+	}
 }
 
-// TestLogLegacyUpgrade: a DirStore holding the parent commit's single
-// image opens with the same records, and the first flush replaces it with
-// segments for good.
-func TestLogLegacyUpgrade(t *testing.T) {
-	store, err := pmem.NewDirStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs []Record
-	for seq := uint64(101); seq <= 100+2*SegmentRecords+30; seq++ {
-		op := RecPut
-		if seq%7 == 0 {
-			op = RecDelete
-		}
-		recs = append(recs, Record{Seq: seq, Key: seq % 50, Value: seq * 3, Op: op})
-	}
-	data := legacyImage(recs[len(recs)-1].Seq, recs)
-	meta := pmem.Meta{ID: 7, Name: "oplog-0", Size: uint64(len(data)), Sum: pmem.ImageChecksum(data)}
-	if err := store.Save(meta, data); err != nil {
-		t.Fatal(err)
-	}
-
-	l := mustOpen(t, store, "oplog-0", 64)
-	if l.BaseSeq() != 101 || l.LastSeq() != recs[len(recs)-1].Seq || !slices.Equal(l.Since(0, 0), recs) {
-		t.Fatalf("legacy open: base=%d last=%d len=%d", l.BaseSeq(), l.LastSeq(), l.Len())
-	}
-	if names, _ := store.List(); len(names) != 1 {
-		t.Fatalf("opening rewrote the store: %v", names)
-	}
+// TestOpenLogChecksZeroSum: a tail image saved with Meta.Sum 0 over bytes
+// whose checksum is not 0 is a mismatch, not an unchecked image.
+func TestOpenLogChecksZeroSum(t *testing.T) {
+	store := pmem.NewMemStore()
+	l := mustOpen(t, store, "s", 0)
+	appendN(l, 3)
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	names, _ := store.List()
-	want := []string{"oplog-0", sealedName("oplog-0", 101), sealedName("oplog-0", 101+SegmentRecords)}
-	if !slices.Equal(names, want) {
-		t.Fatalf("images after first flush: %v, want %v", names, want)
+	meta, data, err := store.Load("s")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, tail, err := store.Load("oplog-0"); err != nil || string(tail[:len(logMagic)]) != logMagic {
-		t.Fatalf("tail image after upgrade: magic %q, err %v", tail[:len(logMagic)], err)
+	meta.Sum = 0
+	if err := store.Save(meta, data); err != nil {
+		t.Fatal(err)
 	}
-	l2 := mustOpen(t, store, "oplog-0", 64)
-	if !slices.Equal(l2.Since(0, 0), recs) || l2.Stats().Segments != 3 {
-		t.Fatalf("reload after upgrade: len=%d segments=%d", l2.Len(), l2.Stats().Segments)
+	if _, err := OpenLog(store, "s", 0); !errors.Is(err, pmem.ErrCorrupt) {
+		t.Fatalf("tail saved with Sum 0: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -811,9 +795,9 @@ func TestLogNames(t *testing.T) {
 	got := LogNames([]string{
 		"oplog-0", sealedName("oplog-0", 1), sealedName("oplog-0", 257),
 		sealedName("oplog-1", 513), // a sealed segment alone still names its log
-		"legacy", "odd.seg-12", "odd.seg-zzzzzzzzzzzzzzzz",
+		"solo", "odd.seg-12", "odd.seg-zzzzzzzzzzzzzzzz",
 	})
-	want := []string{"legacy", "odd.seg-12", "odd.seg-zzzzzzzzzzzzzzzz", "oplog-0", "oplog-1"}
+	want := []string{"odd.seg-12", "odd.seg-zzzzzzzzzzzzzzzz", "oplog-0", "oplog-1", "solo"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("LogNames = %v, want %v", got, want)
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/binary"
 	"errors"
 	"net"
 	"runtime"
@@ -910,24 +909,24 @@ func lateReplicaReseeds(t *testing.T, idle bool) {
 	}
 }
 
-// TestLegacyOplogImageReplays: a log store written by the parent commit —
-// one NVOPLOG1 image, no pool checkpoint beside it — opens, replays to the
-// same state, and is segmented once the shard flushes.
-func TestLegacyOplogImageReplays(t *testing.T) {
+// TestOplogWithoutPoolReplays: a log store holding a sealed segment and a
+// tail, with no pool checkpoint beside it, opens, replays every record, and
+// goes on appending to the same log.
+func TestOplogWithoutPoolReplays(t *testing.T) {
 	dir := t.TempDir()
 	logStore, err := pmem.NewDirStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = repl.SegmentRecords + 44
-	img := append([]byte(nil), "NVOPLOG1"...)
-	img = binary.LittleEndian.AppendUint64(img, n)
-	img = binary.LittleEndian.AppendUint32(img, n)
-	for seq := uint64(1); seq <= n; seq++ {
-		img = repl.AppendRecord(img, repl.Record{Seq: seq, Key: seq, Value: seq * 3, Op: repl.RecPut})
+	written, err := repl.OpenLog(logStore, "oplog-0", 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	meta := pmem.Meta{Name: "oplog-0", Size: uint64(len(img)), Sum: pmem.ImageChecksum(img)}
-	if err := logStore.Save(meta, img); err != nil {
+	for k := uint64(1); k <= n; k++ {
+		written.Append(repl.RecPut, k, k*3)
+	}
+	if err := written.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -956,7 +955,7 @@ func TestLegacyOplogImageReplays(t *testing.T) {
 			t.Fatalf("replayed key %d = (%d, %v, %v), want %d", k, v, found, err, k*3)
 		}
 	}
-	// One cadence's worth of writes flushes, and the flush upgrades.
+	// One cadence's worth of writes flushes onto the same log.
 	putRange(t, c, n+1, n+64)
 	images, err := logStore.List()
 	if err != nil {
@@ -970,7 +969,7 @@ func TestLegacyOplogImageReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := l.Stats(); st.BaseSeq != 1 || st.LastSeq != n+64 || st.Segments != 2 {
-		t.Fatalf("upgraded log: %+v", st)
+		t.Fatalf("log after the shard's flush: %+v", st)
 	}
 }
 

@@ -40,13 +40,15 @@ cover_gate repl 80
 
 # Reference-model leg: the paper's contribution — the reference word and
 # the Figure 4 rows (core) and the four reference models built on them
-# (rt), whose every op and counter the ops golden pins; and the simulated
+# (rt), whose every op and counter the ops golden pins; the simulated
 # machine under them (cpu, mem), whose host-side speed-ups are held to the
-# plain model's counts by cpu_test.go's oracle.
+# plain model's counts by cpu_test.go's oracle; and the mini-C compiler and
+# interpreter (minc) that runs the legacy-program corpus on those models.
 cover_gate core 80
 cover_gate rt 80
 cover_gate cpu 80
 cover_gate mem 80
+cover_gate minc 80
 
 # Resilience leg: the recovery ladder over every cause and kind of damage,
 # then repeated shard kills plus flaky-network faults must lose zero acked
@@ -104,7 +106,8 @@ go run ./cmd/nvbench -experiment trace -quick
 # replies must be rejected with protocol errors, never a panic or unbounded
 # allocation — over the incremental image checksum: folded page sums
 # must equal the whole-image CRC-64 and the dirty list the changed pages —
-# and over the DirStore slot reader: arbitrary slot and single-file bytes
-# load as an image under an intact header or as ErrCorrupt/ErrStoreMissing.
+# and over the DirStore slot reader: arbitrary bytes in a name's two slot
+# files load as an image under an intact header or as
+# ErrCorrupt/ErrStoreMissing.
 # The Makefile's fuzz target holds the one list of fuzz legs.
 make fuzz

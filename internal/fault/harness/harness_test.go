@@ -211,3 +211,40 @@ func TestOplogResurrectedSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEnumerateCheckpointCrashPoints: a crash anywhere in a split
+// checkpoint — between taking the image and completing its save, inside
+// the save, between the save and the op-log truncation — or in the log
+// around it, recovers twice alike to the image plus the flushed log tail.
+func TestEnumerateCheckpointCrashPoints(t *testing.T) {
+	rep, err := EnumerateCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := map[string]int{}
+	for _, p := range rep.Points {
+		if p.Tested != p.Hits {
+			t.Errorf("%s: tested %d of %d occurrences", p.Label, p.Tested, p.Hits)
+		}
+		hits[p.Label] = p.Hits
+	}
+	for _, label := range []string{"pmem.checkpoint.taken", "pmem.parity.save", "pmem.checkpoint.saved"} {
+		if hits[label] != 5 {
+			t.Errorf("%s reached %d times, want once per checkpoint (5)", label, hits[label])
+		}
+	}
+	t.Logf("verified %d crash cycles across %d points: %v", rep.TotalRuns, rep.DistinctPoints(), hits)
+}
+
+// TestCheckpointCrashBeforeTruncation: a crash after the save completed but
+// before the log dropped what it covers recovers from the new image; the
+// log still holds the covered records, and replaying them changes nothing.
+func TestCheckpointCrashBeforeTruncation(t *testing.T) {
+	out, err := CheckpointCrashAt("pmem.checkpoint.saved", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Crashed || out.Covered != 2*90+10 {
+		t.Fatalf("outcome %+v: want a crash recovering the second checkpoint's image, covering 190", out)
+	}
+}

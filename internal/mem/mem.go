@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -65,19 +66,36 @@ func (r Region) contains(va uint64) bool { return va >= r.Base && va < r.End() }
 // An AddressSpace is used by one goroutine at a time. Reads are no
 // exception: a load backs its page on first touch and memoizes the page
 // it used.
+//
+// Every store to an NVM page tags it dirty, and TakeDirty hands the tags
+// to whoever persists the pages (a pool checkpoint), so that it visits
+// only the pages written since it last did — FliT's tag-on-store, with
+// one tag per page. Loads never tag.
 type AddressSpace struct {
-	pages   map[uint64]*[PageSize]byte // page base -> backing
-	regions []Region                   // sorted by Base
-	// lastPage backs the page at lastBase, the one the previous access
-	// used, so a run of accesses to one page skips the map lookup. nil
-	// means none; Unmap clears it.
-	lastBase uint64
-	lastPage *[PageSize]byte
+	pages   map[uint64]*page // page base -> backing
+	regions []Region         // sorted by Base
+	// dirty holds the base of every tagged page, in the order the tags
+	// were set; a page is in it exactly when its dirty flag is set.
+	dirty []uint64
+	// lastPage is the page at lastBase, the one the previous access used,
+	// and lastBytes its backing, so a run of accesses to one page skips the
+	// map lookup. nil means none; Unmap clears them.
+	lastBase  uint64
+	lastBytes *[PageSize]byte
+	lastPage  *page
+}
+
+// page is one backing page and its dirty tag. The bytes are an allocation
+// of their own: with the flag beside them they would take the next,
+// 4864-byte, size class.
+type page struct {
+	b     *[PageSize]byte
+	dirty bool
 }
 
 // New returns an empty address space with no mappings.
 func New() *AddressSpace {
-	return &AddressSpace{pages: make(map[uint64]*[PageSize]byte)}
+	return &AddressSpace{pages: make(map[uint64]*page)}
 }
 
 // Map reserves [base, base+size) and backs it with zeroed pages. Both base
@@ -108,13 +126,14 @@ func (a *AddressSpace) Unmap(base, size uint64) error {
 	for i, r := range a.regions {
 		if r.Base == base && r.Size == size {
 			a.regions = append(a.regions[:i], a.regions[i+1:]...)
+			a.TakeDirty(base, size)
 			// Only touched pages have backing; drop those in range.
 			for p := range a.pages {
 				if p >= base && p < base+size {
 					delete(a.pages, p)
 				}
 			}
-			a.lastPage = nil
+			a.lastBytes, a.lastPage = nil, nil
 			return nil
 		}
 	}
@@ -143,23 +162,59 @@ func (a *AddressSpace) Regions() []Region {
 	return out
 }
 
-// page returns the backing page for va, or nil if unmapped. Backing is
+// page returns the backing bytes for va, or nil if unmapped. Backing is
 // allocated lazily on first touch, so mapping a large region is cheap.
 func (a *AddressSpace) page(va uint64) *[PageSize]byte {
-	base := va &^ (PageSize - 1)
-	if a.lastPage != nil && a.lastBase == base {
-		return a.lastPage
+	if a.lastBytes != nil && a.lastBase == va&^(PageSize-1) {
+		return a.lastBytes
 	}
+	return a.lookup(va)
+}
+
+// lookup is page past the memo: it finds (or backs) the page and makes it
+// the memo.
+func (a *AddressSpace) lookup(va uint64) *[PageSize]byte {
+	base := va &^ (PageSize - 1)
 	p, ok := a.pages[base]
 	if !ok {
 		if _, ok := a.RegionAt(va); !ok {
 			return nil
 		}
-		p = new([PageSize]byte)
+		p = &page{b: new([PageSize]byte)}
 		a.pages[base] = p
 	}
-	a.lastBase, a.lastPage = base, p
-	return p
+	a.lastBase, a.lastBytes, a.lastPage = base, p.b, p
+	return p.b
+}
+
+// written is page for a store: it also tags the page when it is an NVM
+// page.
+func (a *AddressSpace) written(va uint64) *[PageSize]byte {
+	b := a.page(va)
+	if b != nil && !a.lastPage.dirty && IsNVM(va) {
+		a.lastPage.dirty = true
+		a.dirty = append(a.dirty, a.lastBase)
+	}
+	return b
+}
+
+// TakeDirty returns the pages of [base, base+size) tagged by a store since
+// they were last taken, as ascending page indices counted from base, and
+// clears their tags. base must be page aligned.
+func (a *AddressSpace) TakeDirty(base, size uint64) []int {
+	var taken []int
+	keep := a.dirty[:0]
+	for _, pb := range a.dirty {
+		if pb >= base && pb-base < size {
+			a.pages[pb].dirty = false
+			taken = append(taken, int((pb-base)/PageSize))
+		} else {
+			keep = append(keep, pb)
+		}
+	}
+	a.dirty = keep
+	slices.Sort(taken)
+	return taken
 }
 
 // checkRange validates that an access of size bytes at va stays inside the
@@ -188,7 +243,7 @@ func (a *AddressSpace) Store8(va uint64, v byte) error {
 	if va >= AddressLimit {
 		return fmt.Errorf("%w: %#x", ErrOutOfRange, va)
 	}
-	p := a.page(va)
+	p := a.written(va)
 	if p == nil {
 		return fmt.Errorf("%w: %#x", ErrUnmapped, va)
 	}
@@ -222,7 +277,7 @@ func (a *AddressSpace) Store64(va uint64, v uint64) error {
 		return err
 	}
 	if off := va % PageSize; off <= PageSize-8 {
-		p := a.page(va)
+		p := a.written(va)
 		if p == nil {
 			return fmt.Errorf("%w: %#x", ErrUnmapped, va)
 		}
@@ -259,7 +314,7 @@ func (a *AddressSpace) Store32(va uint64, v uint32) error {
 		return err
 	}
 	if off := va % PageSize; off <= PageSize-4 {
-		p := a.page(va)
+		p := a.written(va)
 		if p == nil {
 			return fmt.Errorf("%w: %#x", ErrUnmapped, va)
 		}
@@ -295,7 +350,7 @@ func (a *AddressSpace) WriteBytes(va uint64, src []byte) error {
 		return err
 	}
 	for n := 0; n < len(src); {
-		p := a.page(va)
+		p := a.written(va)
 		if p == nil {
 			return fmt.Errorf("%w: %#x", ErrUnmapped, va)
 		}
@@ -317,7 +372,13 @@ func (a *AddressSpace) Snapshot(base, size uint64) ([]byte, error) {
 	return out, nil
 }
 
-// Restore writes data back into memory at base. The region must be mapped.
+// Restore writes data back into memory at base, which must be mapped and
+// page aligned. The restored pages hold what was persisted, so Restore
+// leaves none of them tagged.
 func (a *AddressSpace) Restore(base uint64, data []byte) error {
-	return a.WriteBytes(base, data)
+	if err := a.WriteBytes(base, data); err != nil {
+		return err
+	}
+	a.TakeDirty(base, uint64(len(data)))
+	return nil
 }

@@ -3,6 +3,7 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -323,6 +324,115 @@ func TestMemoFollowsPageChanges(t *testing.T) {
 	}
 }
 
+// TestTakeDirty: every kind of store tags the NVM pages it writes — a store
+// straddling a page boundary both of them — loads and lazily backed reads
+// tag nothing, DRAM stores are never tagged, and TakeDirty returns a
+// range's tags in ascending page order once, leaving other ranges' tags.
+func TestTakeDirty(t *testing.T) {
+	a := New()
+	base := NVMBase + 16*PageSize
+	if err := a.Map(base, 8*PageSize, "pool"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Map(0x10000, 2*PageSize, "heap"); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64)
+	for _, load := range []func() error{
+		func() error { _, err := a.Load8(base + 5*PageSize); return err },
+		func() error { _, err := a.Load32(base + 6*PageSize - 2); return err },
+		func() error { _, err := a.Load64(base + 7*PageSize + 8); return err },
+		func() error { return a.ReadBytes(base+PageSize-32, buf) },
+		func() error { _, err := a.Snapshot(base, 8*PageSize); return err },
+	} {
+		if err := load(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Store64(0x10000, 1); err != nil { // DRAM
+		t.Fatal(err)
+	}
+	if got := a.TakeDirty(base, 8*PageSize); len(got) != 0 {
+		t.Fatalf("loads and DRAM stores tagged pages %v", got)
+	}
+
+	stores := []struct {
+		name string
+		do   func() error
+		want []int
+	}{
+		{"Store8", func() error { return a.Store8(base+3*PageSize+7, 1) }, []int{3}},
+		{"Store32", func() error { return a.Store32(base+PageSize+8, 1) }, []int{1}},
+		{"Store32 straddling", func() error { return a.Store32(base+5*PageSize-2, 1) }, []int{4, 5}},
+		{"Store64", func() error { return a.Store64(base+7*PageSize, 1) }, []int{7}},
+		{"Store64 straddling", func() error { return a.Store64(base+2*PageSize-4, 1) }, []int{1, 2}},
+		{"WriteBytes straddling", func() error { return a.WriteBytes(base+6*PageSize-8, buf) }, []int{5, 6}},
+	}
+	for _, c := range stores {
+		if err := c.do(); err != nil {
+			t.Fatal(err)
+		}
+		if got := a.TakeDirty(base, 8*PageSize); !slices.Equal(got, c.want) {
+			t.Errorf("%s tagged %v, want %v", c.name, got, c.want)
+		}
+	}
+
+	// Tags accumulate out of order and come back sorted, once; a narrower
+	// range takes only its own.
+	for _, pg := range []uint64{6, 0, 6, 2, 5} {
+		if err := a.Store8(base+pg*PageSize, 9); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := a.TakeDirty(base+2*PageSize, 4*PageSize); !slices.Equal(got, []int{0, 3}) {
+		t.Errorf("TakeDirty of pages 2..5 = %v, want [0 3] (pages 2 and 5)", got)
+	}
+	if got := a.TakeDirty(base, 8*PageSize); !slices.Equal(got, []int{0, 6}) {
+		t.Errorf("TakeDirty after a partial take = %v, want [0 6]", got)
+	}
+	if got := a.TakeDirty(base, 8*PageSize); len(got) != 0 {
+		t.Errorf("second TakeDirty = %v, want none", got)
+	}
+}
+
+// TestRestoreAndUnmapClearTags: Restore leaves the restored pages untagged,
+// tags set before it included, and Unmap drops the tags of the pages it
+// discards, so a fresh mapping of the range starts clean.
+func TestRestoreAndUnmapClearTags(t *testing.T) {
+	a := New()
+	base := NVMBase + 16*PageSize
+	if err := a.Map(base, 4*PageSize, "pool"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Store64(base+3*PageSize, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Restore(base, make([]byte, 4*PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.TakeDirty(base, 4*PageSize); len(got) != 0 {
+		t.Errorf("tags after Restore: %v", got)
+	}
+	if err := a.Store64(base+PageSize, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Unmap(base, 4*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Map(base, 4*PageSize, "pool"); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.TakeDirty(base, 4*PageSize); len(got) != 0 {
+		t.Errorf("tags after Unmap and a fresh Map: %v", got)
+	}
+	if err := a.Store64(base+PageSize, 1); err != nil { // the page is untagged, so it tags again
+		t.Fatal(err)
+	}
+	if got := a.TakeDirty(base, 4*PageSize); !slices.Equal(got, []int{1}) {
+		t.Errorf("TakeDirty after remap and store = %v, want [1]", got)
+	}
+}
+
 // BenchmarkLoad64 times one aligned 64-bit load over a working set of
 // pages: one page (every load hits the memo) and 256 pages (each load is on
 // another page than the last, so every one takes the page map).
@@ -339,6 +449,32 @@ func BenchmarkLoad64(b *testing.B) {
 				va := NVMBase + uint64(i)*4104&mask&^7
 				if _, err := a.Load64(va); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkStore64 is BenchmarkLoad64 for stores to NVM pages, which tag
+// the page they write: one page (every store finds it tagged already) and
+// 256 pages (every store takes the page map; TakeDirty clears the tags
+// between rounds, so the first store of a round tags again).
+func BenchmarkStore64(b *testing.B) {
+	for _, pages := range []uint64{1, 256} {
+		b.Run(fmt.Sprintf("pages=%d", pages), func(b *testing.B) {
+			a := New()
+			if err := a.Map(NVMBase, pages*PageSize, "bench"); err != nil {
+				b.Fatal(err)
+			}
+			mask := pages*PageSize - 1
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				va := NVMBase + uint64(i)*4104&mask&^7
+				if err := a.Store64(va, uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+				if i&4095 == 4095 {
+					a.TakeDirty(NVMBase, pages*PageSize)
 				}
 			}
 		})

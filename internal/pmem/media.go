@@ -57,29 +57,28 @@ func (m *MediaReport) Recovered() bool {
 	return m != nil && m.Err == "" && len(m.Unrecoverable) == 0
 }
 
-// nextSidecar returns the sidecar describing data, a checkpoint's fresh
-// image: prev's sidecar folded forward by the dirty pages when it has one
-// of the same page size, else a full build. prev's sidecar is folded in
-// place, so the caller replaces prev with a record of data.
-func (r *Registry) nextSidecar(prev *saved, data []byte, dirty []int, sum uint64) *parity.Sidecar {
-	sc := prev.sidecar()
+// nextSidecar returns the sidecar describing img, a checkpoint's image:
+// sc, the sidecar describing old (the image img was patched from), folded
+// forward by the dirty pages when it has the same page size, else a full
+// build. sc is folded in place. Builds and delta updates count into st.
+func (r *Registry) nextSidecar(st *RegistryStats, sc *parity.Sidecar, old []byte, img *image, dirty []int) *parity.Sidecar {
 	if sc == nil || sc.PageSize != r.pageSize {
-		r.Stats.ParityBuilds++
-		return parity.Build(data, r.parity)
+		st.ParityBuilds++
+		return parity.Build(img.data, r.parity)
 	}
-	if st := sc.Fold(prev.data, data, dirty, sum); st.Rebuilt {
-		r.Stats.ParityBuilds++
+	if fs := sc.Fold(old, img.data, dirty, img.sum); fs.Rebuilt {
+		st.ParityBuilds++
 	} else {
-		r.Stats.ParityUpdates++
-		r.Stats.ParityPageWrites += uint64(st.ParityPageWrites)
+		st.ParityUpdates++
+		st.ParityPageWrites += uint64(fs.ParityPageWrites)
 	}
 	return sc
 }
 
-func (r *Registry) saveSidecar(name string, sc *parity.Sidecar) error {
+func (r *Registry) saveSidecar(st *RegistryStats, name string, sc *parity.Sidecar) error {
 	blob := sc.Encode()
 	meta := Meta{Name: parity.SidecarName(name), Size: uint64(len(blob)), Sum: ImageChecksum(blob)}
-	if err := r.retryCounted(func() error { return r.store.Save(meta, blob) }); err != nil {
+	if err := r.retryCounted(st, func() error { return r.store.Save(meta, blob) }); err != nil {
 		return fmt.Errorf("pmem: saving parity sidecar for %q: %w", name, err)
 	}
 	return nil
@@ -104,7 +103,7 @@ func (r *Registry) loadSidecar(meta Meta) (*parity.Sidecar, SidecarState) {
 		return sc, SidecarOK
 	}
 	var blob []byte
-	err := r.retryCounted(func() error {
+	err := r.retryCounted(&r.Stats, func() error {
 		_, b, e := r.store.Load(parity.SidecarName(meta.Name))
 		if e != nil {
 			return e
@@ -139,7 +138,7 @@ func (r *Registry) loadSidecar(meta Meta) (*parity.Sidecar, SidecarState) {
 func (r *Registry) walk(name string, repair bool) (Meta, []byte, *MediaReport, error) {
 	var meta Meta
 	var data []byte
-	err := r.retryCounted(func() error {
+	err := r.retryCounted(&r.Stats, func() error {
 		m, d, e := r.store.Load(name)
 		if e != nil && (!errors.Is(e, ErrCorrupt) || m.Size == 0) {
 			return e
@@ -166,7 +165,7 @@ func (r *Registry) walk(name string, repair bool) (Meta, []byte, *MediaReport, e
 			// Keep the image even if the new sidecar cannot be saved: it
 			// is intact, only unprotected until the next checkpoint.
 			sc = parity.Build(data, r.parity)
-			if err := r.saveSidecar(name, sc); err != nil {
+			if err := r.saveSidecar(&r.Stats, name, sc); err != nil {
 				rep.Err, sc = err.Error(), nil
 			} else {
 				rep.SidecarBuilt = true
@@ -181,23 +180,40 @@ func (r *Registry) walk(name string, repair bool) (Meta, []byte, *MediaReport, e
 		if !repair {
 			return meta, nil, rep, verr
 		}
-		if err := r.retryCounted(func() error { return r.store.Save(meta, fixed) }); err != nil {
+		if err := r.retryCounted(&r.Stats, func() error { return r.store.Save(meta, fixed) }); err != nil {
 			return fail(fmt.Errorf("pmem: healing %q after repair: %w", name, err))
 		}
 		if len(rep.ParityRebuilt) > 0 {
-			if err := r.saveSidecar(name, sc); err != nil {
+			if err := r.saveSidecar(&r.Stats, name, sc); err != nil {
 				return fail(err)
 			}
 		}
 		rep.Healed = true
 		data, sums = fixed, fixedSums
 	}
-	r.saved[name] = &saved{data: data, sums: sums, side: sc}
+	r.record(name, image{data: data, sums: sums, sum: meta.Sum}, sc)
 	if sc != nil {
 		rep.ParityPages = sc.Rangelets()
 		r.refreshParityPages()
 	}
 	return meta, data, rep, nil
+}
+
+// record makes img, an intact stored image of the named pool, and sc, its
+// sidecar, the pool's saved record. An image with the recorded image's
+// checksum is that image: only the sidecar changes. Any other replaces the
+// record; if the pool is mapped, its memory was not restored from img, so
+// the next checkpoint takes every page.
+func (r *Registry) record(name string, img image, sc *parity.Sidecar) {
+	if rec := r.saved[name]; rec != nil && rec.cur.sum == img.sum && len(rec.cur.data) == len(img.data) {
+		rec.side = sc
+		return
+	}
+	rec := &saved{cur: img, side: sc}
+	if p := r.byName[name]; p != nil && p.attached {
+		rec.retake = allPages(len(img.sums))
+	}
+	r.saved[name] = rec
 }
 
 // repairImage reconstructs a corrupt image in memory from sc, its parity

@@ -160,9 +160,10 @@ type RegistryStats struct {
 
 	BytesSaved  uint64 // image bytes checkpointed to the store
 	BytesLoaded uint64 // image bytes restored from the store
-	// DirtyPages counts the pages checkpoints found changed since the
-	// pool's previously saved image — every page when there was none — and
-	// so checksummed and (parity armed) folded into parity.
+	// DirtyPages counts the pages checkpoints took as written since the
+	// pool's previously saved image — store-time tags, plus every page when
+	// there was no such image — and so checksummed and (parity armed)
+	// folded into parity.
 	DirtyPages uint64
 
 	// Fsck findings, accumulated over every check run against this
@@ -204,11 +205,11 @@ type Registry struct {
 	retry    fault.RetryPolicy
 
 	// parity is the media-fault policy (the zero value disables it). saved
-	// holds, per pool name, the record of the image last saved or loaded,
-	// which the next checkpoint diffs against (image.go). pageSize is the
-	// granule of its page sums and dirty lists — the parity page, so one
-	// dirty list serves the checksum and the parity delta alike — and shift
-	// appends one such page to a CRC.
+	// holds, per pool name, the images last saved or loaded, which the next
+	// checkpoint patches (image.go). pageSize is the granule of their page
+	// sums and dirty lists — the parity page, so one dirty list serves the
+	// checksum and the parity delta alike — and shift appends one such page
+	// to a CRC.
 	parity   parity.Policy
 	saved    map[string]*saved
 	pageSize int
@@ -333,12 +334,13 @@ func (r *Registry) Open(name string) (*Pool, error) {
 }
 
 // retryCounted runs op under the registry's retry policy, counting the
-// extra attempts transient faults cost into Stats.StoreRetries.
-func (r *Registry) retryCounted(op func() error) error {
+// extra attempts transient faults cost into st.StoreRetries — the
+// registry's Stats, or a checkpoint save's own until it commits.
+func (r *Registry) retryCounted(st *RegistryStats, op func() error) error {
 	first := true
 	return r.retry.Retry(func() error {
 		if !first {
-			r.Stats.StoreRetries++
+			st.StoreRetries++
 		}
 		first = false
 		return op()
@@ -349,39 +351,16 @@ func (r *Registry) retryCounted(op func() error) error {
 // retrying transient store faults per the registry's retry policy, and
 // returns once the image (and, parity armed, its sidecar) is saved. The
 // saved metadata records the image checksum so later opens detect torn or
-// bit-flipped images; it is computed from the pages that changed since the
-// previous checkpoint (image.go).
+// bit-flipped images; it is computed from the pages written since the
+// previous checkpoint (image.go). Checkpoint is BeginCheckpoint, Run and
+// Commit in a row.
 func (r *Registry) Checkpoint(p *Pool) error {
-	if r.store == nil {
-		return nil
-	}
-	if !p.attached {
-		return fmt.Errorf("%w: %q", ErrPoolDetached, p.name)
-	}
-	data, err := r.as.Snapshot(p.base, p.size)
+	s, err := r.BeginCheckpoint(p)
 	if err != nil {
 		return err
 	}
-	prev := r.saved[p.name]
-	dirty, sums, sum := r.diff(prev, data)
-	meta := Meta{ID: p.id, Name: p.name, Size: p.size, Sum: sum}
-	if err := r.retryCounted(func() error { return r.store.Save(meta, data) }); err != nil {
-		return err
-	}
-	r.Stats.Checkpoints++
-	r.Stats.BytesSaved += uint64(len(data))
-	r.Stats.DirtyPages += uint64(len(dirty))
-	next := &saved{data: data, sums: sums}
-	if r.parity.Enabled {
-		next.side = r.nextSidecar(prev, data, dirty, sum)
-	}
-	r.saved[p.name] = next
-	if next.side == nil {
-		return nil
-	}
-	r.refreshParityPages()
-	fault.Crash("pmem.parity.save")
-	return r.saveSidecar(p.name, next.side)
+	_ = s.Run() // Commit returns its error
+	return s.Commit()
 }
 
 // Close checkpoints the pool and removes it from the process: the mapping

@@ -38,27 +38,31 @@ func NewMemStore() *MemStore {
 	return &MemStore{images: make(map[string]memImage)}
 }
 
-// Save implements Store.
+// Save implements Store. An image the same length as the one it replaces
+// is copied over it in place, so a checkpoint allocates nothing here.
 func (s *MemStore) Save(meta Meta, data []byte) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	s.mu.Lock()
-	s.images[meta.Name] = memImage{meta: meta, data: cp}
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	img := s.images[meta.Name]
+	if len(img.data) != len(data) {
+		img.data = make([]byte, len(data))
+	}
+	copy(img.data, data)
+	img.meta = meta
+	s.images[meta.Name] = img
 	return nil
 }
 
-// Load implements Store.
+// Load implements Store. It copies under the read lock, because a Save
+// rewrites the stored bytes in place.
 func (s *MemStore) Load(name string) (Meta, []byte, error) {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	img, ok := s.images[name]
-	s.mu.RUnlock()
 	if !ok {
 		return Meta{}, nil, fmt.Errorf("%w: %q", ErrStoreMissing, name)
 	}
-	cp := make([]byte, len(img.data))
-	copy(cp, img.data)
-	return img.meta, cp, nil
+	return img.meta, bytes.Clone(img.data), nil
 }
 
 // List implements Store.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -221,5 +222,107 @@ func TestScrubReportsUnrecoverableDamage(t *testing.T) {
 		if err != nil || !ok || v != keyVal(k) {
 			t.Fatalf("get %d after re-seal recovery: (%d,%v,%v)", k, v, ok, err)
 		}
+	}
+}
+
+// gatedStore holds pool image saves (sidecars pass) at a gate while one is
+// set, announcing each held save on held.
+type gatedStore struct {
+	pmem.Store
+	mu   sync.Mutex
+	gate chan struct{}
+	held chan string
+}
+
+func (g *gatedStore) Save(meta pmem.Meta, data []byte) error {
+	g.mu.Lock()
+	gate := g.gate
+	g.mu.Unlock()
+	if gate != nil && !parity.IsSidecar(meta.Name) {
+		g.held <- meta.Name
+		<-gate
+	}
+	return g.Store.Save(meta, data)
+}
+
+func (g *gatedStore) setGate(gate chan struct{}) {
+	g.mu.Lock()
+	g.gate = gate
+	g.mu.Unlock()
+}
+
+// TestInjectQuietOutwaitsReplicaSave: media damage injected through
+// InjectQuiet while a replica shard's periodic checkpoint is saving in the
+// background lands after that save, so the damage is still in the store
+// when the hook returns — the save cannot overwrite it, or leave a sidecar
+// describing an image the damage then replaced.
+func TestInjectQuietOutwaitsReplicaSave(t *testing.T) {
+	inner := pmem.NewMemStore()
+	gated := &gatedStore{Store: inner, held: make(chan string, 1)}
+	p, r, paddr, _ := startPair(t, 1, nil, func(c *Config) {
+		c.CheckpointEvery = 8
+		c.StoreFor = func(int) pmem.Store { return gated }
+	})
+	defer p.Abort()
+	defer r.Abort()
+	waitFor(t, "follower contact", 5*time.Second, func() bool {
+		fs := r.CollectStats().Follower
+		return fs != nil && fs.Pulls > 0
+	})
+	cl, err := Dial(paddr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	put := func(lo, hi uint64) {
+		for k := lo; k <= hi; k++ {
+			if err := cl.Put(k, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put(1, 8) // the replica's first checkpoint: an image to damage
+	waitFor(t, "replica checkpoint", 5*time.Second, func() bool {
+		names, _ := inner.List()
+		return len(names) > 0
+	})
+
+	gate := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	defer release() // ahead of the Aborts, which wait for the held save
+	gated.setGate(gate)
+	put(9, 16)
+	name := <-gated.held // the replica's next checkpoint is saving, held
+	gated.setGate(nil)
+
+	injected, ran := make(chan error, 1), make(chan struct{})
+	go func() {
+		injected <- r.InjectQuiet(func() error {
+			close(ran)
+			_, err := inject.CorruptStored(inner, name, fault.BitFlip, parity.DefaultPageSize, fault.NewRand(7))
+			return err
+		})
+	}()
+	// The hook must not run its function while the save is held; give it
+	// time to (wrongly) do so before the save may complete.
+	select {
+	case <-ran:
+		t.Fatal("InjectQuiet ran its function while a checkpoint save was in flight")
+	case <-time.After(100 * time.Millisecond):
+	}
+	release()
+	if err := <-injected; err != nil {
+		t.Fatal(err)
+	}
+	meta, data, err := inner.Load(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pmem.ImageChecksum(data) == meta.Sum {
+		t.Fatal("the injected damage is gone from the store: a save overwrote it")
+	}
+	if got := r.CollectStats().PerShard[0].Checkpoints; got < 2 {
+		t.Fatalf("replica checkpoints = %d, want the held one committed too", got)
 	}
 }

@@ -760,6 +760,8 @@ func TestReplicalessPrimaryTruncatesAtCheckpoint(t *testing.T) {
 	const rounds = 4
 	for r := uint64(0); r < rounds; r++ {
 		putRange(t, c, r*every+1, (r+1)*every)
+		// A periodic checkpoint truncates once its background save is done.
+		_ = s.InjectQuiet(func() error { return nil })
 		if got := reg.Snapshot().Value("server_shard0_oplog_records"); got > every+repl.SegmentRecords {
 			t.Fatalf("round %d: oplog_records = %d, want <= %d", r, got, every+repl.SegmentRecords)
 		}
@@ -798,6 +800,73 @@ func TestReplicalessPrimaryTruncatesAtCheckpoint(t *testing.T) {
 	}
 	if after := s.CollectStats().PerShard[0].Repl; after.Replayed == 0 || after.Log.LastSeq != durable {
 		t.Fatalf("recovery replayed %d records to seq %d, want the tail through %d", after.Replayed, after.Log.LastSeq, durable)
+	}
+}
+
+// TestPeriodicCheckpointSavesOffWorker: a periodic checkpoint's save runs
+// beside the worker. While it is held in the store, writes and reads are
+// still served and the op-log is not truncated — truncation waits for the
+// save — and a CHECKPOINT waits for it; once it completes, the log drops
+// what the image covers, and both the worker stall and the save are timed.
+func TestPeriodicCheckpointSavesOffWorker(t *testing.T) {
+	const every = 64
+	gated := &gatedStore{Store: pmem.NewMemStore(), held: make(chan string, 1)}
+	reg := obs.NewRegistry()
+	s, err := New(Config{
+		Shards:          1,
+		Role:            RolePrimary,
+		PoolSize:        4 << 20,
+		CheckpointEvery: every,
+		StoreFor:        func(int) pmem.Store { return gated },
+		LogStoreFor:     func(int) pmem.Store { return pmem.NewMemStore() },
+		Reg:             reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Abort()
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	putRange(t, c, 1, every) // the first checkpoint: a full copy, saved freely
+	_ = s.InjectQuiet(func() error { return nil })
+	logStats := func() repl.LogStats { return s.CollectStats().PerShard[0].Repl.Log }
+	truncated := logStats().Truncated
+
+	gate := make(chan struct{})
+	gated.setGate(gate)
+	putRange(t, c, every+1, 2*every)
+	<-gated.held // the second checkpoint's save is held in the store
+	gated.setGate(nil)
+	putRange(t, c, 2*every+1, 2*every+10) // served while the save is held
+	if v, found, err := c.Get(2*every + 10); err != nil || !found || v != (2*every+10)*3 {
+		t.Fatalf("GET during the save = (%d, %v, %v)", v, found, err)
+	}
+	if got := logStats().Truncated; got != truncated {
+		t.Fatalf("the log was truncated (%d -> %d records) before the save completed", truncated, got)
+	}
+	done := make(chan error, 1)
+	go func() { done <- c.Checkpoint() }()
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := logStats(); st.Truncated <= truncated || st.Records > repl.SegmentRecords {
+		t.Fatalf("after the held save and a CHECKPOINT the log is %+v", st)
+	}
+	if got := s.CollectStats().PerShard[0].Checkpoints; got != 3 {
+		t.Fatalf("checkpoints = %d, want 3 (two periodic, one explicit)", got)
+	}
+	snap := reg.Snapshot()
+	if snap.Value("checkpoint_us") != 3 || snap.Value("checkpoint_save_us") != 3 {
+		t.Fatalf("checkpoint_us observed %d, checkpoint_save_us %d; want 3 each",
+			snap.Value("checkpoint_us"), snap.Value("checkpoint_save_us"))
 	}
 }
 

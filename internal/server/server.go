@@ -219,8 +219,8 @@ func (c *Config) fillDefaults() {
 // histograms (queue wait + service time, measured at the worker).
 var latencyBounds = []uint64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 50000}
 
-// checkpointBounds are the checkpoint_us buckets: a checkpoint snapshots a
-// whole pool, milliseconds rather than microseconds.
+// checkpointBounds are the checkpoint_us and checkpoint_save_us buckets: a
+// save writes a whole pool image, milliseconds rather than microseconds.
 var checkpointBounds = []uint64{100, 200, 500, 1000, 2000, 5000, 10000, 20000, 50000, 100000, 200000, 500000, 1000000}
 
 // Server is the sharded persistent KV service.
@@ -327,17 +327,21 @@ func New(cfg Config) (*Server, error) {
 	}
 	// One repair-latency histogram shared by every shard: media repairs
 	// are rare incidents, and the obs.Histogram is atomic.
-	var repairHist, checkpointHist *obs.Histogram
+	var repairHist, checkpointHist, saveHist *obs.Histogram
 	if cfg.Reg != nil && cfg.Parity.Enabled {
 		repairHist = cfg.Reg.Histogram("repair_latency_us",
 			"media-repair pass latency (detect + reconstruct + heal), microseconds",
 			latencyBounds)
 	}
-	// Likewise one checkpoint histogram: the worker stall every periodic,
-	// explicit or shutdown checkpoint costs, microseconds.
+	// Likewise one pair of checkpoint histograms: the worker stall every
+	// periodic, explicit or shutdown checkpoint's begin costs, and the save
+	// itself, which a periodic checkpoint runs off the worker, microseconds.
 	if cfg.Reg != nil {
 		checkpointHist = cfg.Reg.Histogram("checkpoint_us",
-			"shard checkpoint duration (pool snapshot + save + op-log truncation), microseconds",
+			"shard worker stall per checkpoint begin (wait for the previous save + dirty-page copy), microseconds",
+			checkpointBounds)
+		saveHist = cfg.Reg.Histogram("checkpoint_save_us",
+			"shard checkpoint save (image checksum + store save + parity + op-log truncation), microseconds",
 			checkpointBounds)
 	}
 	for i := 0; i < cfg.Shards; i++ {
@@ -357,6 +361,7 @@ func New(cfg Config) (*Server, error) {
 			repairLatency:   repairHist,
 
 			checkpointLatency: checkpointHist,
+			saveLatency:       saveHist,
 		}
 		if cfg.Flight != nil {
 			sc.trigger = s.shardTrigger
@@ -1025,6 +1030,39 @@ func (s *Server) InjectCrash(shardID int) error {
 		return fmt.Errorf("server: shard %d failed to recover from the injected crash", shardID)
 	}
 	return nil
+}
+
+// InjectQuiet runs fn while no shard touches the store: every worker is
+// parked inside a control call, after the checkpoint it was saving in the
+// background (if any) has completed, and none resumes until fn returns.
+// It is the hook for damaging stored images (media faults) without a
+// checkpoint racing the damage — a replica's own applies and checkpoints
+// included. A failed shard, which has nothing to save, is not parked.
+func (s *Server) InjectQuiet(fn func() error) error {
+	parked, release := make(chan struct{}, len(s.shards)), make(chan struct{})
+	var wg sync.WaitGroup
+	for _, sh := range s.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, _ := sh.call(nil, func(sh *shard) Reply {
+				_ = sh.waitSave()
+				parked <- struct{}{}
+				<-release
+				return Reply{Status: StatusOK}
+			})
+			if rep.Status != StatusOK { // refused or panicked: never parked
+				parked <- struct{}{}
+			}
+		}()
+	}
+	for range s.shards {
+		<-parked
+	}
+	err := fn()
+	close(release)
+	wg.Wait()
+	return err
 }
 
 // InjectPanic kills one shard's worker goroutine mid-stream (a software

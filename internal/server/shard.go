@@ -116,7 +116,8 @@ type shardConfig struct {
 	parity        parity.Policy
 	repairLatency *obs.Histogram // media-repair pass latency, microseconds
 
-	checkpointLatency *obs.Histogram // worker time per checkpoint, microseconds
+	checkpointLatency *obs.Histogram // worker stall per checkpoint, microseconds
+	saveLatency       *obs.Histogram // per checkpoint save (image + log truncation), microseconds
 
 	// Tracing plane (all nil/zero when tracing is not configured).
 	spans   *obs.SpanRecorder         // per-stage spans of sampled requests
@@ -158,6 +159,7 @@ type shard struct {
 	st        *kvstore.Store
 	rb        *structures.RB
 	sinceCkpt int                // mutations applied since the last checkpoint
+	saving    *ckpt              // the checkpoint whose save is not committed yet, if any
 	regSeen   pmem.RegistryStats // ctx.Reg.Stats already folded into the counters
 	pending   []*request         // batch being processed; supervisor fails the rest on panic
 	pendIdx   int
@@ -474,11 +476,18 @@ func (sh *shard) failPending() {
 // that fails hands off to rollback, and a rollback that cannot reopen fails
 // the shard. recover runs on the worker (or the supervisor while the worker
 // is down, or newShard before it starts) and returns the rung it stopped at.
+// Every climb but open first waits for the checkpoint saving in the
+// background; one that lost power while saving is a power cut.
 func (sh *shard) recover(c cause) (rung, error) {
-	switch c {
-	case causeOpen:
+	if c == causeOpen {
 		return sh.open()
-	case causePower:
+	}
+	if crash, _ := sh.settleSave(); crash != nil {
+		if _, power := fault.AsCrash(crash); power {
+			c = causePower
+		}
+	}
+	if c == causePower {
 		return sh.rollback()
 	}
 	reseal := true // a panic always writes the salvage checkpoint
@@ -631,6 +640,7 @@ func (sh *shard) run() {
 		sh.publishLog()
 		sh.afterBatch()
 	}
+	_ = sh.waitSave()
 	if !sh.abort.Load() {
 		_ = sh.checkpoint()
 	}
@@ -1092,6 +1102,7 @@ func (sh *shard) purgeSlot(slot uint32, slots int) Reply {
 // pair, restart the log's sequence space at the snapshot watermark, and
 // checkpoint so a crash cannot resurrect the divergent state.
 func (sh *shard) reseedBegin(watermark uint64) Reply {
+	_ = sh.waitSave() // its truncation must not land on the reset log
 	var keys []uint64
 	sh.rb.Scan(0, math.MaxInt32, func(k, v uint64) { keys = append(keys, k) })
 	// Direct, unlogged, uncounted: this history is discarded (ResetTo), not replayed.
@@ -1121,58 +1132,165 @@ func (sh *shard) reseedChunk(pairs []KV) Reply {
 	return Reply{Status: StatusOK}
 }
 
-// afterBatch publishes counters and runs the periodic checkpoint, due once
-// checkpointEvery mutations have been applied since the last one.
+// afterBatch commits a background save that has finished, publishes
+// counters, and starts the periodic checkpoint, due once checkpointEvery
+// mutations have been applied since the last one.
 func (sh *shard) afterBatch() {
+	if ck := sh.saving; ck != nil && ck.finished() {
+		_ = sh.waitSave()
+	}
 	sh.publish()
 	if sh.cfg.checkpointEvery > 0 && sh.sinceCkpt >= sh.cfg.checkpointEvery {
-		_ = sh.checkpoint() // next one retries; durability is at-checkpoint
+		sh.checkpointAsync()
 	}
 }
 
-// checkpoint publishes the index root into the pool header and snapshots
-// every pool to the backing store. This is the durability barrier: a crash
-// rolls the shard back to its most recent checkpoint.
+// ckpt is one shard checkpoint. It begins on the worker (beginCheckpoint),
+// saves on the worker or on a goroutine of its own (runSave), and commits
+// on the worker (waitSave).
+type ckpt struct {
+	save    *pmem.Save
+	through uint64 // the op-log truncation point, fixed at begin
+	done    chan struct{}
+	err     error // the save's, or the log flush's that kept it from running
+	crash   any   // a panic out of the save, raised again on the worker
+}
+
+// finished reports whether the save has run.
+func (ck *ckpt) finished() bool {
+	select {
+	case <-ck.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// checkpoint publishes the index root into the pool header and saves the
+// pool to the backing store, synchronously, after any save still in the
+// background. This is the durability barrier: a crash rolls the shard back
+// to its most recent completed checkpoint plus the retained op-log.
 func (sh *shard) checkpoint() error {
-	if sh.cfg.store == nil || sh.ctx == nil { // a failed shard has nothing to save
-		return nil
+	ck, err := sh.beginCheckpoint()
+	if ck == nil {
+		return err
+	}
+	sh.saving = ck
+	sh.runSave(ck)
+	return sh.waitSave()
+}
+
+// checkpointAsync is the periodic checkpoint: it begins like checkpoint
+// and leaves the save to a goroutine, so the worker stalls only for the
+// pages written since the last checkpoint. Data requests do not wait for
+// the save; the next checkpoint, the recovery ladder and the worker's exit
+// do. A checkpoint that cannot begin is retried after the next batch.
+func (sh *shard) checkpointAsync() {
+	if ck, _ := sh.beginCheckpoint(); ck != nil {
+		sh.saving = ck
+		go sh.runSave(ck)
+	}
+}
+
+// beginCheckpoint is the part of a checkpoint that needs the engine: it
+// waits for the save in flight (at most one is), publishes the index root
+// into the pool header, takes the pool's dirty pages
+// (pmem.Registry.BeginCheckpoint), and fixes the op-log truncation point
+// the save will make safe. Its time is the worker's stall, checkpoint_us.
+// A shard with nothing to save (no store, or failed) returns nil.
+func (sh *shard) beginCheckpoint() (*ckpt, error) {
+	if sh.cfg.store == nil || sh.ctx == nil {
+		return nil, nil
 	}
 	defer func(start time.Time) {
 		sh.cfg.checkpointLatency.Observe(uint64(time.Since(start).Microseconds()))
 	}(time.Now())
+	_ = sh.waitSave()
 	sh.ctx.SetRoot(siteShardRoot, sh.rb.Root())
-	if err := sh.ctx.Persist(); err != nil {
-		return err
+	save, err := sh.ctx.Reg.BeginCheckpoint(sh.ctx.Pool)
+	if err != nil {
+		return nil, err
 	}
-	sh.checkpoints.Add(1)
 	sh.sinceCkpt = 0
+	ck := &ckpt{save: save, done: make(chan struct{})}
 	if sh.cfg.oplog != nil {
-		// The pool image now covers every applied record, so the log prefix
+		// The pool image covers every applied record, so the log prefix
 		// through the applied sequence is garbage — except on a primary
 		// whose replica is live (the predicate deliver holds acks by), which
 		// must retain anything that replica has not acknowledged: it can
 		// only catch up from the log. With no live replica nobody is owed
 		// the prefix; one that attaches later finds the log's base past its
-		// cursor and re-seeds from a snapshot. TruncateThrough also flushes,
-		// so the checkpoint is a log durability barrier too. A log flush
-		// failure is counted (LogStats.FlushErrors), not fatal: the pool
-		// checkpoint itself succeeded.
-		through := sh.applied.Load()
+		// cursor and re-seeds from a snapshot.
+		ck.through = sh.applied.Load()
 		if sh.roleIs(RolePrimary) && sh.cfg.replicaLive != nil && sh.cfg.replicaLive() {
-			if ra := sh.replAck.Load(); ra < through {
-				through = ra
+			if ra := sh.replAck.Load(); ra < ck.through {
+				ck.through = ra
 			}
 		}
-		var flushStart time.Time
-		if sh.cfg.spans != nil {
-			flushStart = time.Now()
+	}
+	return ck, nil
+}
+
+// runSave saves the checkpoint's image and, once it is durable, truncates
+// the op-log through the point fixed at begin. It touches nothing the
+// worker owns, so it may run beside it. Recovery replays every retained
+// record over the image, so first the log is flushed through what the
+// image covers: an image never holds a record the log could lose, and a
+// log that cannot flush fails the checkpoint. TruncateThrough also
+// flushes, so the checkpoint is a log durability barrier too; a failure
+// there is counted (LogStats.FlushErrors), not fatal: the pool checkpoint
+// itself succeeded. Its time is checkpoint_save_us.
+func (sh *shard) runSave(ck *ckpt) {
+	defer close(ck.done)
+	defer func() { ck.crash = recover() }()
+	start := time.Now()
+	if sh.cfg.oplog != nil && sh.cfg.oplog.FlushedSeq() < ck.through {
+		if ck.err = sh.cfg.oplog.Flush(); ck.err != nil {
+			return
 		}
-		_ = sh.cfg.oplog.TruncateThrough(through)
+	}
+	if ck.err = ck.save.Run(); ck.err == nil && sh.cfg.oplog != nil {
+		flushStart := time.Now()
+		_ = sh.cfg.oplog.TruncateThrough(ck.through)
 		if sh.cfg.spans != nil {
 			sh.cfg.spans.RecordTimed(0, StageOplogFlush, sh.cfg.id, "checkpoint", 0, flushStart, time.Since(flushStart))
 		}
 	}
-	return nil
+	sh.cfg.saveLatency.Observe(uint64(time.Since(start).Microseconds()))
+}
+
+// settleSave waits for the save in flight, if any, and commits it: the
+// registry records what the save did, and a completed checkpoint is
+// counted. A failed save keeps its pages for the next checkpoint, which
+// the cadence makes due at once. A panic the save took is returned.
+func (sh *shard) settleSave() (crash any, err error) {
+	ck := sh.saving
+	if ck == nil {
+		return nil, nil
+	}
+	<-ck.done
+	sh.saving = nil
+	_ = ck.save.Commit() // its error is the save's, ck.err
+	if ck.crash != nil {
+		return ck.crash, nil
+	}
+	if ck.err != nil {
+		sh.sinceCkpt = max(sh.sinceCkpt, sh.cfg.checkpointEvery)
+		return nil, ck.err
+	}
+	sh.checkpoints.Add(1)
+	return nil, nil
+}
+
+// waitSave is settleSave on the worker, where a panic the save took is
+// raised again for the supervisor: a power cut during a background save is
+// one on the worker.
+func (sh *shard) waitSave() error {
+	crash, err := sh.settleSave()
+	if crash != nil {
+		panic(crash)
+	}
+	return err
 }
 
 // ShardStats is the per-shard block of a STATS reply.

@@ -514,10 +514,10 @@ func (s *sim) fire(a Action) string {
 		if n == nil || !n.up {
 			return "corrupt: node " + a.Node + " not up"
 		}
-		// Force a fresh checkpoint first: it guarantees a current image
-		// exists to damage, and — because the driver is the only thread
-		// issuing ops — no further checkpoint can race the injection and
-		// strand a half-written image behind corrupt metadata.
+		// Force a fresh checkpoint first, so a current image exists to
+		// damage; then damage it with every shard of the node parked and
+		// no save in flight, so no checkpoint — a replica's own, driven by
+		// its pullers, included — lands between a load and its save.
 		if err := n.srv.Checkpoint(); err != nil {
 			return "corrupt " + a.Node + ": checkpoint: " + err.Error()
 		}
@@ -528,20 +528,26 @@ func (s *sim) fire(a Action) string {
 		rng := fault.NewRand(uint64(s.seed)<<8 ^ 0xC0FFEE ^ s.corruptN)
 		s.corruptN++
 		hit := 0
-		for _, st := range n.stores {
-			names, err := st.List()
-			if err != nil {
-				return "corrupt " + a.Node + ": " + err.Error()
-			}
-			for _, name := range names {
-				if parity.IsSidecar(name) {
-					continue
+		err := n.srv.InjectQuiet(func() error {
+			for _, st := range n.stores {
+				names, err := st.List()
+				if err != nil {
+					return err
 				}
-				if _, err := inject.CorruptStored(st, name, class, parity.DefaultPageSize, rng); err != nil {
-					return "corrupt " + a.Node + " " + name + ": " + err.Error()
+				for _, name := range names {
+					if parity.IsSidecar(name) {
+						continue
+					}
+					if _, err := inject.CorruptStored(st, name, class, parity.DefaultPageSize, rng); err != nil {
+						return fmt.Errorf("%s: %w", name, err)
+					}
+					hit++
 				}
-				hit++
 			}
+			return nil
+		})
+		if err != nil {
+			return "corrupt " + a.Node + ": " + err.Error()
 		}
 		if hit == 0 {
 			return "corrupt " + a.Node + ": no checkpointed image to damage"

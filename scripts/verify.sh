@@ -92,6 +92,13 @@ go test -race -run 'Media|Corrupt|Parity|Sidecar|Torn' \
 go test -race -run 'TestMediaSmoke' ./internal/bench/
 go run ./cmd/nvbench -experiment media -quick
 
+# Checkpoint leg: store-time dirty tags, the two images a pool checkpoint
+# patches in place, and the periodic save the serving tier runs beside the
+# shard worker — repeated under the race detector, so an ordering flake
+# between the save, its commit and the op-log truncation shows.
+go test -race -count=10 -run 'Checkpoint|Truncat|Dirty' \
+	./internal/mem/ ./internal/pmem/ ./internal/server/
+
 # Tracing leg: envelope codec, echo discipline, span/flight recorders,
 # health probes under the race detector, then the gate: every echo returns,
 # each traced op's stage chain is ordered and fits its measured e2e
@@ -104,8 +111,9 @@ go run ./cmd/nvbench -experiment trace -quick
 
 # Fuzz smoke over both halves of the wire codec — malformed frames and
 # replies must be rejected with protocol errors, never a panic or unbounded
-# allocation — over the incremental image checksum: folded page sums
-# must equal the whole-image CRC-64 and the dirty list the changed pages —
+# allocation — over the incremental image checksum: folded page sums,
+# from scratch or re-summed over the edited pages, must equal the
+# whole-image CRC-64 —
 # and over the DirStore slot reader: arbitrary bytes in a name's two slot
 # files load as an image under an intact header or as
 # ErrCorrupt/ErrStoreMissing.

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fuzz verify loc bench faults resilience repl cluster sim media serve
+.PHONY: build test fuzz verify loc bench faults cluster sim serve
 
 build:
 	$(GO) build ./...
@@ -35,15 +35,6 @@ bench:
 faults:
 	$(GO) run ./cmd/nvbench -experiment faults
 
-# Self-healing gate: shard kills + network faults, zero acked-write loss.
-resilience:
-	$(GO) run ./cmd/nvbench -experiment resilience
-
-# Replication gate: primary killed mid-stream, replica promoted, zero
-# acked-write loss across the failover.
-repl:
-	$(GO) run ./cmd/nvbench -experiment replication
-
 # Cluster gate: a node joins a loaded cluster mid-stream, slots migrate
 # live behind MOVED redirects — zero acked-write loss, zero stale-epoch
 # writes.
@@ -52,15 +43,11 @@ cluster:
 
 # Simulation gate: deterministic cluster simulation — byte-identical
 # same-seed replay, the split-brain fence gate, and a 10-seed nemesis
-# sweep checked for durable linearizability.
+# sweep checked for durable linearizability. It is also the self-healing
+# (flaky-steady: shard kills + network faults), replication
+# (crash-failover-restart) and media (corrupt-under-load) gate.
 sim:
 	$(GO) run ./cmd/nvbench -experiment sim
-
-# Media gate: seeded corruptors flip bits and tear pages in live pool
-# images under load — repaired in place from parity, zero acked-write
-# loss, zero client-visible errors, zero promotions.
-media:
-	$(GO) run ./cmd/nvbench -experiment media
 
 # Run the sharded KV daemon with persistent pools and the metrics mux.
 serve:

@@ -47,24 +47,17 @@ var acceptance = []struct {
 	// Closed-loop shard sweep judged in simulated time, plus a kill/restart
 	// recovery leg.
 	{"serve", func(q bool) (result, error) { return bench.RunServe(bench.ServeSpecFor(q)) }},
-	// Shard kills plus a flaky network: zero acked-write loss, supervisor
-	// restarts in place, a clean probe afterwards.
-	{"resilience", func(q bool) (result, error) { return bench.RunResilience(bench.ResilienceSpecFor(q)) }},
-	// Primary killed mid-stream, replica promoted: zero acked-write loss
-	// under a held-ack discipline that makes the check sound.
-	{"replication", func(q bool) (result, error) { return bench.RunReplication(bench.ReplicationSpecFor(q)) }},
 	// A node joins a loaded cluster, slots migrate live behind MOVED
 	// redirects: zero acked-write loss, zero stale-epoch writes.
 	{"cluster", func(q bool) (result, error) { return bench.RunCluster(bench.ClusterSpecFor(q)) }},
-	// Bit flips and torn pages in live pool images, repaired in place from
-	// parity: zero loss, zero client errors, zero promotions.
-	{"media", func(q bool) (result, error) { return bench.RunMedia(bench.MediaSpecFor(q)) }},
 	// Trace echo everywhere, a sound stage chain, a flight dump on the
 	// kill-driven promotion, and a disabled path counted free: same allocs
 	// and wire bytes as no plane, zero recorder calls.
 	{"trace", func(q bool) (result, error) { return bench.RunTrace(bench.TraceSpecFor(q)) }},
 	// Deterministic simulation: byte-identical replay, the split-brain
-	// fence gate, a nemesis sweep checked for durable linearizability.
+	// fence gate, and a nemesis sweep — shard kills and a flaky network,
+	// failover, media corruption, live migration — each run judged for
+	// durable linearizability and against the counters its script implies.
 	{"sim", func(q bool) (result, error) { return bench.RunSim(bench.SimSpecFor(q)) }},
 }
 

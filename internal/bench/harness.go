@@ -17,11 +17,6 @@
 //     one means acknowledged state was rolled back (a lost write); an
 //     absent key is a missing one.
 //
-// On a replicated topology the oracle is sound only while the primary's
-// DegradedAcks and TimeoutAcks are both zero: only then is an acknowledged
-// write, by construction, applied and logged on the replica that the sweep
-// reads after a failover.
-//
 // What an experiment adds on top is only what is unique to it: the server
 // configs of its topology, its nemesis, the counters it sums, its Pass
 // predicate and its text report.
@@ -62,10 +57,7 @@ type LoadSpec struct {
 	// that many client conn I/O calls during the closed loop (0 keeps the
 	// network clean).
 	NetFaultEvery int
-	// ProbeOps sizes the post-fault probe pass that must be error-free
-	// (0 skips it).
-	ProbeOps int
-	Seed     int64
+	Seed          int64
 }
 
 // config returns the server.Config fields every topology derives from the
@@ -95,11 +87,6 @@ type LoadResult struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	NetFaults   uint64  `json:"net_faults"`
 
-	// Probe pass after the faults stopped.
-	ProbeOps     int     `json:"probe_ops"`
-	ProbeErrors  int     `json:"probe_errors"`
-	ProbeSeconds float64 `json:"probe_seconds"`
-
 	// Zero-loss sweep.
 	AckedKeys   int `json:"acked_keys"`
 	LostWrites  int `json:"lost_writes"`
@@ -119,26 +106,13 @@ func verdict(pass bool) string {
 	return "FAIL"
 }
 
-// kv is what the load phase, the closed loop, the probe pass and the sweep
-// need of a client. *server.Client, *server.ResilientClient and
-// *server.ClusterClient satisfy it as they are; rywClient adapts the
-// read-your-writes calls.
+// kv is what the load phase, the closed loop and the sweep need of a
+// client. *server.Client, *server.ResilientClient and
+// *server.ClusterClient satisfy it as they are.
 type kv interface {
 	Get(key uint64) (value uint64, found bool, err error)
 	Put(key, value uint64) error
 	Close() error
-}
-
-// rywClient drives a ResilientClient through its read-your-writes calls:
-// every GET carries the client's newest write token, so a lagging endpoint
-// refuses to serve stale state and the client rotates.
-type rywClient struct{ *server.ResilientClient }
-
-func (c rywClient) Get(key uint64) (uint64, bool, error) { return c.GetRYW(key) }
-
-func (c rywClient) Put(key, value uint64) error {
-	_, _, err := c.PutRYW(key, value)
-	return err
 }
 
 // ledger remembers the highest value the server acknowledged per key.
@@ -183,8 +157,8 @@ func (l *ledger) sweep(get func(key uint64) (uint64, bool, error)) (missing, los
 	return missing, lost, nil
 }
 
-// acceptance runs one experiment's load phase, closed loop, probe pass and
-// sweep over a YCSB-A stream, accumulating the LoadResult as it goes.
+// acceptance runs one experiment's load phase, closed loop and sweep over
+// a YCSB-A stream, accumulating the LoadResult as it goes.
 type acceptance struct {
 	ledger
 	spec LoadSpec
@@ -386,31 +360,10 @@ func (h *acceptance) drive(dial func(ci int) (kv, error)) error {
 	return nil
 }
 
-// verify ends an experiment on a clean connection cl: a probe pass of
-// spec.ProbeOps alternating GETs and sequenced PUTs over the loaded keys
-// (the faults are over, so every error counts), then the zero-loss sweep.
-// It closes cl.
+// verify ends an experiment with the zero-loss sweep on a clean connection
+// cl, and closes cl.
 func (h *acceptance) verify(cl kv) error {
 	defer cl.Close()
-	tp := time.Now()
-	h.res.ProbeOps = h.spec.ProbeOps
-	for i := 0; i < h.spec.ProbeOps; i++ {
-		k := h.w.Load[i%len(h.w.Load)].Key
-		if i%2 == 0 {
-			if _, _, err := cl.Get(k); err != nil {
-				h.res.ProbeErrors++
-			}
-			continue
-		}
-		v := h.next()
-		if err := cl.Put(k, v); err != nil {
-			h.res.ProbeErrors++
-		} else {
-			h.ack(k, v)
-		}
-	}
-	h.res.ProbeSeconds = time.Since(tp).Seconds()
-
 	var err error
 	h.res.AckedKeys = len(h.acked)
 	h.res.MissingKeys, h.res.LostWrites, err = h.sweep(cl.Get)

@@ -120,12 +120,11 @@ func TestNemesisTriggerFiresOnExactOp(t *testing.T) {
 }
 
 // TestKVAdapters runs every client type the harness drives through the
-// same load / probe / sweep sequence against live servers: the three
-// server clients satisfy kv as they are, rywClient adapts the
-// read-your-writes calls, and the load phase takes the batched path where
-// the client has one and the per-key path where it does not.
+// same load / sweep sequence against live servers: the three server
+// clients satisfy kv as they are, and the load phase takes the batched
+// path where the client has one and the per-key path where it does not.
 func TestKVAdapters(t *testing.T) {
-	spec := LoadSpec{Records: 300, Clients: 1, Shards: 2, Mode: rt.HW, PoolSize: 4 << 20, ProbeOps: 20, Seed: 9}
+	spec := LoadSpec{Records: 300, Clients: 1, Shards: 2, Mode: rt.HW, PoolSize: 4 << 20, Seed: 9}
 	p, err := startPair(spec.config(), spec.config())
 	if err != nil {
 		t.Fatal(err)
@@ -145,10 +144,6 @@ func TestKVAdapters(t *testing.T) {
 	}{
 		{"Client", true, func() (kv, error) { return server.Dial(p.paddr) }},
 		{"ResilientClient", true, func() (kv, error) { return resilient(p.paddr) }},
-		{"rywClient", true, func() (kv, error) {
-			cl, err := resilient(p.paddr)
-			return rywClient{cl}, err
-		}},
 		{"ClusterClient", false, func() (kv, error) {
 			return server.DialCluster([]string{naddr}, server.RetryPolicy{Seed: 1}, nil)
 		}},
@@ -176,7 +171,7 @@ func TestKVAdapters(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := h.res
-			if r.AckedKeys != spec.Records || r.MissingKeys != 0 || r.LostWrites != 0 || r.ProbeOps != spec.ProbeOps || r.ProbeErrors != 0 {
+			if r.AckedKeys != spec.Records || r.MissingKeys != 0 || r.LostWrites != 0 {
 				t.Errorf("load+verify through %s: %+v", tc.name, r)
 			}
 		})

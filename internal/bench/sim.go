@@ -1,11 +1,12 @@
 // The sim experiment drives the deterministic cluster simulator and its
-// durable-linearizability checker as an acceptance gate: same-seed runs
-// must replay byte-identically, the unfenced split-brain schedule must
-// be flagged as a durable-linearizability violation while the fenced
-// variant checks clean, and a multi-seed nemesis sweep (partition+heal,
-// crash-restarts with failover, a mid-migration kill, and flaky-network
-// steady state) must complete with zero violations on the default
-// configuration.
+// durable-linearizability checker as an acceptance gate: every schedule a
+// gate rests on must replay byte-identically from its seed, the unfenced
+// split-brain schedule must be flagged as a durable-linearizability
+// violation while the fenced variant checks clean, and a multi-seed
+// nemesis sweep (partition+heal, crash-restarts with failover over a flaky
+// network, a mid-migration kill, shard kills under a flaky network, and
+// media corruption under load) must pass every run's verdict (sim.Run's
+// judge) on the default configuration.
 package bench
 
 import (
@@ -45,26 +46,15 @@ func SimSpecFor(quick bool) SimSpec {
 	if quick {
 		s.Ops = 60
 		s.Seeds = []int64{1, 2, 3}
-		s.Schedules = []string{"partition-heal", "crash-failover-restart", "migration-kill", "corrupt-under-load"}
 	}
 	return s
 }
 
-// SimRun is one simulator run in the experiment document.
+// SimRun is one simulator run in the experiment document: the run's
+// verdict and counters, and what it cost.
 type SimRun struct {
-	Schedule    string   `json:"schedule"`
-	Seed        int64    `json:"seed"`
-	Ok          bool     `json:"ok"`
-	LinzOK      bool     `json:"linz_ok"`
-	OpsOK       int      `json:"ops_ok"`
-	OpsFail     int      `json:"ops_fail"`
-	OpsInfo     int      `json:"ops_info"`
-	Crashes     int      `json:"crashes"`
-	States      int      `json:"states_visited"`
-	WallSeconds float64  `json:"wall_seconds"`
-	Detail      string   `json:"detail,omitempty"`
-	Violations  []string `json:"violations,omitempty"`
-	HistoryPath string   `json:"history_path,omitempty"`
+	*sim.RunResult
+	WallSeconds float64 `json:"wall_seconds"`
 }
 
 // SimResult is the experiment document.
@@ -72,9 +62,9 @@ type SimResult struct {
 	Ops       int `json:"ops"`
 	SeedCount int `json:"seed_count"`
 
-	// DeterminismOK: two identical-seed steady runs produced
-	// byte-identical histories (and a different seed produced a
-	// different one).
+	// DeterminismOK: every schedule of sim.Replayed replayed three times
+	// per seed to byte-identical histories, every run passed, and
+	// different seeds of a schedule produced different histories.
 	DeterminismOK bool `json:"determinism_ok"`
 
 	// The fencing gate pair.
@@ -97,7 +87,7 @@ type SimResult struct {
 
 // Pass applies the acceptance gates: reproducibility, the checker
 // catching the unfenced split-brain while passing the fenced one, and a
-// violation-free, failure-free sweep that actually ran.
+// sweep that actually ran with every run's verdict passing.
 func (r *SimResult) Pass() bool {
 	return r.DeterminismOK &&
 		r.UnfencedViolation && r.FencedOK &&
@@ -108,64 +98,46 @@ func (r *SimResult) Pass() bool {
 func RunSim(spec SimSpec) (*SimResult, error) {
 	res := &SimResult{Ops: spec.Ops, SeedCount: len(spec.Seeds)}
 
-	runOne := func(sched sim.Schedule, seed int64) (*sim.RunResult, SimRun, error) {
+	runOne := func(sched sim.Schedule, seed int64) (SimRun, error) {
 		t0 := time.Now()
 		r, err := sim.Run(sim.RunConfig{Schedule: sched, Seed: seed, HistoryDir: spec.HistoryDir})
 		if err != nil {
-			return nil, SimRun{}, fmt.Errorf("sim: %s seed %d: %w", sched.Name, seed, err)
+			return SimRun{}, fmt.Errorf("sim: %s seed %d: %w", sched.Name, seed, err)
 		}
-		wall := time.Since(t0).Seconds()
+		run := SimRun{RunResult: r, WallSeconds: time.Since(t0).Seconds()}
 		res.OpsTotal += r.OpsOK + r.OpsFail + r.OpsInfo
-		res.WallSeconds += wall
-		return r, SimRun{
-			Schedule:    sched.Name,
-			Seed:        seed,
-			Ok:          r.Ok,
-			LinzOK:      r.LinzOK,
-			OpsOK:       r.OpsOK,
-			OpsFail:     r.OpsFail,
-			OpsInfo:     r.OpsInfo,
-			Crashes:     r.Crashes,
-			States:      r.StatesVisited,
-			WallSeconds: wall,
-			Detail:      r.Detail,
-			Violations:  r.Violations,
-			HistoryPath: r.HistoryPath,
-		}, nil
+		res.WallSeconds += run.WallSeconds
+		return run, nil
 	}
 
-	// Reproducibility: the same (schedule, seed) twice must replay to the
-	// byte; a different seed must not.
-	d1, row1, err := runOne(sim.Steady(spec.Ops), 11)
-	if err != nil {
-		return nil, err
+	// Reproducibility: each (schedule, seed) three times must replay to
+	// the byte; a different seed of a seeded schedule must not.
+	res.DeterminismOK = true
+	for _, rp := range sim.Replayed(spec.Ops) {
+		var prev []byte
+		for _, seed := range rp.Seeds {
+			var first []byte
+			for i := 0; i < 3; i++ {
+				run, err := runOne(rp.Schedule, seed)
+				if err != nil {
+					return nil, err
+				}
+				res.Gates = append(res.Gates, run)
+				if i == 0 {
+					first = run.History
+				}
+				res.DeterminismOK = res.DeterminismOK && run.Ok && bytes.Equal(first, run.History)
+			}
+			res.DeterminismOK = res.DeterminismOK && !bytes.Equal(prev, first)
+			prev = first
+			switch last := res.Gates[len(res.Gates)-1]; rp.Schedule.Name {
+			case "split-brain-unfenced":
+				res.UnfencedViolation = last.Ok && !last.LinzOK
+			case "split-brain-fenced":
+				res.FencedOK = last.Ok && last.LinzOK
+			}
+		}
 	}
-	d2, row2, err := runOne(sim.Steady(spec.Ops), 11)
-	if err != nil {
-		return nil, err
-	}
-	d3, row3, err := runOne(sim.Steady(spec.Ops), 12)
-	if err != nil {
-		return nil, err
-	}
-	res.DeterminismOK = d1.Ok && d2.Ok && d3.Ok &&
-		bytes.Equal(d1.History, d2.History) &&
-		!bytes.Equal(d1.History, d3.History)
-	res.Gates = append(res.Gates, row1, row2, row3)
-
-	// The fencing gate: the run's Ok already encodes "violation expected
-	// and flagged" for the unfenced schedule.
-	uf, rowU, err := runOne(sim.SplitBrain(false), 1)
-	if err != nil {
-		return nil, err
-	}
-	fn, rowF, err := runOne(sim.SplitBrain(true), 1)
-	if err != nil {
-		return nil, err
-	}
-	res.UnfencedViolation = uf.Ok && !uf.LinzOK
-	res.FencedOK = fn.Ok && fn.LinzOK
-	res.Gates = append(res.Gates, rowU, rowF)
 
 	// The nemesis sweep.
 	for _, name := range spec.Schedules {
@@ -174,18 +146,18 @@ func RunSim(spec SimSpec) (*SimResult, error) {
 			return nil, err
 		}
 		for _, seed := range spec.Seeds {
-			r, row, err := runOne(sched, seed)
+			run, err := runOne(sched, seed)
 			if err != nil {
 				return nil, err
 			}
 			res.SweepRuns++
-			if !r.LinzOK {
+			if !run.LinzOK {
 				res.SweepViolations++
 			}
-			if !r.Ok {
+			if !run.Ok {
 				res.SweepFailures++
 			}
-			res.Sweep = append(res.Sweep, row)
+			res.Sweep = append(res.Sweep, run)
 		}
 	}
 	return res, nil
@@ -199,7 +171,7 @@ func (r *SimResult) WriteText(w io.Writer) {
 		r.UnfencedViolation, r.FencedOK, verdict(r.UnfencedViolation && r.FencedOK))
 	fmt.Fprintf(w, "nemesis sweep: %d runs, %d checker violations, %d run failures\n",
 		r.SweepRuns, r.SweepViolations, r.SweepFailures)
-	for _, run := range r.Sweep {
+	for _, run := range append(r.Gates, r.Sweep...) {
 		if run.Ok {
 			continue
 		}

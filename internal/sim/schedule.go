@@ -45,6 +45,10 @@ const (
 	// schedule with Parity set; repair happens through the background
 	// scrubber or through recovery-on-open after a later ActCrash.
 	ActCorrupt ActionKind = "corrupt"
+	// ActKillShard is the software-crash nemesis: it panics one shard
+	// worker of Node and returns once the supervisor has restarted it in
+	// place. The kth firing in a run hits shard k % simShards.
+	ActKillShard ActionKind = "kill-shard"
 )
 
 // Action is one nemesis move, fired when AfterOp client operations have
@@ -246,9 +250,10 @@ func CrashRestartReplica(ops int) Schedule {
 	}
 }
 
-// CrashFailoverRestart is a sweep schedule: the primary crashes, the
-// replica promotes itself after the silence window, and the old primary
-// later rejoins as a replica following the new primary.
+// CrashFailoverRestart is the replication gate: under a flaky client
+// network the primary crashes, the replica promotes itself after the
+// silence window, and the old primary later rejoins as a replica
+// following the new primary.
 func CrashFailoverRestart(ops int) Schedule {
 	return Schedule{
 		Name:         "crash-failover-restart",
@@ -259,6 +264,7 @@ func CrashFailoverRestart(ops int) Schedule {
 		FenceAfter:   simFenceAfter,
 		PromoteAfter: simPromoteAfter,
 		GatedReads:   true,
+		Flaky:        true,
 		Actions: []Action{
 			{AfterOp: ops / 3, Kind: ActCrash, Node: "a"},
 			{AfterOp: ops / 3, Kind: ActAdvance, D: simPromoteAfter + 50*time.Millisecond},
@@ -332,7 +338,6 @@ func CorruptUnderLoad(ops int) Schedule {
 }
 
 // Steady is the no-fault baseline: a healthy pair, deletes included.
-// Its history is the byte-identical determinism gate.
 func Steady(ops int) Schedule {
 	return Schedule{
 		Name:         "steady",
@@ -346,9 +351,10 @@ func Steady(ops int) Schedule {
 	}
 }
 
-// FlakySteady is the fault-injector determinism exercise: same healthy
-// pair, but every client connection runs behind the seeded flaky
-// wrapper, with injected delays served by the virtual clock.
+// FlakySteady is the self-healing gate: same healthy pair, but every
+// client connection runs behind the seeded flaky wrapper (injected delays
+// served by the virtual clock), and four shard workers of the primary are
+// killed and restarted in place under the load.
 func FlakySteady(ops int) Schedule {
 	s := Steady(ops)
 	s.Name = "flaky-steady"
@@ -358,7 +364,34 @@ func FlakySteady(ops int) Schedule {
 	s.GatedReads = true
 	s.Flaky = true
 	s.FlakyEvery = 40
+	for k := 1; k <= 4; k++ {
+		s.Actions = append(s.Actions, Action{AfterOp: k * ops / 5, Kind: ActKillShard, Node: "a"})
+	}
 	return s
+}
+
+// Replay is a schedule a gate rests on, with the seeds whose histories
+// must replay byte for byte.
+type Replay struct {
+	Schedule Schedule
+	Seeds    []int64
+}
+
+// Replayed lists the determinism gate: every schedule a gate rests on
+// except migration-kill, whose history does not replay yet. The
+// split-brain scripts draw nothing from the seed, so one seed covers them.
+func Replayed(ops int) []Replay {
+	seeds := []int64{1, 2, 3}
+	return []Replay{
+		{Steady(ops), seeds},
+		{FlakySteady(ops), seeds},
+		{PartitionHeal(ops), seeds},
+		{CrashRestartReplica(ops), seeds},
+		{CrashFailoverRestart(ops), seeds},
+		{CorruptUnderLoad(ops), seeds},
+		{SplitBrain(true), []int64{1}},
+		{SplitBrain(false), []int64{1}},
+	}
 }
 
 // Schedules returns the named builtin, for CLI selection.

@@ -7,9 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -17,6 +15,7 @@ import (
 	"nvref/internal/fault"
 	"nvref/internal/fault/flaky"
 	"nvref/internal/fault/inject"
+	"nvref/internal/obs"
 	"nvref/internal/parity"
 	"nvref/internal/pmem"
 	"nvref/internal/rt"
@@ -60,7 +59,9 @@ type RunConfig struct {
 	HistoryDir string
 }
 
-// RunResult is the verdict of one run.
+// RunResult is the verdict of one run: what the history and the nodes'
+// counters showed, and whether every check judge derives from the
+// schedule held.
 type RunResult struct {
 	Schedule string `json:"schedule"`
 	Seed     int64  `json:"seed"`
@@ -68,22 +69,65 @@ type RunResult struct {
 	OpsOK    int    `json:"ops_ok"`
 	OpsFail  int    `json:"ops_fail"`
 	OpsInfo  int    `json:"ops_info"`
-	Crashes  int    `json:"crashes"`
-	// Media-fault layer totals, summed over the nodes still up at the end
-	// of the run (Parity schedules; a counter dies with its incarnation,
-	// so repairs made by a later-crashed process are not re-counted).
-	PagesRepaired      uint64   `json:"pages_repaired,omitempty"`
-	MediaUnrecoverable uint64   `json:"media_unrecoverable,omitempty"`
-	LinzOK             bool     `json:"linz_ok"`
-	Violations         []string `json:"violations,omitempty"`
-	StatesVisited      int      `json:"states_visited"`
-	ExpectViolation    bool     `json:"expect_violation"`
-	// Ok means the checker's verdict matched the schedule's expectation
-	// and the run moved real traffic.
+	PutsOK   int    `json:"puts_ok"`
+	// SweepFails counts reads of the final read-back sweep that did not
+	// come back ok.
+	SweepFails int `json:"sweep_fails"`
+	Crashes    int `json:"crashes"`
+	// Nemesis firings: shard kills, corruptions by class, and the faults
+	// the flaky injector put on every wrapped client conn.
+	Kills     int    `json:"kills,omitempty"`
+	BitFlips  int    `json:"bit_flips,omitempty"`
+	TornPages int    `json:"torn_pages,omitempty"`
+	NetFaults uint64 `json:"net_faults,omitempty"`
+	// CrashSamples holds what each ActCrash of a primary with a live
+	// replica read just before the kill.
+	CrashSamples []CrashSample `json:"crash_samples,omitempty"`
+	// Counters summed over the nodes still up at the end of the run (a
+	// counter dies with its incarnation). PromotionsExported comes from
+	// each node's metrics registry; it is -1 when a replicated node does
+	// not export its promotion series.
+	Restarts           uint64 `json:"restarts,omitempty"`
+	Promotions         uint64 `json:"promotions"`
+	PromotionsExported int64  `json:"promotions_exported"`
+	// Media counters from each node's registry, summed over every
+	// incarnation: an ActCrash reads them just before the kill, so a
+	// repair the scrubber made before a crash still counts.
+	PagesRepaired      uint64 `json:"pages_repaired,omitempty"`
+	MediaUnrecoverable uint64 `json:"media_unrecoverable,omitempty"`
+	// RecoveryRepairs sums the pages each restarted node reconstructed
+	// from parity while opening its stores: the crash-recovery repair
+	// path, read as the restart returns.
+	RecoveryRepairs uint64 `json:"recovery_repairs,omitempty"`
+	// ReplLag is the primary's replication lag once the sweep's wait for
+	// it to drain ended (0 with no live replica).
+	ReplLag uint64 `json:"repl_lag"`
+	// ActionErrors lists scripted actions that could not fire.
+	ActionErrors     []string `json:"action_errors,omitempty"`
+	CheckerExhausted bool     `json:"checker_exhausted,omitempty"`
+	LinzOK           bool     `json:"linz_ok"`
+	Violations       []string `json:"violations,omitempty"`
+	StatesVisited    int      `json:"states_visited"`
+	ExpectViolation  bool     `json:"expect_violation"`
+	// Ok means every check of the verdict held; Detail names each one
+	// that did not.
 	Ok          bool   `json:"ok"`
 	Detail      string `json:"detail,omitempty"`
 	HistoryPath string `json:"history_path,omitempty"`
 	History     []byte `json:"-"`
+
+	notes []string // informational, appended to Detail
+}
+
+// CrashSample is what an ActCrash reads off a primary with a live replica
+// the instant before it kills it: the primary's held-ack discipline, and
+// the replication work its replica did.
+type CrashSample struct {
+	Node         string `json:"node"`
+	DegradedAcks uint64 `json:"degraded_acks"`
+	TimeoutAcks  uint64 `json:"timeout_acks"`
+	Pulls        uint64 `json:"pulls"`
+	Applies      uint64 `json:"applies"`
 }
 
 // node is one simulated server process: its identity, its retained
@@ -98,6 +142,8 @@ type node struct {
 	// cluster topology only:
 	clusterStore pmem.Store
 	bootstrap    *cluster.Map
+	// reg outlives incarnations: each restart rebinds its series.
+	reg *obs.Registry
 
 	srv *server.Server
 	up  bool
@@ -121,12 +167,15 @@ type sim struct {
 	gateShard map[uint64]uint32
 	gateMax   map[uint32]uint64
 
-	flaky      *flaky.Config
-	flakyConns uint64
+	flaky *flaky.Config
+	conns []*flaky.Conn // every wrapped client conn, for the fault count
 
-	// corruptN counts ActCorrupt firings: it alternates the fault class
-	// and salts the per-firing corruption RNG, so every firing is
-	// deterministic in (seed, firing index) alone.
+	// res collects the nemesis firings as they happen. Its Kills picks
+	// the shard each ActKillShard hits; corruptN counts ActCorrupt
+	// firings: it alternates the fault class and salts the per-firing
+	// corruption RNG, so every firing is deterministic in (seed, firing
+	// index) alone.
+	res      *RunResult
 	corruptN uint64
 
 	rebalWG  sync.WaitGroup
@@ -156,6 +205,7 @@ func Run(rc RunConfig) (*RunResult, error) {
 		nodes:     make(map[string]*node),
 		gateShard: make(map[uint64]uint32),
 		gateMax:   make(map[uint32]uint64),
+		res:       &RunResult{Schedule: sched.Name, Seed: rc.Seed, ExpectViolation: sched.ExpectViolation},
 	}
 	s.hist = NewHistory(s.vc)
 	if sched.Flaky {
@@ -195,33 +245,37 @@ func Run(rc RunConfig) (*RunResult, error) {
 	if ops == nil {
 		ops = s.generateOps()
 	}
-	acts := append([]Action(nil), sched.Actions...)
-	sort.SliceStable(acts, func(i, j int) bool { return acts[i].AfterOp < acts[j].AfterOp })
+	acts := sortedActions(sched)
 
-	var detail []string
+	res := s.res
 	ai := 0
+	fire := func(a Action) {
+		if msg := s.fire(a); msg != "" {
+			res.ActionErrors = append(res.ActionErrors, msg)
+		}
+	}
 	for i, op := range ops {
 		for ai < len(acts) && acts[ai].AfterOp <= i {
-			if msg := s.fire(acts[ai]); msg != "" {
-				detail = append(detail, msg)
-			}
+			fire(acts[ai])
 			ai++
 		}
 		s.step(clients[s.rng.Intn(len(clients))], op)
 	}
-	for ai < len(acts) {
-		if msg := s.fire(acts[ai]); msg != "" {
-			detail = append(detail, msg)
+	for ; ai < len(acts); ai++ {
+		fire(acts[ai])
+	}
+	// The read-back sweep: every link healed, every key read once, so the
+	// checker judges each acknowledged write against a read of its key.
+	fire(Action{Kind: ActHealAll})
+	for k := 0; k < sched.Keys; k++ {
+		if s.step(clients[k%len(clients)], OpSpec{Kind: OpGet, Key: k}) != "ok" {
+			res.SweepFails++
 		}
-		ai++
 	}
+	s.drainLag()
+	s.collect()
 
-	res := &RunResult{
-		Schedule:        sched.Name,
-		Seed:            rc.Seed,
-		ExpectViolation: sched.ExpectViolation,
-		History:         s.hist.JSONL(),
-	}
+	res.History = s.hist.JSONL()
 	for _, e := range s.hist.Events() {
 		res.Events++
 		switch e.Type {
@@ -231,20 +285,14 @@ func Run(rc RunConfig) (*RunResult, error) {
 			switch e.Outcome {
 			case "ok":
 				res.OpsOK++
+				if e.Op == "put" {
+					res.PutsOK++
+				}
 			case "fail":
 				res.OpsFail++
 			case "info":
 				res.OpsInfo++
 			}
-		}
-	}
-	for _, n := range s.nodes {
-		if !n.up {
-			continue
-		}
-		for _, sh := range n.srv.CollectStats().PerShard {
-			res.PagesRepaired += sh.PagesRepaired
-			res.MediaUnrecoverable += sh.MediaUnrecoverable
 		}
 	}
 	if rc.HistoryDir != "" {
@@ -253,13 +301,13 @@ func Run(rc RunConfig) (*RunResult, error) {
 		if werr := os.WriteFile(path, res.History, 0o644); werr == nil {
 			res.HistoryPath = path
 		} else {
-			detail = append(detail, fmt.Sprintf("history write: %v", werr))
+			res.notes = append(res.notes, fmt.Sprintf("history write: %v", werr))
 		}
 	}
 
 	s.rebalMu.Lock()
 	if s.rebalErr != "" {
-		detail = append(detail, s.rebalErr)
+		res.notes = append(res.notes, s.rebalErr)
 	}
 	s.rebalMu.Unlock()
 
@@ -271,22 +319,74 @@ func Run(rc RunConfig) (*RunResult, error) {
 	res.LinzOK = check.Ok
 	res.Violations = check.Violations
 	res.StatesVisited = check.Visited
+	res.CheckerExhausted = check.Exhausted
+	res.judge(expect(sched))
+	return res, nil
+}
 
-	res.Ok = res.OpsOK > 0 && !check.Exhausted && check.Ok == !sched.ExpectViolation
-	if !res.Ok {
+// drainLag waits, on wall time, for every primary with a live replica to
+// see its replication lag reach zero, and records what is left.
+func (s *sim) drainLag() {
+	for _, name := range s.order {
+		p := s.primaryOf(s.nodes[name])
+		if p == nil {
+			continue
+		}
+		lag := func() uint64 { return p.srv.CollectStats().ReplLagRecords }
+		_ = waitUntil(barrierWait, func() bool { return lag() == 0 })
+		s.res.ReplLag += lag()
+	}
+}
+
+// primaryOf returns the live primary that rep, a live replica, follows;
+// nil when rep is no such replica.
+func (s *sim) primaryOf(rep *node) *node {
+	p := s.nodes[rep.follow]
+	if !rep.roleReplica || !rep.up || p == nil || !p.up ||
+		rep.srv.Role() != server.RoleReplica || p.srv.Role() != server.RolePrimary {
+		return nil
+	}
+	return p
+}
+
+// readMedia adds the media counters n's registry holds for its current
+// incarnation to the result, and returns every series it read.
+func (s *sim) readMedia(n *node) map[string]uint64 {
+	series := make(map[string]uint64)
+	for _, se := range n.reg.Snapshot().Series {
+		series[se.Name] = uint64(se.Value)
+	}
+	s.res.PagesRepaired += series["pages_repaired_total"]
+	s.res.MediaUnrecoverable += series["unrecoverable_total"]
+	return series
+}
+
+// collect sums the counters of the nodes still up, and the faults the
+// flaky injector put on the client conns.
+func (s *sim) collect() {
+	res := s.res
+	for _, name := range s.order {
+		n := s.nodes[name]
+		if !n.up {
+			continue
+		}
+		st := n.srv.CollectStats()
+		res.Promotions += st.Promotions
+		for _, sh := range st.PerShard {
+			res.Restarts += sh.Restarts
+		}
+		v, ok := s.readMedia(n)["server_promotions_total"]
 		switch {
-		case res.OpsOK == 0:
-			detail = append(detail, "no operation succeeded")
-		case check.Exhausted:
-			detail = append(detail, "checker state cap exceeded")
-		case sched.ExpectViolation:
-			detail = append(detail, "expected a durable-linearizability violation; history checked clean")
-		default:
-			detail = append(detail, "history is not durably linearizable")
+		case st.Role == "standalone":
+		case !ok:
+			res.PromotionsExported = -1
+		case res.PromotionsExported >= 0:
+			res.PromotionsExported += int64(v)
 		}
 	}
-	res.Detail = strings.Join(detail, "; ")
-	return res, nil
+	for _, c := range s.conns {
+		res.NetFaults += c.Drops.Load() + c.Truncs.Load() + c.Delays.Load()
+	}
 }
 
 func (s *sim) teardown() {
@@ -301,7 +401,7 @@ func (s *sim) teardown() {
 // --- topology setup ---
 
 func (s *sim) newNode(name string) *node {
-	n := &node{name: name}
+	n := &node{name: name, reg: obs.NewRegistry()}
 	for i := 0; i < simShards; i++ {
 		n.stores = append(n.stores, pmem.NewMemStore())
 		n.logStores = append(n.logStores, pmem.NewMemStore())
@@ -324,6 +424,7 @@ func (s *sim) config(n *node) server.Config {
 		CheckpointEvery: -1,
 		LogFlushEvery:   1,
 		Clock:           s.vc,
+		Reg:             n.reg,
 		AckTimeout:      simAckTimeout,
 		ReplLiveWindow:  simReplLive,
 		StoreFor:        func(i int) pmem.Store { return n.stores[i] },
@@ -483,6 +584,12 @@ func (s *sim) fire(a Action) string {
 		if n == nil || !n.up {
 			return "crash: node " + a.Node + " not up"
 		}
+		for _, name := range s.order {
+			if rep := s.nodes[name]; s.primaryOf(rep) == n {
+				s.res.CrashSamples = append(s.res.CrashSamples, sample(n, rep))
+			}
+		}
+		s.readMedia(n)
 		s.hist.Crash(n.name)
 		n.srv.Abort()
 		n.up = false
@@ -507,6 +614,9 @@ func (s *sim) fire(a Action) string {
 		if err := s.start(n); err != nil {
 			return err.Error()
 		}
+		for _, sh := range n.srv.CollectStats().PerShard {
+			s.res.RecoveryRepairs += sh.PagesRepaired
+		}
 		s.hist.Nemesis(n.name, "restart")
 		time.Sleep(settleWall)
 	case ActCorrupt:
@@ -521,9 +631,9 @@ func (s *sim) fire(a Action) string {
 		if err := n.srv.Checkpoint(); err != nil {
 			return "corrupt " + a.Node + ": checkpoint: " + err.Error()
 		}
-		class, label := fault.BitFlip, "bitflip"
+		class, label, count := fault.BitFlip, "bitflip", &s.res.BitFlips
 		if s.corruptN%2 == 1 {
-			class, label = fault.Torn, "torn-page"
+			class, label, count = fault.Torn, "torn-page", &s.res.TornPages
 		}
 		rng := fault.NewRand(uint64(s.seed)<<8 ^ 0xC0FFEE ^ s.corruptN)
 		s.corruptN++
@@ -552,8 +662,22 @@ func (s *sim) fire(a Action) string {
 		if hit == 0 {
 			return "corrupt " + a.Node + ": no checkpointed image to damage"
 		}
+		*count++
 		s.hist.Nemesis(n.name, fmt.Sprintf("corrupt %s x%d", label, hit))
 		time.Sleep(settleWall)
+	case ActKillShard:
+		n := s.nodes[a.Node]
+		if n == nil || !n.up {
+			return "kill-shard: node " + a.Node + " not up"
+		}
+		// InjectPanic returns once the supervisor has restarted the worker,
+		// so nothing is left to settle.
+		shard := s.res.Kills % simShards
+		s.res.Kills++
+		s.hist.Nemesis(n.name, fmt.Sprintf("kill-shard %d", shard))
+		if err := n.srv.InjectPanic(shard); err != nil {
+			return "kill-shard " + a.Node + ": " + err.Error()
+		}
 	case ActWaitRole:
 		n := s.nodes[a.Node]
 		if err := waitUntil(barrierWait, func() bool {
@@ -602,6 +726,22 @@ func (s *sim) fire(a Action) string {
 	return ""
 }
 
+// sample reads a primary's held-ack discipline and its replica's
+// replication work.
+func sample(p, rep *node) CrashSample {
+	c := CrashSample{Node: p.name}
+	for _, sh := range p.srv.CollectStats().PerShard {
+		if sh.Repl != nil {
+			c.DegradedAcks += sh.Repl.DegradedAcks
+			c.TimeoutAcks += sh.Repl.TimeoutAcks
+		}
+	}
+	if fs := rep.srv.CollectStats().Follower; fs != nil {
+		c.Pulls, c.Applies = fs.Pulls, fs.Applied
+	}
+	return c
+}
+
 func (s *sim) noteRebal(msg string) {
 	s.rebalMu.Lock()
 	s.rebalErr = msg
@@ -643,26 +783,32 @@ func (s *sim) generateOps() []OpSpec {
 
 func keyFor(idx int) uint64 { return uint64(1000 + idx) }
 
-func (s *sim) step(cl *simClient, op OpSpec) {
+// step runs one client operation, records it, and returns its outcome.
+func (s *sim) step(cl *simClient, op OpSpec) string {
 	key := keyFor(op.Key)
 	keyStr := strconv.Itoa(op.Key)
+	var outcome string
 	switch op.Kind {
 	case OpPut:
 		s.val++
 		v := s.val
 		s.hist.Invoke(cl.id, "put", keyStr, v)
-		outcome := cl.put(key, v)
+		outcome = cl.put(key, v)
 		s.hist.Return(cl.id, "put", keyStr, v, false, outcome)
 	case OpDelete:
 		s.hist.Invoke(cl.id, "delete", keyStr, 0)
-		found, outcome := cl.del(key)
+		var found bool
+		found, outcome = cl.del(key)
 		s.hist.Return(cl.id, "delete", keyStr, 0, found, outcome)
 	default:
 		s.hist.Invoke(cl.id, "get", keyStr, 0)
-		v, found, outcome := cl.get(key)
+		var v uint64
+		var found bool
+		v, found, outcome = cl.get(key)
 		s.hist.Return(cl.id, "get", keyStr, v, found, outcome)
 	}
 	s.vc.Advance(opTick)
+	return outcome
 }
 
 func (s *sim) noteGate(key uint64, shard uint32, seq uint64) {
@@ -746,9 +892,10 @@ func (s *sim) dialFrom(from, addr string) (net.Conn, error) {
 	}
 	if s.flaky != nil {
 		sub := *s.flaky
-		s.flakyConns++
-		sub.Seed = s.flaky.Seed + 0x9e3779b97f4a7c15*s.flakyConns
-		return flaky.Wrap(nc, sub), nil
+		sub.Seed = s.flaky.Seed + 0x9e3779b97f4a7c15*uint64(len(s.conns)+1)
+		fc := flaky.Wrap(nc, sub)
+		s.conns = append(s.conns, fc)
+		return fc, nil
 	}
 	return nc, nil
 }

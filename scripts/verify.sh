@@ -50,18 +50,12 @@ cover_gate cpu 80
 cover_gate mem 80
 cover_gate minc 80
 
-# Resilience leg: the recovery ladder over every cause and kind of damage,
-# then repeated shard kills plus flaky-network faults must lose zero acked
-# writes and return the service to a zero error rate without a process
-# restart.
-go test -race -run 'TestResilienceSmoke|Ladder|Residue' ./internal/bench/ ./internal/server/
-go run ./cmd/nvbench -experiment resilience -quick
-
-# Replication leg: primary killed mid-stream under flaky-network YCSB load —
-# zero acked-write loss on the promoted replica, with the held-ack
-# discipline that makes the check sound, and lag draining to zero in place.
-go test -race -run 'TestReplicationSmoke' ./internal/bench/
-go run ./cmd/nvbench -experiment replication -quick
+# Resilience leg: the recovery ladder over every cause and kind of damage.
+# Shard kills under a flaky network (flaky-steady), the primary killed
+# mid-stream under a flaky network (crash-failover-restart) and media
+# corruption under load (corrupt-under-load) are sim schedules: the
+# simulation leg below replays and judges them.
+go test -race -run 'Ladder|Residue' ./internal/server/
 
 # Cluster leg: a node joins a loaded cluster through a flaky network, at
 # least one slot migrates live, clients follow MOVED redirects by
@@ -71,26 +65,28 @@ go test -race -run 'TestClusterSmoke' ./internal/bench/
 go run ./cmd/nvbench -experiment cluster -quick
 
 # Simulation leg: the harness and checker are what the consistency verdicts
-# rest on; the gate wants byte-identical same-seed replay, the unfenced
+# rest on; the gate wants byte-identical same-seed replay of every schedule
+# a gate rests on (repeated under the race detector), the unfenced
 # split-brain flagged while the fenced one passes, and a fixed-seed nemesis
-# matrix (partitions, crash-restarts, a mid-migration kill) with zero
-# violations.
+# matrix (partitions, crash-restarts, failover and shard kills under a
+# flaky network, media corruption, a mid-migration kill) whose every run
+# passes its verdict: durable linearizability plus the counters its script
+# implies — restarts per shard kill, injected net faults, pages repaired,
+# promotions, a clean held-ack discipline, lag drained, a clean read-back.
 cover_gate sim 80
+go test -race -count=2 -run 'TestSchedules|TestDeterminism' ./internal/sim/
 go run ./cmd/nvbench -experiment sim -quick
 
 # Media leg: the parity layer and the pool images under it (the
 # incremental checkpoint, the sidecar record, repair) are what the in-place
-# repair promise rests on; then the repair round-trips across pmem, the
-# serving tier and the simulator, and the gate: bit flips and torn pages in
-# the live primary's pool images under load, every damaged page
-# reconstructed from parity with zero acked-write loss, zero client-visible
-# errors, zero promotions.
+# repair promise rests on; then the repair round-trips across pmem and the
+# serving tier. The gate under load — bit flips and torn pages repaired
+# from parity with zero acked-write loss, zero client-visible errors, zero
+# promotions — is corrupt-under-load in the simulation leg.
 cover_gate parity 80
 cover_gate pmem 80
 go test -race -run 'Media|Corrupt|Parity|Sidecar|Torn' \
-	./internal/pmem/ ./internal/server/ ./internal/sim/
-go test -race -run 'TestMediaSmoke' ./internal/bench/
-go run ./cmd/nvbench -experiment media -quick
+	./internal/pmem/ ./internal/server/
 
 # Checkpoint leg: store-time dirty tags, the two images a pool checkpoint
 # patches in place, and the periodic save the serving tier runs beside the

@@ -6,11 +6,14 @@ package cpu
 // checks the SW scheme inserts is what drives the misprediction blow-up the
 // paper's Figure 13 reports, so the mechanism is modelled rather than
 // assumed.
+//
+// The update is branch-free: the next counter comes from a table and the
+// outcome is a bit, so the host does not branch on the simulated outcome.
 type branchPredictor struct {
 	counters []uint8
+	idxMask  uint64 // len(counters)-1
+	histMask uint64 // the low histBits bits
 	history  uint64
-	histBits uint
-	Stats    BranchStats
 }
 
 // BranchStats counts predictor outcomes.
@@ -19,34 +22,29 @@ type BranchStats struct {
 	Mispredicts uint64
 }
 
-func newBranchPredictor(tableBits, histBits uint) *branchPredictor {
-	return &branchPredictor{
+// ctrNext is the saturating counter's next state, indexed by
+// counter<<1 | taken.
+var ctrNext = [8]uint8{0, 1, 0, 2, 1, 3, 2, 3}
+
+// newBranchPredictor builds a cold predictor; the sizes are those of a
+// Config that passed Validate.
+func newBranchPredictor(tableBits, histBits uint) branchPredictor {
+	return branchPredictor{
 		counters: make([]uint8, 1<<tableBits),
-		histBits: histBits,
+		idxMask:  1<<tableBits - 1,
+		histMask: 1<<histBits - 1,
 	}
 }
 
 // predict consumes one conditional branch at the given site with the given
-// outcome and reports whether the predictor mispredicted it.
-func (b *branchPredictor) predict(site uint64, taken bool) bool {
-	mask := uint64(len(b.counters) - 1)
-	idx := (site ^ b.history) & mask
+// outcome and returns 1 if the predictor mispredicted it, 0 if not.
+func (b *branchPredictor) predict(site uint64, taken bool) uint64 {
+	t := boolBit(taken)
+	idx := (site ^ b.history) & b.idxMask
 	ctr := b.counters[idx]
-	predictedTaken := ctr >= 2
-
-	if taken && ctr < 3 {
-		b.counters[idx] = ctr + 1
-	} else if !taken && ctr > 0 {
-		b.counters[idx] = ctr - 1
-	}
-	b.history = ((b.history << 1) | boolBit(taken)) & ((1 << b.histBits) - 1)
-
-	b.Stats.Branches++
-	mispredicted := predictedTaken != taken
-	if mispredicted {
-		b.Stats.Mispredicts++
-	}
-	return mispredicted
+	b.counters[idx] = ctrNext[(uint64(ctr)<<1|t)&7] // &7: no bounds check
+	b.history = (b.history<<1 | t) & b.histMask
+	return uint64(ctr>>1) ^ t
 }
 
 func boolBit(v bool) uint64 {

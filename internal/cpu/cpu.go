@@ -62,9 +62,17 @@ func DefaultConfig() Config {
 	}
 }
 
+// Limits on the predictor geometry: a table of 1<<maxPredictorBits
+// counters (16 MiB) is the largest the model allocates, and the global
+// history is a shift register in one word.
+const (
+	maxPredictorBits = 24
+	maxHistoryBits   = 63
+)
+
 // Validate reports the first field the model cannot index: a LineSize or
-// TLB.PageSize that is not a power of two, or a Sets or Ways count that is
-// not positive.
+// TLB.PageSize that is not a power of two, a Sets or Ways count that is
+// not positive, or a PredictorBits or HistoryBits beyond its limit.
 func (cfg Config) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -89,6 +97,17 @@ func (cfg Config) Validate() error {
 	} {
 		if f.v == 0 || f.v&(f.v-1) != 0 {
 			return fmt.Errorf("cpu: %s = %d, want a power of two", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name   string
+		v, max uint
+	}{
+		{"PredictorBits", cfg.PredictorBits, maxPredictorBits},
+		{"HistoryBits", cfg.HistoryBits, maxHistoryBits},
+	} {
+		if f.v > f.max {
+			return fmt.Errorf("cpu: %s = %d, want <= %d", f.name, f.v, f.max)
 		}
 	}
 	return nil
@@ -143,8 +162,14 @@ type CPU struct {
 	cfg          Config
 	l1, l2, l3   cache
 	tlbL1, tlbL2 cache
-	bp           *branchPredictor
+	bp           branchPredictor
 	pf           *prefetcher // nil unless EnablePrefetcher is called
+
+	// memoPage and memoLine are the TLB page and L1 line of the previous
+	// access. memoOK is false after a flush and while a prefetcher is
+	// attached (its covered/observe must see every access).
+	memoPage, memoLine uint64
+	memoOK             bool
 
 	Stats Stats
 }
@@ -175,6 +200,7 @@ func (c *CPU) Config() Config { return c.cfg }
 // paper's does.
 func (c *CPU) EnablePrefetcher(cfg PrefetcherConfig) {
 	c.pf = newPrefetcher(cfg)
+	c.memoOK = false
 }
 
 // Prefetch returns the prefetcher statistics (zero value when disabled).
@@ -206,6 +232,19 @@ func (c *CPU) Store(va uint64) {
 func (c *CPU) memAccess(va uint64) {
 	c.Stats.Instructions++
 	c.Stats.Cycles++ // the access instruction itself
+
+	// The previous access left its page MRU in the L1 TLB and its line MRU
+	// in L1, and an MRU hit moves nothing: the same page and line again
+	// only counts the two hits. Both are keyed, because a page may be
+	// smaller than a line.
+	page, line := va>>c.tlbL1.lineShift, va>>c.l1.lineShift
+	if page == c.memoPage && line == c.memoLine && c.memoOK {
+		c.Stats.TLB.L1Hits++
+		c.Stats.L1.Hits++
+		c.Stats.Cycles += c.cfg.L1.Latency
+		return
+	}
+	c.memoPage, c.memoLine, c.memoOK = page, line, c.pf == nil
 
 	covered := false
 	if c.pf != nil {
@@ -254,12 +293,11 @@ func (c *CPU) memAccess(va uint64) {
 
 // Branch replays one conditional branch identified by its static site.
 func (c *CPU) Branch(site uint64, taken bool) {
+	miss := c.bp.predict(site, taken)
 	c.Stats.Instructions++
-	c.Stats.Cycles++
-	if c.bp.predict(site, taken) {
-		c.Stats.Cycles += c.cfg.MispredictPenalty
-	}
-	c.Stats.Branch = c.bp.Stats
+	c.Stats.Cycles += 1 + miss*c.cfg.MispredictPenalty
+	c.Stats.Branch.Branches++
+	c.Stats.Branch.Mispredicts += miss
 }
 
 // AddTranslationCycles credits stalls from the POLB/VALB structures.
@@ -270,6 +308,7 @@ func (c *CPU) AddTranslationCycles(n uint64) {
 
 // FlushCaches empties the caches and TLBs (used between benchmark phases).
 func (c *CPU) FlushCaches() {
+	c.memoOK = false
 	c.l1.flush()
 	c.l2.flush()
 	c.l3.flush()

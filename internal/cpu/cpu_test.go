@@ -241,12 +241,46 @@ func (c *refCache) flush() {
 	}
 }
 
+// refPredictor is the gshare predictor written the plain way: a table of
+// 2-bit saturating counters indexed by the site hashed with the global
+// history, updated with a branch per case. The branch-free predictor must
+// mispredict exactly where it does.
+type refPredictor struct {
+	counters []uint8
+	history  uint64
+	histBits uint
+	Stats    BranchStats
+}
+
+func (b *refPredictor) predict(site uint64, taken bool) bool {
+	mask := uint64(len(b.counters) - 1)
+	idx := (site ^ b.history) & mask
+	ctr := b.counters[idx]
+	predictedTaken := ctr >= 2
+	if taken && ctr < 3 {
+		b.counters[idx] = ctr + 1
+	} else if !taken && ctr > 0 {
+		b.counters[idx] = ctr - 1
+	}
+	bit := uint64(0)
+	if taken {
+		bit = 1
+	}
+	b.history = ((b.history << 1) | bit) & ((1 << b.histBits) - 1)
+	b.Stats.Branches++
+	mispredicted := predictedTaken != taken
+	if mispredicted {
+		b.Stats.Mispredicts++
+	}
+	return mispredicted
+}
+
 // refCPU is memAccess over refCaches: the plain model whose counts the CPU
 // must reproduce exactly.
 type refCPU struct {
 	cfg                      Config
 	l1, l2, l3, tlbL1, tlbL2 *refCache
-	bp                       *branchPredictor
+	bp                       *refPredictor
 	pf                       *prefetcher
 	Stats                    Stats
 }
@@ -259,7 +293,7 @@ func newRefCPU(cfg Config) *refCPU {
 		l3:    newRefCache(cfg.L3),
 		tlbL1: newRefCache(CacheConfig{Sets: cfg.TLB.L1Sets, Ways: cfg.TLB.L1Ways, LineSize: cfg.TLB.PageSize}),
 		tlbL2: newRefCache(CacheConfig{Sets: cfg.TLB.L2Sets, Ways: cfg.TLB.L2Ways, LineSize: cfg.TLB.PageSize}),
-		bp:    newBranchPredictor(cfg.PredictorBits, cfg.HistoryBits),
+		bp:    &refPredictor{counters: make([]uint8, 1<<cfg.PredictorBits), histBits: cfg.HistoryBits},
 	}
 }
 
@@ -393,7 +427,11 @@ func TestCPUMatchesOracle(t *testing.T) {
 	odd.L2.Sets = 384
 	smallPage := DefaultConfig()
 	smallPage.TLB.PageSize = 32 // smaller than an L1 line
-	for name, cfg := range map[string]Config{"default": DefaultConfig(), "odd": odd, "small-page": smallPage} {
+	predictor := DefaultConfig()
+	predictor.PredictorBits, predictor.HistoryBits = 4, 12 // history wider than the index
+	for name, cfg := range map[string]Config{
+		"default": DefaultConfig(), "odd": odd, "small-page": smallPage, "predictor": predictor,
+	} {
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
 			c, ref := New(cfg), newRefCPU(cfg)
@@ -464,10 +502,25 @@ func TestValidateNamesField(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("DefaultConfig: %v", err)
 	}
-	bad := DefaultConfig()
-	bad.TLB.PageSize = 0
-	if err := bad.Validate(); err == nil || err.Error() != "cpu: TLB.PageSize = 0, want a power of two" {
-		t.Errorf("PageSize 0: %v", err)
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+		want string
+	}{
+		{"PageSize 0", func(c *Config) { c.TLB.PageSize = 0 }, "cpu: TLB.PageSize = 0, want a power of two"},
+		{"PredictorBits 63", func(c *Config) { c.PredictorBits = 63 }, "cpu: PredictorBits = 63, want <= 24"},
+		{"HistoryBits 64", func(c *Config) { c.HistoryBits = 64 }, "cpu: HistoryBits = 64, want <= 63"},
+	} {
+		bad := DefaultConfig()
+		c.edit(&bad)
+		if err := bad.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: %v, want %q", c.name, err, c.want)
+		}
+	}
+	top := DefaultConfig()
+	top.PredictorBits, top.HistoryBits = maxPredictorBits, maxHistoryBits
+	if err := top.Validate(); err != nil {
+		t.Errorf("largest predictor: %v", err)
 	}
 }
 
@@ -492,6 +545,32 @@ func BenchmarkMemAccess(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				c.Load(s.addr(uint64(i)))
+			}
+		})
+	}
+}
+
+// BenchmarkBranch times one simulated branch on the default machine for two
+// outcome streams over 64 sites: biased (each site taken 15 times in 16,
+// which the predictor learns) and random (xorshift outcomes, which it
+// cannot).
+func BenchmarkBranch(b *testing.B) {
+	for _, s := range []struct {
+		name  string
+		taken func(x uint64) bool
+	}{
+		{"biased", func(x uint64) bool { return x&15 != 0 }},
+		{"random", func(x uint64) bool { return x&1 == 0 }},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			c := New(DefaultConfig())
+			x := uint64(0x9e3779b97f4a7c15)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				c.Branch(uint64(i)&63, s.taken(x))
 			}
 		})
 	}

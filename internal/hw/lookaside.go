@@ -38,6 +38,9 @@ func newLRUBuffer[K comparable, V any](capacity int) *lruBuffer[K, V] {
 }
 
 func (b *lruBuffer[K, V]) get(k K) (V, bool) {
+	if len(b.keys) > 0 && b.keys[0] == k {
+		return b.vals[0], true // MRU hit: nothing moves
+	}
 	for i, key := range b.keys {
 		if key == k {
 			b.touch(i)

@@ -151,3 +151,27 @@ func TestStorePUnitStatsAccumulate(t *testing.T) {
 		t.Errorf("MaxOccupancy = %d (single-issue model)", u.Stats.MaxOccupancy)
 	}
 }
+
+// BenchmarkPOLBLookup times one POLB translation for three pool-ID
+// streams: one pool over and over (an MRU hit), four pools in turn (a hit
+// a few slots down), and more pools than the buffer holds in turn (every
+// lookup a miss and a walk).
+func BenchmarkPOLBLookup(b *testing.B) {
+	for _, s := range []struct {
+		name  string
+		pools uint32
+	}{{"same-pool", 1}, {"4-pools", 4}, {"thrash", DefaultPOLBEntries + 8}} {
+		b.Run(s.name, func(b *testing.B) {
+			m := NewMMU()
+			for id := uint32(1); id <= s.pools; id++ {
+				m.AttachPool(RangeEntry{Base: nvmBit | uint64(id)<<24, Size: 1 << 20, ID: id})
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.RA2VA(core.MakeRelative(uint32(i)%s.pools+1, 8)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

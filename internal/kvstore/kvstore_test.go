@@ -183,3 +183,38 @@ func TestScanVisit(t *testing.T) {
 		t.Errorf("ScanVisit = %d, keys %v", n, got)
 	}
 }
+
+// BenchmarkRBUnderHWCall times one call of the serving tier's engine — the
+// RB index under the HW model — over the ycsb.PaperSpec stream, the loop
+// whose per-call host latency embedded_paper reports as p50_us. The load
+// phase runs outside the timer; a run longer than the stream reloads a
+// fresh store and starts the stream over.
+func BenchmarkRBUnderHWCall(b *testing.B) {
+	w := ycsb.Generate(ycsb.PaperSpec())
+	var s *Store
+	load := func() {
+		if s != nil {
+			s.Close()
+		}
+		s = New(rt.MustNew(rt.HW), func(c *rt.Context) structures.Index { return structures.NewRB(c) })
+		for _, kv := range w.Load {
+			s.Set(kv.Key, kv.Value)
+		}
+	}
+	load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(w.Ops)
+		if j == 0 && i > 0 {
+			b.StopTimer()
+			load()
+			b.StartTimer()
+		}
+		if op := w.Ops[j]; op.Type == ycsb.Get {
+			s.Get(op.Key)
+		} else {
+			s.Set(op.Key, op.Value)
+		}
+	}
+}

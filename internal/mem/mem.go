@@ -61,7 +61,7 @@ func (r Region) End() uint64 { return r.Base + r.Size }
 func (r Region) contains(va uint64) bool { return va >= r.Base && va < r.End() }
 
 // AddressSpace is a sparse simulated 48-bit virtual address space.
-// The zero value is not usable; construct with New.
+// The zero value is an empty one, the same as New returns.
 //
 // An AddressSpace is used by one goroutine at a time. Reads are no
 // exception: a load backs its page on first touch and memoizes the page
@@ -72,18 +72,36 @@ func (r Region) contains(va uint64) bool { return va >= r.Base && va < r.End() }
 // only the pages written since it last did — FliT's tag-on-store, with
 // one tag per page. Loads never tag.
 type AddressSpace struct {
-	pages   map[uint64]*page // page base -> backing
-	regions []Region         // sorted by Base
+	maps []*mapping // sorted by Base
+	// last is the mapping the previous lookup used, so a run of lookups in
+	// one region skips the search. nil means none; Unmap clears it.
+	last *mapping
 	// dirty holds the base of every tagged page, in the order the tags
 	// were set; a page is in it exactly when its dirty flag is set.
 	dirty []uint64
 	// lastPage is the page at lastBase, the one the previous access used,
 	// and lastBytes its backing, so a run of accesses to one page skips the
-	// map lookup. nil means none; Unmap clears them.
+	// page table. nil means none; Unmap clears them.
 	lastBase  uint64
 	lastBytes *[PageSize]byte
 	lastPage  *page
 }
+
+// chunkPages is how many pages one chunk of a page table covers (2 MiB).
+const chunkPages = 512
+
+// mapping is one mapped region and its page table: a directory with one
+// slot per chunkPages pages of the region, each chunk allocated on the
+// first touch of one of its pages. The directory costs 8 bytes per 2 MiB
+// mapped.
+type mapping struct {
+	Region
+	dir []*chunk
+}
+
+// chunk is one page-table chunk; an entry with nil bytes is a page not
+// yet touched.
+type chunk [chunkPages]page
 
 // page is one backing page and its dirty tag. The bytes are an allocation
 // of their own: with the flag beside them they would take the next,
@@ -93,9 +111,21 @@ type page struct {
 	dirty bool
 }
 
+// entry returns the page-table entry of va, which m contains, allocating
+// its chunk on first touch.
+func (m *mapping) entry(va uint64) *page {
+	i := (va - m.Base) / PageSize
+	c := m.dir[i/chunkPages]
+	if c == nil {
+		c = new(chunk)
+		m.dir[i/chunkPages] = c
+	}
+	return &c[i%chunkPages]
+}
+
 // New returns an empty address space with no mappings.
 func New() *AddressSpace {
-	return &AddressSpace{pages: make(map[uint64]*page)}
+	return &AddressSpace{}
 }
 
 // Map reserves [base, base+size) and backs it with zeroed pages. Both base
@@ -109,31 +139,26 @@ func (a *AddressSpace) Map(base, size uint64, name string) error {
 		return fmt.Errorf("%w: base=%#x size=%#x", ErrOutOfRange, base, size)
 	}
 	nr := Region{Base: base, Size: size, Name: name}
-	for _, r := range a.regions {
-		if nr.Base < r.End() && r.Base < nr.End() {
+	for _, m := range a.maps {
+		if nr.Base < m.End() && m.Base < nr.End() {
 			return fmt.Errorf("%w: new [%#x,%#x) existing %q [%#x,%#x)",
-				ErrOverlap, nr.Base, nr.End(), r.Name, r.Base, r.End())
+				ErrOverlap, nr.Base, nr.End(), m.Name, m.Base, m.End())
 		}
 	}
-	a.regions = append(a.regions, nr)
-	sort.Slice(a.regions, func(i, j int) bool { return a.regions[i].Base < a.regions[j].Base })
+	chunks := (size/PageSize + chunkPages - 1) / chunkPages
+	i := sort.Search(len(a.maps), func(i int) bool { return a.maps[i].Base > base })
+	a.maps = slices.Insert(a.maps, i, &mapping{Region: nr, dir: make([]*chunk, chunks)})
 	return nil
 }
 
 // Unmap removes the region previously mapped at exactly base with exactly
 // size bytes and discards its backing pages.
 func (a *AddressSpace) Unmap(base, size uint64) error {
-	for i, r := range a.regions {
-		if r.Base == base && r.Size == size {
-			a.regions = append(a.regions[:i], a.regions[i+1:]...)
+	for i, m := range a.maps {
+		if m.Base == base && m.Size == size {
 			a.TakeDirty(base, size)
-			// Only touched pages have backing; drop those in range.
-			for p := range a.pages {
-				if p >= base && p < base+size {
-					delete(a.pages, p)
-				}
-			}
-			a.lastBytes, a.lastPage = nil, nil
+			a.maps = slices.Delete(a.maps, i, i+1)
+			a.last, a.lastBytes, a.lastPage = nil, nil, nil
 			return nil
 		}
 	}
@@ -148,17 +173,27 @@ func (a *AddressSpace) Mapped(va uint64) bool {
 
 // RegionAt returns the region containing va, if any.
 func (a *AddressSpace) RegionAt(va uint64) (Region, bool) {
-	i := sort.Search(len(a.regions), func(i int) bool { return a.regions[i].End() > va })
-	if i < len(a.regions) && a.regions[i].contains(va) {
-		return a.regions[i], true
+	if m := a.find(va); m != nil {
+		return m.Region, true
 	}
 	return Region{}, false
 }
 
+// find returns the mapping containing va, or nil.
+func (a *AddressSpace) find(va uint64) *mapping {
+	i := sort.Search(len(a.maps), func(i int) bool { return a.maps[i].End() > va })
+	if i < len(a.maps) && a.maps[i].contains(va) {
+		return a.maps[i]
+	}
+	return nil
+}
+
 // Regions returns a copy of the mapped regions, sorted by base address.
 func (a *AddressSpace) Regions() []Region {
-	out := make([]Region, len(a.regions))
-	copy(out, a.regions)
+	out := make([]Region, len(a.maps))
+	for i, m := range a.maps {
+		out[i] = m.Region
+	}
 	return out
 }
 
@@ -171,19 +206,21 @@ func (a *AddressSpace) page(va uint64) *[PageSize]byte {
 	return a.lookup(va)
 }
 
-// lookup is page past the memo: it finds (or backs) the page and makes it
-// the memo.
+// lookup is page past the memo: it finds (or backs) the page in its
+// region's page table and makes it the memo.
 func (a *AddressSpace) lookup(va uint64) *[PageSize]byte {
-	base := va &^ (PageSize - 1)
-	p, ok := a.pages[base]
-	if !ok {
-		if _, ok := a.RegionAt(va); !ok {
+	m := a.last
+	if m == nil || va-m.Base >= m.Size {
+		if m = a.find(va); m == nil {
 			return nil
 		}
-		p = &page{b: new([PageSize]byte)}
-		a.pages[base] = p
+		a.last = m
 	}
-	a.lastBase, a.lastBytes, a.lastPage = base, p.b, p
+	p := m.entry(va)
+	if p.b == nil {
+		p.b = new([PageSize]byte)
+	}
+	a.lastBase, a.lastBytes, a.lastPage = va&^(PageSize-1), p.b, p
 	return p.b
 }
 
@@ -206,7 +243,7 @@ func (a *AddressSpace) TakeDirty(base, size uint64) []int {
 	keep := a.dirty[:0]
 	for _, pb := range a.dirty {
 		if pb >= base && pb-base < size {
-			a.pages[pb].dirty = false
+			a.find(pb).entry(pb).dirty = false
 			taken = append(taken, int((pb-base)/PageSize))
 		} else {
 			keep = append(keep, pb)
@@ -251,18 +288,19 @@ func (a *AddressSpace) Store8(va uint64, v byte) error {
 	return nil
 }
 
+// The word accessors below take the in-page fast path before any range
+// check: a page that resolves is mapped, so it lies inside the 48-bit space,
+// and an in-page access cannot leave it. Everything else goes through
+// ReadBytes or WriteBytes, which check the range and report an unmapped
+// page.
+
 // Load64 reads a little-endian 64-bit word at va. The access may straddle a
 // page boundary; both pages must be mapped.
 func (a *AddressSpace) Load64(va uint64) (uint64, error) {
-	if err := checkRange(va, 8); err != nil {
-		return 0, err
-	}
 	if off := va % PageSize; off <= PageSize-8 {
-		p := a.page(va)
-		if p == nil {
-			return 0, fmt.Errorf("%w: %#x", ErrUnmapped, va)
+		if p := a.page(va); p != nil {
+			return binary.LittleEndian.Uint64(p[off : off+8]), nil
 		}
-		return binary.LittleEndian.Uint64(p[off : off+8]), nil
 	}
 	var buf [8]byte
 	if err := a.ReadBytes(va, buf[:]); err != nil {
@@ -273,16 +311,11 @@ func (a *AddressSpace) Load64(va uint64) (uint64, error) {
 
 // Store64 writes a little-endian 64-bit word at va.
 func (a *AddressSpace) Store64(va uint64, v uint64) error {
-	if err := checkRange(va, 8); err != nil {
-		return err
-	}
 	if off := va % PageSize; off <= PageSize-8 {
-		p := a.written(va)
-		if p == nil {
-			return fmt.Errorf("%w: %#x", ErrUnmapped, va)
+		if p := a.written(va); p != nil {
+			binary.LittleEndian.PutUint64(p[off:off+8], v)
+			return nil
 		}
-		binary.LittleEndian.PutUint64(p[off:off+8], v)
-		return nil
 	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
@@ -291,17 +324,12 @@ func (a *AddressSpace) Store64(va uint64, v uint64) error {
 
 // Load32 reads a little-endian 32-bit word at va.
 func (a *AddressSpace) Load32(va uint64) (uint32, error) {
-	if err := checkRange(va, 4); err != nil {
-		return 0, err
+	if off := va % PageSize; off <= PageSize-4 {
+		if p := a.page(va); p != nil {
+			return binary.LittleEndian.Uint32(p[off : off+4]), nil
+		}
 	}
 	var buf [4]byte
-	if off := va % PageSize; off <= PageSize-4 {
-		p := a.page(va)
-		if p == nil {
-			return 0, fmt.Errorf("%w: %#x", ErrUnmapped, va)
-		}
-		return binary.LittleEndian.Uint32(p[off : off+4]), nil
-	}
 	if err := a.ReadBytes(va, buf[:]); err != nil {
 		return 0, err
 	}
@@ -310,16 +338,11 @@ func (a *AddressSpace) Load32(va uint64) (uint32, error) {
 
 // Store32 writes a little-endian 32-bit word at va.
 func (a *AddressSpace) Store32(va uint64, v uint32) error {
-	if err := checkRange(va, 4); err != nil {
-		return err
-	}
 	if off := va % PageSize; off <= PageSize-4 {
-		p := a.written(va)
-		if p == nil {
-			return fmt.Errorf("%w: %#x", ErrUnmapped, va)
+		if p := a.written(va); p != nil {
+			binary.LittleEndian.PutUint32(p[off:off+4], v)
+			return nil
 		}
-		binary.LittleEndian.PutUint32(p[off:off+4], v)
-		return nil
 	}
 	var buf [4]byte
 	binary.LittleEndian.PutUint32(buf[:], v)

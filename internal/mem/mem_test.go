@@ -1,8 +1,11 @@
 package mem
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -478,5 +481,224 @@ func BenchmarkStore64(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// refSpace is the address space written the plain way, the model the page
+// table is checked against: regions in a slice, backing pages in a map
+// keyed by page base, dirty tags in a set, and every access page by page.
+type refSpace struct {
+	regions []Region
+	pages   map[uint64]*[PageSize]byte
+	dirty   map[uint64]bool
+}
+
+// regionOf returns the base of the region holding va, or AddressLimit.
+func (r *refSpace) regionOf(va uint64) uint64 {
+	for _, rg := range r.regions {
+		if rg.contains(va) {
+			return rg.Base
+		}
+	}
+	return AddressLimit
+}
+
+func (r *refSpace) mapped(va uint64) bool { return r.regionOf(va) != AddressLimit }
+
+func (r *refSpace) Map(base, size uint64) error {
+	for _, rg := range r.regions {
+		if base < rg.End() && rg.Base < base+size {
+			return ErrOverlap
+		}
+	}
+	r.regions = append(r.regions, Region{Base: base, Size: size})
+	return nil
+}
+
+func (r *refSpace) Unmap(base, size uint64) error {
+	for i, rg := range r.regions {
+		if rg.Base == base && rg.Size == size {
+			r.regions = slices.Delete(r.regions, i, i+1)
+			for pb := range r.pages {
+				if pb >= base && pb < base+size {
+					delete(r.pages, pb)
+					delete(r.dirty, pb)
+				}
+			}
+			return nil
+		}
+	}
+	return ErrNotMapped
+}
+
+// access reads into or writes from buf at va, a page at a time: a write
+// that reaches an unmapped page has written the pages before it.
+func (r *refSpace) access(va uint64, buf []byte, write bool) error {
+	n := uint64(len(buf))
+	if va >= AddressLimit || va+n > AddressLimit || va+n < va {
+		return ErrOutOfRange
+	}
+	for done := uint64(0); done < n; {
+		if !r.mapped(va) {
+			return ErrUnmapped
+		}
+		pb, off := va&^(PageSize-1), va%PageSize
+		p := r.pages[pb]
+		if p == nil {
+			p = new([PageSize]byte)
+			r.pages[pb] = p
+		}
+		c := min(n-done, PageSize-off)
+		if write {
+			copy(p[off:off+c], buf[done:done+c])
+			if IsNVM(va) {
+				r.dirty[pb] = true
+			}
+		} else {
+			copy(buf[done:done+c], p[off:off+c])
+		}
+		done += c
+		va += c
+	}
+	return nil
+}
+
+func (r *refSpace) TakeDirty(base, size uint64) []int {
+	var taken []int
+	for pb := range r.dirty {
+		if pb >= base && pb-base < size {
+			delete(r.dirty, pb)
+			taken = append(taken, int((pb-base)/PageSize))
+		}
+	}
+	slices.Sort(taken)
+	return taken
+}
+
+// errClass reduces an error to the sentinel it wraps.
+func errClass(err error) error {
+	for _, e := range []error{ErrUnmapped, ErrOutOfRange, ErrOverlap, ErrBadRegion, ErrNotMapped} {
+		if errors.Is(err, e) {
+			return e
+		}
+	}
+	return err
+}
+
+// TestPageTableMatchesReference replays random Map, Unmap, Load64,
+// Store64, ReadBytes, WriteBytes, TakeDirty and Restore sequences against
+// refSpace and requires equal values, equal errors and equal dirty sets.
+// The candidate regions are adjacent ones, ones with a gap between them, a
+// region wider than one page-table chunk, and two regions of different
+// sizes at one base, so the same base is mapped again after an Unmap. The
+// test also requires that the sequences reached the cases no other test
+// covers: an access straddling two regions, ErrUnmapped in a gap, and a
+// base mapped again after it was written and unmapped.
+func TestPageTableMatchesReference(t *testing.T) {
+	const lo, hi = uint64(0x100000), NVMBase + 16*PageSize
+	cands := []Region{
+		{Base: lo, Size: 3 * PageSize},
+		{Base: lo + 3*PageSize, Size: 2 * PageSize}, // adjacent to the first
+		{Base: lo + 8*PageSize, Size: 4 * PageSize}, // after a 3-page gap
+		{Base: hi, Size: (chunkPages + 8) * PageSize},
+		{Base: hi + (chunkPages+8)*PageSize, Size: 2 * PageSize}, // adjacent
+		{Base: hi, Size: 8 * PageSize},                           // the same base, smaller
+	}
+	// Addresses fall around the candidates' edges, where regions, chunks
+	// and pages meet.
+	var edges []uint64
+	for _, c := range cands {
+		edges = append(edges, c.Base, c.End(), c.Base+chunkPages*PageSize)
+	}
+	edges = append(edges, lo+6*PageSize, AddressLimit) // inside the gap; past the space
+	var straddles, gapMisses, remaps int
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a, ref := New(), &refSpace{pages: map[uint64]*[PageSize]byte{}, dirty: map[uint64]bool{}}
+		written := map[uint64]bool{} // bases of regions written, then unmapped
+		addr := func() uint64 {
+			e := edges[rng.Intn(len(edges))]
+			return e + uint64(rng.Intn(64)) - 32 + uint64(rng.Intn(3))*PageSize
+		}
+		for i := 0; i < 2000; i++ {
+			var got, want error
+			switch k := rng.Intn(100); {
+			case k < 6:
+				c := cands[rng.Intn(len(cands))]
+				got, want = a.Map(c.Base, c.Size, "r"), ref.Map(c.Base, c.Size)
+				if got == nil && written[c.Base] {
+					remaps++
+					delete(written, c.Base)
+				}
+			case k < 10:
+				c := cands[rng.Intn(len(cands))]
+				touched := false
+				for pb := range ref.pages {
+					touched = touched || c.contains(pb)
+				}
+				got, want = a.Unmap(c.Base, c.Size), ref.Unmap(c.Base, c.Size)
+				if want == nil && touched {
+					written[c.Base] = true
+				}
+			case k < 35:
+				va := addr()
+				v, err := a.Load64(va)
+				var buf [8]byte
+				got, want = err, ref.access(va, buf[:], false)
+				if want == nil && v != binary.LittleEndian.Uint64(buf[:]) {
+					t.Fatalf("seed %d op %d: Load64(%#x) = %#x, want %#x", seed, i, va, v, binary.LittleEndian.Uint64(buf[:]))
+				}
+				if want == ErrUnmapped && va > lo+5*PageSize && va < lo+8*PageSize {
+					gapMisses++
+				}
+			case k < 60:
+				va, v := addr(), rng.Uint64()
+				var buf [8]byte
+				binary.LittleEndian.PutUint64(buf[:], v)
+				got, want = a.Store64(va, v), ref.access(va, buf[:], true)
+				if want == nil && ref.regionOf(va) != ref.regionOf(va+7) {
+					straddles++
+				}
+			case k < 70:
+				va, buf := addr(), make([]byte, rng.Intn(3*int(PageSize)))
+				rng.Read(buf)
+				got, want = a.WriteBytes(va, buf), ref.access(va, buf, true)
+			case k < 80:
+				va, n := addr(), rng.Intn(3*int(PageSize))
+				gb, wb := make([]byte, n), make([]byte, n)
+				got, want = a.ReadBytes(va, gb), ref.access(va, wb, false)
+				if want == nil && !bytes.Equal(gb, wb) {
+					t.Fatalf("seed %d op %d: ReadBytes(%#x, %d) differs", seed, i, va, n)
+				}
+			case k < 92:
+				c := cands[rng.Intn(len(cands))]
+				if g, w := a.TakeDirty(c.Base, c.Size), ref.TakeDirty(c.Base, c.Size); !slices.Equal(g, w) {
+					t.Fatalf("seed %d op %d: TakeDirty(%#x) = %v, want %v", seed, i, c.Base, g, w)
+				}
+			default:
+				c := cands[rng.Intn(len(cands))]
+				data := make([]byte, int(PageSize)*(1+rng.Intn(3)))
+				rng.Read(data)
+				got = a.Restore(c.Base, data)
+				if want = ref.access(c.Base, data, true); want == nil {
+					ref.TakeDirty(c.Base, uint64(len(data)))
+				}
+			}
+			if errClass(got) != want {
+				t.Fatalf("seed %d op %d: error %v, want %v", seed, i, got, want)
+			}
+		}
+		// Every region still mapped reads back equal, page for page.
+		for _, r := range ref.regions {
+			g, err := a.Snapshot(r.Base, r.Size)
+			w := make([]byte, r.Size)
+			if err != nil || ref.access(r.Base, w, false) != nil || !bytes.Equal(g, w) {
+				t.Fatalf("seed %d: region %#x differs at the end (%v)", seed, r.Base, err)
+			}
+		}
+	}
+	t.Logf("straddles %d, gap misses %d, remaps after a write %d", straddles, gapMisses, remaps)
+	if straddles == 0 || gapMisses == 0 || remaps == 0 {
+		t.Errorf("a case went unexercised: straddles %d, gap misses %d, remaps %d", straddles, gapMisses, remaps)
 	}
 }

@@ -41,14 +41,19 @@ cover_gate repl 80
 # Reference-model leg: the paper's contribution — the reference word and
 # the Figure 4 rows (core) and the four reference models built on them
 # (rt), whose every op and counter the ops golden pins; the simulated
-# machine under them (cpu, mem), whose host-side speed-ups are held to the
-# plain model's counts by cpu_test.go's oracle; and the mini-C compiler and
+# machine under them (cpu, mem, and the POLB/VALB lookaside structures in
+# hw), whose host-side speed-ups are held to the plain models' counts by
+# the oracles in cpu_test.go and mem_test.go; and the mini-C compiler and
 # interpreter (minc) that runs the legacy-program corpus on those models.
+# The simulator's per-layer microbenchmarks then run one iteration each, so
+# they keep compiling and running.
 cover_gate core 80
 cover_gate rt 80
 cover_gate cpu 80
 cover_gate mem 80
+cover_gate hw 80
 cover_gate minc 80
+go test -run '^$' -bench . -benchtime=1x ./internal/mem/ ./internal/cpu/ ./internal/hw/ ./internal/kvstore/
 
 # Resilience leg: the recovery ladder over every cause and kind of damage.
 # Shard kills under a flaky network (flaky-steady), the primary killed

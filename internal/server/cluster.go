@@ -612,35 +612,38 @@ func (s *Server) JoinCluster(seed string, dial func(addr string) (net.Conn, erro
 // how many slots it took. The scale-out path: JoinCluster, then
 // Rebalance under load.
 func (s *Server) Rebalance(dial func(addr string) (net.Conn, error)) (int, error) {
-	if !s.clusterOn() {
-		return 0, errors.New("server: cluster tier not configured")
-	}
-	moved := 0
+	n := 0
 	for {
-		m := s.clusterMap()
-		if m == nil {
-			return moved, errors.New("server: no cluster map")
+		moved, err := s.RebalanceOnce(dial)
+		if err != nil || !moved {
+			return n, err
 		}
-		target, err := cluster.RebalanceTarget(m, s.cluster.self)
-		if err != nil {
-			return moved, err
-		}
-		var next *cluster.Move
-		for _, mv := range cluster.PlanMoves(m, target) {
-			if mv.To == s.cluster.self {
-				mv := mv
-				next = &mv
-				break
-			}
-		}
-		if next == nil {
-			return moved, nil
-		}
-		if err := s.MigrateIn(next.Slot, dial); err != nil {
-			return moved, err
-		}
-		moved++
+		n++
 	}
+}
+
+// RebalanceOnce is one step of Rebalance: it migrates the first slot the
+// plan towards this node's fair share moves onto it, and reports whether
+// there was one. A caller that paces the steps itself (the simulator,
+// from its schedule) gets each handover synchronously.
+func (s *Server) RebalanceOnce(dial func(addr string) (net.Conn, error)) (bool, error) {
+	if !s.clusterOn() {
+		return false, errors.New("server: cluster tier not configured")
+	}
+	m := s.clusterMap()
+	if m == nil {
+		return false, errors.New("server: no cluster map")
+	}
+	target, err := cluster.RebalanceTarget(m, s.cluster.self)
+	if err != nil {
+		return false, err
+	}
+	for _, mv := range cluster.PlanMoves(m, target) {
+		if mv.To == s.cluster.self {
+			return true, s.MigrateIn(mv.Slot, dial)
+		}
+	}
+	return false, nil
 }
 
 // ClusterStats is the cluster block of a STATS reply.

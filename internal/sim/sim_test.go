@@ -327,10 +327,21 @@ func TestSweepSchedules(t *testing.T) {
 	}
 }
 
+// TestMigrationKill: the joiner takes its fair share one handover per
+// ActRebalance across its own crash and restart, under a flaky network,
+// with no write applied past a fence and no fence left standing.
 func TestMigrationKill(t *testing.T) {
 	for _, seed := range scheduleSeeds {
-		if r := runSchedule(t, "migration-kill", seed); r.Crashes != 1 {
-			t.Fatalf("seed %d: crashes = %d, want 1", seed, r.Crashes)
+		r := runSchedule(t, "migration-kill", seed)
+		if r.Crashes != 1 {
+			t.Errorf("seed %d: crashes = %d, want 1", seed, r.Crashes)
+		}
+		if r.JoinerSlots != simSlots/2 || r.EpochLow != 1+simSlots/2 || r.MigratedOut != simSlots/2 {
+			t.Errorf("seed %d: joiner owns %d slots, epochs %d..%d, %d donated; want %d, %d, %d",
+				seed, r.JoinerSlots, r.EpochLow, r.EpochHigh, r.MigratedOut, simSlots/2, 1+simSlots/2, simSlots/2)
+		}
+		if r.NetFaults == 0 || r.MapRefreshes == 0 {
+			t.Errorf("seed %d: %d net faults, %d map refreshes", seed, r.NetFaults, r.MapRefreshes)
 		}
 	}
 }
@@ -416,6 +427,12 @@ func TestSchedules(t *testing.T) {
 		{"ack-discipline", "corrupt-under-load", func(r *RunResult, _ *want) { r.CrashSamples[0].TimeoutAcks = 1 }},
 		{"replica-work", "crash-failover-restart", func(r *RunResult, _ *want) { r.CrashSamples[0].Applies = 0 }},
 		{"lag-drained", "crash-restart-replica", func(r *RunResult, _ *want) { r.ReplLag = 3 }},
+		{"joiner-slots", "migration-kill", func(r *RunResult, _ *want) { r.JoinerSlots-- }},
+		{"epoch", "migration-kill", func(r *RunResult, _ *want) { r.EpochLow-- }},
+		{"migrated-out", "migration-kill", func(r *RunResult, _ *want) { r.MigratedOut++ }},
+		{"stale-epoch-writes", "migration-kill", func(r *RunResult, _ *want) { r.StaleEpochWrites = 1 }},
+		{"fenced-slots", "migration-kill", func(r *RunResult, _ *want) { r.FencedSlots = 1 }},
+		{"map-refreshes", "migration-kill", func(r *RunResult, _ *want) { r.MapRefreshes = 0 }},
 	} {
 		base := runs[tc.sched]
 		r := *base
@@ -452,6 +469,46 @@ func TestRunRejectsEmptySchedule(t *testing.T) {
 	}
 }
 
+// newPairSim brings up sched's primary/replica pair outside Run, for tests
+// that fire actions and issue operations by hand.
+func newPairSim(t *testing.T, sched Schedule) *sim {
+	t.Helper()
+	s := &sim{
+		sched:     sched,
+		vc:        NewVClock(),
+		net:       NewNet(),
+		nodes:     make(map[string]*node),
+		gateShard: make(map[uint64]uint32),
+		gateMax:   make(map[uint32]uint64),
+		res:       &RunResult{},
+	}
+	s.hist = NewHistory(s.vc)
+	t.Cleanup(s.teardown)
+	if err := s.setupPair(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// fireAll fires acts in order and fails t on the first that errs.
+func fireAll(t *testing.T, s *sim, acts ...Action) {
+	t.Helper()
+	for _, a := range acts {
+		if msg := s.fire(a); msg != "" {
+			t.Fatal(msg)
+		}
+	}
+}
+
+// primaryRepl sums the held-ack discipline counters of a's shards.
+func primaryRepl(s *sim) (degraded, fenced uint64) {
+	a := s.nodes["a"]
+	for _, sh := range a.srv.CollectStats().PerShard {
+		degraded += sh.Repl.DegradedAcks
+	}
+	return degraded, a.series()["server_repl_fenced_writes_total"]
+}
+
 // TestParkedPullsLeaveNoWaiters: every replicated write ends one parked
 // pull and starts the next, each with a bound armed on the virtual clock.
 // A bound that was not given back when its park ended would stay in the
@@ -459,19 +516,7 @@ func TestRunRejectsEmptySchedule(t *testing.T) {
 // scanned by every Advance. The list must stay the size it is at rest: the
 // nodes' background ticks plus one bound per parked pull.
 func TestParkedPullsLeaveNoWaiters(t *testing.T) {
-	s := &sim{
-		sched:     Steady(0),
-		vc:        NewVClock(),
-		net:       NewNet(),
-		nodes:     make(map[string]*node),
-		gateShard: make(map[uint64]uint32),
-		gateMax:   make(map[uint32]uint64),
-	}
-	s.hist = NewHistory(s.vc)
-	defer s.teardown()
-	if err := s.setupPair(); err != nil {
-		t.Fatal(err)
-	}
+	s := newPairSim(t, Steady(0))
 	// Two nodes, a sweeper and a watchdog tick each; one park per shard.
 	const atRest = 2*2 + simShards
 	cl := &simClient{s: s}
@@ -484,5 +529,100 @@ func TestParkedPullsLeaveNoWaiters(t *testing.T) {
 		if got := s.vc.Waiters(); got > atRest {
 			t.Fatalf("after %d replicated writes the virtual clock holds %d waiters, want <= %d", i+1, got, atRest)
 		}
+	}
+}
+
+// TestWaitConnAfterPrimaryRestart: after the primary crashes and restarts,
+// wait-conn must hold until the new incarnation has served the replica a
+// pull. The replica's lifetime pull count is already positive, so a wait
+// on it returns at once, and the next write reaches a primary that has not
+// heard from its replica yet: it acks that write single-copy.
+func TestWaitConnAfterPrimaryRestart(t *testing.T) {
+	s := newPairSim(t, Steady(0))
+	cl := &simClient{s: s}
+	defer cl.close()
+	for i := 0; i < 8; i++ {
+		if out := cl.put(keyFor(i), uint64(i+1)); out != "ok" {
+			t.Fatalf("put %d: %s", i, out)
+		}
+	}
+	fireAll(t, s,
+		Action{Kind: ActCrash, Node: "a"},
+		Action{Kind: ActRestart, Node: "a"},
+		Action{Kind: ActWaitConn, Node: "b"})
+	for i := 0; i < 8; i++ {
+		if out := cl.put(keyFor(i), uint64(100+i)); out != "ok" {
+			t.Fatalf("put %d after the restart: %s", i, out)
+		}
+	}
+	if degraded, _ := primaryRepl(s); degraded != 0 {
+		t.Fatalf("the restarted primary acked %d writes single-copy after wait-conn returned", degraded)
+	}
+}
+
+// TestAdvanceRepullsBeforeReturning: an advance past the fencing window
+// over a healthy pair ends every parked pull; it must not return before
+// the replica has pulled again, or the next write finds a primary whose
+// last replica contact is a window old, and it fences itself.
+func TestAdvanceRepullsBeforeReturning(t *testing.T) {
+	s := newPairSim(t, Steady(0))
+	cl := &simClient{s: s}
+	defer cl.close()
+	for round := 0; round < 5; round++ {
+		fireAll(t, s, Action{Kind: ActAdvance, D: simFenceAfter + 50*time.Millisecond})
+		if out := cl.put(keyFor(round), uint64(round+1)); out != "ok" {
+			t.Fatalf("round %d: put %s", round, out)
+		}
+		if degraded, fenced := primaryRepl(s); degraded != 0 || fenced != 0 {
+			t.Fatalf("round %d: the primary acked %d writes single-copy and refused %d as fenced", round, degraded, fenced)
+		}
+	}
+}
+
+// TestNetDrained: a cut link is drained only once the listening end has
+// closed every connection dialed across it, and a node's restart forgets
+// the connections its old incarnation never accepted.
+func TestNetDrained(t *testing.T) {
+	n := NewNet()
+	l, err := n.Listen("srv", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := l.Accept()
+		if err == nil {
+			accepted <- c
+		}
+	}()
+	c, err := n.Dialer("cli")(n.Addr("srv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	served := <-accepted
+	if n.Drained("cli", "srv") {
+		t.Fatal("an open connection reads as drained")
+	}
+	n.Block("cli", "srv")
+	if n.Drained("cli", "srv") {
+		t.Fatal("drained before the listening end closed")
+	}
+	served.Close()
+	if !n.Drained("cli", "srv") {
+		t.Fatal("not drained after the listening end closed")
+	}
+	// Dialed, never accepted: only a re-registration forgets it.
+	n.HealAll()
+	if _, err := n.Dialer("cli")(n.Addr("srv")); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if n.Drained("cli", "srv") {
+		t.Fatal("an unaccepted connection reads as drained")
+	}
+	n.Register("srv", "127.0.0.1:1")
+	if !n.Drained("cli", "srv") {
+		t.Fatal("a restart did not forget the old incarnation's connections")
 	}
 }

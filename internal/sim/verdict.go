@@ -18,8 +18,11 @@ type want struct {
 	// its restart must repair the damage on the way back up.
 	crashAfterCorrupt bool
 	flaky             bool // the injector must fire at least once
-	cluster           bool // migration-kill does not replay yet: no clean-ops check
-	violation         bool // ExpectViolation
+	// cluster: no clean-ops check, since the slots of a crashed node go
+	// unserved until it restarts.
+	cluster    bool
+	rebalances int  // slots handed over, one per ActRebalance
+	violation  bool // ExpectViolation
 }
 
 // sortedActions returns the schedule's actions in firing order.
@@ -40,6 +43,8 @@ func expect(sched Schedule) want {
 			w.crashAfterCorrupt = w.crashAfterCorrupt || corrupted[a.Node]
 		case ActKillShard:
 			w.kills++
+		case ActRebalance:
+			w.rebalances++
 		case ActCorrupt:
 			w.corrupts++
 			corrupted[a.Node] = true
@@ -93,6 +98,16 @@ func (r *RunResult) judge(w want) {
 			"%s's replica had %d pulls, %d applies before the crash", c.Node, c.Pulls, c.Applies)
 	}
 	check(r.ReplLag == 0, "lag-drained", "%d records still unreplicated after the sweep", r.ReplLag)
+	// Every handover commits epoch+1 on the joiner and the donor, from the
+	// bootstrap map's epoch 1.
+	n := w.rebalances
+	check(r.JoinerSlots == n, "joiner-slots", "the joiner owns %d slots, the script hands over %d", r.JoinerSlots, n)
+	check(!w.cluster || r.EpochLow == uint64(1+n) && r.EpochHigh == uint64(1+n), "epoch",
+		"live nodes at epochs %d..%d, want %d after %d handovers", r.EpochLow, r.EpochHigh, 1+n, n)
+	check(r.MigratedOut == uint64(n), "migrated-out", "the donors report %d slots donated, the script hands over %d", r.MigratedOut, n)
+	check(r.StaleEpochWrites == 0, "stale-epoch-writes", "%d writes applied past a slot's fence", r.StaleEpochWrites)
+	check(r.FencedSlots == 0, "fenced-slots", "%d slot fences left standing", r.FencedSlots)
+	check(!w.cluster || r.MapRefreshes > 0, "map-refreshes", "the clients never refreshed their cluster map")
 
 	r.Ok = len(fails) == 0
 	r.Detail = strings.Join(append(fails, r.notes...), "; ")

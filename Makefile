@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fuzz verify loc bench faults cluster sim serve
+.PHONY: build test fuzz verify loc bench faults sim serve
 
 build:
 	$(GO) build ./...
@@ -35,17 +35,13 @@ bench:
 faults:
 	$(GO) run ./cmd/nvbench -experiment faults
 
-# Cluster gate: a node joins a loaded cluster mid-stream, slots migrate
-# live behind MOVED redirects — zero acked-write loss, zero stale-epoch
-# writes.
-cluster:
-	$(GO) run ./cmd/nvbench -experiment cluster
-
 # Simulation gate: deterministic cluster simulation — byte-identical
 # same-seed replay, the split-brain fence gate, and a 10-seed nemesis
 # sweep checked for durable linearizability. It is also the self-healing
 # (flaky-steady: shard kills + network faults), replication
-# (crash-failover-restart) and media (corrupt-under-load) gate.
+# (crash-failover-restart), media (corrupt-under-load) and cluster
+# (migration-kill: a node joins by live migration across its own crash)
+# gate.
 sim:
 	$(GO) run ./cmd/nvbench -experiment sim
 

@@ -44,20 +44,15 @@ var acceptance = []struct {
 	name string
 	run  func(quick bool) (result, error)
 }{
-	// Closed-loop shard sweep judged in simulated time, plus a kill/restart
-	// recovery leg.
-	{"serve", func(q bool) (result, error) { return bench.RunServe(bench.ServeSpecFor(q)) }},
-	// A node joins a loaded cluster, slots migrate live behind MOVED
-	// redirects: zero acked-write loss, zero stale-epoch writes.
-	{"cluster", func(q bool) (result, error) { return bench.RunCluster(bench.ClusterSpecFor(q)) }},
 	// Trace echo everywhere, a sound stage chain, a flight dump on the
 	// kill-driven promotion, and a disabled path counted free: same allocs
 	// and wire bytes as no plane, zero recorder calls.
 	{"trace", func(q bool) (result, error) { return bench.RunTrace(bench.TraceSpecFor(q)) }},
 	// Deterministic simulation: byte-identical replay, the split-brain
 	// fence gate, and a nemesis sweep — shard kills and a flaky network,
-	// failover, media corruption, live migration — each run judged for
-	// durable linearizability and against the counters its script implies.
+	// failover, media corruption, a node joining a cluster by live
+	// migration across its own crash — each run judged for durable
+	// linearizability and against the counters its script implies.
 	{"sim", func(q bool) (result, error) { return bench.RunSim(bench.SimSpecFor(q)) }},
 }
 

@@ -4,9 +4,9 @@
 // split-brain schedule must be flagged as a durable-linearizability
 // violation while the fenced variant checks clean, and a multi-seed
 // nemesis sweep (partition+heal, crash-restarts with failover over a flaky
-// network, a mid-migration kill, shard kills under a flaky network, and
-// media corruption under load) must pass every run's verdict (sim.Run's
-// judge) on the default configuration.
+// network, a cluster joiner killed between live migrations, shard kills
+// under a flaky network, and media corruption under load) must pass every
+// run's verdict (sim.Run's judge) on the default configuration.
 package bench
 
 import (

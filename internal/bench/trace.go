@@ -50,11 +50,19 @@ var TraceStages = []string{
 	server.StageReplyEncode,
 }
 
-// TraceSpec parameterizes the trace experiment. Operations counts the
-// traced operations driven against the primary; the traced stream and the
-// disabled-path loop are single-client.
+// TraceSpec parameterizes the trace experiment. Records keys are seeded
+// before the traced stream; Operations counts the traced operations driven
+// against the primary. The traced stream and the disabled-path loop are
+// single-client.
 type TraceSpec struct {
-	LoadSpec
+	Records    int
+	Operations int
+	// Shards, Mode and PoolSize configure every server of the experiment.
+	Shards   int
+	Mode     rt.Mode
+	PoolSize uint64
+	Seed     int64
+
 	Batches   int // traced batches (each BatchSize sub-ops)
 	BatchSize int
 	// SlowOp is the primary's slow-op threshold; the default (1ns) makes
@@ -71,15 +79,12 @@ type TraceSpec struct {
 // TraceSpecFor returns the standard experiment sizes.
 func TraceSpecFor(quick bool) TraceSpec {
 	s := TraceSpec{
-		LoadSpec: LoadSpec{
-			Records:    800,
-			Operations: 600,
-			Clients:    1,
-			Shards:     2,
-			Mode:       rt.HW,
-			PoolSize:   4 << 20,
-			Seed:       23,
-		},
+		Records:      800,
+		Operations:   600,
+		Shards:       2,
+		Mode:         rt.HW,
+		PoolSize:     4 << 20,
+		Seed:         23,
 		Batches:      40,
 		BatchSize:    8,
 		SlowOp:       time.Nanosecond,
@@ -91,6 +96,12 @@ func TraceSpecFor(quick bool) TraceSpec {
 		s.DisabledOps = 500
 	}
 	return s
+}
+
+// config returns the server.Config fields every server of the experiment
+// shares; each leg adds what is its own.
+func (s TraceSpec) config() server.Config {
+	return server.Config{Shards: s.Shards, Mode: s.Mode, PoolSize: s.PoolSize}
 }
 
 // TraceResult is the experiment document.

@@ -575,6 +575,10 @@ func TestClusterJoinRebalance(t *testing.T) {
 	if jm.Epoch != 1+uint64(moved) {
 		t.Fatalf("epoch %d after %d single-slot migrations from epoch 1", jm.Epoch, moved)
 	}
+	// Rebalance stopped at the fair share: one more step has nothing to move.
+	if again, err := js.RebalanceOnce(nil); err != nil || again {
+		t.Fatalf("a step past the fair share: moved %v, err %v", again, err)
+	}
 
 	// Both founders converge on the final map: the donor synchronously at
 	// commit, the bystander via best-effort gossip.

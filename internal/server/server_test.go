@@ -2,11 +2,14 @@ package server
 
 import (
 	"net"
+	"sync"
 	"testing"
 
 	"nvref/internal/fault"
 	"nvref/internal/obs"
 	"nvref/internal/pmem"
+	"nvref/internal/rt"
+	"nvref/internal/ycsb"
 )
 
 // testPoolSize keeps checkpoints (whole-pool snapshots) cheap in tests.
@@ -409,6 +412,11 @@ func TestGracefulShutdownPersists(t *testing.T) {
 	}
 }
 
+// TestAbortRollsBackToCheckpoint: an abort (a kill -9: no final
+// checkpoint) rolls a standalone server back to its last checkpoint, with a
+// writer still in flight when the plug is pulled. Every checkpointed key
+// survives with its value, nothing written after the checkpoint does —
+// acknowledged or in flight — and the reopened pools fsck clean.
 func TestAbortRollsBackToCheckpoint(t *testing.T) {
 	stores := sharedStores(4)
 	cfg := Config{Shards: 4, StoreFor: stores, CheckpointEvery: -1}
@@ -431,7 +439,27 @@ func TestAbortRollsBackToCheckpoint(t *testing.T) {
 		}
 	}
 	cl.Close()
+	// A writer on its own connection, still putting fresh keys when the
+	// abort lands; it stops at the first error.
+	wcl := dial(t, ts)
+	acked := make(chan uint64, 1)
+	var started sync.WaitGroup
+	started.Add(1)
+	go func() {
+		k := uint64(2 * durable)
+		for ; ; k++ {
+			if k == 2*durable+16 {
+				started.Done()
+			}
+			if err := wcl.Put(k, keyVal(k)); err != nil {
+				break
+			}
+		}
+		acked <- k - 2*durable
+	}()
+	started.Wait()
 	ts.abort()
+	inFlight := <-acked
 
 	ts2 := startServer(t, cfg)
 	cl2 := dial(t, ts2)
@@ -441,17 +469,63 @@ func TestAbortRollsBackToCheckpoint(t *testing.T) {
 			t.Fatalf("checkpointed key %d lost: v=%d ok=%v err=%v", k, v, ok, err)
 		}
 	}
-	for k := uint64(durable); k < 2*durable; k++ {
+	for k := uint64(durable); k < 2*durable+inFlight+1; k++ {
 		if _, ok, err := cl2.Get(k); err != nil {
 			t.Fatal(err)
 		} else if ok {
-			t.Fatalf("uncheckpointed key %d survived the abort", k)
+			t.Fatalf("uncheckpointed key %d survived the abort (%d acked by the in-flight writer)", k, inFlight)
 		}
 	}
 	for _, sh := range ts2.CollectStats().PerShard {
 		if sh.FsckErrors != 0 {
 			t.Errorf("shard %d: %d fsck errors after abort recovery", sh.ID, sh.FsckErrors)
 		}
+	}
+}
+
+// TestShardScalingInSimulatedTime: each shard runs its own simulated core,
+// so sharding divides the makespan — the most simulated cycles any one
+// shard spent — of one fixed YCSB-A stream. At 4 shards the stream must
+// run more than 1.5x faster in simulated time than at 1. Simulated cycles
+// do not depend on the host, so neither does the gate.
+func TestShardScalingInSimulatedTime(t *testing.T) {
+	w := ycsb.Generate(ycsb.WorkloadA(1000, 4000, 7))
+	makespan := func(shards int) uint64 {
+		ts := startServer(t, Config{Shards: shards, Mode: rt.HW, CheckpointEvery: -1})
+		defer ts.close()
+		cl := dial(t, ts)
+		var v uint64
+		for _, rec := range w.Load {
+			v++
+			if err := cl.Put(rec.Key, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := ts.ShardCycles()
+		for _, op := range w.Ops {
+			var err error
+			if op.Type == ycsb.Get {
+				_, _, err = cl.Get(op.Key)
+			} else {
+				v++
+				err = cl.Put(op.Key, v)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var most uint64
+		for i, c := range ts.ShardCycles() {
+			most = max(most, c-before[i])
+		}
+		return most
+	}
+	one, four := makespan(1), makespan(4)
+	if one == 0 || four == 0 {
+		t.Fatalf("makespans %d and %d cycles: the shards ran nothing", one, four)
+	}
+	if speedup := float64(one) / float64(four); speedup <= 1.5 {
+		t.Fatalf("4 shards ran the stream in %d simulated cycles, 1 shard in %d: speedup %.2fx, want > 1.5x", four, one, speedup)
 	}
 }
 

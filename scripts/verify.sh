@@ -62,22 +62,25 @@ go test -run '^$' -bench . -benchtime=1x ./internal/mem/ ./internal/cpu/ ./inter
 # simulation leg below replays and judges them.
 go test -race -run 'Ladder|Residue' ./internal/server/
 
-# Cluster leg: a node joins a loaded cluster through a flaky network, at
-# least one slot migrates live, clients follow MOVED redirects by
-# themselves — zero acked-write loss and zero stale-epoch writes.
+# Cluster leg: the slot map, live migration, fencing and the routing
+# client under the race detector. The gate under load — a node joining
+# through a flaky network takes its fair share by live migration across
+# its own crash, with zero stale-epoch writes and no fence left — is
+# migration-kill in the simulation leg below.
 cover_gate cluster 80
-go test -race -run 'TestClusterSmoke' ./internal/bench/
-go run ./cmd/nvbench -experiment cluster -quick
+go test -race -run 'TestCluster' ./internal/server/
 
 # Simulation leg: the harness and checker are what the consistency verdicts
 # rest on; the gate wants byte-identical same-seed replay of every schedule
 # a gate rests on (repeated under the race detector), the unfenced
 # split-brain flagged while the fenced one passes, and a fixed-seed nemesis
 # matrix (partitions, crash-restarts, failover and shard kills under a
-# flaky network, media corruption, a mid-migration kill) whose every run
-# passes its verdict: durable linearizability plus the counters its script
-# implies — restarts per shard kill, injected net faults, pages repaired,
-# promotions, a clean held-ack discipline, lag drained, a clean read-back.
+# flaky network, media corruption, a joiner killed between live
+# migrations) whose every run passes its verdict: durable linearizability
+# plus the counters its script implies — restarts per shard kill, injected
+# net faults, pages repaired, promotions, a clean held-ack discipline, lag
+# drained, slots handed over and epochs advanced per rebalance step, no
+# stale-epoch write, a clean read-back. migration-kill replays too.
 cover_gate sim 80
 go test -race -count=2 -run 'TestSchedules|TestDeterminism' ./internal/sim/
 go run ./cmd/nvbench -experiment sim -quick

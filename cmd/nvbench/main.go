@@ -1,83 +1,40 @@
 // Command nvbench regenerates the paper's evaluation tables and figures
-// from the simulated system, and runs the serving tier's acceptance
-// experiments.
+// from the simulated system, and runs the serving tier's simulation
+// acceptance gate.
 //
 // Usage:
 //
 //	nvbench -experiment all
 //	nvbench -experiment fig11 [-quick]
 //	nvbench -experiment fig13|fig14|fig15|table2|table3|table5|knn|inference|soundness|faults
-//	nvbench -experiment <acceptance experiment> [-quick] [-format json]
+//	nvbench -experiment sim [-quick] [-format json]
 //
 // -quick runs a scaled-down workload (1,000 records / 10,000 operations)
-// instead of the paper's 10,000 / 100,000. The acceptance experiments are
-// the rows of the acceptance table below (nvbench -h lists them); each
-// prints its report and exits nonzero unless its gates pass. They answer
-// "is it correct under faults"; "how fast is it" is benchmark/'s question.
+// instead of the paper's 10,000 / 100,000. sim is the acceptance
+// experiment: it prints its report and exits nonzero unless its gates
+// pass. It answers "is it correct under faults"; "how fast is it" is
+// benchmark/'s question.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
-	"strings"
 
 	"nvref/internal/bench"
 	"nvref/internal/obs"
 	"nvref/internal/rt"
 )
 
-// result is what an acceptance experiment hands back: a report and a
-// verdict.
-type result interface {
-	WriteText(w io.Writer)
-	Pass() bool
-}
-
-// acceptance is the table of serving-tier acceptance experiments: each
-// drives in-process servers over real sockets rather than the
-// single-context harness, renders its own report (text or JSON), and
-// gates on its own Pass predicate.
-var acceptance = []struct {
-	name string
-	run  func(quick bool) (result, error)
-}{
-	// Trace echo everywhere, a sound stage chain, a flight dump on the
-	// kill-driven promotion, and a disabled path counted free: same allocs
-	// and wire bytes as no plane, zero recorder calls.
-	{"trace", func(q bool) (result, error) { return bench.RunTrace(bench.TraceSpecFor(q)) }},
-	// Deterministic simulation: byte-identical replay, the split-brain
-	// fence gate, and a nemesis sweep — shard kills and a flaky network,
-	// failover, media corruption, a node joining a cluster by live
-	// migration across its own crash — each run judged for durable
-	// linearizability and against the counters its script implies.
-	{"sim", func(q bool) (result, error) { return bench.RunSim(bench.SimSpecFor(q)) }},
-}
-
-func acceptanceNames() string {
-	names := make([]string, len(acceptance))
-	for i, e := range acceptance {
-		names[i] = e.name
-	}
-	return strings.Join(names, ", ")
-}
-
-// acceptanceRun looks name up in the table (nil when it is not an
-// acceptance experiment).
-func acceptanceRun(name string) func(quick bool) (result, error) {
-	for _, e := range acceptance {
-		if e.name == name {
-			return e.run
-		}
-	}
-	return nil
-}
-
-// runAcceptance runs one row of the table: report, then verdict.
-func runAcceptance(name string, run func(bool) (result, error), quick, asJSON bool) error {
-	res, err := run(quick)
+// runSim runs the simulation acceptance experiment — byte-identical
+// replay, the split-brain fence gate, and a nemesis sweep (shard kills and
+// a flaky network, failover, media corruption, a node joining a cluster by
+// live migration across its own crash), each run judged for durable
+// linearizability and against the counters its script implies — prints
+// its report (text or JSON), and fails unless it passes.
+func runSim(quick, asJSON bool) error {
+	res, err := bench.RunSim(bench.SimSpecFor(quick))
 	if err != nil {
 		return err
 	}
@@ -89,14 +46,14 @@ func runAcceptance(name string, run func(bool) (result, error), quick, asJSON bo
 		res.WriteText(os.Stdout)
 	}
 	if !res.Pass() {
-		return fmt.Errorf("%s acceptance failed (the report above has the counters)", name)
+		return fmt.Errorf("sim acceptance failed (the report above has the counters)")
 	}
 	return nil
 }
 
 func main() {
 	experiment := flag.String("experiment", "all",
-		"which experiment to run: all, fig11, fig13, fig14, fig15, table2, table3, table5, knn, inference, soundness, ablations, scaling, mixes, faults, obs-overhead, or an acceptance experiment: "+acceptanceNames())
+		"which experiment to run: all, fig11, fig13, fig14, fig15, table2, table3, table5, knn, inference, soundness, ablations, scaling, mixes, faults, obs-overhead, or sim (the simulation acceptance gate)")
 	quick := flag.Bool("quick", false, "run the scaled-down workload")
 	format := flag.String("format", "table", "output format: table, csv (fig11, fig13, fig14, fig15, table5, knn, scaling), or json (full measurement document)")
 	httpAddr := flag.String("http", "", "serve /metrics, /metrics.json and /debug/pprof on this address while running (e.g. localhost:9090)")
@@ -121,9 +78,9 @@ func main() {
 	}
 
 	var err error
-	switch acc := acceptanceRun(*experiment); {
-	case acc != nil:
-		err = runAcceptance(*experiment, acc, *quick, *format == "json")
+	switch {
+	case *experiment == "sim":
+		err = runSim(*quick, *format == "json")
 	case *format == "csv":
 		err = runCSV(*experiment, cfg)
 	case *format == "json":
@@ -145,7 +102,7 @@ func runJSON(cfg bench.RunConfig) error {
 	if err != nil {
 		return err
 	}
-	return bench.WriteJSONReport(os.Stdout, bench.BuildJSONReport(cfg, all))
+	return bench.WriteJSON(os.Stdout, bench.BuildJSONReport(cfg, all))
 }
 
 func run(experiment string, cfg bench.RunConfig) error {

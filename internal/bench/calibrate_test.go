@@ -14,10 +14,7 @@ func TestCalibrationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration run")
 	}
-	all, err := RunAll(QuickRunConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := quickAll(t)
 	for _, b := range Benchmarks {
 		ms := all[b]
 		vol := float64(ms[rt.Volatile].Cycles)

@@ -5,18 +5,30 @@ import (
 	"os"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"nvref/internal/rt"
 )
 
+// The quick Fig. 11 matrix is deterministic (TestFig11Golden pins every
+// counter of it), so the test binary computes it once and every test reads
+// the one result.
+var (
+	quickOnce sync.Once
+	quickRes  map[string]map[rt.Mode]Measurement
+	quickErr  error
+)
+
+// quickAll returns the shared RunAll(QuickRunConfig()) result. Callers must
+// not modify it.
 func quickAll(t *testing.T) map[string]map[rt.Mode]Measurement {
 	t.Helper()
-	all, err := RunAll(QuickRunConfig())
-	if err != nil {
-		t.Fatal(err)
+	quickOnce.Do(func() { quickRes, quickErr = RunAll(QuickRunConfig()) })
+	if quickErr != nil {
+		t.Fatal(quickErr)
 	}
-	return all
+	return quickRes
 }
 
 func TestFig11Shape(t *testing.T) {

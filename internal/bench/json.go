@@ -93,9 +93,10 @@ func BuildJSONReport(cfg RunConfig, all map[string]map[rt.Mode]Measurement) JSON
 	return rep
 }
 
-// WriteJSONReport writes the document indented.
-func WriteJSONReport(w io.Writer, rep JSONReport) error {
+// WriteJSON writes an experiment document — the measurement report or
+// the sim result — as indented JSON.
+func WriteJSON(w io.Writer, doc any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return enc.Encode(doc)
 }

@@ -64,7 +64,7 @@ func TestMeasurementCarriesMetricsSnapshot(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteJSONReport(&buf, rep); err != nil {
+	if err := WriteJSON(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
 	var back JSONReport

@@ -163,6 +163,13 @@ func RunSim(spec SimSpec) (*SimResult, error) {
 	return res, nil
 }
 
+func verdict(pass bool) string {
+	if pass {
+		return "PASS"
+	}
+	return "FAIL"
+}
+
 // WriteText renders the experiment as text.
 func (r *SimResult) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "sim: deterministic cluster simulation, %d ops/run, %d seeds\n", r.Ops, r.SeedCount)

@@ -3,12 +3,15 @@ package server
 import (
 	"encoding/binary"
 	"errors"
+	"net"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"nvref/internal/obs"
+	"nvref/internal/rt"
 )
 
 // ---- Envelope encoding and decoding --------------------------------------
@@ -233,6 +236,222 @@ func TestBatchTracePropagation(t *testing.T) {
 	})
 }
 
+// traceStages is the whole stage vocabulary, in hop order.
+var traceStages = []string{
+	StageClientSend, StageDecode, StageQueueWait, StageExecute, StageOplogAppend,
+	StageOplogFlush, StageReplShip, StageReplApply, StageAckHold, StageReplyEncode,
+}
+
+// TestTraceChainSound drives traced PUTs and GETs through a primary with a
+// live replica, each timed end to end around Do. Every reply must echo its
+// trace; every op's request-path spans on the primary must form a sound
+// chain inside the latency the client measured (chainSound, with the
+// op-log append and the held REPLACK in it for a PUT); and the client,
+// primary and replica recorders together must hold every stage of the
+// vocabulary.
+func TestTraceChainSound(t *testing.T) {
+	const ops, keys = 200, 50
+	pspans := obs.NewSpanRecorder(16384, nil)
+	rspans := obs.NewSpanRecorder(16384, nil)
+	p, r, paddr, _ := startPair(t, 2,
+		func(c *Config) { c.Spans = pspans },
+		func(c *Config) { c.Spans = rspans })
+	defer r.Abort()
+	defer p.Abort()
+	// Acks are held for the replica only once it has made contact.
+	waitFor(t, "follower contact", 5*time.Second, func() bool {
+		return r.CollectStats().Follower.Pulls > 0
+	})
+	cl, err := Dial(paddr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cspans := obs.NewSpanRecorder(16384, nil)
+	cl.SetSpanRecorder(cspans)
+
+	e2e := make(map[uint64]time.Duration, ops)
+	for i := 0; i < ops; i++ {
+		id := uint64(i + 1)
+		req := &Request{Op: OpPut, Key: uint64(i % keys), Value: uint64(i), Trace: id, Sampled: true}
+		if i%3 == 2 {
+			req = &Request{Op: OpGet, Key: uint64(i % keys), Trace: id, Sampled: true}
+		}
+		t0 := time.Now()
+		rep, err := cl.Do(req)
+		e2e[id] = time.Since(t0)
+		if err != nil {
+			t.Fatalf("traced op %d: %v", i, err)
+		}
+		if err := rep.Err(); err != nil {
+			t.Fatalf("traced op %d: %v", i, err)
+		}
+		if rep.Trace != id {
+			t.Fatalf("traced op %d: echo %#x, want %#x", i, rep.Trace, id)
+		}
+	}
+	// Apply-side spans are cut before the REPLACK that released the acks;
+	// the drain only makes the replica's recorder final.
+	waitFor(t, "replication drain", 5*time.Second, func() bool {
+		return r.replLagRecords() == 0
+	})
+
+	// Every span a traced op cut is recorded before its reply is flushed,
+	// and the ring holds them all, so each op's chain is complete.
+	chains := make(map[uint64]map[string]obs.Span)
+	for _, sp := range pspans.Spans() {
+		if sp.Trace == 0 {
+			continue
+		}
+		if chains[sp.Trace] == nil {
+			chains[sp.Trace] = make(map[string]obs.Span)
+		}
+		chains[sp.Trace][sp.Stage] = sp
+	}
+	for id, d := range e2e {
+		if _, ok := chains[id][StageDecode]; !ok {
+			t.Fatalf("trace %d: no %s span", id, StageDecode)
+		}
+		if !chainSound(chains[id], d) {
+			t.Fatalf("trace %d: stage chain out of order or over its %v end-to-end latency: %+v", id, d, chains[id])
+		}
+	}
+
+	seen := make(map[string]bool)
+	for _, rec := range []*obs.SpanRecorder{cspans, pspans, rspans} {
+		for _, sp := range rec.Spans() {
+			seen[sp.Stage] = true
+		}
+	}
+	for _, stage := range traceStages {
+		if !seen[stage] {
+			t.Errorf("stage %s never observed on the client, primary or replica", stage)
+		}
+	}
+}
+
+// chainSound checks one traced op's request-path spans on the primary
+// structurally, using their recorded start and duration (all on the
+// recorder's one monotonic clock): server_decode -> queue_wait ->
+// oplog_append/execute -> replack_hold -> reply_encode must be ordered and
+// pairwise non-overlapping — each stage is closed before the request is
+// handed to the next — so their sum fits the server-side wall (decode
+// start to reply_encode end), which in turn fits the e2e latency the
+// client measured around the round trip: the server starts decoding after
+// the client sent, and closes reply_encode before it flushes the reply.
+// client_send is left out: the client records it on its own recorder.
+func chainSound(st map[string]obs.Span, e2e time.Duration) bool {
+	for _, stage := range []string{StageQueueWait, StageExecute, StageReplyEncode} {
+		if _, ok := st[stage]; !ok {
+			return false
+		}
+	}
+	// The shard worker stamps oplog_append and execute with one start and
+	// disjoint durations: together they are the worker's segment, and the
+	// append must lie inside it.
+	work := st[StageExecute]
+	if app, ok := st[StageOplogAppend]; ok {
+		work.DurNS += app.DurNS
+		if app.StartNS < work.StartNS || app.StartNS+app.DurNS > work.StartNS+work.DurNS {
+			return false
+		}
+	}
+	chain := []obs.Span{st[StageDecode], st[StageQueueWait], work}
+	if hold, ok := st[StageAckHold]; ok {
+		chain = append(chain, hold)
+	}
+	chain = append(chain, st[StageReplyEncode])
+
+	var sum int64
+	end := chain[0].StartNS
+	for _, sp := range chain {
+		if sp.DurNS < 0 || sp.StartNS < end {
+			return false
+		}
+		end = sp.StartNS + sp.DurNS
+		sum += sp.DurNS
+	}
+	wall := end - chain[0].StartNS
+	return sum <= wall && wall <= e2e.Nanoseconds()
+}
+
+// TestTraceFreeWhenOff: the tracing plane attached with nothing sampled
+// costs what no plane costs, by count, with no clock read. The same
+// untraced PUT+GET stream against a plane-less server and against one with
+// a span recorder attached must allocate the same per round-trip pair and
+// put the same bytes on the wire, and the recorder must never be called.
+func TestTraceFreeWhenOff(t *testing.T) {
+	bareAllocs, bareBytes := countDisabledPath(t, nil)
+	spans := obs.NewSpanRecorder(0, nil)
+	offAllocs, offBytes := countDisabledPath(t, spans)
+	if bareBytes == 0 || offBytes != bareBytes {
+		t.Errorf("wire bytes: %d with the plane attached, %d without", offBytes, bareBytes)
+	}
+	if bareAllocs == 0 || offAllocs != bareAllocs {
+		t.Errorf("allocs per PUT+GET pair: %v with the plane attached, %v without", offAllocs, bareAllocs)
+	}
+	if n := spans.Emitted(); n != 0 {
+		t.Errorf("unsampled requests reached the span recorder %d times", n)
+	}
+}
+
+// countingConn counts the bytes a client writes to and reads from its
+// connection.
+type countingConn struct {
+	net.Conn
+	bytes atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.bytes.Add(int64(n))
+	return n, err
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.bytes.Add(int64(n))
+	return n, err
+}
+
+// countDisabledPath drives untraced PUT+GET pairs at a standalone server —
+// with the tracing plane attached when spans is non-nil, and no sampling
+// either way — and returns the process-wide mallocs per pair and the bytes
+// the counted pairs put on the wire. One uncounted pass over the same keys
+// comes first, so index growth and buffer warm-up land outside the count.
+func countDisabledPath(t *testing.T, spans *obs.SpanRecorder) (allocsPerPair float64, wireBytes int64) {
+	t.Helper()
+	const keys, pairs = 300, 500
+	ts := startServer(t, Config{Shards: 2, Mode: rt.HW, Spans: spans})
+	defer ts.abort()
+	conn, err := net.Dial("tcp", ts.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &countingConn{Conn: conn}
+	cl := NewClient(cc)
+	defer cl.Close()
+
+	i := 0
+	pair := func() {
+		key := uint64(i%keys) * 2654435761
+		i++
+		if err := cl.Put(key, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := cl.Get(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n := 0; n < keys; n++ {
+		pair()
+	}
+	before := cc.bytes.Load()
+	// AllocsPerRun calls pair once more than it counts, as its own warm-up.
+	allocsPerPair = testing.AllocsPerRun(pairs, pair)
+	return allocsPerPair, cc.bytes.Load() - before
+}
+
 func TestPipelineTracePropagation(t *testing.T) {
 	ts := startServer(t, Config{Shards: 2, Spans: obs.NewSpanRecorder(1024, nil)})
 	cl := dial(t, ts)
@@ -427,7 +646,11 @@ func TestStatuszTraceBlock(t *testing.T) {
 
 func TestPromotionDumpsFlightRecorder(t *testing.T) {
 	dir := t.TempDir()
-	p, r, paddr, _ := startPair(t, 1, nil, func(c *Config) { c.FlightDir = dir })
+	rspans := obs.NewSpanRecorder(1024, nil)
+	p, r, paddr, raddr := startPair(t, 1, nil, func(c *Config) {
+		c.FlightDir = dir
+		c.Spans = rspans
+	})
 	defer r.Abort()
 	waitFor(t, "follower contact", 5*time.Second, func() bool {
 		return r.CollectStats().Follower.Pulls > 0
@@ -445,6 +668,18 @@ func TestPromotionDumpsFlightRecorder(t *testing.T) {
 	waitFor(t, "replication drain", 5*time.Second, func() bool {
 		return r.replLagRecords() == 0
 	})
+	// A traced read on the replica, so the dump has a request's spans in
+	// flight beside the apply-side ones.
+	rc, err := Dial(raddr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = 0xF11647
+	rep, err := rc.Do(&Request{Op: OpGet, Key: 1, Trace: id, Sampled: true})
+	rc.Close()
+	if err != nil || rep.Err() != nil || rep.Trace != id {
+		t.Fatalf("traced replica get: %v / %v, echo %#x", err, rep.Err(), rep.Trace)
+	}
 
 	p.Abort() // the primary dies; the operator promotes the replica
 	if err := r.Promote(); err != nil {
@@ -463,17 +698,25 @@ func TestPromotionDumpsFlightRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sawPromotion bool
+	var sawPromotion, sawTraced bool
+	var spanLines int
 	for _, ln := range lines {
-		if ln.Type == "wide" && ln.Event.Kind == TriggerPromotion {
+		switch {
+		case ln.Type == "wide" && ln.Event.Kind == TriggerPromotion:
 			sawPromotion = true
 			if ln.Event.Detail == "" {
 				t.Error("promotion event lost its detail")
 			}
+		case ln.Type == "span":
+			spanLines++
+			sawTraced = sawTraced || ln.Span.Trace == id
 		}
 	}
 	if !sawPromotion {
 		t.Fatalf("dump %s has no promotion trigger", doc.Trace.LastDump)
+	}
+	if spanLines == 0 || !sawTraced {
+		t.Fatalf("dump %s: %d span lines, traced read's spans present %v", doc.Trace.LastDump, spanLines, sawTraced)
 	}
 }
 

@@ -27,7 +27,9 @@ const (
 	// retained stores; Role overrides the node's role ("replica" makes a
 	// restarted old primary rejoin as a follower of Peer).
 	ActRestart ActionKind = "restart"
-	// ActWaitRole blocks until Node reports the Role ("primary").
+	// ActWaitRole blocks until Node has finished a promotion to the Role
+	// ("primary"): it reports the role and its flight recorder holds the
+	// promotion trigger.
 	ActWaitRole ActionKind = "wait-role"
 	// ActWaitConn blocks until Node's follower has had a pull answered
 	// since Node's own start and since it last lost its primary to a crash

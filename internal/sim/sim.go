@@ -88,6 +88,9 @@ type RunResult struct {
 	Restarts           uint64 `json:"restarts,omitempty"`
 	Promotions         uint64 `json:"promotions"`
 	PromotionsExported int64  `json:"promotions_exported"`
+	// PromotionDumps counts the promotion triggers in every node's flight
+	// recorder, which lives as long as the node, across its incarnations.
+	PromotionDumps int `json:"promotion_dumps"`
 	// Media counters from each node's registry, summed over every
 	// incarnation: an ActCrash reads them just before the kill, so a
 	// repair the scrubber made before a crash still counts.
@@ -152,8 +155,14 @@ type node struct {
 	// cluster topology only:
 	clusterStore pmem.Store
 	bootstrap    *cluster.Map
-	// reg outlives incarnations: each restart rebinds its series.
-	reg *obs.Registry
+	// reg outlives incarnations: each restart rebinds its series. So does
+	// flight, the in-memory flight recorder every incarnation notes its
+	// incidents to.
+	reg    *obs.Registry
+	flight *obs.FlightRecorder
+	// waitedPromotions counts the ActWaitRole primary actions fired at
+	// this node.
+	waitedPromotions int
 	// pullsBase is this replica's follower Pulls when it last lost its
 	// primary to a crash or a cut (0 from its own start): ActWaitConn
 	// waits for a pull past it, one served since.
@@ -379,12 +388,14 @@ func (s *sim) readMedia(n *node) map[string]uint64 {
 	return series
 }
 
-// collect sums the counters of the nodes still up, and the faults the
-// flaky injector put on the client conns.
+// collect sums the counters of the nodes still up, the promotion triggers
+// every node's flight recorder holds, and the faults the flaky injector put
+// on the client conns.
 func (s *sim) collect() {
 	res := s.res
 	for _, name := range s.order {
 		n := s.nodes[name]
+		res.PromotionDumps += n.promotionDumps()
 		if !n.up {
 			continue
 		}
@@ -420,6 +431,17 @@ func (s *sim) collect() {
 	}
 }
 
+// promotionDumps counts the promotion triggers n's flight recorder holds.
+func (n *node) promotionDumps() int {
+	dumps := 0
+	for _, ev := range n.flight.Events() {
+		if ev.Kind == server.TriggerPromotion {
+			dumps++
+		}
+	}
+	return dumps
+}
+
 func (s *sim) teardown() {
 	for _, n := range s.nodes {
 		if n.up {
@@ -432,7 +454,7 @@ func (s *sim) teardown() {
 // --- topology setup ---
 
 func (s *sim) newNode(name string) *node {
-	n := &node{name: name, reg: obs.NewRegistry()}
+	n := &node{name: name, reg: obs.NewRegistry(), flight: obs.NewFlightRecorder(0, "", nil)}
 	for i := 0; i < simShards; i++ {
 		n.stores = append(n.stores, pmem.NewMemStore())
 		n.logStores = append(n.logStores, pmem.NewMemStore())
@@ -456,6 +478,7 @@ func (s *sim) config(n *node) server.Config {
 		LogFlushEvery:   1,
 		Clock:           s.vc,
 		Reg:             n.reg,
+		Flight:          n.flight,
 		AckTimeout:      simAckTimeout,
 		ReplLiveWindow:  simReplLive,
 		StoreFor:        func(i int) pmem.Store { return n.stores[i] },
@@ -690,9 +713,14 @@ func (s *sim) fire(a Action) string {
 			return "kill-shard " + a.Node + ": " + err.Error()
 		}
 	case ActWaitRole:
+		// A promotion flips the role first, then scrubs, counts itself and
+		// notes its flight-recorder trigger last. Settling on the role alone
+		// lets the rest of a short script, and collect, outrun the promotion
+		// under load; settle on the trigger.
 		n := s.nodes[a.Node]
+		n.waitedPromotions++
 		return s.settle("wait-role "+a.Node, func() bool {
-			return n.up && n.srv.Role() == server.RolePrimary
+			return n.up && n.srv.Role() == server.RolePrimary && n.promotionDumps() >= n.waitedPromotions
 		})
 	case ActWaitConn:
 		n := s.nodes[a.Node]

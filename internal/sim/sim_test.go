@@ -423,6 +423,7 @@ func TestSchedules(t *testing.T) {
 		{"promotions", "crash-failover-restart", func(_ *RunResult, w *want) { w.promotions = 0 }},
 		{"promotions", "corrupt-under-load", func(r *RunResult, _ *want) { r.Promotions, r.PromotionsExported = 1, 1 }},
 		{"promotions-series", "crash-failover-restart", func(r *RunResult, _ *want) { r.PromotionsExported = -1 }},
+		{"promotion-dumps", "crash-failover-restart", func(r *RunResult, _ *want) { r.PromotionDumps = 0 }},
 		{"ack-discipline", "crash-failover-restart", func(r *RunResult, _ *want) { r.CrashSamples[0].DegradedAcks = 1 }},
 		{"ack-discipline", "corrupt-under-load", func(r *RunResult, _ *want) { r.CrashSamples[0].TimeoutAcks = 1 }},
 		{"replica-work", "crash-failover-restart", func(r *RunResult, _ *want) { r.CrashSamples[0].Applies = 0 }},

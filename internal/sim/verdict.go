@@ -91,6 +91,8 @@ func (r *RunResult) judge(w want) {
 	check(r.Promotions == uint64(w.promotions), "promotions", "%d, the script waits for %d", r.Promotions, w.promotions)
 	check(r.PromotionsExported == int64(r.Promotions), "promotions-series",
 		"the registries export %d promotions, the servers report %d", r.PromotionsExported, r.Promotions)
+	check(r.PromotionDumps == w.promotions, "promotion-dumps",
+		"the flight recorders hold %d promotion triggers, the script waits for %d", r.PromotionDumps, w.promotions)
 	for _, c := range r.CrashSamples {
 		check(c.DegradedAcks == 0 && c.TimeoutAcks == 0, "ack-discipline",
 			"%s acked %d degraded and %d timed-out writes before its crash", c.Node, c.DegradedAcks, c.TimeoutAcks)

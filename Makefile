@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fuzz verify loc bench faults sim serve
+.PHONY: build test fuzz verify loc bench sim serve
 
 build:
 	$(GO) build ./...
@@ -17,8 +17,9 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzImageChecksum -fuzztime=10s ./internal/pmem/
 	$(GO) test -run='^$$' -fuzz=FuzzDirStoreLoad -fuzztime=10s ./internal/pmem/
 
-# Full gate: build + vet + race-enabled tests (fault matrix and crash
-# sweep included). CI and pre-merge runs use this.
+# Full gate: build + vet + race-enabled tests (the fault matrix in
+# internal/fault/inject and the crash sweep in internal/fault/harness
+# included). CI and pre-merge runs use this.
 verify:
 	sh scripts/verify.sh
 
@@ -32,18 +33,16 @@ loc:
 bench:
 	$(GO) test -bench=. -benchmem
 
-faults:
-	$(GO) run ./cmd/nvbench -experiment faults
-
 # Simulation gate: deterministic cluster simulation — byte-identical
-# same-seed replay, the split-brain fence gate, and a 10-seed nemesis
-# sweep checked for durable linearizability. It is also the self-healing
-# (flaky-steady: shard kills + network faults), replication
-# (crash-failover-restart), media (corrupt-under-load) and cluster
-# (migration-kill: a node joins by live migration across its own crash)
-# gate.
+# same-seed replay (TestDeterminism), the split-brain fence gate
+# (TestFenceGate), a 10-seed nemesis sweep checked for durable
+# linearizability (TestSweepSchedules), and every builtin schedule's
+# verdict (TestSchedules). It is also the self-healing (flaky-steady:
+# shard kills + network faults), replication (crash-failover-restart),
+# media (corrupt-under-load) and cluster (migration-kill: a node joins by
+# live migration across its own crash) gate. make test runs it too.
 sim:
-	$(GO) run ./cmd/nvbench -experiment sim
+	$(GO) test -count=1 -run 'TestDeterminism|TestFenceGate|TestSchedules|TestSweepSchedules' ./internal/sim/
 
 # Run the sharded KV daemon with persistent pools and the metrics mux.
 serve:

@@ -93,10 +93,9 @@ func BuildJSONReport(cfg RunConfig, all map[string]map[rt.Mode]Measurement) JSON
 	return rep
 }
 
-// WriteJSON writes an experiment document — the measurement report or
-// the sim result — as indented JSON.
-func WriteJSON(w io.Writer, doc any) error {
+// WriteJSON writes the measurement report as indented JSON.
+func WriteJSON(w io.Writer, rep JSONReport) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	return enc.Encode(rep)
 }

@@ -34,21 +34,35 @@ func open(inj *Store) (*pmem.Pool, error) {
 }
 
 func TestTransientSaveAbsorbedByRetry(t *testing.T) {
-	inj := New(pmem.NewMemStore(), 1, Fault{Class: fault.Transient, Op: OpSave, Nth: 1})
-	newPool(t, inj) // the checkpoint inside must survive the faulted attempt
+	inj := New(pmem.NewMemStore(), 1, Fault{Class: fault.Transient, Op: OpSave, Nth: 2})
+	reg, pool := newPool(t, inj) // save #1: one allocation
+	if _, err := pool.Alloc(128); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Checkpoint(pool); err != nil { // save #2 must survive the faulted attempt
+		t.Fatal(err)
+	}
 	if len(inj.Events) != 1 {
 		t.Errorf("events = %v, want exactly the scheduled transient", inj.Events)
 	}
-	if _, err := open(inj); err != nil {
-		t.Errorf("open after retried save: %v", err)
+	reopened, err := open(inj)
+	if err != nil {
+		t.Fatalf("open after retried save: %v", err)
+	}
+	if got := reopened.AllocCount(); got != 2 {
+		t.Errorf("reopened pool has %d allocations, want the latest checkpoint's 2", got)
 	}
 }
 
 func TestTransientLoadAbsorbedByRetry(t *testing.T) {
 	inj := New(pmem.NewMemStore(), 1, Fault{Class: fault.Transient, Op: OpLoad, Nth: 2})
 	newPool(t, inj)
-	if _, err := open(inj); err != nil { // open is load #2
-		t.Errorf("open with one transient load fault: %v", err)
+	reopened, err := open(inj) // open is load #2
+	if err != nil {
+		t.Fatalf("open with one transient load fault: %v", err)
+	}
+	if got := reopened.AllocCount(); got != 1 {
+		t.Errorf("reopened pool has %d allocations, want the checkpoint's 1", got)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"nvref/internal/obs"
 	"nvref/internal/rt"
 )
 
@@ -157,6 +158,42 @@ func TestCorpusExpectedOutputs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCorpusMetricsEqualLegacyStats: the exported core_* series are the
+// legacy counters, not approximations of them. Summed over the whole
+// corpus under SW (the model where core.Stats moves most), each series
+// equals its core.Stats source, and each moved.
+func TestCorpusMetricsEqualLegacyStats(t *testing.T) {
+	var obsSum [3]int64
+	var legacySum [3]uint64
+	names := [3]string{"core_dynamic_checks_total", "core_abs_to_rel_total", "core_rel_to_abs_total"}
+	for _, p := range Corpus() {
+		prog, _, err := Compile(p.Source)
+		if err != nil {
+			t.Fatalf("compile %s: %v", p.Name, err)
+		}
+		_, ctx, err := Run(prog, rt.SW)
+		if err != nil {
+			t.Fatalf("run %s: %v", p.Name, err)
+		}
+		reg := obs.NewRegistry()
+		ctx.RegisterMetrics(reg)
+		snap := reg.Snapshot()
+		legacy := [3]uint64{ctx.Env.Stats.DynamicChecks, ctx.Env.Stats.AbsToRel, ctx.Env.Stats.RelToAbs}
+		for i, name := range names {
+			obsSum[i] += snap.Value(name)
+			legacySum[i] += legacy[i]
+		}
+	}
+	for i, name := range names {
+		if obsSum[i] != int64(legacySum[i]) {
+			t.Errorf("%s = %d, legacy counter %d", name, obsSum[i], legacySum[i])
+		}
+		if legacySum[i] == 0 {
+			t.Errorf("%s never moved over the corpus — check is vacuous", name)
+		}
 	}
 }
 

@@ -1,11 +1,14 @@
 #!/bin/sh
 # Full verification: build, vet, and the race-enabled test suite — which
-# includes the fault matrix, the crash-point sweep, and the recovery tests —
-# run once, writing one coverage profile; then one leg per subsystem: a
-# coverage gate read from that profile where verdicts rest on the
-# subsystem, its targeted tests (repeated where an ordering flake could
-# hide), and, for the simulator, its nvbench acceptance experiment end to
-# end. Performance is not judged here; benchmark/ does.
+# includes the fault matrix (internal/fault/inject's TestTransient*,
+# TestTorn*, TestBitFlip* and TestStaleSaveServesPreviousImage), the
+# crash-point sweep (internal/fault/harness's TestEnumerateAllPersistPoints
+# and TestDoubleRecovery), the simulator's 10-seed nemesis sweep
+# (internal/sim's TestSweepSchedules) and the recovery tests — run once,
+# writing one coverage profile; then one leg per subsystem: a coverage gate
+# read from that profile where verdicts rest on the subsystem, and its
+# targeted tests (repeated where an ordering flake could hide).
+# Performance is not judged here; benchmark/ does.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -82,19 +85,19 @@ cover_gate cluster 80
 go test -race -run 'TestCluster' ./internal/server/
 
 # Simulation leg: the harness and checker are what the consistency verdicts
-# rest on; the gate wants byte-identical same-seed replay of every schedule
-# a gate rests on (repeated under the race detector), the unfenced
-# split-brain flagged while the fenced one passes, and a fixed-seed nemesis
-# matrix (partitions, crash-restarts, failover and shard kills under a
-# flaky network, media corruption, a joiner killed between live
-# migrations) whose every run passes its verdict: durable linearizability
-# plus the counters its script implies — restarts per shard kill, injected
-# net faults, pages repaired, promotions, a clean held-ack discipline, lag
-# drained, slots handed over and epochs advanced per rebalance step, no
-# stale-epoch write, a clean read-back. migration-kill replays too.
+# rest on. The suite above already ran the gate once: byte-identical
+# same-seed replay of every builtin schedule (TestDeterminism), the
+# unfenced split-brain flagged while the fenced one passes (TestFenceGate),
+# and a 10-seed nemesis matrix (TestSweepSchedules: partitions,
+# crash-restarts, failover and shard kills under a flaky network, media
+# corruption, a joiner killed between live migrations) whose every run
+# passes its verdict: durable linearizability plus the counters its script
+# implies — restarts per shard kill, injected net faults, pages repaired,
+# promotions, a clean held-ack discipline, lag drained, slots handed over
+# and epochs advanced per rebalance step, no stale-epoch write, a clean
+# read-back. The replay is repeated here under the race detector.
 cover_gate sim 80
-go test -race -count=2 -run 'TestSchedules|TestDeterminism' ./internal/sim/
-go run ./cmd/nvbench -experiment sim -quick
+go test -race -count=2 -run 'TestDeterminism' ./internal/sim/
 
 # Media leg: the parity layer and the pool images under it (the
 # incremental checkpoint, the sidecar record, repair) are what the in-place

@@ -23,12 +23,13 @@ fuzz:
 verify:
 	sh scripts/verify.sh
 
-# Non-test Go lines per package, one line each — the figure a ROADMAP item's
-# LoC delta is read from (run it before and after).
+# Non-test Go lines per package of the module (nested ones included), one
+# line each, then their total — the figure a ROADMAP item's LoC delta is read
+# from (run it before and after).
 loc:
-	@for d in internal/* cmd/*; do \
-		printf '%6d %s\n' "$$(cat $$(ls $$d/*.go | grep -v _test.go) | wc -l)" $$d; \
-	done
+	@$(GO) list -f '{{.Dir}} {{.ImportPath}}' ./... | while read -r dir pkg; do \
+		printf '%6d %s\n' "$$(cat /dev/null $$(ls $$dir/*.go | grep -v _test.go) | wc -l)" "$$pkg"; \
+	done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -5,9 +5,9 @@ import "time"
 // Clock abstracts the time source the fault-adjacent correctness windows
 // read: held-ack expiry, replica liveness, fencing, promotion-by-silence,
 // breaker cooldowns, watchdog wedge windows, request deadlines, and the
-// flaky injector's delays. Production code runs on Wall; the deterministic
-// simulator (internal/sim) substitutes a seeded virtual clock so every
-// window fires at an exactly reproducible point in the run.
+// simulator's injected network delays. Production code runs on Wall; the
+// deterministic simulator (internal/sim) substitutes a seeded virtual clock
+// so every window fires at an exactly reproducible point in the run.
 //
 // Implementations must be safe for concurrent use.
 type Clock interface {

@@ -184,8 +184,8 @@ func (t *Trigger) Fired() bool {
 }
 
 // Periodic is a goroutine-safe Scheduler that fires on every nth execution
-// of one labeled crash point — the recurring sibling of Trigger. The
-// flaky-network wrapper uses it to fault a steady fraction of I/O calls;
+// of one labeled crash point — the recurring sibling of Trigger. The sim's
+// network faults (sim.Faults) use it to fault a steady fraction of I/O calls;
 // an empty label matches every point, so one Periodic can drive both the
 // read and write points at once.
 type Periodic struct {

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 
-	"nvref/internal/fault"
 	"nvref/internal/mem"
 	"nvref/internal/parity"
 	"nvref/internal/pmem"
@@ -139,29 +138,14 @@ type CheckpointOutcome struct {
 // nth hit of the named crash point, and verifies two recoveries of what
 // survives.
 func CheckpointCrashAt(label string, nth int) (*CheckpointOutcome, error) {
-	r, err := startCkptRun()
-	if err != nil {
-		return nil, err
-	}
-	crashed, err := fault.Run(fault.NewTrigger(label, nth), r.mutate)
-	if err != nil {
-		return nil, fmt.Errorf("%s #%d: workload: %w", label, nth, err)
-	}
-	if crashed == nil {
-		return &CheckpointOutcome{}, nil
-	}
-	out, err := r.recoverTwice(r.log.FlushedSeq())
-	if err != nil {
-		return nil, fmt.Errorf("%s #%d: %w", label, nth, err)
-	}
-	out.Crashed = true
-	return out, nil
+	return crashAt(startCkptRun, label, nth)
 }
 
-// recoverTwice recovers the run's stores twice and requires the same
-// outcome and state both times. durable is the sequence the crashed
-// process had been told was flushed.
-func (r *ckptRun) recoverTwice(durable uint64) (*CheckpointOutcome, error) {
+// restart recovers the run's stores twice and requires the same outcome
+// and state both times, against the sequence the run had been told its log
+// was flushed through.
+func (r *ckptRun) restart() (*CheckpointOutcome, error) {
+	durable := r.log.FlushedSeq()
 	first, state, err := r.recoverOnce(durable)
 	if err != nil {
 		return nil, err
@@ -186,7 +170,7 @@ func (r *ckptRun) recoverTwice(durable uint64) (*CheckpointOutcome, error) {
 // against the history. It changes nothing a second recovery would find
 // different.
 func (r *ckptRun) recoverOnce(durable uint64) (*CheckpointOutcome, map[uint64]uint64, error) {
-	out := &CheckpointOutcome{}
+	out := &CheckpointOutcome{Crashed: true}
 	reg := pmem.NewRegistry(mem.New(), r.pools, pmem.WithParity(parity.Default()), pmem.WithMapBase(reopenBase))
 	as := reg.AddressSpace()
 	pool, err := reg.Open(ckptPoolName)
@@ -271,34 +255,4 @@ func sameState(got, want map[uint64]uint64) error {
 // EnumerateCheckpoint discovers every crash point the split-checkpoint
 // workload reaches and verifies recovery from a crash at each occurrence
 // of each.
-func EnumerateCheckpoint() (*Report, error) {
-	rep := &Report{}
-	rec := fault.NewRecorder()
-	r, err := startCkptRun()
-	if err != nil {
-		return nil, err
-	}
-	if crashed, err := fault.Run(rec, r.mutate); crashed != nil || err != nil {
-		return nil, fmt.Errorf("recording run: crash %v, err %v", crashed, err)
-	}
-	if _, err := r.recoverTwice(r.log.FlushedSeq()); err != nil {
-		return nil, fmt.Errorf("uncrashed run: %w", err)
-	}
-	counts := rec.Counts()
-	for _, label := range rec.Labels() {
-		pr := PointResult{Label: label, Hits: counts[label]}
-		for nth := 1; nth <= pr.Hits; nth++ {
-			out, err := CheckpointCrashAt(label, nth)
-			if err != nil {
-				return nil, err
-			}
-			if !out.Crashed {
-				return nil, fmt.Errorf("%s #%d: point not reached on replay", label, nth)
-			}
-			pr.Tested++
-			rep.TotalRuns++
-		}
-		rep.Points = append(rep.Points, pr)
-	}
-	return rep, nil
-}
+func EnumerateCheckpoint() (*Report, error) { return sweep(startCkptRun, nil) }

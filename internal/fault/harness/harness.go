@@ -17,7 +17,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 
 	"nvref/internal/core"
 	"nvref/internal/fault"
@@ -182,28 +181,15 @@ type Outcome struct {
 // point, recovers in a fresh run, and checks every invariant. An error
 // means an invariant failed; Outcome.Crashed false means the workload
 // finished before the nth hit.
-func CrashAt(label string, nth int) (*Outcome, error) {
-	r, err := newRun()
-	if err != nil {
-		return nil, err
-	}
-	crashed, err := fault.Run(fault.NewTrigger(label, nth), r.mutate)
-	if err != nil {
-		return nil, fmt.Errorf("%s #%d: workload: %w", label, nth, err)
-	}
-	if crashed == nil {
-		return &Outcome{}, nil
-	}
+func CrashAt(label string, nth int) (*Outcome, error) { return crashAt(newRun, label, nth) }
+
+// restart recovers the run's pool image at a new base and verifies it.
+func (r *run) restart() (*Outcome, error) {
 	meta, data, err := r.image()
 	if err != nil {
 		return nil, err
 	}
-	out, err := recoverAndVerify(meta, data, r.logOff, r.wordsOff, reopenBase)
-	if err != nil {
-		return nil, fmt.Errorf("%s #%d: %w", label, nth, err)
-	}
-	out.Crashed = true
-	return out, nil
+	return recoverAndVerify(meta, data, r.logOff, r.wordsOff, reopenBase)
 }
 
 // recoverAndVerify attaches to a crashed image and asserts the invariants.
@@ -216,7 +202,7 @@ func recoverAndVerify(meta pmem.Meta, data []byte, logOff, wordsOff, base uint64
 	if err != nil {
 		return nil, fmt.Errorf("attach: %w", err)
 	}
-	out := &Outcome{RolledBack: rolledBack}
+	out := &Outcome{Crashed: true, RolledBack: rolledBack}
 
 	rep := pmem.Fsck(pool)
 	if !rep.Consistent() {
@@ -291,50 +277,92 @@ type Report struct {
 // DistinctPoints counts the persist points the workload reached.
 func (r *Report) DistinctPoints() int { return len(r.Points) }
 
-// Options tunes an enumeration sweep.
-type Options struct {
-	// MaxPerLabel caps the occurrences tested per point; 0 tests them all.
-	MaxPerLabel int
-}
-
 // Enumerate discovers every persist point the workload hits, then crashes
 // at each occurrence of each point and verifies recovery. It fails fast on
 // the first invariant violation.
-func Enumerate(opts Options) (*Report, error) {
-	rec := fault.NewRecorder()
-	r, err := newRun()
+func Enumerate() (*Report, error) {
+	return sweep(newRun, func(pr *PointResult, out *Outcome) {
+		if out.RolledBack {
+			pr.Rollbacks++
+		}
+		if out.Repaired {
+			pr.Repairs++
+		}
+	})
+}
+
+// workload is one simulated process a crash-point sweep drives: mutate is
+// the instrumented run, and restart recovers what it left in its stores,
+// as the next process would, verifies it, and reports the outcome.
+type workload[O any] interface {
+	mutate() error
+	restart() (*O, error)
+}
+
+// crash starts a run, crashes it at the nth hit of label, and verifies its
+// restart. It returns nil when the workload finished before the nth hit.
+func crash[O any, W workload[O]](start func() (W, error), label string, nth int) (*O, error) {
+	w, err := start()
 	if err != nil {
 		return nil, err
 	}
-	if crashed, err := fault.Run(rec, r.mutate); crashed != nil || err != nil {
+	crashed, err := fault.Run(fault.NewTrigger(label, nth), w.mutate)
+	if err != nil {
+		return nil, fmt.Errorf("%s #%d: workload: %w", label, nth, err)
+	}
+	if crashed == nil {
+		return nil, nil
+	}
+	out, err := w.restart()
+	if err != nil {
+		return nil, fmt.Errorf("%s #%d: %w", label, nth, err)
+	}
+	return out, nil
+}
+
+// crashAt is crash with an exhausted point reported as the zero outcome,
+// whose Crashed is false.
+func crashAt[O any, W workload[O]](start func() (W, error), label string, nth int) (*O, error) {
+	out, err := crash(start, label, nth)
+	if out == nil && err == nil {
+		out = new(O)
+	}
+	return out, err
+}
+
+// sweep records an uncrashed run of the workload and verifies its restart,
+// then crashes a fresh run at every occurrence of every crash point the
+// recording reached and verifies each restart. It fails fast on the first
+// invariant violation. tally, when non-nil, adds each restart's outcome to
+// its point's result.
+func sweep[O any, W workload[O]](start func() (W, error), tally func(*PointResult, *O)) (*Report, error) {
+	rec := fault.NewRecorder()
+	w, err := start()
+	if err != nil {
+		return nil, err
+	}
+	if crashed, err := fault.Run(rec, w.mutate); crashed != nil || err != nil {
 		return nil, fmt.Errorf("recording run: crash %v, err %v", crashed, err)
 	}
+	if _, err := w.restart(); err != nil {
+		return nil, fmt.Errorf("uncrashed run: %w", err)
+	}
 	counts := rec.Counts()
-	labels := rec.Labels()
-	sort.Strings(labels)
-
 	rep := &Report{}
-	for _, label := range labels {
+	for _, label := range rec.Labels() {
 		pr := PointResult{Label: label, Hits: counts[label]}
-		limit := pr.Hits
-		if opts.MaxPerLabel > 0 && limit > opts.MaxPerLabel {
-			limit = opts.MaxPerLabel
-		}
-		for nth := 1; nth <= limit; nth++ {
-			out, err := CrashAt(label, nth)
+		for nth := 1; nth <= pr.Hits; nth++ {
+			out, err := crash(start, label, nth)
 			if err != nil {
 				return nil, err
 			}
-			if !out.Crashed {
+			if out == nil {
 				return nil, fmt.Errorf("%s #%d: point not reached on replay", label, nth)
 			}
 			pr.Tested++
 			rep.TotalRuns++
-			if out.RolledBack {
-				pr.Rollbacks++
-			}
-			if out.Repaired {
-				pr.Repairs++
+			if tally != nil {
+				tally(&pr, out)
 			}
 		}
 		rep.Points = append(rep.Points, pr)

@@ -11,7 +11,7 @@ import (
 // the workload reaches, at every occurrence, must recover to a consistent,
 // relocatable pool with an atomic word generation.
 func TestEnumerateAllPersistPoints(t *testing.T) {
-	rep, err := Enumerate(Options{})
+	rep, err := Enumerate()
 	if err != nil {
 		t.Fatal(err)
 	}

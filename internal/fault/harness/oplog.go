@@ -22,7 +22,6 @@ package harness
 import (
 	"fmt"
 
-	"nvref/internal/fault"
 	"nvref/internal/pmem"
 	"nvref/internal/repl"
 )
@@ -162,23 +161,13 @@ type OplogOutcome struct {
 // the nth hit of the named crash point, and verifies two recoveries of what
 // survives.
 func OplogCrashAt(label string, nth int) (*OplogOutcome, error) {
-	r, err := startOplogRun()
-	if err != nil {
-		return nil, err
-	}
-	crashed, err := fault.Run(fault.NewTrigger(label, nth), r.mutate)
-	if err != nil {
-		return nil, fmt.Errorf("%s #%d: workload: %w", label, nth, err)
-	}
-	if crashed == nil {
-		return &OplogOutcome{}, nil
-	}
-	out, err := r.recoverAndVerify(r.log.FlushedSeq())
-	if err != nil {
-		return nil, fmt.Errorf("%s #%d: %w", label, nth, err)
-	}
-	out.Crashed = true
-	return out, nil
+	return crashAt(startOplogRun, label, nth)
+}
+
+// restart verifies the recoveries of what the run left, which had been
+// told its log was flushed through FlushedSeq.
+func (r *oplogRun) restart() (*OplogOutcome, error) {
+	return r.recoverAndVerify(r.log.FlushedSeq())
 }
 
 // startOplogRun opens the workload's log over an empty store.
@@ -307,42 +296,12 @@ func (r *oplogRun) verify(l *repl.Log, durable uint64) (*OplogOutcome, error) {
 	if sealed != st.Segments-1 {
 		return nil, fmt.Errorf("store holds %v but the log owns %d sealed segments", images, st.Segments-1)
 	}
-	return &OplogOutcome{LastSeq: st.LastSeq, BaseSeq: st.BaseSeq, Segments: st.Segments}, nil
+	return &OplogOutcome{Crashed: true, LastSeq: st.LastSeq, BaseSeq: st.BaseSeq, Segments: st.Segments}, nil
 }
 
 // EnumerateOplog discovers every op-log crash point the workload reaches
 // and verifies recovery from a crash at each occurrence of each.
-func EnumerateOplog() (*Report, error) {
-	rep := &Report{}
-	rec := fault.NewRecorder()
-	r, err := startOplogRun()
-	if err != nil {
-		return nil, err
-	}
-	if crashed, err := fault.Run(rec, r.mutate); crashed != nil || err != nil {
-		return nil, fmt.Errorf("recording run: crash %v, err %v", crashed, err)
-	}
-	if _, err := r.recoverAndVerify(r.log.FlushedSeq()); err != nil {
-		return nil, fmt.Errorf("uncrashed run: %w", err)
-	}
-	counts := rec.Counts()
-	for _, label := range rec.Labels() {
-		pr := PointResult{Label: label, Hits: counts[label]}
-		for nth := 1; nth <= pr.Hits; nth++ {
-			out, err := OplogCrashAt(label, nth)
-			if err != nil {
-				return nil, err
-			}
-			if !out.Crashed {
-				return nil, fmt.Errorf("%s #%d: point not reached on replay", label, nth)
-			}
-			pr.Tested++
-			rep.TotalRuns++
-		}
-		rep.Points = append(rep.Points, pr)
-	}
-	return rep, nil
-}
+func EnumerateOplog() (*Report, error) { return sweep(startOplogRun, nil) }
 
 // OplogTornTail damages the tail image the way a device that does not
 // write a whole image atomically could — the payload cut short under

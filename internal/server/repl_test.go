@@ -380,7 +380,8 @@ func TestAutoPromote(t *testing.T) {
 	c.Close()
 	p.Abort()
 	waitFor(t, "auto-promotion", 5*time.Second, func() bool {
-		return r.Role() == RolePrimary
+		// Promote flips the role before it scrubs and counts itself.
+		return r.Role() == RolePrimary && r.Promotions() > 0
 	})
 	if r.Promotions() != 1 {
 		t.Fatalf("promotions = %d", r.Promotions())

@@ -9,9 +9,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"nvref/internal/fault"
-	"nvref/internal/fault/flaky"
 )
 
 // keyForShard returns a key that ShardFor maps to the target shard.
@@ -434,47 +431,6 @@ func TestOversizedFrameAnsweredThenDropped(t *testing.T) {
 	}
 	if _, err := ReadFrame(conn); !errors.Is(err, io.EOF) {
 		t.Fatalf("connection should be closed after the error frame; read err = %v", err)
-	}
-}
-
-// TestResilientClientThroughFlakyNetwork drives a resilient client across
-// a network that drops, truncates, and delays frames: every operation must
-// still succeed (via retry and re-dial), and the client must actually have
-// exercised both.
-func TestResilientClientThroughFlakyNetwork(t *testing.T) {
-	ts := startServer(t, Config{Shards: 2, CheckpointEvery: -1})
-	sched := fault.NewPeriodic("", 7) // one fault per 7 conn I/O calls
-	rc, err := DialResilientFunc(ts.addr, RetryPolicy{
-		MaxAttempts: 12,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  10 * time.Millisecond,
-		Seed:        5,
-	}, flaky.Dialer(flaky.Config{Sched: sched, Seed: 5}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-
-	const n = 300
-	for k := uint64(0); k < n; k++ {
-		if err := rc.Put(k, keyVal(k)); err != nil {
-			t.Fatalf("put %d through flaky net: %v", k, err)
-		}
-	}
-	for k := uint64(0); k < n; k++ {
-		v, ok, err := rc.Get(k)
-		if err != nil {
-			t.Fatalf("get %d through flaky net: %v", k, err)
-		}
-		if !ok || v != keyVal(k) {
-			t.Fatalf("key %d: got (%d,%v), want %d", k, v, ok, keyVal(k))
-		}
-	}
-	if sched.Fired() == 0 {
-		t.Fatal("no network faults fired; the test proved nothing")
-	}
-	if rc.Retries() == 0 || rc.Redials() == 0 {
-		t.Errorf("retries=%d redials=%d; flaky net should force both", rc.Retries(), rc.Redials())
 	}
 }
 

@@ -1,16 +1,16 @@
 // Package sim is the deterministic whole-cluster simulation harness: a
-// seeded virtual clock the server's correctness windows draw from, a
-// partitionable in-process network, a nemesis plane that composes fault
-// schedules over the existing hooks, a client-history recorder, and (in
-// the linz subpackage) a durable-linearizability checker over those
-// histories.
+// seeded virtual clock the server's correctness windows draw from, an
+// in-memory network (Net) that owns every connection, cut and injected
+// fault, a nemesis plane that composes fault schedules over the existing
+// hooks, a client-history recorder, and (in the linz subpackage) a
+// durable-linearizability checker over those histories.
 //
 // The determinism model is deliberately simple: one sequential driver
 // issues exactly one client operation at a time, the virtual clock only
 // moves at driver-controlled points (per-op ticks, nemesis advances, and
-// injected flaky delays), and histories are ordered by driver-assigned
-// event indices. Wall-clock time still paces goroutines and sockets —
-// liveness — but every window that decides *correctness* (fencing,
+// injected network delays), and histories are ordered by driver-assigned
+// event indices. Wall-clock time still paces goroutines and read deadlines
+// — liveness — but every window that decides *correctness* (fencing,
 // promotion-by-silence, replica liveness, ack expiry, deadlines) reads
 // the virtual clock, so a run's recorded history is a pure function of
 // (schedule, seed).
@@ -31,7 +31,7 @@ var vclockEpoch = time.Unix(1<<20, 0)
 //
 // Sleep self-advances the clock by the requested duration and returns
 // immediately: the sum of advances is commutative, so concurrent sleeps
-// (the flaky injector's delays) keep the clock value at every driver
+// (the injected network delays) keep the clock value at every driver
 // step deterministic even though goroutine interleaving is not.
 type VClock struct {
 	mu      sync.Mutex

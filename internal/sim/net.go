@@ -1,90 +1,72 @@
 package sim
 
 import (
+	"bytes"
+	"io"
 	"net"
-	"strings"
+	"os"
 	"sync"
+	"sync/atomic"
+	"syscall"
+	"time"
+
+	"nvref/internal/fault"
 )
 
-// Net is the simulator's partitionable network. Nodes still talk over
-// real loopback TCP (so the server's wire path is exercised unchanged),
-// but every dial in the simulation goes through Net.Dialer, which maps
-// the target address back to a node name and consults a directed
-// link-blocking table. Blocking a link severs the live connections that
-// were dialed across it and makes new dials fail with a refused-style
-// error, which is exactly what the retry/fencing machinery sees during
-// a real partition.
+// Net is the simulator's network: an in-process transport between named
+// nodes, so the server's wire path runs unchanged while the simulator owns
+// every connection. A node listens under its name, and the name is its
+// address. A connection is a pair of buffered ends in memory: every Write
+// arrives whole at the peer's next Read, so how a reply splits into reads —
+// and with it which frame a scheduled fault hits — is the same in every run.
+// Writes never block; reads honour wall-clock deadlines, as the client sets
+// them.
 //
-// Blocking is directed: Block("a","b") stops traffic on connections
-// dialed from a to b while leaving b→a dials alone, which is how the
+// Blocking is directed: Block("a","b") severs the connections dialed from a
+// to b and refuses new ones, while leaving b→a dials alone, which is how the
 // asymmetric (one-way) partition schedules are built. A full partition
 // blocks both directions.
 //
-// Nodes listen through Net.Listen, so Net also sees the listening end of
-// every connection: Drained reports when the listener has closed its end
-// of each connection dialed across an edge, which is when every request
-// sent across it has been served.
+// Net also holds the listening end of every connection: Drained reports
+// when the listener has closed its end of each connection dialed across an
+// edge, which is when every request sent across it has been served.
 type Net struct {
-	mu    sync.Mutex
-	addrs map[string]string // node name -> listen address
-	nodes map[string]string // listen address -> node name
+	mu        sync.Mutex
+	listeners map[string]*listener
 	// blocked holds directed edges "from\x00to".
 	blocked map[string]bool
-	// conns holds every connection dialed across a directed edge until
-	// its listening end closes: Block severs the dialing ends, Drained
-	// waits for the listening ones.
-	conns map[string]map[*simConn]bool
-	// dialed finds a dialed connection by its address pair, which its
-	// listening end sees mirrored (connID). A local port alone is not
-	// enough: the kernel reuses one for a dial elsewhere while the
-	// listening end of its last connection may still be open.
-	dialed map[string]*simConn
+	// conns maps the dialing end of every connection to the edge it was
+	// dialed across, until its listening end closes: Block severs them,
+	// Drained waits for them to go.
+	conns map[*conn]string
 }
 
-// NewNet returns an empty network registry.
+// NewNet returns a network with no node listening.
 func NewNet() *Net {
 	return &Net{
-		addrs:   make(map[string]string),
-		nodes:   make(map[string]string),
-		blocked: make(map[string]bool),
-		conns:   make(map[string]map[*simConn]bool),
-		dialed:  make(map[string]*simConn),
+		listeners: make(map[string]*listener),
+		blocked:   make(map[string]bool),
+		conns:     make(map[*conn]string),
 	}
 }
 
 func edgeKey(from, to string) string { return from + "\x00" + to }
 
-// Register binds a node name to its listen address. Re-registering after
-// a crash/restart (same name, possibly new address) replaces the old
-// binding and forgets the connections dialed to the old incarnation: a
-// crashed server served all it ever will before its shutdown returned.
-func (n *Net) Register(node, addr string) {
+// backlog bounds the connections a listener holds unaccepted; a dial past
+// it is refused, as a kernel's would be. A node accepts as fast as it is
+// dialed, so 64 is never reached: a run has a few dozen connections in all.
+const backlog = 64
+
+// Listen opens node's listener; dials to node reach it until it closes.
+func (n *Net) Listen(node string) (net.Listener, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if old, ok := n.addrs[node]; ok {
-		delete(n.nodes, old)
+	if n.listeners[node] != nil {
+		return nil, opError("listen", node, syscall.EADDRINUSE)
 	}
-	n.addrs[node] = addr
-	n.nodes[addr] = node
-	for key, set := range n.conns {
-		if strings.HasSuffix(key, "\x00"+node) {
-			for c := range set {
-				delete(n.dialed, c.id)
-			}
-			delete(n.conns, key)
-		}
-	}
-}
-
-// Listen binds node's listener on addr ("127.0.0.1:0" picks a port) and
-// registers the bound address under node.
-func (n *Net) Listen(node, addr string) (net.Listener, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	n.Register(node, l.Addr().String())
-	return &simListener{Listener: l, net: n}, nil
+	l := &listener{n: n, node: node, backlog: make(chan *conn, backlog)}
+	n.listeners[node] = l
+	return l, nil
 }
 
 // Drained reports whether the listening end of every connection dialed
@@ -92,37 +74,31 @@ func (n *Net) Listen(node, addr string) (net.Listener, error) {
 func (n *Net) Drained(from, to string) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.conns[edgeKey(from, to)]) == 0
-}
-
-// Addr returns the registered listen address for a node.
-func (n *Net) Addr(node string) string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.addrs[node]
+	edge := edgeKey(from, to)
+	for _, key := range n.conns {
+		if key == edge {
+			return false
+		}
+	}
+	return true
 }
 
 // Block cuts the directed link from→to: live connections dialed across
-// it are closed and new dials fail until Unblock.
+// it are closed and new dials fail until a heal.
 func (n *Net) Block(from, to string) {
 	n.mu.Lock()
-	key := edgeKey(from, to)
-	n.blocked[key] = true
-	var sever []*simConn
-	for c := range n.conns[key] {
-		sever = append(sever, c)
+	edge := edgeKey(from, to)
+	n.blocked[edge] = true
+	var sever []*conn
+	for c, key := range n.conns {
+		if key == edge {
+			sever = append(sever, c)
+		}
 	}
 	n.mu.Unlock()
 	for _, c := range sever {
-		c.Conn.Close()
+		c.Close()
 	}
-}
-
-// Unblock restores the directed link from→to.
-func (n *Net) Unblock(from, to string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.blocked, edgeKey(from, to))
 }
 
 // Partition cuts both directions between a and b.
@@ -133,8 +109,10 @@ func (n *Net) Partition(a, b string) {
 
 // Heal restores both directions between a and b.
 func (n *Net) Heal(a, b string) {
-	n.Unblock(a, b)
-	n.Unblock(b, a)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	delete(n.blocked, edgeKey(a, b))
+	delete(n.blocked, edgeKey(b, a))
 }
 
 // HealAll clears every blocked link.
@@ -151,38 +129,40 @@ func (n *Net) Blocked(from, to string) bool {
 	return n.blocked[edgeKey(from, to)]
 }
 
-// Dialer returns a dial function that attributes outbound connections to
-// the named node and enforces link blocking. It has the same signature
-// the server's replication and cluster planes accept for dial injection.
+// Dialer returns the dial function of node from: the address it dials is
+// a node's name. It has the signature the server's replication and cluster
+// planes accept for dial injection.
 func (n *Net) Dialer(from string) func(addr string) (net.Conn, error) {
-	return func(addr string) (net.Conn, error) {
+	return n.FaultyDialer(from, nil)
+}
+
+// FaultyDialer is Dialer with f's faults injected on the dialing end of
+// every connection; nil f injects none.
+func (n *Net) FaultyDialer(from string, f *Faults) func(addr string) (net.Conn, error) {
+	return func(to string) (net.Conn, error) {
 		n.mu.Lock()
-		to, known := n.nodes[addr]
+		defer n.mu.Unlock()
 		key := edgeKey(from, to)
-		cut := known && n.blocked[key]
-		n.mu.Unlock()
-		if cut {
-			return nil, &net.OpError{Op: "dial", Net: "tcp",
-				Addr: &net.TCPAddr{}, Err: errLinkDown}
+		if n.blocked[key] {
+			return nil, opError("dial", to, errLinkDown)
 		}
-		raw, err := net.Dial("tcp", addr)
-		if err != nil {
-			return nil, err
+		l := n.listeners[to]
+		if l == nil {
+			return nil, opError("dial", to, syscall.ECONNREFUSED)
 		}
-		if !known {
-			return raw, nil
+		p := &pipe{wake: [2]chan struct{}{make(chan struct{}), make(chan struct{})}}
+		d := &conn{p: p, n: n, local: addr(from), remote: addr(to)}
+		d.dialer = d
+		select {
+		case l.backlog <- &conn{p: p, end: 1, n: n, local: addr(to), remote: addr(from), dialer: d}:
+		default:
+			return nil, opError("dial", to, syscall.ECONNREFUSED)
 		}
-		c := &simConn{Conn: raw, net: n, key: key, id: connID(raw.LocalAddr(), raw.RemoteAddr())}
-		n.mu.Lock()
-		set := n.conns[key]
-		if set == nil {
-			set = make(map[*simConn]bool)
-			n.conns[key] = set
+		if f != nil && f.Sched != nil {
+			d.faults, d.rng = f, fault.NewRand((f.Seed+0x9e3779b97f4a7c15*f.dials.Add(1))|1)
 		}
-		set[c] = true
-		n.dialed[c.id] = c
-		n.mu.Unlock()
-		return c, nil
+		n.conns[d] = key
+		return d, nil
 	}
 }
 
@@ -194,72 +174,251 @@ func (linkDownError) Temporary() bool { return true }
 
 var errLinkDown = linkDownError{}
 
-// simConn wraps a real TCP connection with a link-state check so a
-// Block issued after the handshake still kills in-flight traffic.
-type simConn struct {
-	net.Conn
-	net *Net
-	key string
-	id  string // connID, dialing end first
+func opError(op, node string, err error) error {
+	return &net.OpError{Op: op, Net: "sim", Addr: addr(node), Err: err}
 }
 
-// connID names a connection by its dialing and listening addresses.
-func connID(dialing, listening net.Addr) string {
-	return dialing.String() + ">" + listening.String()
+// addr is a node's name as a net.Addr.
+type addr string
+
+func (a addr) Network() string { return "sim" }
+func (a addr) String() string  { return string(a) }
+
+// listener is a node's listening end.
+type listener struct {
+	n       *Net
+	node    string
+	backlog chan *conn // closed with the listener
 }
 
-func (c *simConn) Read(p []byte) (int, error) {
+func (l *listener) Accept() (net.Conn, error) {
+	if c, ok := <-l.backlog; ok {
+		return c, nil
+	}
+	return nil, opError("accept", l.node, net.ErrClosed)
+}
+
+// Close stops the node listening and resets its backlog: a connection
+// dialed but never accepted reads EOF, and its edge drains.
+func (l *listener) Close() error {
+	l.n.mu.Lock()
+	if l.n.listeners[l.node] != l {
+		l.n.mu.Unlock()
+		return opError("close", l.node, net.ErrClosed)
+	}
+	delete(l.n.listeners, l.node)
+	close(l.backlog)
+	l.n.mu.Unlock()
+	for c := range l.backlog {
+		c.Close()
+	}
+	return nil
+}
+
+func (l *listener) Addr() net.Addr { return addr(l.node) }
+
+// pipe is the state one connection's two ends share: end 0 dialed, end 1
+// was accepted.
+type pipe struct {
+	mu     sync.Mutex
+	wake   [2]chan struct{} // closed and replaced when an end's read may proceed
+	queued [2][][]byte      // writes on their way to each end, oldest first
+	closed [2]bool
+	dl     [2]time.Time // each end's read deadline
+}
+
+// wakeUp wakes the reads blocked on end.
+func (p *pipe) wakeUp(end int) {
+	close(p.wake[end])
+	p.wake[end] = make(chan struct{})
+}
+
+// conn is one end of a connection.
+type conn struct {
+	p             *pipe
+	end           int
+	n             *Net
+	local, remote addr
+	dialer        *conn // the connection's dialing end
+	// The dialing end's share of a Faults: nil injects none. p.mu guards
+	// rng.
+	faults *Faults
+	rng    *fault.Rand
+}
+
+func (c *conn) Read(b []byte) (int, error) {
 	if c.cut() {
 		return 0, errLinkDown
 	}
-	return c.Conn.Read(p)
+	c.inject(pointRead, nil) // a severed c fails the read below
+	p := c.p
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for {
+		q, dl := p.queued[c.end], p.dl[c.end]
+		switch {
+		case p.closed[c.end]:
+			return 0, opError("read", string(c.remote), net.ErrClosed)
+		case len(q) > 0:
+			n := copy(b, q[0])
+			if q[0] = q[0][n:]; len(q[0]) == 0 {
+				p.queued[c.end] = q[1:]
+			}
+			return n, nil
+		case p.closed[1-c.end]:
+			return 0, io.EOF
+		case !dl.IsZero() && !time.Now().Before(dl):
+			return 0, opError("read", string(c.remote), os.ErrDeadlineExceeded)
+		}
+		wake := p.wake[c.end]
+		p.mu.Unlock()
+		if dl.IsZero() {
+			<-wake
+		} else {
+			t := time.NewTimer(time.Until(dl))
+			select {
+			case <-wake:
+			case <-t.C:
+			}
+			t.Stop()
+		}
+		p.mu.Lock()
+	}
 }
 
-func (c *simConn) Write(p []byte) (int, error) {
+func (c *conn) Write(b []byte) (int, error) {
 	if c.cut() {
 		return 0, errLinkDown
 	}
-	return c.Conn.Write(p)
-}
-
-func (c *simConn) cut() bool {
-	c.net.mu.Lock()
-	defer c.net.mu.Unlock()
-	return c.net.blocked[c.key]
-}
-
-// simListener hands out the listening end of each connection wrapped, so
-// its Close tells Net the connection is served.
-type simListener struct {
-	net.Listener
-	net *Net
-}
-
-func (l *simListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
+	if n, severed := c.inject(pointWrite, b); severed {
+		return n, opError("write", string(c.remote), net.ErrClosed)
 	}
-	return &servedConn{Conn: c, net: l.net, id: connID(c.RemoteAddr(), c.LocalAddr())}, nil
+	return c.write(b)
 }
 
-// servedConn is the listening end of a connection.
-type servedConn struct {
-	net.Conn
-	net *Net
-	id  string // connID, dialing end first
-}
-
-// Close forgets the connection's dialing end. One closed before its dialer
-// recorded it (a node shutting down as the dial lands) stays recorded until
-// the node re-registers; Drained is asked only of live nodes' edges.
-func (c *servedConn) Close() error {
-	n := c.net
-	n.mu.Lock()
-	if d := n.dialed[c.id]; d != nil {
-		delete(n.dialed, c.id)
-		delete(n.conns[d.key], d)
+func (c *conn) write(b []byte) (int, error) {
+	p := c.p
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch {
+	case p.closed[c.end]:
+		return 0, opError("write", string(c.remote), net.ErrClosed)
+	case p.closed[1-c.end]:
+		return 0, opError("write", string(c.remote), syscall.EPIPE)
+	case len(b) == 0:
+		return 0, nil
 	}
-	n.mu.Unlock()
-	return c.Conn.Close()
+	p.queued[1-c.end] = append(p.queued[1-c.end], bytes.Clone(b))
+	p.wakeUp(1 - c.end)
+	return len(b), nil
+}
+
+// Close closes this end: what it had not read is dropped, and the peer
+// reads what this end wrote, then EOF. Closing a listening end tells Net
+// its connection is served.
+func (c *conn) Close() error {
+	p := c.p
+	p.mu.Lock()
+	if p.closed[c.end] {
+		p.mu.Unlock()
+		return opError("close", string(c.remote), net.ErrClosed)
+	}
+	p.closed[c.end], p.queued[c.end] = true, nil
+	p.wakeUp(0)
+	p.wakeUp(1)
+	p.mu.Unlock()
+	if c.end == 1 {
+		c.n.mu.Lock()
+		delete(c.n.conns, c.dialer)
+		c.n.mu.Unlock()
+	}
+	return nil
+}
+
+// cut reports whether c dialed across a link that is now blocked.
+func (c *conn) cut() bool { return c.end == 0 && c.n.Blocked(string(c.local), string(c.remote)) }
+
+func (c *conn) LocalAddr() net.Addr  { return c.local }
+func (c *conn) RemoteAddr() net.Addr { return c.remote }
+
+func (c *conn) SetDeadline(t time.Time) error { return c.SetReadDeadline(t) }
+
+func (c *conn) SetReadDeadline(t time.Time) error {
+	c.p.mu.Lock()
+	defer c.p.mu.Unlock()
+	c.p.dl[c.end] = t
+	c.p.wakeUp(c.end)
+	return nil
+}
+
+// SetWriteDeadline has nothing to bound: a write never blocks.
+func (c *conn) SetWriteDeadline(time.Time) error { return nil }
+
+// Crash-point labels a Faults scheduler is asked at. Reads and writes are
+// separate points so a schedule can fault only one direction.
+const (
+	pointRead  = "sim.conn.read"
+	pointWrite = "sim.conn.write"
+)
+
+// maxDelay bounds an injected delay.
+const maxDelay = 2 * time.Millisecond
+
+// Faults is seeded network fault injection on the dialing end of every
+// connection a FaultyDialer makes: a scheduled Read or Write drops the
+// connection, truncates it (a write delivers a prefix first), or delays it
+// on Clock. Sched decides when a fault fires and the seed decides which one,
+// so a (schedule, seed) pair faults the same frames in every run. The
+// connections share the scheduler, so faults are scheduled across re-dials,
+// but each draws its own stream from the seed.
+type Faults struct {
+	// Sched decides which Read and Write calls fault; nil never faults.
+	Sched fault.Scheduler
+	// Seed drives which fault class fires and where a truncation cuts.
+	Seed uint64
+	// Clock serves the injected delays; nil is the wall clock.
+	Clock fault.Clock
+
+	dials                 atomic.Uint64
+	drops, truncs, delays atomic.Uint64
+}
+
+// Counts returns how many drops, truncations and delays have fired.
+func (f *Faults) Counts() (drops, truncs, delays uint64) {
+	return f.drops.Load(), f.truncs.Load(), f.delays.Load()
+}
+
+// inject fires a scheduled fault on c at point, b being a write's bytes. A
+// drop or a truncation closes c, after a truncated write delivers a prefix
+// of b; it returns that prefix's length and true. A delay sleeps and
+// returns false.
+func (c *conn) inject(point string, b []byte) (int, bool) {
+	f := c.faults
+	if f == nil || !f.Sched.Hit(point) {
+		return 0, false
+	}
+	c.p.mu.Lock()
+	class, cut, delay := c.rng.Intn(3), 0, time.Duration(0)
+	switch {
+	case class == 1 && len(b) > 0:
+		cut = c.rng.Intn(len(b))
+	case class == 2:
+		delay = time.Duration(c.rng.Intn(int(maxDelay))) + time.Microsecond
+	}
+	c.p.mu.Unlock()
+	switch class {
+	case 0:
+		f.drops.Add(1)
+	case 1:
+		f.truncs.Add(1)
+		if cut > 0 {
+			cut, _ = c.write(b[:cut])
+		}
+	default:
+		f.delays.Add(1)
+		fault.OrWall(f.Clock).Sleep(delay)
+		return 0, false
+	}
+	c.Close()
+	return cut, true
 }

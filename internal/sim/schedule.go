@@ -44,8 +44,9 @@ const (
 	// unchanged checksum), alternating a single bit flip and a torn page
 	// per firing. A fresh checkpoint is forced first, so the damage lands
 	// on a current image and never races one being written. Requires a
-	// schedule with Parity set; repair happens through the background
-	// scrubber or through recovery-on-open after a later ActCrash.
+	// schedule with Parity set; repair happens through a scrub pass (one
+	// every scrubOps client operations) or through recovery-on-open after a
+	// later ActCrash.
 	ActCorrupt ActionKind = "corrupt"
 	// ActKillShard is the software-crash nemesis: it panics one shard
 	// worker of Node and returns once the supervisor has restarted it in
@@ -117,14 +118,14 @@ type Schedule struct {
 	// for any pair schedule that lets clients read from the replica.
 	GatedReads bool
 
-	// Flaky wraps client connections with the seed-deterministic fault
-	// injector (delays served by the virtual clock).
+	// Flaky injects seed-deterministic network faults on every client
+	// connection (sim.Faults; delays served by the virtual clock).
 	Flaky      bool
 	FlakyEvery int // one injected fault per that many conn I/O calls
 
 	// Parity arms the media-fault layer on every node: checkpoints
-	// maintain parity sidecars, the background scrubber (virtual-clock
-	// cadence) repairs corrupt stored images, and recovery repairs them
+	// maintain parity sidecars, a scrub pass every scrubOps client
+	// operations repairs corrupt stored images, and recovery repairs them
 	// on open. Required by schedules that fire ActCorrupt.
 	Parity bool
 	// CheckpointEvery overrides the per-shard checkpoint cadence: a
@@ -360,8 +361,8 @@ func Steady(ops int) Schedule {
 }
 
 // FlakySteady is the self-healing gate: same healthy pair, but every
-// client connection runs behind the seeded flaky wrapper (injected delays
-// served by the virtual clock), and four shard workers of the primary are
+// client connection carries seeded network faults (injected delays served
+// by the virtual clock), and four shard workers of the primary are
 // killed and restarted in place under the load.
 func FlakySteady(ops int) Schedule {
 	s := Steady(ops)

@@ -7,12 +7,12 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"time"
 
 	"nvref/internal/cluster"
 	"nvref/internal/fault"
-	"nvref/internal/fault/flaky"
 	"nvref/internal/fault/inject"
 	"nvref/internal/obs"
 	"nvref/internal/parity"
@@ -32,6 +32,9 @@ const (
 	// opTick is the virtual time the driver charges per client
 	// operation — the only per-op clock movement.
 	opTick = time.Millisecond
+
+	// scrubOps is the client operations between scrub passes (Parity).
+	scrubOps = 10
 
 	// clientWallTimeout is the per-operation I/O deadline on sim client
 	// connections. It is the liveness safety net: if a schedule ever
@@ -73,7 +76,7 @@ type RunResult struct {
 	SweepFails int `json:"sweep_fails"`
 	Crashes    int `json:"crashes"`
 	// Nemesis firings: shard kills, corruptions by class, and the faults
-	// the flaky injector put on every wrapped client conn.
+	// injected on the client connections.
 	Kills     int    `json:"kills,omitempty"`
 	BitFlips  int    `json:"bit_flips,omitempty"`
 	TornPages int    `json:"torn_pages,omitempty"`
@@ -134,13 +137,15 @@ type RunResult struct {
 
 // CrashSample is what an ActCrash reads off a primary with a live replica
 // the instant before it kills it: the primary's held-ack discipline, and
-// the replication work its replica did.
+// the replication work its replica did, whose counts depend on timing (how
+// many records a pull ships; whether a request a severed client connection
+// left behind has landed yet), so the JSON that replays compare omits them.
 type CrashSample struct {
 	Node         string `json:"node"`
 	DegradedAcks uint64 `json:"degraded_acks"`
 	TimeoutAcks  uint64 `json:"timeout_acks"`
-	Pulls        uint64 `json:"pulls"`
-	Applies      uint64 `json:"applies"`
+	Pulls        uint64 `json:"-"`
+	Applies      uint64 `json:"-"`
 }
 
 // node is one simulated server process: its identity, its retained
@@ -149,7 +154,6 @@ type node struct {
 	name        string
 	roleReplica bool
 	follow      string // node name this replica follows
-	addr        string
 	stores      []pmem.Store
 	logStores   []pmem.Store
 	// cluster topology only:
@@ -183,15 +187,15 @@ type sim struct {
 	nodes map[string]*node
 	order []string // client rotation order
 
-	val uint64 // global write-value sequencer
+	val   uint64 // global write-value sequencer
+	steps int    // client operations run
 
 	// Read gates (GatedReads schedules): newest acknowledged per-shard
 	// sequence, and which shard each key hashed to. Driver-thread only.
 	gateShard map[uint64]uint32
 	gateMax   map[uint32]uint64
 
-	flaky *flaky.Config
-	conns []*flaky.Conn // every wrapped client conn, for the fault count
+	faults *Faults // on every client connection of a Flaky schedule
 
 	// res collects the nemesis firings as they happen. Its Kills picks
 	// the shard each ActKillShard hits; corruptN counts ActCorrupt
@@ -234,7 +238,7 @@ func Run(rc RunConfig) (*RunResult, error) {
 		if every <= 0 {
 			every = 40
 		}
-		s.flaky = &flaky.Config{
+		s.faults = &Faults{
 			Sched: fault.NewPeriodic("", every),
 			Seed:  uint64(rc.Seed) | 1,
 			Clock: s.vc,
@@ -389,8 +393,8 @@ func (s *sim) readMedia(n *node) map[string]uint64 {
 }
 
 // collect sums the counters of the nodes still up, the promotion triggers
-// every node's flight recorder holds, and the faults the flaky injector put
-// on the client conns.
+// every node's flight recorder holds, and the faults injected on the client
+// connections.
 func (s *sim) collect() {
 	res := s.res
 	for _, name := range s.order {
@@ -426,8 +430,9 @@ func (s *sim) collect() {
 			}
 		}
 	}
-	for _, c := range s.conns {
-		res.NetFaults += c.Drops.Load() + c.Truncs.Load() + c.Delays.Load()
+	if s.faults != nil {
+		drops, truncs, delays := s.faults.Counts()
+		res.NetFaults = drops + truncs + delays
 	}
 }
 
@@ -488,20 +493,18 @@ func (s *sim) config(n *node) server.Config {
 		cfg.CheckpointEvery = s.sched.CheckpointEvery
 	}
 	if s.sched.Parity {
-		// Media schedules: parity sidecars on every checkpoint, plus the
-		// background scrubber on a virtual-clock cadence (opTick is 1ms,
-		// so a scrub pass becomes eligible roughly every ten client ops).
+		// Media schedules: parity sidecars on every checkpoint. The scrub
+		// passes are the driver's (step), not a background scrubber's.
 		cfg.Parity = parity.Default()
-		cfg.ScrubEvery = 10 * time.Millisecond
 	}
 	switch {
 	case n.clusterStore != nil:
-		cfg.ClusterSelf = n.addr
+		cfg.ClusterSelf = n.name
 		cfg.ClusterMap = n.bootstrap
 		cfg.ClusterStore = n.clusterStore
 	case n.roleReplica:
 		cfg.Role = server.RoleReplica
-		cfg.FollowAddr = s.net.Addr(n.follow)
+		cfg.FollowAddr = n.follow
 		cfg.FollowDial = s.net.Dialer(n.name)
 		cfg.PromoteAfter = s.sched.PromoteAfter
 		cfg.FenceAfter = s.sched.FenceAfter
@@ -512,20 +515,12 @@ func (s *sim) config(n *node) server.Config {
 	return cfg
 }
 
-// start boots (or reboots) a node on l, or, with l nil, on a listener
-// bound to the node's previous address, so peers and clients reach a
-// restarted node where they always did.
-func (s *sim) start(n *node, l net.Listener) error {
-	if l == nil {
-		bind := n.addr
-		if bind == "" {
-			bind = "127.0.0.1:0"
-		}
-		var err error
-		if l, err = s.net.Listen(n.name, bind); err != nil {
-			return fmt.Errorf("sim: node %s bind %s: %w", n.name, bind, err)
-		}
-		n.addr = l.Addr().String()
+// start boots (or reboots) a node listening under its name, so peers and
+// clients reach a restarted node where they always did.
+func (s *sim) start(n *node) error {
+	l, err := s.net.Listen(n.name)
+	if err != nil {
+		return fmt.Errorf("sim: node %s: %w", n.name, err)
 	}
 	srv, err := server.New(s.config(n))
 	if err != nil {
@@ -542,10 +537,10 @@ func (s *sim) setupPair() error {
 	b := s.newNode("b")
 	b.roleReplica = true
 	b.follow = "a"
-	if err := s.start(a, nil); err != nil {
+	if err := s.start(a); err != nil {
 		return err
 	}
-	if err := s.start(b, nil); err != nil {
+	if err := s.start(b); err != nil {
 		return err
 	}
 	// Acks must be held against replica durability from the first write.
@@ -557,34 +552,18 @@ func (s *sim) setupCluster() error {
 	b := s.newNode("b")
 	a.clusterStore = pmem.NewMemStore()
 	b.clusterStore = pmem.NewMemStore()
-	// The bootstrap map needs a's address before its server exists:
-	// bind first, boot after, exactly like production config would pin
-	// a known host:port.
-	la, err := s.net.Listen("a", "127.0.0.1:0")
+	m, err := cluster.New(simSlots, []string{a.name})
 	if err != nil {
-		return err
-	}
-	lb, err := s.net.Listen("b", "127.0.0.1:0")
-	if err != nil {
-		la.Close()
-		return err
-	}
-	a.addr, b.addr = la.Addr().String(), lb.Addr().String()
-	m, err := cluster.New(simSlots, []string{a.addr})
-	if err != nil {
-		la.Close()
-		lb.Close()
 		return err
 	}
 	a.bootstrap = m
-	if err := s.start(a, la); err != nil {
-		lb.Close()
+	if err := s.start(a); err != nil {
 		return err
 	}
-	if err := s.start(b, lb); err != nil {
+	if err := s.start(b); err != nil {
 		return err
 	}
-	return b.srv.JoinCluster(a.addr, s.net.Dialer("b"))
+	return b.srv.JoinCluster(a.name, s.net.Dialer("b"))
 }
 
 // --- nemesis execution ---
@@ -645,7 +624,7 @@ func (s *sim) fire(a Action) string {
 		}
 		// Recovery runs inside server.New; a restarted replica's first
 		// pull is what ActWaitConn waits for.
-		if err := s.start(n, nil); err != nil {
+		if err := s.start(n); err != nil {
 			return err.Error()
 		}
 		for _, sh := range n.srv.CollectStats().PerShard {
@@ -661,8 +640,8 @@ func (s *sim) fire(a Action) string {
 		// damage; then damage it with every shard of the node parked and
 		// no save in flight, so no checkpoint — a replica's own, driven by
 		// its pullers, included — lands between a load and its save. The
-		// damage is done when InjectQuiet returns; the scrubber finds it
-		// on its virtual-clock cadence.
+		// damage is done when InjectQuiet returns; the driver's next scrub
+		// pass finds it.
 		if err := n.srv.Checkpoint(); err != nil {
 			return "corrupt " + a.Node + ": checkpoint: " + err.Error()
 		}
@@ -781,12 +760,10 @@ func (s *sim) settled() bool {
 			}
 		}
 	}
-	for _, rep := range s.cutOff() {
-		if fs := rep.srv.CollectStats().Follower; fs != nil && fs.Connected {
-			return false
-		}
-	}
-	return true
+	return !slices.ContainsFunc(s.cutOff(), func(rep *node) bool {
+		fs := rep.srv.CollectStats().Follower
+		return fs != nil && fs.Connected
+	})
 }
 
 // cutOff returns the live replicas whose primary is down or cut off.
@@ -921,6 +898,15 @@ func (s *sim) step(cl *simClient, op OpSpec) string {
 		s.hist.Return(cl.id, "get", keyStr, v, found, outcome)
 	}
 	s.vc.Advance(opTick)
+	// Scrub between operations, not on a timer: a pass that ran late would
+	// repair damage at rest in one replay and leave it to recovery in another.
+	if s.steps++; s.sched.Parity && s.steps%scrubOps == 0 {
+		for _, name := range s.order {
+			if n := s.nodes[name]; n.up {
+				n.srv.Scrub()
+			}
+		}
+	}
 	return outcome
 }
 
@@ -956,10 +942,7 @@ type simClient struct {
 }
 
 func (c *simClient) close() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
+	c.drop()
 	if c.cc != nil {
 		c.cc.Close()
 		c.cc = nil
@@ -971,10 +954,11 @@ func (c *simClient) rotate() { c.cur = (c.cur + 1) % len(c.s.order) }
 func (c *simClient) drop() {
 	if c.conn != nil {
 		c.conn.Close()
-		c.conn = nil
-		c.connNode = ""
+		c.conn, c.connNode = nil, ""
 	}
 }
+
+func (c *simClient) name() string { return "c" + strconv.Itoa(c.id) }
 
 // ensure returns a connection to the client's current node, or nil when
 // the node is down or unreachable (a definite refusal: nothing was sent).
@@ -988,7 +972,7 @@ func (c *simClient) ensure() *server.Client {
 		return c.conn
 	}
 	c.drop()
-	nc, err := c.s.dialFrom("c"+strconv.Itoa(c.id), n.addr)
+	nc, err := c.dial(n.name)
 	if err != nil {
 		return nil
 	}
@@ -998,19 +982,9 @@ func (c *simClient) ensure() *server.Client {
 	return cl
 }
 
-func (s *sim) dialFrom(from, addr string) (net.Conn, error) {
-	nc, err := s.net.Dialer(from)(addr)
-	if err != nil {
-		return nil, err
-	}
-	if s.flaky != nil {
-		sub := *s.flaky
-		sub.Seed = s.flaky.Seed + 0x9e3779b97f4a7c15*uint64(len(s.conns)+1)
-		fc := flaky.Wrap(nc, sub)
-		s.conns = append(s.conns, fc)
-		return fc, nil
-	}
-	return nc, nil
+// dial connects the client to a node, through the run's injected faults.
+func (c *simClient) dial(node string) (net.Conn, error) {
+	return c.s.net.FaultyDialer(c.name(), c.s.faults)(node)
 }
 
 // isRefusal reports errors that mean the operation definitely did not
@@ -1119,8 +1093,12 @@ func (c *simClient) try(op func(*server.Client) error) string {
 			return "ok"
 		}
 		if !isRefusal(err) {
+			// The request may still land: the server closes its end once it
+			// has replied, and a retry must not overtake it.
 			sawInfo = true
+			node := c.connNode
 			c.drop()
+			_ = waitUntil(barrierWait, func() bool { return c.s.net.Drained(c.name(), node) })
 		}
 		c.rotate()
 	}
@@ -1134,26 +1112,18 @@ func (c *simClient) ensureCluster() *server.ClusterClient {
 	if c.cc != nil {
 		return c.cc
 	}
-	seeds := make([]string, 0, len(c.s.order))
-	for _, name := range c.s.order {
-		seeds = append(seeds, c.s.nodes[name].addr)
-	}
-	cc, err := server.DialCluster(seeds, server.RetryPolicy{
+	cc, err := server.DialCluster(c.s.order, server.RetryPolicy{
 		MaxAttempts: 4,
 		BaseBackoff: time.Millisecond,
 		MaxBackoff:  20 * time.Millisecond,
 		Timeout:     2 * time.Second,
 		Seed:        uint64(c.s.seed) + uint64(c.id)*977,
-	}, c.s.dialClusterFrom("c"+strconv.Itoa(c.id)))
+	}, c.dial)
 	if err != nil {
 		return nil
 	}
 	c.cc = cc
 	return cc
-}
-
-func (s *sim) dialClusterFrom(from string) func(addr string) (net.Conn, error) {
-	return func(addr string) (net.Conn, error) { return s.dialFrom(from, addr) }
 }
 
 // waitUntil polls cond every millisecond until it holds or the budget

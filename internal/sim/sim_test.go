@@ -2,8 +2,8 @@ package sim
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -68,103 +68,6 @@ func TestVClock(t *testing.T) {
 	}
 }
 
-func TestNetPartition(t *testing.T) {
-	n := NewNet()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				buf := make([]byte, 1)
-				for {
-					if _, err := c.Read(buf); err != nil {
-						c.Close()
-						return
-					}
-					if _, err := c.Write(buf); err != nil {
-						c.Close()
-						return
-					}
-				}
-			}(c)
-		}
-	}()
-	n.Register("srv", l.Addr().String())
-	if got := n.Addr("srv"); got != l.Addr().String() {
-		t.Fatalf("Addr = %q", got)
-	}
-
-	dial := n.Dialer("cli")
-	c, err := dial(n.Addr("srv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Write([]byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Read(make([]byte, 1)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Block severs the live conn and refuses new dials.
-	n.Block("cli", "srv")
-	if !n.Blocked("cli", "srv") {
-		t.Fatal("link should report blocked")
-	}
-	if _, err := c.Write([]byte{1}); err == nil {
-		t.Fatal("write over blocked link succeeded")
-	}
-	if _, err := c.Read(make([]byte, 1)); err != errLinkDown {
-		t.Fatalf("read over blocked link: err = %v, want %v", err, errLinkDown)
-	}
-	if _, err := dial(n.Addr("srv")); err == nil {
-		t.Fatal("dial over blocked link succeeded")
-	}
-	// Directed: the reverse direction is unaffected.
-	if n.Blocked("srv", "cli") {
-		t.Fatal("reverse link blocked by directed Block")
-	}
-
-	n.Unblock("cli", "srv")
-	c2, err := dial(n.Addr("srv"))
-	if err != nil {
-		t.Fatalf("dial after unblock: %v", err)
-	}
-	c2.Close()
-
-	n.Partition("cli", "srv")
-	if !n.Blocked("cli", "srv") || !n.Blocked("srv", "cli") {
-		t.Fatal("partition should block both directions")
-	}
-	n.Heal("cli", "srv")
-	if n.Blocked("cli", "srv") || n.Blocked("srv", "cli") {
-		t.Fatal("heal should clear both directions")
-	}
-	n.Block("cli", "srv")
-	n.HealAll()
-	if n.Blocked("cli", "srv") {
-		t.Fatal("heal-all should clear everything")
-	}
-	// Dials to unregistered addresses pass through unwrapped.
-	l2, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	c3, err := dial(l2.Addr().String())
-	if err != nil {
-		t.Fatalf("dial unregistered: %v", err)
-	}
-	c3.Close()
-}
-
 func TestHistoryToLinz(t *testing.T) {
 	vc := NewVClock()
 	h := NewHistory(vc)
@@ -226,14 +129,15 @@ func TestSchedulesByName(t *testing.T) {
 
 // TestDeterminism is the reproducibility gate over every builtin schedule
 // under its replay seeds: three runs of one (schedule, seed) must produce
-// byte-identical histories, each from a separate stack of servers on
-// different ports, and different seeds of a seeded schedule must not.
+// byte-identical histories and results — every counter the verdict reads
+// included — each from a separate stack of servers on its own network, and
+// different seeds of a seeded schedule must not.
 func TestDeterminism(t *testing.T) {
 	for _, b := range builtins {
 		sched := b.build(60)
 		var prev []byte
 		for _, seed := range b.seeds {
-			var first []byte
+			var first, firstResult []byte
 			for i := 0; i < 3; i++ {
 				r, err := Run(RunConfig{Schedule: sched, Seed: seed})
 				if err != nil {
@@ -242,11 +146,19 @@ func TestDeterminism(t *testing.T) {
 				if !r.Ok {
 					t.Fatalf("%s seed %d run %d: %s", b.name, seed, i, r.Detail)
 				}
+				r.HistoryPath = ""
+				result, err := json.Marshal(r)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if i == 0 {
-					first = r.History
+					first, firstResult = r.History, result
 				} else if !bytes.Equal(first, r.History) {
 					t.Fatalf("%s seed %d: run %d's history differs:\n--- run 0 ---\n%s--- run %d ---\n%s",
 						b.name, seed, i, first, i, r.History)
+				} else if !bytes.Equal(firstResult, result) {
+					t.Fatalf("%s seed %d: run %d's result differs:\n--- run 0 ---\n%s\n--- run %d ---\n%s",
+						b.name, seed, i, firstResult, i, result)
 				}
 			}
 			if bytes.Equal(prev, first) {
@@ -561,53 +473,5 @@ func TestAdvanceRepullsBeforeReturning(t *testing.T) {
 		if degraded, fenced := primaryRepl(s); degraded != 0 || fenced != 0 {
 			t.Fatalf("round %d: the primary acked %d writes single-copy and refused %d as fenced", round, degraded, fenced)
 		}
-	}
-}
-
-// TestNetDrained: a cut link is drained only once the listening end has
-// closed every connection dialed across it, and a node's restart forgets
-// the connections its old incarnation never accepted.
-func TestNetDrained(t *testing.T) {
-	n := NewNet()
-	l, err := n.Listen("srv", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		c, err := l.Accept()
-		if err == nil {
-			accepted <- c
-		}
-	}()
-	c, err := n.Dialer("cli")(n.Addr("srv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	served := <-accepted
-	if n.Drained("cli", "srv") {
-		t.Fatal("an open connection reads as drained")
-	}
-	n.Block("cli", "srv")
-	if n.Drained("cli", "srv") {
-		t.Fatal("drained before the listening end closed")
-	}
-	served.Close()
-	if !n.Drained("cli", "srv") {
-		t.Fatal("not drained after the listening end closed")
-	}
-	// Dialed, never accepted: only a re-registration forgets it.
-	n.HealAll()
-	if _, err := n.Dialer("cli")(n.Addr("srv")); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	if n.Drained("cli", "srv") {
-		t.Fatal("an unaccepted connection reads as drained")
-	}
-	n.Register("srv", "127.0.0.1:1")
-	if !n.Drained("cli", "srv") {
-		t.Fatal("a restart did not forget the old incarnation's connections")
 	}
 }

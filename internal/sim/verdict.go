@@ -81,7 +81,7 @@ func (r *RunResult) judge(w want) {
 		"%d failed, %d indeterminate operations", r.OpsFail, r.OpsInfo)
 	check(r.Crashes == w.crashes, "crashes", "%d recorded, the script fires %d", r.Crashes, w.crashes)
 	check(r.Restarts >= uint64(w.kills), "restarts", "%d worker restarts for %d shard kills", r.Restarts, w.kills)
-	check(!w.flaky || r.NetFaults > 0, "net-faults", "the flaky injector never fired")
+	check(!w.flaky || r.NetFaults > 0, "net-faults", "no network fault was injected")
 	check(r.BitFlips == (w.corrupts+1)/2 && r.TornPages == w.corrupts/2, "corrupt-classes",
 		"%d bit flips, %d torn pages for %d corruptions", r.BitFlips, r.TornPages, w.corrupts)
 	check(w.corrupts == 0 || r.PagesRepaired > 0, "repaired", "no page reconstructed from parity")

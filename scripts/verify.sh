@@ -70,8 +70,8 @@ cover_gate minc 80
 go test -run '^$' -bench . -benchtime=1x ./internal/mem/ ./internal/cpu/ ./internal/hw/ ./internal/kvstore/
 
 # Resilience leg: the recovery ladder over every cause and kind of damage.
-# Shard kills under a flaky network (flaky-steady), the primary killed
-# mid-stream under a flaky network (crash-failover-restart) and media
+# Shard kills under injected network faults (flaky-steady), the primary
+# killed mid-stream under them (crash-failover-restart) and media
 # corruption under load (corrupt-under-load) are sim schedules: the
 # simulation leg below replays and judges them.
 go test -race -run 'Ladder|Residue' ./internal/server/
@@ -85,17 +85,22 @@ cover_gate cluster 80
 go test -race -run 'TestCluster' ./internal/server/
 
 # Simulation leg: the harness and checker are what the consistency verdicts
-# rest on. The suite above already ran the gate once: byte-identical
-# same-seed replay of every builtin schedule (TestDeterminism), the
+# rest on. Every node pair talks over the simulator's in-memory network
+# (sim.Net), which owns each connection, cut and injected fault. The suite
+# above already ran the gate once: same-seed replay of every builtin
+# schedule with byte-identical histories and results (TestDeterminism), the
 # unfenced split-brain flagged while the fenced one passes (TestFenceGate),
 # and a 10-seed nemesis matrix (TestSweepSchedules: partitions,
-# crash-restarts, failover and shard kills under a flaky network, media
-# corruption, a joiner killed between live migrations) whose every run
+# crash-restarts, failover and shard kills under injected network faults,
+# media corruption, a joiner killed between live migrations) whose every run
 # passes its verdict: durable linearizability plus the counters its script
 # implies — restarts per shard kill, injected net faults, pages repaired,
 # promotions, a clean held-ack discipline, lag drained, slots handed over
 # and epochs advanced per rebalance step, no stale-epoch write, a clean
-# read-back. The replay is repeated here under the race detector.
+# read-back. The transport's own semantics (refused dials to a closed
+# listener, reads after a peer's close, seeded faults, retryable errors)
+# are the TestNet* and TestFaults* tests. The replay is repeated here under
+# the race detector.
 cover_gate sim 80
 go test -race -count=2 -run 'TestDeterminism' ./internal/sim/
 

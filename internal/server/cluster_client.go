@@ -37,8 +37,8 @@ type ClusterClient struct {
 }
 
 // DialCluster builds a routing client from any reachable seed node's map.
-// dial, when non-nil, replaces the TCP dialer (the flaky-network hook);
-// it is shared by every per-node connection.
+// dial, when non-nil, replaces the TCP dialer (the simulator passes its
+// sim.Net.FaultyDialer); it is shared by every per-node connection.
 func DialCluster(seeds []string, policy RetryPolicy, dial func(addr string) (net.Conn, error)) (*ClusterClient, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("server: no cluster seeds")
@@ -147,9 +147,12 @@ func (cc *ClusterClient) refresh(hint string) error {
 }
 
 // send runs req against the owner of req.Key's slot, following MOVED
-// redirects with map refreshes and backoff up to the policy's attempts.
+// redirects with map refreshes and backoff up to the policy's attempts. Its
+// error wraps ErrIndeterminate when any node-level send's did: a write one
+// owner may have applied stays pending however the routing ends.
 func (cc *ClusterClient) send(req *Request) (*Reply, error) {
 	var last error
+	maybe := false
 	for attempt := 1; attempt <= cc.policy.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			time.Sleep(cc.policy.backoff(attempt-1, cc.rng))
@@ -172,6 +175,7 @@ func (cc *ClusterClient) send(req *Request) (*Reply, error) {
 			return rep, nil
 		}
 		last = err
+		maybe = maybe || errors.Is(err, ErrIndeterminate)
 		var mv *MovedError
 		if errors.As(err, &mv) {
 			// The routing signal: refresh toward the hint and re-route.
@@ -182,13 +186,13 @@ func (cc *ClusterClient) send(req *Request) (*Reply, error) {
 			continue
 		}
 		if !Retryable(err) {
-			return nil, err
+			return nil, indeterminate(maybe, err)
 		}
 		// The node-level client exhausted its own retries; the node may
 		// be gone for good, so refresh before routing again.
 		_ = cc.refresh("")
 	}
-	return nil, fmt.Errorf("server: giving up after %d routing attempts: %w", cc.policy.MaxAttempts, last)
+	return nil, indeterminate(maybe, fmt.Errorf("server: giving up after %d routing attempts: %w", cc.policy.MaxAttempts, last))
 }
 
 // Get reads a key from its slot's owner.

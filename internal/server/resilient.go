@@ -25,14 +25,6 @@ type RetryPolicy struct {
 	// Timeout is the per-attempt I/O deadline on the underlying
 	// connection (default 2s).
 	Timeout time.Duration
-	// TTLms, when nonzero, attaches a deadline envelope to every request
-	// so the server fails queued work fast instead of executing it late.
-	TTLms uint32
-	// TraceSample, when > 0, makes each underlying connection attach a
-	// sampled trace envelope to roughly that fraction of requests (see
-	// Client.SetTraceSample). Traces survive redials and failovers: the
-	// sampler lives on the policy's seed, not the connection.
-	TraceSample float64
 	// Seed drives the backoff jitter deterministically (default 1).
 	Seed uint64
 }
@@ -107,8 +99,8 @@ func DialResilient(addr string, policy RetryPolicy) (*ResilientClient, error) {
 	})
 }
 
-// DialResilientFunc is DialResilient with a custom transport — the hook
-// the flaky-network injector plugs into.
+// DialResilientFunc is DialResilient with a custom transport, such as the
+// simulator's fault-injecting sim.Net.FaultyDialer.
 func DialResilientFunc(addr string, policy RetryPolicy, dialConn func(addr string) (net.Conn, error)) (*ResilientClient, error) {
 	return DialResilientList([]string{addr}, policy, dialConn)
 }
@@ -185,8 +177,6 @@ func (r *ResilientClient) client() (*Client, error) {
 	}
 	c := NewClient(conn)
 	c.SetTimeout(r.policy.Timeout)
-	c.SetTTL(r.policy.TTLms)
-	c.SetTraceSample(r.policy.TraceSample, r.policy.Seed)
 	r.c = c
 	return c, nil
 }
@@ -216,13 +206,47 @@ func rotateError(err error) bool {
 	return errors.Is(err, ErrUnavailable) || errors.Is(err, ErrReadOnly) || errors.Is(err, ErrLagging)
 }
 
+// ErrIndeterminate marks a failed operation that may nonetheless have taken
+// effect: an attempt of it reached a server that may have applied it before
+// the failure hid the outcome. A ResilientClient or ClusterClient error that
+// does not wrap it is a definite failure — no attempt was applied. This is
+// the pending operation of durable linearizability: one a failure cut short
+// may or may not be in the history.
+var ErrIndeterminate = errors.New("server: outcome indeterminate")
+
+// refused reports a reply that names why the server did not run the
+// request: it answered before touching the data path. UNAVAILABLE is not
+// among them, because a primary also answers it for a write it applied but
+// could not confirm on its replica.
+func refused(err error) bool {
+	return errors.Is(err, ErrShed) || errors.Is(err, ErrDeadline) || errors.Is(err, ErrLagging) ||
+		errors.Is(err, ErrReadOnly) || errors.Is(err, ErrMoved) || errors.Is(err, ErrWrongEpoch) ||
+		errors.Is(err, ErrProto)
+}
+
+// indeterminate wraps err in ErrIndeterminate when some attempt may have
+// taken effect and err does not already say so.
+func indeterminate(maybe bool, err error) error {
+	if !maybe || errors.Is(err, ErrIndeterminate) {
+		return err
+	}
+	return fmt.Errorf("%w: %w", ErrIndeterminate, err)
+}
+
 // send runs req under the retry policy, rotating endpoints on failures that
 // implicate the endpoint rather than the request. A batch whose reply
 // carries a retryable sub-reply status is retried whole (sub-requests are
 // idempotent, so re-running already-applied ones is safe). Every attempt
 // sends a fresh copy of req, so the envelopes one stamps are not the next's.
+//
+// A failed send wraps ErrIndeterminate when any attempt may have applied
+// req: its frame went out whole and the reply, if one came, was not a
+// refusal — or it was a BATCH reply, whose other sub-requests ran. A failed
+// dial or a failed write is a definite refusal: a Write errs only when it
+// wrote less than asked, so no whole frame reached the server.
 func (r *ResilientClient) send(req *Request) (*Reply, error) {
 	var last error
+	maybe := false
 	for attempt := 1; attempt <= r.policy.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			r.retries.Add(1)
@@ -234,8 +258,20 @@ func (r *ResilientClient) send(req *Request) (*Reply, error) {
 			r.rotate()
 			continue
 		}
+		// Client.roundTrip's steps, apart: the error must tell whether the
+		// frame went out whole.
 		try := *req
-		rep, err := c.roundTrip(&try)
+		sent := false
+		if err = c.write(&try); err == nil {
+			err = c.bw.Flush()
+		}
+		var rep *Reply
+		if err == nil {
+			sent = true
+			rep, err = c.recv(&try)
+		}
+		// From here an error is a BATCH sub-reply's: the other sub-requests ran.
+		replied := err == nil
 		for i := 0; err == nil && i < len(rep.Sub); i++ {
 			if se := rep.Sub[i].Err(); Retryable(se) {
 				err = se
@@ -245,8 +281,9 @@ func (r *ResilientClient) send(req *Request) (*Reply, error) {
 			return rep, nil
 		}
 		last = err
+		maybe = maybe || replied || sent && !refused(err)
 		if !Retryable(err) {
-			return nil, err
+			return nil, indeterminate(maybe, err)
 		}
 		if !statusError(err) {
 			r.dropConn()
@@ -255,7 +292,7 @@ func (r *ResilientClient) send(req *Request) (*Reply, error) {
 			r.rotate()
 		}
 	}
-	return nil, fmt.Errorf("server: giving up after %d attempts: %w", r.policy.MaxAttempts, last)
+	return nil, indeterminate(maybe, fmt.Errorf("server: giving up after %d attempts: %w", r.policy.MaxAttempts, last))
 }
 
 // PutRYW is Put keeping the read-your-writes token: the write's assigned

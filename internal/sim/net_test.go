@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -151,6 +152,59 @@ func TestNetDrained(t *testing.T) {
 	}
 	if _, err := c2.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("read from a reset connection: err = %v, want EOF", err)
+	}
+}
+
+// TestDrainDialerCloseWaits: a sim client's Close returns only once the
+// node has closed its end of the connection — here while the node is still
+// writing its reply — so Net.Drained holds by then, and a retry on a fresh
+// connection cannot overtake the request the closed one carried.
+func TestDrainDialerCloseWaits(t *testing.T) {
+	n := NewNet()
+	l, err := n.Listen("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	c, err := drainDialer(n, "cli", nil)("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write([]byte("req")); err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	var servedClosed atomic.Bool
+	go func() {
+		_, _ = io.ReadFull(served, make([]byte, 3))
+		_, _ = served.Write([]byte("re"))
+		<-release // mid-reply
+		_, _ = served.Write([]byte("p"))
+		servedClosed.Store(true)
+		served.Close()
+	}()
+	early := make(chan bool, 1)
+	go func() {
+		c.Close()
+		early <- !servedClosed.Load() || !n.Drained("cli", "srv")
+	}()
+	// Release the node only once the client's own end is closed: Close is
+	// then waiting on the node, not on its own teardown.
+	p := c.(*drainConn).Conn.(*conn).p
+	if err := waitUntil(barrierWait, func() bool {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.closed[0]
+	}); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if <-early {
+		t.Fatal("Close returned before the node closed its end")
 	}
 }
 

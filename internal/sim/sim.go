@@ -36,11 +36,12 @@ const (
 	// scrubOps is the client operations between scrub passes (Parity).
 	scrubOps = 10
 
-	// clientWallTimeout is the per-operation I/O deadline on sim client
-	// connections. It is the liveness safety net: if a schedule ever
-	// wedges a node in a state where a reply cannot come (e.g. an ack
-	// held for a dead replica with no clock advance), the operation
-	// resolves as indeterminate instead of hanging the run.
+	// clientWallTimeout is the sim clients' RetryPolicy.Timeout: the
+	// per-attempt I/O deadline on their connections. It is the liveness
+	// safety net: if a schedule ever wedges a node in a state where a reply
+	// cannot come (e.g. an ack held for a dead replica with no clock
+	// advance), the attempt fails, and the operation resolves as
+	// indeterminate instead of hanging the run.
 	clientWallTimeout = 3 * time.Second
 
 	barrierWait = 5 * time.Second
@@ -917,9 +918,11 @@ func (s *sim) noteGate(key uint64, shard uint32, seq uint64) {
 	}
 }
 
+// gateFor is the read gate for key: 0 (none) unless the schedule gates
+// reads.
 func (s *sim) gateFor(key uint64) uint64 {
 	sh, ok := s.gateShard[key]
-	if !ok {
+	if !ok || !s.sched.GatedReads {
 		return 0
 	}
 	return s.gateMax[sh]
@@ -927,203 +930,149 @@ func (s *sim) gateFor(key uint64) uint64 {
 
 // --- sim client ---
 
-// simClient issues one operation at a time and classifies every attempt
-// itself — deliberately NOT the production resilient client, whose
-// internal retries would hide indeterminate attempts from the history.
-// It is sticky: it stays on its current node until that node refuses or
-// disappears, then rotates through the node order deterministically.
+// simClient issues one operation at a time through a production client:
+// a ResilientClient failing over along the node order in a pair, a
+// ClusterClient in a cluster. Their retries stay inside one operation, and
+// their error says whether a failed attempt may have taken effect, which
+// is what the history records. Both are opened on the first operation.
 type simClient struct {
-	s        *sim
-	id       int
-	cur      int
-	conn     *server.Client
-	connNode string
-	cc       *server.ClusterClient
+	s  *sim
+	id int
+	rc *server.ResilientClient
+	cc *server.ClusterClient
 }
 
 func (c *simClient) close() {
-	c.drop()
+	if c.rc != nil {
+		c.rc.Close()
+	}
 	if c.cc != nil {
 		c.cc.Close()
-		c.cc = nil
 	}
-}
-
-func (c *simClient) rotate() { c.cur = (c.cur + 1) % len(c.s.order) }
-
-func (c *simClient) drop() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn, c.connNode = nil, ""
-	}
+	c.rc, c.cc = nil, nil
 }
 
 func (c *simClient) name() string { return "c" + strconv.Itoa(c.id) }
 
-// ensure returns a connection to the client's current node, or nil when
-// the node is down or unreachable (a definite refusal: nothing was sent).
-func (c *simClient) ensure() *server.Client {
-	n := c.s.nodes[c.s.order[c.cur]]
-	if !n.up {
-		c.drop()
-		return nil
+// open connects the client, returning false when no node serves it (a
+// definite failure: nothing was sent).
+func (c *simClient) open() bool {
+	if c.rc != nil || c.cc != nil {
+		return true
 	}
-	if c.conn != nil && c.connNode == n.name {
-		return c.conn
+	dial := drainDialer(c.s.net, c.name(), c.s.faults)
+	seed := uint64(c.s.seed) + uint64(c.id)*977
+	var err error
+	if c.s.sched.Topology == "cluster" {
+		c.cc, err = server.DialCluster(c.s.order, server.RetryPolicy{
+			MaxAttempts: 4,
+			BaseBackoff: time.Millisecond,
+			MaxBackoff:  20 * time.Millisecond,
+			Timeout:     clientWallTimeout,
+			Seed:        seed,
+		}, dial)
+	} else {
+		// Two rounds of the node order and two attempts more, a microsecond
+		// apart: every action has settled before the next client operation,
+		// so waiting longer between attempts would only slow the run.
+		c.rc, err = server.DialResilientList(c.s.order, server.RetryPolicy{
+			MaxAttempts: 2*len(c.s.order) + 2,
+			BaseBackoff: time.Microsecond,
+			MaxBackoff:  time.Microsecond,
+			Timeout:     clientWallTimeout,
+			Seed:        seed,
+		}, dial)
 	}
-	c.drop()
-	nc, err := c.dial(n.name)
-	if err != nil {
-		return nil
-	}
-	cl := server.NewClient(nc)
-	cl.SetTimeout(clientWallTimeout)
-	c.conn, c.connNode = cl, n.name
-	return cl
+	return err == nil
 }
 
-// dial connects the client to a node, through the run's injected faults.
-func (c *simClient) dial(node string) (net.Conn, error) {
-	return c.s.net.FaultyDialer(c.name(), c.s.faults)(node)
+// outcome classifies a write's error: the history's ok, info (it may have
+// taken effect) or fail (it did not).
+func outcome(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, server.ErrIndeterminate):
+		return "info"
+	}
+	return "fail"
 }
-
-// isRefusal reports errors that mean the operation definitely did not
-// take effect: the server named a reason and refused before touching the
-// data path. Everything else — severed connections, timeouts, and
-// StatusUnavailable (which a primary also returns for a write it APPLIED
-// but could not confirm on the replica) — is indeterminate.
-func isRefusal(err error) bool {
-	return errors.Is(err, server.ErrReadOnly) || errors.Is(err, server.ErrLagging) ||
-		errors.Is(err, server.ErrMoved) || errors.Is(err, server.ErrWrongEpoch) ||
-		errors.Is(err, server.ErrShed) || errors.Is(err, server.ErrDeadline) ||
-		errors.Is(err, server.ErrProto)
-}
-
-func (c *simClient) attempts() int { return 2*len(c.s.order) + 2 }
 
 func (c *simClient) put(key, val uint64) string {
-	if c.s.sched.Topology == "cluster" {
-		cc := c.ensureCluster()
-		if cc == nil {
-			return "fail"
-		}
-		if err := cc.Put(key, val); err != nil {
-			// The routing client may have sent the write before the
-			// error surfaced: indeterminate.
-			return "info"
-		}
-		return "ok"
+	if !c.open() {
+		return "fail"
 	}
-	return c.try(func(cl *server.Client) error {
-		if !c.s.sched.GatedReads {
-			return cl.Put(key, val)
-		}
-		sh, seq, err := cl.PutSeq(key, val)
-		if err == nil {
-			c.s.noteGate(key, sh, seq)
-		}
-		return err
-	})
+	if c.cc != nil {
+		return outcome(c.cc.Put(key, val))
+	}
+	sh, seq, err := c.rc.PutSeq(key, val)
+	if err == nil {
+		c.s.noteGate(key, sh, seq)
+	}
+	return outcome(err)
 }
 
 func (c *simClient) del(key uint64) (bool, string) {
-	if c.s.sched.Topology == "cluster" {
-		cc := c.ensureCluster()
-		if cc == nil {
-			return false, "fail"
-		}
-		found, err := cc.Delete(key)
-		if err != nil {
-			return false, "info"
-		}
-		return found, "ok"
+	if !c.open() {
+		return false, "fail"
 	}
 	var found bool
-	out := c.try(func(cl *server.Client) (err error) {
-		found, err = cl.Delete(key)
-		return err
-	})
-	return found, out
+	var err error
+	if c.cc != nil {
+		found, err = c.cc.Delete(key)
+	} else {
+		found, err = c.rc.Delete(key)
+	}
+	return found, outcome(err)
 }
 
 // get classifies every read error as a definite failure: a read has no
 // side effect, so a lost response carries no durability obligation and
 // the checker simply drops it.
 func (c *simClient) get(key uint64) (uint64, bool, string) {
-	if c.s.sched.Topology == "cluster" {
-		cc := c.ensureCluster()
-		if cc == nil {
-			return 0, false, "fail"
-		}
-		v, f, err := cc.Get(key)
-		if err != nil {
-			return 0, false, "fail"
-		}
-		return v, f, "ok"
-	}
-	var v uint64
-	var f bool
-	if c.try(func(cl *server.Client) (err error) {
-		if c.s.sched.GatedReads {
-			v, f, err = cl.GetAt(key, c.s.gateFor(key))
-		} else {
-			v, f, err = cl.Get(key)
-		}
-		return err
-	}) != "ok" {
+	if !c.open() {
 		return 0, false, "fail"
 	}
-	return v, f, "ok"
-}
-
-// try runs op against the client's current node, rotating through the
-// nodes up to attempts() times. A refusal only rotates; any other error
-// also drops the connection and makes the outcome indeterminate, since op
-// may have taken effect. It returns "ok", "info" (indeterminate) or "fail".
-func (c *simClient) try(op func(*server.Client) error) string {
-	sawInfo := false
-	for a := 0; a < c.attempts(); a++ {
-		cl := c.ensure()
-		if cl == nil {
-			c.rotate()
-			continue
-		}
-		err := op(cl)
-		if err == nil {
-			return "ok"
-		}
-		if !isRefusal(err) {
-			// The request may still land: the server closes its end once it
-			// has replied, and a retry must not overtake it.
-			sawInfo = true
-			node := c.connNode
-			c.drop()
-			_ = waitUntil(barrierWait, func() bool { return c.s.net.Drained(c.name(), node) })
-		}
-		c.rotate()
-	}
-	if sawInfo {
-		return "info"
-	}
-	return "fail"
-}
-
-func (c *simClient) ensureCluster() *server.ClusterClient {
+	var v uint64
+	var found bool
+	var err error
 	if c.cc != nil {
-		return c.cc
+		v, found, err = c.cc.Get(key)
+	} else {
+		v, found, err = c.rc.GetAt(key, c.s.gateFor(key))
 	}
-	cc, err := server.DialCluster(c.s.order, server.RetryPolicy{
-		MaxAttempts: 4,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  20 * time.Millisecond,
-		Timeout:     2 * time.Second,
-		Seed:        uint64(c.s.seed) + uint64(c.id)*977,
-	}, c.dial)
 	if err != nil {
-		return nil
+		return 0, false, "fail"
 	}
-	c.cc = cc
-	return cc
+	return v, found, "ok"
+}
+
+// drainDialer is the sim clients' dialer: f's faults on every connection,
+// and a Close that returns only once the node has closed its end of every
+// connection from the client — the request a dropped connection carried
+// has been served, so the client's retry on a fresh one cannot overtake
+// it. The wait is bounded by barrierWait.
+func drainDialer(n *Net, client string, f *Faults) func(string) (net.Conn, error) {
+	dial := n.FaultyDialer(client, f)
+	return func(node string) (net.Conn, error) {
+		nc, err := dial(node)
+		if err != nil {
+			return nil, err
+		}
+		return &drainConn{Conn: nc, drained: func() bool { return n.Drained(client, node) }}, nil
+	}
+}
+
+// drainConn is a client connection whose Close waits for drained.
+type drainConn struct {
+	net.Conn
+	drained func() bool
+}
+
+func (c *drainConn) Close() error {
+	err := c.Conn.Close()
+	_ = waitUntil(barrierWait, c.drained)
+	return err
 }
 
 // waitUntil polls cond every millisecond until it holds or the budget

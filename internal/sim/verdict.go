@@ -19,7 +19,8 @@ type want struct {
 	crashAfterCorrupt bool
 	flaky             bool // the injector must fire at least once
 	// cluster: no clean-ops check, since the slots of a crashed node go
-	// unserved until it restarts.
+	// unserved until it restarts: their operations fail, definitely, as
+	// the dial or the write to the dead node is refused.
 	cluster    bool
 	rebalances int  // slots handed over, one per ActRebalance
 	violation  bool // ExpectViolation

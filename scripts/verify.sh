@@ -86,7 +86,10 @@ go test -race -run 'TestCluster' ./internal/server/
 
 # Simulation leg: the harness and checker are what the consistency verdicts
 # rest on. Every node pair talks over the simulator's in-memory network
-# (sim.Net), which owns each connection, cut and injected fault. The suite
+# (sim.Net), which owns each connection, cut and injected fault, and every
+# client operation runs through the production clients (ResilientClient on
+# a pair, ClusterClient on a cluster), so their retry and failover code and
+# their indeterminate-error contract are judged under every nemesis. The suite
 # above already ran the gate once: same-seed replay of every builtin
 # schedule with byte-identical histories and results (TestDeterminism), the
 # unfenced split-brain flagged while the fenced one passes (TestFenceGate),

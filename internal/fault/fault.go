@@ -71,9 +71,7 @@ func Crash(label string) {
 	if h == nil {
 		return
 	}
-	crashPointsHit.Add(1)
 	if h.s.Hit(label) {
-		crashesFired.Add(1)
 		panic(&CrashPanic{Label: label})
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"nvref/internal/fault"
-	"nvref/internal/obs"
 	"nvref/internal/pmem"
 )
 
@@ -128,25 +127,6 @@ func (s *Store) Load(name string) (pmem.Meta, []byte, error) {
 		fault.FlipBit(data, s.rng)
 	}
 	return meta, data, nil
-}
-
-// RegisterMetrics binds per-class fired-fault counters into reg, one series
-// per fault class so injections are attributable in exported snapshots.
-func (s *Store) RegisterMetrics(reg *obs.Registry) {
-	for _, class := range []fault.Class{fault.Transient, fault.Torn, fault.BitFlip, fault.Stale} {
-		class := class
-		reg.CounterFunc("inject_faults_fired_total_"+obs.SanitizeName(class.String()),
-			"injected "+class.String()+" faults that fired",
-			func() uint64 {
-				var n uint64
-				for _, e := range s.Events {
-					if e.Fault.Class == class {
-						n++
-					}
-				}
-				return n
-			})
-	}
 }
 
 // List implements pmem.Store.

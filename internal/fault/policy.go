@@ -95,11 +95,8 @@ func (p RetryPolicy) Retry(op func() error) error {
 	}
 	var err error
 	for try := 0; try < attempts; try++ {
-		if try > 0 {
-			transientRetries.Add(1)
-			if p.Backoff != nil {
-				p.Backoff(try)
-			}
+		if try > 0 && p.Backoff != nil {
+			p.Backoff(try)
 		}
 		err = op()
 		if err == nil || !IsTransient(err) {

@@ -154,8 +154,8 @@ func (c *Client) roundTrip(req *Request) (*Reply, error) {
 func (c *Client) Do(req *Request) (*Reply, error) { return c.roundTrip(req) }
 
 // calls is the typed client API, written once over a send function: Client
-// sends on its connection, ResilientClient through its retry and failover
-// loop, ClusterClient through its routing loop.
+// sends on its connection, ResilientClient and ClusterClient through the one
+// attempt loop, ResilientClient.send, along their routes.
 type calls struct {
 	send func(*Request) (*Reply, error)
 }

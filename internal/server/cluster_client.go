@@ -2,38 +2,30 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"nvref/internal/cluster"
-	"nvref/internal/fault"
 )
 
-// ClusterClient is the cluster-routing client: it caches a cluster map,
-// routes each key to its slot's owner through a per-node ResilientClient
-// (which handles transport retries, redials, and backoff), and treats
-// StatusMoved as a routing signal — refresh the map and re-route — rather
-// than a failure. During a migration's fence window a slot's writes
-// bounce MOVED between donor and acceptor; the routing loop rides that
-// out with backoff until the handover commits and a refresh observes the
-// new epoch. Like Client it is not safe for concurrent use; open one per
-// goroutine.
+// ClusterClient is the cluster-routing client: it caches a cluster map and
+// is the route of one ResilientClient, whose attempt loop sends each
+// request to its key's slot owner (handling retries, redials and backoff)
+// and moves on by refreshing the map. A StatusMoved reply is a routing
+// signal — refresh toward its hint and re-route — rather than a failure.
+// During a migration's fence window a slot's writes bounce MOVED between
+// donor and acceptor; the loop rides that out with backoff until the
+// handover commits and a refresh observes the new epoch. Like Client it is
+// not safe for concurrent use; open one per goroutine.
 type ClusterClient struct {
-	seeds  []string
-	policy RetryPolicy
-	dial   func(addr string) (net.Conn, error)
-	m      *cluster.Map
-	nodes  map[string]*ResilientClient
-	rng    *fault.Rand
-	calls  calls // the typed calls, sent through the routing loop
+	seeds []string
+	m     *cluster.Map
+	rc    *ResilientClient // the attempt loop, routed by this client
 
-	movedSeen  atomic.Uint64 // MOVED redirects taken
-	refreshes  atomic.Uint64 // map refresh rounds run
-	mapLoads   atomic.Uint64 // strictly newer maps adopted
-	mapFetches atomic.Uint64 // map images fetched over the wire
+	movedSeen atomic.Uint64 // MOVED redirects taken
+	refreshes atomic.Uint64 // map refresh rounds run
+	mapLoads  atomic.Uint64 // strictly newer maps adopted
 }
 
 // DialCluster builds a routing client from any reachable seed node's map.
@@ -43,15 +35,8 @@ func DialCluster(seeds []string, policy RetryPolicy, dial func(addr string) (net
 	if len(seeds) == 0 {
 		return nil, errors.New("server: no cluster seeds")
 	}
-	policy.fillDefaults()
-	cc := &ClusterClient{
-		seeds:  seeds,
-		policy: policy,
-		dial:   clusterDial(dial),
-		nodes:  make(map[string]*ResilientClient),
-		rng:    fault.NewRand(policy.Seed),
-	}
-	cc.calls = calls{cc.send}
+	cc := &ClusterClient{seeds: seeds, rc: newResilient(policy, dial)}
+	cc.rc.calls = cc.rc.via(cc)
 	if err := cc.refresh(""); err != nil {
 		return nil, err
 	}
@@ -71,32 +56,27 @@ func (cc *ClusterClient) MapRefreshes() uint64 { return cc.refreshes.Load() }
 func (cc *ClusterClient) MapLoads() uint64 { return cc.mapLoads.Load() }
 
 // Close closes every per-node connection.
-func (cc *ClusterClient) Close() error {
-	var first error
-	for _, rc := range cc.nodes {
-		if err := rc.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+func (cc *ClusterClient) Close() error { return cc.rc.Close() }
+
+// target routes req to the owner of its key's slot in the cached map.
+func (cc *ClusterClient) target(req *Request) string {
+	return cc.m.OwnerOf(cluster.SlotFor(req.Key, cc.m.Slots))
 }
 
-// node returns (dialing lazily) the resilient client for one node.
-func (cc *ClusterClient) node(addr string) (*ResilientClient, error) {
-	if rc := cc.nodes[addr]; rc != nil {
-		return rc, nil
+// moveOn refreshes the map after the owner failed an attempt: toward the
+// redirect's node after a MOVED (the only failure with a hint), over the
+// whole map otherwise — the node may be gone for good.
+func (cc *ClusterClient) moveOn(hint string) {
+	if hint != "" {
+		cc.movedSeen.Add(1)
 	}
-	rc, err := DialResilientFunc(addr, cc.policy, cc.dial)
-	if err != nil {
-		return nil, err
-	}
-	cc.nodes[addr] = rc
-	return rc, nil
+	_ = cc.refresh(hint)
 }
 
 // refresh fetches map images — from the redirect hint first, then every
 // node of the cached map, then the seeds — and adopts the newest epoch
-// seen. It succeeds if the client ends up holding any map at all.
+// seen. Each node gets one attempt over the shared connections. It
+// succeeds if the client ends up holding any map at all.
 func (cc *ClusterClient) refresh(hint string) error {
 	cc.refreshes.Add(1)
 	tried := make(map[string]bool)
@@ -105,15 +85,17 @@ func (cc *ClusterClient) refresh(hint string) error {
 			return
 		}
 		tried[addr] = true
-		rc, err := cc.node(addr)
+		c, err := cc.rc.client(addr)
 		if err != nil {
 			return
 		}
-		img, err := rc.ClusterMap()
+		img, err := c.ClusterMap()
 		if err != nil {
+			if !statusError(err) {
+				cc.rc.dropConn(addr)
+			}
 			return
 		}
-		cc.mapFetches.Add(1)
 		m, err := cluster.Decode(img)
 		if err != nil {
 			return
@@ -146,86 +128,29 @@ func (cc *ClusterClient) refresh(hint string) error {
 	return nil
 }
 
-// send runs req against the owner of req.Key's slot, following MOVED
-// redirects with map refreshes and backoff up to the policy's attempts. Its
-// error wraps ErrIndeterminate when any node-level send's did: a write one
-// owner may have applied stays pending however the routing ends.
-func (cc *ClusterClient) send(req *Request) (*Reply, error) {
-	var last error
-	maybe := false
-	for attempt := 1; attempt <= cc.policy.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			time.Sleep(cc.policy.backoff(attempt-1, cc.rng))
-		}
-		if cc.m == nil {
-			if err := cc.refresh(""); err != nil {
-				last = err
-				continue
-			}
-		}
-		owner := cc.m.OwnerOf(cluster.SlotFor(req.Key, cc.m.Slots))
-		rc, err := cc.node(owner)
-		if err != nil {
-			last = err
-			_ = cc.refresh("")
-			continue
-		}
-		rep, err := rc.send(req)
-		if err == nil {
-			return rep, nil
-		}
-		last = err
-		maybe = maybe || errors.Is(err, ErrIndeterminate)
-		var mv *MovedError
-		if errors.As(err, &mv) {
-			// The routing signal: refresh toward the hint and re-route.
-			// During a fence window both sides answer MOVED; backoff
-			// rides it out until the handover commits.
-			cc.movedSeen.Add(1)
-			_ = cc.refresh(mv.Addr)
-			continue
-		}
-		if !Retryable(err) {
-			return nil, indeterminate(maybe, err)
-		}
-		// The node-level client exhausted its own retries; the node may
-		// be gone for good, so refresh before routing again.
-		_ = cc.refresh("")
-	}
-	return nil, indeterminate(maybe, fmt.Errorf("server: giving up after %d routing attempts: %w", cc.policy.MaxAttempts, last))
-}
-
 // Get reads a key from its slot's owner.
-func (cc *ClusterClient) Get(key uint64) (uint64, bool, error) { return cc.calls.Get(key) }
+func (cc *ClusterClient) Get(key uint64) (uint64, bool, error) { return cc.rc.Get(key) }
 
 // Put writes a key on its slot's owner.
-func (cc *ClusterClient) Put(key, value uint64) error { return cc.calls.Put(key, value) }
+func (cc *ClusterClient) Put(key, value uint64) error { return cc.rc.Put(key, value) }
 
 // Delete removes a key on its slot's owner.
-func (cc *ClusterClient) Delete(key uint64) (bool, error) { return cc.calls.Delete(key) }
+func (cc *ClusterClient) Delete(key uint64) (bool, error) { return cc.rc.Delete(key) }
 
 // Scan reads up to limit pairs in ascending key order across the whole
-// cluster: every node is scanned (keys are hash-placed, so any node may
-// hold part of the range) and each pair is kept only if the cached map
-// assigns its slot to the node that served it — migrated keys awaiting
-// the donor's purge would otherwise surface twice.
+// cluster: every node is scanned, each through the attempt loop pinned to
+// it (keys are hash-placed, so any node may hold part of the range), and
+// each pair is kept only if the cached map assigns its slot to the node
+// that served it — migrated keys awaiting the donor's purge would
+// otherwise surface twice.
 func (cc *ClusterClient) Scan(start uint64, limit int) ([]KV, error) {
-	if cc.m == nil {
-		if err := cc.refresh(""); err != nil {
-			return nil, err
-		}
-	}
 	m := cc.m
 	merged := make(map[uint64]uint64)
 	for _, addr := range m.Nodes {
 		if m.Owned(addr) == 0 {
 			continue
 		}
-		rc, err := cc.node(addr)
-		if err != nil {
-			return nil, err
-		}
-		pairs, err := rc.Scan(start, limit)
+		pairs, err := cc.rc.via(pinned(addr)).Scan(start, limit)
 		if err != nil {
 			return nil, err
 		}

@@ -408,7 +408,7 @@ func TestFollowerAutoReseed(t *testing.T) {
 	p, r, paddr, _ := startPair(t, 2, func(c *Config) { c.CheckpointEvery = 32 }, nil)
 	defer p.Abort()
 
-	c, err := DialResilient(paddr.String(), RetryPolicy{})
+	c, err := DialResilient([]string{paddr.String()}, RetryPolicy{}, nil)
 	if err != nil {
 		t.Fatalf("dial primary: %v", err)
 	}
@@ -416,7 +416,7 @@ func TestFollowerAutoReseed(t *testing.T) {
 	const keys = 100
 	put := func(k, v uint64) {
 		t.Helper()
-		if _, _, err := c.PutRYW(k, v); err != nil {
+		if _, _, err := c.PutSeq(k, v); err != nil {
 			t.Fatalf("put %d: %v", k, err)
 		}
 	}

@@ -240,8 +240,8 @@ var (
 
 // MovedError is the decoded StatusMoved redirect: the slot's owning (or
 // fencing) node and the epoch of the map the refusing node held. It is
-// deliberately not Retryable — the cluster-routing client must refresh
-// its map and re-route rather than hammer the wrong node.
+// deliberately not Retryable: ResilientClient.send moves its route on
+// toward Addr (a map refresh, a re-route) rather than re-ask that node.
 type MovedError struct {
 	Epoch uint64
 	Addr  string
@@ -269,7 +269,7 @@ func Retryable(err error) bool {
 	if errors.Is(err, ErrProto) || errors.Is(err, ErrMoved) || errors.Is(err, ErrWrongEpoch) {
 		return false
 	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.ErrClosedPipe) {
 		return true
 	}
 	var ne net.Error

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"reflect"
 	"testing"
 
@@ -334,9 +335,10 @@ func TestDecodeBoundsCounts(t *testing.T) {
 }
 
 // TestRetryable pins the retry classification: fail-fast statuses and
-// transport failures retry; protocol and internal errors do not.
+// transport failures (a closed pipe included: net.Pipe reports a peer
+// hang-up from SetReadDeadline) retry; protocol and internal errors do not.
 func TestRetryable(t *testing.T) {
-	for _, err := range []error{ErrShed, ErrUnavailable, ErrDeadline, ErrLagging, ErrReadOnly} {
+	for _, err := range []error{ErrShed, ErrUnavailable, ErrDeadline, ErrLagging, ErrReadOnly, io.ErrClosedPipe} {
 		if !Retryable(err) {
 			t.Errorf("%v must be retryable", err)
 		}

@@ -432,20 +432,21 @@ func TestFailoverClientRotation(t *testing.T) {
 
 	// List the replica FIRST: the client must discover it is read-only
 	// and rotate to the primary.
-	rc, err := DialResilientList([]string{raddr.String(), paddr.String()}, RetryPolicy{}, nil)
+	rc, err := DialResilient([]string{raddr.String(), paddr.String()}, RetryPolicy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	if _, _, err := rc.PutRYW(42, 4242); err != nil {
+	_, seq, err := rc.PutSeq(42, 4242)
+	if err != nil {
 		t.Fatalf("put via failover list: %v", err)
 	}
 	if rc.Failovers() == 0 {
 		t.Fatal("client never rotated off the read-only replica")
 	}
-	v, found, err := rc.GetRYW(42)
+	v, found, err := rc.GetAt(42, seq)
 	if err != nil || !found || v != 4242 {
-		t.Fatalf("GetRYW: (%d, %v, %v)", v, found, err)
+		t.Fatalf("GetAt: (%d, %v, %v)", v, found, err)
 	}
 }
 

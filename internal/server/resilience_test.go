@@ -169,12 +169,12 @@ func TestSupervisorRestartMidStream(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		rc, err := DialResilient(ts.addr, RetryPolicy{
+		rc, err := DialResilient([]string{ts.addr}, RetryPolicy{
 			MaxAttempts: 12,
 			BaseBackoff: time.Millisecond,
 			MaxBackoff:  20 * time.Millisecond,
 			Seed:        3,
-		})
+		}, nil)
 		if err != nil {
 			errs[0] = err
 			return

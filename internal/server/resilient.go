@@ -68,72 +68,100 @@ func (p *RetryPolicy) backoff(retry int, rng *fault.Rand) time.Duration {
 // jitter for the retryable failures (shed, unavailable, deadline, and
 // transport errors — every protocol operation is idempotent), and
 // automatic re-dial when the connection itself breaks. Given several
-// endpoints (DialResilientList) it also fails over: a dead, unavailable,
-// or read-only endpoint rotates the client to the next one, which is how
-// writers find the promoted replica after a primary dies. Like Client it
-// is not safe for concurrent use; open one per goroutine.
+// endpoints it also fails over: a dead, unavailable, or read-only endpoint
+// rotates the client to the next one, which is how writers find the
+// promoted replica after a primary dies. Its send is also ClusterClient's
+// attempt loop: a route names each attempt's endpoint — the failover list
+// here, a slot's owner under ClusterClient. Like Client it is not safe for
+// concurrent use; open one per goroutine.
 type ResilientClient struct {
 	calls
-	addrs    []string
-	cur      int
 	policy   RetryPolicy
 	dialConn func(addr string) (net.Conn, error)
-	c        *Client
+	conns    map[string]*Client
 	rng      *fault.Rand
-
-	// Read-your-writes state: the newest write sequence seen per shard,
-	// stamped onto GetRYW reads, and the shard count learned lazily.
-	tokens     map[uint32]uint64
-	shardCount int
 
 	retries   atomic.Uint64
 	redials   atomic.Uint64
 	failovers atomic.Uint64
 }
 
-// DialResilient connects a ResilientClient to an nvserved instance. The
-// initial dial is itself retried under the policy.
-func DialResilient(addr string, policy RetryPolicy) (*ResilientClient, error) {
-	return DialResilientFunc(addr, policy, func(addr string) (net.Conn, error) {
-		return net.Dial("tcp", addr)
-	})
+// route picks the endpoint of each attempt of ResilientClient.send: target
+// names it for req, and moveOn tells the route that the endpoint failed the
+// attempt — with a MOVED redirect's address as hint, "" otherwise.
+type route interface {
+	target(req *Request) string
+	moveOn(hint string)
 }
 
-// DialResilientFunc is DialResilient with a custom transport, such as the
-// simulator's fault-injecting sim.Net.FaultyDialer.
-func DialResilientFunc(addr string, policy RetryPolicy, dialConn func(addr string) (net.Conn, error)) (*ResilientClient, error) {
-	return DialResilientList([]string{addr}, policy, dialConn)
+// failover is the endpoint-list route: the current endpoint until it fails,
+// then the next one.
+type failover struct {
+	r     *ResilientClient
+	addrs []string
+	cur   int
 }
 
-// DialResilientList is DialResilientFunc over a failover list: operations
-// use the current endpoint and rotate to the next on dial failure,
-// transport failure, or an endpoint that answers UNAVAILABLE, READONLY,
-// or LAGGING. A nil dialConn uses plain TCP.
-func DialResilientList(addrs []string, policy RetryPolicy, dialConn func(addr string) (net.Conn, error)) (*ResilientClient, error) {
+func (f *failover) target(*Request) string { return f.addrs[f.cur] }
+
+// moveOn drops the current endpoint's connection and rotates to the next
+// (a no-op with a single endpoint).
+func (f *failover) moveOn(string) {
+	if len(f.addrs) < 2 {
+		return
+	}
+	f.r.dropConn(f.addrs[f.cur])
+	f.cur = (f.cur + 1) % len(f.addrs)
+	f.r.failovers.Add(1)
+}
+
+// pinned is the one-node route: every attempt goes to the same address.
+type pinned string
+
+func (p pinned) target(*Request) string { return string(p) }
+func (pinned) moveOn(string)            {}
+
+// DialResilient connects a ResilientClient to an nvserved endpoint list:
+// operations use the current endpoint and rotate to the next on dial
+// failure, transport failure, or an endpoint that answers UNAVAILABLE,
+// READONLY, LAGGING or MOVED. dial, when non-nil, replaces the TCP dialer
+// (the simulator passes its sim.Net.FaultyDialer). A single endpoint fails
+// fast on its first dial; with a list, the first operation's retry loop
+// keeps rotating.
+func DialResilient(addrs []string, policy RetryPolicy, dial func(addr string) (net.Conn, error)) (*ResilientClient, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("server: no endpoints")
 	}
-	if dialConn == nil {
-		dialConn = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-	}
-	policy.fillDefaults()
-	r := &ResilientClient{
-		addrs:    addrs,
-		policy:   policy,
-		dialConn: dialConn,
-		rng:      fault.NewRand(policy.Seed),
-		tokens:   make(map[uint32]uint64),
-	}
-	r.calls = calls{r.send}
-	if _, err := r.client(); err != nil {
-		// With one endpoint, failing fast surfaces config errors; with a
-		// failover list, the first operation's retry loop keeps rotating.
+	r := newResilient(policy, dial)
+	f := &failover{r: r, addrs: addrs}
+	r.calls = r.via(f)
+	if _, err := r.client(addrs[0]); err != nil {
 		if len(addrs) == 1 {
 			return nil, err
 		}
-		r.rotate()
+		f.moveOn("")
 	}
 	return r, nil
+}
+
+// newResilient returns a ResilientClient with no connection and no typed
+// calls yet: the caller binds them to its route with via.
+func newResilient(policy RetryPolicy, dial func(addr string) (net.Conn, error)) *ResilientClient {
+	if dial == nil {
+		dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+	}
+	policy.fillDefaults()
+	return &ResilientClient{
+		policy:   policy,
+		dialConn: dial,
+		conns:    make(map[string]*Client),
+		rng:      fault.NewRand(policy.Seed),
+	}
+}
+
+// via returns the typed calls, each sent through the attempt loop along rt.
+func (r *ResilientClient) via(rt route) calls {
+	return calls{func(req *Request) (*Reply, error) { return r.send(rt, req) }}
 }
 
 // Retries returns how many operation attempts were retried.
@@ -147,47 +175,41 @@ func (r *ResilientClient) Redials() uint64 { return r.redials.Load() }
 // endpoint in its list.
 func (r *ResilientClient) Failovers() uint64 { return r.failovers.Load() }
 
-// rotate advances to the next endpoint (a no-op with a single one).
-func (r *ResilientClient) rotate() {
-	if len(r.addrs) < 2 {
-		return
-	}
-	r.dropConn()
-	r.cur = (r.cur + 1) % len(r.addrs)
-	r.failovers.Add(1)
-}
-
-// Close closes the current connection, if any.
+// Close closes every open connection.
 func (r *ResilientClient) Close() error {
-	if r.c == nil {
-		return nil
+	var first error
+	for addr, c := range r.conns {
+		if err := c.Close(); err != nil && first == nil {
+			first = err
+		}
+		delete(r.conns, addr)
 	}
-	err := r.c.Close()
-	r.c = nil
-	return err
+	return first
 }
 
-func (r *ResilientClient) client() (*Client, error) {
-	if r.c != nil {
-		return r.c, nil
+// client returns (dialing lazily) the connection to addr.
+func (r *ResilientClient) client(addr string) (*Client, error) {
+	if c := r.conns[addr]; c != nil {
+		return c, nil
 	}
-	conn, err := r.dialConn(r.addrs[r.cur])
+	conn, err := r.dialConn(addr)
 	if err != nil {
 		return nil, err
 	}
 	c := NewClient(conn)
 	c.SetTimeout(r.policy.Timeout)
-	r.c = c
+	r.conns[addr] = c
 	return c, nil
 }
 
-// dropConn discards the connection after a transport-level failure; the
-// next attempt re-dials. Status errors (shed/unavailable/deadline) keep
-// the connection: a full reply frame was read, so the stream is in sync.
-func (r *ResilientClient) dropConn() {
-	if r.c != nil {
-		_ = r.c.Close()
-		r.c = nil
+// dropConn discards addr's connection after a transport-level failure; the
+// next attempt there re-dials. Status errors (shed/unavailable/deadline)
+// keep the connection: a full reply frame was read, so the stream is in
+// sync.
+func (r *ResilientClient) dropConn(addr string) {
+	if c := r.conns[addr]; c != nil {
+		_ = c.Close()
+		delete(r.conns, addr)
 		r.redials.Add(1)
 	}
 }
@@ -233,8 +255,10 @@ func indeterminate(maybe bool, err error) error {
 	return fmt.Errorf("%w: %w", ErrIndeterminate, err)
 }
 
-// send runs req under the retry policy, rotating endpoints on failures that
-// implicate the endpoint rather than the request. A batch whose reply
+// send runs req under the retry policy, each attempt against the endpoint
+// rt names. Failures that implicate the endpoint rather than the request —
+// a failed dial, a transport error, UNAVAILABLE, READONLY, LAGGING, and a
+// MOVED redirect — move rt on before the next attempt. A batch whose reply
 // carries a retryable sub-reply status is retried whole (sub-requests are
 // idempotent, so re-running already-applied ones is safe). Every attempt
 // sends a fresh copy of req, so the envelopes one stamps are not the next's.
@@ -244,7 +268,7 @@ func indeterminate(maybe bool, err error) error {
 // refusal — or it was a BATCH reply, whose other sub-requests ran. A failed
 // dial or a failed write is a definite refusal: a Write errs only when it
 // wrote less than asked, so no whole frame reached the server.
-func (r *ResilientClient) send(req *Request) (*Reply, error) {
+func (r *ResilientClient) send(rt route, req *Request) (*Reply, error) {
 	var last error
 	maybe := false
 	for attempt := 1; attempt <= r.policy.MaxAttempts; attempt++ {
@@ -252,10 +276,11 @@ func (r *ResilientClient) send(req *Request) (*Reply, error) {
 			r.retries.Add(1)
 			time.Sleep(r.policy.backoff(attempt-1, r.rng))
 		}
-		c, err := r.client()
+		addr := rt.target(req)
+		c, err := r.client(addr)
 		if err != nil {
 			last = err // dial failures are always retryable
-			r.rotate()
+			rt.moveOn("")
 			continue
 		}
 		// Client.roundTrip's steps, apart: the error must tell whether the
@@ -282,58 +307,18 @@ func (r *ResilientClient) send(req *Request) (*Reply, error) {
 		}
 		last = err
 		maybe = maybe || replied || sent && !refused(err)
-		if !Retryable(err) {
+		var mv *MovedError
+		switch {
+		case errors.As(err, &mv):
+			rt.moveOn(mv.Addr)
+		case !Retryable(err):
 			return nil, indeterminate(maybe, err)
-		}
-		if !statusError(err) {
-			r.dropConn()
-			r.rotate()
-		} else if rotateError(err) {
-			r.rotate()
+		case !statusError(err):
+			r.dropConn(addr)
+			rt.moveOn("")
+		case rotateError(err):
+			rt.moveOn("")
 		}
 	}
 	return nil, indeterminate(maybe, fmt.Errorf("server: giving up after %d attempts: %w", r.policy.MaxAttempts, last))
-}
-
-// PutRYW is Put keeping the read-your-writes token: the write's assigned
-// sequence is remembered for its shard, and GetRYW stamps reads with it
-// so a lagging replica refuses to serve older state.
-func (r *ResilientClient) PutRYW(key, value uint64) (shard uint32, seq uint64, err error) {
-	shard, seq, err = r.PutSeq(key, value)
-	if err == nil && seq > r.tokens[shard] {
-		r.tokens[shard] = seq
-	}
-	return shard, seq, err
-}
-
-// GetRYW reads a key gated on the newest write token this client holds
-// for the key's shard: a replica that has not applied that far answers
-// LAGGING, which rotates the client toward an endpoint that has.
-func (r *ResilientClient) GetRYW(key uint64) (uint64, bool, error) {
-	return r.GetAt(key, r.gateFor(key))
-}
-
-// gateFor picks the token for key's shard. The shard count (needed to map
-// key → shard) is learned lazily from STATS; until it is known, the
-// maximum token across shards is used — over-conservative but still a
-// correct read-your-writes bound.
-func (r *ResilientClient) gateFor(key uint64) uint64 {
-	if len(r.tokens) == 0 {
-		return 0
-	}
-	if r.shardCount == 0 {
-		if st, err := r.Stats(); err == nil && st.Shards > 0 {
-			r.shardCount = st.Shards
-		}
-	}
-	if r.shardCount > 0 {
-		return r.tokens[uint32(ShardFor(key, r.shardCount))]
-	}
-	var max uint64
-	for _, seq := range r.tokens {
-		if seq > max {
-			max = seq
-		}
-	}
-	return max
 }

@@ -58,7 +58,7 @@ func TestResilientBatchRetryRule(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var batches atomic.Int32
-			rc, err := DialResilientFunc("scripted", RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond},
+			rc, err := DialResilient([]string{"scripted"}, RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond},
 				scriptedBatchDial(t, tc.first, &batches))
 			if err != nil {
 				t.Fatal(err)
@@ -161,7 +161,7 @@ func TestResilientIndeterminate(t *testing.T) {
 		{"severed after the flush, then moved", scriptedDial(t, severFirst(&Reply{Status: StatusMoved, Epoch: 1, Addr: "b"})), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rc, err := DialResilientList([]string{"a", "b"}, policy, tc.dial)
+			rc, err := DialResilient([]string{"a", "b"}, policy, tc.dial)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +178,7 @@ func TestResilientIndeterminate(t *testing.T) {
 
 	// A BATCH whose second sub-reply is shed on every attempt: its first
 	// sub-request ran each time.
-	rc, err := DialResilientList([]string{"a"}, policy, scriptedDial(t, func(_ string, req *Request) *Reply {
+	rc, err := DialResilient([]string{"a"}, policy, scriptedDial(t, func(_ string, req *Request) *Reply {
 		rep := &Reply{Sub: make([]Reply, len(req.Sub))}
 		rep.Sub[1].Status = StatusShed
 		return rep
@@ -231,5 +231,49 @@ func TestResilientIndeterminate(t *testing.T) {
 		if got := errors.Is(err, ErrIndeterminate); got != sever {
 			t.Fatalf("sever=%v: errors.Is(%v, ErrIndeterminate) = %v", sever, err, got)
 		}
+	}
+}
+
+// TestClusterClientAttemptBudget pins ClusterClient to the one attempt loop:
+// an owner that answers UNAVAILABLE to every PUT reads exactly MaxAttempts
+// PUT frames for one Put, and a node that sheds its first SCAN is retried
+// by Scan's loop pinned to that node.
+func TestClusterClientAttemptBudget(t *testing.T) {
+	policy := RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond, Timeout: time.Second}
+	m, _ := cluster.New(4, []string{"a", "b"})
+	m.Owner = []uint16{1, 1, 1, 1}
+	var bPuts, bScans atomic.Int32
+	dial := scriptedDial(t, func(addr string, req *Request) *Reply {
+		switch {
+		case req.Op == OpClusterMap:
+			return &Reply{Blob: m.Encode()}
+		case addr != "b":
+			t.Errorf("%s got op %d; every slot is b's", addr, req.Op)
+			return nil
+		case req.Op == OpPut:
+			bPuts.Add(1)
+			return &Reply{Status: StatusUnavailable}
+		case bScans.Add(1) == 1:
+			return &Reply{Status: StatusShed}
+		}
+		return &Reply{Pairs: []KV{{Key: 5, Value: 55}}}
+	})
+	cc, err := DialCluster([]string{"a"}, policy, dial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	if err := cc.Put(1, 1); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("put: err %v, want UNAVAILABLE", err)
+	}
+	if got := bPuts.Load(); got != int32(policy.MaxAttempts) {
+		t.Fatalf("b read %d PUT frames for one Put, want %d", got, policy.MaxAttempts)
+	}
+	pairs, err := cc.Scan(0, 10)
+	if err != nil || len(pairs) != 1 || pairs[0] != (KV{Key: 5, Value: 55}) {
+		t.Fatalf("scan after a shed: %v, %v", pairs, err)
+	}
+	if got := bScans.Load(); got != 2 {
+		t.Fatalf("b read %d SCAN frames, want 2", got)
 	}
 }

@@ -419,7 +419,7 @@ func TestResilientClientThroughFlakyNetwork(t *testing.T) {
 		go srv.Serve(l)
 		sched := fault.NewPeriodic("", 7) // one fault per 7 conn I/O calls
 		f := &Faults{Sched: sched, Seed: 5}
-		rc, err := server.DialResilientFunc("srv", server.RetryPolicy{
+		rc, err := server.DialResilient([]string{"srv"}, server.RetryPolicy{
 			MaxAttempts: 12,
 			BaseBackoff: time.Millisecond,
 			MaxBackoff:  10 * time.Millisecond,

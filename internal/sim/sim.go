@@ -975,7 +975,7 @@ func (c *simClient) open() bool {
 		// Two rounds of the node order and two attempts more, a microsecond
 		// apart: every action has settled before the next client operation,
 		// so waiting longer between attempts would only slow the run.
-		c.rc, err = server.DialResilientList(c.s.order, server.RetryPolicy{
+		c.rc, err = server.DialResilient(c.s.order, server.RetryPolicy{
 			MaxAttempts: 2*len(c.s.order) + 2,
 			BaseBackoff: time.Microsecond,
 			MaxBackoff:  time.Microsecond,
